@@ -55,22 +55,20 @@ def parse_report(text: str) -> list[dict]:
     return json.loads(text)
 
 
-def _enumerate_partition(args: tuple[int, int, int]) -> list[dict]:
-    q, n_lo, n_hi = args
-    return [c.row() for c in feasibility.feasibility_report(q, n_lo, n_hi)]
+def _enumerate_partition(args: tuple[int, int, int, bool]) -> list[dict]:
+    q, n_lo, n_hi, include_unlisted = args
+    return [
+        c.row()
+        for c in feasibility.feasibility_report(q, n_lo, n_hi, include_unlisted=include_unlisted)
+    ]
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.jobs <= 1:
-        rows = [
-            c.row()
-            for c in feasibility.feasibility_report(
-                args.q, args.n_min, args.n_max, include_unlisted=args.include_unlisted
-            )
-        ]
+        rows = _enumerate_partition((args.q, args.n_min, args.n_max, args.include_unlisted))
     else:
         # partition by length; partitions are independent, merge re-sorts
-        spans = [(args.q, n, n) for n in range(args.n_min, args.n_max + 1)]
+        spans = [(args.q, n, n, args.include_unlisted) for n in range(args.n_min, args.n_max + 1)]
         rows = []
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for part in pool.map(_enumerate_partition, spans):
@@ -122,9 +120,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     b = dual_distribution(dist.as_dict(), n, q, k)
     b_int = all(v.denominator == 1 and v >= 0 for v in b)
-    b_proj = b[1] == 0 and b[2] == 0
-    print(f"dual distribution integral/nonnegative: {b_int}; B1=B2=0: {b_proj}")
-    print(f"B3 = {b[3]}")
+    b1, b2, b3 = (b[i] if i <= n else 0 for i in (1, 2, 3))  # B_i = 0 for i > n
+    print(f"dual distribution integral/nonnegative: {b_int}; B1=B2=0: {b1 == 0 and b2 == 0}")
+    print(f"B3 = {b3}")
     if not projective:
         failures.append("not projective")
     if args.expect_weights and tuple(args.expect_weights) != weights:

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import GuardExceeded
+from .errors import GuardExceeded, InvalidArgument
 
 SEARCH_BOUND_GUARD = 500
 
@@ -31,9 +31,9 @@ class CurveQuery:
 
     def __post_init__(self) -> None:
         if self.d < 1:
-            raise ValueError("degree must be >= 1")
+            raise InvalidArgument("degree must be >= 1")
         if self.bound < 1:
-            raise ValueError("bound must be >= 1")
+            raise InvalidArgument("bound must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,14 @@ class FieldMismatch(CodesError):
     """Operation requires a different (or a common) base field."""
 
 
+class InvalidArgument(CodesError, ValueError):
+    """An argument is outside the domain of the requested computation."""
+
+
+class SelfCheckFailed(CodesError):
+    """A computed result failed an internal consistency check."""
+
+
 class GuardExceeded(CodesError):
     """Input is past a hard resource guard."""
 
@@ -35,10 +43,6 @@ class ZeroVector(CodesError):
 
 class DegenerateWeights(CodesError):
     """Weights were required to be pairwise distinct."""
-
-
-class DuplicateWeights(DegenerateWeights):
-    """Alias used by the spectrum layer."""
 
 
 class ZeroInOmega(CodesError):

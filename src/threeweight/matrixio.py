@@ -14,7 +14,7 @@ import re
 from pathlib import Path
 
 from .code import LinearCode
-from .errors import ParseError, RankDeficient
+from .errors import ParseError
 from .gfmat import FieldMatrix, PrimeField
 
 _HEADER_RE = re.compile(r"^q=(\d+)(?:\s+n=(\d+))?(?:\s+k=(\d+))?$")
@@ -60,10 +60,7 @@ def parse_matrix_text(text: str) -> LinearCode:
     if k is not None and k != len(rows):
         raise ParseError(row_lines[-1], f"header says k={k} but found {len(rows)} rows")
     field = PrimeField(q)
-    try:
-        return LinearCode(field, FieldMatrix.from_rows(field, rows))
-    except RankDeficient:
-        raise
+    return LinearCode(field, FieldMatrix.from_rows(field, rows))
 
 
 def parse_matrix_file(path: str | Path) -> LinearCode:

@@ -5,8 +5,19 @@ The coset graph of the dual of a projective [n,k]_q code lives on the q^k
 syndromes; two syndromes are adjacent when they differ by a nonzero scalar
 multiple of a generator column.  That makes it a Cayley graph on (F_q^k, +)
 with connection set Omega (the scalar closure of the columns), which is what
-all the exact algorithms here exploit: walk counts are convolution powers of
-the indicator of Omega, and the spectrum comes from additive characters.
+all the exact algorithms here exploit.  Each quantity has one route:
+
+- walk counts are convolution powers of the indicator of Omega
+  (`CosetGraph.walk_counts`, repeated application of the adjacency);
+- the spectrum comes from additive characters
+  (`CosetGraph.spectrum_multiplicities`), and `verify_spectrum` compares
+  its distinct values with the claim;
+- triple-sum counts are the length-3 walk counts, because an ordered triple
+  (x, y, z) in Omega^3 with x + y + z = h is a walk 0 -> x -> x+y -> h.
+
+Independent second routes (direct |Omega|^3 counting, the annihilating
+polynomial, a dense matrix power, digit-wise translation tables) live in
+the test suite as oracles.
 
 Triple-sum counts are ordered: sigma_0/sigma_1 count ordered triples
 (x, y, z) in Omega^3 with x + y + z = h.  (An unordered convention would
@@ -20,7 +31,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .code import LinearCode
-from .errors import DuplicateWeights, GuardExceeded, NotProjective, ZeroInOmega
+from .errors import (
+    DegenerateWeights,
+    GuardExceeded,
+    InvalidArgument,
+    NotProjective,
+    SelfCheckFailed,
+    ZeroInOmega,
+)
 
 VERTEX_GUARD = 1 << 14
 WALK_GUARD = 9
@@ -35,7 +53,7 @@ class SpectrumClaim:
 
     def __post_init__(self) -> None:
         if len(set(self.eigenvalues)) != len(self.eigenvalues):
-            raise DuplicateWeights("claimed eigenvalues must be distinct")
+            raise DegenerateWeights("claimed eigenvalues must be distinct")
         if tuple(sorted(self.eigenvalues, reverse=True)) != self.eigenvalues:
             raise ValueError("eigenvalues must be sorted descending")
 
@@ -96,38 +114,23 @@ class CosetGraph:
             self._shift = {w: self._add_table(w) for w in self.omega}
 
     def _add_table(self, w: int) -> list[int]:
-        q, k = self.q, self.k
-        wv = decode_vector(w, q, k)
-        table = []
-        for h in range(self.nvertices):
-            hv = decode_vector(h, q, k)
-            table.append(encode_vector([(a + b) % q for a, b in zip(hv, wv)], q))
+        """table[h] = h + w, extended by one base-q digit block at a time."""
+        q = self.q
+        table = [0]
+        block = 1
+        for d in decode_vector(w, q, self.k):
+            table = [((j + d) % q) * block + x for j in range(q) for x in table]
+            block *= q
         return table
 
     @property
     def degree(self) -> int:
         return len(self.omega)
 
-    def add(self, u: int, v: int) -> int:
-        if self.q == 2:
-            return u ^ v
-        uv = decode_vector(u, self.q, self.k)
-        vv = decode_vector(v, self.q, self.k)
-        return encode_vector([(a + b) % self.q for a, b in zip(uv, vv)], self.q)
-
     def neighbors(self, v: int) -> list[int]:
         if self.q == 2:
             return sorted(v ^ w for w in self.omega)
         return sorted(self._shift[w][v] for w in self.omega)
-
-    def is_adjacent(self, u: int, v: int) -> bool:
-        return self.add(u, self.negate(v)) in self._omega_set
-
-    def negate(self, v: int) -> int:
-        if self.q == 2:
-            return v
-        vv = decode_vector(v, self.q, self.k)
-        return encode_vector([(-a) % self.q for a in vv], self.q)
 
     def apply_adjacency(self, vec: list[int]) -> list[int]:
         """(A vec)[h] = sum over connection elements of vec[h - w]."""
@@ -170,28 +173,29 @@ class CosetGraph:
     def spectrum_multiplicities(self) -> dict[int, int]:
         """Exact eigenvalue multiset via additive characters."""
         if self.q == 2:
-            vals = _walsh_transform([1 if i in set(self.omega) else 0 for i in range(self.nvertices)])
+            vals = _walsh_transform([1 if i in self._omega_set else 0 for i in range(self.nvertices)])
             out: dict[int, int] = {}
             for v in vals:
                 out[v] = out.get(v, 0) + 1
             return out
-        # q = 3: pair {w, 2w} contributes 2 when <u, w> = 0 and -1 otherwise
-        pairs = []
+        # odd q: the line {w, 2w, ..., (q-1)w} contributes q - 1 when
+        # <u, w> = 0 and -1 otherwise (a full sum of nontrivial characters)
+        q = self.q
+        lines = []
         seen = set()
         for w in self.omega:
             if w in seen:
                 continue
-            nw = self.negate(w)
-            seen.add(w)
-            seen.add(nw)
-            pairs.append(decode_vector(w, self.q, self.k))
+            wv = decode_vector(w, q, self.k)
+            seen.update(encode_vector([lam * e for e in wv], q) for lam in range(1, q))
+            lines.append(wv)
         out = {}
         for u in range(self.nvertices):
-            uv = decode_vector(u, self.q, self.k)
+            uv = decode_vector(u, q, self.k)
             lam = 0
-            for wv in pairs:
-                dot = sum(a * b for a, b in zip(uv, wv)) % self.q
-                lam += 2 if dot == 0 else -1
+            for wv in lines:
+                dot = sum(a * b for a, b in zip(uv, wv)) % q
+                lam += q - 1 if dot == 0 else -1
             out[lam] = out.get(lam, 0) + 1
         return out
 
@@ -228,7 +232,8 @@ def coset_graph(code: LinearCode) -> CosetGraph:
         raise GuardExceeded("syndrome space over the vertex guard")
     omega = [encode_vector(v, code.q) for v in omega_from_code(code)]
     g = CosetGraph(code.q, code.k, omega)
-    assert g.degree == code.n * (code.q - 1)
+    if g.degree != code.n * (code.q - 1):
+        raise SelfCheckFailed(f"coset graph degree {g.degree} != n(q-1) = {code.n * (code.q - 1)}")
     return g
 
 
@@ -236,42 +241,27 @@ def eigenvalues_from_weights(q: int, n: int, weights: Iterable[int]) -> Spectrum
     """theta_i = n(q-1) - q*w_i, descending; weights must include 0."""
     ws = tuple(weights)
     if len(set(ws)) != len(ws):
-        raise DuplicateWeights(f"weights must be distinct, got {ws}")
+        raise DegenerateWeights(f"weights must be distinct, got {ws}")
     if 0 not in ws:
         raise ValueError("weight list must include w_0 = 0")
     return SpectrumClaim(tuple(sorted((n * (q - 1) - q * w for w in ws), reverse=True)))
 
 
 def verify_spectrum(graph: CosetGraph, claim: SpectrumClaim) -> bool:
-    """True iff the spectrum equals the claimed set.
+    """True iff the distinct eigenvalues are exactly the claimed ones.
 
-    Containment: the product of (A - theta I) over the claimed values
-    annihilates the standard basis vector at 0 (for a Cayley graph the
-    operator is translation invariant, so that already gives p(A) = 0).
-    Occurrence: each claimed value must have positive multiplicity, i.e.
-    every factor A - theta I is rank-deficient; multiplicities come from
-    the exact character spectrum.
+    The character spectrum is exact, and its largest value is the degree
+    (the trivial character), so equal sets also put the degree first in
+    the descending claim.
     """
-    if claim.eigenvalues[0] != graph.degree:
-        return False
-    vec = [0] * graph.nvertices
-    vec[0] = 1
-    for theta in claim.eigenvalues:
-        applied = graph.apply_adjacency(vec)
-        vec = [a - theta * b for a, b in zip(applied, vec)]
-    if any(vec):
-        return False
-    mults = graph.spectrum_multiplicities()
-    if any(theta not in mults for theta in claim.eigenvalues):
-        return False
-    return set(mults) == set(claim.eigenvalues)
+    return set(graph.spectrum_multiplicities()) == set(claim.eigenvalues)
 
 
 def is_s_swrg(graph: CosetGraph, s: int) -> SwrgResult:
     """Walk-regularity test: the number of length-s walks between two
     vertices may depend only on equal/adjacent/non-adjacent."""
     if s < 3 or s % 2 == 0:
-        raise ValueError("the walk-regularity test is for odd s >= 3")
+        raise InvalidArgument("the walk-regularity test is for odd s >= 3")
     counts = graph.walk_counts(s)
     omega = set(graph.omega)
     adjacent = {counts[h] for h in graph.omega}
@@ -299,34 +289,10 @@ def is_s_swrg(graph: CosetGraph, s: int) -> SwrgResult:
     )
 
 
-def walk_class_constants_dense(adjacency: list[set[int]], s: int) -> SwrgResult:
-    """Reference implementation on an explicit adjacency structure: dense
-    integer matrix power, no group structure assumed.  For small graphs and
-    cross-checks (e.g. invariance under vertex relabeling)."""
-    n = len(adjacency)
-    mat = [[1 if j in adjacency[i] else 0 for j in range(n)] for i in range(n)]
-    power = [row[:] for row in mat]
-    for _ in range(s - 1):
-        power = [
-            [sum(row[t] * mat[t][j] for t in range(n)) for j in range(n)]
-            for row in power
-        ]
-    equal = {power[i][i] for i in range(n)}
-    adj = {power[i][j] for i in range(n) for j in adjacency[i]}
-    non = {
-        power[i][j]
-        for i in range(n)
-        for j in range(n)
-        if i != j and j not in adjacency[i]
-    }
-    if len(equal) > 1 or len(adj) > 1 or len(non) > 1:
-        return SwrgResult(False, s, None)
-    return SwrgResult(True, s, (equal.pop(), adj.pop() if adj else 0, non.pop() if non else 0))
-
-
 def tss_check(omega: Iterable[Sequence[int]], q: int, k: int) -> TssInstance:
-    """Count ordered representations h = x + y + z over Omega^3 directly.
+    """Count ordered representations h = x + y + z over Omega^3.
 
+    These counts are the length-3 walk counts of the Cayley graph on Omega.
     Omega must be scalar-closed and must not contain 0.  Returns the two
     constants if the counts are constant on Omega and on its complement,
     otherwise a witness pair of group elements with differing counts.
@@ -342,32 +308,16 @@ def tss_check(omega: Iterable[Sequence[int]], q: int, k: int) -> TssInstance:
     if m**3 > TSS_GUARD:
         raise GuardExceeded("|Omega|^3 over guard")
     codes = sorted(encode_vector(v, q) for v in vecs)
-    size = q**k
-    graph = CosetGraph(q, k, codes)  # reuse the group shift tables
-    counts = [0] * size
-    if q == 2:
-        for x in codes:
-            for y in codes:
-                xy = x ^ y
-                for z in codes:
-                    counts[xy ^ z] += 1
-    else:
-        shift = graph._shift
-        for x in codes:
-            for y in codes:
-                xy = shift[y][x]
-                for z in codes:
-                    counts[shift[z][xy]] += 1
+    counts = CosetGraph(q, k, codes).walk_counts(3)
     omega_set = set(codes)
+    rest = [h for h in range(1, q**k) if h not in omega_set]
     in_omega = {counts[h] for h in codes}
-    out_omega = {counts[h] for h in range(1, size) if h not in omega_set}
+    out_omega = {counts[h] for h in rest}
     if len(in_omega) > 1 or len(out_omega) > 1:
-        bad_class = codes if len(in_omega) > 1 else [
-            h for h in range(1, size) if h not in omega_set
-        ]
-        vals = sorted({counts[h] for h in bad_class})
-        w1 = next(h for h in bad_class if counts[h] == vals[0])
-        w2 = next(h for h in bad_class if counts[h] == vals[-1])
+        bad_class = codes if len(in_omega) > 1 else rest
+        vals = [counts[h] for h in bad_class]
+        w1 = bad_class[vals.index(min(vals))]
+        w2 = bad_class[vals.index(max(vals))]
         return TssInstance(
             m, False, None, None,
             (decode_vector(w1, q, k), decode_vector(w2, q, k)),
@@ -378,11 +328,3 @@ def tss_check(omega: Iterable[Sequence[int]], q: int, k: int) -> TssInstance:
         in_omega.pop() if in_omega else None,
         out_omega.pop() if out_omega else None,  # None: the class is empty
     )
-
-
-def triple_counts_by_convolution(omega: Iterable[Sequence[int]], q: int, k: int) -> list[int]:
-    """Independent oracle for the tss counts: threefold group convolution of
-    the indicator vector of Omega."""
-    codes = [encode_vector(tuple(e % q for e in v), q) for v in omega]
-    graph = CosetGraph(q, k, codes)
-    return graph.walk_counts(3)

@@ -1,0 +1,91 @@
+"""Independent second routes for the graph quantities of `threeweight.swrg`.
+
+The library computes each quantity one way: triple-sum counts as length-3
+walk counts, the spectrum from additive characters, walk constants by
+repeated adjacency application, translation tables by base-q digit blocks.
+The routes below share none of that machinery and serve as test oracles.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+from threeweight.swrg import CosetGraph, SpectrumClaim, SwrgResult, decode_vector, encode_vector
+
+
+def digitwise_add_table(w: int, q: int, k: int) -> list[int]:
+    """table[h] = h + w, by decoding, adding digit-wise mod q and re-encoding."""
+    wv = decode_vector(w, q, k)
+    return [
+        encode_vector([(a + b) % q for a, b in zip(decode_vector(h, q, k), wv)], q)
+        for h in range(q**k)
+    ]
+
+
+def direct_triple_counts(omega: Iterable[Sequence[int]], q: int, k: int) -> list[int]:
+    """counts[h] = #{(x, y, z) in Omega^3 : x + y + z = h}, by the |Omega|^3 loop."""
+    codes = sorted({encode_vector(tuple(e % q for e in v), q) for v in omega})
+    counts = [0] * q**k
+    if q == 2:
+        for x in codes:
+            for y in codes:
+                xy = x ^ y
+                for z in codes:
+                    counts[xy ^ z] += 1
+    else:
+        shift = {w: digitwise_add_table(w, q, k) for w in codes}
+        for x in codes:
+            for y in codes:
+                xy = shift[y][x]
+                for z in codes:
+                    counts[shift[z][xy]] += 1
+    return counts
+
+
+def spectrum_by_annihilator(graph: CosetGraph, claim: SpectrumClaim) -> bool:
+    """True iff the claimed values are exactly the distinct eigenvalues.
+
+    The adjacency operator A is symmetric, so its minimal polynomial is the
+    product of (x - theta) over its distinct eigenvalues.  The claim is
+    right iff that product over the claimed values annihilates A, and no
+    product with one value left out does.  A polynomial in A commutes with
+    translations, so it vanishes iff it sends the basis vector at 0 to 0.
+    """
+
+    def annihilates(thetas: Sequence[int]) -> bool:
+        vec = [0] * graph.nvertices
+        vec[0] = 1
+        for theta in thetas:
+            applied = graph.apply_adjacency(vec)
+            vec = [a - theta * b for a, b in zip(applied, vec)]
+        return not any(vec)
+
+    ev = claim.eigenvalues
+    return annihilates(ev) and not any(
+        annihilates(ev[:i] + ev[i + 1:]) for i in range(len(ev))
+    )
+
+
+def walk_class_constants_dense(adjacency: list[set[int]], s: int) -> SwrgResult:
+    """Walk constants on an explicit adjacency structure: dense integer
+    matrix power, no group structure assumed.  For small graphs and
+    cross-checks (e.g. invariance under vertex relabeling)."""
+    n = len(adjacency)
+    mat = [[1 if j in adjacency[i] else 0 for j in range(n)] for i in range(n)]
+    power = [row[:] for row in mat]
+    for _ in range(s - 1):
+        power = [
+            [sum(row[t] * mat[t][j] for t in range(n)) for j in range(n)]
+            for row in power
+        ]
+    equal = {power[i][i] for i in range(n)}
+    adj = {power[i][j] for i in range(n) for j in adjacency[i]}
+    non = {
+        power[i][j]
+        for i in range(n)
+        for j in range(n)
+        if i != j and j not in adjacency[i]
+    }
+    if len(equal) > 1 or len(adj) > 1 or len(non) > 1:
+        return SwrgResult(False, s, None)
+    return SwrgResult(True, s, (equal.pop(), adj.pop() if adj else 0, non.pop() if non else 0))

@@ -102,6 +102,20 @@ def test_verify_sum_condition_failure(capsys, tmp_path):
     assert "weight sum 12" in out and "MISMATCH" in out
 
 
+@pytest.mark.parametrize("rows,rc,b_proj", [
+    (["10", "01"], 0, True),  # the full [2,2]_2 space; its weights sum to 3n/2
+    (["1"], 1, True),
+    (["11"], 1, False),  # a repeated column: B2 = 1
+])
+def test_verify_codes_shorter_than_three(capsys, tmp_path, rows, rc, b_proj):
+    # B_i with i > n is 0, not an index error
+    f = tmp_path / "short.txt"
+    f.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    got, out, err = run_cli(capsys, "verify", str(f), "--graph", "--tss")
+    assert (got, err) == (rc, "")
+    assert f"B1=B2=0: {b_proj}\nB3 = 0\n" in out
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("q=3\n014\n", encoding="utf-8")
@@ -124,11 +138,27 @@ def test_graph_command(capsys):
     assert rc == 0 and len(out.splitlines()) == 16
 
 
+@pytest.mark.parametrize("s", ["2", "4", "1"])
+def test_graph_rejects_even_or_short_walks(capsys, s):
+    rc, out, err = run_cli(
+        capsys, "graph", str(data_path("matrices/q2_n008_k04_w2_4_6.txt")), "--s", s,
+    )
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "odd s >= 3" in err
+
+
 def test_curve_command(capsys):
     rc, out, _ = run_cli(capsys, "curve", "--d", "3", "--bound", "30")
     assert rc == 0
     payload = json.loads(out)
     assert payload["points"] == [[0, 1, -1], [1, -1, 0], [1, 0, -1]]
+
+
+@pytest.mark.parametrize("argv", [("--d", "0", "--bound", "5"), ("--d", "3", "--bound", "0")])
+def test_curve_rejects_nonpositive_arguments(capsys, argv):
+    rc, out, err = run_cli(capsys, "curve", *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "must be >= 1" in err
 
 
 def test_scan_command(capsys):
@@ -158,6 +188,17 @@ def test_enumerate_include_unlisted_flag(capsys):
     rows = json.loads(full)
     assert rc == 0 and len(rows) == 1
     assert (rows[0]["n"], rows[0]["k"], rows[0]["verdict"]) == (44, 6, "excluded")
+
+
+def test_enumerate_parallel_keeps_unlisted_rows(capsys):
+    argv = ("enumerate", "--q", "3", "--n-min", "3", "--n-max", "14",
+            "--format", "json", "--include-unlisted")
+    rc, seq, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    rc, par, _ = run_cli(capsys, *argv, "--jobs", "2")
+    assert rc == 0
+    assert par == seq
+    assert any(r["verdict"] == "admissible" for r in json.loads(seq))
 
 
 def test_scan_csv_carries_y_column(capsys):

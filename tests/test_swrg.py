@@ -5,7 +5,7 @@ import random
 import pytest
 
 from threeweight.code import parity_check_code, reed_muller, simplex
-from threeweight.errors import DuplicateWeights, GuardExceeded, NotProjective, ZeroInOmega
+from threeweight.errors import CodesError, DegenerateWeights, GuardExceeded, NotProjective, ZeroInOmega
 from threeweight.gfmat import GF2, FieldMatrix
 from threeweight.code import LinearCode
 from threeweight.matrixio import parse_matrix_file
@@ -13,16 +13,22 @@ from threeweight.swrg import (
     CosetGraph,
     SpectrumClaim,
     coset_graph,
+    decode_vector,
     eigenvalues_from_weights,
+    encode_vector,
     is_s_swrg,
     omega_from_code,
-    triple_counts_by_convolution,
     tss_check,
     verify_spectrum,
-    walk_class_constants_dense,
 )
 
 from conftest import data_path
+from swrg_oracles import (
+    digitwise_add_table,
+    direct_triple_counts,
+    spectrum_by_annihilator,
+    walk_class_constants_dense,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,12 +59,29 @@ def test_simplex_gives_complete_graph():
     g = coset_graph(simplex(2, 2))
     assert g.nvertices == 4 and g.degree == 3
     assert verify_spectrum(g, SpectrumClaim((3, -1)))
+    assert spectrum_by_annihilator(g, SpectrumClaim((3, -1)))
+
+
+def test_complete_graph_over_gf5():
+    # the 6 points of PG(1, 5) give K_25: every nonzero syndrome is adjacent to 0
+    code = simplex(5, 2)
+    g = coset_graph(code)
+    assert g.degree == 24
+    assert g.spectrum_multiplicities() == {24: 1, -1: 24}
+    assert verify_spectrum(g, SpectrumClaim((24, -1)))
+    assert spectrum_by_annihilator(g, SpectrumClaim((24, -1)))
+    omega = omega_from_code(code)
+    inst = tss_check(omega, 5, 2)
+    # Omega is every nonzero syndrome, so only sigma0 is defined
+    assert inst.consistent and inst.sigma1 is None
+    direct = direct_triple_counts(omega, 5, 2)
+    assert direct == g.walk_counts(3) and inst.sigma0 == direct[1]
 
 
 def test_eigenvalues_from_weights():
     assert eigenvalues_from_weights(2, 8, (0, 2, 4, 6)).eigenvalues == (8, 4, 0, -4)
     assert eigenvalues_from_weights(3, 9, (0, 3, 6, 9)).eigenvalues == (18, 9, 0, -9)
-    with pytest.raises(DuplicateWeights):
+    with pytest.raises(DegenerateWeights):
         eigenvalues_from_weights(2, 8, (0, 2, 2, 6))
 
 
@@ -74,10 +97,18 @@ def test_eigenvalue_sum_vanishes_under_weight_sum_condition():
 
 def test_verify_spectrum(code_8_4):
     g = coset_graph(code_8_4)
-    assert verify_spectrum(g, eigenvalues_from_weights(2, 8, (0, 2, 4, 6)))
-    assert not verify_spectrum(g, SpectrumClaim((8, 4, 0, -2)))
-    # a strict superset claim fails the occurrence direction
-    assert not verify_spectrum(g, SpectrumClaim((8, 6, 4, 0, -4)))
+    claims = {
+        eigenvalues_from_weights(2, 8, (0, 2, 4, 6)): True,
+        SpectrumClaim((8, 4, 0, -2)): False,
+        # a strict superset claim fails the occurrence direction
+        SpectrumClaim((8, 6, 4, 0, -4)): False,
+        # a strict subset fails containment; so does a claim without the degree
+        SpectrumClaim((8, 4, -4)): False,
+        SpectrumClaim((4, 0, -4)): False,
+    }
+    for claim, expected in claims.items():
+        assert verify_spectrum(g, claim) is expected, claim
+        assert spectrum_by_annihilator(g, claim) is expected, claim
 
 
 def test_is_s_swrg_examples(code_8_4):
@@ -90,6 +121,8 @@ def test_is_s_swrg_examples(code_8_4):
     assert is_s_swrg(srg, 5).is_swrg
     with pytest.raises(ValueError):
         is_s_swrg(g, 4)
+    with pytest.raises(CodesError):
+        is_s_swrg(g, 2)
     with pytest.raises(GuardExceeded):
         g.walk_counts(11)
 
@@ -106,20 +139,25 @@ def test_tss_from_code_and_convolution_oracle(code_8_4):
     omega = omega_from_code(code_8_4)
     inst = tss_check(omega, 2, 4)
     assert inst.consistent
-    conv = triple_counts_by_convolution(omega, 2, 4)
+    direct = direct_triple_counts(omega, 2, 4)
     g = coset_graph(code_8_4)
+    assert g.walk_counts(3) == direct
     omega_set = set(g.omega)
-    assert all(conv[h] == inst.sigma0 for h in omega_set)
+    assert all(direct[h] == inst.sigma0 for h in omega_set)
     assert all(
-        conv[h] == inst.sigma1 for h in range(1, 16) if h not in omega_set
+        direct[h] == inst.sigma1 for h in range(1, 16) if h not in omega_set
     )
     walk = is_s_swrg(g, 3)
-    assert walk.constants == (conv[0], inst.sigma0, inst.sigma1)
+    assert walk.constants == (direct[0], inst.sigma0, inst.sigma1)
 
 
 def test_tss_inconsistent_for_bad_weight_sum():
-    inst = tss_check(omega_from_code(parity_check_code(6)), 2, 5)
+    omega = omega_from_code(parity_check_code(6))
+    inst = tss_check(omega, 2, 5)
     assert not inst.consistent and inst.witness is not None
+    direct = direct_triple_counts(omega, 2, 5)
+    w1, w2 = (encode_vector(v, 2) for v in inst.witness)
+    assert direct[w1] != direct[w2]
 
 
 def test_tss_rejects_zero_and_unclosed():
@@ -148,12 +186,22 @@ def test_ternary_graph_layer():
     code = parse_matrix_file(data_path("matrices/q3_n009_k04_w3_6_9.txt"))
     g = coset_graph(code)
     assert g.nvertices == 81 and g.degree == 18
-    assert verify_spectrum(g, eigenvalues_from_weights(3, 9, (0, 3, 6, 9)))
+    claim = eigenvalues_from_weights(3, 9, (0, 3, 6, 9))
+    assert verify_spectrum(g, claim) and spectrum_by_annihilator(g, claim)
     assert is_s_swrg(g, 3).is_swrg
     inst = tss_check(omega_from_code(code), 3, 4)
     assert inst.consistent
-    conv = triple_counts_by_convolution(omega_from_code(code), 3, 4)
-    assert conv[g.omega[0]] == inst.sigma0
+    direct = direct_triple_counts(omega_from_code(code), 3, 4)
+    assert direct == g.walk_counts(3)
+    assert direct[g.omega[0]] == inst.sigma0
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_digit_block_add_table_matches_digitwise_addition(q, k):
+    g = CosetGraph(q, k, [1])
+    for w in range(q**k):
+        assert g._add_table(w) == digitwise_add_table(w, q, k), (q, k, decode_vector(w, q, k))
 
 
 def test_realized_rows_have_zero_middle_eigenvalue():
