@@ -27,10 +27,11 @@ from importlib import resources
 from math import gcd
 
 from .code import LinearCode, golay23, parity_check_code, reed_muller, simplex
-from .errors import GuardExceeded, UnsupportedParameters
+from .errors import GuardExceeded, SelfCheckFailed, UnsupportedParameters
 from .transform import (
     binomial,
-    krawtchouk_column,
+    dual_numerators,
+    forced_frequencies,
     solve_three_weight_general,
     three_weight_solve,
 )
@@ -131,11 +132,7 @@ class Candidate:
 def _v2(m: int) -> int:
     if m <= 0:
         return 0
-    e = 0
-    while m % 2 == 0:
-        m //= 2
-        e += 1
-    return e
+    return (m & -m).bit_length() - 1
 
 
 def _is_power_of_two(m: int) -> bool:
@@ -168,7 +165,9 @@ def dimension_range(q: int, n: int, weights: tuple[int, int, int]) -> range:
 def solve_frequencies(
     q: int, n: int, k: int, weights: tuple[int, int, int]
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """Frequencies forced by the first moments with B_1 = B_2 = 0."""
+    """Frequencies forced by the first moments with B_1 = B_2 = 0, as exact
+    rationals from the closed-form solvers (the reference for the integer
+    transform.forced_frequencies that evaluate_candidate uses)."""
     w1, w2, w3 = weights
     if q == 2:
         return three_weight_solve(n, k, w1, w2, w3).frequencies
@@ -180,13 +179,10 @@ def dual_sequence_exact(
 ) -> tuple[tuple[int, ...] | None, str]:
     """Integer B_0..B_n, or (None, reason) at the first violation."""
     size = q**k
-    acc = list(krawtchouk_column(0, n, q, n))
-    for w, a in zip(weights, freqs):
-        col = krawtchouk_column(w, n, q, n)
-        for i in range(n + 1):
-            acc[i] += a * col[i]
+    counts = {0: 1}
+    counts.update(zip(weights, freqs))
     out = []
-    for i, v in enumerate(acc):
+    for i, v in enumerate(dual_numerators(counts, n, q)):
         b, rem = divmod(v, size)
         if rem != 0:
             return None, f"B_{i} is not an integer"
@@ -203,21 +199,20 @@ def evaluate_candidate(q: int, n: int, k: int, weights: tuple[int, int, int]) ->
         return None
     if (w1 + w2 + w3) * q != 3 * n * (q - 1):
         return None
-    delta = gcd(gcd(w1, w2), w3)
+    delta = gcd(w1, w2, w3)
     if q ** (k - 1) % delta != 0:
         return None  # condition (ii): the code would be a proper repetition
     if q == 2 and (w1 * w2 * w3) % (1 << (k - 2)) != 0:
         return None  # condition (iii)
-    freqs = solve_frequencies(q, n, k, weights)
-    if any(f.denominator != 1 or f <= 0 for f in freqs):
+    freqs = forced_frequencies(q, n, k, weights)
+    if freqs is None:
         return None  # condition (iv): frequencies
-    int_freqs = tuple(int(f) for f in freqs)
-    b_seq, _ = dual_sequence_exact(q, n, k, weights, int_freqs)
+    b_seq, _ = dual_sequence_exact(q, n, k, weights, freqs)
     if b_seq is None:
         return None  # condition (iv): dual distribution
     if b_seq[0] != 1 or b_seq[1] != 0 or b_seq[2] != 0:
         return None  # condition (v)
-    return Candidate(q, n, k, weights, int_freqs, b_seq, delta)
+    return Candidate(q, n, k, weights, freqs, b_seq, delta)
 
 
 def enumerate_candidates(q: int, n_min: int, n_max: int) -> list[Candidate]:
@@ -553,13 +548,17 @@ def kn_witness(a: int) -> KnWitness:
         k_value, n_value = 11, 2024
     else:
         raise UnsupportedParameters("witnesses are available for a in {1, 2, 3}")
-    assert witness.k == k_value and witness.n == n_value
-    dist = witness.weight_distribution()
-    ws = dist.nonzero_weights()
-    assert len(ws) == 3
-    assert sum(ws) * 2 == 3 * witness.n and ws[1] * 2 == witness.n
-    d = gcd(gcd(ws[0], ws[1]), ws[2])
-    assert d % (1 << a) != 0  # not 2^a-divisible
+    if (witness.k, witness.n) != (k_value, n_value):
+        raise SelfCheckFailed(
+            f"a={a} witness is [{witness.n},{witness.k}], expected [{n_value},{k_value}]"
+        )
+    ws = witness.weight_distribution().nonzero_weights()
+    if len(ws) != 3:
+        raise SelfCheckFailed(f"a={a} witness has weights {ws}, expected three")
+    if sum(ws) * 2 != 3 * witness.n or ws[1] * 2 != witness.n:
+        raise SelfCheckFailed(f"a={a} witness weights {ws} miss 3n/2 or the midpoint n/2")
+    if gcd(*ws) % (1 << a) == 0:
+        raise SelfCheckFailed(f"a={a} witness weights {ws} are 2^{a}-divisible")
     return KnWitness(
         a,
         k_value,

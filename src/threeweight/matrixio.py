@@ -1,6 +1,6 @@
 """Generator-matrix text format.
 
-One row per line, characters '0'..'p-1'.  Whitespace inside rows is ignored
+One row per line, ASCII characters '0'..'p-1'.  Whitespace inside rows is ignored
 (some shipped fixtures carry embedded spaces or wrapped rows).  Lines
 starting with '#' are comments, blank lines are skipped.  An optional header
 line "q=<p> n=<n> k=<k>" fixes the field and declares the shape.  Trailing
@@ -17,7 +17,8 @@ from .code import LinearCode
 from .errors import ParseError
 from .gfmat import FieldMatrix, PrimeField
 
-_HEADER_RE = re.compile(r"^q=(\d+)(?:\s+n=(\d+))?(?:\s+k=(\d+))?$")
+_HEADER_RE = re.compile(r"^q=(\d+)(?:\s+n=(\d+))?(?:\s+k=(\d+))?$", re.ASCII)
+_ROW_RE = re.compile(r"[0-9]+")
 
 
 def parse_matrix_text(text: str) -> LinearCode:
@@ -39,7 +40,7 @@ def parse_matrix_text(text: str) -> LinearCode:
         compact = line.replace(" ", "").replace("\t", "")
         # tolerate stray trailing punctuation (e.g. a lone ']') but nothing else
         stripped = compact.rstrip("]")
-        if not stripped or not stripped.isdigit():
+        if not _ROW_RE.fullmatch(stripped):
             raise ParseError(lineno, f"not a digit row: {raw!r}")
         if len(compact) - len(stripped) > 1:
             raise ParseError(lineno, "too much trailing garbage")

@@ -1,6 +1,13 @@
 """MacWilliams transform machinery: Krawtchouk polynomials, dual weight
-distributions, power moments, and the closed-form frequency solver for
-binary three-weight codes.
+distributions, power moments, and the frequencies forced on three-weight
+codes by the first power moments.
+
+The production route for the frequencies is the integer kernel:
+moment_system builds the 3x3 moment system once per (q, n, weights) and
+forced_frequencies solves it by integer Cramer's rule, rejecting on the
+first nonzero remainder.  The rational solvers (three_weight_solve and
+pmt_frequencies for q = 2, solve_three_weight_general for any q) are the
+closed-form references the kernel is checked against.
 
 All arithmetic is exact (integers and fractions).  Integrality of a dual
 distribution is a *test* performed by callers, never an assumption.
@@ -10,16 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
-from .errors import DegenerateWeights
+from .errors import DegenerateWeights, SelfCheckFailed
 
 
 def binomial(x: int, nu: int) -> int:
     """C(x, nu) in the generalized sense: x(x-1)...(x-nu+1)/nu!.
 
-    Defined for every integer x (also negative), so Krawtchouk values are
-    defined at arbitrary integer arguments.
+    Defined for every integer x (also negative).
     """
     if nu < 0:
         return 0
@@ -28,17 +36,9 @@ def binomial(x: int, nu: int) -> int:
         num *= x - i
     den = factorial(nu)
     quot, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise SelfCheckFailed(f"{nu}! does not divide the falling factorial of {x}")
     return quot
-
-
-def krawtchouk(i: int, x: int, n: int, q: int) -> int:
-    """K_i(x) = sum_nu (-1)^nu C(x,nu) C(n-x,i-nu) (q-1)^(i-nu), exactly."""
-    total = 0
-    for nu in range(i + 1):
-        term = binomial(x, nu) * binomial(n - x, i - nu) * (q - 1) ** (i - nu)
-        total += -term if (nu & 1) else term
-    return total
 
 
 def krawtchouk_column(x: int, n: int, q: int, imax: int) -> list[int]:
@@ -52,9 +52,22 @@ def krawtchouk_column(x: int, n: int, q: int, imax: int) -> list[int]:
     for i in range(1, imax):
         num = ((q - 1) * (n - i) + i - q * x) * vals[i] - (q - 1) * (n - i + 1) * vals[i - 1]
         quot, rem = divmod(num, i + 1)
-        assert rem == 0
+        if rem:
+            raise SelfCheckFailed(f"K_{i + 1}({x}) is not an integer for n={n}, q={q}")
         vals.append(quot)
     return vals[: imax + 1]
+
+
+def dual_numerators(counts: dict[int, int], n: int, q: int) -> list[int]:
+    """q^k * B_i = sum_j K_i(j) A_j for i = 0..n, from primal counts {weight: A_w}."""
+    acc = [0] * (n + 1)
+    for w, a in counts.items():
+        if a == 0:
+            continue
+        col = krawtchouk_column(w, n, q, n)
+        for i in range(n + 1):
+            acc[i] += a * col[i]
+    return acc
 
 
 def dual_distribution(counts: dict[int, int], n: int, q: int, k: int) -> list[Fraction]:
@@ -64,14 +77,7 @@ def dual_distribution(counts: dict[int, int], n: int, q: int, k: int) -> list[Fr
     Callers decide what integrality or nonnegativity means for them.
     """
     size = q**k
-    acc = [0] * (n + 1)
-    for w, a in counts.items():
-        if a == 0:
-            continue
-        col = krawtchouk_column(w, n, q, n)
-        for i in range(n + 1):
-            acc[i] += a * col[i]
-    return [Fraction(v, size) for v in acc]
+    return [Fraction(v, size) for v in dual_numerators(counts, n, q)]
 
 
 def power_moment(counts: dict[int, int], nu: int) -> int:
@@ -149,16 +155,19 @@ def three_weight_solve(n: int, k: int, w1: int, w2: int, w3: int) -> ThreeWeight
     sol = ThreeWeightSolution(2, n, k, (w1, w2, w3), (a1, a2, a3), b3, y)
     if sol.is_integral() and all(f >= 0 for f in sol.frequencies):
         b = dual_distribution(sol.counts(), n, 2, k)
-        assert b[0] == 1 and b[1] == 0 and b[2] == 0
-        assert b[3] == b3
+        if b[0] != 1 or b[1] != 0 or b[2] != 0 or b[3] != b3:
+            raise SelfCheckFailed(
+                f"MacWilliams transform disagrees with the closed form for "
+                f"n={n}, k={k}, weights={(w1, w2, w3)}: B_0..B_3 = {b[:4]}, B_3 = {b3}"
+            )
     return sol
 
 
 def pmt_frequencies(n: int, k: int, t: int) -> ThreeWeightSolution:
     """Frequencies for the symmetric binary weight triple (n/2-t, n/2, n/2+t).
 
-    Must (and does, by assertion) agree with three_weight_solve on the same
-    inputs.
+    Must agree with three_weight_solve on the same inputs; a disagreement
+    raises SelfCheckFailed.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -174,41 +183,77 @@ def pmt_frequencies(n: int, k: int, t: int) -> ThreeWeightSolution:
     b3 = Fraction(n * (n - 2 * t) * (n + 2 * t), 8 * y) / 3
     sol = ThreeWeightSolution(2, n, k, (w1, w2, w3), (a1, a2, a3), b3, y)
     general = three_weight_solve(n, k, w1, w2, w3)
-    assert sol.frequencies == general.frequencies and sol.b3 == general.b3
+    if sol.frequencies != general.frequencies or sol.b3 != general.b3:
+        raise SelfCheckFailed(
+            f"symmetric closed form disagrees with three_weight_solve for n={n}, k={k}, t={t}"
+        )
     return sol
+
+
+class MomentSystem(NamedTuple):
+    """The k-free part of sum A = q^k - 1, B_1 = B_2 = 0 for three weights.
+
+    The matrix is [[1, 1, 1], K_1(w), K_2(w)] and the right-hand side
+    (q^k - 1, r1, r2).  By Cramer's rule A_j is (q^k - 1) c0 + r1 c1 + r2 c2
+    over det, where (c0, c1, c2) = cofactors[j] is column j's cofactors.
+    """
+
+    det: int
+    cofactors: tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
+    rhs_tail: tuple[int, int]
+
+
+def _k2(n: int, s: int, w: int) -> int:
+    """K_2(w) for q = s + 1, in closed form."""
+    return (n - w) * (n - w - 1) // 2 * s * s - w * (n - w) * s + w * (w - 1) // 2
+
+
+@lru_cache(maxsize=64)
+def moment_system(q: int, n: int, weights: tuple[int, int, int]) -> MomentSystem:
+    """Integer moment system for weights, from the closed forms
+
+    K_1(w) = n(q-1) - qw,  K_2(w) = C(n-w,2)(q-1)^2 - w(n-w)(q-1) + C(w,2).
+
+    Cached: callers sweep k innermost, and nothing here depends on k.
+    """
+    w1, w2, w3 = weights
+    if w1 == w2 or w1 == w3 or w2 == w3:
+        raise DegenerateWeights(f"weights must be distinct, got {weights}")
+    s = q - 1
+    x1, x2, x3 = n * s - q * w1, n * s - q * w2, n * s - q * w3
+    y1, y2, y3 = _k2(n, s, w1), _k2(n, s, w2), _k2(n, s, w3)
+    cofactors = (
+        (x2 * y3 - x3 * y2, y2 - y3, x3 - x2),
+        (x3 * y1 - x1 * y3, y3 - y1, x1 - x3),
+        (x1 * y2 - x2 * y1, y1 - y2, x2 - x1),
+    )
+    det = cofactors[0][0] + cofactors[1][0] + cofactors[2][0]
+    if det == 0:
+        raise DegenerateWeights("moment system is singular")
+    return MomentSystem(det, cofactors, (-n * s, -(n * (n - 1) // 2) * s * s))
+
+
+def forced_frequencies(
+    q: int, n: int, k: int, weights: tuple[int, int, int]
+) -> tuple[int, int, int] | None:
+    """The frequencies (A_w1, A_w2, A_w3) forced by sum A = q^k - 1 and
+    B_1 = B_2 = 0, or None as soon as one is not a positive integer."""
+    det, cofactors, (r1, r2) = moment_system(q, n, weights)
+    top = q**k - 1
+    out = []
+    for c0, c1, c2 in cofactors:
+        a, rem = divmod(top * c0 + r1 * c1 + r2 * c2, det)
+        if rem or a <= 0:
+            return None
+        out.append(a)
+    return tuple(out)
 
 
 def solve_three_weight_general(
     n: int, k: int, q: int, w1: int, w2: int, w3: int
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """Frequencies forced by B_1 = B_2 = 0 for any prime power q.
-
-    Solves the 3x3 linear system given by sum A_i = q^k - 1 together with
-    the first two Krawtchouk moments, by Cramer's rule over the integers.
-    """
-    if len({w1, w2, w3}) != 3:
-        raise DegenerateWeights(f"weights must be distinct, got {(w1, w2, w3)}")
-    size = q**k
-    ws = (w1, w2, w3)
-    k1 = [n * (q - 1) - q * w for w in ws]
-    k2 = [krawtchouk(2, w, n, q) for w in ws]
-    rhs = (size - 1, -(n * (q - 1)), -krawtchouk(2, 0, n, q))
-    m = [[1, 1, 1], k1, k2]
-
-    def det3(a) -> int:
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-
-    d = det3(m)
-    if d == 0:
-        raise DegenerateWeights("moment system is singular")
-    sols = []
-    for col in range(3):
-        mc = [list(row) for row in m]
-        for r in range(3):
-            mc[r][col] = rhs[r]
-        sols.append(Fraction(det3(mc), d))
-    return sols[0], sols[1], sols[2]
+    """Frequencies forced by B_1 = B_2 = 0 for any prime power q, as exact
+    rationals: the Cramer numerators of moment_system over its determinant."""
+    det, cofactors, (r1, r2) = moment_system(q, n, (w1, w2, w3))
+    top = q**k - 1
+    return tuple(Fraction(top * c0 + r1 * c1 + r2 * c2, det) for c0, c1, c2 in cofactors)

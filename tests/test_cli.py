@@ -123,6 +123,13 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert rc == 2 and "parse error" in err
 
 
+def test_non_ascii_digit_row_exits_2(capsys, tmp_path):
+    f = tmp_path / "superscript.txt"
+    f.write_text("101\n1\u00b20\n", encoding="utf-8")
+    rc, out, err = run_cli(capsys, "verify", str(f))
+    assert rc == 2 and out == "" and "parse error" in err
+
+
 def test_graph_command(capsys):
     rc, out, _ = run_cli(
         capsys, "graph", str(data_path("matrices/q2_n008_k04_w2_4_6.txt")), "--s", "3",

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from threeweight.errors import GuardExceeded, UnsupportedParameters
+from threeweight import feasibility
+from threeweight.code import parity_check_code
+from threeweight.errors import GuardExceeded, SelfCheckFailed, UnsupportedParameters
 from threeweight.feasibility import (
     FILTER_ORDER,
     apply_filters,
@@ -226,3 +229,22 @@ def test_kn_witness_small(a, k_value, n_value, weights, freqs):
 def test_kn_witness_rejects_large_a():
     with pytest.raises(UnsupportedParameters):
         kn_witness(4)
+
+
+def test_kn_witness_checks_raise(monkeypatch):
+    # a wrong construction must fail the explicit checks, also under python -O
+    monkeypatch.setattr(feasibility, "parity_check_code", lambda n: parity_check_code(n + 1))
+    with pytest.raises(SelfCheckFailed):
+        kn_witness(2)
+
+
+def test_admissibility_path_builds_no_fraction(monkeypatch):
+    # conditions (i)-(v) run on integers only: frequencies by integer Cramer,
+    # the dual distribution by integer division
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built on the admissibility path")
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(refuse))
+    assert len(enumerate_candidates(2, 4, 40)) > 10
+    assert len(enumerate_candidates(3, 3, 21)) > 5
+    assert len(counterexample_scan(120)) == 3

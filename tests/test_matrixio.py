@@ -69,3 +69,16 @@ def test_serialize_round_trip():
     code = parse_matrix_file(data_path("matrices/q3_n009_k04_w3_6_9.txt"))
     again = parse_matrix_text(serialize_matrix(code))
     assert again.generator == code.generator
+
+
+@pytest.mark.parametrize("row", ["1²0", "1٣0", "0１1"])
+def test_non_ascii_digits_rejected(row):
+    # superscript two, Arabic-Indic three and fullwidth one all pass
+    # str.isdigit(); only ASCII 0-9 are matrix entries
+    with pytest.raises(ParseError):
+        parse_matrix_text(f"101\n{row}\n")
+
+
+def test_non_ascii_header_digits_rejected():
+    with pytest.raises(ParseError):
+        parse_matrix_text("q=٣\n012\n121\n")

@@ -1,22 +1,29 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from threeweight import transform
 from threeweight.code import parity_check_code, simplex
-from threeweight.errors import DegenerateWeights
+from threeweight.errors import DegenerateWeights, SelfCheckFailed
+from threeweight.feasibility import dimension_range, weight_triples
 from threeweight.gfmat import GF2
 from threeweight.transform import (
     binomial,
     dual_distribution,
-    krawtchouk,
+    dual_numerators,
+    forced_frequencies,
     krawtchouk_column,
+    moment_system,
     pmt_frequencies,
     solve_three_weight_general,
     three_weight_solve,
 )
+
+from transform_oracles import cramer_frequencies, krawtchouk
 
 
 def test_binomial_generalized():
@@ -71,6 +78,9 @@ def test_dual_distribution_hypothetical_candidate_b3():
     b = dual_distribution(counts, 100, 2, 8)
     assert b[0] == 1 and b[1] == 0 and b[2] == 0
     assert b[3] == 580
+    nums = dual_numerators(counts, 100, 2)
+    assert nums[:4] == [256, 0, 0, 580 * 256]
+    assert [Fraction(v, 2**8) for v in nums] == b
 
 
 def test_macwilliams_involution_on_codes():
@@ -155,3 +165,77 @@ def test_general_solver_ternary_first_row():
     # the length-3 ternary catalog row: frequencies forced to (6, 12, 8)
     a = solve_three_weight_general(3, 3, 3, 1, 2, 3)
     assert a == (6, 12, 8)
+
+
+def test_general_solver_matches_cramer_oracle():
+    rng = random.Random(23)
+    for _ in range(300):
+        q = rng.choice((2, 3, 5))
+        n = rng.randint(3, 150)
+        ws = sorted(rng.sample(range(1, n + 1), 3))
+        k = rng.randint(1, 16)
+        assert solve_three_weight_general(n, k, q, *ws) == cramer_frequencies(n, k, q, *ws)
+
+
+def test_general_solver_rejects_degenerate():
+    with pytest.raises(DegenerateWeights):
+        solve_three_weight_general(10, 4, 3, 3, 3, 6)
+    with pytest.raises(DegenerateWeights):
+        forced_frequencies(3, 10, 4, (3, 3, 6))
+
+
+@pytest.mark.parametrize("q,n_max", [(2, 80), (3, 39)])
+def test_forced_frequencies_match_rational_oracle(q, n_max):
+    """Every (n, weights, k) the enumeration evaluates: the kernel returns
+    None exactly when some oracle frequency is non-integral or <= 0, and the
+    oracle integers otherwise."""
+    cases = hits = 0
+    for n in range(1, n_max + 1):
+        for ws in weight_triples(q, n):
+            for k in dimension_range(q, n, ws):
+                if q == 2:
+                    ref = three_weight_solve(n, k, *ws).frequencies
+                else:
+                    ref = cramer_frequencies(n, k, q, *ws)
+                got = forced_frequencies(q, n, k, ws)
+                cases += 1
+                if any(f.denominator != 1 or f <= 0 for f in ref):
+                    assert got is None, (q, n, k, ws, ref)
+                else:
+                    assert got == tuple(int(f) for f in ref), (q, n, k, ws, ref)
+                    hits += 1
+    assert cases > 1000 and hits > 50
+
+
+def test_moment_system_determinant_is_scaled_vandermonde():
+    # det [[1,1,1], K_1(w), K_2(w)] = -(q^3/2) (w2-w1)(w3-w1)(w3-w2)
+    for q, n, ws in [(2, 24, (8, 12, 16)), (3, 39, (21, 27, 30)), (5, 20, (2, 9, 17))]:
+        w1, w2, w3 = ws
+        det = moment_system(q, n, ws).det
+        assert -2 * det == q**3 * (w2 - w1) * (w3 - w1) * (w3 - w2)
+
+
+def test_three_weight_solve_cross_check_raises(monkeypatch):
+    real = transform.dual_distribution
+
+    def wrong_b3(counts, n, q, k):
+        b = real(counts, n, q, k)
+        b[3] += 1
+        return b
+
+    monkeypatch.setattr(transform, "dual_distribution", wrong_b3)
+    with pytest.raises(SelfCheckFailed):
+        three_weight_solve(100, 8, 46, 48, 56)
+
+
+def test_pmt_frequencies_agreement_check_raises(monkeypatch):
+    real = transform.three_weight_solve
+
+    def shifted(n, k, w1, w2, w3):
+        sol = real(n, k, w1, w2, w3)
+        a1, a2, a3 = sol.frequencies
+        return replace(sol, frequencies=(a1 + 1, a2, a3))
+
+    monkeypatch.setattr(transform, "three_weight_solve", shifted)
+    with pytest.raises(SelfCheckFailed):
+        pmt_frequencies(32, 10, 8)

@@ -1,0 +1,53 @@
+"""Independent second routes for `threeweight.transform`.
+
+The library computes Krawtchouk values by the three-term recurrence and
+solves the moment system from closed forms for K_1 and K_2 with
+precomputed cofactors.  The routes below evaluate Krawtchouk values as
+binomial sums, and solve the moment system built from them by Cramer's rule
+with a 3x3 determinant per column.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from threeweight.errors import DegenerateWeights
+from threeweight.transform import binomial
+
+
+def krawtchouk(i: int, x: int, n: int, q: int) -> int:
+    """K_i(x) = sum_nu (-1)^nu C(x,nu) C(n-x,i-nu) (q-1)^(i-nu), exactly."""
+    total = 0
+    for nu in range(i + 1):
+        term = binomial(x, nu) * binomial(n - x, i - nu) * (q - 1) ** (i - nu)
+        total += -term if (nu & 1) else term
+    return total
+
+
+def _det3(a) -> int:
+    return (
+        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+    )
+
+
+def cramer_frequencies(
+    n: int, k: int, q: int, w1: int, w2: int, w3: int
+) -> tuple[Fraction, Fraction, Fraction]:
+    """Frequencies forced by sum A = q^k - 1 and B_1 = B_2 = 0, for any q."""
+    if len({w1, w2, w3}) != 3:
+        raise DegenerateWeights(f"weights must be distinct, got {(w1, w2, w3)}")
+    ws = (w1, w2, w3)
+    m = [[1, 1, 1], [krawtchouk(1, w, n, q) for w in ws], [krawtchouk(2, w, n, q) for w in ws]]
+    rhs = (q**k - 1, -krawtchouk(1, 0, n, q), -krawtchouk(2, 0, n, q))
+    d = _det3(m)
+    if d == 0:
+        raise DegenerateWeights("moment system is singular")
+    sols = []
+    for col in range(3):
+        mc = [list(row) for row in m]
+        for r in range(3):
+            mc[r][col] = rhs[r]
+        sols.append(Fraction(_det3(mc), d))
+    return sols[0], sols[1], sols[2]
