@@ -16,6 +16,7 @@ from .errors import (
     FieldMismatch,
     NotProjective,
     RankDeficient,
+    SelfCheckFailed,
     SizeExceeded,
     UnsupportedParameters,
     ZeroVector,
@@ -155,7 +156,8 @@ class LinearCode:
         else:
             counts = _enumerate_gfp(self.generator.to_rows(), self.q)
         dist = WeightDistribution.from_dict(self.n, counts)
-        assert dist.total() == self.q**self.k
+        if dist.total() != self.q**self.k:
+            raise SelfCheckFailed(f"enumeration counted {dist.total()} codewords, not q^k")
         self._distribution = dist
         return dist
 
@@ -241,11 +243,12 @@ class LinearCode:
         for w, a in dist.counts:
             if w > 0:
                 expected[qk1 - w] = expected.get(qk1 - w, 0) + a
-        assert out.weight_distribution().as_dict() == expected
+        if out.weight_distribution().as_dict() != expected:
+            raise SelfCheckFailed("anticode weights are not q^(k-1) - w")
         return out
 
     def direct_sum(self, other: "LinearCode") -> "LinearCode":
-        """Block-diagonal sum; the weight enumerator multiplies (asserted)."""
+        """Block-diagonal sum; the weight enumerator multiplies (checked)."""
         if self.q != other.q:
             raise FieldMismatch("direct sum needs a common field")
         rows = []
@@ -259,7 +262,8 @@ class LinearCode:
         for wa, aa in da.items():
             for wb, ab in db.items():
                 prod[wa + wb] = prod.get(wa + wb, 0) + aa * ab
-        assert out.weight_distribution().as_dict() == prod
+        if out.weight_distribution().as_dict() != prod:
+            raise SelfCheckFailed("direct-sum enumerator is not the product")
         return out
 
     def subcode_projection(self, point: tuple[int, ...]) -> "LinearCode":
@@ -410,7 +414,8 @@ def golay23() -> LinearCode:
         rows.append(tuple(row))
     code = LinearCode(GF2, FieldMatrix.from_rows(GF2, rows))
     even = code.even_weight_subcode()
-    assert even.weight_distribution().as_dict() == {0: 1, 8: 506, 12: 1288, 16: 253}
+    if even.weight_distribution().as_dict() != {0: 1, 8: 506, 12: 1288, 16: 253}:
+        raise SelfCheckFailed("Golay even-weight subcode has the wrong enumerator")
     return code
 
 
@@ -419,7 +424,7 @@ def theorem_4delta(a: int) -> LinearCode:
     Delta = 2^a: two first-order Reed-Muller blocks of dimension a+2 glued
     so the left block's all-one row carries the right block's first row.
 
-    Weight enumerator (asserted by enumeration):
+    Weight enumerator (checked by enumeration):
     1 + (4D-3) x^D + (8D^2-8D+3) x^2D + (4D-1) x^3D.
     """
     if a < 3:
@@ -436,21 +441,23 @@ def theorem_4delta(a: int) -> LinearCode:
     for r in rm_rows[1:]:
         rows.append(zero + r)
     code = LinearCode(GF2, FieldMatrix.from_rows(GF2, rows))
-    assert code.n == 4 * delta and code.k == 2 * a + 3
+    if (code.n, code.k) != (4 * delta, 2 * a + 3):
+        raise SelfCheckFailed(f"4*Delta code has parameters [{code.n},{code.k}]")
     expected = {
         0: 1,
         delta: 4 * delta - 3,
         2 * delta: 8 * delta * delta - 8 * delta + 3,
         3 * delta: 4 * delta - 1,
     }
-    assert code.weight_distribution().as_dict() == expected
+    if code.weight_distribution().as_dict() != expected:
+        raise SelfCheckFailed("4*Delta code has the wrong enumerator")
     return code
 
 
 def theorem_4delta_minus1(a: int) -> LinearCode:
     """The length 4*Delta - 1 companion: Sim_2(a+1) + RM_2(a+2) (direct sum).
 
-    Weight enumerator (asserted): 1 + (6D-3) x^D + (8D^2-8D+3) x^2D
+    Weight enumerator (checked): 1 + (6D-3) x^D + (8D^2-8D+3) x^2D
     + (2D-1) x^3D with D = 2^a.
     """
     if a < 1:
@@ -463,7 +470,8 @@ def theorem_4delta_minus1(a: int) -> LinearCode:
         2 * delta: 8 * delta * delta - 8 * delta + 3,
         3 * delta: 2 * delta - 1,
     }
-    assert code.weight_distribution().as_dict() == expected
+    if code.weight_distribution().as_dict() != expected:
+        raise SelfCheckFailed("4*Delta - 1 code has the wrong enumerator")
     return code
 
 

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import GuardExceeded, InvalidArgument
+from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
 
 SEARCH_BOUND_GUARD = 500
 
@@ -71,8 +71,8 @@ def vandam_lhs(s: int, t1: int, t2: int, t3: int) -> int:
 
 def monomial_sum(d: int, t1: int, t2: int, t3: int) -> int:
     """Sum of all monomials t1^h t2^i t3^j with h + i + j = d, by direct
-    summation (the closed form lives in the search loop, keeping this a
-    genuinely independent evaluation route)."""
+    summation (the search evaluates h_d by a recurrence and Horner's rule,
+    keeping this a genuinely independent evaluation route)."""
     if d < 0:
         raise ValueError("degree must be >= 0")
     total = 0
@@ -94,43 +94,48 @@ def search_integral_points(query: CurveQuery) -> list[ProjectivePoint]:
     """All projective points with integer coordinates of absolute value at
     most the bound on the curve h_d = 0.
 
-    The symmetric group on the coordinates acts on the curve, so the box is
-    searched over the fundamental domain a >= b >= c only (with sign pruning:
-    a zero requires a positive and a nonpositive coordinate) and the orbits
-    are expanded afterwards.  Inside the domain, distinct-coordinate triples
-    are tested through the closed telescoping numerator
+    The symmetric group on the coordinates acts on the curve, so only the
+    fundamental domain a >= 1, a >= b >= c, c <= min(b, 0) is searched (a
+    zero needs a positive and a nonpositive coordinate) and the orbits are
+    expanded afterwards.
 
-        N(a,b,c) = (b-c) a^(d+2) + (c-a) b^(d+2) + (a-b) c^(d+2),
+    Complete homogeneous polynomials of even degree are positive definite in
+    any number of variables (D. B. Hunter, "The positive-definiteness of the
+    complete symmetric functions of even order", Math. Proc. Camb. Phil.
+    Soc. 82 (1977)).  For even d the curve therefore has no real point, and
+    nothing is searched.  For odd d,
 
-    which vanishes iff h_d does once the coordinates are pairwise distinct;
-    coincident coordinates fall back to the direct monomial sum.
+        d/dc h_d(a, b, c) = h_(d-1)(a, b, c, c) > 0    whenever a != 0,
+
+    so f(c) = h_d(a, b, c) is strictly increasing and each pair (a, b) has
+    at most one integral zero c.  Integer bisection finds the only candidate
+    and f itself decides it, so coincident coordinates need no special case.
     """
     d, bound = query.d, query.bound
     if bound > SEARCH_BOUND_GUARD:
         raise GuardExceeded(f"bound {bound} over guard {SEARCH_BOUND_GUARD}")
-    power = [v ** (d + 2) for v in range(-bound, bound + 1)]
-    off = bound
-    raw: set[tuple[int, int, int]] = set()
+    if d % 2 == 0:
+        return []
+    raw: list[tuple[int, int, int]] = []
     for a in range(1, bound + 1):
-        pa = power[a + off]
         for b in range(-bound, a + 1):
-            pb = power[b + off]
-            c_hi = min(b, 0)
-            for c in range(-bound, c_hi + 1):
-                if (b - c) * pa + (c - a) * pb + (a - b) * power[c + off] == 0:
-                    if a == b or b == c:
-                        if monomial_sum(d, a, b, c) != 0:
-                            continue
-                    raw.add((a, b, c))
-    # coincident-coordinate lines need a direct pass (N vanishes identically
-    # there); a zero of h_d needs strictly mixed signs, so a*c < 0
-    for a in range(-bound, bound + 1):
-        for c in range(-bound, bound + 1):
-            if a * c < 0:
-                if monomial_sum(d, a, a, c) == 0:
-                    raw.add(tuple(sorted((a, a, c), reverse=True)))
-                if monomial_sum(d, a, c, c) == 0:
-                    raw.add(tuple(sorted((a, c, c), reverse=True)))
+            # f(c) = sum_j h_j(a, b) c^(d-j), by h_j(a,b) = a h_(j-1)(a,b) + b^j
+            coeffs = [1]
+            pb = 1
+            for _ in range(d):
+                pb *= b
+                coeffs.append(a * coeffs[-1] + pb)
+            lo, hi = -bound, min(b, 0)
+            if _horner(coeffs, hi) < 0 or _horner(coeffs, lo) > 0:
+                continue
+            while lo < hi:  # least c in [lo, hi] with f(c) >= 0
+                mid = (lo + hi) // 2
+                if _horner(coeffs, mid) < 0:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            if _horner(coeffs, lo) == 0:
+                raw.append((a, b, lo))
     points: set[ProjectivePoint] = set()
     for a, b, c in raw:
         for perm in (
@@ -138,10 +143,18 @@ def search_integral_points(query: CurveQuery) -> list[ProjectivePoint]:
         ):
             points.add(normalize_point(perm))
     for p in points:
-        assert monomial_sum(d, *p.coords()) == 0
-        if len({p.a, p.b, p.c}) == 3:
-            assert vandam_lhs(d + 2, *p.coords()) == 0
+        if monomial_sum(d, *p.coords()) != 0:
+            raise SelfCheckFailed(f"h_{d}{p.coords()} != 0 by direct summation")
+        if len({p.a, p.b, p.c}) == 3 and vandam_lhs(d + 2, *p.coords()) != 0:
+            raise SelfCheckFailed(f"eigenvalue identity fails at {p.coords()} for s = {d + 2}")
     return sorted(points, key=lambda p: p.coords())
+
+
+def _horner(coeffs: list[int], c: int) -> int:
+    value = 0
+    for coef in coeffs:
+        value = value * c + coef
+    return value
 
 
 def search_report(query: CurveQuery) -> dict:

@@ -199,6 +199,8 @@ def evaluate_candidate(q: int, n: int, k: int, weights: tuple[int, int, int]) ->
         return None
     if (w1 + w2 + w3) * q != 3 * n * (q - 1):
         return None
+    if k < 2:
+        return None  # no code of dimension below 2 has three nonzero weights
     delta = gcd(w1, w2, w3)
     if q ** (k - 1) % delta != 0:
         return None  # condition (ii): the code would be a proper repetition

@@ -1,6 +1,6 @@
 """MacWilliams transform machinery: Krawtchouk polynomials, dual weight
-distributions, power moments, and the frequencies forced on three-weight
-codes by the first power moments.
+distributions, and the frequencies forced on three-weight codes by the
+first power moments.
 
 The production route for the frequencies is the integer kernel:
 moment_system builds the 3x3 moment system once per (q, n, weights) and
@@ -80,11 +80,6 @@ def dual_distribution(counts: dict[int, int], n: int, q: int, k: int) -> list[Fr
     return [Fraction(v, size) for v in dual_numerators(counts, n, q)]
 
 
-def power_moment(counts: dict[int, int], nu: int) -> int:
-    """sum_i i^nu A_i over the distribution."""
-    return sum(a * i**nu for i, a in counts.items())
-
-
 @dataclass(frozen=True)
 class ThreeWeightSolution:
     """Frequencies forced on a putative projective three-weight code.
@@ -103,9 +98,6 @@ class ThreeWeightSolution:
 
     def is_integral(self) -> bool:
         return all(f.denominator == 1 for f in self.frequencies) and self.b3.denominator == 1
-
-    def is_realizable_arithmetic(self) -> bool:
-        return self.is_integral() and all(f > 0 for f in self.frequencies) and self.b3 >= 0
 
     def counts(self) -> dict[int, int]:
         if not self.is_integral():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from threeweight import code as code_module
 from threeweight.code import (
     LinearCode,
     construct_named,
@@ -19,15 +20,17 @@ from threeweight.errors import (
     ComplementNotSpanning,
     FieldMismatch,
     RankDeficient,
+    SelfCheckFailed,
     SizeExceeded,
     UnsupportedParameters,
     ZeroVector,
 )
 from threeweight.gfmat import GF2, GF3, FieldMatrix
 from threeweight.matrixio import parse_matrix_file
-from threeweight.transform import dual_distribution, power_moment
+from threeweight.transform import dual_distribution
 
 from conftest import data_path
+from transform_oracles import power_moment
 
 
 def lemma_four_three():
@@ -165,7 +168,45 @@ def test_direct_sum_random_product_rule():
             c2 = LinearCode(GF2, FieldMatrix.from_rows(GF2, rows2))
         except RankDeficient:
             continue
-        c1.direct_sum(c2)  # product rule asserted inside
+        c1.direct_sum(c2)  # product rule checked inside
+
+
+def _misweigh(monkeypatch):
+    """Make GF(2) enumeration return the right total with the wrong weights."""
+    monkeypatch.setattr(
+        code_module, "_enumerate_gf2", lambda masks: {0: 1, 1: 2 ** len(masks) - 1}
+    )
+
+
+def test_enumeration_total_check_raises(monkeypatch):
+    monkeypatch.setattr(code_module, "_enumerate_gf2", lambda masks: {0: 1})
+    with pytest.raises(SelfCheckFailed):
+        LinearCode(GF2, FieldMatrix.from_rows(GF2, [[1, 0, 1], [0, 1, 1]])).weight_distribution()
+
+
+def test_direct_sum_check_raises(monkeypatch):
+    a, b = simplex(2, 2), simplex(2, 3)
+    a.weight_distribution(), b.weight_distribution()
+    _misweigh(monkeypatch)
+    with pytest.raises(SelfCheckFailed):
+        a.direct_sum(b)
+
+
+def test_anticode_check_raises(monkeypatch):
+    pc = parity_check_code(7)
+    pc.weight_distribution()
+    _misweigh(monkeypatch)
+    with pytest.raises(SelfCheckFailed):
+        pc.anticode()
+
+
+@pytest.mark.parametrize(
+    "build", [golay23, lambda: theorem_4delta(3), lambda: theorem_4delta_minus1(1)]
+)
+def test_construction_checks_raise(monkeypatch, build):
+    _misweigh(monkeypatch)
+    with pytest.raises(SelfCheckFailed):
+        build()
 
 
 def test_direct_sum_field_mismatch():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from threeweight import curve
 from threeweight.curve import (
     CurveQuery,
     identity_check,
@@ -12,7 +13,9 @@ from threeweight.curve import (
     search_integral_points,
     vandam_lhs,
 )
-from threeweight.errors import GuardExceeded
+from threeweight.errors import GuardExceeded, SelfCheckFailed
+
+from curve_oracles import box_search
 
 OBVIOUS = [(0, 1, -1), (1, -1, 0), (1, 0, -1)]
 
@@ -102,3 +105,27 @@ def test_even_degree_box_has_no_ordered_zero():
                 for c in range(-12, 13):
                     if a > b > c:
                         assert vandam_lhs(s, a, b, c) != 0
+
+
+@pytest.mark.parametrize("d,bound", [(d, 40) for d in range(1, 9)] + [(3, 100), (5, 100)])
+def test_search_matches_box_oracle(d, bound):
+    pts = [p.coords() for p in search_integral_points(CurveQuery(d, bound))]
+    assert pts == box_search(d, bound)
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
+def test_odd_degree_is_strictly_increasing_in_last_coordinate(d):
+    # the bisection needs d/dc h_d(a, b, c) = h_(d-1)(a, b, c, c) > 0 for a != 0
+    rng = random.Random(d)
+    for scale in (3, 100, 10**6):
+        for _ in range(300):
+            a = rng.choice([-1, 1]) * rng.randint(1, scale)
+            b, c = rng.randint(-scale, scale), rng.randint(-scale, scale)
+            assert monomial_sum(d, a, b, c) < monomial_sum(d, a, b, c + 1)
+
+
+@pytest.mark.parametrize("name", ["monomial_sum", "vandam_lhs"])
+def test_search_self_checks_raise(monkeypatch, name):
+    monkeypatch.setattr(curve, name, lambda d, *t: 1)
+    with pytest.raises(SelfCheckFailed):
+        search_integral_points(CurveQuery(3, 5))

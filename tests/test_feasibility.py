@@ -60,6 +60,14 @@ def test_condition_ii_repetition_exclusion():
     assert evaluate_candidate(3, 36, 5, (18, 24, 30)) is None
 
 
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("k", [0, 1])
+def test_dimension_below_two_is_rejected(q, n, k):
+    # (1, 2, 3) passes condition (i) for both lengths; no code of dimension
+    # below 2 has three nonzero weights
+    assert evaluate_candidate(q, n, k, (1, 2, 3)) is None
+
+
 def test_enumerate_ternary_survivor():
     c = evaluate_candidate(3, 39, 5, (21, 27, 30))
     assert c is not None and c.frequencies == (42, 188, 12)

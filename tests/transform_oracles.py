@@ -4,7 +4,8 @@ The library computes Krawtchouk values by the three-term recurrence and
 solves the moment system from closed forms for K_1 and K_2 with
 precomputed cofactors.  The routes below evaluate Krawtchouk values as
 binomial sums, and solve the moment system built from them by Cramer's rule
-with a 3x3 determinant per column.
+with a 3x3 determinant per column.  Power moments, which the library does
+not need, are the plain sums the tests compare with their closed forms.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ def krawtchouk(i: int, x: int, n: int, q: int) -> int:
         term = binomial(x, nu) * binomial(n - x, i - nu) * (q - 1) ** (i - nu)
         total += -term if (nu & 1) else term
     return total
+
+
+def power_moment(counts: dict[int, int], nu: int) -> int:
+    """sum_i i^nu A_i over the distribution."""
+    return sum(a * i**nu for i, a in counts.items())
 
 
 def _det3(a) -> int:
