@@ -129,7 +129,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         failures.append(f"expected weights {args.expect_weights}, got {weights}")
     if args.expect_freqs and tuple(args.expect_freqs) != freqs:
         failures.append(f"expected frequencies {args.expect_freqs}, got {freqs}")
-    if (args.graph or args.tss) and q**k <= swrg.VERTEX_GUARD and projective:
+    if (args.graph or args.tss) and not projective:
+        print("coset graph: skipped (the code is not projective)")
+    elif (args.graph or args.tss) and q**k > swrg.VERTEX_GUARD:
+        print(f"coset graph: skipped (q^k = {q**k} vertices over the vertex guard "
+              f"{swrg.VERTEX_GUARD})")
+    elif args.graph or args.tss:
         graph = swrg.coset_graph(code)
         if args.graph:
             claim = swrg.eigenvalues_from_weights(q, n, (0,) + weights)
@@ -143,7 +148,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if len(weights) == 3 and sum_ok and not walk.is_swrg:
                 failures.append("expected a 3-walk-regular coset graph")
         if args.tss:
-            inst = swrg.tss_check(swrg.omega_from_code(code), q, k)
+            inst = swrg.tss_check(graph)
             print(f"triple sum set: consistent={inst.consistent} "
                   f"sigma0={inst.sigma0} sigma1={inst.sigma1}")
             if len(weights) == 3 and sum_ok and not inst.consistent:

@@ -97,7 +97,9 @@ def search_integral_points(query: CurveQuery) -> list[ProjectivePoint]:
     The symmetric group on the coordinates acts on the curve, so only the
     fundamental domain a >= 1, a >= b >= c, c <= min(b, 0) is searched (a
     zero needs a positive and a nonpositive coordinate) and the orbits are
-    expanded afterwards.
+    expanded afterwards.  For odd d, h_d(-p) = -h_d(p), and with (a, b, c)
+    the domain also holds (-c, -b, -a), the same projective point, so the
+    search keeps a >= -c as well.
 
     Complete homogeneous polynomials of even degree are positive definite in
     any number of variables (D. B. Hunter, "The positive-definiteness of the
@@ -118,14 +120,14 @@ def search_integral_points(query: CurveQuery) -> list[ProjectivePoint]:
         return []
     raw: list[tuple[int, int, int]] = []
     for a in range(1, bound + 1):
-        for b in range(-bound, a + 1):
+        for b in range(-a, a + 1):
             # f(c) = sum_j h_j(a, b) c^(d-j), by h_j(a,b) = a h_(j-1)(a,b) + b^j
             coeffs = [1]
             pb = 1
             for _ in range(d):
                 pb *= b
                 coeffs.append(a * coeffs[-1] + pb)
-            lo, hi = -bound, min(b, 0)
+            lo, hi = -a, min(b, 0)
             if _horner(coeffs, hi) < 0 or _horner(coeffs, lo) > 0:
                 continue
             while lo < hi:  # least c in [lo, hi] with f(c) >= 0

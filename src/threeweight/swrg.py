@@ -13,7 +13,9 @@ all the exact algorithms here exploit.  Each quantity has one route:
   (`CosetGraph.spectrum_multiplicities`), and `verify_spectrum` compares
   its distinct values with the claim;
 - triple-sum counts are the length-3 walk counts, because an ordered triple
-  (x, y, z) in Omega^3 with x + y + z = h is a walk 0 -> x -> x+y -> h.
+  (x, y, z) in Omega^3 with x + y + z = h is a walk 0 -> x -> x+y -> h, so
+  `tss_check` reads its constants and witness from the walk-regularity test
+  `is_s_swrg(graph, 3)` on the same graph.
 
 Independent second routes (direct |Omega|^3 counting, the annihilating
 polynomial, a dense matrix power, digit-wise translation tables) live in
@@ -95,7 +97,7 @@ def decode_vector(code: int, q: int, k: int) -> tuple[int, ...]:
 class CosetGraph:
     """Cayley graph on F_q^k with a scalar-closed connection set."""
 
-    __slots__ = ("q", "k", "nvertices", "omega", "_omega_set", "_shift")
+    __slots__ = ("q", "k", "nvertices", "omega", "_omega_set", "_shift", "_walks")
 
     def __init__(self, q: int, k: int, omega: Iterable[int]):
         self.q = q
@@ -112,6 +114,14 @@ class CosetGraph:
             self._shift = None  # xor is cheap enough inline
         else:
             self._shift = {w: self._add_table(w) for w in self.omega}
+            # the spectrum and the walk counts rely on scalar closure
+            for w, table in self._shift.items():
+                x = w
+                for lam in range(2, q):
+                    x = table[x]  # lam * w = (lam - 1) * w + w
+                    if x not in self._omega_set:
+                        raise InvalidArgument(f"connection set lacks {lam} * {w}")
+        self._walks = {}  # walk length -> counts from 0, filled by walk_counts
 
     def _add_table(self, w: int) -> list[int]:
         """table[h] = h + w, extended by one base-q digit block at a time."""
@@ -148,14 +158,17 @@ class CosetGraph:
         return out
 
     def walk_counts(self, s: int) -> list[int]:
-        """Number of length-s walks from 0 to each vertex, exactly."""
+        """Number of length-s walks from 0 to each vertex, exactly; the
+        graph is immutable, so each length is computed once and kept."""
         if s > WALK_GUARD:
             raise GuardExceeded(f"walk length {s} over guard {WALK_GUARD}")
-        vec = [0] * self.nvertices
-        vec[0] = 1
-        for _ in range(s):
-            vec = self.apply_adjacency(vec)
-        return vec
+        if s not in self._walks:
+            vec = [0] * self.nvertices
+            vec[0] = 1
+            for _ in range(s):
+                vec = self.apply_adjacency(vec)
+            self._walks[s] = vec
+        return list(self._walks[s])
 
     def adjacency_lines(self) -> list[str]:
         return [f"{v}: " + " ".join(str(u) for u in self.neighbors(v)) for v in range(self.nvertices)]
@@ -259,72 +272,39 @@ def verify_spectrum(graph: CosetGraph, claim: SpectrumClaim) -> bool:
 
 def is_s_swrg(graph: CosetGraph, s: int) -> SwrgResult:
     """Walk-regularity test: the number of length-s walks between two
-    vertices may depend only on equal/adjacent/non-adjacent."""
+    vertices may depend only on equal/adjacent/non-adjacent.  An empty class
+    has the constant 0; a class that is not constant gives the witness pair
+    (its first element with the least count, its first with the greatest).
+    """
     if s < 3 or s % 2 == 0:
         raise InvalidArgument("the walk-regularity test is for odd s >= 3")
     counts = graph.walk_counts(s)
-    omega = set(graph.omega)
-    adjacent = {counts[h] for h in graph.omega}
-    non_adjacent = {counts[h] for h in range(1, graph.nvertices) if h not in omega}
-    if len(adjacent) > 1:
-        vals = sorted(adjacent)
-        wit = [h for h in graph.omega if counts[h] in (vals[0], vals[-1])]
-        return SwrgResult(False, s, None, (wit[0], wit[-1]))
-    if len(non_adjacent) > 1:
-        vals = sorted(non_adjacent)
-        wit = [
-            h
-            for h in range(1, graph.nvertices)
-            if h not in omega and counts[h] in (vals[0], vals[-1])
-        ]
-        return SwrgResult(False, s, None, (wit[0], wit[-1]))
-    return SwrgResult(
-        True,
-        s,
-        (
-            counts[0],
-            adjacent.pop() if adjacent else 0,
-            non_adjacent.pop() if non_adjacent else 0,
-        ),
-    )
+    non_adjacent = [h for h in range(1, graph.nvertices) if h not in graph._omega_set]
+    constants = [counts[0]]
+    for cls in (graph.omega, non_adjacent):
+        vals = [counts[h] for h in cls]
+        lo, hi = min(vals, default=0), max(vals, default=0)
+        if lo != hi:
+            return SwrgResult(False, s, None, (cls[vals.index(lo)], cls[vals.index(hi)]))
+        constants.append(lo)
+    return SwrgResult(True, s, tuple(constants))
 
 
-def tss_check(omega: Iterable[Sequence[int]], q: int, k: int) -> TssInstance:
-    """Count ordered representations h = x + y + z over Omega^3.
+def tss_check(graph: CosetGraph) -> TssInstance:
+    """Ordered triple-sum counts h = x + y + z over Omega^3 of the graph's
+    connection set.
 
-    These counts are the length-3 walk counts of the Cayley graph on Omega.
-    Omega must be scalar-closed and must not contain 0.  Returns the two
-    constants if the counts are constant on Omega and on its complement,
-    otherwise a witness pair of group elements with differing counts.
+    These counts are the length-3 walk counts, so this is a view of
+    `is_s_swrg(graph, 3)`: sigma0 is its adjacent constant and sigma1 its
+    non-adjacent one, each None when its class is empty, and an inconsistent
+    result carries its witness pair decoded to vectors.
     """
-    vecs = {tuple(e % q for e in v) for v in omega}
-    if tuple([0] * k) in vecs:
-        raise ZeroInOmega("0 must not belong to a triple sum set")
-    for v in vecs:
-        for lam in range(2, q):
-            if tuple((lam * e) % q for e in v) not in vecs:
-                raise ValueError(f"omega is not closed under scalar multiplication at {v}")
-    m = len(vecs)
+    m = graph.degree
     if m**3 > TSS_GUARD:
         raise GuardExceeded("|Omega|^3 over guard")
-    codes = sorted(encode_vector(v, q) for v in vecs)
-    counts = CosetGraph(q, k, codes).walk_counts(3)
-    omega_set = set(codes)
-    rest = [h for h in range(1, q**k) if h not in omega_set]
-    in_omega = {counts[h] for h in codes}
-    out_omega = {counts[h] for h in rest}
-    if len(in_omega) > 1 or len(out_omega) > 1:
-        bad_class = codes if len(in_omega) > 1 else rest
-        vals = [counts[h] for h in bad_class]
-        w1 = bad_class[vals.index(min(vals))]
-        w2 = bad_class[vals.index(max(vals))]
-        return TssInstance(
-            m, False, None, None,
-            (decode_vector(w1, q, k), decode_vector(w2, q, k)),
-        )
-    return TssInstance(
-        m,
-        True,
-        in_omega.pop() if in_omega else None,
-        out_omega.pop() if out_omega else None,  # None: the class is empty
-    )
+    walk = is_s_swrg(graph, 3)
+    if not walk.is_swrg:
+        wit = tuple(decode_vector(h, graph.q, graph.k) for h in walk.witness)
+        return TssInstance(m, False, None, None, wit)
+    _, sigma0, sigma1 = walk.constants
+    return TssInstance(m, True, sigma0 if m else None, sigma1 if m < graph.nvertices - 1 else None)

@@ -124,7 +124,7 @@ def test_criterion_5_graph_layer(fixture_codes):
         walk = is_s_swrg(graph, 3)
         assert walk.is_swrg, name
         omega = omega_from_code(code)
-        inst = tss_check(omega, q, k)
+        inst = tss_check(graph)
         assert inst.consistent, name
         direct = direct_triple_counts(omega, q, k)
         omega_set = set(graph.omega)

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from threeweight.cli import emit_report, main, parse_report
+from threeweight.code import reed_muller
+from threeweight.matrixio import parse_matrix_text, serialize_matrix
+from threeweight.swrg import CosetGraph
 
 from conftest import data_path
 
@@ -114,6 +117,47 @@ def test_verify_codes_shorter_than_three(capsys, tmp_path, rows, rc, b_proj):
     got, out, err = run_cli(capsys, "verify", str(f), "--graph", "--tss")
     assert (got, err) == (rc, "")
     assert f"B1=B2=0: {b_proj}\nB3 = 0\n" in out
+
+
+@pytest.mark.parametrize("make,flags,rc,line", [
+    (lambda: reed_muller(2, 15), ["--graph", "--tss"], 0,
+     "coset graph: skipped (q^k = 32768 vertices over the vertex guard 16384)"),
+    (lambda: parse_matrix_text("110\n001\n"), ["--graph"], 1,
+     "coset graph: skipped (the code is not projective)"),
+    (lambda: parse_matrix_text("110\n001\n"), ["--tss"], 1,
+     "coset graph: skipped (the code is not projective)"),
+    (lambda: parse_matrix_text("110\n001\n"), [], 1, None),
+], ids=["vertex-guard", "not-projective-graph", "not-projective-tss", "not-requested"])
+def test_verify_reports_skipped_coset_graph(capsys, tmp_path, make, flags, rc, line):
+    f = tmp_path / "code.txt"
+    f.write_text(serialize_matrix(make()), encoding="utf-8")
+    got, out, _ = run_cli(capsys, "verify", str(f), *flags)
+    assert got == rc and "triple sum set" not in out
+    if line is None:
+        assert "skipped" not in out
+    else:
+        assert f"\n{line}\n" in out
+
+
+def test_verify_builds_one_graph_and_walks_once(capsys, monkeypatch):
+    calls = {"init": 0, "apply": 0}
+    init, apply = CosetGraph.__init__, CosetGraph.apply_adjacency
+
+    def counting_init(self, *args):
+        calls["init"] += 1
+        init(self, *args)
+
+    def counting_apply(self, vec):
+        calls["apply"] += 1
+        return apply(self, vec)
+
+    monkeypatch.setattr(CosetGraph, "__init__", counting_init)
+    monkeypatch.setattr(CosetGraph, "apply_adjacency", counting_apply)
+    rc, out, _ = run_cli(
+        capsys, "verify", str(data_path("matrices/q3_n009_k04_w3_6_9.txt")), "--graph", "--tss",
+    )
+    assert rc == 0 and "triple sum set: consistent=True" in out
+    assert calls == {"init": 1, "apply": 3}
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

@@ -3,9 +3,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threeweight.code import parity_check_code, reed_muller, simplex
-from threeweight.errors import CodesError, DegenerateWeights, GuardExceeded, NotProjective, ZeroInOmega
+from threeweight.errors import (
+    CodesError,
+    DegenerateWeights,
+    GuardExceeded,
+    InvalidArgument,
+    NotProjective,
+    ZeroInOmega,
+)
 from threeweight.gfmat import GF2, FieldMatrix
 from threeweight.code import LinearCode
 from threeweight.matrixio import parse_matrix_file
@@ -71,7 +80,7 @@ def test_complete_graph_over_gf5():
     assert verify_spectrum(g, SpectrumClaim((24, -1)))
     assert spectrum_by_annihilator(g, SpectrumClaim((24, -1)))
     omega = omega_from_code(code)
-    inst = tss_check(omega, 5, 2)
+    inst = tss_check(g)
     # Omega is every nonzero syndrome, so only sigma0 is defined
     assert inst.consistent and inst.sigma1 is None
     direct = direct_triple_counts(omega, 5, 2)
@@ -127,9 +136,81 @@ def test_is_s_swrg_examples(code_8_4):
         g.walk_counts(11)
 
 
+def test_is_s_swrg_witness_counts_differ():
+    # the first and last element at an extreme count once gave (1, 7), two
+    # elements with 19 walks each
+    g = CosetGraph(2, 3, [1, 2, 3, 5, 7])
+    res = is_s_swrg(g, 3)
+    assert not res.is_swrg
+    counts = g.walk_counts(3)
+    w1, w2 = res.witness
+    assert counts[w1] != counts[w2]
+    vals = [counts[h] for h in g.omega]
+    assert (w1, w2) == (g.omega[vals.index(min(vals))], g.omega[vals.index(max(vals))])
+    inst = tss_check(g)
+    assert not inst.consistent and inst.witness == tuple(decode_vector(h, 2, 3) for h in (w1, w2))
+
+
+def test_coset_graph_rejects_omega_not_scalar_closed():
+    # {1} in F_3 misses 2 * 1; it once reported the spectrum {2: 1, -1: 2} at degree 1
+    with pytest.raises(InvalidArgument):
+        CosetGraph(3, 1, [1])
+    with pytest.raises(InvalidArgument):
+        CosetGraph(5, 2, [1, 2, 3])  # misses 4 * 1
+    assert CosetGraph(5, 2, [5, 10, 15, 20]).degree == 4
+
+
+def test_walk_counts_are_kept_per_length(code_8_4, monkeypatch):
+    g = coset_graph(code_8_4)
+    calls = []
+    apply = CosetGraph.apply_adjacency
+    monkeypatch.setattr(
+        CosetGraph, "apply_adjacency", lambda self, vec: calls.append(1) or apply(self, vec)
+    )
+    first = g.walk_counts(3)
+    first[0] = -1  # the caller's copy, not the kept vector
+    assert g.walk_counts(3) == direct_triple_counts(omega_from_code(code_8_4), 2, 4)
+    assert len(calls) == 3
+    g.walk_counts(5)
+    assert len(calls) == 8
+
+
+@st.composite
+def scalar_closed_omegas(draw):
+    """(q, k, Omega) with Omega a random union of lines through 0 in F_q^k."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    k = draw(st.integers(1, 3))
+    lines = {
+        frozenset(encode_vector([lam * e for e in decode_vector(h, q, k)], q) for lam in range(1, q))
+        for h in range(1, q**k)
+    }
+    chosen = draw(st.lists(st.sampled_from(sorted(lines, key=min)), unique=True))
+    return q, k, sorted(set().union(*chosen))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(scalar_closed_omegas())
+def test_tss_matches_direct_triple_counts(case):
+    q, k, omega = case
+    inst = tss_check(CosetGraph(q, k, omega))
+    direct = direct_triple_counts((decode_vector(h, q, k) for h in omega), q, k)
+    rest = set(range(1, q**k)) - set(omega)
+    in_vals = {direct[h] for h in omega}
+    out_vals = {direct[h] for h in rest}
+    assert inst.size == len(omega)
+    assert inst.consistent == (len(in_vals) <= 1 and len(out_vals) <= 1)
+    if inst.consistent:
+        assert inst.sigma0 == (in_vals.pop() if in_vals else None)
+        assert inst.sigma1 == (out_vals.pop() if out_vals else None)
+    else:
+        w1, w2 = (encode_vector(v, q) for v in inst.witness)
+        assert direct[w1] != direct[w2]
+        assert (w1 in omega) == (w2 in omega)
+
+
 def test_tss_full_point_set_symmetric():
     omega = [(0, 1), (1, 0), (1, 1)]
-    inst = tss_check(omega, 2, 2)
+    inst = tss_check(CosetGraph(2, 2, [encode_vector(v, 2) for v in omega]))
     # every nonzero element lies in Omega, so the sigma1 class is empty and
     # the single constant sigma0 covers all of them symmetrically
     assert inst.consistent and inst.sigma0 == 7 and inst.sigma1 is None
@@ -137,10 +218,10 @@ def test_tss_full_point_set_symmetric():
 
 def test_tss_from_code_and_convolution_oracle(code_8_4):
     omega = omega_from_code(code_8_4)
-    inst = tss_check(omega, 2, 4)
+    g = coset_graph(code_8_4)
+    inst = tss_check(g)
     assert inst.consistent
     direct = direct_triple_counts(omega, 2, 4)
-    g = coset_graph(code_8_4)
     assert g.walk_counts(3) == direct
     omega_set = set(g.omega)
     assert all(direct[h] == inst.sigma0 for h in omega_set)
@@ -152,8 +233,9 @@ def test_tss_from_code_and_convolution_oracle(code_8_4):
 
 
 def test_tss_inconsistent_for_bad_weight_sum():
-    omega = omega_from_code(parity_check_code(6))
-    inst = tss_check(omega, 2, 5)
+    code = parity_check_code(6)
+    omega = omega_from_code(code)
+    inst = tss_check(coset_graph(code))
     assert not inst.consistent and inst.witness is not None
     direct = direct_triple_counts(omega, 2, 5)
     w1, w2 = (encode_vector(v, 2) for v in inst.witness)
@@ -162,9 +244,9 @@ def test_tss_inconsistent_for_bad_weight_sum():
 
 def test_tss_rejects_zero_and_unclosed():
     with pytest.raises(ZeroInOmega):
-        tss_check([(0, 0), (1, 0)], 2, 2)
+        tss_check(CosetGraph(2, 2, [encode_vector(v, 2) for v in [(0, 0), (1, 0)]]))
     with pytest.raises(ValueError):
-        tss_check([(1, 0, 0)], 3, 3)  # misses 2*(1,0,0)
+        tss_check(CosetGraph(3, 3, [encode_vector((1, 0, 0), 3)]))  # misses 2*(1,0,0)
 
 
 def test_walk_constants_invariant_under_relabeling(code_8_4):
@@ -189,7 +271,7 @@ def test_ternary_graph_layer():
     claim = eigenvalues_from_weights(3, 9, (0, 3, 6, 9))
     assert verify_spectrum(g, claim) and spectrum_by_annihilator(g, claim)
     assert is_s_swrg(g, 3).is_swrg
-    inst = tss_check(omega_from_code(code), 3, 4)
+    inst = tss_check(g)
     assert inst.consistent
     direct = direct_triple_counts(omega_from_code(code), 3, 4)
     assert direct == g.walk_counts(3)
@@ -199,7 +281,7 @@ def test_ternary_graph_layer():
 @pytest.mark.parametrize("q", [3, 5])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_digit_block_add_table_matches_digitwise_addition(q, k):
-    g = CosetGraph(q, k, [1])
+    g = CosetGraph(q, k, range(1, q))
     for w in range(q**k):
         assert g._add_table(w) == digitwise_add_table(w, q, k), (q, k, decode_vector(w, q, k))
 
