@@ -4,22 +4,21 @@ regularity test, and triple-sum-set constants.
 The coset graph of the dual of a projective [n,k]_q code lives on the q^k
 syndromes; two syndromes are adjacent when they differ by a nonzero scalar
 multiple of a generator column.  That makes it a Cayley graph on (F_q^k, +)
-with connection set Omega (the scalar closure of the columns), which is what
-all the exact algorithms here exploit.  Each quantity has one route:
+with connection set Omega (the scalar closure of the columns), so one exact
+character transform gives every quantity:
 
-- walk counts are convolution powers of the indicator of Omega
-  (`CosetGraph.walk_counts`, repeated application of the adjacency);
-- the spectrum comes from additive characters
-  (`CosetGraph.spectrum_multiplicities`), and `verify_spectrum` compares
-  its distinct values with the claim;
+- the spectrum lambda_u = sum over w in Omega of chi_u(w) is the transform
+  of the indicator of Omega, kept on the graph;
+- the length-s walk counts from 0 are q^-k sum_u lambda_u^s chi_u(-h), an
+  inverse transform and an exact division, kept per length; they decide
+  s-walk-regularity (`is_s_swrg`);
 - triple-sum counts are the length-3 walk counts, because an ordered triple
   (x, y, z) in Omega^3 with x + y + z = h is a walk 0 -> x -> x+y -> h, so
-  `tss_check` reads its constants and witness from the walk-regularity test
-  `is_s_swrg(graph, 3)` on the same graph.
+  `tss_check` is a view of `is_s_swrg(graph, 3)` on the same graph.
 
-Independent second routes (direct |Omega|^3 counting, the annihilating
-polynomial, a dense matrix power, digit-wise translation tables) live in
-the test suite as oracles.
+The transform is the Walsh transform for q = 2 and the same radix-q
+butterfly in the group ring Z[C_q] for odd q (`_character_sums`).
+Independent second routes live in the test suite as oracles.
 
 Triple-sum counts are ordered: sigma_0/sigma_1 count ordered triples
 (x, y, z) in Omega^3 with x + y + z = h.  (An unordered convention would
@@ -29,7 +28,9 @@ so a convention mismatch is visible.)
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .code import LinearCode
@@ -41,12 +42,10 @@ from .errors import (
     SelfCheckFailed,
     ZeroInOmega,
 )
+from .gfmat import PrimeField
 
 VERTEX_GUARD = 1 << 14
 WALK_GUARD = 9
-TSS_GUARD = 1 << 30
-
-
 @dataclass(frozen=True)
 class SpectrumClaim:
     """Claimed distinct eigenvalues, descending; the largest is the degree."""
@@ -94,12 +93,23 @@ def decode_vector(code: int, q: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class CosetGraph:
-    """Cayley graph on F_q^k with a scalar-closed connection set."""
+def vertex_guard_excess(q: int, k: int) -> str | None:
+    """Why F_q^k gets no coset graph (raised by the constructor, printed by
+    `verify`), or None when its q^k vertices are within VERTEX_GUARD."""
+    n = q**k
+    return f"q^k = {n} vertices over the vertex guard {VERTEX_GUARD}" if n > VERTEX_GUARD else None
 
-    __slots__ = ("q", "k", "nvertices", "omega", "_omega_set", "_shift", "_walks")
+
+class CosetGraph:
+    """Cayley graph on F_q^k, q prime, with a scalar-closed connection set."""
+
+    __slots__ = ("q", "k", "nvertices", "omega", "_omega_set", "_lambda", "_walks")
 
     def __init__(self, q: int, k: int, omega: Iterable[int]):
+        excess = vertex_guard_excess(q, k)
+        if excess:
+            raise GuardExceeded(excess)
+        PrimeField(q)  # the group-ring transform gives the characters only for prime q
         self.q = q
         self.k = k
         self.nvertices = q**k
@@ -107,20 +117,16 @@ class CosetGraph:
         self._omega_set = frozenset(self.omega)
         if 0 in self._omega_set:
             raise ZeroInOmega("connection set must not contain 0")
-        if self.nvertices > VERTEX_GUARD:
-            raise GuardExceeded(f"vertex count {self.nvertices} over guard {VERTEX_GUARD}")
-        # shift[w] is the permutation h -> h + w, precomputed per connection element
-        if q == 2:
-            self._shift = None  # xor is cheap enough inline
-        else:
-            self._shift = {w: self._add_table(w) for w in self.omega}
-            # the spectrum and the walk counts rely on scalar closure
-            for w, table in self._shift.items():
-                x = w
-                for lam in range(2, q):
-                    x = table[x]  # lam * w = (lam - 1) * w + w
-                    if x not in self._omega_set:
-                        raise InvalidArgument(f"connection set lacks {lam} * {w}")
+        if self.omega and (self.omega[0] < 0 or self.omega[-1] >= self.nvertices):
+            raise InvalidArgument(f"connection set has an element outside [1, {self.nvertices})")
+        # the spectrum and the walk counts rely on scalar closure
+        for w in self.omega:
+            wv = decode_vector(w, q, k)
+            for lam in range(2, q):
+                if encode_vector([lam * e for e in wv], q) not in self._omega_set:
+                    raise InvalidArgument(f"connection set lacks {lam} * {w}")
+        indicator = [1 if h in self._omega_set else 0 for h in range(self.nvertices)]
+        self._lambda = _character_sums([indicator], q, k)  # the eigenvalue at each character
         self._walks = {}  # walk length -> counts from 0, filled by walk_counts
 
     def _add_table(self, w: int) -> list[int]:
@@ -138,40 +144,30 @@ class CosetGraph:
         return len(self.omega)
 
     def neighbors(self, v: int) -> list[int]:
-        if self.q == 2:
-            return sorted(v ^ w for w in self.omega)
-        return sorted(self._shift[w][v] for w in self.omega)
+        table = self._add_table(v)  # v + w = w + v
+        return sorted(table[w] for w in self.omega)
 
     def apply_adjacency(self, vec: list[int]) -> list[int]:
-        """(A vec)[h] = sum over connection elements of vec[h - w]."""
-        n = self.nvertices
-        out = [0] * n
-        if self.q == 2:
-            for w in self.omega:
-                for h in range(n):
-                    out[h] += vec[h ^ w]
-        else:
-            for w in self.omega:
-                table = self._shift[w]
-                for h in range(n):
-                    out[table[h]] += vec[h]
-        return out
+        """(A vec)[h] = sum over connection elements of vec[h - w]: the
+        inverse transform of lambda times the transform of vec."""
+        transform = _character_transform([vec], self.q, self.k)
+        spectrum = [list(map(mul, self._lambda, plane)) for plane in transform]
+        return _character_sums(spectrum, self.q, self.k, inverse=True)
 
     def walk_counts(self, s: int) -> list[int]:
-        """Number of length-s walks from 0 to each vertex, exactly; the
-        graph is immutable, so each length is computed once and kept."""
+        """Number of length-s walks from 0 to each vertex, exactly, as the
+        inverse transform of lambda^s; each length is computed once and kept."""
         if s > WALK_GUARD:
             raise GuardExceeded(f"walk length {s} over guard {WALK_GUARD}")
         if s not in self._walks:
-            vec = [0] * self.nvertices
-            vec[0] = 1
-            for _ in range(s):
-                vec = self.apply_adjacency(vec)
-            self._walks[s] = vec
+            powers = [x**s for x in self._lambda]
+            self._walks[s] = _character_sums([powers], self.q, self.k, inverse=True)
         return list(self._walks[s])
 
     def adjacency_lines(self) -> list[str]:
-        return [f"{v}: " + " ".join(str(u) for u in self.neighbors(v)) for v in range(self.nvertices)]
+        tables = [self._add_table(w) for w in self.omega]
+        return [f"{v}: " + " ".join(str(u) for u in sorted(t[v] for t in tables))
+                for v in range(self.nvertices)]
 
     def summary(self) -> dict:
         eigs = self.spectrum_multiplicities()
@@ -184,45 +180,54 @@ class CosetGraph:
         }
 
     def spectrum_multiplicities(self) -> dict[int, int]:
-        """Exact eigenvalue multiset via additive characters."""
-        if self.q == 2:
-            vals = _walsh_transform([1 if i in self._omega_set else 0 for i in range(self.nvertices)])
-            out: dict[int, int] = {}
-            for v in vals:
-                out[v] = out.get(v, 0) + 1
-            return out
-        # odd q: the line {w, 2w, ..., (q-1)w} contributes q - 1 when
-        # <u, w> = 0 and -1 otherwise (a full sum of nontrivial characters)
-        q = self.q
-        lines = []
-        seen = set()
-        for w in self.omega:
-            if w in seen:
-                continue
-            wv = decode_vector(w, q, self.k)
-            seen.update(encode_vector([lam * e for e in wv], q) for lam in range(1, q))
-            lines.append(wv)
-        out = {}
-        for u in range(self.nvertices):
-            uv = decode_vector(u, q, self.k)
-            lam = 0
-            for wv in lines:
-                dot = sum(a * b for a, b in zip(uv, wv)) % q
-                lam += q - 1 if dot == 0 else -1
-            out[lam] = out.get(lam, 0) + 1
-        return out
+        """Exact eigenvalue multiset: the histogram of lambda."""
+        return dict(Counter(self._lambda))
+
+
+def _character_transform(planes: list[list[int]], q: int, k: int, sign: int = 1) -> list[list[int]]:
+    """sum_h x[h] zeta^(sign <u, h>) for every u in F_q^k, x[h] = sum_c
+    planes[c][h] zeta^c (missing planes are zero).  For q = 2, zeta = -1 and
+    this is the Walsh transform; for odd q a product with zeta^r rotates the
+    planes of Z[C_q].  Each pass transforms the top base-q digit and moves
+    it to the bottom, so k passes put every digit back in place."""
+    if q == 2:
+        return [_walsh_transform(planes[0])]
+    n = q**k
+    m = n // q
+    planes = planes + [[0] * n] * (q - len(planes))
+    for _ in range(k):
+        blocks = [[plane[j * m:(j + 1) * m] for j in range(q)] for plane in planes]
+        planes = [[0] * n for _ in range(q)]
+        for r in range(q):
+            for c in range(q):  # the coefficient of zeta^c in sum_j zeta^(sign r j) x_j
+                terms = [blocks[(c - sign * r * j) % q][j] for j in range(q)]
+                planes[c][r::q] = map(sum, zip(*terms))
+    return planes
+
+
+def _character_sums(planes: list[list[int]], q: int, k: int, inverse: bool = False) -> list[int]:
+    """The character transform, or its inverse with the factor q^-k, in
+    integers: an entry v of Z[C_q] is the integer v[0] - v[1] exactly when
+    v[1] = ... = v[q-1]; any other entry, or a remainder mod q^k, raises."""
+    out = _character_transform(planes, q, k, -1 if inverse else 1)
+    if any(plane != out[1] for plane in out[2:]):
+        raise SelfCheckFailed("a character sum is not an integer")
+    sums = out[0] if q == 2 else list(map(sub, out[0], out[1]))
+    if not inverse:
+        return sums
+    quotients = [divmod(x, q**k) for x in sums]
+    if any(rem for _, rem in quotients):
+        raise SelfCheckFailed(f"a character sum is not a multiple of q^k = {q**k}")
+    return [quo for quo, _ in quotients]
 
 
 def _walsh_transform(vec: list[int]) -> list[int]:
     out = list(vec)
-    h = 1
-    n = len(out)
-    while h < n:
-        for i in range(0, n, h * 2):
-            for j in range(i, i + h):
-                x, y = out[j], out[j + h]
-                out[j], out[j + h] = x + y, x - y
-        h *= 2
+    half = len(out) // 2
+    for _ in range(half.bit_length()):
+        lo, hi = out[:half], out[half:]
+        out[0::2] = map(add, lo, hi)
+        out[1::2] = map(sub, lo, hi)
     return out
 
 
@@ -241,8 +246,6 @@ def coset_graph(code: LinearCode) -> CosetGraph:
     flag, _ = code.is_projective()
     if not flag:
         raise NotProjective("coset graph construction requires a projective code")
-    if code.q**code.k > VERTEX_GUARD:
-        raise GuardExceeded("syndrome space over the vertex guard")
     omega = [encode_vector(v, code.q) for v in omega_from_code(code)]
     g = CosetGraph(code.q, code.k, omega)
     if g.degree != code.n * (code.q - 1):
@@ -300,8 +303,6 @@ def tss_check(graph: CosetGraph) -> TssInstance:
     result carries its witness pair decoded to vectors.
     """
     m = graph.degree
-    if m**3 > TSS_GUARD:
-        raise GuardExceeded("|Omega|^3 over guard")
     walk = is_s_swrg(graph, 3)
     if not walk.is_swrg:
         wit = tuple(decode_vector(h, graph.q, graph.k) for h in walk.witness)

@@ -1,14 +1,15 @@
 """Independent second routes for the graph quantities of `threeweight.swrg`.
 
-The library computes each quantity one way: triple-sum counts as length-3
-walk counts, the spectrum from additive characters, walk constants by
-repeated adjacency application, translation tables by base-q digit blocks.
-The routes below share none of that machinery and serve as test oracles.
+The library computes each quantity one way: the spectrum and the walk
+counts from one exact character transform (Walsh over q = 2, the group ring
+Z[C_q] over odd q), triple-sum counts as length-3 walk counts, translation
+tables by base-q digit blocks.  The routes below share none of that
+machinery and serve as test oracles.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from threeweight.swrg import CosetGraph, SpectrumClaim, SwrgResult, decode_vector, encode_vector
 
@@ -20,6 +21,26 @@ def digitwise_add_table(w: int, q: int, k: int) -> list[int]:
         encode_vector([(a + b) % q for a, b in zip(decode_vector(h, q, k), wv)], q)
         for h in range(q**k)
     ]
+
+
+def direct_adjacency(graph: CosetGraph) -> Callable[[list[int]], list[int]]:
+    """vec -> (A vec)[h] = sum over w in Omega of vec[h - w], by direct
+    convolution: h - w + w = h by xor over q = 2 and by digit-wise
+    translation tables over odd q, built once per graph."""
+    n = graph.nvertices
+    if graph.q == 2:
+        shifts = [[h ^ w for h in range(n)] for w in graph.omega]
+    else:
+        shifts = [digitwise_add_table(w, graph.q, graph.k) for w in graph.omega]
+
+    def apply(vec: list[int]) -> list[int]:
+        out = [0] * n
+        for table in shifts:
+            for hw, x in zip(table, vec):  # vec[h] lands on h + w
+                out[hw] += x
+        return out
+
+    return apply
 
 
 def direct_triple_counts(omega: Iterable[Sequence[int]], q: int, k: int) -> list[int]:
@@ -52,11 +73,13 @@ def spectrum_by_annihilator(graph: CosetGraph, claim: SpectrumClaim) -> bool:
     translations, so it vanishes iff it sends the basis vector at 0 to 0.
     """
 
+    adjacency = direct_adjacency(graph)
+
     def annihilates(thetas: Sequence[int]) -> bool:
         vec = [0] * graph.nvertices
         vec[0] = 1
         for theta in thetas:
-            applied = graph.apply_adjacency(vec)
+            applied = adjacency(vec)
             vec = [a - theta * b for a, b in zip(applied, vec)]
         return not any(vec)
 

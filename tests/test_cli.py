@@ -7,6 +7,7 @@ import pytest
 from threeweight.cli import emit_report, main, parse_report
 from threeweight.code import reed_muller
 from threeweight.matrixio import parse_matrix_text, serialize_matrix
+from threeweight import swrg
 from threeweight.swrg import CosetGraph
 
 from conftest import data_path
@@ -139,25 +140,41 @@ def test_verify_reports_skipped_coset_graph(capsys, tmp_path, make, flags, rc, l
         assert f"\n{line}\n" in out
 
 
+def test_verify_skip_line_reads_the_library_vertex_guard(capsys, tmp_path):
+    f = tmp_path / "rm2_15.txt"
+    f.write_text(serialize_matrix(reed_muller(2, 15)), encoding="utf-8")
+    _, out, _ = run_cli(capsys, "verify", str(f), "--graph")
+    assert f"\ncoset graph: skipped ({swrg.vertex_guard_excess(2, 15)})\n" in out
+
+
 def test_verify_builds_one_graph_and_walks_once(capsys, monkeypatch):
-    calls = {"init": 0, "apply": 0}
-    init, apply = CosetGraph.__init__, CosetGraph.apply_adjacency
+    calls = {"init": 0, "transform": 0}
+    init, transform = CosetGraph.__init__, swrg._character_transform
 
     def counting_init(self, *args):
         calls["init"] += 1
         init(self, *args)
 
-    def counting_apply(self, vec):
-        calls["apply"] += 1
-        return apply(self, vec)
+    def counting_transform(*args):
+        calls["transform"] += 1
+        return transform(*args)
 
     monkeypatch.setattr(CosetGraph, "__init__", counting_init)
-    monkeypatch.setattr(CosetGraph, "apply_adjacency", counting_apply)
+    monkeypatch.setattr(swrg, "_character_transform", counting_transform)
     rc, out, _ = run_cli(
         capsys, "verify", str(data_path("matrices/q3_n009_k04_w3_6_9.txt")), "--graph", "--tss",
     )
     assert rc == 0 and "triple sum set: consistent=True" in out
-    assert calls == {"init": 1, "apply": 3}
+    # one transform gives the spectrum, one inverse the 3-walks of both checks
+    assert calls == {"init": 1, "transform": 2}
+
+
+def test_graph_over_the_vertex_guard_exits_2(capsys, tmp_path):
+    f = tmp_path / "rm2_15.txt"
+    f.write_text(serialize_matrix(reed_muller(2, 15)), encoding="utf-8")
+    rc, out, err = run_cli(capsys, "graph", str(f))
+    assert (rc, out) == (2, "")
+    assert err == f"error: {swrg.vertex_guard_excess(2, 15)}\n"
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threeweight import swrg
 from threeweight.code import parity_check_code, reed_muller, simplex
 from threeweight.errors import (
     CodesError,
@@ -21,6 +23,7 @@ from threeweight.matrixio import parse_matrix_file
 from threeweight.swrg import (
     CosetGraph,
     SpectrumClaim,
+    TssInstance,
     coset_graph,
     decode_vector,
     eigenvalues_from_weights,
@@ -29,11 +32,13 @@ from threeweight.swrg import (
     omega_from_code,
     tss_check,
     verify_spectrum,
+    vertex_guard_excess,
 )
 
 from conftest import data_path
 from swrg_oracles import (
     digitwise_add_table,
+    direct_adjacency,
     direct_triple_counts,
     spectrum_by_annihilator,
     walk_class_constants_dense,
@@ -163,16 +168,48 @@ def test_coset_graph_rejects_omega_not_scalar_closed():
 def test_walk_counts_are_kept_per_length(code_8_4, monkeypatch):
     g = coset_graph(code_8_4)
     calls = []
-    apply = CosetGraph.apply_adjacency
+    transform = swrg._character_transform
     monkeypatch.setattr(
-        CosetGraph, "apply_adjacency", lambda self, vec: calls.append(1) or apply(self, vec)
+        swrg, "_character_transform", lambda *args: calls.append(1) or transform(*args)
     )
     first = g.walk_counts(3)
     first[0] = -1  # the caller's copy, not the kept vector
     assert g.walk_counts(3) == direct_triple_counts(omega_from_code(code_8_4), 2, 4)
-    assert len(calls) == 3
+    assert len(calls) == 1  # the spectrum is kept from construction: one inverse
     g.walk_counts(5)
-    assert len(calls) == 8
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("q,k,omega", [
+    (2, 2, [5]),
+    (2, 2, [1, 4]),
+    (3, 2, [10, 20]),
+    (2, 3, [-1, 1]),
+])
+def test_coset_graph_rejects_omega_outside_the_group(q, k, omega):
+    # CosetGraph(2, 2, [5]).walk_counts(3) once ended in a bare IndexError,
+    # and a negative element was read as an index from the end
+    with pytest.raises(InvalidArgument, match="outside"):
+        CosetGraph(q, k, omega).walk_counts(3)
+
+
+def test_vertex_guard_has_one_decision_and_one_message():
+    assert vertex_guard_excess(2, 14) is None and vertex_guard_excess(3, 8) is None
+    reason = vertex_guard_excess(2, 15)
+    assert reason == "q^k = 32768 vertices over the vertex guard 16384"
+    with pytest.raises(GuardExceeded, match=re.escape(reason)):
+        CosetGraph(2, 15, [1])
+    with pytest.raises(GuardExceeded, match=re.escape(reason)):
+        coset_graph(reed_muller(2, 15))
+
+
+def test_tss_check_has_no_omega_cubed_guard():
+    # |Omega|^3 = 2047^3 > 2^30 was once refused, though no route costs |Omega|^3
+    m, n = 2047, 2048
+    assert m**3 > 1 << 30
+    inst = tss_check(CosetGraph(2, 11, range(1, n)))
+    # Omega is every nonzero vector, so A = J - I and A^3 = (n^2 - 3n + 3) J - I
+    assert inst == TssInstance(m, True, n * n - 3 * n + 3, None)
 
 
 @st.composite
@@ -186,6 +223,15 @@ def scalar_closed_omegas(draw):
     }
     chosen = draw(st.lists(st.sampled_from(sorted(lines, key=min)), unique=True))
     return q, k, sorted(set().union(*chosen))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.data())
+def test_apply_adjacency_matches_direct_convolution(data):
+    q, k, omega = data.draw(scalar_closed_omegas())
+    g = CosetGraph(q, k, omega)
+    vec = data.draw(st.lists(st.integers(-50, 50), min_size=q**k, max_size=q**k))
+    assert g.apply_adjacency(vec) == direct_adjacency(g)(vec)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)

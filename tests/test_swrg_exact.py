@@ -1,0 +1,61 @@
+"""The graph layer is exact: no true division, no float, and both steps of
+the character route that can lose exactness raise instead."""
+
+from __future__ import annotations
+
+import ast
+from importlib import resources
+
+import pytest
+
+from threeweight import swrg
+from threeweight.errors import SelfCheckFailed
+from threeweight.swrg import CosetGraph
+
+
+def test_swrg_has_no_true_division_float_or_math():
+    path = resources.files("threeweight").joinpath("swrg.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename="swrg.py")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"division at line {node.lineno}")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"float literal at line {node.lineno}")
+        elif isinstance(node, ast.Import):
+            found += [f"import {a.name}" for a in node.names if a.name in ("math", "cmath")]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("math", "cmath"):
+            found.append(f"from {node.module} import")
+    assert found == []
+
+
+@pytest.mark.parametrize("q,k,omega", [
+    (3, 1, [1]),  # misses 2 * 1
+    (3, 2, [1, 2, 3]),  # misses 2 * 3
+    (5, 2, [1, 2, 3, 4, 5, 10]),  # misses 3 * 5 and 4 * 5
+])
+def test_odd_transform_of_an_unclosed_indicator_is_not_rational(q, k, omega):
+    indicator = [1 if h in omega else 0 for h in range(q**k)]
+    with pytest.raises(SelfCheckFailed, match="not an integer"):
+        swrg._character_sums([indicator], q, k)
+
+
+def test_odd_transform_of_a_line_is_rational():
+    # the line {1, 2} of F_3: lambda_u = 2 at u = 0 and -1 elsewhere
+    assert swrg._character_sums([[0, 1, 1]], 3, 1) == [2, -1, -1]
+    # and back: q^-1 (2 - chi(-h) - chi(-2h)) is the indicator itself
+    assert swrg._character_sums([[2, -1, -1]], 3, 1, inverse=True) == [0, 1, 1]
+
+
+def test_walk_counts_refuse_an_inexact_division(monkeypatch):
+    g = CosetGraph(3, 2, [1, 2, 3, 6])
+    transform = swrg._character_transform
+
+    def off_by_one(planes, q, k, sign=1):
+        out = transform(planes, q, k, sign)
+        out[0][0] += 1
+        return out
+
+    monkeypatch.setattr(swrg, "_character_transform", off_by_one)
+    with pytest.raises(SelfCheckFailed, match="not a multiple of q\\^k = 9"):
+        g.walk_counts(3)
