@@ -3,13 +3,16 @@ constructions (simplex, first-order Reed-Muller, direct sums, anticodes,
 subcode projections, the 4*Delta family, the length-23 Golay code).
 
 Codes are immutable.  Weight distributions come from full codeword
-enumeration, Gray-code order over bit-packed words for GF(2).
+enumeration in modular q-ary Gray-code order, one generator row added per
+step, with words as bit masks over GF(2), two bit-planes over GF(3) and
+tuples over GF(p), p >= 5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import (
     ComplementNotSpanning,
@@ -79,37 +82,91 @@ def _canonical_point(field: PrimeField, vec: tuple[int, ...]) -> tuple[int, ...]
     return None
 
 
-def _enumerate_gf2(masks: tuple[int, ...]) -> dict[int, int]:
-    counts: dict[int, int] = {0: 1}
-    cw = 0
-    prev = 0
-    for t in range(1, 1 << len(masks)):
-        gray = t ^ (t >> 1)
-        diff = gray ^ prev
-        cw ^= masks[(diff & -diff).bit_length() - 1]
-        prev = gray
-        w = cw.bit_count()
-        counts[w] = counts.get(w, 0) + 1
+# Full enumeration walks the modular q-ary Gray code (Knuth, TAOCP 4A,
+# 7.2.1.1): step t = 1, ..., q^k - 1 adds generator row nu_q(t), the q-adic
+# valuation of t, to the current word.  After t steps row j has been added
+# d_j - (t div q^(j+1)) times mod q, where d_j is digit j of t, which is a
+# triangular bijection of the digits, so every codeword is visited once.
+# The row indices come in bytes chunks, so memory does not grow with k.
+_RULER_SPAN = 4096
+
+
+@lru_cache(maxsize=None)
+def _ruler(q: int, digits: int) -> bytes:
+    """nu_q(t) for t = 1, ..., q^digits - 1."""
+    ruler = b""
+    for i in range(digits):
+        ruler = (ruler + bytes((i,))) * (q - 1) + ruler
+    return ruler
+
+
+def _gray_steps(q: int, k: int) -> Iterator[bytes]:
+    """nu_q(t) for t = 1, ..., q^k - 1 as consecutive bytes chunks.
+
+    The low L digits repeat one ruler, with L <= k the largest for which
+    q^L <= _RULER_SPAN (L = 1 for larger q).  A step that carries into the
+    high digits, t = h q^L, adds row L + nu_q(h); those steps are one in
+    q^L, so nu_q(h) is found by plain division.
+    """
+    low = 1
+    while low < k and q ** (low + 1) <= _RULER_SPAN:
+        low += 1
+    ruler = _ruler(q, low)
+    carried = [bytes((low + j,)) + ruler for j in range(k - low)]
+    yield ruler
+    for h in range(1, q ** (k - low)):
+        j = 0
+        while h % q == 0:
+            h //= q
+            j += 1
+        yield carried[j]
+
+
+def _weights_gf2(masks: tuple[int, ...], n: int) -> list[int]:
+    """counts[w] = number of codewords of weight w; words are bit masks."""
+    counts = [0] * (n + 1)
+    counts[0] = 1
+    word = 0
+    for chunk in _gray_steps(2, len(masks)):
+        for j in chunk:
+            word ^= masks[j]
+            counts[word.bit_count()] += 1
     return counts
 
 
-def _enumerate_gfp(rows: tuple[tuple[int, ...], ...], p: int) -> dict[int, int]:
+def _weights_gf3(rows: tuple[tuple[int, ...], ...], n: int) -> list[int]:
+    """counts[w] over GF(3), words as two bit-planes: P holds the entries
+    equal to 1, M those equal to 2 (Boothby and Bradshaw, arXiv:0901.1413).
+    With Z = ~(P | M), adding (Pr, Mr) gives P' = (P & Zr) | (Pr & Z) |
+    (M & Mr) and M' = (M & Zr) | (Mr & Z) | (P & Pr)."""
+    planes = []
+    for row in rows:
+        pr = sum(1 << j for j, e in enumerate(row) if e == 1)
+        mr = sum(1 << j for j, e in enumerate(row) if e == 2)
+        planes.append((pr, mr, ~(pr | mr)))
+    counts = [0] * (n + 1)
+    counts[0] = 1
+    p = m = support = 0
+    for chunk in _gray_steps(3, len(rows)):
+        for j in chunk:
+            pr, mr, zr = planes[j]
+            z = ~support
+            p, m = (p & zr) | (pr & z) | (m & mr), (m & zr) | (mr & z) | (p & pr)
+            support = p | m
+            counts[support.bit_count()] += 1
+    return counts
+
+
+def _weights_gfp(rows: tuple[tuple[int, ...], ...], p: int) -> list[int]:
+    """counts[w] over GF(p), p >= 5; words are tuples."""
     n = len(rows[0])
-    counts: dict[int, int] = {}
-
-    def rec(i: int, current: tuple[int, ...]) -> None:
-        if i == len(rows):
-            w = n - current.count(0)
-            counts[w] = counts.get(w, 0) + 1
-            return
-        row = rows[i]
-        acc = current
-        rec(i + 1, acc)
-        for _ in range(1, p):
-            acc = tuple((a + b) % p for a, b in zip(acc, row))
-            rec(i + 1, acc)
-
-    rec(0, (0,) * n)
+    counts = [0] * (n + 1)
+    counts[0] = 1
+    word = (0,) * n
+    for chunk in _gray_steps(p, len(rows)):
+        for j in chunk:
+            word = tuple([(a + b) % p for a, b in zip(word, rows[j])])
+            counts[n - word.count(0)] += 1
     return counts
 
 
@@ -152,10 +209,12 @@ class LinearCode:
         if self.q**self.k > ENUMERATION_GUARD:
             raise SizeExceeded(f"q^k = {self.q}**{self.k} exceeds the enumeration guard")
         if self.q == 2:
-            counts = _enumerate_gf2(self.generator.row_masks())
+            counts = _weights_gf2(self.generator.row_masks(), self.n)
+        elif self.q == 3:
+            counts = _weights_gf3(self.generator.to_rows(), self.n)
         else:
-            counts = _enumerate_gfp(self.generator.to_rows(), self.q)
-        dist = WeightDistribution.from_dict(self.n, counts)
+            counts = _weights_gfp(self.generator.to_rows(), self.q)
+        dist = WeightDistribution.from_dict(self.n, dict(enumerate(counts)))
         if dist.total() != self.q**self.k:
             raise SelfCheckFailed(f"enumeration counted {dist.total()} codewords, not q^k")
         self._distribution = dist

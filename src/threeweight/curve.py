@@ -127,17 +127,9 @@ def search_integral_points(query: CurveQuery) -> list[ProjectivePoint]:
             for _ in range(d):
                 pb *= b
                 coeffs.append(a * coeffs[-1] + pb)
-            lo, hi = -a, min(b, 0)
-            if _horner(coeffs, hi) < 0 or _horner(coeffs, lo) > 0:
-                continue
-            while lo < hi:  # least c in [lo, hi] with f(c) >= 0
-                mid = (lo + hi) // 2
-                if _horner(coeffs, mid) < 0:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if _horner(coeffs, lo) == 0:
-                raw.append((a, b, lo))
+            found = _least_nonnegative(coeffs, -a, min(b, 0))
+            if found is not None and found[1] == 0:
+                raw.append((a, b, found[0]))
     points: set[ProjectivePoint] = set()
     for a, b, c in raw:
         for perm in (
@@ -150,6 +142,26 @@ def search_integral_points(query: CurveQuery) -> list[ProjectivePoint]:
         if len({p.a, p.b, p.c}) == 3 and vandam_lhs(d + 2, *p.coords()) != 0:
             raise SelfCheckFailed(f"eigenvalue identity fails at {p.coords()} for s = {d + 2}")
     return sorted(points, key=lambda p: p.coords())
+
+
+def _least_nonnegative(coeffs: list[int], lo: int, hi: int) -> tuple[int, int] | None:
+    """(c, f(c)) for the least c in [lo, hi] with f(c) >= 0, or None when
+    f(hi) < 0.  f is the polynomial with these coefficients, highest degree
+    first, and must be nondecreasing on [lo, hi]."""
+    value = _horner(coeffs, hi)
+    if value < 0:
+        return None
+    low = _horner(coeffs, lo)
+    if low >= 0:
+        return lo, low
+    while hi - lo > 1:  # f(lo) < 0 <= f(hi) = value
+        mid = (lo + hi) // 2
+        mid_value = _horner(coeffs, mid)
+        if mid_value < 0:
+            lo = mid
+        else:
+            hi, value = mid, mid_value
+    return hi, value
 
 
 def _horner(coeffs: list[int], c: int) -> int:

@@ -25,7 +25,7 @@ from threeweight.errors import (
     UnsupportedParameters,
     ZeroVector,
 )
-from threeweight.gfmat import GF2, GF3, FieldMatrix
+from threeweight.gfmat import GF2, GF3, FieldMatrix, PrimeField
 from threeweight.matrixio import parse_matrix_file
 from threeweight.transform import dual_distribution
 
@@ -174,14 +174,22 @@ def test_direct_sum_random_product_rule():
 def _misweigh(monkeypatch):
     """Make GF(2) enumeration return the right total with the wrong weights."""
     monkeypatch.setattr(
-        code_module, "_enumerate_gf2", lambda masks: {0: 1, 1: 2 ** len(masks) - 1}
+        code_module, "_weights_gf2", lambda masks, n: [1, 2 ** len(masks) - 1]
     )
 
 
 def test_enumeration_total_check_raises(monkeypatch):
-    monkeypatch.setattr(code_module, "_enumerate_gf2", lambda masks: {0: 1})
+    monkeypatch.setattr(code_module, "_weights_gf2", lambda masks, n: [1])
     with pytest.raises(SelfCheckFailed):
         LinearCode(GF2, FieldMatrix.from_rows(GF2, [[1, 0, 1], [0, 1, 1]])).weight_distribution()
+
+
+@pytest.mark.parametrize("kernel,q", [("_weights_gf3", 3), ("_weights_gfp", 5)])
+def test_enumeration_total_check_raises_on_odd_fields(monkeypatch, kernel, q):
+    field = PrimeField(q)
+    monkeypatch.setattr(code_module, kernel, lambda rows, arg: [1, q**2 - 2])
+    with pytest.raises(SelfCheckFailed):
+        LinearCode(field, FieldMatrix.from_rows(field, [[1, 0, 1], [0, 1, 1]])).weight_distribution()
 
 
 def test_direct_sum_check_raises(monkeypatch):

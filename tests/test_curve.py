@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threeweight import curve
 from threeweight.curve import (
@@ -129,3 +132,50 @@ def test_search_self_checks_raise(monkeypatch, name):
     monkeypatch.setattr(curve, name, lambda d, *t: 1)
     with pytest.raises(SelfCheckFailed):
         search_integral_points(CurveQuery(3, 5))
+
+
+def _scan(coeffs, lo, hi):
+    for c in range(lo, hi + 1):
+        value = curve._horner(coeffs, c)
+        if value >= 0:
+            return c, value
+    return None
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
+def test_least_nonnegative_matches_linear_scan_on_every_pair(d):
+    bound = 60
+    for a in range(1, bound + 1):
+        for b in range(-a, a + 1):
+            # f(c) = h_d(a, b, c) = sum_j h_j(a, b) c^(d-j)
+            coeffs = [sum(a**i * b ** (j - i) for i in range(j + 1)) for j in range(d + 1)]
+            lo, hi = -a, min(b, 0)
+            assert curve._least_nonnegative(coeffs, lo, hi) == _scan(coeffs, lo, hi), (a, b)
+
+
+@st.composite
+def planted_root_polynomials(draw):
+    """f(c) = sum_i a_i (m c - s)^(2i+1), a_i >= 0 not all zero: strictly
+    increasing with its only real root at s / m."""
+    weights = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4))
+    weights[draw(st.integers(0, len(weights) - 1))] += 1
+    m = draw(st.integers(1, 3))
+    s = draw(st.integers(-150, 150))
+    degree = 2 * len(weights) - 1
+    coeffs = [0] * (degree + 1)  # highest degree first
+    for i, w in enumerate(weights):
+        e = 2 * i + 1
+        for j in range(e + 1):  # w C(e, j) (m c)^j (-s)^(e-j)
+            coeffs[degree - j] += w * comb(e, j) * m**j * (-s) ** (e - j)
+    return coeffs, weights, m, s
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(planted_root_polynomials(), st.integers(-60, 60), st.integers(0, 60))
+def test_least_nonnegative_finds_planted_roots(poly, lo, width):
+    coeffs, weights, m, s = poly
+    hi = lo + width
+    root = max(lo, -(-s // m))  # the least integer c >= s / m, within [lo, hi]
+    value = sum(w * (m * root - s) ** (2 * i + 1) for i, w in enumerate(weights))
+    expected = (root, value) if root <= hi else None
+    assert curve._least_nonnegative(coeffs, lo, hi) == expected

@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
+
+import threeweight
 
 
 def test_library_has_no_assert_statements():
@@ -18,3 +24,38 @@ def test_library_has_no_assert_statements():
                 if isinstance(node, ast.Assert)
             ]
     assert found == []
+
+
+OPTIMIZED_SELF_CHECK = """
+import sys
+from threeweight import code
+from threeweight.errors import SelfCheckFailed
+from threeweight.gfmat import FieldMatrix, PrimeField
+
+assert False, "asserts must be stripped"
+print("optimize", sys.flags.optimize)
+for kernel, q in (("_weights_gf2", 2), ("_weights_gf3", 3), ("_weights_gfp", 5)):
+    setattr(code, kernel, lambda words, arg: [1])
+    field = PrimeField(q)
+    matrix = FieldMatrix.from_rows(field, [[1, 0, 1], [0, 1, 1]])
+    try:
+        code.LinearCode(field, matrix).weight_distribution()
+    except SelfCheckFailed:
+        print(kernel, "raised")
+"""
+
+
+def test_enumeration_self_check_raises_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(threeweight.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SELF_CHECK],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == [
+        "optimize 1",
+        "_weights_gf2 raised",
+        "_weights_gf3 raised",
+        "_weights_gfp raised",
+        "",
+    ]
