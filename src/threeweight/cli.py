@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Commands: enumerate, verify, graph, curve, scan-counterexamples, kn-witness.
-All numeric output is exact integers; reports are deterministically sorted
-so runs are byte-identical regardless of parallelism.
+All numeric output is exact (integers, or reduced fractions where a
+quotient need not be whole), and reports are deterministically sorted, so
+repeated runs are byte-identical.
 
 Exit codes: 0 all checks pass, 1 verification mismatch, 2 usage/parse error.
 """
@@ -14,12 +15,13 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 from . import feasibility, swrg
 from .curve import CurveQuery, search_report
 from .errors import CodesError, ParseError
 from .matrixio import parse_matrix_file
+from .transform import dual_distribution
 
 
 def emit_report(rows: list[dict], fmt: str) -> str:
@@ -50,30 +52,13 @@ def emit_report(rows: list[dict], fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def parse_report(text: str) -> list[dict]:
-    """Inverse of emit_report for the JSON format."""
-    return json.loads(text)
-
-
-def _enumerate_partition(args: tuple[int, int, int, bool]) -> list[dict]:
-    q, n_lo, n_hi, include_unlisted = args
-    return [
-        c.row()
-        for c in feasibility.feasibility_report(q, n_lo, n_hi, include_unlisted=include_unlisted)
-    ]
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.jobs <= 1:
-        rows = _enumerate_partition((args.q, args.n_min, args.n_max, args.include_unlisted))
-    else:
-        # partition by length; partitions are independent, merge re-sorts
-        spans = [(args.q, n, n, args.include_unlisted) for n in range(args.n_min, args.n_max + 1)]
-        rows = []
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for part in pool.map(_enumerate_partition, spans):
-                rows.extend(part)
-        rows.sort(key=lambda r: (r["q"], r["n"], r["w3"] - r["w1"], r["w1"], r["k"]))
+    rows = [
+        c.row()
+        for c in feasibility.feasibility_report(
+            args.q, args.n_min, args.n_max, include_unlisted=args.include_unlisted
+        )
+    ]
     sys.stdout.write(emit_report(rows, args.format))
     return 0
 
@@ -106,18 +91,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"projective: {projective} (multiplicity type {mult.as_dict()}, "
           f"{mult.zero_positions} zero positions)")
     failures = []
-    sum_ok = sum(weights) * q == 3 * n * (q - 1)
-    print(f"weight sum {sum(weights)} (3n(q-1)/q = {3 * n * (q - 1) / q:g}): "
+    target = Fraction(3 * n * (q - 1), q)
+    sum_ok = sum(weights) == target
+    print(f"weight sum {sum(weights)} (3n(q-1)/q = {target}): "
           f"{'ok' if sum_ok else 'MISMATCH'}")
     if not sum_ok:
-        failures.append(f"weight sum {sum(weights)} != {3 * n * (q - 1) / q:g}")
+        failures.append(f"weight sum {sum(weights)} != {target}")
     if len(weights) == 3:
         mid_ok = weights[1] * q == n * (q - 1)
         print(f"w2 = n(q-1)/q: {'ok' if mid_ok else 'MISMATCH'}")
         if not mid_ok:
             failures.append(f"w2 = {weights[1]} != n(q-1)/q")
-    from .transform import dual_distribution
-
     b = dual_distribution(dist.as_dict(), n, q, k)
     b_int = all(v.denominator == 1 and v >= 0 for v in b)
     b1, b2, b3 = (b[i] if i <= n else 0 for i in (1, 2, 3))  # B_i = 0 for i > n
@@ -204,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--include-unlisted", action="store_true",
                    help="also show admissible rows the published catalog omits")
     p.set_defaults(func=_cmd_enumerate)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterator
 
 from .errors import (
@@ -293,7 +294,7 @@ class LinearCode:
                 f"code attains weight q^(k-1) = {qk1}; complement does not span"
             )
         points = self.point_set()
-        comp = [pt for pt in _projective_points(self.field, self.k) if pt not in points]
+        comp = [pt for pt in _projective_points(self.q, self.k) if pt not in points]
         if not comp:
             raise ComplementNotSpanning("complement is empty")
         gen = FieldMatrix.from_columns(self.field, comp)
@@ -327,7 +328,12 @@ class LinearCode:
 
     def subcode_projection(self, point: tuple[int, ...]) -> "LinearCode":
         """Image of the code's point multiset under projection away from a
-        point P, re-expressed in V/P; has dimension k-1."""
+        point P, re-expressed in V/P; has dimension k-1.
+
+        With m the last nonzero coordinate of P, the basis (P, e_j for
+        j != m) gives V/P the coordinates x - (x_m / P_m) P with coordinate
+        m dropped.  Columns that are P as points map to zero and are removed.
+        """
         p = self.field.p
         point = tuple(int(e) % p for e in point)
         if len(point) != self.k:
@@ -337,75 +343,24 @@ class LinearCode:
         rep = _canonical_point(self.field, point)
         if rep is None:
             raise ZeroVector("projection point must be nonzero")
-        # complete rep to a basis; quotient map drops the rep coordinate
-        basis_rows = [rep]
-        rank = 1
-        mat = [rep]
-        for j in range(self.k):
-            e = tuple(1 if i == j else 0 for i in range(self.k))
-            trial = FieldMatrix.from_rows(self.field, mat + [e])
-            if trial.rank() == rank + 1:
-                mat.append(e)
-                rank += 1
-            if rank == self.k:
-                break
-        # change of basis: x -> coordinates in (rep, e_j1, ..., e_j(k-1))
-        binv = _matrix_inverse(FieldMatrix.from_rows(self.field, mat))
+        m = max(i for i, e in enumerate(rep) if e)
+        inv = self.field.inv(rep[m])
         new_cols = []
         for col in self.generator.columns():
             if _canonical_point(self.field, col) == rep:
-                continue  # points equal to P are removed by the projection
-            coords = _matvec(binv.transpose(), col, p)
-            new_cols.append(coords[1:])
+                continue
+            c = col[m] * inv
+            y = [(x - c * r) % p for x, r in zip(col, rep)]
+            new_cols.append(tuple(y[:m] + y[m + 1 :]))
         gen = FieldMatrix.from_columns(self.field, new_cols)
         return LinearCode(self.field, gen)
 
 
-def _matvec(m: FieldMatrix, v: tuple[int, ...], p: int) -> tuple[int, ...]:
-    return tuple(sum(r[j] * v[j] for j in range(len(v))) % p for r in m.to_rows())
-
-
-def _matrix_inverse(m: FieldMatrix) -> FieldMatrix:
-    if m.nrows != m.ncols:
-        raise ValueError("only square matrices can be inverted")
-    n = m.nrows
-    aug = FieldMatrix.from_rows(
-        m.field, (tuple(m.row(i)) + tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    )
-    reduced, rank, _ = aug.rref()
-    if rank != n:
-        raise RankDeficient("matrix is singular")
-    return FieldMatrix.from_rows(m.field, (tuple(reduced.row(i))[n:] for i in range(n)))
-
-
 @lru_cache(maxsize=None)
-def _projective_points_cached(p: int, k: int) -> tuple[tuple[int, ...], ...]:
-    field = PrimeField(p)
-    pts = []
-    seen = set()
-    # lexicographic walk over all nonzero vectors, keeping first-of-class
-    vec = [0] * k
-
-    def rec(i: int) -> None:
-        if i == k:
-            t = tuple(vec)
-            if any(t):
-                rep = _canonical_point(field, t)
-                if rep not in seen:
-                    seen.add(rep)
-                    pts.append(rep)
-            return
-        for e in range(p):
-            vec[i] = e
-            rec(i + 1)
-        vec[i] = 0
-
-    rec(0)
-    return tuple(pts)
-
-
-def _projective_points(field: PrimeField, k: int) -> tuple[tuple[int, ...], ...]:
-    return _projective_points_cached(field.p, k)
+def _projective_points(p: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The points of PG(k-1, p) as the vectors whose first nonzero entry is
+    1, in lexicographic order."""
+    return tuple(v for v in product(range(p), repeat=k) if next(filter(None, v), 0) == 1)
 
 
 # -- named constructions ----------------------------------------------
@@ -416,7 +371,7 @@ def simplex(q: int, k: int) -> LinearCode:
     if k < 1:
         raise UnsupportedParameters("simplex needs k >= 1")
     field = PrimeField(q)
-    return LinearCode(field, FieldMatrix.from_columns(field, _projective_points(field, k)))
+    return LinearCode(field, FieldMatrix.from_columns(field, _projective_points(q, k)))
 
 
 def reed_muller(q: int, k: int) -> LinearCode:
@@ -428,19 +383,7 @@ def reed_muller(q: int, k: int) -> LinearCode:
     if k < 2:
         raise UnsupportedParameters("first-order Reed-Muller needs k >= 2")
     field = PrimeField(q)
-    cols = []
-    tail = [0] * (k - 1)
-
-    def rec(i: int) -> None:
-        if i == k - 1:
-            cols.append((1,) + tuple(tail))
-            return
-        for e in range(q):
-            tail[i] = e
-            rec(i + 1)
-        tail[i] = 0
-
-    rec(0)
+    cols = [pt for pt in _projective_points(q, k) if pt[0] == 1]
     # rows: coordinate functionals a_2..a_k, then the all-one row
     rows = [tuple(c[i] for c in cols) for i in range(1, k)]
     rows.append(tuple(1 for _ in cols))

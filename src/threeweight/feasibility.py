@@ -91,14 +91,6 @@ class Candidate:
     def y(self) -> int | None:
         return 1 << (self.k - 2) if self.q == 2 else None
 
-    @property
-    def x(self) -> int:
-        return _v2(self.n)
-
-    @property
-    def z(self) -> int:
-        return self.n >> _v2(self.n)
-
     def reasons(self) -> list[str]:
         out = [f"{r.name}: {r.detail}" if r.detail else r.name
                for r in self.filter_trail if r.outcome == "fail"]
@@ -423,14 +415,7 @@ _FILTERS = {
     "hamming-anticode": _filter_hamming_anticode,
 }
 
-FILTER_ORDER = (
-    "length-mod-4",
-    "gap-power-of-2",
-    "divisibility-dimension",
-    "four-delta-dimension",
-    "dodunekov-simonis",
-    "hamming-anticode",
-)
+FILTER_ORDER = tuple(_FILTERS)
 
 
 def apply_filters(candidate: Candidate, order: tuple[str, ...] = FILTER_ORDER) -> Candidate:

@@ -1,12 +1,23 @@
-"""Independent second route for `threeweight.code` weight distributions.
+"""Independent second routes for `threeweight.code`.
 
-The library walks the modular q-ary Gray code, one generator row added per
-step, with the words held as bit masks (GF(2)), two bit-planes (GF(3)) or
-tuples (p >= 5).  The route below recurses over the coefficient of each
-row in turn and builds every codeword as a tuple from the previous one.
+Weight distributions: the library walks the modular q-ary Gray code, one
+generator row added per step, with the words held as bit masks (GF(2)), two
+bit-planes (GF(3)) or tuples (p >= 5).  `recursive_weight_counts` recurses
+over the coefficient of each row in turn and builds every codeword as a
+tuple from the previous one.
+
+Subcode projection: the library writes the quotient coordinates in closed
+form; `projection_by_basis_completion` completes the point to a basis and
+inverts the change of basis.  Projective points: the library filters
+`itertools.product`; `projective_points_by_walk` walks every vector and
+keeps the first member of each class.
 """
 
 from __future__ import annotations
+
+from threeweight.code import LinearCode, _canonical_point
+from threeweight.errors import RankDeficient, UnsupportedParameters, ZeroVector
+from threeweight.gfmat import FieldMatrix, PrimeField
 
 
 def recursive_weight_counts(rows: tuple[tuple[int, ...], ...], p: int) -> dict[int, int]:
@@ -28,3 +39,74 @@ def recursive_weight_counts(rows: tuple[tuple[int, ...], ...], p: int) -> dict[i
 
     rec(0, (0,) * n)
     return counts
+
+
+def projection_by_basis_completion(code: LinearCode, point: tuple[int, ...]) -> LinearCode:
+    """`code.subcode_projection(point)` by general linear algebra: complete
+    P to a basis of F_q^k greedily with unit vectors (one rank test each),
+    invert the change of basis by row reduction, and keep every coordinate
+    but the one along P."""
+    field = code.field
+    p = field.p
+    point = tuple(int(e) % p for e in point)
+    if len(point) != code.k:
+        raise ValueError(f"point must live in F_q^{code.k}")
+    if code.k < 2:
+        raise UnsupportedParameters("projection needs dimension >= 2")
+    rep = _canonical_point(field, point)
+    if rep is None:
+        raise ZeroVector("projection point must be nonzero")
+    mat = [rep]
+    for j in range(code.k):
+        e = tuple(1 if i == j else 0 for i in range(code.k))
+        if FieldMatrix.from_rows(field, mat + [e]).rank() == len(mat) + 1:
+            mat.append(e)
+        if len(mat) == code.k:
+            break
+    binv = _matrix_inverse(FieldMatrix.from_rows(field, mat))
+    new_cols = []
+    for col in code.generator.columns():
+        if _canonical_point(field, col) == rep:
+            continue  # points equal to P are removed by the projection
+        coords = _matvec(binv.transpose(), col, p)
+        new_cols.append(coords[1:])
+    return LinearCode(field, FieldMatrix.from_columns(field, new_cols))
+
+
+def _matvec(m: FieldMatrix, v: tuple[int, ...], p: int) -> tuple[int, ...]:
+    return tuple(sum(r[j] * v[j] for j in range(len(v))) % p for r in m.to_rows())
+
+
+def _matrix_inverse(m: FieldMatrix) -> FieldMatrix:
+    n = m.nrows
+    aug = FieldMatrix.from_rows(
+        m.field, (tuple(m.row(i)) + tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+    )
+    reduced, rank, _ = aug.rref()
+    if rank != n:
+        raise RankDeficient("matrix is singular")
+    return FieldMatrix.from_rows(m.field, (tuple(reduced.row(i))[n:] for i in range(n)))
+
+
+def projective_points_by_walk(p: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Points of PG(k-1, p): walk every vector of F_p^k recursively in
+    lexicographic order and keep the canonical form of each new class."""
+    field = PrimeField(p)
+    pts = []
+    seen = set()
+    vec = [0] * k
+
+    def rec(i: int) -> None:
+        if i == k:
+            rep = _canonical_point(field, tuple(vec))
+            if rep is not None and rep not in seen:
+                seen.add(rep)
+                pts.append(rep)
+            return
+        for e in range(p):
+            vec[i] = e
+            rec(i + 1)
+        vec[i] = 0
+
+    rec(0)
+    return tuple(pts)

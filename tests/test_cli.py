@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from threeweight.cli import emit_report, main, parse_report
-from threeweight.code import reed_muller
+from threeweight import cli
+from threeweight.cli import emit_report, main
+from threeweight.code import MultiplicityType, WeightDistribution, reed_muller
 from threeweight.matrixio import parse_matrix_text, serialize_matrix
 from threeweight import swrg
 from threeweight.swrg import CosetGraph
@@ -29,20 +30,6 @@ def test_enumerate_json_matches_golden(capsys):
     assert out == golden
 
 
-def test_enumerate_parallel_determinism(capsys):
-    rc, seq, _ = run_cli(
-        capsys, "enumerate", "--q", "2", "--n-min", "4", "--n-max", "40",
-        "--format", "json",
-    )
-    assert rc == 0
-    rc, par, _ = run_cli(
-        capsys, "enumerate", "--q", "2", "--n-min", "4", "--n-max", "40",
-        "--format", "json", "--jobs", "3",
-    )
-    assert rc == 0
-    assert seq == par
-
-
 def test_enumerate_csv_and_text_render(capsys):
     rc, out, _ = run_cli(
         capsys, "enumerate", "--q", "2", "--n-min", "4", "--n-max", "8",
@@ -63,7 +50,7 @@ def test_report_round_trip():
         {"q": 2, "n": 4, "k": 3, "w1": 1, "w2": 2, "w3": 3, "A1": 1, "A2": 3,
          "A3": 3, "B3": 1, "verdict": "realized", "reasons": []},
     ]
-    assert parse_report(emit_report(rows, "json")) == rows
+    assert json.loads(emit_report(rows, "json")) == rows
     assert emit_report([], "json") == "[]\n"
     assert emit_report([], "csv") == ""
     assert emit_report([], "text") == ""
@@ -258,15 +245,51 @@ def test_enumerate_include_unlisted_flag(capsys):
     assert (rows[0]["n"], rows[0]["k"], rows[0]["verdict"]) == (44, 6, "excluded")
 
 
-def test_enumerate_parallel_keeps_unlisted_rows(capsys):
-    argv = ("enumerate", "--q", "3", "--n-min", "3", "--n-max", "14",
-            "--format", "json", "--include-unlisted")
-    rc, seq, _ = run_cli(capsys, *argv)
+def test_enumerate_include_unlisted_shows_admissible_rows(capsys):
+    rc, out, _ = run_cli(
+        capsys, "enumerate", "--q", "3", "--n-min", "3", "--n-max", "14",
+        "--format", "json", "--include-unlisted",
+    )
     assert rc == 0
-    rc, par, _ = run_cli(capsys, *argv, "--jobs", "2")
-    assert rc == 0
-    assert par == seq
-    assert any(r["verdict"] == "admissible" for r in json.loads(seq))
+    assert any(r["verdict"] == "admissible" for r in json.loads(out))
+
+
+def test_enumerate_has_no_jobs_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--q", "2", "--n-min", "4", "--n-max", "8", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+class _LongCode:
+    """The part of a code that `verify` reads before its coset graph, for
+    lengths too long to build and enumerate in a test."""
+
+    def __init__(self, q, n):
+        self.q, self.n = q, n
+
+    def params(self):
+        return self.q, self.n, 2
+
+    def weight_distribution(self):
+        return WeightDistribution.from_dict(self.n, {0: 1, 1: 1})
+
+    def is_projective(self):
+        return False, MultiplicityType((), 0)
+
+
+@pytest.mark.parametrize("q,n,target", [
+    (2, 666667, "2000001/2"),  # 1000000.5 printed as 1e+06 through a float
+    (2, 2000001, "6000003/2"),
+    (3, 500001, "1000002"),
+])
+def test_verify_prints_the_weight_sum_target_exactly(capsys, monkeypatch, q, n, target):
+    monkeypatch.setattr(cli, "parse_matrix_file", lambda path: _LongCode(q, n))
+    monkeypatch.setattr(cli, "dual_distribution", lambda *args: [1, 0, 0, 0])
+    rc, out, _ = run_cli(capsys, "verify", "long.txt")
+    assert rc == 1
+    assert f"weight sum 1 (3n(q-1)/q = {target}): MISMATCH\n" in out
+    assert f"FAIL: weight sum 1 != {target}\n" in out
 
 
 def test_scan_csv_carries_y_column(capsys):

@@ -1,5 +1,6 @@
 """The graph layer is exact: no true division, no float, and both steps of
-the character route that can lose exactness raise instead."""
+the character route that can lose exactness raise instead.  The CLI that
+prints its results does no inexact arithmetic either."""
 
 from __future__ import annotations
 
@@ -13,9 +14,10 @@ from threeweight.errors import SelfCheckFailed
 from threeweight.swrg import CosetGraph
 
 
-def test_swrg_has_no_true_division_float_or_math():
-    path = resources.files("threeweight").joinpath("swrg.py")
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename="swrg.py")
+def inexact_constructs(module: str) -> list[str]:
+    """True divisions, float or complex literals and math imports in a module."""
+    path = resources.files("threeweight").joinpath(module)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=module)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
@@ -26,7 +28,15 @@ def test_swrg_has_no_true_division_float_or_math():
             found += [f"import {a.name}" for a in node.names if a.name in ("math", "cmath")]
         elif isinstance(node, ast.ImportFrom) and node.module in ("math", "cmath"):
             found.append(f"from {node.module} import")
-    assert found == []
+    return found
+
+
+def test_swrg_has_no_true_division_float_or_math():
+    assert inexact_constructs("swrg.py") == []
+
+
+def test_cli_has_no_true_division_float_or_math():
+    assert inexact_constructs("cli.py") == []
 
 
 @pytest.mark.parametrize("q,k,omega", [
