@@ -11,6 +11,9 @@ Candidates are weight triples plus a dimension; admissibility means:
         distribution B_0..B_n consists of nonnegative integers,
   (v)   B_1 = B_2 = 0.
 
+length_candidates decides (i)-(v) for every case of one length at once and
+is what the enumeration and the counterexample scan run; evaluate_candidate
+decides one case and is the reference the kernel is tested against.
 Survivors then run a chain of exclusion filters (length divisibility, the
 symmetric-triple divisibility lemmas, the 4*Delta dimension bound, the
 two-level divisibility test on T, and a sphere-packing check on short
@@ -24,7 +27,8 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
-from math import gcd
+from math import gcd, isqrt
+from typing import Iterator
 
 from .code import LinearCode, golay23, parity_check_code, reed_muller, simplex
 from .errors import GuardExceeded, SelfCheckFailed, UnsupportedParameters
@@ -36,7 +40,7 @@ from .transform import (
     three_weight_solve,
 )
 
-N_GUARD_Q2 = 512
+N_GUARD_Q2 = 1024
 N_GUARD_Q3 = 81
 ANTICODE_HAMMING_LIMIT = 512
 
@@ -132,7 +136,8 @@ def _is_power_of_two(m: int) -> bool:
 
 
 def weight_triples(q: int, n: int) -> list[tuple[int, int, int]]:
-    """All 1 <= w1 < w2 < w3 <= n with w1 + w2 + w3 = 3n(q-1)/q."""
+    """All 1 <= w1 < w2 < w3 <= n with w1 + w2 + w3 = 3n(q-1)/q, in the
+    order length_candidates visits them."""
     if (3 * n * (q - 1)) % q != 0:
         return []
     target = 3 * n * (q - 1) // q
@@ -143,15 +148,6 @@ def weight_triples(q: int, n: int) -> list[tuple[int, int, int]]:
             if w2 < w3 <= n:
                 out.append((w1, w2, w3))
     return out
-
-
-def dimension_range(q: int, n: int, weights: tuple[int, int, int]) -> range:
-    """Admissible dimensions before the arithmetic checks: for q = 2 all
-    k >= 3 with 2^(k-2) | w1 w2 w3, for q = 3 the trivial 1..n."""
-    if q == 2:
-        w1, w2, w3 = weights
-        return range(3, _v2(w1 * w2 * w3) + 3)
-    return range(1, n + 1)
 
 
 def solve_frequencies(
@@ -209,6 +205,86 @@ def evaluate_candidate(q: int, n: int, k: int, weights: tuple[int, int, int]) ->
     return Candidate(q, n, k, weights, freqs, b_seq, delta)
 
 
+def length_candidates(q: int, n: int) -> Iterator[Candidate]:
+    """Every admissible Candidate of length n, in weight_triples order with
+    k ascending: the one production route of enumerate_candidates and
+    counterexample_scan.  evaluate_candidate decides the same cases one at
+    a time and is the reference this kernel is tested against.
+
+    With x_w = K_1(w) = n(q-1) - qw, the moments sum A = q^k - 1 and
+    B_1 = B_2 = 0 give each frequency in Lagrange form,
+
+        A_j (w_j - w_a)(w_j - w_b) = q^(k-2) (n(q-1) + x_a x_b) - w_a w_b,
+
+    since E[(W - w_a)(W - w_b)] = (n(q-1) + x_a x_b) / q^2 for W binomial
+    on n trials with success rate (q-1)/q.  The weights sum to 3n(q-1)/q,
+    so x_1 + x_2 + x_3 = 0 and x_1 > 0 > x_3.  Whatever k is, A_1 and A_3
+    can then be positive only where n(q-1) + x_2 x_3 > 0 and
+    n(q-1) + x_1 x_2 > 0: for each w1 one window of w2 around the midpoint
+    n(q-1)/q, and the triples outside it are never formed.  Per triple,
+    conditions (ii) and (iii) become one interval of k: a gcd q^e of the
+    weights gives k >= e + 1, and for q = 2, 2^(k-2) | w1 w2 w3 caps k.
+    Per k, q^(k-2) is stepped and each frequency is one divmod.
+    """
+    s = q - 1
+    if 3 * n * s % q:
+        return
+    ns = n * s
+    target = 3 * ns // q
+    # k >= 2 for three nonzero weights; binary k = 2 forces A = (1, 1, 1) and
+    # so w1 + w2 + w3 = 2n by the first moment, never 3n/2
+    k_floor = 3 if q == 2 else 2
+    for w1 in range(1, target // 3):
+        x1 = ns - q * w1  # > 0, as 3 w1 < target
+        # x_2 < 0 side: n(q-1) + x_1 x_2 > 0
+        hi = min((target - w1 - 1) // 2, (ns + (ns - 1) // x1) // q)
+        # x_2 >= 0 side: n(q-1) + x_2 x_3 > 0, i.e. x_2 (x_1 + x_2) < n(q-1)
+        # the largest such x_2 is m, the largest m with (2m + x_1)^2 < x_1^2 + 4n(q-1)
+        m = (isqrt(x1 * x1 + 4 * ns - 1) - x1) // 2
+        lo = max(w1 + 1, target - w1 - n, (ns - m + s) // q)
+        for w2 in range(lo, hi + 1):
+            w3 = target - w1 - w2
+            delta = gcd(w1, w2, w3)
+            # condition (ii): delta = q^e, so k >= e + 1
+            e, rest = 0, delta
+            while rest % q == 0:
+                rest //= q
+                e += 1
+            if rest != 1:
+                continue
+            if q == 2:
+                prod = w1 * w2 * w3
+                k_max = (prod & -prod).bit_length() + 1  # condition (iii)
+            else:
+                k_max = n
+            k = max(e + 1, k_floor)
+            if k > k_max:
+                continue
+            x2 = ns - q * w2
+            x3 = -x1 - x2
+            p1, p2, p3 = ns + x2 * x3, ns + x1 * x3, ns + x1 * x2
+            # positive denominators; A_2's numerator is negated to match
+            d1, d2, d3 = (w2 - w1) * (w3 - w1), (w2 - w1) * (w3 - w2), (w3 - w1) * (w3 - w2)
+            weights = (w1, w2, w3)
+            y = q ** (k - 2)
+            while k <= k_max:
+                a2, rem = divmod(w1 * w3 - y * p2, d2)
+                if a2 <= 0 and p2 > 0:
+                    break  # A_2 only falls as k grows
+                if not rem and a2 > 0:
+                    a1, rem = divmod(y * p1 - w2 * w3, d1)
+                    if not rem and a1 > 0:
+                        a3, rem = divmod(y * p3 - w1 * w2, d3)
+                        if not rem and a3 > 0:
+                            freqs = (a1, a2, a3)
+                            b_seq, _ = dual_sequence_exact(q, n, k, weights, freqs)
+                            # condition (iv) on the dual distribution, then (v)
+                            if b_seq is not None and b_seq[:3] == (1, 0, 0):
+                                yield Candidate(q, n, k, weights, freqs, b_seq, delta)
+                y *= q
+                k += 1
+
+
 def enumerate_candidates(q: int, n_min: int, n_max: int) -> list[Candidate]:
     """Admissible candidates for every length in [n_min, n_max]."""
     if q == 2:
@@ -219,13 +295,7 @@ def enumerate_candidates(q: int, n_min: int, n_max: int) -> list[Candidate]:
             raise GuardExceeded(f"q=3 enumeration is guarded at n <= {N_GUARD_Q3}")
     else:
         raise UnsupportedParameters("enumeration supports q in {2, 3}")
-    out = []
-    for n in range(max(n_min, 1), n_max + 1):
-        for weights in weight_triples(q, n):
-            for k in dimension_range(q, n, weights):
-                cand = evaluate_candidate(q, n, k, weights)
-                if cand is not None:
-                    out.append(cand)
+    out = [c for n in range(max(n_min, 1), n_max + 1) for c in length_candidates(q, n)]
     out.sort(key=Candidate.sort_key)
     return out
 
@@ -492,15 +562,11 @@ def counterexample_scan(n_max: int) -> list[Candidate]:
         raise GuardExceeded(f"scan is guarded at n < {N_GUARD_Q2}")
     out = []
     for n in range(SCAN_START, n_max + 1, 2):
-        for weights in weight_triples(2, n):
-            if weights[1] * 2 == n:
+        for cand in length_candidates(2, n):
+            if cand.weights[1] * 2 == n:
                 continue
-            for k in dimension_range(2, n, weights):
-                cand = evaluate_candidate(2, n, k, weights)
-                if cand is None:
-                    continue
-                if all(dodunekov_check(cand, a).passed for a in range(cand.a + 1)):
-                    out.append(replace(cand, verdict="open"))
+            if all(dodunekov_check(cand, a).passed for a in range(cand.a + 1)):
+                out.append(replace(cand, verdict="open"))
     out.sort(key=Candidate.sort_key)
     return out
 

@@ -2,12 +2,14 @@
 distributions, and the frequencies forced on three-weight codes by the
 first power moments.
 
-The production route for the frequencies is the integer kernel:
-moment_system builds the 3x3 moment system once per (q, n, weights) and
-forced_frequencies solves it by integer Cramer's rule, rejecting on the
-first nonzero remainder.  The rational solvers (three_weight_solve and
+The enumeration and the scan take their frequencies from the per-length
+kernel feasibility.length_candidates.  Here, moment_system builds the 3x3
+moment system of one (q, n, weights) and forced_frequencies solves it by
+integer Cramer's rule, rejecting on the first nonzero remainder: the
+per-case route of feasibility.evaluate_candidate, which the kernel is
+tested against.  The rational solvers (three_weight_solve and
 pmt_frequencies for q = 2, solve_three_weight_general for any q) are the
-closed-form references the kernel is checked against.
+closed-form references both are checked against.
 
 All arithmetic is exact (integers and fractions).  Integrality of a dual
 distribution is a *test* performed by callers, never an assumption.
@@ -206,7 +208,8 @@ def moment_system(q: int, n: int, weights: tuple[int, int, int]) -> MomentSystem
 
     K_1(w) = n(q-1) - qw,  K_2(w) = C(n-w,2)(q-1)^2 - w(n-w)(q-1) + C(w,2).
 
-    Cached: callers sweep k innermost, and nothing here depends on k.
+    Cached, since nothing here depends on k: a per-case caller such as
+    evaluate_candidate, swept over k, builds each system once.
     """
     w1, w2, w3 = weights
     if w1 == w2 or w1 == w3 or w2 == w3:

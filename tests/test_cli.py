@@ -302,6 +302,16 @@ def test_scan_csv_carries_y_column(capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan-counterexamples", "--n-max", "1024"),
+    ("enumerate", "--q", "2", "--n-min", "1000", "--n-max", "1024"),
+])
+def test_q2_guard_exits_2(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "guarded at n < 1024" in err
+
+
 def test_verify_passes_on_every_fixture(capsys, fixture_codes):
     for name, code, (weights, freqs) in fixture_codes:
         rc, out, _ = run_cli(

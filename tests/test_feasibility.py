@@ -10,6 +10,7 @@ from threeweight.code import parity_check_code
 from threeweight.errors import GuardExceeded, SelfCheckFailed, UnsupportedParameters
 from threeweight.feasibility import (
     FILTER_ORDER,
+    N_GUARD_Q2,
     apply_filters,
     counterexample_scan,
     dodunekov_check,
@@ -19,12 +20,15 @@ from threeweight.feasibility import (
     feasibility_report,
     hamming_bound_ok,
     kn_witness,
+    length_candidates,
     load_annotations,
     merge_annotations,
     solve_frequencies,
     weight_triples,
 )
+from threeweight.transform import three_weight_solve
 
+from catalog import SCAN, dimension_range
 
 
 def _candidate(n, k, w):
@@ -74,8 +78,11 @@ def test_enumerate_ternary_survivor():
 
 
 def test_enumerate_guards():
+    assert N_GUARD_Q2 == 1024
     with pytest.raises(GuardExceeded):
-        enumerate_candidates(2, 4, 600)
+        enumerate_candidates(2, 4, 1100)
+    with pytest.raises(GuardExceeded):
+        enumerate_candidates(2, 1000, N_GUARD_Q2)
     with pytest.raises(GuardExceeded):
         enumerate_candidates(3, 3, 100)
     with pytest.raises(UnsupportedParameters):
@@ -165,6 +172,46 @@ def test_scan_reproduces_catalog(tmp_path):
         (124, (56, 64, 66), 64, (72, 119, 64), 1296),
     ]
     assert counterexample_scan(71) == []
+
+
+def test_scan_guard():
+    with pytest.raises(GuardExceeded):
+        counterexample_scan(N_GUARD_Q2)
+
+
+@pytest.mark.parametrize("q,n_max,cases", [(2, 256, 1_027_990), (3, 81, 918_778)])
+def test_length_kernel_matches_evaluate_candidate(q, n_max, cases):
+    """The per-length kernel yields exactly the admissible results of
+    evaluate_candidate over every (n, triple, k) case, in the same order
+    and with equal frequencies, dual distributions and gcds.  The lengths
+    start at 1, so n = 1, 2 and the lengths with no integral weight sum
+    3n(q-1)/q are covered (both routes yield nothing there)."""
+    seen = 0
+    for n in range(1, n_max + 1):
+        want = []
+        for ws in weight_triples(q, n):
+            for k in dimension_range(q, n, ws):
+                seen += 1
+                c = evaluate_candidate(q, n, k, ws)
+                if c is not None:
+                    want.append(c)
+        assert list(length_candidates(q, n)) == want, n
+    assert seen == cases
+
+
+@pytest.mark.parametrize("n_max,rows", [(511, 26), (N_GUARD_Q2 - 1, 50)])
+def test_scan_matches_pinned_rows(n_max, rows):
+    want = [r for r in SCAN if r[0] <= n_max]
+    assert len(want) == rows
+    got = [(c.n, c.k, c.weights, c.frequencies, c.b3) for c in counterexample_scan(n_max)]
+    assert got == want
+
+
+def test_pinned_scan_rows_match_the_rational_solver():
+    for n, k, ws, freqs, b3 in SCAN:
+        assert ws[1] * 2 != n and sum(ws) * 2 == 3 * n
+        sol = three_weight_solve(n, k, *ws)
+        assert sol.frequencies == freqs and sol.b3 == b3, (n, k, ws)
 
 
 def test_scan_survivor_invariants():

@@ -9,7 +9,7 @@ import pytest
 from threeweight import transform
 from threeweight.code import parity_check_code, simplex
 from threeweight.errors import DegenerateWeights, SelfCheckFailed
-from threeweight.feasibility import dimension_range, weight_triples
+from threeweight.feasibility import weight_triples
 from threeweight.gfmat import GF2
 from threeweight.transform import (
     binomial,
@@ -23,6 +23,7 @@ from threeweight.transform import (
     three_weight_solve,
 )
 
+from catalog import dimension_range
 from transform_oracles import cramer_frequencies, krawtchouk
 
 
