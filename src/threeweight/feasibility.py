@@ -164,20 +164,18 @@ def solve_frequencies(
 
 def dual_sequence_exact(
     q: int, n: int, k: int, weights: tuple[int, int, int], freqs: tuple[int, int, int]
-) -> tuple[tuple[int, ...] | None, str]:
-    """Integer B_0..B_n, or (None, reason) at the first violation."""
+) -> tuple[int, ...] | None:
+    """Integer B_0..B_n, or None at the first non-integral or negative B_i."""
     size = q**k
     counts = {0: 1}
     counts.update(zip(weights, freqs))
     out = []
-    for i, v in enumerate(dual_numerators(counts, n, q)):
+    for v in dual_numerators(counts, n, q):
         b, rem = divmod(v, size)
-        if rem != 0:
-            return None, f"B_{i} is not an integer"
-        if b < 0:
-            return None, f"B_{i} = {b} < 0"
+        if rem or b < 0:
+            return None
         out.append(b)
-    return tuple(out), ""
+    return tuple(out)
 
 
 def evaluate_candidate(q: int, n: int, k: int, weights: tuple[int, int, int]) -> Candidate | None:
@@ -197,7 +195,7 @@ def evaluate_candidate(q: int, n: int, k: int, weights: tuple[int, int, int]) ->
     freqs = forced_frequencies(q, n, k, weights)
     if freqs is None:
         return None  # condition (iv): frequencies
-    b_seq, _ = dual_sequence_exact(q, n, k, weights, freqs)
+    b_seq = dual_sequence_exact(q, n, k, weights, freqs)
     if b_seq is None:
         return None  # condition (iv): dual distribution
     if b_seq[0] != 1 or b_seq[1] != 0 or b_seq[2] != 0:
@@ -216,14 +214,14 @@ def length_candidates(q: int, n: int) -> Iterator[Candidate]:
 
         A_j (w_j - w_a)(w_j - w_b) = q^(k-2) (n(q-1) + x_a x_b) - w_a w_b,
 
-    since E[(W - w_a)(W - w_b)] = (n(q-1) + x_a x_b) / q^2 for W binomial
-    on n trials with success rate (q-1)/q.  The weights sum to 3n(q-1)/q,
-    so x_1 + x_2 + x_3 = 0 and x_1 > 0 > x_3.  Whatever k is, A_1 and A_3
-    can then be positive only where n(q-1) + x_2 x_3 > 0 and
-    n(q-1) + x_1 x_2 > 0: for each w1 one window of w2 around the midpoint
-    n(q-1)/q, and the triples outside it are never formed.  Per triple,
-    conditions (ii) and (iii) become one interval of k: a gcd q^e of the
-    weights gives k >= e + 1, and for q = 2, 2^(k-2) | w1 w2 w3 caps k.
+    the formula of transform.lagrange_terms, inlined here per triple.  The
+    weights sum to 3n(q-1)/q, so x_1 + x_2 + x_3 = 0 and x_1 > 0 > x_3.
+    Whatever k is, A_1 and A_3 can then be positive only where
+    n(q-1) + x_2 x_3 > 0 and n(q-1) + x_1 x_2 > 0: for each w1 one window of
+    w2 around the midpoint n(q-1)/q, and the triples outside it are never
+    formed.  Per triple, conditions (ii) and (iii) become one interval of k:
+    a gcd q^e of the weights gives k >= e + 1, and for q = 2,
+    2^(k-2) | w1 w2 w3 caps k.
     Per k, q^(k-2) is stepped and each frequency is one divmod.
     """
     s = q - 1
@@ -263,7 +261,7 @@ def length_candidates(q: int, n: int) -> Iterator[Candidate]:
             x2 = ns - q * w2
             x3 = -x1 - x2
             p1, p2, p3 = ns + x2 * x3, ns + x1 * x3, ns + x1 * x2
-            # positive denominators; A_2's numerator is negated to match
+            # lagrange_terms, with d_2 and A_2's numerator negated so all d_j > 0
             d1, d2, d3 = (w2 - w1) * (w3 - w1), (w2 - w1) * (w3 - w2), (w3 - w1) * (w3 - w2)
             weights = (w1, w2, w3)
             y = q ** (k - 2)
@@ -277,7 +275,7 @@ def length_candidates(q: int, n: int) -> Iterator[Candidate]:
                         a3, rem = divmod(y * p3 - w1 * w2, d3)
                         if not rem and a3 > 0:
                             freqs = (a1, a2, a3)
-                            b_seq, _ = dual_sequence_exact(q, n, k, weights, freqs)
+                            b_seq = dual_sequence_exact(q, n, k, weights, freqs)
                             # condition (iv) on the dual distribution, then (v)
                             if b_seq is not None and b_seq[:3] == (1, 0, 0):
                                 yield Candidate(q, n, k, weights, freqs, b_seq, delta)

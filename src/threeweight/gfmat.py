@@ -100,10 +100,6 @@ class FieldMatrix:
             raise ValueError("ragged columns")
         return cls.from_rows(field, ((c[i] for c in cols) for i in range(nrows)))
 
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "FieldMatrix":
-        return cls.from_rows(field, ((1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     def row(self, i: int) -> bytes:
         return self._rows[i]
 
@@ -132,34 +128,6 @@ class FieldMatrix:
                     m |= 1 << j
             masks.append(m)
         return tuple(masks)
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(
-            self.field,
-            tuple(bytes(self.column(j)) for j in range(self.ncols)),
-            self.nrows,
-        )
-
-    def mul(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.field.p != other.field.p:
-            raise ValueError("field mismatch")
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        p = self.field.p
-        out = []
-        ocols = other.ncols
-        for r in self._rows:
-            acc = [0] * ocols
-            for j, e in enumerate(r):
-                if e:
-                    orow = other._rows[j]
-                    for c in range(ocols):
-                        acc[c] += e * orow[c]
-            out.append(bytes(v % p for v in acc))
-        return FieldMatrix(self.field, tuple(out), ocols)
-
-    def is_zero(self) -> bool:
-        return all(not any(r) for r in self._rows)
 
     def __eq__(self, other: object) -> bool:
         return (

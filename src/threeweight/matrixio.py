@@ -65,7 +65,13 @@ def parse_matrix_text(text: str) -> LinearCode:
 
 
 def parse_matrix_file(path: str | Path) -> LinearCode:
-    return parse_matrix_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(0, f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(0, f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return parse_matrix_text(text)
 
 
 def serialize_matrix(code: LinearCode) -> str:

@@ -2,14 +2,15 @@
 distributions, and the frequencies forced on three-weight codes by the
 first power moments.
 
-The enumeration and the scan take their frequencies from the per-length
-kernel feasibility.length_candidates.  Here, moment_system builds the 3x3
-moment system of one (q, n, weights) and forced_frequencies solves it by
-integer Cramer's rule, rejecting on the first nonzero remainder: the
-per-case route of feasibility.evaluate_candidate, which the kernel is
-tested against.  The rational solvers (three_weight_solve and
-pmt_frequencies for q = 2, solve_three_weight_general for any q) are the
-closed-form references both are checked against.
+The frequencies have one formula, the Lagrange form of lagrange_terms:
+A_j (w_j - w_a)(w_j - w_b) = q^(k-2) (n(q-1) + x_a x_b) - w_a w_b with
+x_w = K_1(w).  forced_frequencies applies it to one (q, n, k, weights) and
+rejects on the first nonzero remainder, the per-case route of
+feasibility.evaluate_candidate; the per-length kernel
+feasibility.length_candidates inlines the same arithmetic and is tested
+against that route.  solve_three_weight_general gives the same values as
+fractions.  The binary closed forms three_weight_solve and pmt_frequencies
+are kept as rational references.
 
 All arithmetic is exact (integers and fractions).  Integrality of a dual
 distribution is a *test* performed by callers, never an assumption.
@@ -19,9 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
-from typing import NamedTuple
 
 from .errors import DegenerateWeights, SelfCheckFailed
 
@@ -184,60 +183,43 @@ def pmt_frequencies(n: int, k: int, t: int) -> ThreeWeightSolution:
     return sol
 
 
-class MomentSystem(NamedTuple):
-    """The k-free part of sum A = q^k - 1, B_1 = B_2 = 0 for three weights.
+def lagrange_terms(
+    q: int, n: int, weights: tuple[int, int, int]
+) -> tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]:
+    """(p_j, c_j, d_j) per weight, with A_j d_j = q^(k-2) p_j - c_j for the
+    frequencies forced by sum A = q^k - 1 and B_1 = B_2 = 0.
 
-    The matrix is [[1, 1, 1], K_1(w), K_2(w)] and the right-hand side
-    (q^k - 1, r1, r2).  By Cramer's rule A_j is (q^k - 1) c0 + r1 c1 + r2 c2
-    over det, where (c0, c1, c2) = cofactors[j] is column j's cofactors.
-    """
-
-    det: int
-    cofactors: tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
-    rhs_tail: tuple[int, int]
-
-
-def _k2(n: int, s: int, w: int) -> int:
-    """K_2(w) for q = s + 1, in closed form."""
-    return (n - w) * (n - w - 1) // 2 * s * s - w * (n - w) * s + w * (w - 1) // 2
-
-
-@lru_cache(maxsize=64)
-def moment_system(q: int, n: int, weights: tuple[int, int, int]) -> MomentSystem:
-    """Integer moment system for weights, from the closed forms
-
-    K_1(w) = n(q-1) - qw,  K_2(w) = C(n-w,2)(q-1)^2 - w(n-w)(q-1) + C(w,2).
-
-    Cached, since nothing here depends on k: a per-case caller such as
-    evaluate_candidate, swept over k, builds each system once.
+    With x_w = K_1(w) = n(q-1) - qw and w_a, w_b the other two weights,
+    p_j = n(q-1) + x_a x_b, c_j = w_a w_b and d_j = (w_j - w_a)(w_j - w_b):
+    B_1 = B_2 = 0 make the first two moments of the weight W of a codeword
+    those of a uniform word of F_q^n, so sum (W - w_a)(W - w_b) over the q^k
+    codewords is q^(k-2) (n(q-1) + x_a x_b), and only the zero word and the
+    words of weight w_j contribute to it.  Nothing here depends on k.
     """
     w1, w2, w3 = weights
     if w1 == w2 or w1 == w3 or w2 == w3:
         raise DegenerateWeights(f"weights must be distinct, got {weights}")
-    s = q - 1
-    x1, x2, x3 = n * s - q * w1, n * s - q * w2, n * s - q * w3
-    y1, y2, y3 = _k2(n, s, w1), _k2(n, s, w2), _k2(n, s, w3)
-    cofactors = (
-        (x2 * y3 - x3 * y2, y2 - y3, x3 - x2),
-        (x3 * y1 - x1 * y3, y3 - y1, x1 - x3),
-        (x1 * y2 - x2 * y1, y1 - y2, x2 - x1),
+    ns = n * (q - 1)
+    x1, x2, x3 = ns - q * w1, ns - q * w2, ns - q * w3
+    return (
+        (ns + x2 * x3, w2 * w3, (w1 - w2) * (w1 - w3)),
+        (ns + x1 * x3, w1 * w3, (w2 - w1) * (w2 - w3)),
+        (ns + x1 * x2, w1 * w2, (w3 - w1) * (w3 - w2)),
     )
-    det = cofactors[0][0] + cofactors[1][0] + cofactors[2][0]
-    if det == 0:
-        raise DegenerateWeights("moment system is singular")
-    return MomentSystem(det, cofactors, (-n * s, -(n * (n - 1) // 2) * s * s))
 
 
 def forced_frequencies(
     q: int, n: int, k: int, weights: tuple[int, int, int]
 ) -> tuple[int, int, int] | None:
     """The frequencies (A_w1, A_w2, A_w3) forced by sum A = q^k - 1 and
-    B_1 = B_2 = 0, or None as soon as one is not a positive integer."""
-    det, cofactors, (r1, r2) = moment_system(q, n, weights)
-    top = q**k - 1
+    B_1 = B_2 = 0, or None as soon as one is not a positive integer.
+
+    A_j = (q^k p_j - q^2 c_j) / (q^2 d_j) over lagrange_terms, exact for
+    every k >= 0."""
+    top, qq = q**k, q * q
     out = []
-    for c0, c1, c2 in cofactors:
-        a, rem = divmod(top * c0 + r1 * c1 + r2 * c2, det)
+    for p, c, d in lagrange_terms(q, n, weights):
+        a, rem = divmod(top * p - qq * c, qq * d)
         if rem or a <= 0:
             return None
         out.append(a)
@@ -248,7 +230,7 @@ def solve_three_weight_general(
     n: int, k: int, q: int, w1: int, w2: int, w3: int
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Frequencies forced by B_1 = B_2 = 0 for any prime power q, as exact
-    rationals: the Cramer numerators of moment_system over its determinant."""
-    det, cofactors, (r1, r2) = moment_system(q, n, (w1, w2, w3))
-    top = q**k - 1
-    return tuple(Fraction(top * c0 + r1 * c1 + r2 * c2, det) for c0, c1, c2 in cofactors)
+    rationals: forced_frequencies without the integrality test."""
+    top, qq = q**k, q * q
+    terms = lagrange_terms(q, n, (w1, w2, w3))
+    return tuple(Fraction(top * p - qq * c, qq * d) for p, c, d in terms)

@@ -68,7 +68,7 @@ def projection_by_basis_completion(code: LinearCode, point: tuple[int, ...]) -> 
     for col in code.generator.columns():
         if _canonical_point(field, col) == rep:
             continue  # points equal to P are removed by the projection
-        coords = _matvec(binv.transpose(), col, p)
+        coords = _matvec(FieldMatrix.from_columns(field, binv.to_rows()), col, p)
         new_cols.append(coords[1:])
     return LinearCode(field, FieldMatrix.from_columns(field, new_cols))
 

@@ -178,6 +178,23 @@ def test_non_ascii_digit_row_exits_2(capsys, tmp_path):
     assert rc == 2 and out == "" and "parse error" in err
 
 
+def _utf16_file(d):
+    f = d / "utf16.txt"
+    f.write_bytes(b"\xff\xfe" + "101\n".encode("utf-16-le"))
+    return f
+
+
+@pytest.mark.parametrize("command,make", [
+    ("verify", lambda d: d / "missing.txt"),
+    ("graph", lambda d: d),
+    ("verify", _utf16_file),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_matrix_file_exits_2(capsys, tmp_path, command, make):
+    rc, out, err = run_cli(capsys, command, str(make(tmp_path)))
+    assert (rc, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
 def test_graph_command(capsys):
     rc, out, _ = run_cli(
         capsys, "graph", str(data_path("matrices/q2_n008_k04_w2_4_6.txt")), "--s", "3",

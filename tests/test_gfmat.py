@@ -21,7 +21,7 @@ def test_prime_field_rejects_prime_powers():
 
 
 def test_rref_identity():
-    m = FieldMatrix.identity(GF2, 3)
+    m = FieldMatrix.from_rows(GF2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     reduced, rank, pivots = m.rref()
     assert rank == 3
     assert pivots == (0, 1, 2)
@@ -47,6 +47,14 @@ def test_parity_kernel():
     m = FieldMatrix.from_rows(GF2, [[1, 1]])
     ker = m.kernel_basis()
     assert ker.to_rows() == ((1, 1),)
+
+
+def _annihilates(m, ker):
+    """m times the transpose of ker is zero, entry by entry."""
+    p = m.field.p
+    return all(
+        sum(a * b for a, b in zip(r, v)) % p == 0 for r in m.to_rows() for v in ker.to_rows()
+    )
 
 
 def _span_gf2(rows, n):
@@ -76,7 +84,7 @@ def test_kernel_matches_direct_dual_enumeration(fixture_codes):
     assert ker.nrows == 4
     assert _span_gf2(ker.to_rows(), 8) == brute
     # H * transpose(kernel) = 0
-    assert code.generator.mul(ker.transpose()).is_zero()
+    assert _annihilates(code.generator, ker)
 
 
 @pytest.mark.parametrize("field", [GF2, GF3])
@@ -88,11 +96,11 @@ def test_rank_transpose_and_rank_nullity(field):
         m = FieldMatrix.from_rows(
             field, [[rng.randrange(field.p) for _ in range(ncols)] for _ in range(nrows)]
         )
-        if m.is_zero():
+        if not any(any(r) for r in m.to_rows()):
             continue
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() == FieldMatrix.from_columns(field, m.to_rows()).rank()
         assert m.kernel_basis().nrows + m.rank() == m.ncols
-        assert m.mul(m.kernel_basis().transpose()).is_zero() if m.kernel_basis().nrows else True
+        assert _annihilates(m, m.kernel_basis())
 
 
 def test_rref_idempotent():

@@ -46,7 +46,7 @@ def test_scan_rows_past_511_match_symbolic_transform():
     for n, k, ws, freqs, b3 in rows:
         counts = {0: 1}
         counts.update(zip(ws, freqs))
-        b_seq, _ = dual_sequence_exact(2, n, k, ws, freqs)
+        b_seq = dual_sequence_exact(2, n, k, ws, freqs)
         b = sympy_dual(n, 2, k, counts)
         assert list(b_seq) == b, (n, k, ws)
         assert b[:4] == [1, 0, 0, b3]

@@ -1,6 +1,9 @@
 """The graph layer is exact: no true division, no float, and both steps of
 the character route that can lose exactness raise instead.  The CLI that
-prints its results does no inexact arithmetic either."""
+prints its results does no inexact arithmetic either, nor do the code,
+matrix and parsing layers; feasibility and curve use only the integer
+functions gcd and isqrt of math.  transform is left out of the syntactic
+check: its rational reference solvers divide Fractions."""
 
 from __future__ import annotations
 
@@ -14,8 +17,9 @@ from threeweight.errors import SelfCheckFailed
 from threeweight.swrg import CosetGraph
 
 
-def inexact_constructs(module: str) -> list[str]:
-    """True divisions, float or complex literals and math imports in a module."""
+def inexact_constructs(module: str, allowed_math: frozenset[str] = frozenset()) -> list[str]:
+    """True divisions, float or complex literals and math imports in a module,
+    except `from math import` of names in allowed_math."""
     path = resources.files("threeweight").joinpath(module)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=module)
     found = []
@@ -27,7 +31,9 @@ def inexact_constructs(module: str) -> list[str]:
         elif isinstance(node, ast.Import):
             found += [f"import {a.name}" for a in node.names if a.name in ("math", "cmath")]
         elif isinstance(node, ast.ImportFrom) and node.module in ("math", "cmath"):
-            found.append(f"from {node.module} import")
+            names = {a.name for a in node.names}
+            if node.module == "cmath" or not names <= allowed_math:
+                found.append(f"from {node.module} import {', '.join(sorted(names))}")
     return found
 
 
@@ -37,6 +43,24 @@ def test_swrg_has_no_true_division_float_or_math():
 
 def test_cli_has_no_true_division_float_or_math():
     assert inexact_constructs("cli.py") == []
+
+
+@pytest.mark.parametrize("module", ["code.py", "gfmat.py", "matrixio.py"])
+def test_module_has_no_true_division_float_or_math(module):
+    assert inexact_constructs(module) == []
+
+
+@pytest.mark.parametrize("module", ["feasibility.py", "curve.py"])
+def test_module_uses_only_integer_math(module):
+    assert inexact_constructs(module, frozenset({"gcd", "isqrt"})) == []
+
+
+def test_inexact_constructs_flags_what_it_does_not_allow():
+    assert inexact_constructs("feasibility.py") == ["from math import gcd, isqrt"]
+    assert inexact_constructs("feasibility.py", frozenset({"gcd"})) == [
+        "from math import gcd, isqrt"
+    ]
+    assert "division at line" in " ".join(inexact_constructs("transform.py"))
 
 
 @pytest.mark.parametrize("q,k,omega", [

@@ -17,14 +17,13 @@ from threeweight.transform import (
     dual_numerators,
     forced_frequencies,
     krawtchouk_column,
-    moment_system,
     pmt_frequencies,
     solve_three_weight_general,
     three_weight_solve,
 )
 
 from catalog import dimension_range
-from transform_oracles import cramer_frequencies, krawtchouk
+from transform_oracles import cramer_frequencies, det3, krawtchouk
 
 
 def test_binomial_generalized():
@@ -212,8 +211,30 @@ def test_moment_system_determinant_is_scaled_vandermonde():
     # det [[1,1,1], K_1(w), K_2(w)] = -(q^3/2) (w2-w1)(w3-w1)(w3-w2)
     for q, n, ws in [(2, 24, (8, 12, 16)), (3, 39, (21, 27, 30)), (5, 20, (2, 9, 17))]:
         w1, w2, w3 = ws
-        det = moment_system(q, n, ws).det
+        m = [[1, 1, 1]] + [[krawtchouk(i, w, n, q) for w in ws] for i in (1, 2)]
+        det = det3(m)
         assert -2 * det == q**3 * (w2 - w1) * (w3 - w1) * (w3 - w2)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_frequencies_match_cramer_oracle_in_low_dimension(q):
+    """k = 0 and 1, where q^(k-2) is not an integer: both routes of the
+    Lagrange form against the Cramer oracle.  No code of dimension below 2
+    has three weights, so forced_frequencies must reject every case, also
+    the ones whose frequencies are all integers."""
+    rng = random.Random(31 + q)
+    integral = 0
+    for _ in range(400):
+        n = rng.randint(3, 60)
+        ws = tuple(sorted(rng.sample(range(1, n + 1), 3)))
+        for k in (0, 1):
+            ref = cramer_frequencies(n, k, q, *ws)
+            assert solve_three_weight_general(n, k, q, *ws) == ref
+            assert forced_frequencies(q, n, k, ws) is None, (q, n, k, ws, ref)
+            if all(f.denominator == 1 for f in ref):
+                assert min(ref) <= 0
+                integral += 1
+    assert integral >= 10
 
 
 def test_three_weight_solve_cross_check_raises(monkeypatch):

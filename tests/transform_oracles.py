@@ -1,11 +1,12 @@
 """Independent second routes for `threeweight.transform`.
 
 The library computes Krawtchouk values by the three-term recurrence and
-solves the moment system from closed forms for K_1 and K_2 with
-precomputed cofactors.  The routes below evaluate Krawtchouk values as
-binomial sums, and solve the moment system built from them by Cramer's rule
-with a 3x3 determinant per column.  Power moments, which the library does
-not need, are the plain sums the tests compare with their closed forms.
+the forced frequencies from the Lagrange form over K_1 alone
+(transform.lagrange_terms).  The routes below evaluate Krawtchouk values as
+binomial sums, and solve the moment system sum A = q^k - 1, B_1 = B_2 = 0
+built from them by Cramer's rule with a 3x3 determinant per column.  Power
+moments, which the library does not need, are the plain sums the tests
+compare with their closed forms.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def power_moment(counts: dict[int, int], nu: int) -> int:
     return sum(a * i**nu for i, a in counts.items())
 
 
-def _det3(a) -> int:
+def det3(a) -> int:
     return (
         a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
         - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
@@ -47,7 +48,7 @@ def cramer_frequencies(
     ws = (w1, w2, w3)
     m = [[1, 1, 1], [krawtchouk(1, w, n, q) for w in ws], [krawtchouk(2, w, n, q) for w in ws]]
     rhs = (q**k - 1, -krawtchouk(1, 0, n, q), -krawtchouk(2, 0, n, q))
-    d = _det3(m)
+    d = det3(m)
     if d == 0:
         raise DegenerateWeights("moment system is singular")
     sols = []
@@ -55,5 +56,5 @@ def cramer_frequencies(
         mc = [list(row) for row in m]
         for r in range(3):
             mc[r][col] = rhs[r]
-        sols.append(Fraction(_det3(mc), d))
+        sols.append(Fraction(det3(mc), d))
     return sols[0], sols[1], sols[2]
