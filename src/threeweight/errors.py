@@ -54,9 +54,10 @@ class RankDeficient(CodesError):
 
 
 class ParseError(CodesError):
-    """Malformed generator-matrix file."""
+    """Malformed generator-matrix file; line is None when the error is about
+    the whole file rather than one of its lines."""
 
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
+    def __init__(self, line: int | None, reason: str):
+        super().__init__(reason if line is None else f"line {line}: {reason}")
         self.line = line
         self.reason = reason

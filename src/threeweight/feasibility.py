@@ -33,7 +33,6 @@ from typing import Iterator
 from .code import LinearCode, golay23, parity_check_code, reed_muller, simplex
 from .errors import GuardExceeded, SelfCheckFailed, UnsupportedParameters
 from .transform import (
-    binomial,
     dual_numerators,
     forced_frequencies,
     solve_three_weight_general,
@@ -203,11 +202,13 @@ def evaluate_candidate(q: int, n: int, k: int, weights: tuple[int, int, int]) ->
     return Candidate(q, n, k, weights, freqs, b_seq, delta)
 
 
-def length_candidates(q: int, n: int) -> Iterator[Candidate]:
+def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candidate]:
     """Every admissible Candidate of length n, in weight_triples order with
     k ascending: the one production route of enumerate_candidates and
     counterexample_scan.  evaluate_candidate decides the same cases one at
-    a time and is the reference this kernel is tested against.
+    a time and is the reference this kernel is tested against.  With
+    midpoint=False the triples with w2 at the midpoint n(q-1)/q are skipped
+    before any frequency or dual work (the scan wants only the others).
 
     With x_w = K_1(w) = n(q-1) - qw, the moments sum A = q^k - 1 and
     B_1 = B_2 = 0 give each frequency in Lagrange form,
@@ -222,13 +223,15 @@ def length_candidates(q: int, n: int) -> Iterator[Candidate]:
     formed.  Per triple, conditions (ii) and (iii) become one interval of k:
     a gcd q^e of the weights gives k >= e + 1, and for q = 2,
     2^(k-2) | w1 w2 w3 caps k.
-    Per k, q^(k-2) is stepped and each frequency is one divmod.
+    Per k, q^(k-2) is stepped and each frequency is one divmod, and the
+    dual test stops at the first B_i that is not a nonnegative integer.
     """
     s = q - 1
     if 3 * n * s % q:
         return
     ns = n * s
     target = 3 * ns // q
+    skip = ns // q if not midpoint and ns % q == 0 else None
     # k >= 2 for three nonzero weights; binary k = 2 forces A = (1, 1, 1) and
     # so w1 + w2 + w3 = 2n by the first moment, never 3n/2
     k_floor = 3 if q == 2 else 2
@@ -241,6 +244,8 @@ def length_candidates(q: int, n: int) -> Iterator[Candidate]:
         m = (isqrt(x1 * x1 + 4 * ns - 1) - x1) // 2
         lo = max(w1 + 1, target - w1 - n, (ns - m + s) // q)
         for w2 in range(lo, hi + 1):
+            if w2 == skip:
+                continue
             w3 = target - w1 - w2
             delta = gcd(w1, w2, w3)
             # condition (ii): delta = q^e, so k >= e + 1
@@ -370,12 +375,26 @@ def dodunekov_check(candidate: Candidate, a: int) -> DodunekovResult:
 
 
 def hamming_bound_ok(n: int, k: int, d: int, q: int) -> bool:
-    """Sphere-packing feasibility: q^k * V_q(n, (d-1)//2) <= q^n."""
+    """Sphere-packing feasibility: q^k * V_q(n, (d-1)//2) <= q^n.
+
+    The volume V = sum_{j <= r} C(n, j) (q-1)^j is summed term by term, each
+    term from the one before, C(n, j+1) (q-1)^(j+1) = C(n, j) (q-1)^j *
+    (n-j)(q-1)/(j+1), with every division checked exact.  V is an integer,
+    so the bound holds exactly when V <= q^n // q^k, and the sum stops at the
+    first partial volume past that.
+    """
     if not (1 <= d <= n):
         raise ValueError("need 1 <= d <= n")
-    radius = (d - 1) // 2
-    volume = sum(binomial(n, j) * (q - 1) ** j for j in range(radius + 1))
-    return q**k * volume <= q**n
+    room = q**n // q**k
+    term = volume = 1
+    for j in range((d - 1) // 2):
+        term, rem = divmod(term * (n - j) * (q - 1), j + 1)
+        if rem:
+            raise SelfCheckFailed(f"C({n}, {j + 1}) (q-1)^{j + 1} is not an integer for q={q}")
+        volume += term
+        if volume > room:
+            return False
+    return volume <= room
 
 
 # -- the filter chain ----------------------------------------------------
@@ -560,9 +579,7 @@ def counterexample_scan(n_max: int) -> list[Candidate]:
         raise GuardExceeded(f"scan is guarded at n < {N_GUARD_Q2}")
     out = []
     for n in range(SCAN_START, n_max + 1, 2):
-        for cand in length_candidates(2, n):
-            if cand.weights[1] * 2 == n:
-                continue
+        for cand in length_candidates(2, n, midpoint=False):
             if all(dodunekov_check(cand, a).passed for a in range(cand.a + 1)):
                 out.append(replace(cand, verdict="open"))
     out.sort(key=Candidate.sort_key)

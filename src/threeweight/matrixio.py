@@ -50,7 +50,7 @@ def parse_matrix_text(text: str) -> LinearCode:
         rows.append(row)
         row_lines.append(lineno)
     if not rows:
-        raise ParseError(0, "no matrix rows found")
+        raise ParseError(None, "no matrix rows found")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ParseError(row_lines[-1], f"rows have differing lengths {sorted(widths)}")
@@ -68,9 +68,9 @@ def parse_matrix_file(path: str | Path) -> LinearCode:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(0, f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise ParseError(None, f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(0, f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+        raise ParseError(None, f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     return parse_matrix_text(text)
 
 

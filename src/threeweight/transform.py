@@ -12,6 +12,12 @@ against that route.  solve_three_weight_general gives the same values as
 fractions.  The binary closed forms three_weight_solve and pmt_frequencies
 are kept as rational references.
 
+The dual distribution has one route too: dual_numerators yields
+q^k B_i = sum_j K_i(j) A_j one i at a time, stepping the Krawtchouk
+recurrences of all weights together.  feasibility.dual_sequence_exact stops
+it at the first B_i that is not a nonnegative integer; dual_distribution
+and krawtchouk_column run it to the end.
+
 All arithmetic is exact (integers and fractions).  Integrality of a dual
 distribution is a *test* performed by callers, never an assumption.
 """
@@ -20,55 +26,47 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import islice
+from operator import mul
+from typing import Iterator
 
 from .errors import DegenerateWeights, SelfCheckFailed
 
 
-def binomial(x: int, nu: int) -> int:
-    """C(x, nu) in the generalized sense: x(x-1)...(x-nu+1)/nu!.
+def dual_numerators(counts: dict[int, int], n: int, q: int) -> Iterator[int]:
+    """Yield q^k * B_i = sum_j K_i(j) A_j for i = 0, 1, ..., n, from primal
+    counts {weight: A_w}, one i at a time, so a caller can stop at the first
+    B_i that decides its test.
 
-    Defined for every integer x (also negative).
+    The columns K_i(j) of all weights step together by the three-term
+    recurrence
+
+        (i+1) K_{i+1}(x) = ((q-1)(n-i) + i - qx) K_i(x) - (q-1)(n-i+1) K_{i-1}(x),
+
+    and every value it divides out is checked to be an integer.
     """
-    if nu < 0:
-        return 0
-    num = 1
-    for i in range(nu):
-        num *= x - i
-    den = factorial(nu)
-    quot, rem = divmod(num, den)
-    if rem:
-        raise SelfCheckFailed(f"{nu}! does not divide the falling factorial of {x}")
-    return quot
+    terms = [(w, a) for w, a in counts.items() if a]
+    freqs = [a for _, a in terms]
+    shifts = [q * w for w, _ in terms]
+    prev = [0] * len(terms)  # K_{-1}
+    cur = [1] * len(terms)  # K_0
+    yield sum(freqs)
+    for i in range(n):
+        head, tail = (q - 1) * (n - i) + i, (q - 1) * (n - i + 1)
+        nxt = []
+        for qx, k_i, k_prev in zip(shifts, cur, prev):
+            v, rem = divmod((head - qx) * k_i - tail * k_prev, i + 1)
+            if rem:
+                raise SelfCheckFailed(f"K_{i + 1}({qx // q}) is not an integer for n={n}, q={q}")
+            nxt.append(v)
+        prev, cur = cur, nxt
+        yield sum(map(mul, freqs, cur))
 
 
 def krawtchouk_column(x: int, n: int, q: int, imax: int) -> list[int]:
-    """[K_0(x), ..., K_imax(x)] via the three-term recurrence.
-
-    (i+1) K_{i+1}(x) = ((q-1)(n-i) + i - qx) K_i(x) - (q-1)(n-i+1) K_{i-1}(x)
-    """
-    vals = [1]
-    if imax >= 1:
-        vals.append(n * (q - 1) - q * x)
-    for i in range(1, imax):
-        num = ((q - 1) * (n - i) + i - q * x) * vals[i] - (q - 1) * (n - i + 1) * vals[i - 1]
-        quot, rem = divmod(num, i + 1)
-        if rem:
-            raise SelfCheckFailed(f"K_{i + 1}({x}) is not an integer for n={n}, q={q}")
-        vals.append(quot)
-    return vals[: imax + 1]
-
-
-def dual_numerators(counts: dict[int, int], n: int, q: int) -> list[int]:
-    """q^k * B_i = sum_j K_i(j) A_j for i = 0..n, from primal counts {weight: A_w}."""
-    acc = [0] * (n + 1)
-    for w, a in counts.items():
-        if a == 0:
-            continue
-        col = krawtchouk_column(w, n, q, n)
-        for i in range(n + 1):
-            acc[i] += a * col[i]
-    return acc
+    """[K_0(x), ..., K_imax(x)] for imax <= n: the recurrence of
+    dual_numerators on the single weight x."""
+    return list(islice(dual_numerators({x: 1}, n, q), imax + 1))
 
 
 def dual_distribution(counts: dict[int, int], n: int, q: int, k: int) -> list[Fraction]:

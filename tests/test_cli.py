@@ -195,6 +195,23 @@ def test_unreadable_matrix_file_exits_2(capsys, tmp_path, command, make):
     assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
+def test_whole_file_parse_errors_carry_no_line_number(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"
+    rc, out, err = run_cli(capsys, "verify", str(missing))
+    assert (rc, out) == (2, "")
+    assert err == f"parse error: cannot read {missing}: No such file or directory\n"
+    empty = tmp_path / "comments.txt"
+    empty.write_text("# no rows\n\n", encoding="utf-8")
+    rc, out, err = run_cli(capsys, "verify", str(empty))
+    assert (rc, out) == (2, "")
+    assert err == "parse error: no matrix rows found\n"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("q=3\n014\n", encoding="utf-8")
+    rc, out, err = run_cli(capsys, "verify", str(bad))
+    assert (rc, out) == (2, "")
+    assert err == "parse error: line 2: digit out of range for q=3\n"
+
+
 def test_graph_command(capsys):
     rc, out, _ = run_cli(
         capsys, "graph", str(data_path("matrices/q2_n008_k04_w2_4_6.txt")), "--s", "3",

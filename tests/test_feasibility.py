@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -9,6 +10,7 @@ from threeweight import feasibility
 from threeweight.code import parity_check_code
 from threeweight.errors import GuardExceeded, SelfCheckFailed, UnsupportedParameters
 from threeweight.feasibility import (
+    ANTICODE_HAMMING_LIMIT,
     FILTER_ORDER,
     N_GUARD_Q2,
     apply_filters,
@@ -29,6 +31,7 @@ from threeweight.feasibility import (
 from threeweight.transform import three_weight_solve
 
 from catalog import SCAN, dimension_range
+from transform_oracles import dual_sequence
 
 
 def _candidate(n, k, w):
@@ -161,6 +164,62 @@ def test_hamming_bound():
     assert hamming_bound_ok(14, 7, 5, 2)
     for n, k, q in ((10, 3, 2), (9, 4, 3), (31, 11, 2)):
         assert hamming_bound_ok(n, k, 1, q)
+
+
+def test_hamming_bound_matches_binomial_sum_volume():
+    """Against q^k * sum_{j <= r} C(n, j) (q-1)^j <= q^n on both sides of
+    the largest admissible k, for every d of every length on a grid up to
+    the anticode limit."""
+    lengths = [*range(1, 129), *range(131, ANTICODE_HAMMING_LIMIT, 11), ANTICODE_HAMMING_LIMIT]
+    for q in (2, 3):
+        for n in lengths:
+            volume, m = 0, 0  # m is the least with volume <= q^m
+            for d in range(1, n + 1):
+                if d % 2:  # the radius (d-1)//2 grows at odd d
+                    r = (d - 1) // 2
+                    volume += comb(n, r) * (q - 1) ** r
+                    while q**m < volume:
+                        m += 1
+                # q^k * volume <= q^n exactly when k <= n - m
+                assert hamming_bound_ok(n, n - m, d, q), (n, d, q)
+                assert not hamming_bound_ok(n, n - m + 1, d, q), (n, d, q)
+
+
+def _kernel_dual_tests(monkeypatch, q, n_max, midpoint=True):
+    """Every (args, result) of the dual test the kernel runs up to n_max."""
+    calls = []
+    real = feasibility.dual_sequence_exact
+
+    def record(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(feasibility, "dual_sequence_exact", record)
+    for n in range(1, n_max + 1):
+        list(length_candidates(q, n, midpoint=midpoint))
+    return calls
+
+
+@pytest.mark.parametrize("q,n_max,cases,rejected", [(3, 39, 486, 450), (2, 140, 175, 19)])
+def test_early_exit_dual_test_matches_binomial_sum_oracle(monkeypatch, q, n_max, cases, rejected):
+    """Every frequency survivor of the kernel, accepted or rejected: the dual
+    test that stops at its first failing B_i gives the verdict and the
+    sequence of the full binomial-sum transform."""
+    calls = _kernel_dual_tests(monkeypatch, q, n_max)
+    for args, result in calls:
+        assert result == dual_sequence(*args), args
+    assert len(calls) == cases
+    assert sum(result is None for _, result in calls) == rejected
+
+
+def test_midpoint_skip_matches_filtered_kernel(monkeypatch):
+    for n in range(1, 513):
+        want = [c for c in length_candidates(2, n) if c.weights[1] * 2 != n]
+        assert list(length_candidates(2, n, midpoint=False)) == want, n
+    # and the skipped triples reach no dual test
+    calls = _kernel_dual_tests(monkeypatch, 2, 140, midpoint=False)
+    assert calls and all(ws[1] * 2 != n for (_, n, _, ws, _), _ in calls)
 
 
 def test_scan_reproduces_catalog(tmp_path):

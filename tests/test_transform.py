@@ -12,7 +12,6 @@ from threeweight.errors import DegenerateWeights, SelfCheckFailed
 from threeweight.feasibility import weight_triples
 from threeweight.gfmat import GF2
 from threeweight.transform import (
-    binomial,
     dual_distribution,
     dual_numerators,
     forced_frequencies,
@@ -23,7 +22,7 @@ from threeweight.transform import (
 )
 
 from catalog import dimension_range
-from transform_oracles import cramer_frequencies, det3, krawtchouk
+from transform_oracles import binomial, cramer_frequencies, det3, krawtchouk
 
 
 def test_binomial_generalized():
@@ -78,7 +77,7 @@ def test_dual_distribution_hypothetical_candidate_b3():
     b = dual_distribution(counts, 100, 2, 8)
     assert b[0] == 1 and b[1] == 0 and b[2] == 0
     assert b[3] == 580
-    nums = dual_numerators(counts, 100, 2)
+    nums = list(dual_numerators(counts, 100, 2))
     assert nums[:4] == [256, 0, 0, 580 * 256]
     assert [Fraction(v, 2**8) for v in nums] == b
 

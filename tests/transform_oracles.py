@@ -3,7 +3,7 @@
 The library computes Krawtchouk values by the three-term recurrence and
 the forced frequencies from the Lagrange form over K_1 alone
 (transform.lagrange_terms).  The routes below evaluate Krawtchouk values as
-binomial sums, and solve the moment system sum A = q^k - 1, B_1 = B_2 = 0
+sums of generalized binomials, and solve the moment system sum A = q^k - 1, B_1 = B_2 = 0
 built from them by Cramer's rule with a 3x3 determinant per column.  Power
 moments, which the library does not need, are the plain sums the tests
 compare with their closed forms.
@@ -12,9 +12,27 @@ compare with their closed forms.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import factorial
 
-from threeweight.errors import DegenerateWeights
-from threeweight.transform import binomial
+from threeweight.errors import DegenerateWeights, SelfCheckFailed
+
+
+def binomial(x: int, nu: int) -> int:
+    """C(x, nu) in the generalized sense: x(x-1)...(x-nu+1)/nu!.
+
+    Defined for every integer x (also negative).
+    """
+    if nu < 0:
+        return 0
+    num = 1
+    for i in range(nu):
+        num *= x - i
+    den = factorial(nu)
+    quot, rem = divmod(num, den)
+    if rem:
+        raise SelfCheckFailed(f"{nu}! does not divide the falling factorial of {x}")
+    return quot
 
 
 def krawtchouk(i: int, x: int, n: int, q: int) -> int:
@@ -24,6 +42,25 @@ def krawtchouk(i: int, x: int, n: int, q: int) -> int:
         term = binomial(x, nu) * binomial(n - x, i - nu) * (q - 1) ** (i - nu)
         total += -term if (nu & 1) else term
     return total
+
+
+@cache
+def krawtchouk_values(x: int, n: int, q: int) -> tuple[int, ...]:
+    """(K_0(x), ..., K_n(x)) from the binomial sums."""
+    return tuple(krawtchouk(i, x, n, q) for i in range(n + 1))
+
+
+def dual_sequence(
+    q: int, n: int, k: int, weights: tuple[int, int, int], freqs: tuple[int, int, int]
+) -> tuple[int, ...] | None:
+    """All of B_0..B_n from the binomial sums, then None if any of them is
+    not a nonnegative integer."""
+    counts = {0: 1, **dict(zip(weights, freqs))}
+    columns = [(a, krawtchouk_values(x, n, q)) for x, a in counts.items()]
+    b = [Fraction(sum(a * col[i] for a, col in columns), q**k) for i in range(n + 1)]
+    if any(v.denominator != 1 or v < 0 for v in b):
+        return None
+    return tuple(int(v) for v in b)
 
 
 def power_moment(counts: dict[int, int], nu: int) -> int:
