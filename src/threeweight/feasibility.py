@@ -17,14 +17,15 @@ decides one case and is the reference the kernel is tested against.
 Survivors then run a chain of exclusion filters (length divisibility, the
 symmetric-triple divisibility lemmas, the 4*Delta dimension bound, the
 two-level divisibility test on T, and a sphere-packing check on short
-anticodes), and finally pick up static annotations for facts that rest on
-external tables or exhaustive classification runs.
+anticodes).  Each filter returns its exclusion reason, or None when it
+passes or does not apply.  Survivors finally pick up static annotations for
+facts that rest on external tables or exhaustive classification runs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from math import gcd, isqrt
@@ -42,13 +43,6 @@ from .transform import (
 N_GUARD_Q2 = 1024
 N_GUARD_Q3 = 81
 ANTICODE_HAMMING_LIMIT = 512
-
-
-@dataclass(frozen=True)
-class FilterResult:
-    name: str
-    outcome: str  # "pass" | "fail" | "skip"
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -70,7 +64,7 @@ class Candidate:
     b_sequence: tuple[int, ...]
     delta: int
     verdict: str = "admissible"
-    filter_trail: list[FilterResult] = field(default_factory=list)
+    exclusions: tuple[str, ...] = ()  # "<filter>: <reason>" per failing filter
     annotation: Annotation | None = None
 
     @property
@@ -95,8 +89,7 @@ class Candidate:
         return 1 << (self.k - 2) if self.q == 2 else None
 
     def reasons(self) -> list[str]:
-        out = [f"{r.name}: {r.detail}" if r.detail else r.name
-               for r in self.filter_trail if r.outcome == "fail"]
+        out = list(self.exclusions)
         if self.annotation is not None and self.annotation.verdict == "excluded":
             out.append(f"annotation:{self.annotation.source}")
         return out
@@ -306,20 +299,13 @@ def enumerate_candidates(q: int, n_min: int, n_max: int) -> list[Candidate]:
 # -- the two-level divisibility test ------------------------------------
 
 
-@dataclass(frozen=True)
-class DodunekovResult:
-    passed: bool
-    part: str | None = None
-    witness: str = ""
-    notes: tuple[str, ...] = ()
-
-
-def dodunekov_check(candidate: Candidate, a: int) -> DodunekovResult:
+def dodunekov_check(candidate: Candidate, a: int) -> str | None:
     """Divisibility test on T = sum of frequencies at weights divisible by
     2^(a+1), for a binary code with all weights divisible by 2^a.
 
     Checks the divisibility clause and the two structural forms of T with
-    their t-ranges.  Subcode-existence clauses are reported as notes only.
+    their t-ranges; returns "part (i|ii|iii), ..." for the first clause the
+    frequencies violate, or None when they satisfy all three.
     """
     if candidate.q != 2:
         raise UnsupportedParameters("the divisibility test is binary-only")
@@ -327,51 +313,32 @@ def dodunekov_check(candidate: Candidate, a: int) -> DodunekovResult:
     delta = 1 << a
     if any(w % delta for w in candidate.weights):
         raise ValueError(f"weights {candidate.weights} are not all divisible by 2^{a}")
-    counts = {0: 1}
-    counts.update(zip(candidate.weights, candidate.frequencies))
     step = 2 * delta
-    t_sum = sum(aw for w, aw in counts.items() if w % step == 0)
-    nonzero_even = [w for w, aw in counts.items() if w > 0 and aw and w % step == 0]
-    delta_min = min(nonzero_even) if nonzero_even else None
+    # the zero word has weight 0, divisible by every 2^(a+1)
+    t_sum = 1 + sum(aw for w, aw in zip(candidate.weights, candidate.frequencies) if w % step == 0)
     alpha = min(k - a - 1, a + 1)
     beta = (k - a + 1) // 2
     tmax = max(alpha, beta)
 
     div = 1 << ((k - 1) // (a + 1))
     if t_sum % div != 0:
-        return DodunekovResult(False, "i", f"T={t_sum} not divisible by {div} (a={a})")
+        return f"part (i), T={t_sum} not divisible by {div} (a={a})"
 
-    notes = []
     if t_sum < 1 << (k - a):
         diff = (1 << (k - a)) - t_sum
         if not _is_power_of_two(diff):
-            return DodunekovResult(
-                False, "ii", f"a={a}: 2^(k-a)-T = {diff} is not a power of 2"
-            )
+            return f"part (ii), a={a}: 2^(k-a)-T = {diff} is not a power of 2"
         t = (k - a) - diff.bit_length() + 1
         if not (1 <= t <= tmax):
-            return DodunekovResult(
-                False, "ii", f"a={a}: t={t} outside 1..max(alpha,beta)={tmax}"
-            )
-        sub_k = k - a - 2 if t > beta else k - a - t
-        notes.append(f"part (ii) would force an [n,{sub_k},{delta_min}] subcode")
+            return f"part (ii), a={a}: t={t} outside 1..max(alpha,beta)={tmax}"
     if t_sum > (1 << k) - (1 << (k - a)):
         diff = t_sum - ((1 << k) - (1 << (k - a)))
         if not _is_power_of_two(diff):
-            return DodunekovResult(
-                False, "iii", f"a={a}: T-2^k+2^(k-a) = {diff} is not a power of 2"
-            )
+            return f"part (iii), a={a}: T-2^k+2^(k-a) = {diff} is not a power of 2"
         t = (k - a) - diff.bit_length() + 1
         if not (0 <= t <= tmax):
-            return DodunekovResult(
-                False, "iii", f"a={a}: t={t} outside 0..max(alpha,beta)={tmax}"
-            )
-        if a == 1:
-            notes.append(f"part (iii) would force an [n,{k - t},{delta_min}] subcode")
-        elif a > 1:
-            sub_k = k - 2 if t == a + 1 <= k - a - 1 else k - 1
-            notes.append(f"part (iii) would force an [n,{sub_k},{delta_min}] subcode")
-    return DodunekovResult(True, None, f"a={a}: T={t_sum}", tuple(notes))
+            return f"part (iii), a={a}: t={t} outside 0..max(alpha,beta)={tmax}"
+    return None
 
 
 def hamming_bound_ok(n: int, k: int, d: int, q: int) -> bool:
@@ -400,49 +367,41 @@ def hamming_bound_ok(n: int, k: int, d: int, q: int) -> bool:
 # -- the filter chain ----------------------------------------------------
 
 
-def _filter_length_mod_4(c: Candidate) -> FilterResult:
-    if c.q != 2:
-        return FilterResult("length-mod-4", "skip", "binary-only")
-    if c.n % 4 != 0:
-        return FilterResult("length-mod-4", "fail", f"n = {c.n} is not a multiple of 4")
-    return FilterResult("length-mod-4", "pass")
+def _filter_length_mod_4(c: Candidate) -> str | None:
+    if c.q == 2 and c.n % 4 != 0:
+        return f"n = {c.n} is not a multiple of 4"
+    return None
 
 
-def _filter_gap_power_of_2(c: Candidate) -> FilterResult:
-    if c.q != 2 or c.weights[1] * 2 != c.n:
-        return FilterResult("gap-power-of-2", "skip", "needs q=2 and w2 = n/2")
-    t = c.weights[2] - c.weights[1]
+def _filter_gap_power_of_2(c: Candidate) -> str | None:
+    t = c.t
+    if c.q != 2 or t is None:
+        return None  # needs w2 = n/2, where t = (w3 - w1)/2 = w3 - w2
     if not _is_power_of_two(t):
-        return FilterResult("gap-power-of-2", "fail", f"t = {t} is not a power of 2")
+        return f"t = {t} is not a power of 2"
     if c.n % (2 * t) != 0:
-        return FilterResult("gap-power-of-2", "fail", f"2t = {2 * t} does not divide n = {c.n}")
-    return FilterResult("gap-power-of-2", "pass", f"t = {t}")
+        return f"2t = {2 * t} does not divide n = {c.n}"
+    return None
 
 
-def _filter_divisibility_dimension(c: Candidate) -> FilterResult:
-    if c.q != 2 or c.weights[1] * 2 != c.n:
-        return FilterResult("divisibility-dimension", "skip", "needs q=2 and w2 = n/2")
-    t = c.weights[2] - c.weights[1]
-    if not _is_power_of_two(t):
-        return FilterResult("divisibility-dimension", "skip", "t is not a power of 2")
+def _filter_divisibility_dimension(c: Candidate) -> str | None:
+    t = c.t
+    if c.q != 2 or t is None or not _is_power_of_two(t):
+        return None
     a = _v2(t)
     if c.k > 8 * a + 9:
-        return FilterResult("divisibility-dimension", "fail", f"k = {c.k} exceeds 8a+9 = {8 * a + 9}")
-    return FilterResult("divisibility-dimension", "pass")
+        return f"k = {c.k} exceeds 8a+9 = {8 * a + 9}"
+    return None
 
 
-def _filter_four_delta_dimension(c: Candidate) -> FilterResult:
-    if c.q != 2:
-        return FilterResult("four-delta-dimension", "skip", "binary-only")
+def _filter_four_delta_dimension(c: Candidate) -> str | None:
     w1, w2, w3 = c.weights
-    if (w2, w3) != (2 * w1, 3 * w1) or not _is_power_of_two(w1):
-        return FilterResult("four-delta-dimension", "skip", "weights not (D, 2D, 3D) with D = 2^a")
+    if c.q != 2 or (w2, w3) != (2 * w1, 3 * w1) or not _is_power_of_two(w1):
+        return None  # needs weights (D, 2D, 3D) with D = 2^a
     a = _v2(w1)
-    if a < 3 or not (3 * w1 <= c.n <= 4 * w1):
-        return FilterResult("four-delta-dimension", "skip", "needs a >= 3 and 3D <= n <= 4D")
-    if c.k > 2 * a + 3:
-        return FilterResult("four-delta-dimension", "fail", f"k = {c.k} exceeds 2a+3 = {2 * a + 3}")
-    return FilterResult("four-delta-dimension", "pass")
+    if a >= 3 and 3 * w1 <= c.n <= 4 * w1 and c.k > 2 * a + 3:
+        return f"k = {c.k} exceeds 2a+3 = {2 * a + 3}"
+    return None
 
 
 def dodunekov_levels(a_max: int) -> list[int]:
@@ -456,41 +415,30 @@ def dodunekov_levels(a_max: int) -> list[int]:
     return [a for a in range(a_max + 1) if a != 2]
 
 
-def _filter_dodunekov_simonis(c: Candidate) -> FilterResult:
+def _filter_dodunekov_simonis(c: Candidate) -> str | None:
     if c.q != 2:
-        return FilterResult("dodunekov-simonis", "skip", "binary-only")
-    for a in dodunekov_levels(c.a):
-        res = dodunekov_check(c, a)
-        if not res.passed:
-            return FilterResult("dodunekov-simonis", "fail", f"part ({res.part}), {res.witness}")
-    return FilterResult("dodunekov-simonis", "pass")
+        return None
+    checks = (dodunekov_check(c, a) for a in dodunekov_levels(c.a))
+    return next((why for why in checks if why is not None), None)
 
 
-def _filter_hamming_anticode(c: Candidate) -> FilterResult:
+def _filter_hamming_anticode(c: Candidate) -> str | None:
     qk1 = c.q ** (c.k - 1)
     w3 = c.weights[2]
     if w3 > qk1:
-        return FilterResult(
-            "hamming-anticode", "fail", f"w3 = {w3} exceeds q^(k-1) = {qk1}"
-        )
-    if w3 == qk1:
-        return FilterResult("hamming-anticode", "skip", "complement does not span")
+        return f"w3 = {w3} exceeds q^(k-1) = {qk1}"
     n_anti = (c.q**c.k - 1) // (c.q - 1) - c.n
-    if n_anti < 1 or n_anti > ANTICODE_HAMMING_LIMIT:
-        return FilterResult("hamming-anticode", "skip", f"anticode length {n_anti} not short")
+    if w3 == qk1 or n_anti < 1 or n_anti > ANTICODE_HAMMING_LIMIT:
+        return None  # the complement does not span, or the anticode is not short
     d_anti = qk1 - w3
     if not hamming_bound_ok(n_anti, c.k, d_anti, c.q):
-        return FilterResult(
-            "hamming-anticode", "fail",
-            f"anticode [{n_anti},{c.k},{d_anti}] violates the sphere-packing bound",
-        )
+        return f"anticode [{n_anti},{c.k},{d_anti}] violates the sphere-packing bound"
     if n_anti >= 2 and d_anti >= 2 and not hamming_bound_ok(n_anti - 1, c.k, d_anti - 1, c.q):
-        return FilterResult(
-            "hamming-anticode", "fail",
+        return (
             f"punctured anticode [{n_anti - 1},{c.k},{d_anti - 1}] violates the "
-            "sphere-packing bound",
+            "sphere-packing bound"
         )
-    return FilterResult("hamming-anticode", "pass")
+    return None
 
 
 _FILTERS = {
@@ -507,9 +455,10 @@ FILTER_ORDER = tuple(_FILTERS)
 
 def apply_filters(candidate: Candidate, order: tuple[str, ...] = FILTER_ORDER) -> Candidate:
     """Run the exclusion filters (all of them; the verdict is order-free)."""
-    trail = [_FILTERS[name](candidate) for name in order]
-    verdict = "excluded" if any(r.outcome == "fail" for r in trail) else candidate.verdict
-    return replace(candidate, filter_trail=trail, verdict=verdict)
+    found = ((name, _FILTERS[name](candidate)) for name in order)
+    exclusions = tuple(f"{name}: {why}" for name, why in found if why is not None)
+    verdict = "excluded" if exclusions else candidate.verdict
+    return replace(candidate, exclusions=exclusions, verdict=verdict)
 
 
 # -- static annotations --------------------------------------------------
@@ -535,14 +484,11 @@ def merge_annotations(candidates: list[Candidate]) -> list[Candidate]:
     out = []
     for c in candidates:
         ann = table.get((c.q, c.n, c.k, c.weights))
-        if ann is not None and ann.verdict == "unlisted":
-            out.append(replace(c, annotation=ann))
-        elif c.verdict == "excluded":
-            out.append(replace(c, annotation=ann) if ann else c)
-        elif ann is not None:
-            out.append(replace(c, annotation=ann, verdict=ann.verdict))
-        else:
-            out.append(replace(c, verdict="open"))
+        verdict = (
+            c.verdict if c.verdict == "excluded" or ann is not None and ann.verdict == "unlisted"
+            else "open" if ann is None else ann.verdict
+        )
+        out.append(replace(c, annotation=ann, verdict=verdict))
     return out
 
 
@@ -580,7 +526,7 @@ def counterexample_scan(n_max: int) -> list[Candidate]:
     out = []
     for n in range(SCAN_START, n_max + 1, 2):
         for cand in length_candidates(2, n, midpoint=False):
-            if all(dodunekov_check(cand, a).passed for a in range(cand.a + 1)):
+            if all(dodunekov_check(cand, a) is None for a in range(cand.a + 1)):
                 out.append(replace(cand, verdict="open"))
     out.sort(key=Candidate.sort_key)
     return out

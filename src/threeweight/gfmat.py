@@ -31,12 +31,13 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
+        # the size check comes first: trial division of a huge p runs for minutes
+        if self.p > 251:
+            raise UnsupportedParameters("field order too large for byte-packed rows")
         if not _is_prime(self.p):
             raise UnsupportedParameters(
                 f"field order {self.p} is not prime; only prime fields are supported"
             )
-        if self.p > 251:
-            raise UnsupportedParameters("field order too large for byte-packed rows")
 
     @property
     def q(self) -> int:

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import threeweight
 from threeweight import cli
 from threeweight.cli import emit_report, main
 from threeweight.code import MultiplicityType, WeightDistribution, reed_muller
@@ -91,6 +96,21 @@ def test_verify_sum_condition_failure(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "verify", str(f))
     assert rc == 1
     assert "weight sum 12" in out and "MISMATCH" in out
+
+
+def test_verify_rejects_a_huge_field_order_at_once(tmp_path):
+    # a 19-digit prime: trial division up to its square root runs for minutes,
+    # so the size guard must decide before any primality test
+    f = tmp_path / "huge_q.txt"
+    f.write_text("q=1000000000000000003\n101\n011\n", encoding="utf-8")
+    src = str(Path(threeweight.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "threeweight.cli", "verify", str(f)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: field order too large")
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("rows,rc,b_proj", [

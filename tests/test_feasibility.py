@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -13,6 +13,7 @@ from threeweight.feasibility import (
     ANTICODE_HAMMING_LIMIT,
     FILTER_ORDER,
     N_GUARD_Q2,
+    Candidate,
     apply_filters,
     counterexample_scan,
     dodunekov_check,
@@ -95,9 +96,9 @@ def test_enumerate_guards():
 def test_dodunekov_worked_example_32_10():
     c = _candidate(32, 10, (8, 16, 24))
     assert c.frequencies == (61, 899, 63)
-    res = dodunekov_check(c, 3)
-    assert not res.passed and res.part == "iii"
-    assert "t=5" in res.witness
+    why = dodunekov_check(c, 3)
+    assert why is not None and why.startswith("part (iii), ")
+    assert "t=5" in why
     # the intermediate quantities of the check at a = 3
     assert min(10 - 3 - 1, 3 + 1) == 4 and (10 - 3 + 1) // 2 == 4
     assert sum((1, 899)) == 900  # T = A_0 + A_16
@@ -106,15 +107,15 @@ def test_dodunekov_worked_example_32_10():
 def test_dodunekov_worked_example_100():
     c = evaluate_candidate(2, 100, 8, (46, 48, 56))
     assert c is not None and c.frequencies == (32, 145, 78)
-    res = dodunekov_check(c, 1)
-    assert not res.passed and res.part == "iii"
-    assert "96" in res.witness  # T - 2^k + 2^(k-1) = 224 - 256 + 128
+    why = dodunekov_check(c, 1)
+    assert why is not None and why.startswith("part (iii), ")
+    assert "96" in why  # T - 2^k + 2^(k-1) = 224 - 256 + 128
 
 
 def test_dodunekov_pass_24_11():
     c = _candidate(24, 11, (8, 12, 16))
     for a in range(c.a + 1):
-        assert dodunekov_check(c, a).passed
+        assert dodunekov_check(c, a) is None
 
 
 def test_dodunekov_levels_skip_a2():
@@ -141,6 +142,57 @@ def test_filter_weights_not_midpoint_structure():
     c = apply_filters(_candidate(68, 9, (30, 32, 40)))
     assert c.verdict == "excluded"
     assert any(r.startswith("dodunekov-simonis") for r in c.reasons())
+
+
+def _built(n, k, w):
+    """A binary record that skips conditions (i)-(v), for filter branches no
+    admissible row reaches."""
+    return Candidate(2, n, k, w, (1, 1, 1), (1, 0, 0), gcd(*w))
+
+
+# (filter, case, record, the reasons() entries that start with the filter's name)
+FILTER_CASES = [
+    ("length-mod-4", "excludes", lambda: _candidate(58, 8, (24, 31, 32)),
+     ["length-mod-4: n = 58 is not a multiple of 4"]),
+    ("length-mod-4", "passes", lambda: _candidate(24, 11, (8, 12, 16)), []),
+    ("length-mod-4", "out of scope", lambda: evaluate_candidate(3, 39, 5, (21, 27, 30)), []),
+    ("gap-power-of-2", "excludes", lambda: _built(48, 6, (18, 24, 30)),
+     ["gap-power-of-2: t = 6 is not a power of 2"]),
+    ("gap-power-of-2", "excludes 2t", lambda: _built(48, 6, (8, 24, 40)),
+     ["gap-power-of-2: 2t = 32 does not divide n = 48"]),
+    ("gap-power-of-2", "passes", lambda: _candidate(32, 10, (8, 16, 24)), []),
+    ("gap-power-of-2", "out of scope", lambda: _candidate(68, 9, (30, 32, 40)), []),
+    ("divisibility-dimension", "excludes", lambda: _built(48, 10, (23, 24, 25)),
+     ["divisibility-dimension: k = 10 exceeds 8a+9 = 9"]),
+    ("divisibility-dimension", "passes", lambda: _candidate(32, 10, (8, 16, 24)), []),
+    ("divisibility-dimension", "out of scope", lambda: _built(48, 6, (18, 24, 30)), []),
+    ("four-delta-dimension", "excludes", lambda: _candidate(64, 12, (16, 32, 48)),
+     ["four-delta-dimension: k = 12 exceeds 2a+3 = 11"]),
+    ("four-delta-dimension", "passes", lambda: _candidate(32, 9, (8, 16, 24)), []),
+    ("four-delta-dimension", "out of scope", lambda: _candidate(68, 9, (30, 32, 40)), []),
+    ("dodunekov-simonis", "excludes", lambda: _candidate(68, 9, (30, 32, 40)),
+     ["dodunekov-simonis: part (iii), a=1: T-2^k+2^(k-a) = 192 is not a power of 2"]),
+    ("dodunekov-simonis", "passes", lambda: _candidate(24, 11, (8, 12, 16)), []),
+    ("dodunekov-simonis", "out of scope", lambda: evaluate_candidate(3, 39, 5, (21, 27, 30)), []),
+    ("hamming-anticode", "excludes punctured", lambda: _candidate(116, 7, (56, 58, 60)),
+     ["hamming-anticode: punctured anticode [10,7,3] violates the sphere-packing bound"]),
+    ("hamming-anticode", "excludes", lambda: _candidate(244, 8, (120, 122, 124)),
+     ["hamming-anticode: anticode [11,8,4] violates the sphere-packing bound"]),
+    ("hamming-anticode", "excludes ternary", lambda: evaluate_candidate(3, 34, 4, (21, 23, 24)),
+     ["hamming-anticode: anticode [6,4,3] violates the sphere-packing bound"]),
+    ("hamming-anticode", "excludes w3", lambda: _built(48, 5, (16, 24, 32)),
+     ["hamming-anticode: w3 = 32 exceeds q^(k-1) = 16"]),
+    ("hamming-anticode", "passes", lambda: _candidate(4, 3, (1, 2, 3)), []),
+    ("hamming-anticode", "out of scope", lambda: _candidate(24, 11, (8, 12, 16)), []),
+]
+
+
+@pytest.mark.parametrize(
+    "name,record,want", [(n, r, w) for n, _, r, w in FILTER_CASES],
+    ids=[f"{n}-{case}" for n, case, _, _ in FILTER_CASES],
+)
+def test_filter_reasons_pinned(name, record, want):
+    assert [r for r in apply_filters(record()).reasons() if r.startswith(name)] == want
 
 
 def test_filter_order_invariance():
@@ -276,7 +328,7 @@ def test_pinned_scan_rows_match_the_rational_solver():
 def test_scan_survivor_invariants():
     for c in counterexample_scan(130):
         assert c.weights[1] * 2 != c.n
-        assert all(dodunekov_check(c, a).passed for a in range(c.a + 1))
+        assert all(dodunekov_check(c, a) is None for a in range(c.a + 1))
 
 
 def test_annotations_never_override_arithmetic():
@@ -298,7 +350,7 @@ def test_report_unlisted_rows_are_suppressed_but_retrievable():
     assert (c.n, c.k, c.weights, c.frequencies) == (44, 6, (20, 22, 24), (22, 8, 33))
     assert c.annotation is not None and c.annotation.verdict == "unlisted"
     # the row is arithmetically excluded by the divisibility test at a = 1
-    assert not dodunekov_check(c, 1).passed
+    assert dodunekov_check(c, 1) is not None
 
 
 def test_ternary_unlisted_rows():

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from threeweight.errors import ParseError, RankDeficient
+from threeweight.code import LinearCode
+from threeweight.errors import CodesError, ParseError, RankDeficient, UnsupportedParameters
+from threeweight.gfmat import FieldMatrix, PrimeField
 from threeweight.matrixio import parse_matrix_file, parse_matrix_text, serialize_matrix
 
 from conftest import data_path
@@ -69,6 +73,34 @@ def test_serialize_round_trip():
     code = parse_matrix_file(data_path("matrices/q3_n009_k04_w3_6_9.txt"))
     again = parse_matrix_text(serialize_matrix(code))
     assert again.generator == code.generator
+
+
+def test_serialize_refuses_two_digit_entries():
+    # GF(11) entry 10 would be written as "10", which the parser reads as
+    # two entries; the format holds one digit per entry, so q <= 10
+    field = PrimeField(11)
+    code = LinearCode(field, FieldMatrix.from_rows(field, [(1, 0, 10), (0, 1, 10)]))
+    with pytest.raises(UnsupportedParameters):
+        serialize_matrix(code)
+
+
+_TOKENS = [*"0123456789", " ", "\t", "\n", "#", "]", "q=", "n=", "k="]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=40).map("".join))
+def test_parse_fuzz_ends_in_a_code_or_a_codes_error(text):
+    try:
+        code = parse_matrix_text(text)
+    except CodesError:
+        return
+    assert isinstance(code, LinearCode)
+    if code.q > 10:
+        with pytest.raises(UnsupportedParameters):
+            serialize_matrix(code)
+        return
+    again = parse_matrix_text(serialize_matrix(code))
+    assert (again.q, again.generator) == (code.q, code.generator)
 
 
 @pytest.mark.parametrize("row", ["1²0", "1٣0", "0１1"])
