@@ -18,10 +18,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterator
 
 from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
 
-SEARCH_BOUND_GUARD = 500
+SEARCH_BOUND_GUARD = 2000
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class ProjectivePoint:
 def normalize_point(coords: tuple[int, int, int]) -> ProjectivePoint:
     a, b, c = coords
     if a == b == c == 0:
-        raise ValueError("(0:0:0) is not a projective point")
+        raise InvalidArgument("(0:0:0) is not a projective point")
     g = gcd(gcd(abs(a), abs(b)), abs(c))
     a, b, c = a // g, b // g, c // g
     for lead in (a, b, c):
@@ -65,7 +66,7 @@ def normalize_point(coords: tuple[int, int, int]) -> ProjectivePoint:
 def vandam_lhs(s: int, t1: int, t2: int, t3: int) -> int:
     """(t2-t3) t1^s + (t3-t1) t2^s + (t1-t2) t3^s, exactly."""
     if s < 2:
-        raise ValueError("s must be >= 2")
+        raise InvalidArgument("s must be >= 2")
     return (t2 - t3) * t1**s + (t3 - t1) * t2**s + (t1 - t2) * t3**s
 
 
@@ -74,7 +75,7 @@ def monomial_sum(d: int, t1: int, t2: int, t3: int) -> int:
     summation (the search evaluates h_d by a recurrence and Horner's rule,
     keeping this a genuinely independent evaluation route)."""
     if d < 0:
-        raise ValueError("degree must be >= 0")
+        raise InvalidArgument("degree must be >= 0")
     total = 0
     for h in range(d + 1):
         p1 = t1**h
@@ -105,31 +106,30 @@ def search_integral_points(query: CurveQuery) -> list[ProjectivePoint]:
     any number of variables (D. B. Hunter, "The positive-definiteness of the
     complete symmetric functions of even order", Math. Proc. Camb. Phil.
     Soc. 82 (1977)).  For even d the curve therefore has no real point, and
-    nothing is searched.  For odd d,
+    nothing is searched.  For odd d and a != 0,
 
-        d/dc h_d(a, b, c) = h_(d-1)(a, b, c, c) > 0    whenever a != 0,
+        d/db h_d(a, b, c) = h_(d-1)(a, b, b, c) > 0,
+        d/dc h_d(a, b, c) = h_(d-1)(a, b, c, c) > 0,
 
-    so f(c) = h_d(a, b, c) is strictly increasing and each pair (a, b) has
-    at most one integral zero c.  Integer bisection finds the only candidate
-    and f itself decides it, so coincident coordinates need no special case.
+    so f(c) = h_d(a, b, c) is strictly increasing, each pair (a, b) has at
+    most one integral zero c, and the least c with f(c) >= 0 can only rise
+    as b falls.  Each row a is one staircase: b walks from a down to -a, and
+    one pointer c, starting at -a, moves up while f(c) < 0.  Once it passes
+    min(b, 0), no pair left in the row has a zero, and the row stops.  The
+    search is O(B^2), about one evaluation of f per pair, and f itself
+    decides each candidate, so coincident coordinates need no special case.
     """
     d, bound = query.d, query.bound
     if bound > SEARCH_BOUND_GUARD:
         raise GuardExceeded(f"bound {bound} over guard {SEARCH_BOUND_GUARD}")
     if d % 2 == 0:
         return []
-    raw: list[tuple[int, int, int]] = []
-    for a in range(1, bound + 1):
-        for b in range(-a, a + 1):
-            # f(c) = sum_j h_j(a, b) c^(d-j), by h_j(a,b) = a h_(j-1)(a,b) + b^j
-            coeffs = [1]
-            pb = 1
-            for _ in range(d):
-                pb *= b
-                coeffs.append(a * coeffs[-1] + pb)
-            found = _least_nonnegative(coeffs, -a, min(b, 0))
-            if found is not None and found[1] == 0:
-                raw.append((a, b, found[0]))
+    raw = [
+        (a, b, c)
+        for a in range(1, bound + 1)
+        for b, c, value in _staircase(d, a)
+        if value == 0
+    ]
     points: set[ProjectivePoint] = set()
     for a, b, c in raw:
         for perm in (
@@ -144,31 +144,29 @@ def search_integral_points(query: CurveQuery) -> list[ProjectivePoint]:
     return sorted(points, key=lambda p: p.coords())
 
 
-def _least_nonnegative(coeffs: list[int], lo: int, hi: int) -> tuple[int, int] | None:
-    """(c, f(c)) for the least c in [lo, hi] with f(c) >= 0, or None when
-    f(hi) < 0.  f is the polynomial with these coefficients, highest degree
-    first, and must be nondecreasing on [lo, hi]."""
-    value = _horner(coeffs, hi)
-    if value < 0:
-        return None
-    low = _horner(coeffs, lo)
-    if low >= 0:
-        return lo, low
-    while hi - lo > 1:  # f(lo) < 0 <= f(hi) = value
-        mid = (lo + hi) // 2
-        mid_value = _horner(coeffs, mid)
-        if mid_value < 0:
-            lo = mid
-        else:
-            hi, value = mid, mid_value
-    return hi, value
-
-
-def _horner(coeffs: list[int], c: int) -> int:
-    value = 0
-    for coef in coeffs:
-        value = value * c + coef
-    return value
+def _staircase(d: int, a: int) -> Iterator[tuple[int, int, int]]:
+    """(b, c, f(c)) for each pair (a, b) of row a that the staircase visits,
+    b falling from a, where c is the least in [-a, min(b, 0)] with
+    f(c) = h_d(a, b, c) >= 0; the row ends at the first b without one."""
+    degrees = range(d)
+    c = -a
+    for b in range(a, -a - 1, -1):
+        top = b if b < 0 else 0
+        if c > top:
+            return
+        while True:
+            # f(c) = sum_j h_j(a, b) c^(d-j), by h_j(a,b) = a h_(j-1)(a,b) + b^j
+            h = pb = value = 1
+            for _ in degrees:
+                pb *= b
+                h = a * h + pb
+                value = value * c + h
+            if value >= 0 or c == top:
+                break
+            c += 1
+        if value < 0:
+            return
+        yield b, c, value
 
 
 def search_report(query: CurveQuery) -> dict:

@@ -32,7 +32,7 @@ from math import gcd, isqrt
 from typing import Iterator
 
 from .code import LinearCode, golay23, parity_check_code, reed_muller, simplex
-from .errors import GuardExceeded, SelfCheckFailed, UnsupportedParameters
+from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed, UnsupportedParameters
 from .transform import (
     dual_numerators,
     forced_frequencies,
@@ -49,7 +49,6 @@ ANTICODE_HAMMING_LIMIT = 512
 class Annotation:
     source: str  # codetables | jaffe1997 | exhaustive-LinCode | constructed-example
     verdict: str  # realized | excluded | unlisted
-    detail: str = ""
 
 
 @dataclass
@@ -312,7 +311,7 @@ def dodunekov_check(candidate: Candidate, a: int) -> str | None:
     k = candidate.k
     delta = 1 << a
     if any(w % delta for w in candidate.weights):
-        raise ValueError(f"weights {candidate.weights} are not all divisible by 2^{a}")
+        raise InvalidArgument(f"weights {candidate.weights} are not all divisible by 2^{a}")
     step = 2 * delta
     # the zero word has weight 0, divisible by every 2^(a+1)
     t_sum = 1 + sum(aw for w, aw in zip(candidate.weights, candidate.frequencies) if w % step == 0)
@@ -351,7 +350,7 @@ def hamming_bound_ok(n: int, k: int, d: int, q: int) -> bool:
     first partial volume past that.
     """
     if not (1 <= d <= n):
-        raise ValueError("need 1 <= d <= n")
+        raise InvalidArgument("need 1 <= d <= n")
     room = q**n // q**k
     term = volume = 1
     for j in range((d - 1) // 2):
@@ -471,7 +470,7 @@ def load_annotations() -> dict[tuple[int, int, int, tuple[int, int, int]], Annot
     out = {}
     for e in raw["entries"]:
         key = (e["q"], e["n"], e["k"], tuple(e["w"]))
-        out[key] = Annotation(e["source"], e["verdict"], e.get("detail", ""))
+        out[key] = Annotation(e["source"], e["verdict"])
     return out
 
 

@@ -1,9 +1,12 @@
-"""Independent second route for `threeweight.curve.search_integral_points`.
+"""Independent second routes for `threeweight.curve.search_integral_points`.
 
-The library finds, for each pair (a, b) of the fundamental domain, the only
-candidate c by integer bisection on h_d(a, b, .), and skips even degrees
-outright.  The route below scans every cell of the same domain, tests
-distinct coordinates through the telescoped numerator
+The library walks each row a of the fundamental domain as one staircase:
+b falls from a, and one rising pointer c stops at the least c with
+h_d(a, b, c) >= 0, about one evaluation per pair; even degrees are skipped
+outright.  `least_nonnegative` finds the same candidate c for a single
+pair (a, b) by integer bisection, independently of every other pair.
+`box_search` scans every cell of the same domain, tests distinct
+coordinates through the telescoped numerator
 
     N(a,b,c) = (b-c) a^(d+2) + (c-a) b^(d+2) + (a-b) c^(d+2)
 
@@ -14,6 +17,35 @@ direct monomial sum, for every degree, odd or even.
 from __future__ import annotations
 
 from threeweight.curve import monomial_sum, normalize_point
+
+
+def horner(coeffs: list[int], c: int) -> int:
+    """The polynomial with these coefficients, highest degree first, at c."""
+    value = 0
+    for coef in coeffs:
+        value = value * c + coef
+    return value
+
+
+def least_nonnegative(coeffs: list[int], lo: int, hi: int) -> tuple[int, int] | None:
+    """(c, f(c)) for the least c in [lo, hi] with f(c) >= 0, or None when
+    f(hi) < 0, by integer bisection.  f is the polynomial with these
+    coefficients, highest degree first, and must be nondecreasing on
+    [lo, hi]."""
+    value = horner(coeffs, hi)
+    if value < 0:
+        return None
+    low = horner(coeffs, lo)
+    if low >= 0:
+        return lo, low
+    while hi - lo > 1:  # f(lo) < 0 <= f(hi) = value
+        mid = (lo + hi) // 2
+        mid_value = horner(coeffs, mid)
+        if mid_value < 0:
+            lo = mid
+        else:
+            hi, value = mid, mid_value
+    return hi, value
 
 
 def box_search(d: int, bound: int) -> list[tuple[int, int, int]]:

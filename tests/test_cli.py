@@ -270,6 +270,12 @@ def test_curve_rejects_nonpositive_arguments(capsys, argv):
     assert err.startswith("error: ") and "must be >= 1" in err
 
 
+def test_curve_bound_over_guard_exits_2(capsys):
+    rc, out, err = run_cli(capsys, "curve", "--d", "3", "--bound", "2001")
+    assert rc == 2 and out == ""
+    assert err == "error: bound 2001 over guard 2000\n"
+
+
 def test_scan_command(capsys):
     rc, out, _ = run_cli(
         capsys, "scan-counterexamples", "--n-max", "120", "--format", "json",

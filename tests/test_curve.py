@@ -16,9 +16,9 @@ from threeweight.curve import (
     search_integral_points,
     vandam_lhs,
 )
-from threeweight.errors import GuardExceeded, SelfCheckFailed
+from threeweight.errors import CodesError, GuardExceeded, SelfCheckFailed
 
-from curve_oracles import box_search
+from curve_oracles import box_search, horner, least_nonnegative
 
 OBVIOUS = [(0, 1, -1), (1, -1, 0), (1, 0, -1)]
 
@@ -68,6 +68,20 @@ def test_normalize_point():
         normalize_point((0, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: normalize_point((0, 0, 0)),
+        lambda: vandam_lhs(1, 3, 1, -2),
+        lambda: monomial_sum(-1, 3, 1, -2),
+    ],
+    ids=["normalize_point", "vandam_lhs", "monomial_sum"],
+)
+def test_domain_errors_are_codes_errors(call):
+    with pytest.raises(CodesError):
+        call()
+
+
 @pytest.mark.parametrize("d,bound", [(3, 100), (5, 100)])
 def test_search_returns_only_obvious_points(d, bound):
     pts = [p.coords() for p in search_integral_points(CurveQuery(d, bound))]
@@ -76,7 +90,7 @@ def test_search_returns_only_obvious_points(d, bound):
 
 def test_search_guard():
     with pytest.raises(GuardExceeded):
-        search_integral_points(CurveQuery(3, 501))
+        search_integral_points(CurveQuery(3, 2001))
 
 
 def test_search_output_closed_under_coordinate_permutations():
@@ -110,7 +124,7 @@ def test_even_degree_box_has_no_ordered_zero():
                         assert vandam_lhs(s, a, b, c) != 0
 
 
-@pytest.mark.parametrize("d,bound", [(d, 40) for d in range(1, 9)] + [(3, 100), (5, 100)])
+@pytest.mark.parametrize("d,bound", [(d, 40) for d in range(1, 10)] + [(3, 100), (5, 100)])
 def test_search_matches_box_oracle(d, bound):
     pts = [p.coords() for p in search_integral_points(CurveQuery(d, bound))]
     assert pts == box_search(d, bound)
@@ -118,13 +132,25 @@ def test_search_matches_box_oracle(d, bound):
 
 @pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
 def test_odd_degree_is_strictly_increasing_in_last_coordinate(d):
-    # the bisection needs d/dc h_d(a, b, c) = h_(d-1)(a, b, c, c) > 0 for a != 0
+    # the staircase and the bisection oracle need
+    # d/dc h_d(a, b, c) = h_(d-1)(a, b, c, c) > 0 for a != 0
     rng = random.Random(d)
     for scale in (3, 100, 10**6):
         for _ in range(300):
             a = rng.choice([-1, 1]) * rng.randint(1, scale)
             b, c = rng.randint(-scale, scale), rng.randint(-scale, scale)
             assert monomial_sum(d, a, b, c) < monomial_sum(d, a, b, c + 1)
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
+def test_odd_degree_is_strictly_increasing_in_middle_coordinate(d):
+    # the staircase needs d/db h_d(a, b, c) = h_(d-1)(a, b, b, c) > 0 for a != 0
+    rng = random.Random(d)
+    for scale in (3, 100, 10**6):
+        for _ in range(300):
+            a = rng.choice([-1, 1]) * rng.randint(1, scale)
+            b, c = rng.randint(-scale, scale), rng.randint(-scale, scale)
+            assert monomial_sum(d, a, b, c) < monomial_sum(d, a, b + 1, c)
 
 
 @pytest.mark.parametrize("name", ["monomial_sum", "vandam_lhs"])
@@ -134,9 +160,14 @@ def test_search_self_checks_raise(monkeypatch, name):
         search_integral_points(CurveQuery(3, 5))
 
 
+def _pair_coefficients(d, a, b):
+    # f(c) = h_d(a, b, c) = sum_j h_j(a, b) c^(d-j)
+    return [sum(a**i * b ** (j - i) for i in range(j + 1)) for j in range(d + 1)]
+
+
 def _scan(coeffs, lo, hi):
     for c in range(lo, hi + 1):
-        value = curve._horner(coeffs, c)
+        value = horner(coeffs, c)
         if value >= 0:
             return c, value
     return None
@@ -147,10 +178,24 @@ def test_least_nonnegative_matches_linear_scan_on_every_pair(d):
     bound = 60
     for a in range(1, bound + 1):
         for b in range(-a, a + 1):
-            # f(c) = h_d(a, b, c) = sum_j h_j(a, b) c^(d-j)
-            coeffs = [sum(a**i * b ** (j - i) for i in range(j + 1)) for j in range(d + 1)]
+            coeffs = _pair_coefficients(d, a, b)
             lo, hi = -a, min(b, 0)
-            assert curve._least_nonnegative(coeffs, lo, hi) == _scan(coeffs, lo, hi), (a, b)
+            assert least_nonnegative(coeffs, lo, hi) == _scan(coeffs, lo, hi), (a, b)
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
+def test_staircase_matches_bisection_on_every_pair(d):
+    bound = 60
+    for a in range(1, bound + 1):
+        visited = {b: (c, value) for b, c, value in curve._staircase(d, a)}
+        # the staircase visits a prefix a, a - 1, ... of the row
+        assert list(visited) == list(range(a, a - len(visited), -1)), a
+        for b in range(-a, a + 1):
+            found = least_nonnegative(_pair_coefficients(d, a, b), -a, min(b, 0))
+            if b in visited:
+                assert visited[b] == found, (a, b)
+            else:  # skipped: no c in [-a, min(b, 0)] with f(c) >= 0, so no root
+                assert found is None, (a, b)
 
 
 @st.composite
@@ -178,4 +223,4 @@ def test_least_nonnegative_finds_planted_roots(poly, lo, width):
     root = max(lo, -(-s // m))  # the least integer c >= s / m, within [lo, hi]
     value = sum(w * (m * root - s) ** (2 * i + 1) for i, w in enumerate(weights))
     expected = (root, value) if root <= hi else None
-    assert curve._least_nonnegative(coeffs, lo, hi) == expected
+    assert least_nonnegative(coeffs, lo, hi) == expected

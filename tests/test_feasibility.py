@@ -8,7 +8,7 @@ import pytest
 
 from threeweight import feasibility
 from threeweight.code import parity_check_code
-from threeweight.errors import GuardExceeded, SelfCheckFailed, UnsupportedParameters
+from threeweight.errors import CodesError, GuardExceeded, SelfCheckFailed, UnsupportedParameters
 from threeweight.feasibility import (
     ANTICODE_HAMMING_LIMIT,
     FILTER_ORDER,
@@ -118,6 +118,12 @@ def test_dodunekov_pass_24_11():
         assert dodunekov_check(c, a) is None
 
 
+def test_dodunekov_level_above_the_weights_is_a_codes_error():
+    c = _candidate(24, 11, (8, 12, 16))
+    with pytest.raises(CodesError, match="not all divisible by 2\\^3"):
+        dodunekov_check(c, 3)
+
+
 def test_dodunekov_levels_skip_a2():
     assert dodunekov_levels(4) == [0, 1, 3, 4]
     assert dodunekov_levels(1) == [0, 1]
@@ -216,6 +222,12 @@ def test_hamming_bound():
     assert hamming_bound_ok(14, 7, 5, 2)
     for n, k, q in ((10, 3, 2), (9, 4, 3), (31, 11, 2)):
         assert hamming_bound_ok(n, k, 1, q)
+
+
+@pytest.mark.parametrize("d", [0, 11])
+def test_hamming_bound_distance_outside_1_to_n_is_a_codes_error(d):
+    with pytest.raises(CodesError, match="need 1 <= d <= n"):
+        hamming_bound_ok(10, 3, d, 2)
 
 
 def test_hamming_bound_matches_binomial_sum_volume():

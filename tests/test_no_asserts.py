@@ -59,3 +59,32 @@ def test_enumeration_self_check_raises_under_python_O():
         "_weights_gfp raised",
         "",
     ]
+
+
+OPTIMIZED_CURVE_CHECK = """
+import sys
+from threeweight import curve
+from threeweight.curve import CurveQuery
+from threeweight.errors import SelfCheckFailed
+
+assert False, "asserts must be stripped"
+print("optimize", sys.flags.optimize)
+for name in ("monomial_sum", "vandam_lhs"):
+    original = getattr(curve, name)
+    setattr(curve, name, lambda d, *t: 1)
+    try:
+        curve.search_integral_points(CurveQuery(3, 5))
+    except SelfCheckFailed:
+        print(name, "raised")
+    setattr(curve, name, original)
+"""
+
+
+def test_curve_self_checks_raise_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(threeweight.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CURVE_CHECK],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["optimize 1", "monomial_sum raised", "vandam_lhs raised", ""]
