@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import feasibility, swrg
 from .curve import CurveQuery, search_report
-from .errors import CodesError, ParseError
+from .errors import CodesError, InvalidArgument, ParseError
 from .matrixio import parse_matrix_file
 from .transform import dual_distribution
 
@@ -49,7 +49,7 @@ def emit_report(rows: list[dict], fmt: str) -> str:
             tail = ("  [" + "; ".join(reasons) + "]") if reasons else ""
             lines.append(head + tail)
         return "\n".join(lines) + ("\n" if lines else "")
-    raise ValueError(f"unknown format {fmt!r}")
+    raise InvalidArgument(f"unknown format {fmt!r}")
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:

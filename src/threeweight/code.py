@@ -4,8 +4,7 @@ subcode projections, the 4*Delta family, the length-23 Golay code).
 
 Codes are immutable.  Weight distributions come from full codeword
 enumeration in modular q-ary Gray-code order, one generator row added per
-step, with words as bit masks over GF(2), two bit-planes over GF(3) and
-tuples over GF(p), p >= 5.
+step, with words as bit masks over GF(2) and two bit-planes over GF(3).
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from typing import Iterator
 from .errors import (
     ComplementNotSpanning,
     FieldMismatch,
+    InvalidArgument,
     NotProjective,
     RankDeficient,
     SelfCheckFailed,
@@ -105,9 +105,9 @@ def _gray_steps(q: int, k: int) -> Iterator[bytes]:
     """nu_q(t) for t = 1, ..., q^k - 1 as consecutive bytes chunks.
 
     The low L digits repeat one ruler, with L <= k the largest for which
-    q^L <= _RULER_SPAN (L = 1 for larger q).  A step that carries into the
-    high digits, t = h q^L, adds row L + nu_q(h); those steps are one in
-    q^L, so nu_q(h) is found by plain division.
+    q^L <= _RULER_SPAN.  A step that carries into the high digits,
+    t = h q^L, adds row L + nu_q(h); those steps are one in q^L, so nu_q(h)
+    is found by plain division.
     """
     low = 1
     while low < k and q ** (low + 1) <= _RULER_SPAN:
@@ -158,19 +158,6 @@ def _weights_gf3(rows: tuple[tuple[int, ...], ...], n: int) -> list[int]:
     return counts
 
 
-def _weights_gfp(rows: tuple[tuple[int, ...], ...], p: int) -> list[int]:
-    """counts[w] over GF(p), p >= 5; words are tuples."""
-    n = len(rows[0])
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    word = (0,) * n
-    for chunk in _gray_steps(p, len(rows)):
-        for j in chunk:
-            word = tuple([(a + b) % p for a, b in zip(word, rows[j])])
-            counts[n - word.count(0)] += 1
-    return counts
-
-
 class LinearCode:
     """An [n, k]_q linear code given by a full-row-rank generator matrix."""
 
@@ -211,10 +198,8 @@ class LinearCode:
             raise SizeExceeded(f"q^k = {self.q}**{self.k} exceeds the enumeration guard")
         if self.q == 2:
             counts = _weights_gf2(self.generator.row_masks(), self.n)
-        elif self.q == 3:
-            counts = _weights_gf3(self.generator.to_rows(), self.n)
         else:
-            counts = _weights_gfp(self.generator.to_rows(), self.q)
+            counts = _weights_gf3(self.generator.to_rows(), self.n)
         dist = WeightDistribution.from_dict(self.n, dict(enumerate(counts)))
         if dist.total() != self.q**self.k:
             raise SelfCheckFailed(f"enumeration counted {dist.total()} codewords, not q^k")
@@ -337,7 +322,7 @@ class LinearCode:
         p = self.field.p
         point = tuple(int(e) % p for e in point)
         if len(point) != self.k:
-            raise ValueError(f"point must live in F_q^{self.k}")
+            raise InvalidArgument(f"point must live in F_q^{self.k}")
         if self.k < 2:
             raise UnsupportedParameters("projection needs dimension >= 2")
         rep = _canonical_point(self.field, point)

@@ -15,7 +15,6 @@ search targets.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
@@ -171,12 +170,9 @@ def _staircase(d: int, a: int) -> Iterator[tuple[int, int, int]]:
 
 def search_report(query: CurveQuery) -> dict:
     """CLI-facing JSON payload for a bounded curve search."""
-    start = time.monotonic()
     points = search_integral_points(query)
-    elapsed = time.monotonic() - start
     return {
         "d": query.d,
         "bound": query.bound,
         "points": [list(p.coords()) for p in points],
-        "elapsed": round(elapsed, 3),
     }

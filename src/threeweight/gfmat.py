@@ -1,8 +1,8 @@
-"""Exact dense linear algebra over prime fields GF(p).
+"""Exact dense linear algebra over GF(2) and GF(3).
 
 Everything is integer arithmetic mod p; there is no floating point anywhere
-in this package.  Matrices are immutable; rows are stored as byte strings
-(entries are always < 256 because only small primes are supported).
+in this package.  Matrices are immutable; rows are stored as byte strings.
+`PrimeField` is the one place that decides which fields are supported.
 """
 
 from __future__ import annotations
@@ -10,33 +10,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import UnsupportedParameters
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+from .errors import InvalidArgument, UnsupportedParameters
 
 
 @dataclass(frozen=True)
 class PrimeField:
-    """GF(p) for a prime p.  Extension fields GF(p^e), e > 1 are rejected."""
+    """GF(p) for p in {2, 3}; every other field order is rejected."""
 
     p: int
 
     def __post_init__(self) -> None:
-        # the size check comes first: trial division of a huge p runs for minutes
-        if self.p > 251:
-            raise UnsupportedParameters("field order too large for byte-packed rows")
-        if not _is_prime(self.p):
+        if self.p not in (2, 3):
             raise UnsupportedParameters(
-                f"field order {self.p} is not prime; only prime fields are supported"
+                f"field order {self.p}: only GF(2) and GF(3) are supported"
             )
 
     @property
@@ -46,7 +32,7 @@ class PrimeField:
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
-            raise ZeroDivisionError("0 is not invertible")
+            raise InvalidArgument("0 is not invertible")
         return pow(a, self.p - 2, self.p)
 
 
@@ -67,10 +53,10 @@ class FieldMatrix:
 
     def __init__(self, field: PrimeField, rows: tuple[bytes, ...], ncols: int):
         if ncols < 1:
-            raise ValueError("matrix must have at least one column")
+            raise InvalidArgument("matrix must have at least one column")
         for r in rows:
             if len(r) != ncols:
-                raise ValueError("ragged rows")
+                raise InvalidArgument("ragged rows")
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
@@ -85,20 +71,20 @@ class FieldMatrix:
             if ncols is None:
                 ncols = len(entries)
             elif len(entries) != ncols:
-                raise ValueError("ragged rows")
+                raise InvalidArgument("ragged rows")
             packed.append(entries)
         if not packed or ncols is None or ncols == 0:
-            raise ValueError("matrix must be nonempty")
+            raise InvalidArgument("matrix must be nonempty")
         return cls(field, tuple(packed), ncols)
 
     @classmethod
     def from_columns(cls, field: PrimeField, cols: Iterable[Iterable[int]]) -> "FieldMatrix":
         cols = [tuple(int(e) % field.p for e in c) for c in cols]
         if not cols:
-            raise ValueError("matrix must be nonempty")
+            raise InvalidArgument("matrix must be nonempty")
         nrows = len(cols[0])
         if any(len(c) != nrows for c in cols):
-            raise ValueError("ragged columns")
+            raise InvalidArgument("ragged columns")
         return cls.from_rows(field, ((c[i] for c in cols) for i in range(nrows)))
 
     def row(self, i: int) -> bytes:
@@ -120,7 +106,7 @@ class FieldMatrix:
     def row_masks(self) -> tuple[int, ...]:
         """Rows as bit masks (bit j = column j); GF(2) only."""
         if self.field.p != 2:
-            raise ValueError("bit packing is only defined over GF(2)")
+            raise InvalidArgument("bit packing is only defined over GF(2)")
         masks = []
         for r in self._rows:
             m = 0

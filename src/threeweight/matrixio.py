@@ -3,10 +3,11 @@
 One row per line, ASCII characters '0'..'p-1'.  Whitespace inside rows is ignored
 (some shipped fixtures carry embedded spaces or wrapped rows).  Lines
 starting with '#' are comments, blank lines are skipped.  An optional header
-line "q=<p> n=<n> k=<k>" fixes the field and declares the shape.  Trailing
-non-digit characters on a row are stripped (one fixture ends with a stray
-']'); non-digit characters anywhere else are an error.  Every entry is one
-digit, so serialize_matrix refuses fields past q = 10.
+line "q=<p> n=<n> k=<k>" fixes the field and declares the shape; without it
+q is one more than the largest digit, and at least 2.  Only q = 2 and q = 3
+are supported (`PrimeField` decides).  Trailing non-digit characters on a
+row are stripped (one fixture ends with a stray ']'); non-digit characters
+anywhere else are an error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 from pathlib import Path
 
 from .code import LinearCode
-from .errors import ParseError, UnsupportedParameters
+from .errors import ParseError
 from .gfmat import FieldMatrix, PrimeField
 
 _HEADER_RE = re.compile(r"^q=(\d+)(?:\s+n=(\d+))?(?:\s+k=(\d+))?$", re.ASCII)
@@ -76,8 +77,6 @@ def parse_matrix_file(path: str | Path) -> LinearCode:
 
 
 def serialize_matrix(code: LinearCode) -> str:
-    if code.q > 10:
-        raise UnsupportedParameters(f"q={code.q}: the text format holds one digit per entry")
     lines = [f"q={code.q} n={code.n} k={code.k}"]
     for row in code.generator.to_rows():
         lines.append("".join(str(e) for e in row))

@@ -17,7 +17,7 @@ character transform gives every quantity:
   `tss_check` is a view of `is_s_swrg(graph, 3)` on the same graph.
 
 The transform is the Walsh transform for q = 2 and the same radix-q
-butterfly in the group ring Z[C_q] for odd q (`_character_sums`).
+butterfly in the group ring Z[C_q] for q = 3 (`_character_sums`).
 Independent second routes live in the test suite as oracles.
 
 Triple-sum counts are ordered: sigma_0/sigma_1 count ordered triples
@@ -56,7 +56,7 @@ class SpectrumClaim:
         if len(set(self.eigenvalues)) != len(self.eigenvalues):
             raise DegenerateWeights("claimed eigenvalues must be distinct")
         if tuple(sorted(self.eigenvalues, reverse=True)) != self.eigenvalues:
-            raise ValueError("eigenvalues must be sorted descending")
+            raise InvalidArgument("eigenvalues must be sorted descending")
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def vertex_guard_excess(q: int, k: int) -> str | None:
 
 
 class CosetGraph:
-    """Cayley graph on F_q^k, q prime, with a scalar-closed connection set."""
+    """Cayley graph on F_q^k, q in {2, 3}, with a scalar-closed connection set."""
 
     __slots__ = ("q", "k", "nvertices", "omega", "_omega_set", "_lambda", "_walks")
 
@@ -109,7 +109,7 @@ class CosetGraph:
         excess = vertex_guard_excess(q, k)
         if excess:
             raise GuardExceeded(excess)
-        PrimeField(q)  # the group-ring transform gives the characters only for prime q
+        PrimeField(q)  # rejects every q but 2 and 3
         self.q = q
         self.k = k
         self.nvertices = q**k
@@ -259,7 +259,7 @@ def eigenvalues_from_weights(q: int, n: int, weights: Iterable[int]) -> Spectrum
     if len(set(ws)) != len(ws):
         raise DegenerateWeights(f"weights must be distinct, got {ws}")
     if 0 not in ws:
-        raise ValueError("weight list must include w_0 = 0")
+        raise InvalidArgument("weight list must include w_0 = 0")
     return SpectrumClaim(tuple(sorted((n * (q - 1) - q * w for w in ws), reverse=True)))
 
 

@@ -30,7 +30,7 @@ from itertools import islice
 from operator import mul
 from typing import Iterator
 
-from .errors import DegenerateWeights, SelfCheckFailed
+from .errors import DegenerateWeights, InvalidArgument, SelfCheckFailed
 
 
 def dual_numerators(counts: dict[int, int], n: int, q: int) -> Iterator[int]:
@@ -100,7 +100,7 @@ class ThreeWeightSolution:
 
     def counts(self) -> dict[int, int]:
         if not self.is_integral():
-            raise ValueError("frequencies are not integral")
+            raise InvalidArgument("frequencies are not integral")
         d = {0: 1}
         for w, f in zip(self.weights, self.frequencies):
             d[w] = int(f)
@@ -118,9 +118,9 @@ def three_weight_solve(n: int, k: int, w1: int, w2: int, w3: int) -> ThreeWeight
     if len({w1, w2, w3}) != 3:
         raise DegenerateWeights(f"weights must be distinct, got {(w1, w2, w3)}")
     if not (1 <= w1 < w2 < w3 <= n):
-        raise ValueError(f"need 1 <= w1 < w2 < w3 <= n, got {(w1, w2, w3)} with n={n}")
+        raise InvalidArgument(f"need 1 <= w1 < w2 < w3 <= n, got {(w1, w2, w3)} with n={n}")
     if k < 2:
-        raise ValueError("dimension must be at least 2 for a three-weight code")
+        raise InvalidArgument("dimension must be at least 2 for a three-weight code")
     y = 1 << (k - 2)
     a1 = Fraction(
         y * (n * n - 2 * n * w2 - 2 * n * w3 + 4 * w2 * w3 + n) - w2 * w3,
@@ -161,12 +161,12 @@ def pmt_frequencies(n: int, k: int, t: int) -> ThreeWeightSolution:
     raises SelfCheckFailed.
     """
     if t < 1:
-        raise ValueError("t must be >= 1")
+        raise InvalidArgument("t must be >= 1")
     if n % 2 != 0:
-        raise ValueError("n must be even")
+        raise InvalidArgument("n must be even")
     w1, w2, w3 = n // 2 - t, n // 2, n // 2 + t
     if not (1 <= w1 and w3 <= n):
-        raise ValueError(f"weights {(w1, w2, w3)} out of range for n={n}")
+        raise InvalidArgument(f"weights {(w1, w2, w3)} out of range for n={n}")
     y = 1 << (k - 2)
     a1 = Fraction(n * (4 * y - n - 2 * t), 8 * t * t)
     a2 = 4 * y - 1 - Fraction(n * (4 * y - n), 4 * t * t)

@@ -1,23 +1,24 @@
 """Independent second routes for `threeweight.code`.
 
 Weight distributions: the library walks the modular q-ary Gray code, one
-generator row added per step, with the words held as bit masks (GF(2)), two
-bit-planes (GF(3)) or tuples (p >= 5).  `recursive_weight_counts` recurses
-over the coefficient of each row in turn and builds every codeword as a
-tuple from the previous one.
+generator row added per step, with the words held as bit masks (GF(2)) or
+two bit-planes (GF(3)).  `recursive_weight_counts` recurses over the
+coefficient of each row in turn and builds every codeword as a tuple from
+the previous one.
 
 Subcode projection: the library writes the quotient coordinates in closed
 form; `projection_by_basis_completion` completes the point to a basis and
 inverts the change of basis.  Projective points: the library filters
 `itertools.product`; `projective_points_by_walk` walks every vector and
-keeps the first member of each class.
+keeps the first member of each class.  Both are plain integer arithmetic
+mod p, so the points are compared for primes beyond the two fields.
 """
 
 from __future__ import annotations
 
 from threeweight.code import LinearCode, _canonical_point
-from threeweight.errors import RankDeficient, UnsupportedParameters, ZeroVector
-from threeweight.gfmat import FieldMatrix, PrimeField
+from threeweight.errors import InvalidArgument, RankDeficient, UnsupportedParameters, ZeroVector
+from threeweight.gfmat import FieldMatrix
 
 
 def recursive_weight_counts(rows: tuple[tuple[int, ...], ...], p: int) -> dict[int, int]:
@@ -50,7 +51,7 @@ def projection_by_basis_completion(code: LinearCode, point: tuple[int, ...]) -> 
     p = field.p
     point = tuple(int(e) % p for e in point)
     if len(point) != code.k:
-        raise ValueError(f"point must live in F_q^{code.k}")
+        raise InvalidArgument(f"point must live in F_q^{code.k}")
     if code.k < 2:
         raise UnsupportedParameters("projection needs dimension >= 2")
     rep = _canonical_point(field, point)
@@ -91,17 +92,18 @@ def _matrix_inverse(m: FieldMatrix) -> FieldMatrix:
 def projective_points_by_walk(p: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Points of PG(k-1, p): walk every vector of F_p^k recursively in
     lexicographic order and keep the canonical form of each new class."""
-    field = PrimeField(p)
     pts = []
     seen = set()
     vec = [0] * k
 
     def rec(i: int) -> None:
         if i == k:
-            rep = _canonical_point(field, tuple(vec))
-            if rep is not None and rep not in seen:
-                seen.add(rep)
-                pts.append(rep)
+            lead = next(filter(None, vec), 0)
+            if lead:
+                rep = tuple(e * pow(lead, -1, p) % p for e in vec)
+                if rep not in seen:
+                    seen.add(rep)
+                    pts.append(rep)
             return
         for e in range(p):
             vec[i] = e

@@ -99,8 +99,7 @@ def test_verify_sum_condition_failure(capsys, tmp_path):
 
 
 def test_verify_rejects_a_huge_field_order_at_once(tmp_path):
-    # a 19-digit prime: trial division up to its square root runs for minutes,
-    # so the size guard must decide before any primality test
+    # a 19-digit prime once hung a trial-division primality test for minutes
     f = tmp_path / "huge_q.txt"
     f.write_text("q=1000000000000000003\n101\n011\n", encoding="utf-8")
     src = str(Path(threeweight.__file__).resolve().parents[1])
@@ -109,8 +108,20 @@ def test_verify_rejects_a_huge_field_order_at_once(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=30,
     )
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: field order too large")
+    assert proc.stderr == (
+        "error: field order 1000000000000000003: only GF(2) and GF(3) are supported\n"
+    )
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("text", ["q=5\n1021\n0134\n", "1021\n0134\n"], ids=["header", "digit-4"])
+@pytest.mark.parametrize("command", ["verify", "graph"])
+def test_gf5_file_exits_2_at_the_field_gate(capsys, tmp_path, command, text):
+    f = tmp_path / "gf5.txt"
+    f.write_text(text, encoding="utf-8")
+    rc, out, err = run_cli(capsys, command, str(f))
+    assert (rc, out) == (2, "")
+    assert err == "error: field order 5: only GF(2) and GF(3) are supported\n"
 
 
 @pytest.mark.parametrize("rows,rc,b_proj", [
@@ -261,6 +272,16 @@ def test_curve_command(capsys):
     assert rc == 0
     payload = json.loads(out)
     assert payload["points"] == [[0, 1, -1], [1, -1, 0], [1, 0, -1]]
+
+
+def test_curve_output_is_byte_stable(capsys):
+    # the payload once carried the wall-clock search time
+    first = run_cli(capsys, "curve", "--d", "3", "--bound", "30")
+    second = run_cli(capsys, "curve", "--d", "3", "--bound", "30")
+    assert first == second
+    points = [[0, 1, -1], [1, -1, 0], [1, 0, -1]]
+    expected = json.dumps({"d": 3, "bound": 30, "points": points}, indent=1, sort_keys=True)
+    assert first == (0, expected + "\n", "")
 
 
 @pytest.mark.parametrize("argv", [("--d", "0", "--bound", "5"), ("--d", "3", "--bound", "0")])

@@ -185,7 +185,7 @@ def test_enumeration_total_check_raises(monkeypatch):
         LinearCode(GF2, FieldMatrix.from_rows(GF2, [[1, 0, 1], [0, 1, 1]])).weight_distribution()
 
 
-@pytest.mark.parametrize("kernel,q", [("_weights_gf3", 3), ("_weights_gfp", 5)])
+@pytest.mark.parametrize("kernel,q", [("_weights_gf3", 3)])
 def test_enumeration_total_check_raises_on_odd_fields(monkeypatch, kernel, q):
     field = PrimeField(q)
     monkeypatch.setattr(code_module, kernel, lambda rows, arg: [1, q**2 - 2])

@@ -1,0 +1,89 @@
+"""Every error the library raises belongs to the `CodesError` hierarchy."""
+
+from __future__ import annotations
+
+import ast
+from importlib import resources
+
+import pytest
+
+from threeweight import errors
+from threeweight.cli import emit_report
+from threeweight.code import simplex
+from threeweight.errors import CodesError
+from threeweight.gfmat import GF2, GF3, FieldMatrix
+from threeweight.swrg import SpectrumClaim, eigenvalues_from_weights
+from threeweight.transform import pmt_frequencies, three_weight_solve
+
+ARGUMENT_ERRORS = {
+    "counts of a non-integral solution": lambda: three_weight_solve(5, 3, 1, 2, 4).counts(),
+    "unordered weights": lambda: three_weight_solve(8, 3, 6, 4, 2),
+    "dimension below 2": lambda: three_weight_solve(8, 1, 2, 4, 6),
+    "pmt with t < 1": lambda: pmt_frequencies(8, 3, 0),
+    "pmt with odd n": lambda: pmt_frequencies(7, 3, 1),
+    "pmt weights out of range": lambda: pmt_frequencies(8, 3, 5),
+    "projection point of the wrong length": lambda: simplex(3, 2).subcode_projection((1, 1, 0)),
+    "inverse of 0": lambda: GF3.inv(0),
+    "no columns": lambda: FieldMatrix(GF2, (), 0),
+    "ragged packed rows": lambda: FieldMatrix(GF2, (b"\x00",), 2),
+    "ragged rows": lambda: FieldMatrix.from_rows(GF2, [[1, 0], [1]]),
+    "no rows": lambda: FieldMatrix.from_rows(GF2, []),
+    "no columns given": lambda: FieldMatrix.from_columns(GF2, []),
+    "ragged columns": lambda: FieldMatrix.from_columns(GF2, [[1, 0], [1]]),
+    "bit packing off GF(2)": lambda: FieldMatrix.from_rows(GF3, [[1, 2]]).row_masks(),
+    "unsorted eigenvalues": lambda: SpectrumClaim((1, 3)),
+    "weights without w_0": lambda: eigenvalues_from_weights(2, 8, (4, 6)),
+    "unknown report format": lambda: emit_report([], "xml"),
+}
+
+
+@pytest.mark.parametrize("call", ARGUMENT_ERRORS.values(), ids=ARGUMENT_ERRORS.keys())
+def test_argument_errors_are_codes_errors(call):
+    # each of these once raised a bare ValueError or ZeroDivisionError
+    with pytest.raises(CodesError):
+        call()
+
+
+# argparse turns an ArgumentTypeError from a type function into exit code 2
+ALLOWED_FOREIGN_RAISES = {("cli.py", "_parse_triple", "argparse.ArgumentTypeError")}
+
+PACKAGE_ERRORS = {
+    name
+    for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, CodesError)
+}
+
+
+def _raised_name(node: ast.Raise) -> str | None:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return ast.unparse(exc) if exc is not None else None
+
+
+def _raises(tree: ast.AST, function: str = ""):
+    """(enclosing function, raised name) for every raise statement."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Raise):
+            yield function, _raised_name(node)
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _raises(node, inner)
+
+
+def test_every_raise_names_a_package_error():
+    root = resources.files("threeweight")
+    found = []
+    for path in sorted(root.iterdir(), key=lambda p: p.name):
+        if not path.name.endswith(".py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=path.name)
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "errors"
+            for alias in node.names
+        }
+        for function, name in _raises(tree):
+            if name in imported & PACKAGE_ERRORS:
+                continue
+            if (path.name, function, name) not in ALLOWED_FOREIGN_RAISES:
+                found.append(f"{path.name}:{function}: raise {name}")
+    assert found == []

@@ -20,6 +20,14 @@ def test_prime_field_rejects_prime_powers():
         PrimeField(1)
 
 
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 5, 7, 251, 1000000000000000003])
+def test_prime_field_accepts_only_gf2_and_gf3(p):
+    with pytest.raises(UnsupportedParameters) as exc:
+        PrimeField(p)
+    assert str(exc.value) == f"field order {p}: only GF(2) and GF(3) are supported"
+    assert PrimeField(2).q == 2 and PrimeField(3).q == 3
+
+
 def test_rref_identity():
     m = FieldMatrix.from_rows(GF2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     reduced, rank, pivots = m.rref()

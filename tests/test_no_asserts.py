@@ -34,7 +34,7 @@ from threeweight.gfmat import FieldMatrix, PrimeField
 
 assert False, "asserts must be stripped"
 print("optimize", sys.flags.optimize)
-for kernel, q in (("_weights_gf2", 2), ("_weights_gf3", 3), ("_weights_gfp", 5)):
+for kernel, q in (("_weights_gf2", 2), ("_weights_gf3", 3)):
     setattr(code, kernel, lambda words, arg: [1])
     field = PrimeField(q)
     matrix = FieldMatrix.from_rows(field, [[1, 0, 1], [0, 1, 1]])
@@ -56,7 +56,6 @@ def test_enumeration_self_check_raises_under_python_O():
         "optimize 1",
         "_weights_gf2 raised",
         "_weights_gf3 raised",
-        "_weights_gfp raised",
         "",
     ]
 

@@ -31,10 +31,10 @@ def scaled(q: int, vec: tuple[int, ...], factor: int) -> tuple[int, ...]:
 
 @st.composite
 def codes_and_points(draw):
-    """A code over GF(q), q in {2, 3, 5}, and a point that is off its point
+    """A code over GF(q), q in {2, 3}, and a point that is off its point
     set, on it, or on it with multiplicity > 1 (a repeated or rescaled
     column), or the zero vector."""
-    q = draw(st.sampled_from((2, 3, 5)))
+    q = draw(st.sampled_from((2, 3)))
     k = draw(st.integers(2, 4))
     vector = st.tuples(*[st.integers(0, q - 1)] * k)
     cols = draw(st.lists(vector, min_size=k, max_size=8))
@@ -97,7 +97,7 @@ def test_projective_points_match_the_recursive_walk(p, k):
     assert len(points) == (p**k - 1) // (p - 1)
 
 
-@pytest.mark.parametrize("q,k", [(2, 2), (2, 5), (3, 2), (3, 4), (5, 3), (7, 2)])
+@pytest.mark.parametrize("q,k", [(2, 2), (2, 5), (3, 2), (3, 4)])
 def test_reed_muller_columns_are_the_affine_points_in_order(q, k):
     cols = list(reed_muller(q, k).generator.columns())
     assert [c[:-1] for c in cols] == list(product(range(q), repeat=k - 1))
