@@ -74,7 +74,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _parse_triple(text: str) -> tuple[int, int, int]:
-    parts = tuple(int(p) for p in text.split(","))
+    try:
+        parts = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        parts = ()  # refused below, like a wrong count
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated integers")
     return parts
@@ -223,9 +226,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first `main` call and reused: `prog` is fixed, every default
+# is immutable, `parse_args` leaves the parser as it was, and help text is
+# formatted when printed.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -161,7 +161,7 @@ def _weights_gf3(rows: tuple[tuple[int, ...], ...], n: int) -> list[int]:
 class LinearCode:
     """An [n, k]_q linear code given by a full-row-rank generator matrix."""
 
-    __slots__ = ("field", "generator", "n", "k", "_distribution")
+    __slots__ = ("field", "generator", "n", "k", "_distribution", "_projectivity")
 
     def __init__(self, field: PrimeField, generator: FieldMatrix):
         if generator.field.p != field.p:
@@ -177,6 +177,7 @@ class LinearCode:
         self.n = generator.ncols
         self.k = generator.nrows
         self._distribution: WeightDistribution | None = None
+        self._projectivity: tuple[bool, MultiplicityType] | None = None
 
     # -- basics --------------------------------------------------------
 
@@ -210,7 +211,10 @@ class LinearCode:
         return self.weight_distribution().nonzero_weights()
 
     def is_projective(self) -> tuple[bool, MultiplicityType]:
-        """Full-length with pairwise projectively inequivalent positions."""
+        """Full-length with pairwise projectively inequivalent positions;
+        computed once and kept, like the weight distribution."""
+        if self._projectivity is not None:
+            return self._projectivity
         classes: dict[tuple[int, ...], int] = {}
         zero_positions = 0
         for col in self.generator.columns():
@@ -224,7 +228,8 @@ class LinearCode:
             sizes[c] = sizes.get(c, 0) + 1
         mult = MultiplicityType(tuple(sorted(sizes.items())), zero_positions)
         flag = zero_positions == 0 and all(c == 1 for c in classes.values())
-        return flag, mult
+        self._projectivity = (flag, mult)
+        return self._projectivity
 
     def effective_length(self) -> int:
         _, mult = self.is_projective()

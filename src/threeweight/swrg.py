@@ -119,8 +119,9 @@ class CosetGraph:
             raise ZeroInOmega("connection set must not contain 0")
         if self.omega and (self.omega[0] < 0 or self.omega[-1] >= self.nvertices):
             raise InvalidArgument(f"connection set has an element outside [1, {self.nvertices})")
-        # the spectrum and the walk counts rely on scalar closure
-        for w in self.omega:
+        # the spectrum and the walk counts rely on scalar closure, which
+        # holds for every set over GF(2)
+        for w in self.omega if q > 2 else ():
             wv = decode_vector(w, q, k)
             for lam in range(2, q):
                 if encode_vector([lam * e for e in wv], q) not in self._omega_set:
@@ -215,9 +216,10 @@ def _character_sums(planes: list[list[int]], q: int, k: int, inverse: bool = Fal
     sums = out[0] if q == 2 else list(map(sub, out[0], out[1]))
     if not inverse:
         return sums
-    quotients = [divmod(x, q**k) for x in sums]
+    size = q**k
+    quotients = [divmod(x, size) for x in sums]
     if any(rem for _, rem in quotients):
-        raise SelfCheckFailed(f"a character sum is not a multiple of q^k = {q**k}")
+        raise SelfCheckFailed(f"a character sum is not a multiple of q^k = {size}")
     return [quo for quo, _ in quotients]
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -407,3 +408,122 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--q", "7", "--n-min", "1", "--n-max", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--expect-weights", "--expect-freqs"])
+def test_non_integer_triple_is_a_usage_error(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(data_path("matrices/q2_n004_k03_w1_2_3.txt")), flag, "a,b,c"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(
+        f"threeweight verify: error: argument {flag}: expected three comma-separated integers\n"
+    )
+    assert "_parse_triple" not in err
+
+
+# -- one parser per process ------------------------------------------------
+
+FIXTURE = str(data_path("matrices/q2_n008_k04_w2_4_6.txt"))
+EVERY_COMMAND = [
+    ["enumerate", "--q", "2", "--n-min", "4", "--n-max", "12", "--format", "csv"],
+    ["verify", FIXTURE, "--graph", "--tss"],
+    ["graph", FIXTURE, "--s", "9"],
+    ["curve", "--d", "3", "--bound", "20"],
+    ["scan-counterexamples", "--n-max", "112"],
+    ["kn-witness", "--a", "1"],
+    ["verify", FIXTURE, "--expect-freqs", "1,x,3"],
+]
+
+
+def _exit(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _command_parsers(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_import_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "from threeweight import cli\n"
+        "print(len(built), cli._parser)\n"
+    )
+    src = str(Path(threeweight.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 None\n", "")
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_parser", None)
+    builds = []
+    build = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for argv in EVERY_COMMAND * 3:
+        _exit(argv)
+    capsys.readouterr()
+    assert len(builds) == 1
+    assert cli._parser is not None
+
+
+def test_usage_error_leaves_the_reused_parser_intact(capsys, monkeypatch):
+    valid = ["graph", FIXTURE, "--s", "9"]
+    monkeypatch.setattr(cli, "_parser", None)
+    alone = (_exit(valid), capsys.readouterr())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert _exit(["graph", FIXTURE, "--s", "x"]) == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    after_error = (_exit(valid), capsys.readouterr())
+    assert after_error == alone
+    assert alone[0] == 0 and alone[1].err == ""
+
+
+def test_reused_parser_help_matches_a_fresh_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in EVERY_COMMAND:
+        _exit(argv)
+    capsys.readouterr()
+    warm, fresh = cli._parser, cli.build_parser()
+    assert warm is not None and warm is not fresh
+    assert warm.format_help() == fresh.format_help()
+    warm_commands, fresh_commands = _command_parsers(warm), _command_parsers(fresh)
+    assert list(warm_commands) == list(fresh_commands)
+    for name, parser in warm_commands.items():
+        assert parser.format_help() == fresh_commands[name].format_help(), name
+
+
+def test_cold_process_and_warm_parser_print_the_same_bytes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(threeweight.__file__).resolve().parents[1])
+    for argv in EVERY_COMMAND:  # every command has run once before it is compared
+        _exit(argv)
+    capsys.readouterr()
+    for argv in EVERY_COMMAND:
+        cold = subprocess.run(
+            [sys.executable, "-m", "threeweight.cli", *argv], capture_output=True,
+            env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}, timeout=120,
+        )
+        rc = _exit(argv)
+        warm = capsys.readouterr()
+        assert (rc, warm.out.encode(), warm.err.encode()) == (
+            cold.returncode, cold.stdout, cold.stderr
+        ), argv

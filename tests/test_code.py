@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from threeweight import code as code_module
 from threeweight.code import (
     LinearCode,
+    MultiplicityType,
     construct_named,
     golay23,
     parity_check_code,
@@ -67,6 +69,35 @@ def test_is_projective():
     assert not flag
     assert mult.as_dict() == {2: 3}
     assert doubled.k == 4  # direct sum is a different, 4-dimensional object
+
+
+def test_is_projective_is_computed_once_and_kept():
+    code = lemma_four_three()
+    assert code._projectivity is None
+    first = code.is_projective()
+    assert code.is_projective() == first and code.is_projective() is first
+    assert code._projectivity is first
+    # the kept value is immutable: a bool and the frozen multiplicity type
+    flag, mult = first
+    assert type(first) is tuple and type(flag) is bool
+    assert isinstance(mult, MultiplicityType)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mult.zero_positions = 1
+
+
+def test_derived_codes_start_without_kept_projectivity():
+    code = lemma_four_three()  # its odd-weight rows make a new even-weight subcode
+    code.is_projective()
+    derived = [
+        code.even_weight_subcode(),
+        code.anticode(),
+        code.direct_sum(code),
+        code.subcode_projection((1, 0, 0)),
+    ]
+    for d in derived:
+        assert d is not code
+        assert d._projectivity is None
+        assert d.is_projective() == LinearCode(d.field, d.generator).is_projective()
 
 
 def test_multiplicity_type_positions_invariant(fixture_codes):

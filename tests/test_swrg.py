@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threeweight import code as code_module
 from threeweight import swrg
+from threeweight.cli import main as cli_main
 from threeweight.code import parity_check_code, reed_muller, simplex
 from threeweight.errors import (
     CodesError,
@@ -35,7 +37,7 @@ from threeweight.swrg import (
     vertex_guard_excess,
 )
 
-from conftest import data_path
+from conftest import data_path, matrix_files
 from swrg_oracles import (
     digitwise_add_table,
     direct_adjacency,
@@ -60,8 +62,44 @@ def test_coset_graph_basic(code_8_4):
 def test_coset_graph_requires_projectivity():
     rows = [r + r for r in simplex(2, 2).generator.to_rows()]
     rep = LinearCode(GF2, FieldMatrix.from_rows(GF2, rows))
-    with pytest.raises(NotProjective):
-        coset_graph(rep)
+    for _ in range(2):  # computed, then kept on the code
+        with pytest.raises(NotProjective):
+            coset_graph(rep)
+
+
+def test_verify_canonicalises_each_column_once(capsys, monkeypatch):
+    counted = []
+    canonical = code_module._canonical_point
+
+    def counting(field, vec):
+        counted.append(vec)
+        return canonical(field, vec)
+
+    monkeypatch.setattr(code_module, "_canonical_point", counting)
+    path = data_path("matrices/q3_n009_k04_w3_6_9.txt")
+    assert cli_main(["verify", str(path), "--graph", "--tss"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert len(counted) == 9  # n columns: coset_graph reuses verify's result
+
+
+def test_verify_output_does_not_depend_on_kept_projectivity(capsys, monkeypatch):
+    def run_all():
+        outs = []
+        for path in matrix_files():
+            rc = cli_main(["verify", str(path), "--graph", "--tss"])
+            outs.append((path.name, rc, capsys.readouterr()))
+        return outs
+
+    kept = run_all()
+    compute = LinearCode.is_projective
+
+    def recompute(self):
+        self._projectivity = None
+        return compute(self)
+
+    monkeypatch.setattr(LinearCode, "is_projective", recompute)
+    assert len(kept) == 74
+    assert run_all() == kept
 
 
 def test_coset_graph_guard():
