@@ -3,8 +3,10 @@ constructions (simplex, first-order Reed-Muller, direct sums, anticodes,
 subcode projections, the 4*Delta family, the length-23 Golay code).
 
 Codes are immutable.  Weight distributions come from full codeword
-enumeration in modular q-ary Gray-code order, one generator row added per
-step, with words as bit masks over GF(2) and two bit-planes over GF(3).
+enumeration: the codewords are the differences of two half-dimension spans,
+with words encoded as integers whose XOR popcount is (q - 1) times the
+Hamming distance (a support mask over GF(2), three one-hot planes over
+GF(3)).
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator
 
 from .errors import (
     ComplementNotSpanning,
@@ -83,85 +84,64 @@ def _canonical_point(field: PrimeField, vec: tuple[int, ...]) -> tuple[int, ...]
     return None
 
 
-# Full enumeration walks the modular q-ary Gray code (Knuth, TAOCP 4A,
-# 7.2.1.1): step t = 1, ..., q^k - 1 adds generator row nu_q(t), the q-adic
-# valuation of t, to the current word.  After t steps row j has been added
-# d_j - (t div q^(j+1)) times mod q, where d_j is digit j of t, which is a
-# triangular bijection of the digits, so every codeword is visited once.
-# The row indices come in bytes chunks, so memory does not grow with k.
-_RULER_SPAN = 4096
+def _span_words(q: int, n: int, masks: tuple[tuple[int, ...], ...]) -> list[int]:
+    """E(x), as in `_popcount_counts`, for every x in the span of the rows
+    whose value masks are given, each once; each row multiplies the list
+    by q."""
+    if q == 2:
+        words = [0]
+        for _, ones in masks:
+            words += [w ^ ones for w in words]
+        return words
+    # Adding c r moves coordinate j from plane v to plane v + c r_j: the
+    # coordinates with c r_j = 1 rotate by n bits and those with c r_j = 2 by
+    # 2n, within 3n bits.  The shifted parts never share a bit, so one shift
+    # by 3n wraps both.
+    n2, n3 = 2 * n, 3 * n
+    planes = (1 << n3) - 1
+    replicate = 1 | 1 << n | 1 << n2
+    words = [(1 << n) - 1]  # E(0): every coordinate in plane 0
+    for zeros, ones, twos in masks:
+        keep, one, two = zeros * replicate, ones * replicate, twos * replicate
+        span = words
+        for by_n, by_2n in ((one, two), (two, one)):  # add r, then 2 r
+            words = words + [
+                (w & keep) | (t & planes) | t >> n3
+                for w in span
+                for t in (((w & by_n) << n) | ((w & by_2n) << n2),)
+            ]
+    return words
 
 
-@lru_cache(maxsize=None)
-def _ruler(q: int, digits: int) -> bytes:
-    """nu_q(t) for t = 1, ..., q^digits - 1."""
-    ruler = b""
-    for i in range(digits):
-        ruler = (ruler + bytes((i,))) * (q - 1) + ruler
-    return ruler
+def _popcount_counts(q: int, n: int, masks: tuple[tuple[int, ...], ...]) -> list[int]:
+    """counts[c] = number of codewords x with popcount(E(x) ^ E(0)) = c, so
+    that counts[::q - 1] is the weight distribution.
 
+    E encodes a vector as an integer with popcount(E(a) ^ E(b)) =
+    (q - 1) d(a, b).  Over GF(2), E(x) is the support mask.  Over GF(3),
+    E(x) is three n-bit planes side by side, plane v holding the coordinates
+    equal to v: symbol v becomes the one-hot triple e_v, and the three
+    triples form an equidistant binary code, at pairwise distance 2.
 
-def _gray_steps(q: int, k: int) -> Iterator[bytes]:
-    """nu_q(t) for t = 1, ..., q^k - 1 as consecutive bytes chunks.
-
-    The low L digits repeat one ruler, with L <= k the largest for which
-    q^L <= _RULER_SPAN.  A step that carries into the high digits,
-    t = h q^L, adds row L + nu_q(h); those steps are one in q^L, so nu_q(h)
-    is found by plain division.
+    The rows split at half = k // 2.  Every codeword is a - b for exactly
+    one a in the span of the first half and b in the span of the second,
+    since a span is closed under negation; so the q^k codewords are the
+    pairs of two lists of about q^(k/2) words each.
     """
-    low = 1
-    while low < k and q ** (low + 1) <= _RULER_SPAN:
-        low += 1
-    ruler = _ruler(q, low)
-    carried = [bytes((low + j,)) + ruler for j in range(k - low)]
-    yield ruler
-    for h in range(1, q ** (k - low)):
-        j = 0
-        while h % q == 0:
-            h //= q
-            j += 1
-        yield carried[j]
-
-
-def _weights_gf2(masks: tuple[int, ...], n: int) -> list[int]:
-    """counts[w] = number of codewords of weight w; words are bit masks."""
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    word = 0
-    for chunk in _gray_steps(2, len(masks)):
-        for j in chunk:
-            word ^= masks[j]
-            counts[word.bit_count()] += 1
-    return counts
-
-
-def _weights_gf3(rows: tuple[tuple[int, ...], ...], n: int) -> list[int]:
-    """counts[w] over GF(3), words as two bit-planes: P holds the entries
-    equal to 1, M those equal to 2 (Boothby and Bradshaw, arXiv:0901.1413).
-    With Z = ~(P | M), adding (Pr, Mr) gives P' = (P & Zr) | (Pr & Z) |
-    (M & Mr) and M' = (M & Zr) | (Mr & Z) | (P & Pr)."""
-    planes = []
-    for row in rows:
-        pr = sum(1 << j for j, e in enumerate(row) if e == 1)
-        mr = sum(1 << j for j, e in enumerate(row) if e == 2)
-        planes.append((pr, mr, ~(pr | mr)))
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    p = m = support = 0
-    for chunk in _gray_steps(3, len(rows)):
-        for j in chunk:
-            pr, mr, zr = planes[j]
-            z = ~support
-            p, m = (p & zr) | (pr & z) | (m & mr), (m & zr) | (mr & z) | (p & pr)
-            support = p | m
-            counts[support.bit_count()] += 1
+    half = len(masks) // 2
+    low = _span_words(q, n, masks[:half])
+    high = _span_words(q, n, masks[half:])
+    counts = [0] * ((q - 1) * n + 1)
+    for a in low:
+        for b in high:
+            counts[(a ^ b).bit_count()] += 1
     return counts
 
 
 class LinearCode:
     """An [n, k]_q linear code given by a full-row-rank generator matrix."""
 
-    __slots__ = ("field", "generator", "n", "k", "_distribution", "_projectivity")
+    __slots__ = ("field", "generator", "n", "k", "_distribution", "_projectivity", "_points")
 
     def __init__(self, field: PrimeField, generator: FieldMatrix):
         if generator.field.p != field.p:
@@ -178,6 +158,7 @@ class LinearCode:
         self.k = generator.nrows
         self._distribution: WeightDistribution | None = None
         self._projectivity: tuple[bool, MultiplicityType] | None = None
+        self._points: frozenset[tuple[int, ...]] = frozenset()
 
     # -- basics --------------------------------------------------------
 
@@ -197,11 +178,10 @@ class LinearCode:
             return self._distribution
         if self.q**self.k > ENUMERATION_GUARD:
             raise SizeExceeded(f"q^k = {self.q}**{self.k} exceeds the enumeration guard")
-        if self.q == 2:
-            counts = _weights_gf2(self.generator.row_masks(), self.n)
-        else:
-            counts = _weights_gf3(self.generator.to_rows(), self.n)
-        dist = WeightDistribution.from_dict(self.n, dict(enumerate(counts)))
+        counts = _popcount_counts(self.q, self.n, self.generator.value_masks())
+        if self.q == 3 and any(counts[1::2]):
+            raise SelfCheckFailed("two GF(3) encodings differed in an odd number of bits")
+        dist = WeightDistribution.from_dict(self.n, dict(enumerate(counts[:: self.q - 1])))
         if dist.total() != self.q**self.k:
             raise SelfCheckFailed(f"enumeration counted {dist.total()} codewords, not q^k")
         self._distribution = dist
@@ -212,7 +192,8 @@ class LinearCode:
 
     def is_projective(self) -> tuple[bool, MultiplicityType]:
         """Full-length with pairwise projectively inequivalent positions;
-        computed once and kept, like the weight distribution."""
+        computed once and kept, like the weight distribution, together with
+        the canonical points of the columns."""
         if self._projectivity is not None:
             return self._projectivity
         classes: dict[tuple[int, ...], int] = {}
@@ -228,21 +209,14 @@ class LinearCode:
             sizes[c] = sizes.get(c, 0) + 1
         mult = MultiplicityType(tuple(sorted(sizes.items())), zero_positions)
         flag = zero_positions == 0 and all(c == 1 for c in classes.values())
+        self._points = frozenset(classes)
         self._projectivity = (flag, mult)
         return self._projectivity
 
-    def effective_length(self) -> int:
-        _, mult = self.is_projective()
-        return self.n - mult.zero_positions
-
-    def point_set(self) -> set[tuple[int, ...]]:
+    def point_set(self) -> frozenset[tuple[int, ...]]:
         """Canonical projective points spanned by the generator columns."""
-        pts = set()
-        for col in self.generator.columns():
-            rep = _canonical_point(self.field, col)
-            if rep is not None:
-                pts.add(rep)
-        return pts
+        self.is_projective()
+        return self._points
 
     # -- derived codes -------------------------------------------------
 

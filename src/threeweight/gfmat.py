@@ -40,6 +40,11 @@ GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 
 
+# _VALUE_DIGITS[v] maps the entry v to the digit "1" and the other entries to
+# "0"; reversed, a row then reads as a base-2 numeral with column j at bit j.
+_VALUE_DIGITS = tuple(bytes.maketrans(b"\0\1\2", d) for d in (b"100", b"010", b"001"))
+
+
 class RrefResult(NamedTuple):
     reduced: "FieldMatrix"
     rank: int
@@ -103,18 +108,13 @@ class FieldMatrix:
     def to_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(r) for r in self._rows)
 
-    def row_masks(self) -> tuple[int, ...]:
-        """Rows as bit masks (bit j = column j); GF(2) only."""
-        if self.field.p != 2:
-            raise InvalidArgument("bit packing is only defined over GF(2)")
-        masks = []
-        for r in self._rows:
-            m = 0
-            for j, e in enumerate(r):
-                if e:
-                    m |= 1 << j
-            masks.append(m)
-        return tuple(masks)
+    def value_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Per row, one bit mask per field value v: bit j is set when
+        entry j equals v."""
+        return tuple(
+            tuple(int(r[::-1].translate(_VALUE_DIGITS[v]), 2) for v in range(self.field.p))
+            for r in self._rows
+        )
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -1,10 +1,11 @@
 """Independent second routes for `threeweight.code`.
 
-Weight distributions: the library walks the modular q-ary Gray code, one
-generator row added per step, with the words held as bit masks (GF(2)) or
-two bit-planes (GF(3)).  `recursive_weight_counts` recurses over the
-coefficient of each row in turn and builds every codeword as a tuple from
-the previous one.
+Weight distributions: the library splits the generator rows in half and
+pairs the two half spans, with each word encoded as an integer whose XOR
+popcount is (q - 1) times the Hamming distance.  `recursive_weight_counts`
+recurses over the coefficient of each row in turn and builds every codeword
+as a tuple from the previous one.  `gray_weight_counts` visits the codewords
+in a third order, the modular q-ary Gray code, one row added per step.
 
 Subcode projection: the library writes the quotient coordinates in closed
 form; `projection_by_basis_completion` completes the point to a basis and
@@ -15,6 +16,8 @@ mod p, so the points are compared for primes beyond the two fields.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from threeweight.code import LinearCode, _canonical_point
 from threeweight.errors import InvalidArgument, RankDeficient, UnsupportedParameters, ZeroVector
@@ -39,6 +42,46 @@ def recursive_weight_counts(rows: tuple[tuple[int, ...], ...], p: int) -> dict[i
             rec(i + 1, acc)
 
     rec(0, (0,) * n)
+    return counts
+
+
+def gray_steps(q: int, k: int, span: int) -> Iterator[bytes]:
+    """nu_q(t), the q-adic valuation of t, for t = 1, ..., q^k - 1 as
+    consecutive bytes chunks.
+
+    Step t of the modular q-ary Gray code (Knuth, TAOCP 4A, 7.2.1.1) adds
+    row nu_q(t); after t steps row j has been added d_j - (t div q^(j+1))
+    times mod q, with d_j digit j of t, a triangular bijection of the
+    digits.  The low L digits repeat one ruler, with L <= k the largest for
+    which q^L <= span; a step that carries into the high digits,
+    t = h q^L, adds row L + nu_q(h).
+    """
+    low = 1
+    while low < k and q ** (low + 1) <= span:
+        low += 1
+    ruler = b""
+    for i in range(low):
+        ruler = (ruler + bytes((i,))) * (q - 1) + ruler
+    carried = [bytes((low + j,)) + ruler for j in range(k - low)]
+    yield ruler
+    for h in range(1, q ** (k - low)):
+        j = 0
+        while h % q == 0:
+            h //= q
+            j += 1
+        yield carried[j]
+
+
+def gray_weight_counts(rows: tuple[tuple[int, ...], ...], p: int, span: int) -> dict[int, int]:
+    """{weight: number of codewords}, one codeword per Gray-code step."""
+    n = len(rows[0])
+    word = [0] * n
+    counts = {0: 1}
+    for chunk in gray_steps(p, len(rows), span):
+        for j in chunk:
+            word = [(a + b) % p for a, b in zip(word, rows[j])]
+            w = n - word.count(0)
+            counts[w] = counts.get(w, 0) + 1
     return counts
 
 

@@ -121,7 +121,7 @@ def test_even_weight_subcode_oracle():
     even = code.even_weight_subcode()
     assert even.k == 2 and even.n == 4
     assert even.weight_distribution().as_dict() == {0: 1, 2: 3}
-    assert even.effective_length() == 3
+    assert even.n - even.is_projective()[1].zero_positions == 3
     spanned = set()
     for m in range(4):
         er = even.generator.to_rows()
@@ -153,6 +153,19 @@ def test_anticode_parity7():
     d = anti.weight_distribution()
     assert d.nonzero_weights() == (26, 28, 30)
     assert tuple(d.frequency(w) for w in (26, 28, 30)) == (7, 35, 21)
+
+
+def test_anticode_canonicalises_each_column_once(monkeypatch):
+    counted = []
+    canonical = code_module._canonical_point
+
+    def counting(field, vec):
+        counted.append(vec)
+        return canonical(field, vec)
+
+    monkeypatch.setattr(code_module, "_canonical_point", counting)
+    parity_check_code(7).anticode()
+    assert len(counted) == 7  # point_set() reuses the points of is_projective()
 
 
 def test_anticode_of_simplex_rejected():
@@ -206,22 +219,29 @@ def test_direct_sum_random_product_rule():
 def _misweigh(monkeypatch):
     """Make GF(2) enumeration return the right total with the wrong weights."""
     monkeypatch.setattr(
-        code_module, "_weights_gf2", lambda masks, n: [1, 2 ** len(masks) - 1]
+        code_module, "_popcount_counts", lambda q, n, masks: [1, 2 ** len(masks) - 1]
     )
 
 
 def test_enumeration_total_check_raises(monkeypatch):
-    monkeypatch.setattr(code_module, "_weights_gf2", lambda masks, n: [1])
+    monkeypatch.setattr(code_module, "_popcount_counts", lambda q, n, masks: [1])
     with pytest.raises(SelfCheckFailed):
         LinearCode(GF2, FieldMatrix.from_rows(GF2, [[1, 0, 1], [0, 1, 1]])).weight_distribution()
 
 
-@pytest.mark.parametrize("kernel,q", [("_weights_gf3", 3)])
-def test_enumeration_total_check_raises_on_odd_fields(monkeypatch, kernel, q):
+@pytest.mark.parametrize("q", [3])
+def test_enumeration_total_check_raises_on_odd_fields(monkeypatch, q):
     field = PrimeField(q)
-    monkeypatch.setattr(code_module, kernel, lambda rows, arg: [1, q**2 - 2])
-    with pytest.raises(SelfCheckFailed):
+    monkeypatch.setattr(code_module, "_popcount_counts", lambda q, n, masks: [1, 0, q**2 - 2])
+    with pytest.raises(SelfCheckFailed, match="codewords, not q"):
         LinearCode(field, FieldMatrix.from_rows(field, [[1, 0, 1], [0, 1, 1]])).weight_distribution()
+
+
+def test_odd_popcount_check_raises(monkeypatch):
+    # the right total, but one pair of GF(3) encodings 1 bit apart
+    monkeypatch.setattr(code_module, "_popcount_counts", lambda q, n, masks: [1, 1, 7])
+    with pytest.raises(SelfCheckFailed, match="odd number of bits"):
+        LinearCode(GF3, FieldMatrix.from_rows(GF3, [[1, 0, 1], [0, 1, 1]])).weight_distribution()
 
 
 def test_direct_sum_check_raises(monkeypatch):

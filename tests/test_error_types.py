@@ -30,7 +30,6 @@ ARGUMENT_ERRORS = {
     "no rows": lambda: FieldMatrix.from_rows(GF2, []),
     "no columns given": lambda: FieldMatrix.from_columns(GF2, []),
     "ragged columns": lambda: FieldMatrix.from_columns(GF2, [[1, 0], [1]]),
-    "bit packing off GF(2)": lambda: FieldMatrix.from_rows(GF3, [[1, 2]]).row_masks(),
     "unsorted eigenvalues": lambda: SpectrumClaim((1, 3)),
     "weights without w_0": lambda: eigenvalues_from_weights(2, 8, (4, 6)),
     "unknown report format": lambda: emit_report([], "xml"),

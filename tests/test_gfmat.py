@@ -28,6 +28,18 @@ def test_prime_field_accepts_only_gf2_and_gf3(p):
     assert PrimeField(2).q == 2 and PrimeField(3).q == 3
 
 
+@pytest.mark.parametrize("field", [GF2, GF3])
+def test_value_masks_partition_the_columns_by_entry(field):
+    rng = random.Random(field.p)
+    rows = [[rng.randrange(field.p) for _ in range(70)] for _ in range(4)]
+    masks = FieldMatrix.from_rows(field, rows).value_masks()
+    assert len(masks) == len(rows)
+    for row, per_value in zip(rows, masks):
+        assert len(per_value) == field.p
+        for v, mask in enumerate(per_value):
+            assert mask == sum(1 << j for j, e in enumerate(row) if e == v)
+
+
 def test_rref_identity():
     m = FieldMatrix.from_rows(GF2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     reduced, rank, pivots = m.rref()
