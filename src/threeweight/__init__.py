@@ -3,7 +3,7 @@ satisfy w1 + w2 + w3 = 3n(q-1)/q, the strongly walk-regular coset graphs
 they induce, their triple sum sets, and the bounded integral-point searches
 on the associated plane curves."""
 
-from .code import LinearCode, WeightDistribution, construct_named
+from .code import LinearCode, WeightDistribution
 from .gfmat import GF2, GF3, FieldMatrix, PrimeField
 from .matrixio import parse_matrix_file, parse_matrix_text
 
@@ -14,7 +14,6 @@ __all__ = [
     "LinearCode",
     "PrimeField",
     "WeightDistribution",
-    "construct_named",
     "parse_matrix_file",
     "parse_matrix_text",
 ]

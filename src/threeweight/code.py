@@ -1,6 +1,6 @@
 """Linear-code core: weight distributions, projectivity, and the structural
 constructions (simplex, first-order Reed-Muller, direct sums, anticodes,
-subcode projections, the 4*Delta family, the length-23 Golay code).
+the 4*Delta family, the length-23 Golay code).
 
 Codes are immutable.  Weight distributions come from full codeword
 enumeration: the codewords are the differences of two half-dimension spans,
@@ -18,13 +18,11 @@ from itertools import product
 from .errors import (
     ComplementNotSpanning,
     FieldMismatch,
-    InvalidArgument,
     NotProjective,
     RankDeficient,
     SelfCheckFailed,
     SizeExceeded,
     UnsupportedParameters,
-    ZeroVector,
 )
 from .gfmat import GF2, FieldMatrix, PrimeField
 
@@ -54,10 +52,6 @@ class WeightDistribution:
     def frequency(self, w: int) -> int:
         return dict(self.counts).get(w, 0)
 
-    def enumerator(self) -> str:
-        terms = ["1"] + [f"{a}x^{w}" for w, a in self.counts if w > 0]
-        return " + ".join(terms)
-
 
 @dataclass(frozen=True)
 class MultiplicityType:
@@ -70,9 +64,6 @@ class MultiplicityType:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.m)
-
-    def positions(self) -> int:
-        return sum(i * c for i, c in self.m) + self.zero_positions
 
 
 def _canonical_point(field: PrimeField, vec: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -290,35 +281,6 @@ class LinearCode:
             raise SelfCheckFailed("direct-sum enumerator is not the product")
         return out
 
-    def subcode_projection(self, point: tuple[int, ...]) -> "LinearCode":
-        """Image of the code's point multiset under projection away from a
-        point P, re-expressed in V/P; has dimension k-1.
-
-        With m the last nonzero coordinate of P, the basis (P, e_j for
-        j != m) gives V/P the coordinates x - (x_m / P_m) P with coordinate
-        m dropped.  Columns that are P as points map to zero and are removed.
-        """
-        p = self.field.p
-        point = tuple(int(e) % p for e in point)
-        if len(point) != self.k:
-            raise InvalidArgument(f"point must live in F_q^{self.k}")
-        if self.k < 2:
-            raise UnsupportedParameters("projection needs dimension >= 2")
-        rep = _canonical_point(self.field, point)
-        if rep is None:
-            raise ZeroVector("projection point must be nonzero")
-        m = max(i for i, e in enumerate(rep) if e)
-        inv = self.field.inv(rep[m])
-        new_cols = []
-        for col in self.generator.columns():
-            if _canonical_point(self.field, col) == rep:
-                continue
-            c = col[m] * inv
-            y = [(x - c * r) % p for x, r in zip(col, rep)]
-            new_cols.append(tuple(y[:m] + y[m + 1 :]))
-        gen = FieldMatrix.from_columns(self.field, new_cols)
-        return LinearCode(self.field, gen)
-
 
 @lru_cache(maxsize=None)
 def _projective_points(p: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -439,94 +401,3 @@ def theorem_4delta_minus1(a: int) -> LinearCode:
     if code.weight_distribution().as_dict() != expected:
         raise SelfCheckFailed("4*Delta - 1 code has the wrong enumerator")
     return code
-
-
-_CONSTRUCTIONS = {
-    "simplex": simplex,
-    "reed_muller": reed_muller,
-    "theorem_4delta": theorem_4delta,
-    "theorem_4delta_minus1": theorem_4delta_minus1,
-    "golay23": golay23,
-    "parity_check": parity_check_code,
-}
-
-
-def construct_named(name: str, *args: int) -> LinearCode:
-    try:
-        builder = _CONSTRUCTIONS[name]
-    except KeyError:
-        raise UnsupportedParameters(f"unknown construction {name!r}") from None
-    return builder(*args)
-
-
-# -- structural predicates ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class StructuralReport:
-    """Checkable consequences of the classical weight-restriction lemmas."""
-
-    constant_weight: bool
-    bonisoli_ok: bool | None  # constant weight w = u * q^(k-1)
-    bonisoli_u: int | None
-    two_weight_projective: bool
-    delsarte_ok: bool | None  # weights u*p^t, (u+1)*p^t
-    delsarte_u: int | None
-    delsarte_t: int | None
-    three_weight_projective: bool
-    length_bound_ok: bool | None  # n <= (q^k-1)/(q-1) - 2
-    dimension_ok: bool | None  # k >= 3
-    has_nonzero_even_weight: bool | None  # q = 2, k >= 2
-
-
-def structural_predicates(code: LinearCode) -> StructuralReport:
-    weights = code.nonzero_weights()
-    projective, _ = code.is_projective()
-    q, n, k = code.params()
-    p = code.field.p
-
-    constant = len(weights) == 1
-    bonisoli_ok = bonisoli_u = None
-    if constant:
-        w = weights[0]
-        qk1 = q ** (k - 1)
-        bonisoli_ok = w % qk1 == 0
-        bonisoli_u = w // qk1 if bonisoli_ok else None
-
-    two_wt = len(weights) == 2 and projective
-    delsarte_ok = delsarte_u = delsarte_t = None
-    if two_wt:
-        # w1 = u p^t and w2 = (u+1) p^t <=> w2 - w1 is a power of p dividing w1
-        w1, w2 = weights
-        d = w2 - w1
-        t = 0
-        while d % p == 0:
-            d //= p
-            t += 1
-        delsarte_ok = d == 1 and w1 % (w2 - w1) == 0
-        if delsarte_ok:
-            delsarte_u, delsarte_t = w1 // (w2 - w1), t
-
-    three_wt = len(weights) == 3 and projective
-    length_ok = dim_ok = None
-    if three_wt:
-        length_ok = n <= (q**k - 1) // (q - 1) - 2
-        dim_ok = k >= 3
-
-    even_ok = None
-    if q == 2 and k >= 2:
-        even_ok = any(w % 2 == 0 for w in weights)
-
-    return StructuralReport(
-        constant,
-        bonisoli_ok,
-        bonisoli_u,
-        two_wt,
-        delsarte_ok,
-        delsarte_u,
-        delsarte_t,
-        three_wt,
-        length_ok,
-        dim_ok,
-        even_ok,
-    )

@@ -22,6 +22,8 @@ from typing import Iterator
 from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
 
 SEARCH_BOUND_GUARD = 2000
+# the search costs about d * bound^2 and its self-check O(d^2) per point
+DEGREE_GUARD = 25
 
 
 @dataclass(frozen=True)
@@ -83,13 +85,6 @@ def monomial_sum(d: int, t1: int, t2: int, t3: int) -> int:
     return total
 
 
-def identity_check(s: int, t1: int, t2: int, t3: int) -> bool:
-    """Exact equality of the two sides of the eigenvalue identity."""
-    lhs = vandam_lhs(s, t1, t2, t3)
-    rhs = (t1 - t2) * (t1 - t3) * (t2 - t3) * monomial_sum(s - 2, t1, t2, t3)
-    return lhs == rhs
-
-
 def search_integral_points(query: CurveQuery) -> list[ProjectivePoint]:
     """All projective points with integer coordinates of absolute value at
     most the bound on the curve h_d = 0.
@@ -121,6 +116,8 @@ def search_integral_points(query: CurveQuery) -> list[ProjectivePoint]:
     d, bound = query.d, query.bound
     if bound > SEARCH_BOUND_GUARD:
         raise GuardExceeded(f"bound {bound} over guard {SEARCH_BOUND_GUARD}")
+    if d > DEGREE_GUARD:
+        raise GuardExceeded(f"degree {d} over guard {DEGREE_GUARD}")
     if d % 2 == 0:
         return []
     raw = [

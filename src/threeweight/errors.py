@@ -37,10 +37,6 @@ class ComplementNotSpanning(CodesError):
     """Anticode undefined: the complementary point set does not span."""
 
 
-class ZeroVector(CodesError):
-    """A nonzero vector was required."""
-
-
 class DegenerateWeights(CodesError):
     """Weights were required to be pairwise distinct."""
 

@@ -26,19 +26,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from importlib import resources
 from math import gcd, isqrt
 from typing import Iterator
 
 from .code import LinearCode, golay23, parity_check_code, reed_muller, simplex
 from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed, UnsupportedParameters
-from .transform import (
-    dual_numerators,
-    forced_frequencies,
-    solve_three_weight_general,
-    three_weight_solve,
-)
+from .transform import dual_numerators, forced_frequencies
+from .transform import three_weight_solve  # read by perfbench/test_perfbench.py
 
 N_GUARD_Q2 = 1024
 N_GUARD_Q3 = 81
@@ -60,15 +55,11 @@ class Candidate:
     k: int
     weights: tuple[int, int, int]
     frequencies: tuple[int, int, int]
-    b_sequence: tuple[int, ...]
+    b3: int  # B_3 of the dual distribution; B_1 = B_2 = 0 by condition (v)
     delta: int
     verdict: str = "admissible"
     exclusions: tuple[str, ...] = ()  # "<filter>: <reason>" per failing filter
     annotation: Annotation | None = None
-
-    @property
-    def b3(self) -> int:
-        return self.b_sequence[3] if len(self.b_sequence) > 3 else 0
 
     @property
     def t(self) -> int | None:
@@ -141,18 +132,6 @@ def weight_triples(q: int, n: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def solve_frequencies(
-    q: int, n: int, k: int, weights: tuple[int, int, int]
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Frequencies forced by the first moments with B_1 = B_2 = 0, as exact
-    rationals from the closed-form solvers (the reference for the integer
-    transform.forced_frequencies that evaluate_candidate uses)."""
-    w1, w2, w3 = weights
-    if q == 2:
-        return three_weight_solve(n, k, w1, w2, w3).frequencies
-    return solve_three_weight_general(n, k, q, w1, w2, w3)
-
-
 def dual_sequence_exact(
     q: int, n: int, k: int, weights: tuple[int, int, int], freqs: tuple[int, int, int]
 ) -> tuple[int, ...] | None:
@@ -191,7 +170,7 @@ def evaluate_candidate(q: int, n: int, k: int, weights: tuple[int, int, int]) ->
         return None  # condition (iv): dual distribution
     if b_seq[0] != 1 or b_seq[1] != 0 or b_seq[2] != 0:
         return None  # condition (v)
-    return Candidate(q, n, k, weights, freqs, b_seq, delta)
+    return Candidate(q, n, k, weights, freqs, b_seq[3], delta)
 
 
 def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candidate]:
@@ -275,7 +254,7 @@ def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candida
                             b_seq = dual_sequence_exact(q, n, k, weights, freqs)
                             # condition (iv) on the dual distribution, then (v)
                             if b_seq is not None and b_seq[:3] == (1, 0, 0):
-                                yield Candidate(q, n, k, weights, freqs, b_seq, delta)
+                                yield Candidate(q, n, k, weights, freqs, b_seq[3], delta)
                 y *= q
                 k += 1
 
@@ -449,12 +428,11 @@ _FILTERS = {
     "hamming-anticode": _filter_hamming_anticode,
 }
 
-FILTER_ORDER = tuple(_FILTERS)
 
-
-def apply_filters(candidate: Candidate, order: tuple[str, ...] = FILTER_ORDER) -> Candidate:
-    """Run the exclusion filters (all of them; the verdict is order-free)."""
-    found = ((name, _FILTERS[name](candidate)) for name in order)
+def apply_filters(candidate: Candidate) -> Candidate:
+    """Run every exclusion filter; each is a pure function of the candidate,
+    and the verdict is "excluded" when any of them fails."""
+    found = ((name, check(candidate)) for name, check in _FILTERS.items())
     exclusions = tuple(f"{name}: {why}" for name, why in found if why is not None)
     verdict = "excluded" if exclusions else candidate.verdict
     return replace(candidate, exclusions=exclusions, verdict=verdict)

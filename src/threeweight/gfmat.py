@@ -95,9 +95,6 @@ class FieldMatrix:
     def row(self, i: int) -> bytes:
         return self._rows[i]
 
-    def entry(self, i: int, j: int) -> int:
-        return self._rows[i][j]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self._rows)
 
@@ -174,24 +171,3 @@ class FieldMatrix:
 
     def rank(self) -> int:
         return self.rref().rank
-
-    def kernel_basis(self) -> "FieldMatrix":
-        """Basis of the right null space, one vector per row.
-
-        The result has ncols(self) - rank(self) rows; zero rows means the
-        kernel is trivial (the returned matrix then has nrows == 0).
-        """
-        p = self.field.p
-        reduced, rank, pivots = self.rref()
-        pivot_set = set(pivots)
-        free_cols = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for f in free_cols:
-            v = bytearray(self.ncols)
-            v[f] = 1
-            for row_idx, pcol in enumerate(pivots):
-                coeff = reduced.entry(row_idx, f)
-                if coeff:
-                    v[pcol] = (-coeff) % p
-            basis.append(bytes(v))
-        return FieldMatrix(self.field, tuple(basis), self.ncols)

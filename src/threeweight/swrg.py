@@ -144,10 +144,6 @@ class CosetGraph:
     def degree(self) -> int:
         return len(self.omega)
 
-    def neighbors(self, v: int) -> list[int]:
-        table = self._add_table(v)  # v + w = w + v
-        return sorted(table[w] for w in self.omega)
-
     def apply_adjacency(self, vec: list[int]) -> list[int]:
         """(A vec)[h] = sum over connection elements of vec[h - w]: the
         inverse transform of lambda times the transform of vec."""

@@ -9,8 +9,8 @@ rejects on the first nonzero remainder, the per-case route of
 feasibility.evaluate_candidate; the per-length kernel
 feasibility.length_candidates inlines the same arithmetic and is tested
 against that route.  solve_three_weight_general gives the same values as
-fractions.  The binary closed forms three_weight_solve and pmt_frequencies
-are kept as rational references.
+fractions.  The binary closed form three_weight_solve is kept as a rational
+reference.
 
 The dual distribution has one route too: dual_numerators yields
 q^k B_i = sum_j K_i(j) A_j one i at a time, stepping the Krawtchouk
@@ -151,33 +151,6 @@ def three_weight_solve(n: int, k: int, w1: int, w2: int, w3: int) -> ThreeWeight
                 f"MacWilliams transform disagrees with the closed form for "
                 f"n={n}, k={k}, weights={(w1, w2, w3)}: B_0..B_3 = {b[:4]}, B_3 = {b3}"
             )
-    return sol
-
-
-def pmt_frequencies(n: int, k: int, t: int) -> ThreeWeightSolution:
-    """Frequencies for the symmetric binary weight triple (n/2-t, n/2, n/2+t).
-
-    Must agree with three_weight_solve on the same inputs; a disagreement
-    raises SelfCheckFailed.
-    """
-    if t < 1:
-        raise InvalidArgument("t must be >= 1")
-    if n % 2 != 0:
-        raise InvalidArgument("n must be even")
-    w1, w2, w3 = n // 2 - t, n // 2, n // 2 + t
-    if not (1 <= w1 and w3 <= n):
-        raise InvalidArgument(f"weights {(w1, w2, w3)} out of range for n={n}")
-    y = 1 << (k - 2)
-    a1 = Fraction(n * (4 * y - n - 2 * t), 8 * t * t)
-    a2 = 4 * y - 1 - Fraction(n * (4 * y - n), 4 * t * t)
-    a3 = Fraction(n * (4 * y - n + 2 * t), 8 * t * t)
-    b3 = Fraction(n * (n - 2 * t) * (n + 2 * t), 8 * y) / 3
-    sol = ThreeWeightSolution(2, n, k, (w1, w2, w3), (a1, a2, a3), b3, y)
-    general = three_weight_solve(n, k, w1, w2, w3)
-    if sol.frequencies != general.frequencies or sol.b3 != general.b3:
-        raise SelfCheckFailed(
-            f"symmetric closed form disagrees with three_weight_solve for n={n}, k={k}, t={t}"
-        )
     return sol
 
 

@@ -7,20 +7,18 @@ recurses over the coefficient of each row in turn and builds every codeword
 as a tuple from the previous one.  `gray_weight_counts` visits the codewords
 in a third order, the modular q-ary Gray code, one row added per step.
 
-Subcode projection: the library writes the quotient coordinates in closed
-form; `projection_by_basis_completion` completes the point to a basis and
-inverts the change of basis.  Projective points: the library filters
-`itertools.product`; `projective_points_by_walk` walks every vector and
-keeps the first member of each class.  Both are plain integer arithmetic
-mod p, so the points are compared for primes beyond the two fields.
+Dual codes: the library needs no null space, so `kernel_basis` reads one
+off the reduced row-echelon form for the tests that build a dual code.
+Projective points: the library filters `itertools.product`;
+`projective_points_by_walk` walks every vector and keeps the first member
+of each class.  Both points routes are plain integer arithmetic mod p, so
+they are compared for primes beyond the two fields.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from threeweight.code import LinearCode, _canonical_point
-from threeweight.errors import InvalidArgument, RankDeficient, UnsupportedParameters, ZeroVector
 from threeweight.gfmat import FieldMatrix
 
 
@@ -85,51 +83,21 @@ def gray_weight_counts(rows: tuple[tuple[int, ...], ...], p: int, span: int) -> 
     return counts
 
 
-def projection_by_basis_completion(code: LinearCode, point: tuple[int, ...]) -> LinearCode:
-    """`code.subcode_projection(point)` by general linear algebra: complete
-    P to a basis of F_q^k greedily with unit vectors (one rank test each),
-    invert the change of basis by row reduction, and keep every coordinate
-    but the one along P."""
-    field = code.field
-    p = field.p
-    point = tuple(int(e) % p for e in point)
-    if len(point) != code.k:
-        raise InvalidArgument(f"point must live in F_q^{code.k}")
-    if code.k < 2:
-        raise UnsupportedParameters("projection needs dimension >= 2")
-    rep = _canonical_point(field, point)
-    if rep is None:
-        raise ZeroVector("projection point must be nonzero")
-    mat = [rep]
-    for j in range(code.k):
-        e = tuple(1 if i == j else 0 for i in range(code.k))
-        if FieldMatrix.from_rows(field, mat + [e]).rank() == len(mat) + 1:
-            mat.append(e)
-        if len(mat) == code.k:
-            break
-    binv = _matrix_inverse(FieldMatrix.from_rows(field, mat))
-    new_cols = []
-    for col in code.generator.columns():
-        if _canonical_point(field, col) == rep:
-            continue  # points equal to P are removed by the projection
-        coords = _matvec(FieldMatrix.from_columns(field, binv.to_rows()), col, p)
-        new_cols.append(coords[1:])
-    return LinearCode(field, FieldMatrix.from_columns(field, new_cols))
-
-
-def _matvec(m: FieldMatrix, v: tuple[int, ...], p: int) -> tuple[int, ...]:
-    return tuple(sum(r[j] * v[j] for j in range(len(v))) % p for r in m.to_rows())
-
-
-def _matrix_inverse(m: FieldMatrix) -> FieldMatrix:
-    n = m.nrows
-    aug = FieldMatrix.from_rows(
-        m.field, (tuple(m.row(i)) + tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    )
-    reduced, rank, _ = aug.rref()
-    if rank != n:
-        raise RankDeficient("matrix is singular")
-    return FieldMatrix.from_rows(m.field, (tuple(reduced.row(i))[n:] for i in range(n)))
+def kernel_basis(m: FieldMatrix) -> FieldMatrix:
+    """Basis of the right null space of m, one vector per row, read off
+    the reduced row-echelon form: one vector per free column.  The result
+    has ncols - rank rows; a trivial kernel gives a matrix with no rows."""
+    p = m.field.p
+    reduced, _, pivots = m.rref()
+    rows = reduced.to_rows()
+    basis = []
+    for f in sorted(set(range(m.ncols)) - set(pivots)):
+        v = bytearray(m.ncols)
+        v[f] = 1
+        for row, pcol in zip(rows, pivots):
+            v[pcol] = -row[f] % p
+        basis.append(bytes(v))
+    return FieldMatrix(m.field, tuple(basis), m.ncols)
 
 
 def projective_points_by_walk(p: int, k: int) -> tuple[tuple[int, ...], ...]:

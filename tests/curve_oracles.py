@@ -11,12 +11,14 @@ coordinates through the telescoped numerator
     N(a,b,c) = (b-c) a^(d+2) + (c-a) b^(d+2) + (a-b) c^(d+2)
 
 and the coincident-coordinate lines (where N vanishes identically) by the
-direct monomial sum, for every degree, odd or even.
+direct monomial sum, for every degree, odd or even.  `identity_check`
+compares the two sides of the eigenvalue identity in the `curve` module
+docstring exactly.
 """
 
 from __future__ import annotations
 
-from threeweight.curve import monomial_sum, normalize_point
+from threeweight.curve import monomial_sum, normalize_point, vandam_lhs
 
 
 def horner(coeffs: list[int], c: int) -> int:
@@ -79,3 +81,12 @@ def box_search(d: int, bound: int) -> list[tuple[int, int, int]]:
         ):
             points.add(normalize_point(perm).coords())
     return sorted(points)
+
+
+def identity_check(s: int, t1: int, t2: int, t3: int) -> bool:
+    """Exact equality of the two sides of the eigenvalue identity
+    (t2-t3) t1^s + (t3-t1) t2^s + (t1-t2) t3^s
+    = (t1-t2)(t1-t3)(t2-t3) h_(s-2)(t1, t2, t3)."""
+    lhs = vandam_lhs(s, t1, t2, t3)
+    rhs = (t1 - t2) * (t1 - t3) * (t2 - t3) * monomial_sum(s - 2, t1, t2, t3)
+    return lhs == rhs

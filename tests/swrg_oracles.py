@@ -23,6 +23,12 @@ def digitwise_add_table(w: int, q: int, k: int) -> list[int]:
     ]
 
 
+def neighbors(graph: CosetGraph, v: int) -> list[int]:
+    """The vertices v + w for w in Omega, by the digit-wise table of v."""
+    table = digitwise_add_table(v, graph.q, graph.k)
+    return sorted(table[w] for w in graph.omega)
+
+
 def direct_adjacency(graph: CosetGraph) -> Callable[[list[int]], list[int]]:
     """vec -> (A vec)[h] = sum over w in Omega of vec[h - w], by direct
     convolution: h - w + w = h by xor over q = 2 and by digit-wise

@@ -13,15 +13,8 @@ import time
 
 from threeweight.cli import main as cli_main
 from threeweight.code import LinearCode, golay23, theorem_4delta
-from threeweight.curve import CurveQuery, identity_check, search_integral_points
-from threeweight.feasibility import (
-    FILTER_ORDER,
-    apply_filters,
-    counterexample_scan,
-    enumerate_candidates,
-    feasibility_report,
-    kn_witness,
-)
+from threeweight.curve import CurveQuery, search_integral_points
+from threeweight.feasibility import counterexample_scan, feasibility_report, kn_witness
 from threeweight.gfmat import GF2, FieldMatrix
 from threeweight.matrixio import parse_matrix_file
 from threeweight.swrg import (
@@ -32,11 +25,13 @@ from threeweight.swrg import (
     tss_check,
     verify_spectrum,
 )
-from threeweight.transform import dual_distribution, pmt_frequencies, three_weight_solve
+from threeweight.transform import dual_distribution, three_weight_solve
 
 from catalog import TABLE1, TABLE2, TABLE3
 from conftest import data_path
+from curve_oracles import identity_check
 from swrg_oracles import direct_triple_counts, spectrum_by_annihilator
+from transform_oracles import pmt_frequencies
 
 
 def _verdict_of(comment: str) -> str:
@@ -195,12 +190,6 @@ def test_criterion_8_property_suites(fixture_codes):
         sol = pmt_frequencies(n, k, t)
         general = three_weight_solve(n, k, n // 2 - t, n // 2, n // 2 + t)
         assert sol.frequencies == general.frequencies and sol.b3 == general.b3
-    # verdicts are invariant under filter order
-    cands = enumerate_candidates(2, 4, 71)
-    base = [apply_filters(c).verdict for c in cands]
-    order = list(FILTER_ORDER)
-    rng.shuffle(order)
-    assert [apply_filters(c, tuple(order)).verdict for c in cands] == base
     # survivor frequency-difference identity
     for c in feasibility_report(2, 4, 71):
         if c.verdict != "excluded":
@@ -237,7 +226,7 @@ def test_criterion_9_exhaustive_small_oracle():
     def act(mat_rows, colset):
         m = FieldMatrix.from_rows(GF2, mat_rows)
         return frozenset(
-            tuple(sum(m.entry(i, j) * col[j] for j in range(3)) % 2 for i in range(3))
+            tuple(sum(m.row(i)[j] * col[j] for j in range(3)) % 2 for i in range(3))
             for col in colset
         )
 

@@ -298,6 +298,15 @@ def test_curve_bound_over_guard_exits_2(capsys):
     assert err == "error: bound 2001 over guard 2000\n"
 
 
+@pytest.mark.parametrize("d", ["26", "99999"])
+def test_curve_degree_over_guard_exits_2(capsys, d):
+    # d = 99999 once ran for minutes in the O(d^2) self-check; an even
+    # degree over the guard once printed no points
+    rc, out, err = run_cli(capsys, "curve", "--d", d, "--bound", "5")
+    assert rc == 2 and out == ""
+    assert err == f"error: degree {d} over guard 25\n"
+
+
 def test_scan_command(capsys):
     rc, out, _ = run_cli(
         capsys, "scan-counterexamples", "--n-max", "120", "--format", "json",

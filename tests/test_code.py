@@ -9,12 +9,10 @@ from threeweight import code as code_module
 from threeweight.code import (
     LinearCode,
     MultiplicityType,
-    construct_named,
     golay23,
     parity_check_code,
     reed_muller,
     simplex,
-    structural_predicates,
     theorem_4delta,
     theorem_4delta_minus1,
 )
@@ -24,8 +22,6 @@ from threeweight.errors import (
     RankDeficient,
     SelfCheckFailed,
     SizeExceeded,
-    UnsupportedParameters,
-    ZeroVector,
 )
 from threeweight.gfmat import GF2, GF3, FieldMatrix, PrimeField
 from threeweight.matrixio import parse_matrix_file
@@ -92,7 +88,6 @@ def test_derived_codes_start_without_kept_projectivity():
         code.even_weight_subcode(),
         code.anticode(),
         code.direct_sum(code),
-        code.subcode_projection((1, 0, 0)),
     ]
     for d in derived:
         assert d is not code
@@ -103,7 +98,7 @@ def test_derived_codes_start_without_kept_projectivity():
 def test_multiplicity_type_positions_invariant(fixture_codes):
     for _, code, _ in fixture_codes[:10]:
         flag, mult = code.is_projective()
-        assert flag and mult.positions() == code.n
+        assert flag and sum(i * c for i, c in mult.m) + mult.zero_positions == code.n
         assert mult.as_dict() == {1: code.n}
 
 
@@ -274,80 +269,6 @@ def test_direct_sum_field_mismatch():
         simplex(2, 2).direct_sum(simplex(3, 2))
 
 
-def test_subcode_projection_of_simplex():
-    s = simplex(2, 3)
-    proj = s.subcode_projection((1, 0, 0))
-    assert (proj.n, proj.k) == (6, 2)
-    # oracle: the image multiset is the 2-fold repetition of the planar simplex
-    pts = {}
-    for col in proj.generator.columns():
-        pts[col] = pts.get(col, 0) + 1
-    assert sorted(pts.values()) == [2, 2, 2]
-    assert proj.weight_distribution().as_dict() == {0: 1, 4: 3}
-
-
-def test_subcode_projection_zero_vector():
-    with pytest.raises(ZeroVector):
-        simplex(2, 3).subcode_projection((0, 0, 0))
-
-
-def test_subcode_projection_is_codim1_subcode_reexpressed():
-    # words of the projection are exactly the codewords whose hyperplane
-    # contains P, with matching weights
-    code = parse_matrix_file(data_path("matrices/q2_n008_k04_w2_4_6.txt"))
-    point = (1, 0, 1, 0)
-    proj = code.subcode_projection(point)
-    rows = code.generator.to_rows()
-    sub_weights: dict[int, int] = {}
-    for m in range(1 << code.k):
-        x = [(m >> i) & 1 for i in range(code.k)]
-        if sum(a * b for a, b in zip(x, point)) % 2:
-            continue  # hyperplane of this codeword misses P
-        word = tuple(
-            sum(rows[i][j] for i in range(code.k) if x[i]) % 2 for j in range(code.n)
-        )
-        w = sum(word)
-        sub_weights[w] = sub_weights.get(w, 0) + 1
-    assert proj.weight_distribution().as_dict() == sub_weights
-
-
-def test_subcode_projection_multiplicity_zero_point_keeps_cardinality():
-    code = lemma_four_three()  # its point set misses three points of the plane
-    missing = next(
-        p
-        for p in [(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
-        if p not in code.point_set()
-    )
-    proj = code.subcode_projection(missing)
-    assert proj.n == code.n
-
-
-def test_subcode_projection_recovers_4delta_codes():
-    # projecting the doubled Reed-Muller block structure: at a point off the
-    # point set (affine part of one block + infinity part of the other) the
-    # image is the extremal length-4D code; at a point of the point set it is
-    # the simplex + Reed-Muller direct sum of length 4D-1
-    a = 3
-    rm = reed_muller(2, a + 2)
-    bar = rm.direct_sum(rm)
-    k2 = a + 2
-    # u = affine point of block 1 (its all-one coordinate sits last in the
-    # block), w = a nonzero infinity point of block 2
-    glue = tuple(
-        1 if i in (k2 - 1, k2) else 0 for i in range(2 * k2)
-    )
-    assert glue not in bar.point_set()
-    proj = bar.subcode_projection(glue)
-    target = theorem_4delta(a)
-    assert proj.weight_distribution().as_dict() == target.weight_distribution().as_dict()
-    assert proj.is_projective()[0]
-
-    inside = next(iter(bar.point_set()))
-    proj1 = bar.subcode_projection(inside)
-    minus1 = theorem_4delta_minus1(a)
-    assert proj1.weight_distribution().as_dict() == minus1.weight_distribution().as_dict()
-
-
 @pytest.mark.parametrize(
     "a,expect",
     [
@@ -381,28 +302,6 @@ def test_reed_muller_enumerator():
         assert (code.n, code.k) == (q ** (k - 1), k)
         expect = {0: 1, (q - 1) * q ** (k - 2): q**k - q, q ** (k - 1): q - 1}
         assert code.weight_distribution().as_dict() == expect
-
-
-def test_construct_named_dispatch():
-    assert construct_named("simplex", 2, 3).n == 7
-    assert construct_named("parity_check", 6).k == 5
-    with pytest.raises(UnsupportedParameters):
-        construct_named("mystery")
-
-
-def test_structural_predicates():
-    rm = structural_predicates(reed_muller(2, 4))
-    assert rm.two_weight_projective and rm.delsarte_ok
-    assert (rm.delsarte_u, rm.delsarte_t) == (1, 2)
-
-    s = structural_predicates(simplex(3, 3))
-    assert s.constant_weight and s.bonisoli_ok and s.bonisoli_u == 1
-
-    l43 = structural_predicates(lemma_four_three())
-    assert l43.three_weight_projective
-    assert l43.length_bound_ok  # 4 <= 2^3 - 1 - 2
-    assert l43.dimension_ok
-    assert l43.has_nonzero_even_weight
 
 
 def test_power_moments_binary_closed_forms(fixture_codes):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from threeweight import curve
 from threeweight.curve import (
     CurveQuery,
-    identity_check,
     monomial_sum,
     normalize_point,
     search_integral_points,
@@ -18,7 +17,7 @@ from threeweight.curve import (
 )
 from threeweight.errors import CodesError, GuardExceeded, SelfCheckFailed
 
-from curve_oracles import box_search, horner, least_nonnegative
+from curve_oracles import box_search, horner, identity_check, least_nonnegative
 
 OBVIOUS = [(0, 1, -1), (1, -1, 0), (1, 0, -1)]
 
@@ -91,6 +90,15 @@ def test_search_returns_only_obvious_points(d, bound):
 def test_search_guard():
     with pytest.raises(GuardExceeded):
         search_integral_points(CurveQuery(3, 2001))
+
+
+def test_degree_guard_admits_its_own_degree():
+    assert curve.DEGREE_GUARD >= 12  # the largest degree tests/test_cli_fuzz.py draws
+    pts = [p.coords() for p in search_integral_points(CurveQuery(curve.DEGREE_GUARD, 5))]
+    assert pts == (OBVIOUS if curve.DEGREE_GUARD % 2 else [])
+    for d in (curve.DEGREE_GUARD + 1, curve.DEGREE_GUARD + 2):
+        with pytest.raises(GuardExceeded):
+            search_integral_points(CurveQuery(d, 5))
 
 
 def test_search_output_closed_under_coordinate_permutations():

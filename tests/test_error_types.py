@@ -9,20 +9,21 @@ import pytest
 
 from threeweight import errors
 from threeweight.cli import emit_report
-from threeweight.code import simplex
 from threeweight.errors import CodesError
 from threeweight.gfmat import GF2, GF3, FieldMatrix
 from threeweight.swrg import SpectrumClaim, eigenvalues_from_weights
-from threeweight.transform import pmt_frequencies, three_weight_solve
+from threeweight.transform import three_weight_solve
+
+from transform_oracles import pmt_frequencies
 
 ARGUMENT_ERRORS = {
     "counts of a non-integral solution": lambda: three_weight_solve(5, 3, 1, 2, 4).counts(),
     "unordered weights": lambda: three_weight_solve(8, 3, 6, 4, 2),
     "dimension below 2": lambda: three_weight_solve(8, 1, 2, 4, 6),
+    # the symmetric-triple oracle rejects its domain with the same errors
     "pmt with t < 1": lambda: pmt_frequencies(8, 3, 0),
     "pmt with odd n": lambda: pmt_frequencies(7, 3, 1),
     "pmt weights out of range": lambda: pmt_frequencies(8, 3, 5),
-    "projection point of the wrong length": lambda: simplex(3, 2).subcode_projection((1, 1, 0)),
     "inverse of 0": lambda: GF3.inv(0),
     "no columns": lambda: FieldMatrix(GF2, (), 0),
     "ragged packed rows": lambda: FieldMatrix(GF2, (b"\x00",), 2),

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import comb, gcd
 
@@ -11,7 +10,6 @@ from threeweight.code import parity_check_code
 from threeweight.errors import CodesError, GuardExceeded, SelfCheckFailed, UnsupportedParameters
 from threeweight.feasibility import (
     ANTICODE_HAMMING_LIMIT,
-    FILTER_ORDER,
     N_GUARD_Q2,
     Candidate,
     apply_filters,
@@ -26,7 +24,6 @@ from threeweight.feasibility import (
     length_candidates,
     load_annotations,
     merge_annotations,
-    solve_frequencies,
     weight_triples,
 )
 from threeweight.transform import three_weight_solve
@@ -60,7 +57,7 @@ def test_condition_ii_repetition_exclusion():
     for k in (6, 7, 8):
         assert evaluate_candidate(2, 36, k, (12, 18, 24)) is None
         # the frequencies the moment solve would force are still computable
-        freqs = solve_frequencies(2, 36, k, (12, 18, 24))
+        freqs = three_weight_solve(36, k, 12, 18, 24).frequencies
         assert tuple(int(f) for f in freqs) == {
             6: (2, 56, 5), 7: (10, 104, 13), 8: (26, 200, 29)
         }[k]
@@ -199,19 +196,6 @@ FILTER_CASES = [
 )
 def test_filter_reasons_pinned(name, record, want):
     assert [r for r in apply_filters(record()).reasons() if r.startswith(name)] == want
-
-
-def test_filter_order_invariance():
-    rng = random.Random(41)
-    cands = enumerate_candidates(2, 4, 71)
-    base = {(c.n, c.k, c.weights): apply_filters(c).verdict for c in cands}
-    for _ in range(4):
-        order = list(FILTER_ORDER)
-        rng.shuffle(order)
-        shuffled = {
-            (c.n, c.k, c.weights): apply_filters(c, tuple(order)).verdict for c in cands
-        }
-        assert shuffled == base
 
 
 def test_hamming_bound():

@@ -35,7 +35,9 @@ def test_candidate_dual_sequences_match_symbolic_transform(q, lo, hi, table):
     for c in cands.values():
         counts = {0: 1}
         counts.update(zip(c.weights, c.frequencies))
-        assert list(c.b_sequence) == sympy_dual(c.n, q, c.k, counts), (c.n, c.k)
+        b = sympy_dual(c.n, q, c.k, counts)
+        assert list(dual_sequence_exact(q, c.n, c.k, c.weights, c.frequencies)) == b, (c.n, c.k)
+        assert c.b3 == b[3], (c.n, c.k)
     for n, k, w, freqs, _ in table:
         assert cands[(n, k, w)].frequencies == freqs
 

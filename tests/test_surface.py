@@ -1,0 +1,104 @@
+"""The library stays the size of what it runs: every top-level function,
+class and method defined under src/ is referenced somewhere in src/ outside
+its own definition, unless the allowlist below names it with a reason."""
+
+from __future__ import annotations
+
+import ast
+from importlib import resources
+from pathlib import Path
+
+# The names `perfbench/bench_trace.py` TARGETS traces and
+# `perfbench/test_perfbench.py` requires to exist; they leave src/ once the
+# benchmark stops tracing them.
+BENCHMARK_PINNED = {
+    "feasibility.weight_triples",
+    "feasibility.evaluate_candidate",
+    "swrg.CosetGraph.apply_adjacency",
+    "transform.krawtchouk_column",
+    "transform.solve_three_weight_general",
+}
+
+ALLOWED = {
+    # the CLI entry point, the console script `threeweight.cli:main`
+    "cli.main",
+    # `threeweight.__all__` exports
+    "gfmat.FieldMatrix",
+    "gfmat.PrimeField",
+    "code.LinearCode",
+    "code.WeightDistribution",
+    "matrixio.parse_matrix_file",
+    "matrixio.parse_matrix_text",
+    *BENCHMARK_PINNED,
+    # constructions from the paper that only the tests build
+    "code.theorem_4delta",
+    "code.theorem_4delta_minus1",
+    # the parser's inverse, which the round-trip fuzz runs
+    "matrixio.serialize_matrix",
+}
+
+BENCH_TRACE = Path(__file__).resolve().parent.parent / "perfbench" / "bench_trace.py"
+
+
+def _definitions(module: str, tree: ast.Module):
+    """(qualified name, node) for each top-level function and class and
+    each method, dunders aside since Python calls those implicitly."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                    yield f"{module}.{node.name}.{member.name}", member
+
+
+def _references(module: str, tree: ast.Module):
+    """(module, line, name) for each Name, Attribute and imported alias."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield module, node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield module, node.lineno, node.attr
+        elif isinstance(node, ast.alias):
+            yield module, node.lineno, node.name
+
+
+def _surface():
+    trees = {
+        path.name[:-3]: ast.parse(path.read_text(encoding="utf-8"))
+        for path in resources.files("threeweight").iterdir()
+        if path.name.endswith(".py")
+    }
+    defined = [d for module, tree in trees.items() for d in _definitions(module, tree)]
+    # __init__ only re-exports; its imports are the public API, not a use
+    refs = [
+        r for module, tree in trees.items() if module != "__init__"
+        for r in _references(module, tree)
+    ]
+    return defined, refs
+
+
+def test_every_definition_is_referenced_or_allowed():
+    defined, refs = _surface()
+    unused = []
+    for qualified, node in defined:
+        module, name = qualified.split(".")[0], qualified.rpartition(".")[2]
+        inside = range(node.lineno, node.end_lineno + 1)
+        if not any(r == name and not (m == module and line in inside) for m, line, r in refs):
+            unused.append(qualified)
+    assert sorted(set(unused) - ALLOWED) == []
+
+
+def test_allowlist_names_live_definitions():
+    defined = {qualified for qualified, _ in _surface()[0]}
+    assert sorted(ALLOWED - defined) == []
+
+
+def test_benchmark_pinned_names_are_traced():
+    tree = ast.parse(BENCH_TRACE.read_text(encoding="utf-8"))
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TARGETS"
+    )
+    traced = {f"{module}.{attr}" for module, attr, _, _ in targets}
+    assert sorted(BENCHMARK_PINNED - traced) == []

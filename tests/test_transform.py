@@ -16,13 +16,14 @@ from threeweight.transform import (
     dual_numerators,
     forced_frequencies,
     krawtchouk_column,
-    pmt_frequencies,
     solve_three_weight_general,
     three_weight_solve,
 )
 
+import transform_oracles
 from catalog import dimension_range
-from transform_oracles import binomial, cramer_frequencies, det3, krawtchouk
+from code_oracles import kernel_basis
+from transform_oracles import binomial, cramer_frequencies, det3, krawtchouk, pmt_frequencies
 
 
 def test_binomial_generalized():
@@ -60,7 +61,7 @@ def test_dual_distribution_simplex_vs_direct_enumeration():
     # oracle: enumerate the dual (= [7,4] Hamming) directly from the kernel
     from threeweight.code import LinearCode
 
-    dual = LinearCode(GF2, s3.generator.kernel_basis())
+    dual = LinearCode(GF2, kernel_basis(s3.generator))
     direct = dual.weight_distribution()
     assert [int(v) for v in b] == [direct.frequency(i) for i in range(8)]
     assert [int(v) for v in b] == [1, 0, 0, 7, 7, 0, 0, 1]
@@ -257,6 +258,6 @@ def test_pmt_frequencies_agreement_check_raises(monkeypatch):
         a1, a2, a3 = sol.frequencies
         return replace(sol, frequencies=(a1 + 1, a2, a3))
 
-    monkeypatch.setattr(transform, "three_weight_solve", shifted)
+    monkeypatch.setattr(transform_oracles, "three_weight_solve", shifted)
     with pytest.raises(SelfCheckFailed):
         pmt_frequencies(32, 10, 8)

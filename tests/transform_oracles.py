@@ -6,7 +6,9 @@ the forced frequencies from the Lagrange form over K_1 alone
 sums of generalized binomials, and solve the moment system sum A = q^k - 1, B_1 = B_2 = 0
 built from them by Cramer's rule with a 3x3 determinant per column.  Power
 moments, which the library does not need, are the plain sums the tests
-compare with their closed forms.
+compare with their closed forms.  `pmt_frequencies` is the closed form for
+the symmetric binary triple (n/2 - t, n/2, n/2 + t), checked against
+transform.three_weight_solve on every call.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from threeweight.errors import DegenerateWeights, SelfCheckFailed
+from threeweight.errors import DegenerateWeights, InvalidArgument, SelfCheckFailed
+from threeweight.transform import ThreeWeightSolution, three_weight_solve
 
 
 def binomial(x: int, nu: int) -> int:
@@ -95,3 +98,30 @@ def cramer_frequencies(
             mc[r][col] = rhs[r]
         sols.append(Fraction(det3(mc), d))
     return sols[0], sols[1], sols[2]
+
+
+def pmt_frequencies(n: int, k: int, t: int) -> ThreeWeightSolution:
+    """Frequencies for the symmetric binary weight triple (n/2-t, n/2, n/2+t).
+
+    Must agree with three_weight_solve on the same inputs; a disagreement
+    raises SelfCheckFailed.
+    """
+    if t < 1:
+        raise InvalidArgument("t must be >= 1")
+    if n % 2 != 0:
+        raise InvalidArgument("n must be even")
+    w1, w2, w3 = n // 2 - t, n // 2, n // 2 + t
+    if not (1 <= w1 and w3 <= n):
+        raise InvalidArgument(f"weights {(w1, w2, w3)} out of range for n={n}")
+    y = 1 << (k - 2)
+    a1 = Fraction(n * (4 * y - n - 2 * t), 8 * t * t)
+    a2 = 4 * y - 1 - Fraction(n * (4 * y - n), 4 * t * t)
+    a3 = Fraction(n * (4 * y - n + 2 * t), 8 * t * t)
+    b3 = Fraction(n * (n - 2 * t) * (n + 2 * t), 8 * y) / 3
+    sol = ThreeWeightSolution(2, n, k, (w1, w2, w3), (a1, a2, a3), b3, y)
+    general = three_weight_solve(n, k, w1, w2, w3)
+    if sol.frequencies != general.frequencies or sol.b3 != general.b3:
+        raise SelfCheckFailed(
+            f"symmetric closed form disagrees with three_weight_solve for n={n}, k={k}, t={t}"
+        )
+    return sol
