@@ -122,11 +122,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif args.graph or args.tss:
         graph = swrg.coset_graph(code)
         if args.graph:
-            claim = swrg.eigenvalues_from_weights(q, n, (0,) + weights)
-            spec_ok = swrg.verify_spectrum(graph, claim)
+            eigenvalues = swrg.eigenvalues_from_weights(q, n, (0,) + weights)
+            spec_ok = swrg.verify_spectrum(graph, eigenvalues)
             walk = swrg.is_s_swrg(graph, 3)
             print(f"coset graph: {graph.nvertices} vertices, {graph.degree}-regular; "
-                  f"spectrum {claim.eigenvalues} verified: {spec_ok}; "
+                  f"spectrum {eigenvalues} verified: {spec_ok}; "
                   f"3-walk-regular: {walk.is_swrg} {walk.constants or ''}")
             if not spec_ok:
                 failures.append("spectrum verification failed")

@@ -15,15 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .errors import (
-    ComplementNotSpanning,
-    FieldMismatch,
-    NotProjective,
-    RankDeficient,
-    SelfCheckFailed,
-    SizeExceeded,
-    UnsupportedParameters,
-)
+from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
 from .gfmat import GF2, FieldMatrix, PrimeField
 
 ENUMERATION_GUARD = 1 << 26
@@ -136,13 +128,11 @@ class LinearCode:
 
     def __init__(self, field: PrimeField, generator: FieldMatrix):
         if generator.field.p != field.p:
-            raise FieldMismatch("generator matrix is over a different field")
+            raise InvalidArgument("generator matrix is over a different field")
         if generator.nrows < 1:
-            raise RankDeficient("a code needs at least one generator row")
+            raise InvalidArgument("a code needs at least one generator row")
         if generator.rank() != generator.nrows:
-            raise RankDeficient(
-                f"generator has rank {generator.rank()} < {generator.nrows} rows"
-            )
+            raise InvalidArgument(f"generator has rank {generator.rank()} < {generator.nrows} rows")
         self.field = field
         self.generator = generator
         self.n = generator.ncols
@@ -168,7 +158,7 @@ class LinearCode:
         if self._distribution is not None:
             return self._distribution
         if self.q**self.k > ENUMERATION_GUARD:
-            raise SizeExceeded(f"q^k = {self.q}**{self.k} exceeds the enumeration guard")
+            raise GuardExceeded(f"q^k = {self.q}**{self.k} exceeds the enumeration guard")
         counts = _popcount_counts(self.q, self.n, self.generator.value_masks())
         if self.q == 3 and any(counts[1::2]):
             raise SelfCheckFailed("two GF(3) encodings differed in an odd number of bits")
@@ -177,9 +167,6 @@ class LinearCode:
             raise SelfCheckFailed(f"enumeration counted {dist.total()} codewords, not q^k")
         self._distribution = dist
         return dist
-
-    def nonzero_weights(self) -> tuple[int, ...]:
-        return self.weight_distribution().nonzero_weights()
 
     def is_projective(self) -> tuple[bool, MultiplicityType]:
         """Full-length with pairwise projectively inequivalent positions;
@@ -214,7 +201,7 @@ class LinearCode:
     def even_weight_subcode(self) -> "LinearCode":
         """Subcode of even-weight words; dimension drops by at most one."""
         if self.q != 2:
-            raise FieldMismatch("even-weight subcode is a binary notion")
+            raise InvalidArgument("even-weight subcode is a binary notion")
         rows = self.generator.to_rows()
         parities = [sum(r) % 2 for r in rows]
         if not any(parities):
@@ -229,7 +216,7 @@ class LinearCode:
             else:
                 new_rows.append(r)
         if not new_rows:
-            raise RankDeficient("even-weight subcode is the zero code")
+            raise InvalidArgument("even-weight subcode is the zero code")
         return LinearCode(self.field, FieldMatrix.from_rows(self.field, new_rows))
 
     def anticode(self) -> "LinearCode":
@@ -241,17 +228,15 @@ class LinearCode:
         """
         flag, _ = self.is_projective()
         if not flag:
-            raise NotProjective("anticode is defined for projective codes only")
+            raise InvalidArgument("anticode is defined for projective codes only")
         dist = self.weight_distribution()
         qk1 = self.q ** (self.k - 1)
         if dist.frequency(qk1) != 0:
-            raise ComplementNotSpanning(
-                f"code attains weight q^(k-1) = {qk1}; complement does not span"
-            )
+            raise InvalidArgument(f"code attains weight q^(k-1) = {qk1}; complement does not span")
         points = self.point_set()
         comp = [pt for pt in _projective_points(self.q, self.k) if pt not in points]
         if not comp:
-            raise ComplementNotSpanning("complement is empty")
+            raise InvalidArgument("complement is empty")
         gen = FieldMatrix.from_columns(self.field, comp)
         out = LinearCode(self.field, gen)
         expected = {0: 1}
@@ -265,7 +250,7 @@ class LinearCode:
     def direct_sum(self, other: "LinearCode") -> "LinearCode":
         """Block-diagonal sum; the weight enumerator multiplies (checked)."""
         if self.q != other.q:
-            raise FieldMismatch("direct sum needs a common field")
+            raise InvalidArgument("direct sum needs a common field")
         rows = []
         for r in self.generator.to_rows():
             rows.append(r + (0,) * other.n)
@@ -295,7 +280,7 @@ def _projective_points(p: int, k: int) -> tuple[tuple[int, ...], ...]:
 def simplex(q: int, k: int) -> LinearCode:
     """Sim_q(k): all points of PG(k-1, q) as columns; constant weight q^(k-1)."""
     if k < 1:
-        raise UnsupportedParameters("simplex needs k >= 1")
+        raise InvalidArgument("simplex needs k >= 1")
     field = PrimeField(q)
     return LinearCode(field, FieldMatrix.from_columns(field, _projective_points(q, k)))
 
@@ -307,7 +292,7 @@ def reed_muller(q: int, k: int) -> LinearCode:
     generator row (the 4*Delta construction relies on that layout).
     """
     if k < 2:
-        raise UnsupportedParameters("first-order Reed-Muller needs k >= 2")
+        raise InvalidArgument("first-order Reed-Muller needs k >= 2")
     field = PrimeField(q)
     cols = [pt for pt in _projective_points(q, k) if pt[0] == 1]
     # rows: coordinate functionals a_2..a_k, then the all-one row
@@ -319,7 +304,7 @@ def reed_muller(q: int, k: int) -> LinearCode:
 def parity_check_code(n: int) -> LinearCode:
     """Binary [n, n-1] even-weight code."""
     if n < 2:
-        raise UnsupportedParameters("parity-check code needs n >= 2")
+        raise InvalidArgument("parity-check code needs n >= 2")
     rows = [tuple(1 if j in (i, n - 1) else 0 for j in range(n)) for i in range(n - 1)]
     return LinearCode(GF2, FieldMatrix.from_rows(GF2, rows))
 
@@ -356,7 +341,7 @@ def theorem_4delta(a: int) -> LinearCode:
     1 + (4D-3) x^D + (8D^2-8D+3) x^2D + (4D-1) x^3D.
     """
     if a < 3:
-        raise UnsupportedParameters("the 4*Delta construction needs a >= 3")
+        raise InvalidArgument("the 4*Delta construction needs a >= 3")
     delta = 1 << a
     rm = reed_muller(2, a + 2)  # all-one word is the last row
     rm_rows = rm.generator.to_rows()
@@ -389,7 +374,7 @@ def theorem_4delta_minus1(a: int) -> LinearCode:
     + (2D-1) x^3D with D = 2^a.
     """
     if a < 1:
-        raise UnsupportedParameters("needs a >= 1")
+        raise InvalidArgument("needs a >= 1")
     delta = 1 << a
     code = simplex(2, a + 1).direct_sum(reed_muller(2, a + 2))
     expected = {

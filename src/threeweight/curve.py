@@ -38,19 +38,8 @@ class CurveQuery:
             raise InvalidArgument("bound must be >= 1")
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+def normalize_point(coords: tuple[int, int, int]) -> tuple[int, int, int]:
     """Coprime integer triple, sign-normalized (first nonzero > 0)."""
-
-    a: int
-    b: int
-    c: int
-
-    def coords(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
-
-def normalize_point(coords: tuple[int, int, int]) -> ProjectivePoint:
     a, b, c = coords
     if a == b == c == 0:
         raise InvalidArgument("(0:0:0) is not a projective point")
@@ -61,7 +50,7 @@ def normalize_point(coords: tuple[int, int, int]) -> ProjectivePoint:
             if lead < 0:
                 a, b, c = -a, -b, -c
             break
-    return ProjectivePoint(a, b, c)
+    return (a, b, c)
 
 
 def vandam_lhs(s: int, t1: int, t2: int, t3: int) -> int:
@@ -85,9 +74,10 @@ def monomial_sum(d: int, t1: int, t2: int, t3: int) -> int:
     return total
 
 
-def search_integral_points(query: CurveQuery) -> list[ProjectivePoint]:
+def search_integral_points(query: CurveQuery) -> list[tuple[int, int, int]]:
     """All projective points with integer coordinates of absolute value at
-    most the bound on the curve h_d = 0.
+    most the bound on the curve h_d = 0, as sorted `normalize_point`
+    triples.
 
     The symmetric group on the coordinates acts on the curve, so only the
     fundamental domain a >= 1, a >= b >= c, c <= min(b, 0) is searched (a
@@ -126,18 +116,17 @@ def search_integral_points(query: CurveQuery) -> list[ProjectivePoint]:
         for b, c, value in _staircase(d, a)
         if value == 0
     ]
-    points: set[ProjectivePoint] = set()
-    for a, b, c in raw:
-        for perm in (
-            (a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a),
-        ):
-            points.add(normalize_point(perm))
+    points = {
+        normalize_point(perm)
+        for a, b, c in raw
+        for perm in ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a))
+    }
     for p in points:
-        if monomial_sum(d, *p.coords()) != 0:
-            raise SelfCheckFailed(f"h_{d}{p.coords()} != 0 by direct summation")
-        if len({p.a, p.b, p.c}) == 3 and vandam_lhs(d + 2, *p.coords()) != 0:
-            raise SelfCheckFailed(f"eigenvalue identity fails at {p.coords()} for s = {d + 2}")
-    return sorted(points, key=lambda p: p.coords())
+        if monomial_sum(d, *p) != 0:
+            raise SelfCheckFailed(f"h_{d}{p} != 0 by direct summation")
+        if len(set(p)) == 3 and vandam_lhs(d + 2, *p) != 0:
+            raise SelfCheckFailed(f"eigenvalue identity fails at {p} for s = {d + 2}")
+    return sorted(points)
 
 
 def _staircase(d: int, a: int) -> Iterator[tuple[int, int, int]]:
@@ -171,5 +160,5 @@ def search_report(query: CurveQuery) -> dict:
     return {
         "d": query.d,
         "bound": query.bound,
-        "points": [list(p.coords()) for p in points],
+        "points": [list(p) for p in points],
     }

@@ -1,20 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error the package raises is a `CodesError`, and the CLI exits 2 on
+each.  Callers tell four kinds apart: bad or unsupported input
+(`InvalidArgument`, a `ValueError` too), a malformed or unreadable matrix
+file (`ParseError`, printed with its own `parse error:` prefix), a resource
+guard (`GuardExceeded`), and an internal fault (`SelfCheckFailed`).
+"""
 
 
 class CodesError(Exception):
     """Base class for all package-specific errors."""
 
 
-class UnsupportedParameters(CodesError):
-    """Requested object is outside the supported parameter range."""
-
-
-class FieldMismatch(CodesError):
-    """Operation requires a different (or a common) base field."""
-
-
 class InvalidArgument(CodesError, ValueError):
-    """An argument is outside the domain of the requested computation."""
+    """An argument is bad or outside the supported domain: a field other
+    than GF(2) or GF(3), a rank-deficient generator, a code that is not
+    projective, repeated weights, ..."""
 
 
 class SelfCheckFailed(CodesError):
@@ -23,30 +24,6 @@ class SelfCheckFailed(CodesError):
 
 class GuardExceeded(CodesError):
     """Input is past a hard resource guard."""
-
-
-class SizeExceeded(GuardExceeded):
-    """Codeword enumeration would be too large."""
-
-
-class NotProjective(CodesError):
-    """Operation is only defined for projective codes."""
-
-
-class ComplementNotSpanning(CodesError):
-    """Anticode undefined: the complementary point set does not span."""
-
-
-class DegenerateWeights(CodesError):
-    """Weights were required to be pairwise distinct."""
-
-
-class ZeroInOmega(CodesError):
-    """Triple-sum sets must not contain the zero vector."""
-
-
-class RankDeficient(CodesError):
-    """Generator matrix does not have full row rank."""
 
 
 class ParseError(CodesError):

@@ -31,7 +31,7 @@ from math import gcd, isqrt
 from typing import Iterator
 
 from .code import LinearCode, golay23, parity_check_code, reed_muller, simplex
-from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed, UnsupportedParameters
+from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
 from .transform import dual_numerators, forced_frequencies
 from .transform import three_weight_solve  # read by perfbench/test_perfbench.py
 
@@ -268,7 +268,7 @@ def enumerate_candidates(q: int, n_min: int, n_max: int) -> list[Candidate]:
         if n_max > N_GUARD_Q3:
             raise GuardExceeded(f"q=3 enumeration is guarded at n <= {N_GUARD_Q3}")
     else:
-        raise UnsupportedParameters("enumeration supports q in {2, 3}")
+        raise InvalidArgument("enumeration supports q in {2, 3}")
     out = [c for n in range(max(n_min, 1), n_max + 1) for c in length_candidates(q, n)]
     out.sort(key=Candidate.sort_key)
     return out
@@ -286,7 +286,7 @@ def dodunekov_check(candidate: Candidate, a: int) -> str | None:
     frequencies violate, or None when they satisfy all three.
     """
     if candidate.q != 2:
-        raise UnsupportedParameters("the divisibility test is binary-only")
+        raise InvalidArgument("the divisibility test is binary-only")
     k = candidate.k
     delta = 1 << a
     if any(w % delta for w in candidate.weights):
@@ -538,7 +538,7 @@ def kn_witness(a: int) -> KnWitness:
         witness = golay23().even_weight_subcode().anticode()
         k_value, n_value = 11, 2024
     else:
-        raise UnsupportedParameters("witnesses are available for a in {1, 2, 3}")
+        raise InvalidArgument("witnesses are available for a in {1, 2, 3}")
     if (witness.k, witness.n) != (k_value, n_value):
         raise SelfCheckFailed(
             f"a={a} witness is [{witness.n},{witness.k}], expected [{n_value},{k_value}]"

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import InvalidArgument, UnsupportedParameters
+from .errors import InvalidArgument
 
 
 @dataclass(frozen=True)
@@ -21,13 +21,7 @@ class PrimeField:
 
     def __post_init__(self) -> None:
         if self.p not in (2, 3):
-            raise UnsupportedParameters(
-                f"field order {self.p}: only GF(2) and GF(3) are supported"
-            )
-
-    @property
-    def q(self) -> int:
-        return self.p
+            raise InvalidArgument(f"field order {self.p}: only GF(2) and GF(3) are supported")
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -92,15 +86,8 @@ class FieldMatrix:
             raise InvalidArgument("ragged columns")
         return cls.from_rows(field, ((c[i] for c in cols) for i in range(nrows)))
 
-    def row(self, i: int) -> bytes:
-        return self._rows[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self._rows)
-
     def columns(self) -> Iterator[tuple[int, ...]]:
-        for j in range(self.ncols):
-            yield self.column(j)
+        return zip(*self._rows)
 
     def to_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(r) for r in self._rows)

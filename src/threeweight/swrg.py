@@ -34,29 +34,11 @@ from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .code import LinearCode
-from .errors import (
-    DegenerateWeights,
-    GuardExceeded,
-    InvalidArgument,
-    NotProjective,
-    SelfCheckFailed,
-    ZeroInOmega,
-)
+from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
 from .gfmat import PrimeField
 
 VERTEX_GUARD = 1 << 14
 WALK_GUARD = 9
-@dataclass(frozen=True)
-class SpectrumClaim:
-    """Claimed distinct eigenvalues, descending; the largest is the degree."""
-
-    eigenvalues: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.eigenvalues)) != len(self.eigenvalues):
-            raise DegenerateWeights("claimed eigenvalues must be distinct")
-        if tuple(sorted(self.eigenvalues, reverse=True)) != self.eigenvalues:
-            raise InvalidArgument("eigenvalues must be sorted descending")
 
 
 @dataclass(frozen=True)
@@ -116,7 +98,7 @@ class CosetGraph:
         self.omega = tuple(sorted(set(omega)))
         self._omega_set = frozenset(self.omega)
         if 0 in self._omega_set:
-            raise ZeroInOmega("connection set must not contain 0")
+            raise InvalidArgument("connection set must not contain 0")
         if self.omega and (self.omega[0] < 0 or self.omega[-1] >= self.nvertices):
             raise InvalidArgument(f"connection set has an element outside [1, {self.nvertices})")
         # the spectrum and the walk counts rely on scalar closure, which
@@ -229,46 +211,41 @@ def _walsh_transform(vec: list[int]) -> list[int]:
     return out
 
 
-def omega_from_code(code: LinearCode) -> tuple[tuple[int, ...], ...]:
-    """Scalar closure of the generator columns, as vectors in F_q^k."""
-    q = code.q
-    omega = set()
-    for col in code.generator.columns():
-        for lam in range(1, q):
-            omega.add(tuple((lam * e) % q for e in col))
-    return tuple(sorted(omega))
-
-
 def coset_graph(code: LinearCode) -> CosetGraph:
-    """Coset graph of the dual code, on syndrome space; n(q-1)-regular."""
+    """Coset graph of the dual code, on syndrome space; n(q-1)-regular.
+    Omega is the scalar closure of the column points `is_projective` kept."""
     flag, _ = code.is_projective()
     if not flag:
-        raise NotProjective("coset graph construction requires a projective code")
-    omega = [encode_vector(v, code.q) for v in omega_from_code(code)]
-    g = CosetGraph(code.q, code.k, omega)
-    if g.degree != code.n * (code.q - 1):
-        raise SelfCheckFailed(f"coset graph degree {g.degree} != n(q-1) = {code.n * (code.q - 1)}")
+        raise InvalidArgument("coset graph construction requires a projective code")
+    q = code.q
+    omega = [
+        encode_vector([lam * e for e in p], q) for p in code.point_set() for lam in range(1, q)
+    ]
+    g = CosetGraph(q, code.k, omega)
+    if g.degree != code.n * (q - 1):
+        raise SelfCheckFailed(f"coset graph degree {g.degree} != n(q-1) = {code.n * (q - 1)}")
     return g
 
 
-def eigenvalues_from_weights(q: int, n: int, weights: Iterable[int]) -> SpectrumClaim:
-    """theta_i = n(q-1) - q*w_i, descending; weights must include 0."""
+def eigenvalues_from_weights(q: int, n: int, weights: Iterable[int]) -> tuple[int, ...]:
+    """The claimed distinct eigenvalues theta_i = n(q-1) - q*w_i,
+    descending, so the degree comes first; weights must include 0."""
     ws = tuple(weights)
     if len(set(ws)) != len(ws):
-        raise DegenerateWeights(f"weights must be distinct, got {ws}")
+        raise InvalidArgument(f"weights must be distinct, got {ws}")
     if 0 not in ws:
         raise InvalidArgument("weight list must include w_0 = 0")
-    return SpectrumClaim(tuple(sorted((n * (q - 1) - q * w for w in ws), reverse=True)))
+    return tuple(sorted((n * (q - 1) - q * w for w in ws), reverse=True))
 
 
-def verify_spectrum(graph: CosetGraph, claim: SpectrumClaim) -> bool:
-    """True iff the distinct eigenvalues are exactly the claimed ones.
+def verify_spectrum(graph: CosetGraph, eigenvalues: Iterable[int]) -> bool:
+    """True iff the distinct eigenvalues are, as a set, the claimed ones.
 
     The character spectrum is exact, and its largest value is the degree
     (the trivial character), so equal sets also put the degree first in
-    the descending claim.
+    the descending claim of `eigenvalues_from_weights`.
     """
-    return set(graph.spectrum_multiplicities()) == set(claim.eigenvalues)
+    return set(graph.spectrum_multiplicities()) == set(eigenvalues)
 
 
 def is_s_swrg(graph: CosetGraph, s: int) -> SwrgResult:

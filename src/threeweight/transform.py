@@ -30,7 +30,7 @@ from itertools import islice
 from operator import mul
 from typing import Iterator
 
-from .errors import DegenerateWeights, InvalidArgument, SelfCheckFailed
+from .errors import InvalidArgument, SelfCheckFailed
 
 
 def dual_numerators(counts: dict[int, int], n: int, q: int) -> Iterator[int]:
@@ -116,7 +116,7 @@ def three_weight_solve(n: int, k: int, w1: int, w2: int, w3: int) -> ThreeWeight
     the same B_3 must reappear).
     """
     if len({w1, w2, w3}) != 3:
-        raise DegenerateWeights(f"weights must be distinct, got {(w1, w2, w3)}")
+        raise InvalidArgument(f"weights must be distinct, got {(w1, w2, w3)}")
     if not (1 <= w1 < w2 < w3 <= n):
         raise InvalidArgument(f"need 1 <= w1 < w2 < w3 <= n, got {(w1, w2, w3)} with n={n}")
     if k < 2:
@@ -169,7 +169,7 @@ def lagrange_terms(
     """
     w1, w2, w3 = weights
     if w1 == w2 or w1 == w3 or w2 == w3:
-        raise DegenerateWeights(f"weights must be distinct, got {weights}")
+        raise InvalidArgument(f"weights must be distinct, got {weights}")
     ns = n * (q - 1)
     x1, x2, x3 = ns - q * w1, ns - q * w2, ns - q * w3
     return (

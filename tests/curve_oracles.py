@@ -79,7 +79,7 @@ def box_search(d: int, bound: int) -> list[tuple[int, int, int]]:
         for perm in (
             (a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a),
         ):
-            points.add(normalize_point(perm).coords())
+            points.add(normalize_point(perm))
     return sorted(points)
 
 

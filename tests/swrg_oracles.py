@@ -3,15 +3,28 @@
 The library computes each quantity one way: the spectrum and the walk
 counts from one exact character transform (Walsh over q = 2, the group ring
 Z[C_q] over odd q), triple-sum counts as length-3 walk counts, translation
-tables by base-q digit blocks.  The routes below share none of that
-machinery and serve as test oracles.
+tables by base-q digit blocks, and the connection set from the canonical
+column points that projectivity already computed.  The routes below share
+none of that machinery and serve as test oracles.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from threeweight.swrg import CosetGraph, SpectrumClaim, SwrgResult, decode_vector, encode_vector
+from threeweight.code import LinearCode
+from threeweight.swrg import CosetGraph, SwrgResult, decode_vector, encode_vector
+
+
+def omega_from_code(code: LinearCode) -> tuple[tuple[int, ...], ...]:
+    """Scalar closure of the generator columns, as vectors in F_q^k, by a
+    pass over the columns themselves."""
+    q = code.q
+    omega = set()
+    for col in code.generator.columns():
+        for lam in range(1, q):
+            omega.add(tuple((lam * e) % q for e in col))
+    return tuple(sorted(omega))
 
 
 def digitwise_add_table(w: int, q: int, k: int) -> list[int]:
@@ -69,7 +82,7 @@ def direct_triple_counts(omega: Iterable[Sequence[int]], q: int, k: int) -> list
     return counts
 
 
-def spectrum_by_annihilator(graph: CosetGraph, claim: SpectrumClaim) -> bool:
+def spectrum_by_annihilator(graph: CosetGraph, eigenvalues: Sequence[int]) -> bool:
     """True iff the claimed values are exactly the distinct eigenvalues.
 
     The adjacency operator A is symmetric, so its minimal polynomial is the
@@ -89,7 +102,7 @@ def spectrum_by_annihilator(graph: CosetGraph, claim: SpectrumClaim) -> bool:
             vec = [a - theta * b for a, b in zip(applied, vec)]
         return not any(vec)
 
-    ev = claim.eigenvalues
+    ev = tuple(eigenvalues)
     return annihilates(ev) and not any(
         annihilates(ev[:i] + ev[i + 1:]) for i in range(len(ev))
     )

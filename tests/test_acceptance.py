@@ -21,7 +21,6 @@ from threeweight.swrg import (
     coset_graph,
     eigenvalues_from_weights,
     is_s_swrg,
-    omega_from_code,
     tss_check,
     verify_spectrum,
 )
@@ -30,7 +29,7 @@ from threeweight.transform import dual_distribution, three_weight_solve
 from catalog import TABLE1, TABLE2, TABLE3
 from conftest import data_path
 from curve_oracles import identity_check
-from swrg_oracles import direct_triple_counts, spectrum_by_annihilator
+from swrg_oracles import direct_triple_counts, omega_from_code, spectrum_by_annihilator
 from transform_oracles import pmt_frequencies
 
 
@@ -156,7 +155,7 @@ def test_criterion_7_curve_layer():
     start = time.monotonic()
     obvious = [(0, 1, -1), (1, -1, 0), (1, 0, -1)]
     for d, bound in ((3, 100), (5, 100), (7, 100), (9, 60)):
-        pts = [p.coords() for p in search_integral_points(CurveQuery(d, bound))]
+        pts = search_integral_points(CurveQuery(d, bound))
         assert pts == obvious, (d, bound)
     rng = random.Random(20250810)
     trials = 0
@@ -226,7 +225,7 @@ def test_criterion_9_exhaustive_small_oracle():
     def act(mat_rows, colset):
         m = FieldMatrix.from_rows(GF2, mat_rows)
         return frozenset(
-            tuple(sum(m.row(i)[j] * col[j] for j in range(3)) % 2 for i in range(3))
+            tuple(sum(m.to_rows()[i][j] * col[j] for j in range(3)) % 2 for i in range(3))
             for col in colset
         )
 

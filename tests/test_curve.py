@@ -61,8 +61,8 @@ def test_identity_check_degenerate():
 
 
 def test_normalize_point():
-    assert normalize_point((-2, 0, 2)).coords() == (1, 0, -1)
-    assert normalize_point((0, -3, 3)).coords() == (0, 1, -1)
+    assert normalize_point((-2, 0, 2)) == (1, 0, -1)
+    assert normalize_point((0, -3, 3)) == (0, 1, -1)
     with pytest.raises(ValueError):
         normalize_point((0, 0, 0))
 
@@ -83,7 +83,7 @@ def test_domain_errors_are_codes_errors(call):
 
 @pytest.mark.parametrize("d,bound", [(3, 100), (5, 100)])
 def test_search_returns_only_obvious_points(d, bound):
-    pts = [p.coords() for p in search_integral_points(CurveQuery(d, bound))]
+    pts = search_integral_points(CurveQuery(d, bound))
     assert pts == OBVIOUS
 
 
@@ -94,7 +94,7 @@ def test_search_guard():
 
 def test_degree_guard_admits_its_own_degree():
     assert curve.DEGREE_GUARD >= 12  # the largest degree tests/test_cli_fuzz.py draws
-    pts = [p.coords() for p in search_integral_points(CurveQuery(curve.DEGREE_GUARD, 5))]
+    pts = search_integral_points(CurveQuery(curve.DEGREE_GUARD, 5))
     assert pts == (OBVIOUS if curve.DEGREE_GUARD % 2 else [])
     for d in (curve.DEGREE_GUARD + 1, curve.DEGREE_GUARD + 2):
         with pytest.raises(GuardExceeded):
@@ -102,10 +102,10 @@ def test_degree_guard_admits_its_own_degree():
 
 
 def test_search_output_closed_under_coordinate_permutations():
-    pts = {p.coords() for p in search_integral_points(CurveQuery(3, 60))}
+    pts = set(search_integral_points(CurveQuery(3, 60)))
     for a, b, c in list(pts):
         for perm in ((a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
-            assert normalize_point(perm).coords() in pts
+            assert normalize_point(perm) in pts
 
 
 def test_search_cross_check_against_unreduced_brute_force():
@@ -116,8 +116,8 @@ def test_search_cross_check_against_unreduced_brute_force():
         for b in range(-bound, bound + 1):
             for c in range(-bound, bound + 1):
                 if len({a, b, c}) == 3 and vandam_lhs(d + 2, a, b, c) == 0:
-                    brute.add(normalize_point((a, b, c)).coords())
-    pts = {p.coords() for p in search_integral_points(CurveQuery(d, bound))}
+                    brute.add(normalize_point((a, b, c)))
+    pts = set(search_integral_points(CurveQuery(d, bound)))
     distinct = {p for p in pts if len(set(p)) == 3}
     assert brute == distinct
 
@@ -134,7 +134,7 @@ def test_even_degree_box_has_no_ordered_zero():
 
 @pytest.mark.parametrize("d,bound", [(d, 40) for d in range(1, 10)] + [(3, 100), (5, 100)])
 def test_search_matches_box_oracle(d, bound):
-    pts = [p.coords() for p in search_integral_points(CurveQuery(d, bound))]
+    pts = search_integral_points(CurveQuery(d, bound))
     assert pts == box_search(d, bound)
 
 

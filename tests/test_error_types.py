@@ -11,7 +11,7 @@ from threeweight import errors
 from threeweight.cli import emit_report
 from threeweight.errors import CodesError
 from threeweight.gfmat import GF2, GF3, FieldMatrix
-from threeweight.swrg import SpectrumClaim, eigenvalues_from_weights
+from threeweight.swrg import eigenvalues_from_weights
 from threeweight.transform import three_weight_solve
 
 from transform_oracles import pmt_frequencies
@@ -31,7 +31,6 @@ ARGUMENT_ERRORS = {
     "no rows": lambda: FieldMatrix.from_rows(GF2, []),
     "no columns given": lambda: FieldMatrix.from_columns(GF2, []),
     "ragged columns": lambda: FieldMatrix.from_columns(GF2, [[1, 0], [1]]),
-    "unsorted eigenvalues": lambda: SpectrumClaim((1, 3)),
     "weights without w_0": lambda: eigenvalues_from_weights(2, 8, (4, 6)),
     "unknown report format": lambda: emit_report([], "xml"),
 }

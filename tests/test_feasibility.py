@@ -7,7 +7,7 @@ import pytest
 
 from threeweight import feasibility
 from threeweight.code import parity_check_code
-from threeweight.errors import CodesError, GuardExceeded, SelfCheckFailed, UnsupportedParameters
+from threeweight.errors import CodesError, GuardExceeded, InvalidArgument, SelfCheckFailed
 from threeweight.feasibility import (
     ANTICODE_HAMMING_LIMIT,
     N_GUARD_Q2,
@@ -86,7 +86,7 @@ def test_enumerate_guards():
         enumerate_candidates(2, 1000, N_GUARD_Q2)
     with pytest.raises(GuardExceeded):
         enumerate_candidates(3, 3, 100)
-    with pytest.raises(UnsupportedParameters):
+    with pytest.raises(InvalidArgument, match="enumeration supports q"):
         enumerate_candidates(5, 3, 10)
 
 
@@ -389,7 +389,7 @@ def test_kn_witness_small(a, k_value, n_value, weights, freqs):
 
 
 def test_kn_witness_rejects_large_a():
-    with pytest.raises(UnsupportedParameters):
+    with pytest.raises(InvalidArgument, match="witnesses are available"):
         kn_witness(4)
 
 

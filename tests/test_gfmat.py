@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from threeweight.errors import UnsupportedParameters
+from threeweight.errors import InvalidArgument
 from threeweight.gfmat import GF2, GF3, FieldMatrix, PrimeField
 from threeweight.matrixio import parse_matrix_file
 
@@ -13,20 +13,20 @@ from conftest import data_path
 
 
 def test_prime_field_rejects_prime_powers():
-    with pytest.raises(UnsupportedParameters):
+    with pytest.raises(InvalidArgument, match="field order"):
         PrimeField(4)
-    with pytest.raises(UnsupportedParameters):
+    with pytest.raises(InvalidArgument, match="field order"):
         PrimeField(9)
-    with pytest.raises(UnsupportedParameters):
+    with pytest.raises(InvalidArgument, match="field order"):
         PrimeField(1)
 
 
 @pytest.mark.parametrize("p", [-3, 0, 1, 4, 5, 7, 251, 1000000000000000003])
 def test_prime_field_accepts_only_gf2_and_gf3(p):
-    with pytest.raises(UnsupportedParameters) as exc:
+    with pytest.raises(InvalidArgument) as exc:
         PrimeField(p)
     assert str(exc.value) == f"field order {p}: only GF(2) and GF(3) are supported"
-    assert PrimeField(2).q == 2 and PrimeField(3).q == 3
+    assert PrimeField(2).p == 2 and PrimeField(3).p == 3
 
 
 @pytest.mark.parametrize("field", [GF2, GF3])

@@ -1,10 +1,12 @@
 """The library stays the size of what it runs: every top-level function,
 class and method defined under src/ is referenced somewhere in src/ outside
-its own definition, unless the allowlist below names it with a reason."""
+its own definition, and no name is defined twice, unless an allowlist below
+names it with a reason."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -102,3 +104,17 @@ def test_benchmark_pinned_names_are_traced():
     )
     traced = {f"{module}.{attr}" for module, attr, _, _ in targets}
     assert sorted(BENCHMARK_PINNED - traced) == []
+
+
+# Names defined more than once under src/, each with the reason it must be.
+# The reference check above matches by bare name, so a use of one
+# definition would keep every other definition of the name alive unseen.
+SHARED_NAMES = {
+    # cli.py reads `as_dict` on both WeightDistribution and MultiplicityType
+    "as_dict",
+}
+
+
+def test_no_name_is_defined_twice_unless_allowed():
+    counts = Counter(qualified.rpartition(".")[2] for qualified, _ in _surface()[0])
+    assert sorted(name for name, n in counts.items() if n > 1) == sorted(SHARED_NAMES)

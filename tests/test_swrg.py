@@ -11,27 +11,18 @@ from threeweight import code as code_module
 from threeweight import swrg
 from threeweight.cli import main as cli_main
 from threeweight.code import parity_check_code, reed_muller, simplex
-from threeweight.errors import (
-    CodesError,
-    DegenerateWeights,
-    GuardExceeded,
-    InvalidArgument,
-    NotProjective,
-    ZeroInOmega,
-)
+from threeweight.errors import CodesError, GuardExceeded, InvalidArgument
 from threeweight.gfmat import GF2, FieldMatrix
 from threeweight.code import LinearCode
 from threeweight.matrixio import parse_matrix_file
 from threeweight.swrg import (
     CosetGraph,
-    SpectrumClaim,
     TssInstance,
     coset_graph,
     decode_vector,
     eigenvalues_from_weights,
     encode_vector,
     is_s_swrg,
-    omega_from_code,
     tss_check,
     verify_spectrum,
     vertex_guard_excess,
@@ -43,6 +34,7 @@ from swrg_oracles import (
     direct_adjacency,
     direct_triple_counts,
     neighbors,
+    omega_from_code,
     spectrum_by_annihilator,
     walk_class_constants_dense,
 )
@@ -64,7 +56,7 @@ def test_coset_graph_requires_projectivity():
     rows = [r + r for r in simplex(2, 2).generator.to_rows()]
     rep = LinearCode(GF2, FieldMatrix.from_rows(GF2, rows))
     for _ in range(2):  # computed, then kept on the code
-        with pytest.raises(NotProjective):
+        with pytest.raises(InvalidArgument, match="projective"):
             coset_graph(rep)
 
 
@@ -103,6 +95,17 @@ def test_verify_output_does_not_depend_on_kept_projectivity(capsys, monkeypatch)
     assert run_all() == kept
 
 
+def test_omega_from_points_matches_column_oracle():
+    # coset_graph builds Omega from the kept canonical points; the oracle
+    # scans the generator columns again
+    paths = matrix_files()
+    assert len(paths) == 74
+    for path in paths:
+        code = parse_matrix_file(path)
+        columns = tuple(sorted(encode_vector(v, code.q) for v in omega_from_code(code)))
+        assert coset_graph(code).omega == columns, path.name
+
+
 def test_coset_graph_guard():
     with pytest.raises(GuardExceeded):
         CosetGraph(2, 15, [1])
@@ -111,8 +114,8 @@ def test_coset_graph_guard():
 def test_simplex_gives_complete_graph():
     g = coset_graph(simplex(2, 2))
     assert g.nvertices == 4 and g.degree == 3
-    assert verify_spectrum(g, SpectrumClaim((3, -1)))
-    assert spectrum_by_annihilator(g, SpectrumClaim((3, -1)))
+    assert verify_spectrum(g, (3, -1))
+    assert spectrum_by_annihilator(g, (3, -1))
 
 
 def test_complete_graph_over_gf3():
@@ -121,8 +124,8 @@ def test_complete_graph_over_gf3():
     g = coset_graph(code)
     assert g.degree == 8
     assert g.spectrum_multiplicities() == {8: 1, -1: 8}
-    assert verify_spectrum(g, SpectrumClaim((8, -1)))
-    assert spectrum_by_annihilator(g, SpectrumClaim((8, -1)))
+    assert verify_spectrum(g, (8, -1))
+    assert spectrum_by_annihilator(g, (8, -1))
     omega = omega_from_code(code)
     inst = tss_check(g)
     # Omega is every nonzero syndrome, so only sigma0 is defined
@@ -132,9 +135,9 @@ def test_complete_graph_over_gf3():
 
 
 def test_eigenvalues_from_weights():
-    assert eigenvalues_from_weights(2, 8, (0, 2, 4, 6)).eigenvalues == (8, 4, 0, -4)
-    assert eigenvalues_from_weights(3, 9, (0, 3, 6, 9)).eigenvalues == (18, 9, 0, -9)
-    with pytest.raises(DegenerateWeights):
+    assert eigenvalues_from_weights(2, 8, (0, 2, 4, 6)) == (8, 4, 0, -4)
+    assert eigenvalues_from_weights(3, 9, (0, 3, 6, 9)) == (18, 9, 0, -9)
+    with pytest.raises(InvalidArgument, match="distinct"):
         eigenvalues_from_weights(2, 8, (0, 2, 2, 6))
 
 
@@ -145,19 +148,19 @@ def test_eigenvalue_sum_vanishes_under_weight_sum_condition():
         w2 = n // 2
         t = rng.randint(1, w2 - 1)
         claim = eigenvalues_from_weights(2, n, (0, w2 - t, w2, w2 + t))
-        assert sum(claim.eigenvalues[1:]) == 0
+        assert sum(claim[1:]) == 0
 
 
 def test_verify_spectrum(code_8_4):
     g = coset_graph(code_8_4)
     claims = {
         eigenvalues_from_weights(2, 8, (0, 2, 4, 6)): True,
-        SpectrumClaim((8, 4, 0, -2)): False,
+        (8, 4, 0, -2): False,
         # a strict superset claim fails the occurrence direction
-        SpectrumClaim((8, 6, 4, 0, -4)): False,
+        (8, 6, 4, 0, -4): False,
         # a strict subset fails containment; so does a claim without the degree
-        SpectrumClaim((8, 4, -4)): False,
-        SpectrumClaim((4, 0, -4)): False,
+        (8, 4, -4): False,
+        (4, 0, -4): False,
     }
     for claim, expected in claims.items():
         assert verify_spectrum(g, claim) is expected, claim
@@ -328,7 +331,7 @@ def test_tss_inconsistent_for_bad_weight_sum():
 
 
 def test_tss_rejects_zero_and_unclosed():
-    with pytest.raises(ZeroInOmega):
+    with pytest.raises(InvalidArgument, match="must not contain 0"):
         tss_check(CosetGraph(2, 2, [encode_vector(v, 2) for v in [(0, 0), (1, 0)]]))
     with pytest.raises(ValueError):
         tss_check(CosetGraph(3, 3, [encode_vector((1, 0, 0), 3)]))  # misses 2*(1,0,0)
@@ -380,7 +383,7 @@ def test_realized_rows_have_zero_middle_eigenvalue():
             if c.verdict != "realized":
                 continue
             claim = eigenvalues_from_weights(q, c.n, (0,) + c.weights)
-            _, t1, t2, t3 = claim.eigenvalues
+            _, t1, t2, t3 = claim
             assert t2 == 0 and t3 == -t1, (q, c.n, c.k, c.weights)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from threeweight import transform
 from threeweight.code import parity_check_code, simplex
-from threeweight.errors import DegenerateWeights, SelfCheckFailed
+from threeweight.errors import InvalidArgument, SelfCheckFailed
 from threeweight.feasibility import weight_triples
 from threeweight.gfmat import GF2
 from threeweight.transform import (
@@ -109,7 +109,7 @@ def test_three_weight_solve_known_values(n, k, w, expect, b3):
 
 
 def test_three_weight_solve_rejects_degenerate():
-    with pytest.raises(DegenerateWeights):
+    with pytest.raises(InvalidArgument, match="distinct"):
         three_weight_solve(10, 4, 3, 3, 6)
 
 
@@ -178,9 +178,9 @@ def test_general_solver_matches_cramer_oracle():
 
 
 def test_general_solver_rejects_degenerate():
-    with pytest.raises(DegenerateWeights):
+    with pytest.raises(InvalidArgument, match="distinct"):
         solve_three_weight_general(10, 4, 3, 3, 3, 6)
-    with pytest.raises(DegenerateWeights):
+    with pytest.raises(InvalidArgument, match="distinct"):
         forced_frequencies(3, 10, 4, (3, 3, 6))
 
 

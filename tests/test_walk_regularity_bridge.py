@@ -42,7 +42,7 @@ def eigenspace_constants(degree: int, nvertices: int, thetas, s: int):
 def check_bridge(code: LinearCode, graph, s: int):
     q, n, _ = code.params()
     weights = code.weight_distribution().nonzero_weights()
-    degree, *thetas = eigenvalues_from_weights(q, n, (0,) + weights).eigenvalues
+    degree, *thetas = eigenvalues_from_weights(q, n, (0,) + weights)
     walk = is_s_swrg(graph, s)
     assert walk.is_swrg == (vandam_lhs(s, *thetas) == 0), (code, s)
     expected = eigenspace_constants(degree, graph.nvertices, thetas, s)

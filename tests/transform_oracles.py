@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from threeweight.errors import DegenerateWeights, InvalidArgument, SelfCheckFailed
+from threeweight.errors import InvalidArgument, SelfCheckFailed
 from threeweight.transform import ThreeWeightSolution, three_weight_solve
 
 
@@ -84,13 +84,13 @@ def cramer_frequencies(
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Frequencies forced by sum A = q^k - 1 and B_1 = B_2 = 0, for any q."""
     if len({w1, w2, w3}) != 3:
-        raise DegenerateWeights(f"weights must be distinct, got {(w1, w2, w3)}")
+        raise InvalidArgument(f"weights must be distinct, got {(w1, w2, w3)}")
     ws = (w1, w2, w3)
     m = [[1, 1, 1], [krawtchouk(1, w, n, q) for w in ws], [krawtchouk(2, w, n, q) for w in ws]]
     rhs = (q**k - 1, -krawtchouk(1, 0, n, q), -krawtchouk(2, 0, n, q))
     d = det3(m)
     if d == 0:
-        raise DegenerateWeights("moment system is singular")
+        raise InvalidArgument("moment system is singular")
     sols = []
     for col in range(3):
         mc = [list(row) for row in m]
