@@ -58,12 +58,12 @@ class MultiplicityType:
         return dict(self.m)
 
 
-def _canonical_point(field: PrimeField, vec: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Scale so the first nonzero entry is 1; None for the zero vector."""
+def _canonical_point(p: int, vec: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Scale so the first nonzero entry is 1, by that entry itself (its own
+    inverse in GF(2) and GF(3)); None for the zero vector."""
     for e in vec:
         if e:
-            inv = field.inv(e)
-            return tuple((x * inv) % field.p for x in vec)
+            return tuple(x * e % p for x in vec)
     return None
 
 
@@ -177,7 +177,7 @@ class LinearCode:
         classes: dict[tuple[int, ...], int] = {}
         zero_positions = 0
         for col in self.generator.columns():
-            rep = _canonical_point(self.field, col)
+            rep = _canonical_point(self.q, col)
             if rep is None:
                 zero_positions += 1
             else:

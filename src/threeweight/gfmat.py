@@ -2,7 +2,9 @@
 
 Everything is integer arithmetic mod p; there is no floating point anywhere
 in this package.  Matrices are immutable; rows are stored as byte strings.
-`PrimeField` is the one place that decides which fields are supported.
+`PrimeField` is the one place that decides which fields are supported.  In
+GF(2) and GF(3) every nonzero element is its own inverse, so scaling by a
+nonzero entry is how a row is normalised, and no inverse is computed.
 """
 
 from __future__ import annotations
@@ -22,12 +24,6 @@ class PrimeField:
     def __post_init__(self) -> None:
         if self.p not in (2, 3):
             raise InvalidArgument(f"field order {self.p}: only GF(2) and GF(3) are supported")
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise InvalidArgument("0 is not invertible")
-        return pow(a, self.p - 2, self.p)
 
 
 GF2 = PrimeField(2)
@@ -63,18 +59,10 @@ class FieldMatrix:
 
     @classmethod
     def from_rows(cls, field: PrimeField, rows: Iterable[Iterable[int]]) -> "FieldMatrix":
-        packed = []
-        ncols = None
-        for row in rows:
-            entries = bytes(int(e) % field.p for e in row)
-            if ncols is None:
-                ncols = len(entries)
-            elif len(entries) != ncols:
-                raise InvalidArgument("ragged rows")
-            packed.append(entries)
-        if not packed or ncols is None or ncols == 0:
+        packed = tuple(bytes(int(e) % field.p for e in row) for row in rows)
+        if not packed or not packed[0]:
             raise InvalidArgument("matrix must be nonempty")
-        return cls(field, tuple(packed), ncols)
+        return cls(field, packed, len(packed[0]))
 
     @classmethod
     def from_columns(cls, field: PrimeField, cols: Iterable[Iterable[int]]) -> "FieldMatrix":
@@ -128,21 +116,14 @@ class FieldMatrix:
         for c in range(ncols):
             if r >= nrows:
                 break
-            pivot_row = None
-            for i in range(r, nrows):
-                if mat[i][c]:
-                    pivot_row = i
-                    break
+            pivot_row = next((i for i in range(r, nrows) if mat[i][c]), None)
             if pivot_row is None:
                 continue
             if pivot_row != r:
                 mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-            inv = self.field.inv(mat[r][c])
-            if inv != 1:
-                row_r = mat[r]
-                for j in range(c, ncols):
-                    if row_r[j]:
-                        row_r[j] = (row_r[j] * inv) % p
+            pivot = mat[r][c]
+            if pivot != 1:  # the pivot is its own inverse
+                mat[r] = bytearray(x * pivot % p for x in mat[r])
             row_r = mat[r]
             for i in range(nrows):
                 if i != r and mat[i][c]:

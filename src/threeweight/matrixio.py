@@ -7,7 +7,8 @@ line "q=<p> n=<n> k=<k>" fixes the field and declares the shape; without it
 q is one more than the largest digit, and at least 2.  Only q = 2 and q = 3
 are supported (`PrimeField` decides).  Trailing non-digit characters on a
 row are stripped (one fixture ends with a stray ']'); non-digit characters
-anywhere else are an error.
+anywhere else are an error.  Each row is read straight into the byte row
+that `FieldMatrix` stores, one byte per entry.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ from .gfmat import FieldMatrix, PrimeField
 
 _HEADER_RE = re.compile(r"^q=(\d+)(?:\s+n=(\d+))?(?:\s+k=(\d+))?$", re.ASCII)
 _ROW_RE = re.compile(r"[0-9]+")
+# ASCII digit -> the byte value FieldMatrix stores for that entry
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def parse_matrix_text(text: str) -> LinearCode:
     q = n = k = None
-    rows: list[tuple[int, ...]] = []
+    rows: list[bytes] = []
     row_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -46,8 +49,8 @@ def parse_matrix_text(text: str) -> LinearCode:
             raise ParseError(lineno, f"not a digit row: {raw!r}")
         if len(compact) - len(stripped) > 1:
             raise ParseError(lineno, "too much trailing garbage")
-        row = tuple(int(c) for c in stripped)
-        if q is not None and any(e >= q for e in row):
+        row = stripped.encode("ascii").translate(_DIGIT_VALUES)
+        if q is not None and max(row) >= q:
             raise ParseError(lineno, f"digit out of range for q={q}")
         rows.append(row)
         row_lines.append(lineno)
@@ -63,7 +66,7 @@ def parse_matrix_text(text: str) -> LinearCode:
     if k is not None and k != len(rows):
         raise ParseError(row_lines[-1], f"header says k={k} but found {len(rows)} rows")
     field = PrimeField(q)
-    return LinearCode(field, FieldMatrix.from_rows(field, rows))
+    return LinearCode(field, FieldMatrix(field, tuple(rows), len(rows[0])))
 
 
 def parse_matrix_file(path: str | Path) -> LinearCode:

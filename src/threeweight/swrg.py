@@ -4,8 +4,10 @@ regularity test, and triple-sum-set constants.
 The coset graph of the dual of a projective [n,k]_q code lives on the q^k
 syndromes; two syndromes are adjacent when they differ by a nonzero scalar
 multiple of a generator column.  That makes it a Cayley graph on (F_q^k, +)
-with connection set Omega (the scalar closure of the columns), so one exact
-character transform gives every quantity:
+with connection set Omega, the scalar closure of the columns: `CosetGraph`
+takes the column points themselves and closes them under scalars, so no
+set it builds can miss a multiple.  One exact character transform gives
+every quantity:
 
 - the spectrum lambda_u = sum over w in Omega of chi_u(w) is the transform
   of the indicator of Omega, kept on the graph;
@@ -83,32 +85,29 @@ def vertex_guard_excess(q: int, k: int) -> str | None:
 
 
 class CosetGraph:
-    """Cayley graph on F_q^k, q in {2, 3}, with a scalar-closed connection set."""
+    """Cayley graph on F_q^k, q in {2, 3}; its connection set `omega` (sorted,
+    encoded) is the scalar closure of the given nonzero vectors."""
 
     __slots__ = ("q", "k", "nvertices", "omega", "_omega_set", "_lambda", "_walks")
 
-    def __init__(self, q: int, k: int, omega: Iterable[int]):
+    def __init__(self, q: int, k: int, points: Iterable[Sequence[int]]):
+        PrimeField(q)  # rejects every q but 2 and 3
         excess = vertex_guard_excess(q, k)
         if excess:
             raise GuardExceeded(excess)
-        PrimeField(q)  # rejects every q but 2 and 3
         self.q = q
         self.k = k
         self.nvertices = q**k
-        self.omega = tuple(sorted(set(omega)))
-        self._omega_set = frozenset(self.omega)
-        if 0 in self._omega_set:
-            raise InvalidArgument("connection set must not contain 0")
-        if self.omega and (self.omega[0] < 0 or self.omega[-1] >= self.nvertices):
-            raise InvalidArgument(f"connection set has an element outside [1, {self.nvertices})")
-        # the spectrum and the walk counts rely on scalar closure, which
-        # holds for every set over GF(2)
-        for w in self.omega if q > 2 else ():
-            wv = decode_vector(w, q, k)
-            for lam in range(2, q):
-                if encode_vector([lam * e for e in wv], q) not in self._omega_set:
-                    raise InvalidArgument(f"connection set lacks {lam} * {w}")
-        indicator = [1 if h in self._omega_set else 0 for h in range(self.nvertices)]
+        omega = set()
+        for vec in points:
+            if len(vec) != k or not all(0 <= e < q for e in vec) or not any(vec):
+                raise InvalidArgument(f"{tuple(vec)} is not a nonzero vector of F_{q}^{k}")
+            omega.update(encode_vector([lam * e for e in vec], q) for lam in range(1, q))
+        self.omega = tuple(sorted(omega))
+        self._omega_set = frozenset(omega)
+        indicator = [0] * self.nvertices
+        for w in omega:
+            indicator[w] = 1
         self._lambda = _character_sums([indicator], q, k)  # the eigenvalue at each character
         self._walks = {}  # walk length -> counts from 0, filled by walk_counts
 
@@ -195,10 +194,9 @@ def _character_sums(planes: list[list[int]], q: int, k: int, inverse: bool = Fal
     if not inverse:
         return sums
     size = q**k
-    quotients = [divmod(x, size) for x in sums]
-    if any(rem for _, rem in quotients):
+    if any(x % size for x in sums):
         raise SelfCheckFailed(f"a character sum is not a multiple of q^k = {size}")
-    return [quo for quo, _ in quotients]
+    return [x // size for x in sums]
 
 
 def _walsh_transform(vec: list[int]) -> list[int]:
@@ -217,13 +215,9 @@ def coset_graph(code: LinearCode) -> CosetGraph:
     flag, _ = code.is_projective()
     if not flag:
         raise InvalidArgument("coset graph construction requires a projective code")
-    q = code.q
-    omega = [
-        encode_vector([lam * e for e in p], q) for p in code.point_set() for lam in range(1, q)
-    ]
-    g = CosetGraph(q, code.k, omega)
-    if g.degree != code.n * (q - 1):
-        raise SelfCheckFailed(f"coset graph degree {g.degree} != n(q-1) = {code.n * (q - 1)}")
+    g = CosetGraph(code.q, code.k, code.point_set())
+    if g.degree != code.n * (code.q - 1):
+        raise SelfCheckFailed(f"coset graph degree {g.degree} != n(q-1) = {code.n * (code.q - 1)}")
     return g
 
 

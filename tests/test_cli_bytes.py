@@ -24,12 +24,19 @@ from conftest import data_path, matrix_files
 
 DIGESTS = Path(__file__).resolve().parent / "cli_digests.json"
 
-# Error inputs, written to a temporary directory: none of their messages
-# names the file.
+# Inputs for the error and parse paths, written to a temporary directory:
+# none of their messages names the file.
 ERROR_FILES = {
     "gf5": "q=5 n=2 k=1\n12\n",
     "rank_deficient": "q=2\n110\n110\n",
     "not_projective": "q=2\n1100\n0011\n",
+    "digit_over_q": "q=2 n=3 k=2\n101\n021\n",
+    "headerless_digit5": "105\n011\n",
+    "ragged": "q=2\n1011\n011\n",
+    "header_n": "q=2 n=4 k=2\n101\n011\n",
+    "header_k": "q=2 n=3 k=3\n101\n011\n",
+    "double_bracket": "q=2\n101]]\n011\n",
+    "crlf": "q=3 n=4 k=2\r\n1110\r\n0121\r\n",
 }
 
 
@@ -41,6 +48,8 @@ def runs(error_dir: Path) -> dict[str, list[str]]:
         out[f"graph-s9/{path.name}"] = ["graph", str(path), "--s", "9"]
     adjacency = data_path("matrices/q3_n009_k04_w3_6_9.txt")
     out["graph-adjacency/q3"] = ["graph", str(adjacency), "--adjacency"]
+    binary = data_path("matrices/q2_n008_k04_w2_4_6.txt")
+    out["graph-adjacency/q2"] = ["graph", str(binary), "--adjacency"]
     for q, n_max in ((2, 71), (3, 39)):
         for fmt in ("text", "json", "csv"):
             out[f"enumerate/q{q}/{fmt}"] = [
@@ -59,6 +68,10 @@ def runs(error_dir: Path) -> dict[str, list[str]]:
     out["error/gf5"] = ["verify", str(error_dir / "gf5.txt")]
     out["error/rank-deficient"] = ["verify", str(error_dir / "rank_deficient.txt")]
     out["error/graph-not-projective"] = ["graph", str(error_dir / "not_projective.txt")]
+    for name in ("digit_over_q", "headerless_digit5", "ragged", "header_n", "header_k",
+                 "double_bracket"):
+        out[f"error/parse-{name}"] = ["verify", str(error_dir / f"{name}.txt")]
+    out["parse/crlf"] = ["verify", str(error_dir / "crlf.txt"), "--graph", "--tss"]
     out["error/graph-s11"] = ["graph", str(adjacency), "--s", "11"]
     out["error/enumerate-guard"] = ["enumerate", "--q", "2", "--n-min", "4", "--n-max", "1024"]
     return out

@@ -148,9 +148,9 @@ def test_anticode_canonicalises_each_column_once(monkeypatch):
     counted = []
     canonical = code_module._canonical_point
 
-    def counting(field, vec):
+    def counting(p, vec):
         counted.append(vec)
-        return canonical(field, vec)
+        return canonical(p, vec)
 
     monkeypatch.setattr(code_module, "_canonical_point", counting)
     parity_check_code(7).anticode()

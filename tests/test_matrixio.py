@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from threeweight.code import LinearCode
 from threeweight.errors import CodesError, InvalidArgument, ParseError
-from threeweight.gfmat import PrimeField
+from threeweight.gfmat import FieldMatrix, PrimeField
 from threeweight.matrixio import parse_matrix_file, parse_matrix_text, serialize_matrix
 
-from conftest import data_path
+from conftest import data_path, matrix_files
 
 
 def test_parse_small_fixture():
@@ -60,6 +60,21 @@ def test_every_fixture_parses(fixture_codes):
     assert len(fixture_codes) == 74
     q2 = sum(1 for _, c, _ in fixture_codes if c.q == 2)
     assert q2 == 61 and len(fixture_codes) - q2 == 13
+
+
+def test_packed_rows_match_from_rows_on_every_fixture():
+    # the parser packs each digit row itself; from_rows packs the same rows
+    # read here as integers, header and comments aside
+    paths = matrix_files()
+    assert len(paths) == 74
+    for path in paths:
+        rows = [
+            [int(c) for c in line if c.isdigit()]
+            for line in path.read_text("utf-8").splitlines()
+            if line.strip() and not line.startswith(("#", "q="))
+        ]
+        code = parse_matrix_file(path)
+        assert code.generator == FieldMatrix.from_rows(code.field, rows), path.name
 
 
 def test_shipped_transcription_artifacts_survive():

@@ -64,9 +64,9 @@ def test_verify_canonicalises_each_column_once(capsys, monkeypatch):
     counted = []
     canonical = code_module._canonical_point
 
-    def counting(field, vec):
+    def counting(p, vec):
         counted.append(vec)
-        return canonical(field, vec)
+        return canonical(p, vec)
 
     monkeypatch.setattr(code_module, "_canonical_point", counting)
     path = data_path("matrices/q3_n009_k04_w3_6_9.txt")
@@ -108,7 +108,14 @@ def test_omega_from_points_matches_column_oracle():
 
 def test_coset_graph_guard():
     with pytest.raises(GuardExceeded):
-        CosetGraph(2, 15, [1])
+        CosetGraph(2, 15, [(1,) + (0,) * 14])
+
+
+def test_field_gate_runs_before_the_vertex_guard():
+    # GF(5)^7 once got "q^k = 78125 vertices over the vertex guard": the
+    # guard ran before the field order was checked
+    with pytest.raises(InvalidArgument, match="field order 5"):
+        CosetGraph(5, 7, [(1,) + (0,) * 6])
 
 
 def test_simplex_gives_complete_graph():
@@ -186,7 +193,8 @@ def test_is_s_swrg_examples(code_8_4):
 def test_is_s_swrg_witness_counts_differ():
     # the first and last element at an extreme count once gave (1, 7), two
     # elements with 19 walks each
-    g = CosetGraph(2, 3, [1, 2, 3, 5, 7])
+    g = CosetGraph(2, 3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)])
+    assert g.omega == (1, 2, 3, 5, 7)
     res = is_s_swrg(g, 3)
     assert not res.is_swrg
     counts = g.walk_counts(3)
@@ -198,13 +206,18 @@ def test_is_s_swrg_witness_counts_differ():
     assert not inst.consistent and inst.witness == tuple(decode_vector(h, 2, 3) for h in (w1, w2))
 
 
-def test_coset_graph_rejects_omega_not_scalar_closed():
-    # {1} in F_3 misses 2 * 1; it once reported the spectrum {2: 1, -1: 2} at degree 1
-    with pytest.raises(InvalidArgument):
-        CosetGraph(3, 1, [1])
-    with pytest.raises(InvalidArgument):
-        CosetGraph(3, 2, [1, 2, 3])  # misses 2 * 3
-    assert CosetGraph(3, 2, [1, 2, 3, 6]).degree == 4
+def test_coset_graph_closes_points_under_scalars():
+    # the point (1,) of F_3 spans the line {1, 2}: the triangle K_3, with
+    # degree 2 and spectrum {2: 1, -1: 2}
+    g = CosetGraph(3, 1, [(1,)])
+    assert g.omega == (1, 2) and g.degree == 2
+    assert g.spectrum_multiplicities() == {2: 1, -1: 2}
+    assert spectrum_by_annihilator(g, (2, -1))
+    # scalar multiples and repeated points span the same lines
+    base = CosetGraph(3, 2, [(1, 0), (0, 1)])
+    assert base.omega == (1, 2, 3, 6)
+    assert CosetGraph(3, 2, [(2, 0), (0, 1), (0, 2), (1, 0), (0, 1)]).omega == base.omega
+    assert CosetGraph(2, 2, [(1, 1), (1, 1)]).omega == (3,)
 
 
 def test_walk_counts_are_kept_per_length(code_8_4, monkeypatch):
@@ -223,16 +236,16 @@ def test_walk_counts_are_kept_per_length(code_8_4, monkeypatch):
 
 
 @pytest.mark.parametrize("q,k,omega", [
-    (2, 2, [5]),
-    (2, 2, [1, 4]),
-    (3, 2, [10, 20]),
-    (2, 3, [-1, 1]),
+    (2, 2, [(1, 0), (2, 0)]),  # an entry >= q
+    (2, 2, [(1, 0), (0, -1)]),  # a negative entry
+    (3, 2, [(1, 0, 0)]),  # too long
+    (2, 3, [(1, 0)]),  # too short
 ])
 def test_coset_graph_rejects_omega_outside_the_group(q, k, omega):
-    # CosetGraph(2, 2, [5]).walk_counts(3) once ended in a bare IndexError,
-    # and a negative element was read as an index from the end
-    with pytest.raises(InvalidArgument, match="outside"):
-        CosetGraph(q, k, omega).walk_counts(3)
+    # an integer element past q^k once ended in a bare IndexError, and a
+    # negative one was read as an index from the end
+    with pytest.raises(InvalidArgument, match=f"is not a nonzero vector of F_{q}\\^{k}"):
+        CosetGraph(q, k, omega)
 
 
 def test_vertex_guard_has_one_decision_and_one_message():
@@ -240,7 +253,7 @@ def test_vertex_guard_has_one_decision_and_one_message():
     reason = vertex_guard_excess(2, 15)
     assert reason == "q^k = 32768 vertices over the vertex guard 16384"
     with pytest.raises(GuardExceeded, match=re.escape(reason)):
-        CosetGraph(2, 15, [1])
+        CosetGraph(2, 15, [(1,) + (0,) * 14])
     with pytest.raises(GuardExceeded, match=re.escape(reason)):
         coset_graph(reed_muller(2, 15))
 
@@ -249,29 +262,29 @@ def test_tss_check_has_no_omega_cubed_guard():
     # |Omega|^3 = 2047^3 > 2^30 was once refused, though no route costs |Omega|^3
     m, n = 2047, 2048
     assert m**3 > 1 << 30
-    inst = tss_check(CosetGraph(2, 11, range(1, n)))
+    inst = tss_check(CosetGraph(2, 11, [decode_vector(h, 2, 11) for h in range(1, n)]))
     # Omega is every nonzero vector, so A = J - I and A^3 = (n^2 - 3n + 3) J - I
     assert inst == TssInstance(m, True, n * n - 3 * n + 3, None)
 
 
 @st.composite
 def scalar_closed_omegas(draw):
-    """(q, k, Omega) with Omega a random union of lines through 0 in F_q^k."""
+    """(q, k, points, Omega): a random list of nonzero vectors of F_q^k,
+    scalar multiples and repeats allowed, and Omega, its scalar closure,
+    as sorted encoded elements."""
     q = draw(st.sampled_from((2, 3)))
     k = draw(st.integers(1, 3))
-    lines = {
-        frozenset(encode_vector([lam * e for e in decode_vector(h, q, k)], q) for lam in range(1, q))
-        for h in range(1, q**k)
-    }
-    chosen = draw(st.lists(st.sampled_from(sorted(lines, key=min)), unique=True))
-    return q, k, sorted(set().union(*chosen))
+    vector = st.tuples(*[st.integers(0, q - 1)] * k).filter(any)
+    points = draw(st.lists(vector, max_size=2 * q**k))
+    closure = {encode_vector([lam * e for e in v], q) for v in points for lam in range(1, q)}
+    return q, k, points, sorted(closure)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(st.data())
 def test_apply_adjacency_matches_direct_convolution(data):
-    q, k, omega = data.draw(scalar_closed_omegas())
-    g = CosetGraph(q, k, omega)
+    q, k, points, _ = data.draw(scalar_closed_omegas())
+    g = CosetGraph(q, k, points)
     vec = data.draw(st.lists(st.integers(-50, 50), min_size=q**k, max_size=q**k))
     assert g.apply_adjacency(vec) == direct_adjacency(g)(vec)
 
@@ -279,8 +292,10 @@ def test_apply_adjacency_matches_direct_convolution(data):
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(scalar_closed_omegas())
 def test_tss_matches_direct_triple_counts(case):
-    q, k, omega = case
-    inst = tss_check(CosetGraph(q, k, omega))
+    q, k, points, omega = case
+    g = CosetGraph(q, k, points)
+    assert g.omega == tuple(omega)
+    inst = tss_check(g)
     direct = direct_triple_counts((decode_vector(h, q, k) for h in omega), q, k)
     rest = set(range(1, q**k)) - set(omega)
     in_vals = {direct[h] for h in omega}
@@ -298,7 +313,7 @@ def test_tss_matches_direct_triple_counts(case):
 
 def test_tss_full_point_set_symmetric():
     omega = [(0, 1), (1, 0), (1, 1)]
-    inst = tss_check(CosetGraph(2, 2, [encode_vector(v, 2) for v in omega]))
+    inst = tss_check(CosetGraph(2, 2, omega))
     # every nonzero element lies in Omega, so the sigma1 class is empty and
     # the single constant sigma0 covers all of them symmetrically
     assert inst.consistent and inst.sigma0 == 7 and inst.sigma1 is None
@@ -330,11 +345,15 @@ def test_tss_inconsistent_for_bad_weight_sum():
     assert direct[w1] != direct[w2]
 
 
-def test_tss_rejects_zero_and_unclosed():
-    with pytest.raises(InvalidArgument, match="must not contain 0"):
-        tss_check(CosetGraph(2, 2, [encode_vector(v, 2) for v in [(0, 0), (1, 0)]]))
-    with pytest.raises(ValueError):
-        tss_check(CosetGraph(3, 3, [encode_vector((1, 0, 0), 3)]))  # misses 2*(1,0,0)
+def test_tss_rejects_the_zero_vector_and_closes_a_point():
+    for q in (2, 3):
+        with pytest.raises(InvalidArgument, match="is not a nonzero vector"):
+            tss_check(CosetGraph(q, 2, [(1, 0), (0, 0)]))
+    # the point (1, 0, 0) of F_3^3 stands for the line {(1, 0, 0), (2, 0, 0)}
+    inst = tss_check(CosetGraph(3, 3, [(1, 0, 0)]))
+    direct = direct_triple_counts([(1, 0, 0), (2, 0, 0)], 3, 3)
+    assert inst == TssInstance(2, True, direct[1], direct[3])
+    assert {direct[h] for h in range(1, 27)} == {3, 0} and direct[1] == direct[2] == 3
 
 
 def test_walk_constants_invariant_under_relabeling(code_8_4):
@@ -369,7 +388,7 @@ def test_ternary_graph_layer():
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_digit_block_add_table_matches_digitwise_addition(q, k):
-    g = CosetGraph(q, k, range(1, q))
+    g = CosetGraph(q, k, [(1,) + (0,) * (k - 1)])
     for w in range(q**k):
         assert g._add_table(w) == digitwise_add_table(w, q, k), (q, k, decode_vector(w, q, k))
 

@@ -82,7 +82,7 @@ def test_odd_transform_of_a_line_is_rational():
 
 
 def test_walk_counts_refuse_an_inexact_division(monkeypatch):
-    g = CosetGraph(3, 2, [1, 2, 3, 6])
+    g = CosetGraph(3, 2, [(1, 0), (0, 1)])
     transform = swrg._character_transform
 
     def off_by_one(planes, q, k, sign=1):
