@@ -3,10 +3,14 @@ constructions (simplex, first-order Reed-Muller, direct sums, anticodes,
 the 4*Delta family, the length-23 Golay code).
 
 Codes are immutable.  Weight distributions come from full codeword
-enumeration: the codewords are the differences of two half-dimension spans,
-with words encoded as integers whose XOR popcount is (q - 1) times the
-Hamming distance (a support mask over GF(2), three one-hot planes over
-GF(3)).
+enumeration, bit-sliced by blocks of messages: the messages that share
+their last k - b coordinates form one block, one bit each, with q^b <=
+BLOCK_BITS.  Per generator column, the level sets of its inner product
+with the first b coordinates are built once; in each block the zero set of
+every codeword coordinate is one of them, a carry-save adder sums the n
+zero sets into bit planes of the zero count, and a depth-first split of
+the planes ends in one popcount per weight.  The same kernel serves GF(2)
+and GF(3).
 """
 
 from __future__ import annotations
@@ -14,11 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import and_, getitem, mul, or_, xor
 
 from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
 from .gfmat import GF2, FieldMatrix, PrimeField
 
 ENUMERATION_GUARD = 1 << 26
+# At most this many messages per enumeration block, one bit each: 2^14 bits
+# keep a block's planes at 2 KiB, and half of a block's digits a numeral
+# below 256, one byte lane per column (`_numerals`).
+BLOCK_BITS = 1 << 14
+
+_MOD = {q: bytes(v % q for v in range(256)) for q in (2, 3)}
 
 
 @dataclass(frozen=True)
@@ -67,57 +78,160 @@ def _canonical_point(p: int, vec: tuple[int, ...]) -> tuple[int, ...] | None:
     return None
 
 
-def _span_words(q: int, n: int, masks: tuple[tuple[int, ...], ...]) -> list[int]:
-    """E(x), as in `_popcount_counts`, for every x in the span of the rows
-    whose value masks are given, each once; each row multiplies the list
-    by q."""
+def _digit_planes(q: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """planes[i][t] is the q^b-bit integer with bit x set when base-q digit i
+    of x equals t: a run of q^i ones at offset t q^i, repeated every q^(i+1)
+    bits."""
+    size = q**b
+    out = []
+    for i in range(b):
+        run = q**i
+        repeat = ((1 << size) - 1) // ((1 << run * q) - 1)  # bit 0 of every period
+        out.append(tuple(repeat * ((1 << run) - 1) << t * run for t in range(q)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _level_tables(q: int, b: int) -> tuple[tuple, tuple]:
+    """The level-set tables of F_q^b for column parts on the low b // 2
+    digits and on the others, built from the digit planes once per (q, b)."""
+    full = (1 << q**b) - 1
+    planes = _digit_planes(q, b)
+    return _level_table(q, full, planes[: b // 2]), _level_table(q, full, planes[b // 2 :])
+
+
+def _level_table(q: int, full: int, planes: tuple[tuple[int, ...], ...]) -> tuple:
+    """table[m] for the column part c on the given digits, m its digits read
+    as a base-q numeral: over GF(2) the set of x with <x, c> = 1, over GF(3)
+    the three sets of x with <x, c> = 0, 1, 2.  Each digit multiplies the
+    table by q: an XOR with the digit's plane of ones over GF(2), and over
+    GF(3) a one-hot rotate, value v coming from v - a t where the digit is
+    t (the three sets partition the bits, so the third is an XOR of two)."""
     if q == 2:
-        words = [0]
-        for _, ones in masks:
-            words += [w ^ ones for w in words]
-        return words
-    # Adding c r moves coordinate j from plane v to plane v + c r_j: the
-    # coordinates with c r_j = 1 rotate by n bits and those with c r_j = 2 by
-    # 2n, within 3n bits.  The shifted parts never share a bit, so one shift
-    # by 3n wraps both.
-    n2, n3 = 2 * n, 3 * n
-    planes = (1 << n3) - 1
-    replicate = 1 | 1 << n | 1 << n2
-    words = [(1 << n) - 1]  # E(0): every coordinate in plane 0
-    for zeros, ones, twos in masks:
-        keep, one, two = zeros * replicate, ones * replicate, twos * replicate
-        span = words
-        for by_n, by_2n in ((one, two), (two, one)):  # add r, then 2 r
-            words = words + [
-                (w & keep) | (t & planes) | t >> n3
-                for w in span
-                for t in (((w & by_n) << n) | ((w & by_2n) << n2),)
-            ]
-    return words
+        table = [0]
+        for _, ones in planes:
+            table += [t ^ ones for t in table]
+        return tuple(table)
+    table = [(full, 0, 0)]
+    for p0, p1, p2 in planes:
+        grown = []
+        for a in (1, 2):
+            for s in table:
+                zero = s[0] & p0 | s[-a] & p1 | s[a] & p2
+                one = s[1] & p0 | s[1 - a] & p1 | s[a - 2] & p2
+                grown.append((zero, one, full ^ zero ^ one))
+        table += grown
+    return tuple(table)
 
 
-def _popcount_counts(q: int, n: int, masks: tuple[tuple[int, ...], ...]) -> list[int]:
-    """counts[c] = number of codewords x with popcount(E(x) ^ E(0)) = c, so
-    that counts[::q - 1] is the weight distribution.
+def _numerals(q: int, n: int, rows: tuple[bytes, ...]) -> bytes:
+    """Per column, its entries in the given rows read as a base-q numeral,
+    the first row the lowest digit: one byte lane per column of one integer."""
+    value = 0
+    for row in reversed(rows):
+        value = value * q + int.from_bytes(row, "little")
+    return value.to_bytes(n, "little")
 
-    E encodes a vector as an integer with popcount(E(a) ^ E(b)) =
-    (q - 1) d(a, b).  Over GF(2), E(x) is the support mask.  Over GF(3),
-    E(x) is three n-bit planes side by side, plane v holding the coordinates
-    equal to v: symbol v becomes the one-hot triple e_v, and the three
-    triples form an equidistant binary code, at pairwise distance 2.
 
-    The rows split at half = k // 2.  Every codeword is a - b for exactly
-    one a in the span of the first half and b in the span of the second,
-    since a span is closed under negation; so the q^k codewords are the
-    pairs of two lists of about q^(k/2) words each.
+def _level_sets(q: int, n: int, b: int, rows: tuple[bytes, ...], values: int) -> list[tuple[int, ...]]:
+    """sets[j][v] has bit x set when <x, c_j> = v, for v < values, x in
+    F_q^b read as a base-q numeral and c_j column j of the given b rows: one
+    lookup in a table of the low half of the digits and one in a table of
+    the high half, joined by XOR over GF(2) and by (AND, OR) over GF(3)."""
+    full = (1 << q**b) - 1
+    low_table, high_table = _level_tables(q, b)
+    low = map(low_table.__getitem__, _numerals(q, n, rows[: b // 2]))
+    high = map(high_table.__getitem__, _numerals(q, n, rows[b // 2 :]))
+    if q == 2:
+        ones = list(map(xor, low, high))
+        return list(zip(*[map(full.__xor__, ones), ones][:values]))
+    a0, a1, a2 = zip(*low)
+    bs = tuple(zip(*high))  # value v is u from the low half and v - u from the high
+    return list(zip(*[
+        map(or_, map(or_, map(and_, a0, bs[v]), map(and_, a1, bs[v - 1])), map(and_, a2, bs[v - 2]))
+        for v in range(values)
+    ]))
+
+
+def _bit_planes(masks: list[int]) -> list[int]:
+    """planes[i] has bit x set when bit i of the number of masks with bit x
+    set is 1.  A carry-save adder after Harley and Seal: each pair of masks
+    goes through a full adder with plane 0, and a carry of plane i waits in
+    held[i] for a second one, the two going through a full adder with plane
+    i, like the digits of a binary counter.  A zero carry adds nothing, so
+    it neither waits nor moves up; no count, and so no carry, reaches past
+    the bit length of len(masks)."""
+    width = len(masks).bit_length()
+    planes, held = [0] * width, [0] * width
+    it = iter(masks)
+    for a, b in zip(it, it):
+        p = planes[0]
+        s = p ^ a
+        planes[0], c = s ^ b, p & a | s & b
+        i = 1
+        while c:
+            x = held[i]
+            if not x:
+                held[i] = c
+                break
+            held[i] = 0
+            p = planes[i]
+            s = p ^ x
+            planes[i], c = s ^ c, p & x | s & c
+            i += 1
+    if len(masks) % 2:
+        held[0] = masks[-1]
+    for i, c in enumerate(held):  # half adders for what still waits
+        while c:
+            planes[i], c = planes[i] ^ c, planes[i] & c
+            i += 1
+    return planes
+
+
+def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
+    """counts[w] = number of codewords of weight w, over all q^k messages.
+
+    A message is x = (x_lo, x_hi), x_lo its first b coordinates, b <= k the
+    largest with q^b <= BLOCK_BITS (at least 1).  Coordinate j of the
+    codeword is <x_lo, c_lo> + <x_hi, c_hi> for column c = (c_lo, c_hi), so
+    for each x_hi it is zero exactly on the level set of -<x_hi, c_hi> among
+    the q^b values of x_lo, one bit each.  Per block (one x_hi) a
+    carry-save adder sums the n zero sets into bit planes of the zero
+    count, and a depth-first split of the planes ends in one popcount per
+    weight.  The blocks follow the modular Gray code over x_hi, one row
+    added per step.
     """
-    half = len(masks) // 2
-    low = _span_words(q, n, masks[:half])
-    high = _span_words(q, n, masks[half:])
-    counts = [0] * ((q - 1) * n + 1)
-    for a in low:
-        for b in high:
-            counts[(a ^ b).bit_count()] += 1
+    k, n = len(rows), len(rows[0])
+    b = 1
+    while b < k and q ** (b + 1) <= BLOCK_BITS:
+        b += 1
+    levels = _level_sets(q, n, b, rows[:b], q if k > b else 1)  # one block: zeros only
+    full = (1 << q**b) - 1
+    # adding a row to x_hi adds its negation to -<x_hi, c_hi>, lane by lane
+    steps = [int.from_bytes(bytes(-e % q for e in row), "little") for row in rows[b:]]
+    neg = bytes(n)  # -<x_hi, c_hi> per column
+    counts = [0] * (n + 1)
+    for t in range(q ** (k - b)):
+        if t:  # step t of the Gray code adds row b + nu_q(t)
+            i = 0
+            while t % q == 0:
+                t //= q
+                i += 1
+            neg = (int.from_bytes(neg, "little") + steps[i]).to_bytes(n, "little")
+            neg = neg.translate(_MOD[q])
+        planes = _bit_planes(list(map(getitem, levels, neg)))
+        stack = [(full, len(planes), n)]
+        while stack:  # each entry: the messages whose zero count agrees above plane i
+            mask, i, w = stack.pop()
+            while i:
+                i -= 1
+                zeros = mask & planes[i]
+                if zeros:
+                    if zeros != mask:
+                        stack.append((mask ^ zeros, i, w))
+                    mask = zeros
+                    w -= 1 << i
+            counts[w] += mask.bit_count()
     return counts
 
 
@@ -159,12 +273,21 @@ class LinearCode:
             return self._distribution
         if self.q**self.k > ENUMERATION_GUARD:
             raise GuardExceeded(f"q^k = {self.q}**{self.k} exceeds the enumeration guard")
-        counts = _popcount_counts(self.q, self.n, self.generator.value_masks())
-        if self.q == 3 and any(counts[1::2]):
-            raise SelfCheckFailed("two GF(3) encodings differed in an odd number of bits")
-        dist = WeightDistribution.from_dict(self.n, dict(enumerate(counts[:: self.q - 1])))
-        if dist.total() != self.q**self.k:
-            raise SelfCheckFailed(f"enumeration counted {dist.total()} codewords, not q^k")
+        rows = self.generator.packed_rows()
+        counts = _weight_counts(self.q, rows)
+        size = self.q**self.k
+        if sum(counts) != size:
+            raise SelfCheckFailed(f"enumeration counted {sum(counts)} codewords, not q^k")
+        support = 0
+        for row in rows:
+            support |= int.from_bytes(row, "little")
+        nonzero = self.n - support.to_bytes(self.n, "little").count(0)
+        moment = sum(map(mul, counts, range(len(counts))))
+        if moment != (size - size // self.q) * nonzero:  # each nonzero column's share
+            raise SelfCheckFailed(
+                f"enumerated weights sum to {moment}, not q^(k-1)(q-1) times {nonzero} nonzero columns"
+            )
+        dist = WeightDistribution.from_dict(self.n, dict(enumerate(counts)))
         self._distribution = dist
         return dist
 

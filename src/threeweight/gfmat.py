@@ -30,11 +30,6 @@ GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 
 
-# _VALUE_DIGITS[v] maps the entry v to the digit "1" and the other entries to
-# "0"; reversed, a row then reads as a base-2 numeral with column j at bit j.
-_VALUE_DIGITS = tuple(bytes.maketrans(b"\0\1\2", d) for d in (b"100", b"010", b"001"))
-
-
 class RrefResult(NamedTuple):
     reduced: "FieldMatrix"
     rank: int
@@ -66,13 +61,12 @@ class FieldMatrix:
 
     @classmethod
     def from_columns(cls, field: PrimeField, cols: Iterable[Iterable[int]]) -> "FieldMatrix":
-        cols = [tuple(int(e) % field.p for e in c) for c in cols]
-        if not cols:
-            raise InvalidArgument("matrix must be nonempty")
-        nrows = len(cols[0])
-        if any(len(c) != nrows for c in cols):
+        cols = [bytes(int(e) % field.p for e in c) for c in cols]
+        if cols and any(len(c) != len(cols[0]) for c in cols):
             raise InvalidArgument("ragged columns")
-        return cls.from_rows(field, ((c[i] for c in cols) for i in range(nrows)))
+        if not cols or not cols[0]:
+            raise InvalidArgument("matrix must be nonempty")
+        return cls(field, tuple(map(bytes, zip(*cols))), len(cols))
 
     def columns(self) -> Iterator[tuple[int, ...]]:
         return zip(*self._rows)
@@ -80,13 +74,9 @@ class FieldMatrix:
     def to_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(r) for r in self._rows)
 
-    def value_masks(self) -> tuple[tuple[int, ...], ...]:
-        """Per row, one bit mask per field value v: bit j is set when
-        entry j equals v."""
-        return tuple(
-            tuple(int(r[::-1].translate(_VALUE_DIGITS[v]), 2) for v in range(self.field.p))
-            for r in self._rows
-        )
+    def packed_rows(self) -> tuple[bytes, ...]:
+        """The rows as stored, one byte per entry."""
+        return self._rows
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import add, mul, sub
+from itertools import compress
+from operator import add, mul, not_, sub
 from typing import Iterable, Sequence
 
 from .code import LinearCode
@@ -88,7 +89,7 @@ class CosetGraph:
     """Cayley graph on F_q^k, q in {2, 3}; its connection set `omega` (sorted,
     encoded) is the scalar closure of the given nonzero vectors."""
 
-    __slots__ = ("q", "k", "nvertices", "omega", "_omega_set", "_lambda", "_walks")
+    __slots__ = ("q", "k", "nvertices", "omega", "_indicator", "_lambda", "_walks", "_swrg")
 
     def __init__(self, q: int, k: int, points: Iterable[Sequence[int]]):
         PrimeField(q)  # rejects every q but 2 and 3
@@ -104,12 +105,13 @@ class CosetGraph:
                 raise InvalidArgument(f"{tuple(vec)} is not a nonzero vector of F_{q}^{k}")
             omega.update(encode_vector([lam * e for e in vec], q) for lam in range(1, q))
         self.omega = tuple(sorted(omega))
-        self._omega_set = frozenset(omega)
-        indicator = [0] * self.nvertices
+        indicator = bytearray(self.nvertices)
         for w in omega:
             indicator[w] = 1
-        self._lambda = _character_sums([indicator], q, k)  # the eigenvalue at each character
+        self._indicator = bytes(indicator)  # 1 at the vertices adjacent to 0
+        self._lambda = _character_sums([self._indicator], q, k)  # the eigenvalue at each character
         self._walks = {}  # walk length -> counts from 0, filled by walk_counts
+        self._swrg = {}  # walk length -> SwrgResult, filled by is_s_swrg
 
     def _add_table(self, w: int) -> list[int]:
         """table[h] = h + w, extended by one base-q digit block at a time."""
@@ -247,16 +249,26 @@ def is_s_swrg(graph: CosetGraph, s: int) -> SwrgResult:
     vertices may depend only on equal/adjacent/non-adjacent.  An empty class
     has the constant 0; a class that is not constant gives the witness pair
     (its first element with the least count, its first with the greatest).
+    Each length is decided once per graph and kept; the adjacency indicator
+    splits the classes.
     """
     if s < 3 or s % 2 == 0:
         raise InvalidArgument("the walk-regularity test is for odd s >= 3")
+    if s not in graph._swrg:
+        graph._swrg[s] = _walk_regularity(graph, s)
+    return graph._swrg[s]
+
+
+def _walk_regularity(graph: CosetGraph, s: int) -> SwrgResult:
     counts = graph.walk_counts(s)
-    non_adjacent = [h for h in range(1, graph.nvertices) if h not in graph._omega_set]
+    outside = list(map(not_, graph._indicator))
+    outside[0] = False  # vertex 0 is the class "equal"
     constants = [counts[0]]
-    for cls in (graph.omega, non_adjacent):
-        vals = [counts[h] for h in cls]
+    for selector in (graph._indicator, outside):
+        vals = list(compress(counts, selector))
         lo, hi = min(vals, default=0), max(vals, default=0)
         if lo != hi:
+            cls = list(compress(range(graph.nvertices), selector))
             return SwrgResult(False, s, None, (cls[vals.index(lo)], cls[vals.index(hi)]))
         constants.append(lo)
     return SwrgResult(True, s, tuple(constants))
@@ -272,7 +284,7 @@ def tss_check(graph: CosetGraph) -> TssInstance:
     result carries its witness pair decoded to vectors.
     """
     m = graph.degree
-    walk = is_s_swrg(graph, 3)
+    walk = is_s_swrg(graph, 3)  # kept on the graph: `verify --graph --tss` tests once
     if not walk.is_swrg:
         wit = tuple(decode_vector(h, graph.q, graph.k) for h in walk.witness)
         return TssInstance(m, False, None, None, wit)

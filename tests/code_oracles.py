@@ -1,8 +1,7 @@
 """Independent second routes for `threeweight.code`.
 
-Weight distributions: the library splits the generator rows in half and
-pairs the two half spans, with each word encoded as an integer whose XOR
-popcount is (q - 1) times the Hamming distance.  `recursive_weight_counts`
+Weight distributions: the library counts the zero coordinates of a block
+of messages at once, bit-sliced, one message per bit.  `recursive_weight_counts`
 recurses over the coefficient of each row in turn and builds every codeword
 as a tuple from the previous one.  `gray_weight_counts` visits the codewords
 in a third order, the modular q-ary Gray code, one row added per step.

@@ -167,8 +167,9 @@ def test_verify_skip_line_reads_the_library_vertex_guard(capsys, tmp_path):
 
 
 def test_verify_builds_one_graph_and_walks_once(capsys, monkeypatch):
-    calls = {"init": 0, "transform": 0}
+    calls = {"init": 0, "transform": 0, "walk test": 0}
     init, transform = CosetGraph.__init__, swrg._character_transform
+    walk_test = swrg._walk_regularity
 
     def counting_init(self, *args):
         calls["init"] += 1
@@ -178,14 +179,20 @@ def test_verify_builds_one_graph_and_walks_once(capsys, monkeypatch):
         calls["transform"] += 1
         return transform(*args)
 
+    def counting_walk_test(*args):
+        calls["walk test"] += 1
+        return walk_test(*args)
+
     monkeypatch.setattr(CosetGraph, "__init__", counting_init)
     monkeypatch.setattr(swrg, "_character_transform", counting_transform)
+    monkeypatch.setattr(swrg, "_walk_regularity", counting_walk_test)
     rc, out, _ = run_cli(
         capsys, "verify", str(data_path("matrices/q3_n009_k04_w3_6_9.txt")), "--graph", "--tss",
     )
     assert rc == 0 and "triple sum set: consistent=True" in out
-    # one transform gives the spectrum, one inverse the 3-walks of both checks
-    assert calls == {"init": 1, "transform": 2}
+    # one transform gives the spectrum, one inverse the 3-walks, and one
+    # walk-regularity test serves both checks
+    assert calls == {"init": 1, "transform": 2, "walk test": 1}
 
 
 def test_graph_over_the_vertex_guard_exits_2(capsys, tmp_path):

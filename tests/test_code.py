@@ -206,14 +206,22 @@ def test_direct_sum_random_product_rule():
 
 
 def _misweigh(monkeypatch):
-    """Make GF(2) enumeration return the right total with the wrong weights."""
-    monkeypatch.setattr(
-        code_module, "_popcount_counts", lambda q, n, masks: [1, 2 ** len(masks) - 1]
-    )
+    """Make enumeration return wrong weights that pass its own total and
+    first-moment checks: two codewords of one weight w move to w - 1 and
+    w + 1."""
+    kernel = code_module._weight_counts
+
+    def misweighed(q, rows):
+        counts = kernel(q, rows)
+        w = next(w for w in range(1, len(counts) - 1) if counts[w] >= 2)
+        counts[w - 1 : w + 2] = counts[w - 1] + 1, counts[w] - 2, counts[w + 1] + 1
+        return counts
+
+    monkeypatch.setattr(code_module, "_weight_counts", misweighed)
 
 
 def test_enumeration_total_check_raises(monkeypatch):
-    monkeypatch.setattr(code_module, "_popcount_counts", lambda q, n, masks: [1])
+    monkeypatch.setattr(code_module, "_weight_counts", lambda q, rows: [1])
     with pytest.raises(SelfCheckFailed):
         LinearCode(GF2, FieldMatrix.from_rows(GF2, [[1, 0, 1], [0, 1, 1]])).weight_distribution()
 
@@ -221,16 +229,26 @@ def test_enumeration_total_check_raises(monkeypatch):
 @pytest.mark.parametrize("q", [3])
 def test_enumeration_total_check_raises_on_odd_fields(monkeypatch, q):
     field = PrimeField(q)
-    monkeypatch.setattr(code_module, "_popcount_counts", lambda q, n, masks: [1, 0, q**2 - 2])
+    monkeypatch.setattr(code_module, "_weight_counts", lambda q, rows: [1, 0, q**2 - 2])
     with pytest.raises(SelfCheckFailed, match="codewords, not q"):
         LinearCode(field, FieldMatrix.from_rows(field, [[1, 0, 1], [0, 1, 1]])).weight_distribution()
 
 
-def test_odd_popcount_check_raises(monkeypatch):
-    # the right total, but one pair of GF(3) encodings 1 bit apart
-    monkeypatch.setattr(code_module, "_popcount_counts", lambda q, n, masks: [1, 1, 7])
-    with pytest.raises(SelfCheckFailed, match="odd number of bits"):
-        LinearCode(GF3, FieldMatrix.from_rows(GF3, [[1, 0, 1], [0, 1, 1]])).weight_distribution()
+# The right total q^2 with the wrong first moment: three nonzero columns
+# give sum w A_w = q(q - 1) 3, and [1, 1, q^2 - 2] gives 2 q^2 - 3.  With a
+# zero column appended the expected moment stays, so the check counts
+# nonzero columns, not positions.
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("zero_column", [False, True])
+def test_first_moment_check_raises(monkeypatch, q, zero_column):
+    field = PrimeField(q)
+    rows = [[1, 0, 1] + [0] * zero_column, [0, 1, 1] + [0] * zero_column]
+    code = LinearCode(field, FieldMatrix.from_rows(field, rows))
+    assert sum(w * a for w, a in code.weight_distribution().counts) == q * (q - 1) * 3
+    code = LinearCode(field, FieldMatrix.from_rows(field, rows))
+    monkeypatch.setattr(code_module, "_weight_counts", lambda q, rows: [1, 1, q**2 - 2])
+    with pytest.raises(SelfCheckFailed, match=r"not q\^\(k-1\)\(q-1\) times 3 nonzero"):
+        code.weight_distribution()
 
 
 def test_direct_sum_check_raises(monkeypatch):

@@ -30,15 +30,12 @@ def test_prime_field_accepts_only_gf2_and_gf3(p):
 
 
 @pytest.mark.parametrize("field", [GF2, GF3])
-def test_value_masks_partition_the_columns_by_entry(field):
+def test_from_columns_is_the_transpose_of_from_rows(field):
     rng = random.Random(field.p)
-    rows = [[rng.randrange(field.p) for _ in range(70)] for _ in range(4)]
-    masks = FieldMatrix.from_rows(field, rows).value_masks()
-    assert len(masks) == len(rows)
-    for row, per_value in zip(rows, masks):
-        assert len(per_value) == field.p
-        for v, mask in enumerate(per_value):
-            assert mask == sum(1 << j for j, e in enumerate(row) if e == v)
+    cols = [[rng.randrange(-4, 5) for _ in range(4)] for _ in range(9)]
+    by_columns = FieldMatrix.from_columns(field, cols)
+    assert by_columns == FieldMatrix.from_rows(field, zip(*cols))
+    assert by_columns.packed_rows() == tuple(bytes(e % field.p for e in r) for r in zip(*cols))
 
 
 def test_rref_identity():

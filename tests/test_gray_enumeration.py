@@ -1,5 +1,6 @@
-"""The split XOR-popcount enumeration against the recursive oracle and the
-modular Gray-code walk."""
+"""The block-wise bit-sliced enumeration against the recursive oracle and the
+modular Gray-code walk, and its parts (level sets, carry-save planes)
+against direct counts."""
 
 from __future__ import annotations
 
@@ -47,21 +48,6 @@ def random_full_rank_rows(q: int, k: int, n: int, seed: int) -> list[tuple[int, 
         rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)]
         if FieldMatrix.from_rows(PrimeField(q), rows).rank() == k:
             return rows
-
-
-def encoding(q: int, vec) -> int:
-    """E(vec) written out: the support mask over GF(2), and over GF(3) bit
-    v n + j for entry v at coordinate j."""
-    n = len(vec)
-    if q == 2:
-        return sum(1 << j for j, e in enumerate(vec) if e)
-    return sum(1 << (e * n + j) for j, e in enumerate(vec))
-
-
-def library_encoding(q: int, vec) -> int:
-    """E(vec) from the library: the span of one row starts E(0), E(row)."""
-    masks = FieldMatrix.from_rows(PrimeField(q), [vec]).value_masks()
-    return code_module._span_words(q, len(vec), masks)[1]
 
 
 @pytest.mark.parametrize("span", [GRAY_SPAN, 8])
@@ -128,40 +114,56 @@ def test_chunk_boundary_dimensions_match_the_recursion(span, q, k):
     assert gray_weight_counts(tuple(rows), q, span) == expected
 
 
-# The split puts k // 2 rows in the first half: k = 1 leaves it empty, and an
-# odd k makes the second half one row longer.
+# Below the block size b = k, and the level-set tables split the k digits at
+# k // 2: k = 1 leaves the low table without a digit, and an odd k makes the
+# high table one digit longer.
 @pytest.mark.parametrize("q,k", [(q, k) for q in FIELDS for k in range(1, 9)])
 def test_split_boundary_dimensions_match_the_recursion(q, k):
     rows = random_full_rank_rows(q, k, k + 3, q * 1000 + k)
     assert distribution(q, rows) == recursive_weight_counts(tuple(rows), q)
 
 
-@st.composite
-def vector_pairs(draw):
-    q = draw(st.sampled_from(FIELDS))
-    n = draw(st.integers(1, 40))
-    vec = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
-    return q, draw(vec), draw(vec)
+def level_sets_by_brute_force(q: int, col) -> list[int]:
+    """sets[v] has bit x set when <x, col> = v, x read as a base-q numeral."""
+    sets = [0] * q
+    for x, digits in enumerate(product(range(q), repeat=len(col))):
+        value = sum(d * c for d, c in zip(reversed(digits), col)) % q
+        sets[value] |= 1 << x
+    return sets
+
+
+@pytest.mark.parametrize("q,b", [(2, 1), (2, 2), (2, 5), (3, 1), (3, 2), (3, 4)])
+def test_level_sets_match_a_brute_force(q, b):
+    cols = list(product(range(q), repeat=b))
+    rows = tuple(bytes(c[i] for c in cols) for i in range(b))
+    got = code_module._level_sets(q, len(cols), b, rows, q)
+    assert got == [tuple(level_sets_by_brute_force(q, c)) for c in cols]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(vector_pairs())
-def test_encoding_distance_is_a_popcount(case):
-    q, a, b = case
-    ea, eb = library_encoding(q, a), library_encoding(q, b)
-    assert (ea, eb) == (encoding(q, a), encoding(q, b))
-    assert (ea ^ eb).bit_count() == (q - 1) * sum(x != y for x, y in zip(a, b))
+@given(st.lists(st.integers(0, (1 << 70) - 1), max_size=40))
+def test_carry_save_planes_count_each_position(masks):
+    planes = code_module._bit_planes(list(masks))
+    for x in range(70):
+        count = sum(m >> x & 1 for m in masks)
+        assert sum((p >> x & 1) << i for i, p in enumerate(planes)) == count
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(generator_rows())
-def test_span_words_encode_every_vector_of_the_span_once(case):
-    q, rows = case
-    n = len(rows[0])
-    masks = FieldMatrix.from_rows(PrimeField(q), rows).value_masks()
-    spanned = [
-        tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) % q for j in range(n))
-        for coeffs in product(range(q), repeat=len(rows))
-    ]
-    got = code_module._span_words(q, n, masks)
-    assert sorted(got) == sorted(encoding(q, v) for v in spanned)
+def rows_with_zero_columns(q: int, k: int, seed: int) -> list[tuple[int, ...]]:
+    """A full-rank k-row generator with two zero columns among its k + 5."""
+    rows = random_full_rank_rows(q, k, k + 3, seed)
+    return [r[:2] + (0,) + r[2:] + (0,) for r in rows]
+
+
+# A small block forces several blocks: BLOCK_BITS = 8 gives b = 3 over GF(2)
+# and b = 1 over GF(3), and 27 gives b = 4 and b = 3.
+@pytest.mark.parametrize("block_bits", [8, 27])
+@pytest.mark.parametrize("q", FIELDS)
+@pytest.mark.parametrize("extra", [0, 1, 2])
+def test_multi_block_enumeration_matches_both_oracles(monkeypatch, block_bits, q, extra):
+    monkeypatch.setattr(code_module, "BLOCK_BITS", block_bits)
+    b = low_digits(q, block_bits)
+    rows = rows_with_zero_columns(q, b + extra, 7 * block_bits + q + extra)
+    expected = recursive_weight_counts(tuple(rows), q)
+    assert distribution(q, rows) == expected
+    assert gray_weight_counts(tuple(rows), q, GRAY_SPAN) == expected

@@ -34,8 +34,8 @@ from threeweight.gfmat import FieldMatrix, PrimeField
 
 assert False, "asserts must be stripped"
 print("optimize", sys.flags.optimize)
-for q, counts in ((2, [1]), (3, [1]), (3, [1, 1, 7])):
-    code._popcount_counts = lambda q, n, masks: counts
+for q, counts in ((2, [1]), (3, [1]), (2, [1, 1, 2]), (3, [1, 1, 7])):
+    code._weight_counts = lambda q, rows: counts
     field = PrimeField(q)
     matrix = FieldMatrix.from_rows(field, [[1, 0, 1], [0, 1, 1]])
     try:
@@ -56,7 +56,8 @@ def test_enumeration_self_check_raises_under_python_O():
         "optimize 1",
         "GF(2) raised: enumeration counted 1 codewords, not q^k",
         "GF(3) raised: enumeration counted 1 codewords, not q^k",
-        "GF(3) raised: two GF(3) encodings differed in an odd number of bits",
+        "GF(2) raised: enumerated weights sum to 5, not q^(k-1)(q-1) times 3 nonzero columns",
+        "GF(3) raised: enumerated weights sum to 15, not q^(k-1)(q-1) times 3 nonzero columns",
         "",
     ]
 
