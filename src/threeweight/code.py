@@ -21,15 +21,13 @@ from itertools import product
 from operator import and_, getitem, mul, or_, xor
 
 from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
-from .gfmat import GF2, FieldMatrix, PrimeField
+from .gfmat import _MOD, GF2, FieldMatrix, PrimeField
 
 ENUMERATION_GUARD = 1 << 26
 # At most this many messages per enumeration block, one bit each: 2^14 bits
 # keep a block's planes at 2 KiB, and half of a block's digits a numeral
 # below 256, one byte lane per column (`_numerals`).
 BLOCK_BITS = 1 << 14
-
-_MOD = {q: bytes(v % q for v in range(256)) for q in (2, 3)}
 
 
 @dataclass(frozen=True)

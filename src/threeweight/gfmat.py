@@ -29,6 +29,9 @@ class PrimeField:
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 
+# translate tables that reduce every byte lane mod p
+_MOD = {p: bytes(v % p for v in range(256)) for p in (2, 3)}
+
 
 class RrefResult(NamedTuple):
     reduced: "FieldMatrix"
@@ -128,4 +131,31 @@ class FieldMatrix:
         return RrefResult(reduced, len(pivots), tuple(pivots))
 
     def rank(self) -> int:
-        return self.rref().rank
+        """Row rank by elimination on whole rows, each read as one int with
+        a byte lane per entry.  A row is reduced at its last nonzero lane by
+        the pivot that owns that lane: over GF(2) by XOR, over GF(3) by
+        adding the pivot's multiple that cancels the lane, then one
+        translate mod 3.  Lanes stay below 5, so no addition carries."""
+        p, n = self.field.p, self.ncols
+        # lane -> its pivot row over GF(2); over GF(3), (0, the multiple of the
+        # pivot row that cancels a last entry 1, the one that cancels a 2)
+        pivots: dict = {}
+        for row in self._rows:
+            r = int.from_bytes(row, "little")
+            while r:
+                lane = (r.bit_length() - 1) >> 3
+                pivot = pivots.get(lane)
+                if pivot is None:
+                    if p == 2:
+                        pivots[lane] = r
+                    else:
+                        double = _mod3(2 * r, n)
+                        pivots[lane] = (0, double, r) if r >> 8 * lane == 1 else (0, r, double)
+                    break
+                r = r ^ pivot if p == 2 else _mod3(r + pivot[r >> 8 * lane], n)
+        return len(pivots)
+
+
+def _mod3(x: int, n: int) -> int:
+    """Each of the n byte lanes of x reduced mod 3."""
+    return int.from_bytes(x.to_bytes(n, "little").translate(_MOD[3]), "little")

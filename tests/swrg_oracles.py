@@ -1,18 +1,25 @@
 """Independent second routes for the graph quantities of `threeweight.swrg`.
 
-The library computes each quantity one way: the spectrum and the walk
-counts from one exact character transform (Walsh over q = 2, the group ring
-Z[C_q] over odd q), triple-sum counts as length-3 walk counts, translation
-tables by base-q digit blocks, and the connection set from the canonical
-column points that projectivity already computed.  The routes below share
-none of that machinery and serve as test oracles.
+The library reads the spectrum from the weight distribution, decides walk
+regularity on the distinct eigenvalues, reads triple-sum counts as length-3
+walk constants, builds translation tables by base-q digit blocks, and takes
+the connection set from the canonical column points that projectivity
+already computed.  The routes below share none of that machinery and serve
+as test oracles: the spectrum and every walk count from one exact character
+transform over all q^k vertices (Walsh over q = 2, the group ring Z[C_q]
+over odd q), the walk classes split vertex by vertex, direct convolution,
+direct |Omega|^3 counting and a dense matrix power.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from collections import Counter
+from itertools import compress
+from operator import add, not_, sub
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from threeweight.code import LinearCode
+from threeweight.errors import SelfCheckFailed
 from threeweight.swrg import CosetGraph, SwrgResult, decode_vector, encode_vector
 
 
@@ -131,3 +138,105 @@ def walk_class_constants_dense(adjacency: list[set[int]], s: int) -> SwrgResult:
     if len(equal) > 1 or len(adj) > 1 or len(non) > 1:
         return SwrgResult(False, s, None)
     return SwrgResult(True, s, (equal.pop(), adj.pop() if adj else 0, non.pop() if non else 0))
+
+
+# -- the character transform over all q^k vertices ------------------------------
+
+
+def _character_transform(planes: list[list[int]], q: int, k: int, sign: int = 1) -> list[list[int]]:
+    """sum_h x[h] zeta^(sign <u, h>) for every u in F_q^k, x[h] = sum_c
+    planes[c][h] zeta^c (missing planes are zero).  For q = 2, zeta = -1 and
+    this is the Walsh transform; for odd q a product with zeta^r rotates the
+    planes of Z[C_q].  Each pass transforms the top base-q digit and moves
+    it to the bottom, so k passes put every digit back in place."""
+    if q == 2:
+        return [_walsh_transform(planes[0])]
+    n = q**k
+    m = n // q
+    planes = planes + [[0] * n] * (q - len(planes))
+    for _ in range(k):
+        blocks = [[plane[j * m:(j + 1) * m] for j in range(q)] for plane in planes]
+        planes = [[0] * n for _ in range(q)]
+        for r in range(q):
+            for c in range(q):  # the coefficient of zeta^c in sum_j zeta^(sign r j) x_j
+                terms = [blocks[(c - sign * r * j) % q][j] for j in range(q)]
+                planes[c][r::q] = map(sum, zip(*terms))
+    return planes
+
+
+def _character_sums(planes: list[list[int]], q: int, k: int, inverse: bool = False) -> list[int]:
+    """The character transform, or its inverse with the factor q^-k, in
+    integers: an entry v of Z[C_q] is the integer v[0] - v[1] exactly when
+    v[1] = ... = v[q-1]; any other entry, or a remainder mod q^k, raises."""
+    out = _character_transform(planes, q, k, -1 if inverse else 1)
+    if any(plane != out[1] for plane in out[2:]):
+        raise SelfCheckFailed("a character sum is not an integer")
+    sums = out[0] if q == 2 else list(map(sub, out[0], out[1]))
+    if not inverse:
+        return sums
+    size = q**k
+    if any(x % size for x in sums):
+        raise SelfCheckFailed(f"a character sum is not a multiple of q^k = {size}")
+    return [x // size for x in sums]
+
+
+def _walsh_transform(vec: list[int]) -> list[int]:
+    out = list(vec)
+    half = len(out) // 2
+    for _ in range(half.bit_length()):
+        lo, hi = out[:half], out[half:]
+        out[0::2] = map(add, lo, hi)
+        out[1::2] = map(sub, lo, hi)
+    return out
+
+
+def indicator(graph: CosetGraph) -> list[int]:
+    """1 at the vertices adjacent to 0."""
+    omega = set(graph.omega)
+    return [1 if h in omega else 0 for h in range(graph.nvertices)]
+
+
+def character_spectrum(graph: CosetGraph) -> list[int]:
+    """lambda_u for every character u: the transform of the indicator of Omega."""
+    return _character_sums([indicator(graph)], graph.q, graph.k)
+
+
+def cayley_graph(q: int, k: int, points: Iterable[Sequence[int]]) -> CosetGraph:
+    """The Cayley graph of the scalar closure of the points, with its
+    spectrum from the character transform: any point set, spanning or not."""
+    points = list(points)
+    spectrum = Counter(character_spectrum(CosetGraph(q, k, points, {})))
+    return CosetGraph(q, k, points, spectrum)
+
+
+def walk_counts(graph: CosetGraph, s: int) -> list[int]:
+    """Number of length-s walks from 0 to each vertex, exactly, as the
+    inverse transform of lambda^s."""
+    powers = [x**s for x in character_spectrum(graph)]
+    return _character_sums([powers], graph.q, graph.k, inverse=True)
+
+
+class WalkVerdict(NamedTuple):
+    is_swrg: bool
+    constants: tuple[int, int, int] | None  # (equal, adjacent, non-adjacent)
+    witness: tuple[int, int] | None  # two group elements, same class, different counts
+
+
+def walk_regularity(graph: CosetGraph, s: int) -> WalkVerdict:
+    """The walk-regularity verdict from the walk counts, class by class.  An
+    empty class has the constant 0; a class that is not constant gives the
+    witness pair (its first element with the least count, its first with
+    the greatest)."""
+    counts = walk_counts(graph, s)
+    inside = indicator(graph)
+    outside = list(map(not_, inside))
+    outside[0] = False  # vertex 0 is the class "equal"
+    constants = [counts[0]]
+    for selector in (inside, outside):
+        vals = list(compress(counts, selector))
+        lo, hi = min(vals, default=0), max(vals, default=0)
+        if lo != hi:
+            cls = list(compress(range(graph.nvertices), selector))
+            return WalkVerdict(False, None, (cls[vals.index(lo)], cls[vals.index(hi)]))
+        constants.append(lo)
+    return WalkVerdict(True, tuple(constants), None)

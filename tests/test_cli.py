@@ -14,6 +14,7 @@ from threeweight import cli
 from threeweight.cli import emit_report, main
 from threeweight.code import MultiplicityType, WeightDistribution, reed_muller
 from threeweight.matrixio import parse_matrix_text, serialize_matrix
+from threeweight import code as code_module
 from threeweight import swrg
 from threeweight.swrg import CosetGraph
 
@@ -139,9 +140,22 @@ def test_verify_codes_shorter_than_three(capsys, tmp_path, rows, rc, b_proj):
     assert f"B1=B2=0: {b_proj}\nB3 = 0\n" in out
 
 
+@pytest.fixture(scope="module")
+def rm2_15_file(tmp_path_factory):
+    """The [16384, 15]_2 first-order Reed-Muller code: 2^15 syndromes, over
+    the vertex guard 2^14."""
+    f = tmp_path_factory.mktemp("rm") / "rm2_15.txt"
+    f.write_text(serialize_matrix(reed_muller(2, 15)), encoding="utf-8")
+    return f
+
+
+RM2_15_GRAPH = ("coset graph: 32768 vertices, 16384-regular; spectrum (16384, 0, -16384) "
+                "verified: True; 3-walk-regular: True (0, 268435456, 0)")
+
+
 @pytest.mark.parametrize("make,flags,rc,line", [
-    (lambda: reed_muller(2, 15), ["--graph", "--tss"], 0,
-     "coset graph: skipped (q^k = 32768 vertices over the vertex guard 16384)"),
+    # over the vertex guard, which bounds only the adjacency listing: no skip
+    (lambda: reed_muller(2, 15), ["--graph", "--tss"], 0, None),
     (lambda: parse_matrix_text("110\n001\n"), ["--graph"], 1,
      "coset graph: skipped (the code is not projective)"),
     (lambda: parse_matrix_text("110\n001\n"), ["--tss"], 1,
@@ -152,55 +166,65 @@ def test_verify_reports_skipped_coset_graph(capsys, tmp_path, make, flags, rc, l
     f = tmp_path / "code.txt"
     f.write_text(serialize_matrix(make()), encoding="utf-8")
     got, out, _ = run_cli(capsys, "verify", str(f), *flags)
-    assert got == rc and "triple sum set" not in out
+    assert got == rc
+    assert ("triple sum set" in out) == ("--tss" in flags and line is None)
     if line is None:
         assert "skipped" not in out
     else:
         assert f"\n{line}\n" in out
 
 
-def test_verify_skip_line_reads_the_library_vertex_guard(capsys, tmp_path):
-    f = tmp_path / "rm2_15.txt"
-    f.write_text(serialize_matrix(reed_muller(2, 15)), encoding="utf-8")
-    _, out, _ = run_cli(capsys, "verify", str(f), "--graph")
-    assert f"\ncoset graph: skipped ({swrg.vertex_guard_excess(2, 15)})\n" in out
+def test_verify_skip_line_reads_the_library_vertex_guard(capsys, rm2_15_file):
+    # the vertex guard once skipped the coset graph here; verify now checks
+    # it, bounded by the enumeration guard alone
+    rc, out, _ = run_cli(capsys, "verify", str(rm2_15_file), "--graph")
+    assert rc == 0 and swrg.vertex_guard_excess(2, 15) not in out
+    assert f"\n{RM2_15_GRAPH}\nPASS\n" in out
 
 
 def test_verify_builds_one_graph_and_walks_once(capsys, monkeypatch):
-    calls = {"init": 0, "transform": 0, "walk test": 0}
-    init, transform = CosetGraph.__init__, swrg._character_transform
+    calls = {"init": 0, "enumeration": 0, "walk test": 0}
+    init, enumerate_words = CosetGraph.__init__, code_module._weight_counts
     walk_test = swrg._walk_regularity
 
     def counting_init(self, *args):
         calls["init"] += 1
         init(self, *args)
 
-    def counting_transform(*args):
-        calls["transform"] += 1
-        return transform(*args)
+    def counting_enumeration(*args):
+        calls["enumeration"] += 1
+        return enumerate_words(*args)
 
     def counting_walk_test(*args):
         calls["walk test"] += 1
         return walk_test(*args)
 
     monkeypatch.setattr(CosetGraph, "__init__", counting_init)
-    monkeypatch.setattr(swrg, "_character_transform", counting_transform)
+    monkeypatch.setattr(code_module, "_weight_counts", counting_enumeration)
     monkeypatch.setattr(swrg, "_walk_regularity", counting_walk_test)
     rc, out, _ = run_cli(
         capsys, "verify", str(data_path("matrices/q3_n009_k04_w3_6_9.txt")), "--graph", "--tss",
     )
     assert rc == 0 and "triple sum set: consistent=True" in out
-    # one transform gives the spectrum, one inverse the 3-walks, and one
-    # walk-regularity test serves both checks
-    assert calls == {"init": 1, "transform": 2, "walk test": 1}
+    # the graph's spectrum is the weight distribution verify enumerated,
+    # and one walk-regularity test serves both checks
+    assert calls == {"init": 1, "enumeration": 1, "walk test": 1}
 
 
-def test_graph_over_the_vertex_guard_exits_2(capsys, tmp_path):
-    f = tmp_path / "rm2_15.txt"
-    f.write_text(serialize_matrix(reed_muller(2, 15)), encoding="utf-8")
-    rc, out, err = run_cli(capsys, "graph", str(f))
+def test_graph_over_the_vertex_guard_exits_2(capsys, rm2_15_file):
+    rc, out, err = run_cli(capsys, "graph", str(rm2_15_file), "--adjacency")
     assert (rc, out) == (2, "")
     assert err == f"error: {swrg.vertex_guard_excess(2, 15)}\n"
+
+
+def test_graph_summary_over_the_vertex_guard_prints_the_result(capsys, rm2_15_file):
+    rc, out, err = run_cli(capsys, "graph", str(rm2_15_file), "--s", "5")
+    assert (rc, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["vertices"] == 1 << 15 and payload["degree"] == 1 << 14
+    assert payload["eigenvalues"] == {"16384": 1, "0": (1 << 15) - 2, "-16384": 1}
+    # K_{2^14, 2^14}: A^5 = 2^56 A
+    assert (payload["is_s_swrg"], payload["walk_constants"]) == (True, [0, 1 << 56, 0])
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

@@ -19,13 +19,16 @@ from pathlib import Path
 import pytest
 
 from threeweight import cli
+from threeweight.code import reed_muller
+from threeweight.matrixio import serialize_matrix
 
 from conftest import data_path, matrix_files
 
 DIGESTS = Path(__file__).resolve().parent / "cli_digests.json"
 
 # Inputs for the error and parse paths, written to a temporary directory:
-# none of their messages names the file.
+# none of their messages names the file.  `write_error_files` adds one
+# generated code there too (see `runs`).
 ERROR_FILES = {
     "gf5": "q=5 n=2 k=1\n12\n",
     "rank_deficient": "q=2\n110\n110\n",
@@ -72,6 +75,8 @@ def runs(error_dir: Path) -> dict[str, list[str]]:
                  "double_bracket"):
         out[f"error/parse-{name}"] = ["verify", str(error_dir / f"{name}.txt")]
     out["parse/crlf"] = ["verify", str(error_dir / "crlf.txt"), "--graph", "--tss"]
+    # 2^15 syndromes: over the vertex guard, which bounds only `graph --adjacency`
+    out["verify-graph-tss/rm2_15"] = ["verify", str(error_dir / "rm2_15.txt"), "--graph", "--tss"]
     out["error/graph-s11"] = ["graph", str(adjacency), "--s", "11"]
     out["error/enumerate-guard"] = ["enumerate", "--q", "2", "--n-min", "4", "--n-max", "1024"]
     return out
@@ -80,6 +85,7 @@ def runs(error_dir: Path) -> dict[str, list[str]]:
 def write_error_files(error_dir: Path) -> None:
     for name, text in ERROR_FILES.items():
         (error_dir / f"{name}.txt").write_text(text, encoding="utf-8")
+    (error_dir / "rm2_15.txt").write_text(serialize_matrix(reed_muller(2, 15)), encoding="utf-8")
 
 
 def digest(argv: list[str]) -> dict:

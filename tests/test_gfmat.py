@@ -129,3 +129,36 @@ def test_rref_idempotent():
         )
         reduced = m.rref().reduced
         assert reduced.rref().reduced == reduced
+
+
+def test_packed_rank_matches_rref_on_every_fixture():
+    from conftest import matrix_files
+
+    paths = matrix_files()
+    assert len(paths) == 74
+    for path in paths:
+        generator = parse_matrix_file(path).generator
+        assert generator.rank() == generator.rref().rank, path.name
+        # the transpose has the same rank, reached through other pivots
+        transpose = FieldMatrix.from_columns(generator.field, generator.to_rows())
+        assert transpose.rank() == transpose.rref().rank == generator.nrows, path.name
+
+
+@pytest.mark.parametrize("field", [GF2, GF3])
+def test_packed_rank_matches_rref_on_random_matrices(field):
+    # 150 seeded draws per field: square, tall and wide, sparse and dense,
+    # with repeated and scaled rows, so both full rank and every deficiency occur
+    rng = random.Random(2026 + field.p)
+    ranks = set()
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 40)
+        density = rng.choice((0.1, 0.5, 1.0))
+        rows = [[rng.randrange(1, field.p) if rng.random() < density else 0
+                 for _ in range(ncols)] for _ in range(nrows)]
+        for _ in range(rng.randint(0, 2)):  # a scaled copy of another row
+            row = rng.choice(rows)
+            rows.insert(rng.randrange(len(rows) + 1), [(field.p - 1) * e for e in row])
+        m = FieldMatrix.from_rows(field, rows)
+        assert m.rank() == m.rref().rank, rows
+        ranks.add((m.rank() == min(m.nrows, m.ncols), m.rank() == 0))
+    assert ranks == {(True, False), (False, False), (False, True)}

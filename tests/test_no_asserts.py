@@ -89,3 +89,40 @@ def test_curve_self_checks_raise_under_python_O():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n") == ["optimize 1", "monomial_sum raised", "vandam_lhs raised", ""]
+
+
+OPTIMIZED_SWRG_CHECK = """
+import sys
+from threeweight.code import simplex
+from threeweight.errors import SelfCheckFailed
+from threeweight.swrg import CosetGraph, coset_graph, is_s_swrg, verify_spectrum
+
+assert False, "asserts must be stripped"
+print("optimize", sys.flags.optimize)
+points = list(simplex(2, 3).generator.columns())
+for spectrum in ({7: 1, -1: 6}, {7: 1, -1: 5, 1: 2}):
+    try:
+        verify_spectrum(CosetGraph(2, 3, points, spectrum), (7, -1))
+    except SelfCheckFailed as exc:
+        print("spectrum raised:", exc)
+try:
+    is_s_swrg(CosetGraph(2, 3, points[:4], {4: 1, 1: 3, -1: 4}), 3)
+except SelfCheckFailed as exc:
+    print("gamma raised:", exc)
+"""
+
+
+def test_graph_self_checks_raise_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(threeweight.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SWRG_CHECK],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == [
+        "optimize 1",
+        "spectrum raised: spectral moments 0..2 are [7, 1, 55], not [8, 0, 56]",
+        "spectrum raised: spectral moments 0..2 are [8, 4, 56], not [8, 0, 56]",
+        "gamma raised: walk constant gamma is not an integer: remainder 4 mod q^k",
+        "",
+    ]

@@ -11,7 +11,7 @@ from threeweight import code as code_module
 from threeweight import swrg
 from threeweight.cli import main as cli_main
 from threeweight.code import parity_check_code, reed_muller, simplex
-from threeweight.errors import CodesError, GuardExceeded, InvalidArgument
+from threeweight.errors import CodesError, GuardExceeded, InvalidArgument, SelfCheckFailed
 from threeweight.gfmat import GF2, FieldMatrix
 from threeweight.code import LinearCode
 from threeweight.matrixio import parse_matrix_file
@@ -30,6 +30,7 @@ from threeweight.swrg import (
 
 from conftest import data_path, matrix_files
 from swrg_oracles import (
+    cayley_graph,
     digitwise_add_table,
     direct_adjacency,
     direct_triple_counts,
@@ -37,6 +38,8 @@ from swrg_oracles import (
     omega_from_code,
     spectrum_by_annihilator,
     walk_class_constants_dense,
+    walk_counts,
+    walk_regularity,
 )
 
 
@@ -107,15 +110,20 @@ def test_omega_from_points_matches_column_oracle():
 
 
 def test_coset_graph_guard():
+    # the guard bounds the vertex-by-vertex work alone, not the graph
+    g = CosetGraph(2, 15, [(1,) + (0,) * 14], {1: 1 << 14, -1: 1 << 14})
     with pytest.raises(GuardExceeded):
-        CosetGraph(2, 15, [(1,) + (0,) * 14])
+        g.adjacency_lines()
+    with pytest.raises(GuardExceeded):
+        g.apply_adjacency([0] * g.nvertices)
+    assert is_s_swrg(g, 3).is_swrg
 
 
 def test_field_gate_runs_before_the_vertex_guard():
     # GF(5)^7 once got "q^k = 78125 vertices over the vertex guard": the
     # guard ran before the field order was checked
     with pytest.raises(InvalidArgument, match="field order 5"):
-        CosetGraph(5, 7, [(1,) + (0,) * 6])
+        CosetGraph(5, 7, [(1,) + (0,) * 6], {})
 
 
 def test_simplex_gives_complete_graph():
@@ -138,7 +146,7 @@ def test_complete_graph_over_gf3():
     # Omega is every nonzero syndrome, so only sigma0 is defined
     assert inst.consistent and inst.sigma1 is None
     direct = direct_triple_counts(omega, 3, 2)
-    assert direct == g.walk_counts(3) and inst.sigma0 == direct[1]
+    assert direct == walk_counts(g, 3) and inst.sigma0 == direct[1]
 
 
 def test_eigenvalues_from_weights():
@@ -174,65 +182,96 @@ def test_verify_spectrum(code_8_4):
         assert spectrum_by_annihilator(g, claim) is expected, claim
 
 
+@pytest.mark.parametrize("corrupt,moments", [
+    # one vertex lost: the multiplicities no longer sum to q^k
+    ({0: 10}, [15, 0, 128]),
+    # one eigenvalue moved: trace(A) is no longer 0
+    ({0: 10, 4: 2}, [16, 4, 144]),
+    # traces 0 and 1 kept, trace(A^2) broken: what a repeated column gives
+    ({0: 9, 4: 2, -4: 4}, [16, 0, 160]),
+], ids=["count", "trace", "square-trace"])
+def test_verify_spectrum_self_checks_raise(code_8_4, monkeypatch, corrupt, moments):
+    g = coset_graph(code_8_4)
+    assert g.spectrum_multiplicities() == {8: 1, 4: 1, 0: 11, -4: 3}
+    claim = eigenvalues_from_weights(2, 8, (0, 2, 4, 6))
+    spectrum = {**g.spectrum_multiplicities(), **corrupt}
+    monkeypatch.setattr(CosetGraph, "spectrum_multiplicities", lambda self: dict(spectrum))
+    with pytest.raises(SelfCheckFailed, match=re.escape(f"spectral moments 0..2 are {moments}")):
+        verify_spectrum(g, claim)
+
+
+def test_walk_constant_gamma_must_be_an_integer():
+    # a multiset with two nontrivial values always passes the line test; on
+    # 16 vertices of degree 8 its gamma = (8^3 - 6 - 7*8) / 16 is not whole
+    g = CosetGraph(2, 4, [decode_vector(h, 2, 4) for h in range(1, 9)], {8: 1, 3: 5, -1: 10})
+    with pytest.raises(SelfCheckFailed, match="gamma is not an integer"):
+        is_s_swrg(g, 3)
+
+
 def test_is_s_swrg_examples(code_8_4):
     g = coset_graph(code_8_4)
     assert is_s_swrg(g, 3).is_swrg  # weights sum to 12 = 3n/2
     pc = coset_graph(parity_check_code(6))
     res = is_s_swrg(pc, 3)
-    assert not res.is_swrg and res.witness is not None
+    assert not res.is_swrg and res.constants is None
+    assert walk_regularity(pc, 3).witness is not None
     srg = coset_graph(reed_muller(2, 4))
     assert is_s_swrg(srg, 5).is_swrg
     with pytest.raises(ValueError):
         is_s_swrg(g, 4)
     with pytest.raises(CodesError):
         is_s_swrg(g, 2)
-    with pytest.raises(GuardExceeded):
-        g.walk_counts(11)
+    with pytest.raises(GuardExceeded, match="walk length 11 over guard 9"):
+        is_s_swrg(g, 11)
 
 
 def test_is_s_swrg_witness_counts_differ():
-    # the first and last element at an extreme count once gave (1, 7), two
-    # elements with 19 walks each
-    g = CosetGraph(2, 3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)])
+    # the oracle's witness: the first and last element at an extreme count
+    # once gave (1, 7), two elements with 19 walks each
+    g = cayley_graph(2, 3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)])
     assert g.omega == (1, 2, 3, 5, 7)
-    res = is_s_swrg(g, 3)
+    res = walk_regularity(g, 3)
     assert not res.is_swrg
-    counts = g.walk_counts(3)
+    counts = walk_counts(g, 3)
     w1, w2 = res.witness
     assert counts[w1] != counts[w2]
     vals = [counts[h] for h in g.omega]
     assert (w1, w2) == (g.omega[vals.index(min(vals))], g.omega[vals.index(max(vals))])
-    inst = tss_check(g)
-    assert not inst.consistent and inst.witness == tuple(decode_vector(h, 2, 3) for h in (w1, w2))
+    # the spectral test reaches the same verdict with no witness
+    assert is_s_swrg(g, 3) == swrg.SwrgResult(False, 3, None)
+    assert tss_check(g) == TssInstance(5, False, None, None)
 
 
 def test_coset_graph_closes_points_under_scalars():
     # the point (1,) of F_3 spans the line {1, 2}: the triangle K_3, with
     # degree 2 and spectrum {2: 1, -1: 2}
-    g = CosetGraph(3, 1, [(1,)])
+    g = cayley_graph(3, 1, [(1,)])
     assert g.omega == (1, 2) and g.degree == 2
     assert g.spectrum_multiplicities() == {2: 1, -1: 2}
     assert spectrum_by_annihilator(g, (2, -1))
     # scalar multiples and repeated points span the same lines
-    base = CosetGraph(3, 2, [(1, 0), (0, 1)])
+    base = CosetGraph(3, 2, [(1, 0), (0, 1)], {})
     assert base.omega == (1, 2, 3, 6)
-    assert CosetGraph(3, 2, [(2, 0), (0, 1), (0, 2), (1, 0), (0, 1)]).omega == base.omega
-    assert CosetGraph(2, 2, [(1, 1), (1, 1)]).omega == (3,)
+    assert CosetGraph(3, 2, [(2, 0), (0, 1), (0, 2), (1, 0), (0, 1)], {}).omega == base.omega
+    assert CosetGraph(2, 2, [(1, 1), (1, 1)], {}).omega == (3,)
 
 
 def test_walk_counts_are_kept_per_length(code_8_4, monkeypatch):
+    # the walk constants are decided once per length and kept on the graph
     g = coset_graph(code_8_4)
     calls = []
-    transform = swrg._character_transform
+    decide = swrg._walk_regularity
     monkeypatch.setattr(
-        swrg, "_character_transform", lambda *args: calls.append(1) or transform(*args)
+        swrg, "_walk_regularity", lambda *args: calls.append(args[1]) or decide(*args)
     )
-    first = g.walk_counts(3)
-    first[0] = -1  # the caller's copy, not the kept vector
-    assert g.walk_counts(3) == direct_triple_counts(omega_from_code(code_8_4), 2, 4)
-    assert len(calls) == 1  # the spectrum is kept from construction: one inverse
-    g.walk_counts(5)
-    assert len(calls) == 2
+    first = is_s_swrg(g, 3)
+    assert is_s_swrg(g, 3) is first and calls == [3]
+    is_s_swrg(g, 5)
+    assert calls == [3, 5]
+    direct = direct_triple_counts(omega_from_code(code_8_4), 2, 4)
+    assert walk_counts(g, 3) == direct
+    outside = min(set(range(1, 16)) - set(g.omega))
+    assert first.constants == (direct[0], direct[g.omega[0]], direct[outside])
 
 
 @pytest.mark.parametrize("q,k,omega", [
@@ -245,24 +284,29 @@ def test_coset_graph_rejects_omega_outside_the_group(q, k, omega):
     # an integer element past q^k once ended in a bare IndexError, and a
     # negative one was read as an index from the end
     with pytest.raises(InvalidArgument, match=f"is not a nonzero vector of F_{q}\\^{k}"):
-        CosetGraph(q, k, omega)
+        CosetGraph(q, k, omega, {})
 
 
 def test_vertex_guard_has_one_decision_and_one_message():
     assert vertex_guard_excess(2, 14) is None and vertex_guard_excess(3, 8) is None
     reason = vertex_guard_excess(2, 15)
     assert reason == "q^k = 32768 vertices over the vertex guard 16384"
+    # the coset graph over the guard is built, and only its vertex-by-vertex
+    # work raises
+    g = coset_graph(reed_muller(2, 15))
+    assert g.spectrum_multiplicities() == {1 << 14: 1, 0: (1 << 15) - 2, -(1 << 14): 1}
+    assert tss_check(g) == TssInstance(1 << 14, True, 1 << 28, 0)
     with pytest.raises(GuardExceeded, match=re.escape(reason)):
-        CosetGraph(2, 15, [(1,) + (0,) * 14])
+        g.adjacency_lines()
     with pytest.raises(GuardExceeded, match=re.escape(reason)):
-        coset_graph(reed_muller(2, 15))
+        g.apply_adjacency([0] * g.nvertices)
 
 
 def test_tss_check_has_no_omega_cubed_guard():
     # |Omega|^3 = 2047^3 > 2^30 was once refused, though no route costs |Omega|^3
     m, n = 2047, 2048
     assert m**3 > 1 << 30
-    inst = tss_check(CosetGraph(2, 11, [decode_vector(h, 2, 11) for h in range(1, n)]))
+    inst = tss_check(cayley_graph(2, 11, [decode_vector(h, 2, 11) for h in range(1, n)]))
     # Omega is every nonzero vector, so A = J - I and A^3 = (n^2 - 3n + 3) J - I
     assert inst == TssInstance(m, True, n * n - 3 * n + 3, None)
 
@@ -284,7 +328,7 @@ def scalar_closed_omegas(draw):
 @given(st.data())
 def test_apply_adjacency_matches_direct_convolution(data):
     q, k, points, _ = data.draw(scalar_closed_omegas())
-    g = CosetGraph(q, k, points)
+    g = CosetGraph(q, k, points, {})
     vec = data.draw(st.lists(st.integers(-50, 50), min_size=q**k, max_size=q**k))
     assert g.apply_adjacency(vec) == direct_adjacency(g)(vec)
 
@@ -293,7 +337,7 @@ def test_apply_adjacency_matches_direct_convolution(data):
 @given(scalar_closed_omegas())
 def test_tss_matches_direct_triple_counts(case):
     q, k, points, omega = case
-    g = CosetGraph(q, k, points)
+    g = cayley_graph(q, k, points)
     assert g.omega == tuple(omega)
     inst = tss_check(g)
     direct = direct_triple_counts((decode_vector(h, q, k) for h in omega), q, k)
@@ -306,14 +350,12 @@ def test_tss_matches_direct_triple_counts(case):
         assert inst.sigma0 == (in_vals.pop() if in_vals else None)
         assert inst.sigma1 == (out_vals.pop() if out_vals else None)
     else:
-        w1, w2 = (encode_vector(v, q) for v in inst.witness)
-        assert direct[w1] != direct[w2]
-        assert (w1 in omega) == (w2 in omega)
+        assert (inst.sigma0, inst.sigma1) == (None, None)
 
 
 def test_tss_full_point_set_symmetric():
     omega = [(0, 1), (1, 0), (1, 1)]
-    inst = tss_check(CosetGraph(2, 2, omega))
+    inst = tss_check(cayley_graph(2, 2, omega))
     # every nonzero element lies in Omega, so the sigma1 class is empty and
     # the single constant sigma0 covers all of them symmetrically
     assert inst.consistent and inst.sigma0 == 7 and inst.sigma1 is None
@@ -325,7 +367,7 @@ def test_tss_from_code_and_convolution_oracle(code_8_4):
     inst = tss_check(g)
     assert inst.consistent
     direct = direct_triple_counts(omega, 2, 4)
-    assert g.walk_counts(3) == direct
+    assert walk_counts(g, 3) == direct
     omega_set = set(g.omega)
     assert all(direct[h] == inst.sigma0 for h in omega_set)
     assert all(
@@ -338,19 +380,20 @@ def test_tss_from_code_and_convolution_oracle(code_8_4):
 def test_tss_inconsistent_for_bad_weight_sum():
     code = parity_check_code(6)
     omega = omega_from_code(code)
-    inst = tss_check(coset_graph(code))
-    assert not inst.consistent and inst.witness is not None
+    g = coset_graph(code)
+    inst = tss_check(g)
+    assert inst == TssInstance(6, False, None, None)
     direct = direct_triple_counts(omega, 2, 5)
-    w1, w2 = (encode_vector(v, 2) for v in inst.witness)
-    assert direct[w1] != direct[w2]
+    w1, w2 = walk_regularity(g, 3).witness
+    assert direct[w1] != direct[w2] and (w1 in g.omega) == (w2 in g.omega)
 
 
 def test_tss_rejects_the_zero_vector_and_closes_a_point():
     for q in (2, 3):
         with pytest.raises(InvalidArgument, match="is not a nonzero vector"):
-            tss_check(CosetGraph(q, 2, [(1, 0), (0, 0)]))
+            tss_check(cayley_graph(q, 2, [(1, 0), (0, 0)]))
     # the point (1, 0, 0) of F_3^3 stands for the line {(1, 0, 0), (2, 0, 0)}
-    inst = tss_check(CosetGraph(3, 3, [(1, 0, 0)]))
+    inst = tss_check(cayley_graph(3, 3, [(1, 0, 0)]))
     direct = direct_triple_counts([(1, 0, 0), (2, 0, 0)], 3, 3)
     assert inst == TssInstance(2, True, direct[1], direct[3])
     assert {direct[h] for h in range(1, 27)} == {3, 0} and direct[1] == direct[2] == 3
@@ -381,14 +424,14 @@ def test_ternary_graph_layer():
     inst = tss_check(g)
     assert inst.consistent
     direct = direct_triple_counts(omega_from_code(code), 3, 4)
-    assert direct == g.walk_counts(3)
+    assert direct == walk_counts(g, 3)
     assert direct[g.omega[0]] == inst.sigma0
 
 
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_digit_block_add_table_matches_digitwise_addition(q, k):
-    g = CosetGraph(q, k, [(1,) + (0,) * (k - 1)])
+    g = CosetGraph(q, k, [(1,) + (0,) * (k - 1)], {})
     for w in range(q**k):
         assert g._add_table(w) == digitwise_add_table(w, q, k), (q, k, decode_vector(w, q, k))
 

@@ -1,5 +1,6 @@
-"""The graph layer is exact: no true division, no float, and both steps of
-the character route that can lose exactness raise instead.  The CLI that
+"""The graph layer is exact: no true division, no float, and a walk
+constant that is not an integer raises (tests/test_swrg.py); both steps of
+the character-transform oracle that can lose exactness raise too.  The CLI that
 prints its results does no inexact arithmetic either, nor do the code,
 matrix and parsing layers; feasibility and curve use only the integer
 functions gcd and isqrt of math.  transform is left out of the syntactic
@@ -12,9 +13,10 @@ from importlib import resources
 
 import pytest
 
-from threeweight import swrg
 from threeweight.errors import SelfCheckFailed
-from threeweight.swrg import CosetGraph
+
+import swrg_oracles
+from swrg_oracles import cayley_graph
 
 
 def inexact_constructs(module: str, allowed_math: frozenset[str] = frozenset()) -> list[str]:
@@ -71,25 +73,25 @@ def test_inexact_constructs_flags_what_it_does_not_allow():
 def test_odd_transform_of_an_unclosed_indicator_is_not_rational(q, k, omega):
     indicator = [1 if h in omega else 0 for h in range(q**k)]
     with pytest.raises(SelfCheckFailed, match="not an integer"):
-        swrg._character_sums([indicator], q, k)
+        swrg_oracles._character_sums([indicator], q, k)
 
 
 def test_odd_transform_of_a_line_is_rational():
     # the line {1, 2} of F_3: lambda_u = 2 at u = 0 and -1 elsewhere
-    assert swrg._character_sums([[0, 1, 1]], 3, 1) == [2, -1, -1]
+    assert swrg_oracles._character_sums([[0, 1, 1]], 3, 1) == [2, -1, -1]
     # and back: q^-1 (2 - chi(-h) - chi(-2h)) is the indicator itself
-    assert swrg._character_sums([[2, -1, -1]], 3, 1, inverse=True) == [0, 1, 1]
+    assert swrg_oracles._character_sums([[2, -1, -1]], 3, 1, inverse=True) == [0, 1, 1]
 
 
 def test_walk_counts_refuse_an_inexact_division(monkeypatch):
-    g = CosetGraph(3, 2, [(1, 0), (0, 1)])
-    transform = swrg._character_transform
+    g = cayley_graph(3, 2, [(1, 0), (0, 1)])
+    transform = swrg_oracles._character_transform
 
     def off_by_one(planes, q, k, sign=1):
         out = transform(planes, q, k, sign)
         out[0][0] += 1
         return out
 
-    monkeypatch.setattr(swrg, "_character_transform", off_by_one)
+    monkeypatch.setattr(swrg_oracles, "_character_transform", off_by_one)
     with pytest.raises(SelfCheckFailed, match="not a multiple of q\\^k = 9"):
-        g.walk_counts(3)
+        swrg_oracles.walk_counts(g, 3)

@@ -6,21 +6,25 @@ s-walk-regular exactly when the points (t, t^s) are collinear, that is when
 `curve.vandam_lhs(s, t1, t2, t3) == 0`.  Its walk constants then solve
 A^s = c0 I + c1 A + c2 (J - I - A) on the eigenspaces.  Here the eigenvalues
 come from the code's weights, the identity from the curve layer, and the
-verdict and constants from the swrg walk counts.
+verdict and constants both from `is_s_swrg` and from the walk counts of the
+character-transform oracle, class by class.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from threeweight.code import LinearCode, simplex
+from threeweight.code import LinearCode, reed_muller, simplex
 from threeweight.curve import vandam_lhs
 from threeweight.gfmat import FieldMatrix, PrimeField
 from threeweight.swrg import coset_graph, eigenvalues_from_weights, is_s_swrg
+
+from swrg_oracles import walk_regularity
 
 
 def eigenspace_constants(degree: int, nvertices: int, thetas, s: int):
@@ -39,11 +43,20 @@ def eigenspace_constants(degree: int, nvertices: int, thetas, s: int):
     return (base + c2, slope + c2, c2)
 
 
+def check_oracle(graph, s: int):
+    """The spectral verdict and constants equal the oracle's walk counts,
+    read class by class."""
+    walk = is_s_swrg(graph, s)
+    oracle = walk_regularity(graph, s)
+    assert (walk.is_swrg, walk.constants) == (oracle.is_swrg, oracle.constants), (graph, s)
+    return walk
+
+
 def check_bridge(code: LinearCode, graph, s: int):
     q, n, _ = code.params()
     weights = code.weight_distribution().nonzero_weights()
     degree, *thetas = eigenvalues_from_weights(q, n, (0,) + weights)
-    walk = is_s_swrg(graph, s)
+    walk = check_oracle(graph, s)
     assert walk.is_swrg == (vandam_lhs(s, *thetas) == 0), (code, s)
     expected = eigenspace_constants(degree, graph.nvertices, thetas, s)
     assert walk.constants == expected, (code, s)
@@ -116,3 +129,37 @@ def test_drawn_codes_include_both_verdicts_at_s3():
 
     collect()
     assert verdicts == {True, False}
+
+
+def random_projective_codes(seed: int, count: int):
+    """Seeded codes from random spanning sets of distinct points of
+    PG(k-1, q), q in {2, 3}, after the simplex codes (one weight) and the
+    first-order Reed-Muller codes (two weights) of both fields."""
+    codes = [simplex(2, 4), simplex(3, 3), reed_muller(2, 5), reed_muller(3, 3)]
+    rng = random.Random(seed)
+    while len(codes) < count:
+        q, k = rng.choice(((2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4)))
+        points = list(simplex(q, k).generator.columns())
+        cols = rng.sample(points, rng.randint(k, len(points)))
+        field = PrimeField(q)
+        generator = FieldMatrix.from_columns(field, cols)
+        if generator.rank() == k:
+            codes.append(LinearCode(field, generator))
+    return codes
+
+
+def test_random_projective_codes_match_the_oracle():
+    # every count of distinct nontrivial eigenvalues occurs: 1 (simplex), 2
+    # (Reed-Muller), 3, and 4 or more, where no graph is walk-regular
+    shapes = set()
+    for code in random_projective_codes(2026, 60):
+        graph = coset_graph(code)
+        nontrivial = len(code.weight_distribution().nonzero_weights())
+        shapes.add((code.q, min(nontrivial, 4)))
+        for s in (3, 5, 7, 9):
+            walk = check_oracle(graph, s)
+            if nontrivial >= 4:
+                assert not walk.is_swrg
+            elif nontrivial <= 2:
+                assert walk.is_swrg
+    assert shapes == {(q, c) for q in (2, 3) for c in (1, 2, 3, 4)}
