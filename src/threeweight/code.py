@@ -44,9 +44,6 @@ class WeightDistribution:
     def as_dict(self) -> dict[int, int]:
         return dict(self.counts)
 
-    def total(self) -> int:
-        return sum(a for _, a in self.counts)
-
     def nonzero_weights(self) -> tuple[int, ...]:
         return tuple(w for w, _ in self.counts if w > 0)
 

@@ -97,7 +97,7 @@ class CosetGraph:
     encoded) is the scalar closure of the given nonzero vectors, and
     `spectrum` maps each eigenvalue to its multiplicity."""
 
-    __slots__ = ("q", "k", "nvertices", "omega", "_spectrum", "_swrg")
+    __slots__ = ("q", "k", "nvertices", "omega", "_spectrum")
 
     def __init__(
         self, q: int, k: int, points: Iterable[Sequence[int]], spectrum: Mapping[int, int]
@@ -113,7 +113,6 @@ class CosetGraph:
             omega.update(encode_vector([lam * e for e in vec], q) for lam in range(1, q))
         self.omega = tuple(sorted(omega))
         self._spectrum = dict(spectrum)
-        self._swrg = {}  # walk length -> SwrgResult, filled by is_s_swrg
 
     def _add_table(self, w: int) -> list[int]:
         """table[h] = h + w, extended by one base-q digit block at a time."""
@@ -177,21 +176,9 @@ def coset_graph(code: LinearCode) -> CosetGraph:
     return g
 
 
-def eigenvalues_from_weights(q: int, n: int, weights: Iterable[int]) -> tuple[int, ...]:
-    """The claimed distinct eigenvalues theta_i = n(q-1) - q*w_i,
-    descending, so the degree comes first; weights must include 0."""
-    ws = tuple(weights)
-    if len(set(ws)) != len(ws):
-        raise InvalidArgument(f"weights must be distinct, got {ws}")
-    if 0 not in ws:
-        raise InvalidArgument("weight list must include w_0 = 0")
-    return tuple(sorted((n * (q - 1) - q * w for w in ws), reverse=True))
-
-
-def verify_spectrum(graph: CosetGraph, eigenvalues: Iterable[int]) -> bool:
-    """True iff the distinct eigenvalues are, as a set, the claimed ones.
-
-    First the multiset must pass three exact trace identities, or
+def verify_spectrum(graph: CosetGraph) -> tuple[int, ...]:
+    """The distinct eigenvalues, descending, so the degree comes first,
+    once the multiset has passed three exact trace identities, or
     `SelfCheckFailed` is raised: the multiplicities sum to q^k, the
     eigenvalues to trace(A) = 0 (no loops; B_1 = 0 for a code) and their
     squares to trace(A^2) = q^k * degree (B_2 = 0 for a projective code).
@@ -201,25 +188,19 @@ def verify_spectrum(graph: CosetGraph, eigenvalues: Iterable[int]) -> bool:
     expected = [graph.nvertices, 0, graph.nvertices * graph.degree]
     if moments != expected:
         raise SelfCheckFailed(f"spectral moments 0..2 are {moments}, not {expected}")
-    return set(spectrum) == set(eigenvalues)
+    return tuple(sorted(spectrum, reverse=True))
 
 
 def is_s_swrg(graph: CosetGraph, s: int) -> SwrgResult:
     """Walk-regularity test: the number of length-s walks between two
     vertices may depend only on equal/adjacent/non-adjacent, decided on the
-    spectrum (see the module docstring).  An empty class has the constant
-    0.  Each length is decided once per graph and kept.
+    distinct nontrivial eigenvalues (see the module docstring).  An empty
+    class has the constant 0.
     """
     if s < 3 or s % 2 == 0:
         raise InvalidArgument("the walk-regularity test is for odd s >= 3")
     if s > WALK_GUARD:
         raise GuardExceeded(f"walk length {s} over guard {WALK_GUARD}")
-    if s not in graph._swrg:
-        graph._swrg[s] = _walk_regularity(graph, s)
-    return graph._swrg[s]
-
-
-def _walk_regularity(graph: CosetGraph, s: int) -> SwrgResult:
     degree = graph.degree
     nontrivial = dict(graph._spectrum)
     nontrivial[degree] -= 1  # the trivial character
@@ -242,11 +223,12 @@ def tss_check(graph: CosetGraph) -> TssInstance:
     connection set.
 
     These counts are the length-3 walk counts, so this is a view of
-    `is_s_swrg(graph, 3)`: sigma0 is its adjacent constant and sigma1 its
+    `is_s_swrg(graph, 3)`, decided again on each call (a few integer
+    operations): sigma0 is its adjacent constant and sigma1 its
     non-adjacent one, each None when its class is empty.
     """
     m = graph.degree
-    walk = is_s_swrg(graph, 3)  # kept on the graph: `verify --graph --tss` tests once
+    walk = is_s_swrg(graph, 3)
     if not walk.is_swrg:
         return TssInstance(m, False, None, None)
     _, sigma0, sigma1 = walk.constants

@@ -5,7 +5,8 @@ regularity on the distinct eigenvalues, reads triple-sum counts as length-3
 walk constants, builds translation tables by base-q digit blocks, and takes
 the connection set from the canonical column points that projectivity
 already computed.  The routes below share none of that machinery and serve
-as test oracles: the spectrum and every walk count from one exact character
+as test oracles: the claimed distinct eigenvalues n(q-1) - q w read off a
+weight list, the spectrum and every walk count from one exact character
 transform over all q^k vertices (Walsh over q = 2, the group ring Z[C_q]
 over odd q), the walk classes split vertex by vertex, direct convolution,
 direct |Omega|^3 counting and a dense matrix power.
@@ -19,7 +20,7 @@ from operator import add, not_, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from threeweight.code import LinearCode
-from threeweight.errors import SelfCheckFailed
+from threeweight.errors import InvalidArgument, SelfCheckFailed
 from threeweight.swrg import CosetGraph, SwrgResult, decode_vector, encode_vector
 
 
@@ -87,6 +88,17 @@ def direct_triple_counts(omega: Iterable[Sequence[int]], q: int, k: int) -> list
                 for z in codes:
                     counts[shift[z][xy]] += 1
     return counts
+
+
+def eigenvalues_from_weights(q: int, n: int, weights: Iterable[int]) -> tuple[int, ...]:
+    """The claimed distinct eigenvalues theta_i = n(q-1) - q*w_i,
+    descending, so the degree comes first; weights must include 0."""
+    ws = tuple(weights)
+    if len(set(ws)) != len(ws):
+        raise InvalidArgument(f"weights must be distinct, got {ws}")
+    if 0 not in ws:
+        raise InvalidArgument("weight list must include w_0 = 0")
+    return tuple(sorted((n * (q - 1) - q * w for w in ws), reverse=True))
 
 
 def spectrum_by_annihilator(graph: CosetGraph, eigenvalues: Sequence[int]) -> bool:

@@ -12,7 +12,8 @@ import pytest
 import threeweight
 from threeweight import cli
 from threeweight.cli import emit_report, main
-from threeweight.code import MultiplicityType, WeightDistribution, reed_muller
+from threeweight.code import LinearCode, MultiplicityType, WeightDistribution, reed_muller
+from threeweight.gfmat import GF2, FieldMatrix
 from threeweight.matrixio import parse_matrix_text, serialize_matrix
 from threeweight import code as code_module
 from threeweight import swrg
@@ -182,10 +183,9 @@ def test_verify_skip_line_reads_the_library_vertex_guard(capsys, rm2_15_file):
     assert f"\n{RM2_15_GRAPH}\nPASS\n" in out
 
 
-def test_verify_builds_one_graph_and_walks_once(capsys, monkeypatch):
-    calls = {"init": 0, "enumeration": 0, "walk test": 0}
+def test_verify_builds_one_graph_and_enumerates_once(capsys, monkeypatch):
+    calls = {"init": 0, "enumeration": 0}
     init, enumerate_words = CosetGraph.__init__, code_module._weight_counts
-    walk_test = swrg._walk_regularity
 
     def counting_init(self, *args):
         calls["init"] += 1
@@ -195,26 +195,37 @@ def test_verify_builds_one_graph_and_walks_once(capsys, monkeypatch):
         calls["enumeration"] += 1
         return enumerate_words(*args)
 
-    def counting_walk_test(*args):
-        calls["walk test"] += 1
-        return walk_test(*args)
-
     monkeypatch.setattr(CosetGraph, "__init__", counting_init)
     monkeypatch.setattr(code_module, "_weight_counts", counting_enumeration)
-    monkeypatch.setattr(swrg, "_walk_regularity", counting_walk_test)
     rc, out, _ = run_cli(
         capsys, "verify", str(data_path("matrices/q3_n009_k04_w3_6_9.txt")), "--graph", "--tss",
     )
     assert rc == 0 and "triple sum set: consistent=True" in out
-    # the graph's spectrum is the weight distribution verify enumerated,
-    # and one walk-regularity test serves both checks
-    assert calls == {"init": 1, "enumeration": 1, "walk test": 1}
+    # the graph's spectrum is the weight distribution verify enumerated
+    assert calls == {"init": 1, "enumeration": 1}
 
 
-def test_graph_over_the_vertex_guard_exits_2(capsys, rm2_15_file):
+def test_graph_over_the_vertex_guard_exits_2(capsys, monkeypatch, tmp_path, rm2_15_file):
+    # the listing once waited for the whole weight distribution and the
+    # walk test before its guard refused it
+    calls = []
+    enumerate_words = code_module._weight_counts
+    monkeypatch.setattr(
+        code_module, "_weight_counts", lambda *args: calls.append(args) or enumerate_words(*args)
+    )
     rc, out, err = run_cli(capsys, "graph", str(rm2_15_file), "--adjacency")
     assert (rc, out) == (2, "")
     assert err == f"error: {swrg.vertex_guard_excess(2, 15)}\n"
+    assert calls == []
+    # projectivity is still decided first
+    columns = list(reed_muller(2, 15).generator.columns())
+    f = tmp_path / "repeated.txt"
+    f.write_text(serialize_matrix(
+        LinearCode(GF2, FieldMatrix.from_columns(GF2, columns + columns[:1]))
+    ), encoding="utf-8")
+    rc, out, err = run_cli(capsys, "graph", str(f), "--adjacency")
+    assert (rc, out) == (2, "")
+    assert err == "error: coset graph construction requires a projective code\n"
 
 
 def test_graph_summary_over_the_vertex_guard_prints_the_result(capsys, rm2_15_file):

@@ -11,16 +11,18 @@ from threeweight import errors
 from threeweight.cli import emit_report
 from threeweight.errors import CodesError
 from threeweight.gfmat import GF2, FieldMatrix
-from threeweight.swrg import CosetGraph, eigenvalues_from_weights
+from threeweight.swrg import CosetGraph
 from threeweight.transform import three_weight_solve
 
+from swrg_oracles import eigenvalues_from_weights
 from transform_oracles import pmt_frequencies
 
 ARGUMENT_ERRORS = {
     "counts of a non-integral solution": lambda: three_weight_solve(5, 3, 1, 2, 4).counts(),
     "unordered weights": lambda: three_weight_solve(8, 3, 6, 4, 2),
     "dimension below 2": lambda: three_weight_solve(8, 1, 2, 4, 6),
-    # the symmetric-triple oracle rejects its domain with the same errors
+    # the symmetric-triple and claimed-eigenvalue oracles reject their
+    # domains with the same errors
     "pmt with t < 1": lambda: pmt_frequencies(8, 3, 0),
     "pmt with odd n": lambda: pmt_frequencies(7, 3, 1),
     "pmt weights out of range": lambda: pmt_frequencies(8, 3, 5),

@@ -1,7 +1,7 @@
 """The library stays the size of what it runs: every top-level function,
 class and method defined under src/ is referenced somewhere in src/ outside
-its own definition, and no name is defined twice, unless an allowlist below
-names it with a reason."""
+its own definition (a method only through an attribute, `x.name`), and no
+name is defined twice, unless an allowlist below names it with a reason."""
 
 from __future__ import annotations
 
@@ -49,14 +49,15 @@ def _definitions(module: str, tree: ast.Module):
 
 
 def _references(module: str, tree: ast.Module):
-    """(module, line, name) for each Name, Attribute and imported alias."""
+    """(module, line, name, is_attribute) for each Name, Attribute and
+    imported alias."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield module, node.lineno, node.id
+            yield module, node.lineno, node.id, False
         elif isinstance(node, ast.Attribute):
-            yield module, node.lineno, node.attr
+            yield module, node.lineno, node.attr, True
         elif isinstance(node, ast.alias):
-            yield module, node.lineno, node.name
+            yield module, node.lineno, node.name, False
 
 
 def _surface():
@@ -75,13 +76,19 @@ def _surface():
 
 
 def _unreferenced() -> set[str]:
-    """The definitions nothing in src/ references outside their own body."""
+    """The definitions nothing in src/ references outside their own body.
+    A method is reached only through an attribute, so a local variable or
+    a function of the same name does not count as its use."""
     defined, refs = _surface()
     unused = set()
     for qualified, node in defined:
         module, name = qualified.split(".")[0], qualified.rpartition(".")[2]
+        method = qualified.count(".") == 2
         inside = range(node.lineno, node.end_lineno + 1)
-        if not any(r == name and not (m == module and line in inside) for m, line, r in refs):
+        if not any(
+            r == name and (attr or not method) and not (m == module and line in inside)
+            for m, line, r, attr in refs
+        ):
             unused.add(qualified)
     return unused
 

@@ -20,7 +20,6 @@ from threeweight.swrg import (
     TssInstance,
     coset_graph,
     decode_vector,
-    eigenvalues_from_weights,
     encode_vector,
     is_s_swrg,
     tss_check,
@@ -34,6 +33,7 @@ from swrg_oracles import (
     digitwise_add_table,
     direct_adjacency,
     direct_triple_counts,
+    eigenvalues_from_weights,
     neighbors,
     omega_from_code,
     spectrum_by_annihilator,
@@ -129,7 +129,7 @@ def test_field_gate_runs_before_the_vertex_guard():
 def test_simplex_gives_complete_graph():
     g = coset_graph(simplex(2, 2))
     assert g.nvertices == 4 and g.degree == 3
-    assert verify_spectrum(g, (3, -1))
+    assert verify_spectrum(g) == (3, -1)
     assert spectrum_by_annihilator(g, (3, -1))
 
 
@@ -139,7 +139,7 @@ def test_complete_graph_over_gf3():
     g = coset_graph(code)
     assert g.degree == 8
     assert g.spectrum_multiplicities() == {8: 1, -1: 8}
-    assert verify_spectrum(g, (8, -1))
+    assert verify_spectrum(g) == (8, -1)
     assert spectrum_by_annihilator(g, (8, -1))
     omega = omega_from_code(code)
     inst = tss_check(g)
@@ -178,7 +178,7 @@ def test_verify_spectrum(code_8_4):
         (4, 0, -4): False,
     }
     for claim, expected in claims.items():
-        assert verify_spectrum(g, claim) is expected, claim
+        assert (verify_spectrum(g) == claim) is expected, claim
         assert spectrum_by_annihilator(g, claim) is expected, claim
 
 
@@ -193,11 +193,10 @@ def test_verify_spectrum(code_8_4):
 def test_verify_spectrum_self_checks_raise(code_8_4, monkeypatch, corrupt, moments):
     g = coset_graph(code_8_4)
     assert g.spectrum_multiplicities() == {8: 1, 4: 1, 0: 11, -4: 3}
-    claim = eigenvalues_from_weights(2, 8, (0, 2, 4, 6))
     spectrum = {**g.spectrum_multiplicities(), **corrupt}
     monkeypatch.setattr(CosetGraph, "spectrum_multiplicities", lambda self: dict(spectrum))
     with pytest.raises(SelfCheckFailed, match=re.escape(f"spectral moments 0..2 are {moments}")):
-        verify_spectrum(g, claim)
+        verify_spectrum(g)
 
 
 def test_walk_constant_gamma_must_be_an_integer():
@@ -256,18 +255,9 @@ def test_coset_graph_closes_points_under_scalars():
     assert CosetGraph(2, 2, [(1, 1), (1, 1)], {}).omega == (3,)
 
 
-def test_walk_counts_are_kept_per_length(code_8_4, monkeypatch):
-    # the walk constants are decided once per length and kept on the graph
+def test_walk_constants_are_the_direct_3_walk_counts(code_8_4):
     g = coset_graph(code_8_4)
-    calls = []
-    decide = swrg._walk_regularity
-    monkeypatch.setattr(
-        swrg, "_walk_regularity", lambda *args: calls.append(args[1]) or decide(*args)
-    )
     first = is_s_swrg(g, 3)
-    assert is_s_swrg(g, 3) is first and calls == [3]
-    is_s_swrg(g, 5)
-    assert calls == [3, 5]
     direct = direct_triple_counts(omega_from_code(code_8_4), 2, 4)
     assert walk_counts(g, 3) == direct
     outside = min(set(range(1, 16)) - set(g.omega))
@@ -419,7 +409,7 @@ def test_ternary_graph_layer():
     g = coset_graph(code)
     assert g.nvertices == 81 and g.degree == 18
     claim = eigenvalues_from_weights(3, 9, (0, 3, 6, 9))
-    assert verify_spectrum(g, claim) and spectrum_by_annihilator(g, claim)
+    assert verify_spectrum(g) == claim and spectrum_by_annihilator(g, claim)
     assert is_s_swrg(g, 3).is_swrg
     inst = tss_check(g)
     assert inst.consistent

@@ -5,9 +5,10 @@ A connected regular graph of degree d with eigenvalues d > t1 > t2 > t3 is
 s-walk-regular exactly when the points (t, t^s) are collinear, that is when
 `curve.vandam_lhs(s, t1, t2, t3) == 0`.  Its walk constants then solve
 A^s = c0 I + c1 A + c2 (J - I - A) on the eigenspaces.  Here the eigenvalues
-come from the code's weights, the identity from the curve layer, and the
-verdict and constants both from `is_s_swrg` and from the walk counts of the
-character-transform oracle, class by class.
+come from the code's weights (and equal the graph's own, `verify_spectrum`),
+the identity from the curve layer, and the verdict and constants both from
+`is_s_swrg` and from the walk counts of the character-transform oracle,
+class by class.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from hypothesis import strategies as st
 from threeweight.code import LinearCode, reed_muller, simplex
 from threeweight.curve import vandam_lhs
 from threeweight.gfmat import FieldMatrix, PrimeField
-from threeweight.swrg import coset_graph, eigenvalues_from_weights, is_s_swrg
+from threeweight.swrg import coset_graph, is_s_swrg, verify_spectrum
 
-from swrg_oracles import walk_regularity
+from swrg_oracles import eigenvalues_from_weights, walk_regularity
 
 
 def eigenspace_constants(degree: int, nvertices: int, thetas, s: int):
@@ -55,7 +56,8 @@ def check_oracle(graph, s: int):
 def check_bridge(code: LinearCode, graph, s: int):
     q, n, _ = code.params()
     weights = code.weight_distribution().nonzero_weights()
-    degree, *thetas = eigenvalues_from_weights(q, n, (0,) + weights)
+    degree, *thetas = claim = eigenvalues_from_weights(q, n, (0,) + weights)
+    assert verify_spectrum(graph) == claim, code
     walk = check_oracle(graph, s)
     assert walk.is_swrg == (vandam_lhs(s, *thetas) == 0), (code, s)
     expected = eigenspace_constants(degree, graph.nvertices, thetas, s)
@@ -154,7 +156,9 @@ def test_random_projective_codes_match_the_oracle():
     shapes = set()
     for code in random_projective_codes(2026, 60):
         graph = coset_graph(code)
-        nontrivial = len(code.weight_distribution().nonzero_weights())
+        weights = code.weight_distribution().nonzero_weights()
+        nontrivial = len(weights)
+        assert verify_spectrum(graph) == eigenvalues_from_weights(code.q, code.n, (0,) + weights)
         shapes.add((code.q, min(nontrivial, 4)))
         for s in (3, 5, 7, 9):
             walk = check_oracle(graph, s)
