@@ -21,7 +21,7 @@ from . import feasibility, swrg
 from .curve import CurveQuery, search_report
 from .errors import CodesError, GuardExceeded, InvalidArgument, ParseError
 from .matrixio import parse_matrix_file
-from .transform import dual_distribution
+from .transform import dual_numerators
 
 
 def emit_report(rows: list[dict], fmt: str) -> str:
@@ -105,9 +105,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"w2 = n(q-1)/q: {'ok' if mid_ok else 'MISMATCH'}")
         if not mid_ok:
             failures.append(f"w2 = {weights[1]} != n(q-1)/q")
-    b = dual_distribution(dist.as_dict(), n, q, k)
-    b_int = all(v.denominator == 1 and v >= 0 for v in b)
-    b1, b2, b3 = (b[i] if i <= n else 0 for i in (1, 2, 3))  # B_i = 0 for i > n
+    size = q**k
+    b = list(dual_numerators(dist.as_dict(), n, q))  # q^k B_i
+    b_int = all(v >= 0 and v % size == 0 for v in b)
+    b1, b2, b3 = (Fraction(b[i], size) if i <= n else 0 for i in (1, 2, 3))  # B_i = 0 for i > n
     print(f"dual distribution integral/nonnegative: {b_int}; B1=B2=0: {b1 == 0 and b2 == 0}")
     print(f"B3 = {b3}")
     if not projective:

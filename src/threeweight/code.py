@@ -11,10 +11,20 @@ every codeword coordinate is one of them, a carry-save adder sums the n
 zero sets into bit planes of the zero count, and a depth-first split of
 the planes ends in one popcount per weight.  The same kernel serves GF(2)
 and GF(3).
+
+Columns are read as base-q numerals, the first row the lowest digit, all
+columns of a generator in one pass of lane arithmetic on the packed rows
+(`_numerals`).  The kernel reads column parts that way, one byte lane
+each; projectivity and the anticode key each column by the least numeral
+among its nonzero multiples (`_point_keys`), which is 0 for a zero column
+and the same for two columns exactly when they span one point of
+PG(k-1, q).
 """
 
 from __future__ import annotations
 
+import struct
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -28,6 +38,12 @@ ENUMERATION_GUARD = 1 << 26
 # keep a block's planes at 2 KiB, and half of a block's digits a numeral
 # below 256, one byte lane per column (`_numerals`).
 BLOCK_BITS = 1 << 14
+
+# per field, the translate tables that multiply every entry of a reduced
+# row by each nonzero scalar in turn, 1 first and -1 last
+_MULTIPLES = {q: tuple(bytes(lam * v % q for v in range(256)) for lam in range(1, q)) for q in (2, 3)}
+# `struct` formats of the lane widths it can cut
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 @dataclass(frozen=True)
@@ -62,15 +78,6 @@ class MultiplicityType:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.m)
-
-
-def _canonical_point(p: int, vec: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Scale so the first nonzero entry is 1, by that entry itself (its own
-    inverse in GF(2) and GF(3)); None for the zero vector."""
-    for e in vec:
-        if e:
-            return tuple(x * e % p for x in vec)
-    return None
 
 
 def _digit_planes(q: int, b: int) -> tuple[tuple[int, ...], ...]:
@@ -119,13 +126,43 @@ def _level_table(q: int, full: int, planes: tuple[tuple[int, ...], ...]) -> tupl
     return tuple(table)
 
 
-def _numerals(q: int, n: int, rows: tuple[bytes, ...]) -> bytes:
+def _lane_width(q: int, k: int) -> int:
+    """Bytes per lane that hold every numeral of k base-q digits: 1, 2, 4
+    or 8, which `struct` cuts at once, and a multiple of 8 past that."""
+    nbytes = ((q**k - 1).bit_length() + 7) // 8
+    return next((w for w in _LANE_FORMATS if w >= nbytes), -(-nbytes // 8) * 8)
+
+
+def _numerals(q: int, n: int, rows: tuple[bytes, ...], width: int = 1) -> tuple[int, ...]:
     """Per column, its entries in the given rows read as a base-q numeral,
-    the first row the lowest digit: one byte lane per column of one integer."""
+    the first row the lowest digit.  Each row is spread into lanes of width
+    bytes, one per column of one integer, and the rows are summed by
+    Horner's rule; a lane wide enough for q^len(rows) never carries."""
+    buf = bytearray(n * width)
     value = 0
     for row in reversed(rows):
-        value = value * q + int.from_bytes(row, "little")
-    return value.to_bytes(n, "little")
+        buf[::width] = row
+        value = value * q + int.from_bytes(buf, "little")
+    data = value.to_bytes(n * width, "little")
+    if width in _LANE_FORMATS:
+        return struct.unpack(f"<{n}{_LANE_FORMATS[width]}", data)
+    return tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, n * width, width))
+
+
+def _scalar_numerals(q: int, n: int, rows: tuple[bytes, ...]) -> tuple[int, ...]:
+    """The numerals of the q - 1 nonzero multiples of each of the n columns
+    of the given reduced rows, multiple lam of column j at (lam - 1) n + j:
+    one numeral pass over the rows and their multiples side by side."""
+    blocks = [[row.translate(t) for row in rows] for t in _MULTIPLES[q]]
+    return _numerals(q, (q - 1) * n, tuple(map(b"".join, zip(*blocks))), _lane_width(q, len(rows)))
+
+
+def _point_keys(q: int, n: int, rows: tuple[bytes, ...]) -> tuple[int, ...]:
+    """Per column, the least numeral among its nonzero multiples: 0 for a
+    zero column, and equal for two columns exactly when they span the same
+    point of PG(k-1, q)."""
+    numerals = _scalar_numerals(q, n, rows)
+    return numerals if q == 2 else tuple(map(min, numerals[:n], numerals[n:]))
 
 
 def _level_sets(q: int, n: int, b: int, rows: tuple[bytes, ...], values: int) -> list[tuple[int, ...]]:
@@ -203,7 +240,7 @@ def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
     levels = _level_sets(q, n, b, rows[:b], q if k > b else 1)  # one block: zeros only
     full = (1 << q**b) - 1
     # adding a row to x_hi adds its negation to -<x_hi, c_hi>, lane by lane
-    steps = [int.from_bytes(bytes(-e % q for e in row), "little") for row in rows[b:]]
+    steps = [int.from_bytes(row.translate(_MULTIPLES[q][-1]), "little") for row in rows[b:]]
     neg = bytes(n)  # -<x_hi, c_hi> per column
     counts = [0] * (n + 1)
     for t in range(q ** (k - b)):
@@ -233,7 +270,7 @@ def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
 class LinearCode:
     """An [n, k]_q linear code given by a full-row-rank generator matrix."""
 
-    __slots__ = ("field", "generator", "n", "k", "_distribution", "_projectivity", "_points")
+    __slots__ = ("field", "generator", "n", "k", "_distribution", "_projectivity")
 
     def __init__(self, field: PrimeField, generator: FieldMatrix):
         if generator.field.p != field.p:
@@ -248,7 +285,6 @@ class LinearCode:
         self.k = generator.nrows
         self._distribution: WeightDistribution | None = None
         self._projectivity: tuple[bool, MultiplicityType] | None = None
-        self._points: frozenset[tuple[int, ...]] = frozenset()
 
     # -- basics --------------------------------------------------------
 
@@ -288,31 +324,17 @@ class LinearCode:
 
     def is_projective(self) -> tuple[bool, MultiplicityType]:
         """Full-length with pairwise projectively inequivalent positions;
-        computed once and kept, like the weight distribution, together with
-        the canonical points of the columns."""
+        computed once and kept, like the weight distribution.  Positions
+        fall into classes by their point keys, key 0 the zero positions."""
         if self._projectivity is not None:
             return self._projectivity
-        classes: dict[tuple[int, ...], int] = {}
-        zero_positions = 0
-        for col in self.generator.columns():
-            rep = _canonical_point(self.q, col)
-            if rep is None:
-                zero_positions += 1
-            else:
-                classes[rep] = classes.get(rep, 0) + 1
-        sizes: dict[int, int] = {}
-        for c in classes.values():
-            sizes[c] = sizes.get(c, 0) + 1
+        classes = Counter(_point_keys(self.q, self.n, self.generator.packed_rows()))
+        zero_positions = classes.pop(0, 0)
+        sizes = Counter(classes.values())
         mult = MultiplicityType(tuple(sorted(sizes.items())), zero_positions)
-        flag = zero_positions == 0 and all(c == 1 for c in classes.values())
-        self._points = frozenset(classes)
-        self._projectivity = (flag, mult)
+        # n nonzero classes leave no zero position and no class of two
+        self._projectivity = (len(classes) == self.n, mult)
         return self._projectivity
-
-    def point_set(self) -> frozenset[tuple[int, ...]]:
-        """Canonical projective points spanned by the generator columns."""
-        self.is_projective()
-        return self._points
 
     # -- derived codes -------------------------------------------------
 
@@ -351,8 +373,12 @@ class LinearCode:
         qk1 = self.q ** (self.k - 1)
         if dist.frequency(qk1) != 0:
             raise InvalidArgument(f"code attains weight q^(k-1) = {qk1}; complement does not span")
-        points = self.point_set()
-        comp = [pt for pt in _projective_points(self.q, self.k) if pt not in points]
+        # one pass keys the columns and the points of PG(k-1, q) side by side
+        points = _projective_points(self.q, self.k)
+        rows = tuple(map(bytes.__add__, self.generator.packed_rows(), map(bytes, zip(*points))))
+        keys = _point_keys(self.q, self.n + len(points), rows)
+        taken = set(keys[: self.n])
+        comp = [pt for pt, key in zip(points, keys[self.n :]) if key not in taken]
         if not comp:
             raise InvalidArgument("complement is empty")
         gen = FieldMatrix.from_columns(self.field, comp)

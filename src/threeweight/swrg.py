@@ -5,8 +5,11 @@ The coset graph of the dual of a projective [n,k]_q code lives on the q^k
 syndromes; two syndromes are adjacent when they differ by a nonzero scalar
 multiple of a generator column.  That makes it a Cayley graph on (F_q^k, +)
 with connection set Omega, the scalar closure of the columns: `CosetGraph`
-takes the column points themselves and closes them under scalars, so no
-set it builds can miss a multiple.  Its eigenvalue at the character u is
+takes the columns themselves and closes them under scalars, so no set it
+builds can miss a multiple.  Vertices are the base-q numerals of their
+vectors, the first coordinate the lowest digit, and Omega is read in one
+numeral pass over the columns and their multiples (`code._numerals`).  Its
+eigenvalue at the character u is
 
   lambda_u = sum over columns c and scalars l != 0 of zeta^(l <u, c>)
            = n(q-1) - q wt(uG),
@@ -44,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .code import LinearCode
+from .code import LinearCode, _scalar_numerals
 from .curve import vandam_lhs
 from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
 from .gfmat import PrimeField
@@ -68,13 +71,6 @@ class SwrgResult:
     is_swrg: bool
     s: int
     constants: tuple[int, int, int] | None  # (equal, adjacent, non-adjacent)
-
-
-def encode_vector(vec: Sequence[int], q: int) -> int:
-    code = 0
-    for digit in reversed(vec):
-        code = code * q + digit % q
-    return code
 
 
 def decode_vector(code: int, q: int, k: int) -> tuple[int, ...]:
@@ -106,12 +102,20 @@ class CosetGraph:
         self.q = q
         self.k = k
         self.nvertices = q**k
-        omega = set()
-        for vec in points:
-            if len(vec) != k or not all(0 <= e < q for e in vec) or not any(vec):
-                raise InvalidArgument(f"{tuple(vec)} is not a nonzero vector of F_{q}^{k}")
-            omega.update(encode_vector([lam * e for e in vec], q) for lam in range(1, q))
-        self.omega = tuple(sorted(omega))
+        vectors = list(points)
+        numerals: tuple[int, ...] = ()
+        if all(map(k.__eq__, map(len, vectors))):
+            try:
+                rows = tuple(map(bytes, zip(*vectors))) or (b"",) * k
+            except ValueError:  # an entry outside range(256)
+                rows = ()
+            if rows and not b"".join(rows).translate(None, bytes(range(q))):
+                numerals = _scalar_numerals(q, len(vectors), rows)
+        if len(numerals) != (q - 1) * len(vectors) or 0 in numerals:
+            for vec in vectors:  # name the first vector that fails
+                if len(vec) != k or not all(0 <= e < q for e in vec) or not any(vec):
+                    raise InvalidArgument(f"{tuple(vec)} is not a nonzero vector of F_{q}^{k}")
+        self.omega = tuple(sorted(set(numerals)))
         self._spectrum = dict(spectrum)
 
     def _add_table(self, w: int) -> list[int]:
@@ -163,14 +167,15 @@ class CosetGraph:
 
 def coset_graph(code: LinearCode) -> CosetGraph:
     """Coset graph of the dual code, on syndrome space; n(q-1)-regular.
-    Omega is the scalar closure of the column points `is_projective` kept,
-    and the spectrum is {n(q-1) - q w : A_w} from the weight distribution."""
+    Omega is the scalar closure of the generator columns, each its own
+    point class in a projective code, and the spectrum is
+    {n(q-1) - q w : A_w} from the weight distribution."""
     flag, _ = code.is_projective()
     if not flag:
         raise InvalidArgument("coset graph construction requires a projective code")
     q, n, _ = code.params()
     spectrum = {n * (q - 1) - q * w: a for w, a in code.weight_distribution().counts}
-    g = CosetGraph(q, code.k, code.point_set(), spectrum)
+    g = CosetGraph(q, code.k, code.generator.columns(), spectrum)
     if g.degree != n * (q - 1):
         raise SelfCheckFailed(f"coset graph degree {g.degree} != n(q-1) = {n * (q - 1)}")
     return g

@@ -12,12 +12,19 @@ Projective points: the library filters `itertools.product`;
 `projective_points_by_walk` walks every vector and keeps the first member
 of each class.  Both points routes are plain integer arithmetic mod p, so
 they are compared for primes beyond the two fields.
+
+Point classes of columns: the library keys every column by the least
+base-q numeral among its nonzero multiples, all columns in one lane pass.
+`canonical_point` scales one column tuple so its first nonzero entry is 1;
+`projectivity_by_points` and `complement_by_points` build the multiplicity
+type and the anticode's columns from those tuples.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+from threeweight.code import LinearCode, MultiplicityType, _projective_points
 from threeweight.gfmat import FieldMatrix
 
 
@@ -122,3 +129,38 @@ def projective_points_by_walk(p: int, k: int) -> tuple[tuple[int, ...], ...]:
 
     rec(0)
     return tuple(pts)
+
+
+def canonical_point(p: int, vec: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Scale so the first nonzero entry is 1, by that entry itself (its own
+    inverse in GF(2) and GF(3)); None for the zero vector."""
+    for e in vec:
+        if e:
+            return tuple(x * e % p for x in vec)
+    return None
+
+
+def projectivity_by_points(code: LinearCode) -> tuple[bool, MultiplicityType, frozenset]:
+    """(projective, multiplicity type, canonical points of the columns),
+    by canonicalising each column tuple in turn."""
+    classes: dict[tuple[int, ...], int] = {}
+    zero_positions = 0
+    for col in code.generator.columns():
+        rep = canonical_point(code.q, col)
+        if rep is None:
+            zero_positions += 1
+        else:
+            classes[rep] = classes.get(rep, 0) + 1
+    sizes: dict[int, int] = {}
+    for c in classes.values():
+        sizes[c] = sizes.get(c, 0) + 1
+    mult = MultiplicityType(tuple(sorted(sizes.items())), zero_positions)
+    flag = zero_positions == 0 and all(c == 1 for c in classes.values())
+    return flag, mult, frozenset(classes)
+
+
+def complement_by_points(code: LinearCode) -> list[tuple[int, ...]]:
+    """The points of PG(k-1, q) in lexicographic order that no column of
+    the code spans, by set membership of canonical tuples."""
+    _, _, points = projectivity_by_points(code)
+    return [pt for pt in _projective_points(code.q, code.k) if pt not in points]

@@ -2,14 +2,15 @@
 
 The library reads the spectrum from the weight distribution, decides walk
 regularity on the distinct eigenvalues, reads triple-sum counts as length-3
-walk constants, builds translation tables by base-q digit blocks, and takes
-the connection set from the canonical column points that projectivity
-already computed.  The routes below share none of that machinery and serve
-as test oracles: the claimed distinct eigenvalues n(q-1) - q w read off a
-weight list, the spectrum and every walk count from one exact character
-transform over all q^k vertices (Walsh over q = 2, the group ring Z[C_q]
-over odd q), the walk classes split vertex by vertex, direct convolution,
-direct |Omega|^3 counting and a dense matrix power.
+walk constants, builds translation tables by base-q digit blocks, and reads
+the connection set as the numerals of the columns' multiples, all columns
+in one lane pass.  The routes below share none of that machinery and serve
+as test oracles: a vector encoded digit by digit, the claimed distinct
+eigenvalues n(q-1) - q w read off a weight list, the spectrum and every
+walk count from one exact character transform over all q^k vertices (Walsh
+over q = 2, the group ring Z[C_q] over odd q), the walk classes split
+vertex by vertex, direct convolution, direct |Omega|^3 counting and a
+dense matrix power.
 """
 
 from __future__ import annotations
@@ -21,7 +22,16 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from threeweight.code import LinearCode
 from threeweight.errors import InvalidArgument, SelfCheckFailed
-from threeweight.swrg import CosetGraph, SwrgResult, decode_vector, encode_vector
+from threeweight.swrg import CosetGraph, SwrgResult, decode_vector
+
+
+def encode_vector(vec: Sequence[int], q: int) -> int:
+    """The base-q numeral of vec, first entry the lowest digit, by Horner's
+    rule one entry at a time."""
+    code = 0
+    for digit in reversed(vec):
+        code = code * q + digit % q
+    return code
 
 
 def omega_from_code(code: LinearCode) -> tuple[tuple[int, ...], ...]:

@@ -418,7 +418,7 @@ class _LongCode:
 ])
 def test_verify_prints_the_weight_sum_target_exactly(capsys, monkeypatch, q, n, target):
     monkeypatch.setattr(cli, "parse_matrix_file", lambda path: _LongCode(q, n))
-    monkeypatch.setattr(cli, "dual_distribution", lambda *args: [1, 0, 0, 0])
+    monkeypatch.setattr(cli, "dual_numerators", lambda *args: [1, 0, 0, 0])
     rc, out, _ = run_cli(capsys, "verify", "long.txt")
     assert rc == 1
     assert f"weight sum 1 (3n(q-1)/q = {target}): MISMATCH\n" in out

@@ -4,6 +4,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from threeweight import code as code_module
 from threeweight.code import (
@@ -17,11 +19,14 @@ from threeweight.code import (
     theorem_4delta_minus1,
 )
 from threeweight.errors import GuardExceeded, InvalidArgument, SelfCheckFailed
+from threeweight.feasibility import kn_witness
 from threeweight.gfmat import GF2, GF3, FieldMatrix, PrimeField
 from threeweight.matrixio import parse_matrix_file
 from threeweight.transform import dual_distribution
 
+from code_oracles import complement_by_points, projectivity_by_points
 from conftest import data_path
+from swrg_oracles import encode_vector
 from transform_oracles import power_moment
 
 
@@ -145,16 +150,114 @@ def test_anticode_parity7():
 
 
 def test_anticode_canonicalises_each_column_once(monkeypatch):
-    counted = []
-    canonical = code_module._canonical_point
+    computed, passes = [], []
+    compute, scalar_numerals = LinearCode.is_projective, code_module._scalar_numerals
 
-    def counting(p, vec):
-        counted.append(vec)
-        return canonical(p, vec)
+    def counting_projectivity(self):
+        if self._projectivity is None:
+            computed.append(self)
+        return compute(self)
 
-    monkeypatch.setattr(code_module, "_canonical_point", counting)
-    parity_check_code(7).anticode()
-    assert len(counted) == 7  # point_set() reuses the points of is_projective()
+    def counting_numerals(q, n, rows):
+        passes.append(n)
+        return scalar_numerals(q, n, rows)
+
+    monkeypatch.setattr(LinearCode, "is_projective", counting_projectivity)
+    monkeypatch.setattr(code_module, "_scalar_numerals", counting_numerals)
+    code = parity_check_code(7)
+    code.anticode()
+    assert computed == [code]  # anticode reuses the flag is_projective kept
+    # one pass keys the 7 columns for projectivity, and one keys them again
+    # side by side with the 63 points of PG(5, 2) for the complement
+    assert passes == [7, 7 + 63]
+
+
+@pytest.mark.parametrize("a,source", [
+    (1, lambda: simplex(2, 1).direct_sum(reed_muller(2, 2))),
+    (2, lambda: parity_check_code(7)),
+    (3, lambda: golay23().even_weight_subcode()),
+])
+def test_anticode_matches_tuple_complement_for_kn_witnesses(a, source):
+    witness = kn_witness(a).witness
+    assert list(witness.generator.columns()) == complement_by_points(source())
+
+
+@st.composite
+def projective_codes(draw):
+    """A projective code: the unit points, so the rank is full, and drawn
+    further points of PG(k-1, q), each scaled by a drawn nonzero scalar, in
+    a drawn order."""
+    q = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(2, 5 if q == 2 else 4))
+    points = code_module._projective_points(q, k)
+    units = [pt for pt in points if sum(pt) == 1]
+    others = [pt for pt in points if sum(pt) != 1]
+    chosen = units + draw(st.lists(st.sampled_from(others), unique=True, max_size=len(others)))
+    cols = [tuple(lam * e % q for e in pt) for pt in chosen
+            for lam in [draw(st.integers(1, q - 1))]]
+    field = PrimeField(q)
+    return LinearCode(field, FieldMatrix.from_columns(field, draw(st.permutations(cols))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(projective_codes())
+def test_anticode_matches_tuple_complement_for_drawn_projective_codes(code):
+    assert code.is_projective()[0]
+    try:
+        anti = code.anticode()
+    except InvalidArgument:  # the complement does not span: no anticode
+        assume(False)
+    assert list(anti.generator.columns()) == complement_by_points(code)
+
+
+@st.composite
+def generators_with_repeats(draw):
+    """A full-rank code: the unit columns, drawn columns, then zero columns,
+    repeats and nonzero multiples of earlier columns, in a drawn order."""
+    q = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(1, 5))
+    cols = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    cols += draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * k), max_size=8))
+    for kind in draw(st.lists(st.sampled_from(("zero", "repeat", "multiple")), max_size=6)):
+        col = draw(st.sampled_from(cols))
+        if kind == "zero":
+            cols.append((0,) * k)
+        else:
+            lam = 1 if kind == "repeat" else draw(st.integers(1, q - 1))
+            cols.append(tuple(lam * e % q for e in col))
+    field = PrimeField(q)
+    return LinearCode(field, FieldMatrix.from_columns(field, draw(st.permutations(cols))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(generators_with_repeats())
+def test_is_projective_matches_canonical_points(code):
+    flag, mult, _ = projectivity_by_points(code)
+    assert code.is_projective() == (flag, mult)
+
+
+@pytest.mark.parametrize("q,k", [
+    *((2, k) for k in (8, 9, 16, 17, 24, 25, 32, 33, 64, 65)),
+    *((3, k) for k in (5, 6, 10, 11, 15, 16, 20, 21, 40, 41)),
+])
+def test_numerals_match_digitwise_encoding_across_lane_widths(q, k):
+    # k on both sides of each step of the lane width; the all-(q-1) column
+    # fills its lane, so a lane too narrow would carry into the next
+    rng = random.Random(100 * q + k)
+    cols = [(0,) * k, (q - 1,) * k, (1,) + (0,) * (k - 1), (0,) * (k - 1) + (1,)]
+    cols += [tuple(rng.randrange(q) for _ in range(k)) for _ in range(40)]
+    rows = tuple(map(bytes, zip(*cols)))
+    width = code_module._lane_width(q, k)
+    assert q**k <= 256**width
+    assert code_module._numerals(q, len(cols), rows, width) == tuple(encode_vector(c, q) for c in cols)
+
+
+def test_numerals_match_digitwise_encoding_on_fixtures(fixture_codes):
+    assert len(fixture_codes) == 74
+    for name, code, _ in fixture_codes:
+        width = code_module._lane_width(code.q, code.k)
+        numerals = code_module._numerals(code.q, code.n, code.generator.packed_rows(), width)
+        assert numerals == tuple(encode_vector(c, code.q) for c in code.generator.columns()), name
 
 
 def test_anticode_of_simplex_rejected():

@@ -95,6 +95,7 @@ OPTIMIZED_SWRG_CHECK = """
 import sys
 from threeweight.code import simplex
 from threeweight.errors import SelfCheckFailed
+from threeweight import swrg
 from threeweight.swrg import CosetGraph, coset_graph, is_s_swrg, verify_spectrum
 
 assert False, "asserts must be stripped"
@@ -109,6 +110,12 @@ try:
     is_s_swrg(CosetGraph(2, 3, points[:4], {4: 1, 1: 3, -1: 4}), 3)
 except SelfCheckFailed as exc:
     print("gamma raised:", exc)
+real = swrg._scalar_numerals
+swrg._scalar_numerals = lambda q, n, rows: (lambda v: v[:1] + v[:1] + v[2:])(real(q, n, rows))
+try:
+    coset_graph(simplex(2, 3))
+except SelfCheckFailed as exc:
+    print("degree raised:", exc)
 """
 
 
@@ -124,5 +131,6 @@ def test_graph_self_checks_raise_under_python_O():
         "spectrum raised: spectral moments 0..2 are [7, 1, 55], not [8, 0, 56]",
         "spectrum raised: spectral moments 0..2 are [8, 4, 56], not [8, 0, 56]",
         "gamma raised: walk constant gamma is not an integer: remainder 4 mod q^k",
+        "degree raised: coset graph degree 6 != n(q-1) = 7",
         "",
     ]

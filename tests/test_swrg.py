@@ -20,7 +20,6 @@ from threeweight.swrg import (
     TssInstance,
     coset_graph,
     decode_vector,
-    encode_vector,
     is_s_swrg,
     tss_check,
     verify_spectrum,
@@ -34,6 +33,7 @@ from swrg_oracles import (
     direct_adjacency,
     direct_triple_counts,
     eigenvalues_from_weights,
+    encode_vector,
     neighbors,
     omega_from_code,
     spectrum_by_annihilator,
@@ -64,18 +64,27 @@ def test_coset_graph_requires_projectivity():
 
 
 def test_verify_canonicalises_each_column_once(capsys, monkeypatch):
-    counted = []
-    canonical = code_module._canonical_point
+    computed, passes = [], []
+    compute, scalar_numerals = LinearCode.is_projective, code_module._scalar_numerals
 
-    def counting(p, vec):
-        counted.append(vec)
-        return canonical(p, vec)
+    def counting_projectivity(self):
+        if self._projectivity is None:
+            computed.append(self)
+        return compute(self)
 
-    monkeypatch.setattr(code_module, "_canonical_point", counting)
+    def counting_numerals(q, n, rows):
+        passes.append(n)
+        return scalar_numerals(q, n, rows)
+
+    monkeypatch.setattr(LinearCode, "is_projective", counting_projectivity)
+    monkeypatch.setattr(code_module, "_scalar_numerals", counting_numerals)
+    monkeypatch.setattr(swrg, "_scalar_numerals", counting_numerals)
     path = data_path("matrices/q3_n009_k04_w3_6_9.txt")
     assert cli_main(["verify", str(path), "--graph", "--tss"]) == 0
     assert "PASS" in capsys.readouterr().out
-    assert len(counted) == 9  # n columns: coset_graph reuses verify's result
+    assert len(computed) == 1  # coset_graph reuses verify's projectivity
+    # one pass over the n columns keys their point classes, one reads Omega
+    assert passes == [9, 9]
 
 
 def test_verify_output_does_not_depend_on_kept_projectivity(capsys, monkeypatch):
@@ -99,14 +108,28 @@ def test_verify_output_does_not_depend_on_kept_projectivity(capsys, monkeypatch)
 
 
 def test_omega_from_points_matches_column_oracle():
-    # coset_graph builds Omega from the kept canonical points; the oracle
-    # scans the generator columns again
+    # coset_graph reads Omega as numerals in one lane pass over the columns
+    # and their multiples; the oracle closes each column under scalars and
+    # encodes it digit by digit
     paths = matrix_files()
     assert len(paths) == 74
     for path in paths:
         code = parse_matrix_file(path)
         columns = tuple(sorted(encode_vector(v, code.q) for v in omega_from_code(code)))
         assert coset_graph(code).omega == columns, path.name
+
+
+def test_coset_graph_degree_check_fires_on_a_corrupted_omega(monkeypatch):
+    # a numeral pass that repeats a column loses one element of Omega
+    real = swrg._scalar_numerals
+
+    def repeat_first_column(q, n, rows):
+        numerals = real(q, n, rows)
+        return numerals[:1] + numerals[:1] + numerals[2:]
+
+    monkeypatch.setattr(swrg, "_scalar_numerals", repeat_first_column)
+    with pytest.raises(SelfCheckFailed, match=re.escape("coset graph degree 6 != n(q-1) = 7")):
+        coset_graph(simplex(2, 3))
 
 
 def test_coset_graph_guard():
