@@ -193,8 +193,8 @@ def projective_codes(draw):
     units = [pt for pt in points if sum(pt) == 1]
     others = [pt for pt in points if sum(pt) != 1]
     chosen = units + draw(st.lists(st.sampled_from(others), unique=True, max_size=len(others)))
-    cols = [tuple(lam * e % q for e in pt) for pt in chosen
-            for lam in [draw(st.integers(1, q - 1))]]
+    scalars = draw(st.lists(st.integers(1, q - 1), min_size=len(chosen), max_size=len(chosen)))
+    cols = [tuple(lam * e % q for e in pt) for pt, lam in zip(chosen, scalars)]
     field = PrimeField(q)
     return LinearCode(field, FieldMatrix.from_columns(field, draw(st.permutations(cols))))
 
