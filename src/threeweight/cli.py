@@ -150,14 +150,14 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         if excess and code.is_projective()[0]:
             raise GuardExceeded(excess)
     graph = swrg.coset_graph(code)
-    result = swrg.is_s_swrg(graph, args.s)
-    payload = graph.summary()
-    payload["s"] = args.s
-    payload["is_s_swrg"] = result.is_swrg
-    payload["walk_constants"] = list(result.constants) if result.constants else None
+    result = swrg.is_s_swrg(graph, args.s)  # refuses a bad --s before any listing
     if args.adjacency:
         sys.stdout.write("\n".join(graph.adjacency_lines()) + "\n")
     else:
+        payload = graph.summary()
+        payload["s"] = args.s
+        payload["is_s_swrg"] = result.is_swrg
+        payload["walk_constants"] = list(result.constants) if result.constants else None
         sys.stdout.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -10,7 +10,7 @@ nonzero entry is how a row is normalised, and no inverse is computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidArgument
 
@@ -70,9 +70,6 @@ class FieldMatrix:
         if not cols or not cols[0]:
             raise InvalidArgument("matrix must be nonempty")
         return cls(field, tuple(map(bytes, zip(*cols))), len(cols))
-
-    def columns(self) -> Iterator[tuple[int, ...]]:
-        return zip(*self._rows)
 
     def to_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(r) for r in self._rows)

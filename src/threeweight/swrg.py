@@ -4,12 +4,13 @@ and triple-sum-set constants, all read from the weight distribution.
 The coset graph of the dual of a projective [n,k]_q code lives on the q^k
 syndromes; two syndromes are adjacent when they differ by a nonzero scalar
 multiple of a generator column.  That makes it a Cayley graph on (F_q^k, +)
-with connection set Omega, the scalar closure of the columns: `CosetGraph`
-takes the columns themselves and closes them under scalars, so no set it
-builds can miss a multiple.  Vertices are the base-q numerals of their
-vectors, the first coordinate the lowest digit, and Omega is read in one
-numeral pass over the columns and their multiples (`code._numerals`).  Its
-eigenvalue at the character u is
+with connection set Omega, the scalar closure of the columns.  Vertices
+are the base-q numerals of their vectors, the first coordinate the lowest
+digit, and `coset_graph` hands `CosetGraph` Omega in that form: the
+numerals of the columns and all their nonzero multiples, read in one lane
+pass over the packed rows (`code._scalar_numerals`, the pass
+`is_projective` runs), so no multiple is missed.  Its eigenvalue at the
+character u is
 
   lambda_u = sum over columns c and scalars l != 0 of zeta^(l <u, c>)
            = n(q-1) - q wt(uG),
@@ -45,7 +46,7 @@ so a convention mismatch is visible.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .code import LinearCode, _scalar_numerals
 from .curve import vandam_lhs
@@ -73,14 +74,6 @@ class SwrgResult:
     constants: tuple[int, int, int] | None  # (equal, adjacent, non-adjacent)
 
 
-def decode_vector(code: int, q: int, k: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(k):
-        out.append(code % q)
-        code //= q
-    return tuple(out)
-
-
 def vertex_guard_excess(q: int, k: int) -> str | None:
     """Why F_q^k gets no vertex-by-vertex work (the adjacency listing and
     `apply_adjacency` raise it), or None within VERTEX_GUARD."""
@@ -89,41 +82,33 @@ def vertex_guard_excess(q: int, k: int) -> str | None:
 
 
 class CosetGraph:
-    """Cayley graph on F_q^k, q in {2, 3}; its connection set `omega` (sorted,
-    encoded) is the scalar closure of the given nonzero vectors, and
-    `spectrum` maps each eigenvalue to its multiplicity."""
+    """Cayley graph on F_q^k, q in {2, 3}: `omega` holds the given numerals
+    of nonzero vectors, sorted and deduplicated, and `spectrum` maps each
+    eigenvalue to its multiplicity.  Precondition: Omega is closed under
+    nonzero scalars, as `code._scalar_numerals` gives it, so the graph is
+    undirected; only its ends are checked, to lie in 1 .. q^k - 1."""
 
     __slots__ = ("q", "k", "nvertices", "omega", "_spectrum")
 
-    def __init__(
-        self, q: int, k: int, points: Iterable[Sequence[int]], spectrum: Mapping[int, int]
-    ):
+    def __init__(self, q: int, k: int, omega: Iterable[int], spectrum: Mapping[int, int]):
         PrimeField(q)  # rejects every q but 2 and 3
         self.q = q
         self.k = k
         self.nvertices = q**k
-        vectors = list(points)
-        numerals: tuple[int, ...] = ()
-        if all(map(k.__eq__, map(len, vectors))):
-            try:
-                rows = tuple(map(bytes, zip(*vectors))) or (b"",) * k
-            except ValueError:  # an entry outside range(256)
-                rows = ()
-            if rows and not b"".join(rows).translate(None, bytes(range(q))):
-                numerals = _scalar_numerals(q, len(vectors), rows)
-        if len(numerals) != (q - 1) * len(vectors) or 0 in numerals:
-            for vec in vectors:  # name the first vector that fails
-                if len(vec) != k or not all(0 <= e < q for e in vec) or not any(vec):
-                    raise InvalidArgument(f"{tuple(vec)} is not a nonzero vector of F_{q}^{k}")
-        self.omega = tuple(sorted(set(numerals)))
+        self.omega = tuple(sorted(set(omega)))
+        for w in self.omega[:1] + self.omega[-1:]:  # the least and the greatest
+            if not 0 < w < self.nvertices:
+                raise InvalidArgument(f"numeral {w} is not a nonzero vector of F_{q}^{k}")
         self._spectrum = dict(spectrum)
 
     def _add_table(self, w: int) -> list[int]:
-        """table[h] = h + w, extended by one base-q digit block at a time."""
+        """table[h] = h + w, extended by one base-q digit block at a time,
+        the digits of w taken lowest first."""
         q = self.q
         table = [0]
         block = 1
-        for d in decode_vector(w, q, self.k):
+        for _ in range(self.k):
+            w, d = divmod(w, q)
             table = [((j + d) % q) * block + x for j in range(q) for x in table]
             block *= q
         return table
@@ -167,15 +152,15 @@ class CosetGraph:
 
 def coset_graph(code: LinearCode) -> CosetGraph:
     """Coset graph of the dual code, on syndrome space; n(q-1)-regular.
-    Omega is the scalar closure of the generator columns, each its own
-    point class in a projective code, and the spectrum is
-    {n(q-1) - q w : A_w} from the weight distribution."""
+    Omega is the numerals of the generator columns and their nonzero
+    multiples, n(q-1) distinct ones in a projective code, and the spectrum
+    is {n(q-1) - q w : A_w} from the weight distribution."""
     flag, _ = code.is_projective()
     if not flag:
         raise InvalidArgument("coset graph construction requires a projective code")
     q, n, _ = code.params()
     spectrum = {n * (q - 1) - q * w: a for w, a in code.weight_distribution().counts}
-    g = CosetGraph(q, code.k, code.generator.columns(), spectrum)
+    g = CosetGraph(q, code.k, _scalar_numerals(q, n, code.generator.packed_rows()), spectrum)
     if g.degree != n * (q - 1):
         raise SelfCheckFailed(f"coset graph degree {g.degree} != n(q-1) = {n * (q - 1)}")
     return g

@@ -14,7 +14,8 @@ of each class.  Both points routes are plain integer arithmetic mod p, so
 they are compared for primes beyond the two fields.
 
 Point classes of columns: the library keys every column by the least
-base-q numeral among its nonzero multiples, all columns in one lane pass.
+base-q numeral among its nonzero multiples, all columns in one lane pass,
+and never forms a column as a tuple.  `columns` transposes the rows;
 `canonical_point` scales one column tuple so its first nonzero entry is 1;
 `projectivity_by_points` and `complement_by_points` build the multiplicity
 type and the anticode's columns from those tuples.
@@ -131,6 +132,11 @@ def projective_points_by_walk(p: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(pts)
 
 
+def columns(matrix: FieldMatrix) -> list[tuple[int, ...]]:
+    """The columns of a matrix as tuples, by transposing its rows."""
+    return list(zip(*matrix.to_rows()))
+
+
 def canonical_point(p: int, vec: tuple[int, ...]) -> tuple[int, ...] | None:
     """Scale so the first nonzero entry is 1, by that entry itself (its own
     inverse in GF(2) and GF(3)); None for the zero vector."""
@@ -145,7 +151,7 @@ def projectivity_by_points(code: LinearCode) -> tuple[bool, MultiplicityType, fr
     by canonicalising each column tuple in turn."""
     classes: dict[tuple[int, ...], int] = {}
     zero_positions = 0
-    for col in code.generator.columns():
+    for col in columns(code.generator):
         rep = canonical_point(code.q, col)
         if rep is None:
             zero_positions += 1

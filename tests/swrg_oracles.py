@@ -22,7 +22,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from threeweight.code import LinearCode
 from threeweight.errors import InvalidArgument, SelfCheckFailed
-from threeweight.swrg import CosetGraph, SwrgResult, decode_vector
+from threeweight.swrg import CosetGraph, SwrgResult
+
+from code_oracles import columns
 
 
 def encode_vector(vec: Sequence[int], q: int) -> int:
@@ -34,12 +36,28 @@ def encode_vector(vec: Sequence[int], q: int) -> int:
     return code
 
 
+def decode_vector(code: int, q: int, k: int) -> tuple[int, ...]:
+    """The k base-q digits of code, lowest first, one remainder at a time."""
+    out = []
+    for _ in range(k):
+        out.append(code % q)
+        code //= q
+    return tuple(out)
+
+
+def closure_numerals(q: int, points: Iterable[Sequence[int]]) -> list[int]:
+    """The numerals of every nonzero multiple of every point, each encoded
+    entry by entry: a connection set closed under scalars, as `CosetGraph`
+    takes it."""
+    return [encode_vector([lam * e for e in v], q) for v in points for lam in range(1, q)]
+
+
 def omega_from_code(code: LinearCode) -> tuple[tuple[int, ...], ...]:
     """Scalar closure of the generator columns, as vectors in F_q^k, by a
     pass over the columns themselves."""
     q = code.q
     omega = set()
-    for col in code.generator.columns():
+    for col in columns(code.generator):
         for lam in range(1, q):
             omega.add(tuple((lam * e) % q for e in col))
     return tuple(sorted(omega))
@@ -225,10 +243,11 @@ def character_spectrum(graph: CosetGraph) -> list[int]:
 
 def cayley_graph(q: int, k: int, points: Iterable[Sequence[int]]) -> CosetGraph:
     """The Cayley graph of the scalar closure of the points, with its
-    spectrum from the character transform: any point set, spanning or not."""
-    points = list(points)
-    spectrum = Counter(character_spectrum(CosetGraph(q, k, points, {})))
-    return CosetGraph(q, k, points, spectrum)
+    spectrum from the character transform of the closure's indicator: any
+    point set, spanning or not."""
+    omega = set(closure_numerals(q, points))
+    plane = [int(h in omega) for h in range(q**k)]
+    return CosetGraph(q, k, omega, Counter(_character_sums([plane], q, k)))
 
 
 def walk_counts(graph: CosetGraph, s: int) -> list[int]:

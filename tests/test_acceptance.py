@@ -26,6 +26,7 @@ from threeweight.swrg import (
 from threeweight.transform import dual_distribution, three_weight_solve
 
 from catalog import TABLE1, TABLE2, TABLE3
+from code_oracles import columns
 from conftest import data_path
 from curve_oracles import identity_check
 from swrg_oracles import (
@@ -234,7 +235,7 @@ def test_criterion_9_exhaustive_small_oracle():
         )
 
     canonical = parse_matrix_file(data_path("matrices/q2_n004_k03_w1_2_3.txt"))
-    canon_set = frozenset(canonical.generator.columns())
+    canon_set = frozenset(columns(canonical.generator))
     assert canon_set in qualifying
     orbit = {act(g, canon_set) for g in gl}
     assert orbit == set(qualifying)

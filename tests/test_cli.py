@@ -19,6 +19,7 @@ from threeweight import code as code_module
 from threeweight import swrg
 from threeweight.swrg import CosetGraph
 
+from code_oracles import columns
 from conftest import data_path
 
 
@@ -218,10 +219,10 @@ def test_graph_over_the_vertex_guard_exits_2(capsys, monkeypatch, tmp_path, rm2_
     assert err == f"error: {swrg.vertex_guard_excess(2, 15)}\n"
     assert calls == []
     # projectivity is still decided first
-    columns = list(reed_muller(2, 15).generator.columns())
+    cols = columns(reed_muller(2, 15).generator)
     f = tmp_path / "repeated.txt"
     f.write_text(serialize_matrix(
-        LinearCode(GF2, FieldMatrix.from_columns(GF2, columns + columns[:1]))
+        LinearCode(GF2, FieldMatrix.from_columns(GF2, cols + cols[:1]))
     ), encoding="utf-8")
     rc, out, err = run_cli(capsys, "graph", str(f), "--adjacency")
     assert (rc, out) == (2, "")
@@ -308,6 +309,15 @@ def test_graph_rejects_even_or_short_walks(capsys, s):
     )
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and "odd s >= 3" in err
+
+
+def test_graph_adjacency_rejects_an_even_walk_before_listing(capsys):
+    # the listing prints no walk constants, but --s is still checked first
+    rc, out, err = run_cli(
+        capsys, "graph", str(data_path("matrices/q2_n008_k04_w2_4_6.txt")), "--adjacency", "--s", "4",
+    )
+    assert (rc, out) == (2, "")
+    assert err == "error: the walk-regularity test is for odd s >= 3\n"
 
 
 def test_curve_command(capsys):

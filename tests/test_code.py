@@ -24,7 +24,7 @@ from threeweight.gfmat import GF2, GF3, FieldMatrix, PrimeField
 from threeweight.matrixio import parse_matrix_file
 from threeweight.transform import dual_distribution
 
-from code_oracles import complement_by_points, projectivity_by_points
+from code_oracles import columns, complement_by_points, projectivity_by_points
 from conftest import data_path
 from swrg_oracles import encode_vector
 from transform_oracles import power_moment
@@ -179,7 +179,7 @@ def test_anticode_canonicalises_each_column_once(monkeypatch):
 ])
 def test_anticode_matches_tuple_complement_for_kn_witnesses(a, source):
     witness = kn_witness(a).witness
-    assert list(witness.generator.columns()) == complement_by_points(source())
+    assert columns(witness.generator) == complement_by_points(source())
 
 
 @st.composite
@@ -207,7 +207,7 @@ def test_anticode_matches_tuple_complement_for_drawn_projective_codes(code):
         anti = code.anticode()
     except InvalidArgument:  # the complement does not span: no anticode
         assume(False)
-    assert list(anti.generator.columns()) == complement_by_points(code)
+    assert columns(anti.generator) == complement_by_points(code)
 
 
 @st.composite
@@ -257,7 +257,7 @@ def test_numerals_match_digitwise_encoding_on_fixtures(fixture_codes):
     for name, code, _ in fixture_codes:
         width = code_module._lane_width(code.q, code.k)
         numerals = code_module._numerals(code.q, code.n, code.generator.packed_rows(), width)
-        assert numerals == tuple(encode_vector(c, code.q) for c in code.generator.columns()), name
+        assert numerals == tuple(encode_vector(c, code.q) for c in columns(code.generator)), name
 
 
 def test_anticode_of_simplex_rejected():

@@ -26,7 +26,7 @@ ARGUMENT_ERRORS = {
     "pmt with t < 1": lambda: pmt_frequencies(8, 3, 0),
     "pmt with odd n": lambda: pmt_frequencies(7, 3, 1),
     "pmt weights out of range": lambda: pmt_frequencies(8, 3, 5),
-    "zero connection vector": lambda: CosetGraph(3, 2, [(0, 0)], {}),
+    "zero connection vector": lambda: CosetGraph(3, 2, [0], {}),
     "no columns": lambda: FieldMatrix(GF2, (), 0),
     "ragged packed rows": lambda: FieldMatrix(GF2, (b"\x00",), 2),
     "ragged rows": lambda: FieldMatrix.from_rows(GF2, [[1, 0], [1]]),

@@ -1,7 +1,8 @@
 """The library stays the size of what it runs: every top-level function,
 class and method defined under src/ is referenced somewhere in src/ outside
-its own definition (a method only through an attribute, `x.name`), and no
-name is defined twice, unless an allowlist below names it with a reason."""
+its own definition (a method only through an attribute, `x.name`), no name
+is defined twice, and every name a module imports is used in that module,
+unless an allowlist below names it with a reason."""
 
 from __future__ import annotations
 
@@ -60,12 +61,16 @@ def _references(module: str, tree: ast.Module):
             yield module, node.lineno, node.name, False
 
 
-def _surface():
-    trees = {
+def _trees() -> dict[str, ast.Module]:
+    return {
         path.name[:-3]: ast.parse(path.read_text(encoding="utf-8"))
         for path in resources.files("threeweight").iterdir()
         if path.name.endswith(".py")
     }
+
+
+def _surface():
+    trees = _trees()
     defined = [d for module, tree in trees.items() for d in _definitions(module, tree)]
     # __init__ only re-exports; its imports are the public API, not a use
     refs = [
@@ -129,3 +134,37 @@ SHARED_NAMES = {
 def test_no_name_is_defined_twice_unless_allowed():
     counts = Counter(qualified.rpartition(".")[2] for qualified, _ in _surface()[0])
     assert sorted(name for name, n in counts.items() if n > 1) == sorted(SHARED_NAMES)
+
+
+# Names a src/ module imports and never uses, each with the reason it must.
+UNUSED_IMPORTS = {
+    # perfbench/test_perfbench.py reads it to check that the tracer patches
+    # the solver in every module namespace that binds it, not only transform
+    "feasibility.three_weight_solve",
+}
+
+
+def _unused_imports() -> set[str]:
+    """module.name for each name an import binds that no Name node of the
+    same module reads.  `from __future__` binds nothing, and __init__ only
+    re-exports."""
+    unused = set()
+    for module, tree in _trees().items():
+        if module == "__init__":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).partition(".")[0]
+                    if bound not in read:
+                        unused.add(f"{module}.{bound}")
+    return unused
+
+
+def test_every_import_is_used_or_allowed():
+    assert sorted(_unused_imports() - UNUSED_IMPORTS) == []
+
+
+def test_import_allowlist_names_only_unused_imports():
+    assert sorted(UNUSED_IMPORTS - _unused_imports()) == []

@@ -19,7 +19,6 @@ from threeweight.swrg import (
     CosetGraph,
     TssInstance,
     coset_graph,
-    decode_vector,
     is_s_swrg,
     tss_check,
     verify_spectrum,
@@ -29,6 +28,8 @@ from threeweight.swrg import (
 from conftest import data_path, matrix_files
 from swrg_oracles import (
     cayley_graph,
+    closure_numerals,
+    decode_vector,
     digitwise_add_table,
     direct_adjacency,
     direct_triple_counts,
@@ -134,7 +135,7 @@ def test_coset_graph_degree_check_fires_on_a_corrupted_omega(monkeypatch):
 
 def test_coset_graph_guard():
     # the guard bounds the vertex-by-vertex work alone, not the graph
-    g = CosetGraph(2, 15, [(1,) + (0,) * 14], {1: 1 << 14, -1: 1 << 14})
+    g = CosetGraph(2, 15, [1], {1: 1 << 14, -1: 1 << 14})
     with pytest.raises(GuardExceeded):
         g.adjacency_lines()
     with pytest.raises(GuardExceeded):
@@ -146,7 +147,7 @@ def test_field_gate_runs_before_the_vertex_guard():
     # GF(5)^7 once got "q^k = 78125 vertices over the vertex guard": the
     # guard ran before the field order was checked
     with pytest.raises(InvalidArgument, match="field order 5"):
-        CosetGraph(5, 7, [(1,) + (0,) * 6], {})
+        CosetGraph(5, 7, [1], {})
 
 
 def test_simplex_gives_complete_graph():
@@ -225,7 +226,7 @@ def test_verify_spectrum_self_checks_raise(code_8_4, monkeypatch, corrupt, momen
 def test_walk_constant_gamma_must_be_an_integer():
     # a multiset with two nontrivial values always passes the line test; on
     # 16 vertices of degree 8 its gamma = (8^3 - 6 - 7*8) / 16 is not whole
-    g = CosetGraph(2, 4, [decode_vector(h, 2, 4) for h in range(1, 9)], {8: 1, 3: 5, -1: 10})
+    g = CosetGraph(2, 4, range(1, 9), {8: 1, 3: 5, -1: 10})
     with pytest.raises(SelfCheckFailed, match="gamma is not an integer"):
         is_s_swrg(g, 3)
 
@@ -271,11 +272,9 @@ def test_coset_graph_closes_points_under_scalars():
     assert g.omega == (1, 2) and g.degree == 2
     assert g.spectrum_multiplicities() == {2: 1, -1: 2}
     assert spectrum_by_annihilator(g, (2, -1))
-    # scalar multiples and repeated points span the same lines
-    base = CosetGraph(3, 2, [(1, 0), (0, 1)], {})
-    assert base.omega == (1, 2, 3, 6)
-    assert CosetGraph(3, 2, [(2, 0), (0, 1), (0, 2), (1, 0), (0, 1)], {}).omega == base.omega
-    assert CosetGraph(2, 2, [(1, 1), (1, 1)], {}).omega == (3,)
+    # the constructor takes Omega as numerals, sorted and deduplicated
+    assert CosetGraph(3, 2, [6, 1, 3, 2, 3], {}).omega == (1, 2, 3, 6)
+    assert CosetGraph(2, 2, [3, 3], {}).omega == (3,)
 
 
 def test_walk_constants_are_the_direct_3_walk_counts(code_8_4):
@@ -288,14 +287,15 @@ def test_walk_constants_are_the_direct_3_walk_counts(code_8_4):
 
 
 @pytest.mark.parametrize("q,k,omega", [
-    (2, 2, [(1, 0), (2, 0)]),  # an entry >= q
-    (2, 2, [(1, 0), (0, -1)]),  # a negative entry
-    (3, 2, [(1, 0, 0)]),  # too long
-    (2, 3, [(1, 0)]),  # too short
+    (2, 2, [1, 0]),  # the zero vector
+    (2, 2, [3, -1]),  # a negative numeral
+    (3, 2, [1, 2, 9]),  # q^k, one past the last vertex
+    (2, 3, [8]),  # q^k over GF(2)
 ])
 def test_coset_graph_rejects_omega_outside_the_group(q, k, omega):
     # an integer element past q^k once ended in a bare IndexError, and a
-    # negative one was read as an index from the end
+    # negative one was read as an index from the end; the sorted ends alone
+    # are checked
     with pytest.raises(InvalidArgument, match=f"is not a nonzero vector of F_{q}\\^{k}"):
         CosetGraph(q, k, omega, {})
 
@@ -333,15 +333,14 @@ def scalar_closed_omegas(draw):
     k = draw(st.integers(1, 3))
     vector = st.tuples(*[st.integers(0, q - 1)] * k).filter(any)
     points = draw(st.lists(vector, max_size=2 * q**k))
-    closure = {encode_vector([lam * e for e in v], q) for v in points for lam in range(1, q)}
-    return q, k, points, sorted(closure)
+    return q, k, points, sorted(set(closure_numerals(q, points)))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(st.data())
 def test_apply_adjacency_matches_direct_convolution(data):
-    q, k, points, _ = data.draw(scalar_closed_omegas())
-    g = CosetGraph(q, k, points, {})
+    q, k, _, omega = data.draw(scalar_closed_omegas())
+    g = CosetGraph(q, k, omega, {})
     vec = data.draw(st.lists(st.integers(-50, 50), min_size=q**k, max_size=q**k))
     assert g.apply_adjacency(vec) == direct_adjacency(g)(vec)
 
@@ -444,7 +443,7 @@ def test_ternary_graph_layer():
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_digit_block_add_table_matches_digitwise_addition(q, k):
-    g = CosetGraph(q, k, [(1,) + (0,) * (k - 1)], {})
+    g = CosetGraph(q, k, range(1, q), {})
     for w in range(q**k):
         assert g._add_table(w) == digitwise_add_table(w, q, k), (q, k, decode_vector(w, q, k))
 

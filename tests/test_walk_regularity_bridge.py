@@ -25,6 +25,7 @@ from threeweight.curve import vandam_lhs
 from threeweight.gfmat import FieldMatrix, PrimeField
 from threeweight.swrg import coset_graph, is_s_swrg, verify_spectrum
 
+from code_oracles import columns
 from swrg_oracles import eigenvalues_from_weights, walk_regularity
 
 
@@ -82,7 +83,7 @@ def projective_three_weight_codes(draw):
     """A projective code from distinct points of PG(k-1, q) that span and
     give exactly three nonzero weights."""
     q, k = draw(st.sampled_from(((2, 3), (2, 4), (3, 3))))
-    points = list(simplex(q, k).generator.columns())
+    points = columns(simplex(q, k).generator)
     cols = draw(st.lists(st.sampled_from(points), min_size=k, unique=True))
     field = PrimeField(q)
     generator = FieldMatrix.from_columns(field, cols)
@@ -141,7 +142,7 @@ def random_projective_codes(seed: int, count: int):
     rng = random.Random(seed)
     while len(codes) < count:
         q, k = rng.choice(((2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4)))
-        points = list(simplex(q, k).generator.columns())
+        points = columns(simplex(q, k).generator)
         cols = rng.sample(points, rng.randint(k, len(points)))
         field = PrimeField(q)
         generator = FieldMatrix.from_columns(field, cols)
