@@ -157,11 +157,10 @@ def _scalar_numerals(q: int, n: int, rows: tuple[bytes, ...]) -> tuple[int, ...]
     return _numerals(q, (q - 1) * n, tuple(map(b"".join, zip(*blocks))), _lane_width(q, len(rows)))
 
 
-def _point_keys(q: int, n: int, rows: tuple[bytes, ...]) -> tuple[int, ...]:
-    """Per column, the least numeral among its nonzero multiples: 0 for a
-    zero column, and equal for two columns exactly when they span the same
-    point of PG(k-1, q)."""
-    numerals = _scalar_numerals(q, n, rows)
+def _point_keys(q: int, n: int, numerals: tuple[int, ...]) -> tuple[int, ...]:
+    """Per column, from the `_scalar_numerals` of n columns, the least
+    numeral among its nonzero multiples: 0 for a zero column, and equal for
+    two columns exactly when they span the same point of PG(k-1, q)."""
     return numerals if q == 2 else tuple(map(min, numerals[:n], numerals[n:]))
 
 
@@ -270,7 +269,7 @@ def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
 class LinearCode:
     """An [n, k]_q linear code given by a full-row-rank generator matrix."""
 
-    __slots__ = ("field", "generator", "n", "k", "_distribution", "_projectivity")
+    __slots__ = ("field", "generator", "n", "k", "_distribution", "_projectivity", "_numerals")
 
     def __init__(self, field: PrimeField, generator: FieldMatrix):
         if generator.field.p != field.p:
@@ -285,6 +284,7 @@ class LinearCode:
         self.k = generator.nrows
         self._distribution: WeightDistribution | None = None
         self._projectivity: tuple[bool, MultiplicityType] | None = None
+        self._numerals: tuple[int, ...] | None = None
 
     # -- basics --------------------------------------------------------
 
@@ -322,13 +322,20 @@ class LinearCode:
         self._distribution = dist
         return dist
 
+    def scalar_numerals(self) -> tuple[int, ...]:
+        """`_scalar_numerals` of the generator: the lane pass of
+        `is_projective`, kept for the coset graph's Omega."""
+        if self._numerals is None:
+            self._numerals = _scalar_numerals(self.q, self.n, self.generator.packed_rows())
+        return self._numerals
+
     def is_projective(self) -> tuple[bool, MultiplicityType]:
         """Full-length with pairwise projectively inequivalent positions;
         computed once and kept, like the weight distribution.  Positions
         fall into classes by their point keys, key 0 the zero positions."""
         if self._projectivity is not None:
             return self._projectivity
-        classes = Counter(_point_keys(self.q, self.n, self.generator.packed_rows()))
+        classes = Counter(_point_keys(self.q, self.n, self.scalar_numerals()))
         zero_positions = classes.pop(0, 0)
         sizes = Counter(classes.values())
         mult = MultiplicityType(tuple(sorted(sizes.items())), zero_positions)
@@ -376,7 +383,8 @@ class LinearCode:
         # one pass keys the columns and the points of PG(k-1, q) side by side
         points = _projective_points(self.q, self.k)
         rows = tuple(map(bytes.__add__, self.generator.packed_rows(), map(bytes, zip(*points))))
-        keys = _point_keys(self.q, self.n + len(points), rows)
+        m = self.n + len(points)
+        keys = _point_keys(self.q, m, _scalar_numerals(self.q, m, rows))
         taken = set(keys[: self.n])
         comp = [pt for pt, key in zip(points, keys[self.n :]) if key not in taken]
         if not comp:

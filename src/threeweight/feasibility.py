@@ -12,8 +12,9 @@ Candidates are weight triples plus a dimension; admissibility means:
   (v)   B_1 = B_2 = 0.
 
 length_candidates decides (i)-(v) for every case of one length at once and
-is what the enumeration and the counterexample scan run; evaluate_candidate
-decides one case and is the reference the kernel is tested against.
+is what the enumeration and the counterexample scan run; it decides (iv) at
+B_3 before it computes the dual distribution.  evaluate_candidate decides
+one case and is the reference the kernel is tested against.
 Survivors then run a chain of exclusion filters (length divisibility, the
 symmetric-triple divisibility lemmas, the 4*Delta dimension bound, the
 two-level divisibility test on T, and a sphere-packing check on short
@@ -32,7 +33,7 @@ from typing import Iterator
 
 from .code import LinearCode, golay23, parity_check_code, reed_muller, simplex
 from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
-from .transform import dual_numerators, forced_frequencies
+from .transform import dual_numerators, forced_frequencies, krawtchouk3
 from .transform import three_weight_solve  # read by perfbench/test_perfbench.py
 
 N_GUARD_Q2 = 1024
@@ -194,8 +195,11 @@ def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candida
     formed.  Per triple, conditions (ii) and (iii) become one interval of k:
     a gcd q^e of the weights gives k >= e + 1, and for q = 2,
     2^(k-2) | w1 w2 w3 caps k.
-    Per k, q^(k-2) is stepped and each frequency is one divmod, and the
-    dual test stops at the first B_i that is not a nonnegative integer.
+    Per k, q^(k-2) is stepped and each frequency is one divmod.  Once all
+    three are positive integers, q^k B_3 = K_3(0) + sum_j A_j K_3(w_j), the
+    K_3 values (transform.krawtchouk3) computed once per triple, rejects a
+    fractional or negative B_3 before the dual test, which stops at the
+    first B_i that is not a nonnegative integer and must agree on B_3.
     """
     s = q - 1
     if 3 * n * s % q:
@@ -240,6 +244,7 @@ def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candida
             # lagrange_terms, with d_2 and A_2's numerator negated so all d_j > 0
             d1, d2, d3 = (w2 - w1) * (w3 - w1), (w2 - w1) * (w3 - w2), (w3 - w1) * (w3 - w2)
             weights = (w1, w2, w3)
+            k3 = None  # K_3 at 0, w1, w2, w3, computed once a k reaches B_3
             y = q ** (k - 2)
             while k <= k_max:
                 a2, rem = divmod(w1 * w3 - y * p2, d2)
@@ -251,10 +256,17 @@ def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candida
                         a3, rem = divmod(y * p3 - w1 * w2, d3)
                         if not rem and a3 > 0:
                             freqs = (a1, a2, a3)
-                            b_seq = dual_sequence_exact(q, n, k, weights, freqs)
-                            # condition (iv) on the dual distribution, then (v)
-                            if b_seq is not None and b_seq[:3] == (1, 0, 0):
-                                yield Candidate(q, n, k, weights, freqs, b_seq[3], delta)
+                            k3 = k3 or [krawtchouk3(x, n, q) for x in (0, *weights)]
+                            b3, rem = divmod(k3[0] + a1 * k3[1] + a2 * k3[2] + a3 * k3[3], q * q * y)
+                            # condition (iv) at B_3, then on all of B_0..B_n; then (v)
+                            b_seq = not rem and b3 >= 0 and dual_sequence_exact(q, n, k, weights, freqs)
+                            if b_seq and b_seq[:3] == (1, 0, 0):
+                                if b_seq[3] != b3:
+                                    raise SelfCheckFailed(
+                                        f"B_3 = {b_seq[3]} of the dual distribution, {b3} from K_3, "
+                                        f"for q={q}, n={n}, k={k}, weights={weights}"
+                                    )
+                                yield Candidate(q, n, k, weights, freqs, b3, delta)
                 y *= q
                 k += 1
 

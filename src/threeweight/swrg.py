@@ -8,9 +8,9 @@ with connection set Omega, the scalar closure of the columns.  Vertices
 are the base-q numerals of their vectors, the first coordinate the lowest
 digit, and `coset_graph` hands `CosetGraph` Omega in that form: the
 numerals of the columns and all their nonzero multiples, read in one lane
-pass over the packed rows (`code._scalar_numerals`, the pass
-`is_projective` runs), so no multiple is missed.  Its eigenvalue at the
-character u is
+pass over the packed rows (`LinearCode.scalar_numerals`, the pass
+`is_projective` runs and keeps), so no multiple is missed.  Its eigenvalue
+at the character u is
 
   lambda_u = sum over columns c and scalars l != 0 of zeta^(l <u, c>)
            = n(q-1) - q wt(uG),
@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .code import LinearCode, _scalar_numerals
+from .code import LinearCode
 from .curve import vandam_lhs
 from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
 from .gfmat import PrimeField
@@ -85,8 +85,8 @@ class CosetGraph:
     """Cayley graph on F_q^k, q in {2, 3}: `omega` holds the given numerals
     of nonzero vectors, sorted and deduplicated, and `spectrum` maps each
     eigenvalue to its multiplicity.  Precondition: Omega is closed under
-    nonzero scalars, as `code._scalar_numerals` gives it, so the graph is
-    undirected; only its ends are checked, to lie in 1 .. q^k - 1."""
+    nonzero scalars, as `LinearCode.scalar_numerals` gives it, so the graph
+    is undirected; only its ends are checked, to lie in 1 .. q^k - 1."""
 
     __slots__ = ("q", "k", "nvertices", "omega", "_spectrum")
 
@@ -160,7 +160,7 @@ def coset_graph(code: LinearCode) -> CosetGraph:
         raise InvalidArgument("coset graph construction requires a projective code")
     q, n, _ = code.params()
     spectrum = {n * (q - 1) - q * w: a for w, a in code.weight_distribution().counts}
-    g = CosetGraph(q, code.k, _scalar_numerals(q, n, code.generator.packed_rows()), spectrum)
+    g = CosetGraph(q, code.k, code.scalar_numerals(), spectrum)
     if g.degree != n * (q - 1):
         raise SelfCheckFailed(f"coset graph degree {g.degree} != n(q-1) = {n * (q - 1)}")
     return g

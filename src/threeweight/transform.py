@@ -14,9 +14,10 @@ reference.
 
 The dual distribution has one route too: dual_numerators yields
 q^k B_i = sum_j K_i(j) A_j one i at a time, stepping the Krawtchouk
-recurrences of all weights together.  feasibility.dual_sequence_exact stops
-it at the first B_i that is not a nonnegative integer; dual_distribution
-and krawtchouk_column run it to the end.
+recurrences of all weights together, over GF(2) only to n // 2, the rest
+by the reflection K_{n-i}(x) = (-1)^x K_i(x).  feasibility.dual_sequence_exact
+stops it at the first B_i that is not a nonnegative integer; dual_distribution
+and krawtchouk_column run it to the end.  krawtchouk3 is K_3 in closed form.
 
 All arithmetic is exact (integers and fractions).  Integrality of a dual
 distribution is a *test* performed by callers, never an assumption.
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import comb
 from operator import mul
 from typing import Iterator
 
@@ -43,15 +45,20 @@ def dual_numerators(counts: dict[int, int], n: int, q: int) -> Iterator[int]:
 
         (i+1) K_{i+1}(x) = ((q-1)(n-i) + i - qx) K_i(x) - (q-1)(n-i+1) K_{i-1}(x),
 
-    and every value it divides out is checked to be an integer.
+    and every value it divides out is checked to be an integer.  Over GF(2)
+    K_{n-i}(x) = (-1)^x K_i(x), so the recurrence stops at i = n // 2 and
+    each later value is sum_j (-1)^j A_j K_{n-i}(j), kept from the way up.
     """
     terms = [(w, a) for w, a in counts.items() if a]
     freqs = [a for _, a in terms]
     shifts = [q * w for w, _ in terms]
+    half = n // 2 if q == 2 else n
+    signed = [-a if w & 1 else a for w, a in terms] if q == 2 else []
+    mirror = [sum(signed)]  # sum_j (-1)^j A_j K_i(j), for q = 2
     prev = [0] * len(terms)  # K_{-1}
     cur = [1] * len(terms)  # K_0
     yield sum(freqs)
-    for i in range(n):
+    for i in range(half):
         head, tail = (q - 1) * (n - i) + i, (q - 1) * (n - i + 1)
         nxt = []
         for qx, k_i, k_prev in zip(shifts, cur, prev):
@@ -61,6 +68,13 @@ def dual_numerators(counts: dict[int, int], n: int, q: int) -> Iterator[int]:
             nxt.append(v)
         prev, cur = cur, nxt
         yield sum(map(mul, freqs, cur))
+        mirror.append(sum(map(mul, signed, cur)))
+    yield from reversed(mirror[: n - half])
+
+
+def krawtchouk3(x: int, n: int, q: int) -> int:
+    """K_3(x) = sum_{j <= 3} (-1)^j (q-1)^(3-j) C(x, j) C(n-x, 3-j), for 0 <= x <= n."""
+    return sum((-1) ** j * (q - 1) ** (3 - j) * comb(x, j) * comb(n - x, 3 - j) for j in range(4))
 
 
 def krawtchouk_column(x: int, n: int, q: int, imax: int) -> list[int]:

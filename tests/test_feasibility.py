@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb, gcd
 
@@ -29,7 +30,7 @@ from threeweight.feasibility import (
 from threeweight.transform import three_weight_solve
 
 from catalog import SCAN, dimension_range
-from transform_oracles import dual_sequence
+from transform_oracles import dual_sequence, krawtchouk
 
 
 def _candidate(n, k, w):
@@ -233,8 +234,9 @@ def test_hamming_bound_matches_binomial_sum_volume():
                 assert not hamming_bound_ok(n, n - m + 1, d, q), (n, d, q)
 
 
-def _kernel_dual_tests(monkeypatch, q, n_max, midpoint=True):
-    """Every (args, result) of the dual test the kernel runs up to n_max."""
+def _dual_tests(monkeypatch, n_max, run):
+    """Every (args, result) of the dual test that run(n) makes for
+    n = 1..n_max."""
     calls = []
     real = feasibility.dual_sequence_exact
 
@@ -243,22 +245,65 @@ def _kernel_dual_tests(monkeypatch, q, n_max, midpoint=True):
         calls.append((args, result))
         return result
 
-    monkeypatch.setattr(feasibility, "dual_sequence_exact", record)
-    for n in range(1, n_max + 1):
-        list(length_candidates(q, n, midpoint=midpoint))
+    with monkeypatch.context() as patched:
+        patched.setattr(feasibility, "dual_sequence_exact", record)
+        for n in range(1, n_max + 1):
+            run(n)
     return calls
+
+
+def _kernel_dual_tests(monkeypatch, q, n_max, midpoint=True):
+    """Every (args, result) of the dual test the kernel runs up to n_max."""
+    return _dual_tests(monkeypatch, n_max, lambda n: list(length_candidates(q, n, midpoint=midpoint)))
+
+
+def _frequency_survivors(monkeypatch, q, n_max):
+    """Every (q, n, k, weights, freqs) whose frequencies are positive
+    integers, in kernel order: the cases evaluate_candidate hands to the
+    full dual test."""
+    def run(n):
+        for ws in weight_triples(q, n):
+            for k in dimension_range(q, n, ws):
+                evaluate_candidate(q, n, k, ws)
+
+    return [args for args, _ in _dual_tests(monkeypatch, n_max, run)]
 
 
 @pytest.mark.parametrize("q,n_max,cases,rejected", [(3, 39, 486, 450), (2, 140, 175, 19)])
 def test_early_exit_dual_test_matches_binomial_sum_oracle(monkeypatch, q, n_max, cases, rejected):
-    """Every frequency survivor of the kernel, accepted or rejected: the dual
-    test that stops at its first failing B_i gives the verdict and the
-    sequence of the full binomial-sum transform."""
+    """Every frequency survivor of the kernel, accepted or rejected: the
+    kernel rejects it at B_3, or the dual test that stops at its first
+    failing B_i gives the verdict and the sequence of the full binomial-sum
+    transform.  The survivors the kernel does not hand to the dual test are
+    its B_3 rejections, and the oracle rejects each of them at B_3."""
     calls = _kernel_dual_tests(monkeypatch, q, n_max)
     for args, result in calls:
         assert result == dual_sequence(*args), args
-    assert len(calls) == cases
-    assert sum(result is None for _, result in calls) == rejected
+    survivors = _frequency_survivors(monkeypatch, q, n_max)
+    tested = [args for args, _ in calls]
+    remaining = iter(survivors)
+    assert all(args in remaining for args in tested)  # a subsequence, in order
+    b3_rejected = [args for args in survivors if args not in set(tested)]
+    for args in b3_rejected:
+        _, n, k, ws, freqs = args
+        b3 = Fraction(sum(a * krawtchouk(3, w, n, q) for w, a in zip((0, *ws), (1, *freqs))), q**k)
+        assert b3.denominator != 1 or b3 < 0, args
+        assert dual_sequence(*args) is None, args
+    assert len(calls) == {3: 40, 2: 172}[q]  # the survivors of the B_3 step
+    assert len(calls) + len(b3_rejected) == cases
+    assert len(b3_rejected) + sum(result is None for _, result in calls) == rejected
+
+
+def test_b3_disagreeing_with_the_dual_distribution_raises(monkeypatch):
+    real = feasibility.dual_sequence_exact
+
+    def shifted_b3(*args):
+        b = real(*args)
+        return b and b[:3] + (b[3] + 1,) + b[4:]
+
+    monkeypatch.setattr(feasibility, "dual_sequence_exact", shifted_b3)
+    with pytest.raises(SelfCheckFailed, match=re.escape("B_3 = 2 of the dual distribution, 1 from K_3")):
+        list(length_candidates(2, 4))
 
 
 def test_midpoint_skip_matches_filtered_kernel(monkeypatch):

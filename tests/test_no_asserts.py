@@ -95,7 +95,6 @@ OPTIMIZED_SWRG_CHECK = """
 import sys
 from threeweight.code import simplex
 from threeweight.errors import SelfCheckFailed
-from threeweight import swrg
 from threeweight.swrg import CosetGraph, coset_graph, is_s_swrg, verify_spectrum
 
 assert False, "asserts must be stripped"
@@ -109,10 +108,11 @@ try:
     is_s_swrg(CosetGraph(2, 3, (1, 2, 4, 6), {4: 1, 1: 3, -1: 4}), 3)
 except SelfCheckFailed as exc:
     print("gamma raised:", exc)
-real = swrg._scalar_numerals
-swrg._scalar_numerals = lambda q, n, rows: (lambda v: v[:1] + v[:1] + v[2:])(real(q, n, rows))
+code = simplex(2, 3)
+code.is_projective()
+code._numerals = (lambda v: v[:1] + v[:1] + v[2:])(code.scalar_numerals())
 try:
-    coset_graph(simplex(2, 3))
+    coset_graph(code)
 except SelfCheckFailed as exc:
     print("degree raised:", exc)
 """
@@ -131,5 +131,36 @@ def test_graph_self_checks_raise_under_python_O():
         "spectrum raised: spectral moments 0..2 are [8, 4, 56], not [8, 0, 56]",
         "gamma raised: walk constant gamma is not an integer: remainder 4 mod q^k",
         "degree raised: coset graph degree 6 != n(q-1) = 7",
+        "",
+    ]
+
+
+OPTIMIZED_B3_CHECK = """
+import sys
+from threeweight import feasibility
+from threeweight.errors import SelfCheckFailed
+
+assert False, "asserts must be stripped"
+print("optimize", sys.flags.optimize)
+real = feasibility.dual_sequence_exact
+feasibility.dual_sequence_exact = lambda *args: (lambda b: b[:3] + (b[3] + 1,) + b[4:])(real(*args))
+try:
+    list(feasibility.length_candidates(2, 4))
+except SelfCheckFailed as exc:
+    print("B_3 raised:", exc)
+"""
+
+
+def test_b3_self_check_raises_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(threeweight.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_B3_CHECK],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == [
+        "optimize 1",
+        "B_3 raised: B_3 = 2 of the dual distribution, 1 from K_3, for q=2, n=4, k=3, "
+        "weights=(1, 2, 3)",
         "",
     ]

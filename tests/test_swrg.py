@@ -79,13 +79,13 @@ def test_verify_canonicalises_each_column_once(capsys, monkeypatch):
 
     monkeypatch.setattr(LinearCode, "is_projective", counting_projectivity)
     monkeypatch.setattr(code_module, "_scalar_numerals", counting_numerals)
-    monkeypatch.setattr(swrg, "_scalar_numerals", counting_numerals)
     path = data_path("matrices/q3_n009_k04_w3_6_9.txt")
     assert cli_main(["verify", str(path), "--graph", "--tss"]) == 0
     assert "PASS" in capsys.readouterr().out
     assert len(computed) == 1  # coset_graph reuses verify's projectivity
-    # one pass over the n columns keys their point classes, one reads Omega
-    assert passes == [9, 9]
+    # one pass over the n columns keys their point classes, and Omega
+    # reuses the numerals it kept
+    assert passes == [9]
 
 
 def test_verify_output_does_not_depend_on_kept_projectivity(capsys, monkeypatch):
@@ -120,17 +120,14 @@ def test_omega_from_points_matches_column_oracle():
         assert coset_graph(code).omega == columns, path.name
 
 
-def test_coset_graph_degree_check_fires_on_a_corrupted_omega(monkeypatch):
-    # a numeral pass that repeats a column loses one element of Omega
-    real = swrg._scalar_numerals
-
-    def repeat_first_column(q, n, rows):
-        numerals = real(q, n, rows)
-        return numerals[:1] + numerals[:1] + numerals[2:]
-
-    monkeypatch.setattr(swrg, "_scalar_numerals", repeat_first_column)
+def test_coset_graph_degree_check_fires_on_a_corrupted_omega():
+    # kept numerals that repeat a column lose one element of Omega
+    code = simplex(2, 3)
+    assert code.is_projective()[0]
+    numerals = code.scalar_numerals()
+    code._numerals = numerals[:1] + numerals[:1] + numerals[2:]
     with pytest.raises(SelfCheckFailed, match=re.escape("coset graph degree 6 != n(q-1) = 7")):
-        coset_graph(simplex(2, 3))
+        coset_graph(code)
 
 
 def test_coset_graph_guard():

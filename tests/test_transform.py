@@ -16,6 +16,7 @@ from threeweight.transform import (
     dual_numerators,
     forced_frequencies,
     krawtchouk_column,
+    krawtchouk3,
     solve_three_weight_general,
     three_weight_solve,
 )
@@ -23,7 +24,14 @@ from threeweight.transform import (
 import transform_oracles
 from catalog import dimension_range
 from code_oracles import kernel_basis
-from transform_oracles import binomial, cramer_frequencies, det3, krawtchouk, pmt_frequencies
+from transform_oracles import (
+    binomial,
+    cramer_frequencies,
+    det3,
+    forward_numerators,
+    krawtchouk,
+    pmt_frequencies,
+)
 
 
 def test_binomial_generalized():
@@ -48,6 +56,48 @@ def test_krawtchouk_recurrence_matches_sum(q, n):
         col = krawtchouk_column(x, n, q, n)
         for i in range(n + 1):
             assert col[i] == krawtchouk(i, x, n, q)
+
+
+@pytest.mark.parametrize("n", range(65))
+def test_binary_reflection_matches_forward_recurrence_on_each_weight(n):
+    for x in range(n + 1):
+        assert list(dual_numerators({x: 1}, n, 2)) == forward_numerators({x: 1}, n, 2), x
+
+
+def test_dual_numerators_match_forward_recurrence_on_random_counts():
+    rng = random.Random(41)
+    for _ in range(300):
+        q = rng.choice((2, 3))
+        n = rng.randint(0, 120)
+        weights = rng.sample(range(n + 1), rng.randint(1, min(n + 1, 6)))
+        counts = {w: rng.choice((0, 1, rng.randint(1, 10**6))) for w in weights}
+        assert list(dual_numerators(counts, n, q)) == forward_numerators(counts, n, q), (q, n, counts)
+
+
+def test_dual_numerators_match_forward_recurrence_on_fixtures(fixture_codes):
+    assert len(fixture_codes) == 74
+    for _, code, _ in fixture_codes:
+        counts = code.weight_distribution().as_dict()
+        want = forward_numerators(counts, code.n, code.q)
+        assert list(dual_numerators(counts, code.n, code.q)) == want, code
+
+
+def test_dual_numerators_step_the_lower_half_lazily(monkeypatch):
+    # K_0..K_4 of one weight take four recurrence steps of at most two
+    # products each (q^k B_i and its reflected sum), not the n // 2 = 500
+    # steps that reach the upper half
+    products = []
+    monkeypatch.setattr(transform, "mul", lambda a, b: products.append(1) or a * b)
+    assert krawtchouk_column(3, 1000, 2, 4) == [krawtchouk(i, 3, 1000, 2) for i in range(5)]
+    assert 4 <= len(products) <= 2 * 4
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_closed_form_k3_matches_recurrence(q):
+    for n in range(81):
+        for x in range(n + 1):
+            col = krawtchouk_column(x, n, q, min(n, 3))
+            assert krawtchouk3(x, n, q) == (col[3] if n >= 3 else 0), (n, x)
 
 
 def _span_weights(code):

@@ -1,9 +1,11 @@
 """Independent second routes for `threeweight.transform`.
 
-The library computes Krawtchouk values by the three-term recurrence and
+The library computes Krawtchouk values by the three-term recurrence, cut
+at n // 2 over GF(2) by the reflection K_{n-i}(x) = (-1)^x K_i(x), and
 the forced frequencies from the Lagrange form over K_1 alone
 (transform.lagrange_terms).  The routes below evaluate Krawtchouk values as
-sums of generalized binomials, and solve the moment system sum A = q^k - 1, B_1 = B_2 = 0
+sums of generalized binomials, run the recurrence forward to K_n with no
+reflection (`forward_numerators`), and solve the moment system sum A = q^k - 1, B_1 = B_2 = 0
 built from them by Cramer's rule with a 3x3 determinant per column.  Power
 moments, which the library does not need, are the plain sums the tests
 compare with their closed forms.  `pmt_frequencies` is the closed form for
@@ -64,6 +66,25 @@ def dual_sequence(
     if any(v.denominator != 1 or v < 0 for v in b):
         return None
     return tuple(int(v) for v in b)
+
+
+def forward_numerators(counts: dict[int, int], n: int, q: int) -> list[int]:
+    """q^k B_i = sum_j K_i(j) A_j for i = 0..n, the column of each weight
+    stepped by the three-term recurrence from K_{-1} = 0 and K_0 = 1 all
+    the way to K_n, with no reflection: the route transform.dual_numerators
+    cuts at n // 2 over GF(2)."""
+    columns = []
+    for x, a in counts.items():
+        prev, cur, col = 0, 1, [1]
+        for i in range(n):
+            top = ((q - 1) * (n - i) + i - q * x) * cur - (q - 1) * (n - i + 1) * prev
+            v, rem = divmod(top, i + 1)
+            if rem:
+                raise SelfCheckFailed(f"K_{i + 1}({x}) is not an integer for n={n}, q={q}")
+            prev, cur = cur, v
+            col.append(v)
+        columns.append((a, col))
+    return [sum(a * col[i] for a, col in columns) for i in range(n + 1)]
 
 
 def power_moment(counts: dict[int, int], nu: int) -> int:
