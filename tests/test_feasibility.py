@@ -283,7 +283,8 @@ def test_early_exit_dual_test_matches_binomial_sum_oracle(monkeypatch, q, n_max,
     tested = [args for args, _ in calls]
     remaining = iter(survivors)
     assert all(args in remaining for args in tested)  # a subsequence, in order
-    b3_rejected = [args for args in survivors if args not in set(tested)]
+    dual_tested = set(tested)
+    b3_rejected = [args for args in survivors if args not in dual_tested]
     for args in b3_rejected:
         _, n, k, ws, freqs = args
         b3 = Fraction(sum(a * krawtchouk(3, w, n, q) for w, a in zip((0, *ws), (1, *freqs))), q**k)
