@@ -13,8 +13,13 @@ Candidates are weight triples plus a dimension; admissibility means:
 
 length_candidates decides (i)-(v) for every case of one length at once and
 is what the enumeration and the counterexample scan run; it decides (iv) at
-B_3 before it computes the dual distribution.  evaluate_candidate decides
-one case and is the reference the kernel is tested against.
+B_3 before it computes the dual distribution.  It starts k at the Hamming
+floor, the least k with q^k >= 1 + n(q-1): the sphere-packing bound on the
+dual, which follows from the Delsarte LP (Delsarte 1973) and below which
+(iv) and (v) admit nothing.  For q = 2 it drops a triple whose cap on k from
+(iii) lies below the floor before it takes the gcd of (ii).
+evaluate_candidate decides one case and is the reference the kernel is
+tested against.
 Survivors then run a chain of exclusion filters (length divisibility, the
 symmetric-triple divisibility lemmas, the 4*Delta dimension bound, the
 two-level divisibility test on T, and a sphere-packing check on short
@@ -38,6 +43,7 @@ from .transform import three_weight_solve  # read by perfbench/test_perfbench.py
 
 N_GUARD_Q2 = 1024
 N_GUARD_Q3 = 81
+SCAN_GUARD = 8192
 ANTICODE_HAMMING_LIMIT = 512
 
 
@@ -174,6 +180,15 @@ def evaluate_candidate(q: int, n: int, k: int, weights: tuple[int, int, int]) ->
     return Candidate(q, n, k, weights, freqs, b_seq[3], delta)
 
 
+def hamming_floor(q: int, n: int) -> int:
+    """The least k with q^k >= 1 + n(q-1): no admissible case of length n
+    has a smaller dimension (the bound is derived in length_candidates)."""
+    k = 1
+    while q**k <= n * (q - 1):
+        k += 1
+    return k
+
+
 def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candidate]:
     """Every admissible Candidate of length n, in weight_triples order with
     k ascending: the one production route of enumerate_candidates and
@@ -195,6 +210,24 @@ def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candida
     formed.  Per triple, conditions (ii) and (iii) become one interval of k:
     a gcd q^e of the weights gives k >= e + 1, and for q = 2,
     2^(k-2) | w1 w2 w3 caps k.
+
+    The interval starts no lower than the Hamming floor k_lo, the least k
+    with q^k >= 1 + n(q-1): the sphere-packing bound on the dual, which
+    follows from the Delsarte LP (P. Delsarte, "An algebraic approach to the
+    association schemes of coding theory", 1973).  With L(w) = K_0(w) +
+    K_1(w) = 1 + n(q-1) - qw, the product K_1^2 = n(q-1) K_0 + (q-2) K_1 +
+    2 K_2 gives L^2 = (1 + n(q-1)) K_0 + q K_1 + 2 K_2, and summing it
+    against the A_w (A_0 = 1),
+
+        q^k ((1 + n(q-1)) B_0 + q B_1 + 2 B_2) = sum_w A_w L(w)^2.
+
+    With B_0 = 1, B_1 = B_2 = 0 and every A_w >= 0, the right side is at
+    least A_0 L(0)^2 = (1 + n(q-1))^2, so q^k >= 1 + n(q-1): below the
+    floor no k has all three frequencies positive, and cutting there
+    changes no output.  Wherever a triple exists, k_lo >= 3 for q = 2 and
+    k_lo >= 2 for q = 3, so k needs no other lower bound.  For q = 2 the cap
+    is known from w1 w2 w3 alone, and a triple whose cap lies below k_lo is
+    dropped before its gcd is taken.
     Per k, q^(k-2) is stepped and each frequency is one divmod.  Once all
     three are positive integers, q^k B_3 = K_3(0) + sum_j A_j K_3(w_j), the
     K_3 values (transform.krawtchouk3) computed once per triple, rejects a
@@ -207,9 +240,7 @@ def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candida
     ns = n * s
     target = 3 * ns // q
     skip = ns // q if not midpoint and ns % q == 0 else None
-    # k >= 2 for three nonzero weights; binary k = 2 forces A = (1, 1, 1) and
-    # so w1 + w2 + w3 = 2n by the first moment, never 3n/2
-    k_floor = 3 if q == 2 else 2
+    k_lo = hamming_floor(q, n)
     for w1 in range(1, target // 3):
         x1 = ns - q * w1  # > 0, as 3 w1 < target
         # x_2 < 0 side: n(q-1) + x_1 x_2 > 0
@@ -222,6 +253,13 @@ def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candida
             if w2 == skip:
                 continue
             w3 = target - w1 - w2
+            if q == 2:
+                prod = w1 * w2 * w3
+                k_max = (prod & -prod).bit_length() + 1  # condition (iii)
+                if k_max < k_lo:
+                    continue  # condition (iii) fails already at the floor
+            else:
+                k_max = n
             delta = gcd(w1, w2, w3)
             # condition (ii): delta = q^e, so k >= e + 1
             e, rest = 0, delta
@@ -230,12 +268,7 @@ def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candida
                 e += 1
             if rest != 1:
                 continue
-            if q == 2:
-                prod = w1 * w2 * w3
-                k_max = (prod & -prod).bit_length() + 1  # condition (iii)
-            else:
-                k_max = n
-            k = max(e + 1, k_floor)
+            k = max(e + 1, k_lo)
             if k > k_max:
                 continue
             x2 = ns - q * w2
@@ -510,8 +543,8 @@ def counterexample_scan(n_max: int) -> list[Candidate]:
     The scan covers the unresolved lengths 72..n_max (below 72 the midpoint
     property is known to hold, so the scan is empty there by construction).
     """
-    if n_max >= N_GUARD_Q2:
-        raise GuardExceeded(f"scan is guarded at n < {N_GUARD_Q2}")
+    if n_max >= SCAN_GUARD:
+        raise GuardExceeded(f"scan is guarded at n < {SCAN_GUARD}")
     out = []
     for n in range(SCAN_START, n_max + 1, 2):
         for cand in length_candidates(2, n, midpoint=False):

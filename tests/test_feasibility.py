@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 from math import comb, gcd
@@ -12,6 +13,7 @@ from threeweight.errors import CodesError, GuardExceeded, InvalidArgument, SelfC
 from threeweight.feasibility import (
     ANTICODE_HAMMING_LIMIT,
     N_GUARD_Q2,
+    SCAN_GUARD,
     Candidate,
     apply_filters,
     counterexample_scan,
@@ -21,13 +23,14 @@ from threeweight.feasibility import (
     evaluate_candidate,
     feasibility_report,
     hamming_bound_ok,
+    hamming_floor,
     kn_witness,
     length_candidates,
     load_annotations,
     merge_annotations,
     weight_triples,
 )
-from threeweight.transform import three_weight_solve
+from threeweight.transform import dual_numerators, three_weight_solve
 
 from catalog import SCAN, dimension_range
 from transform_oracles import dual_sequence, krawtchouk
@@ -234,11 +237,11 @@ def test_hamming_bound_matches_binomial_sum_volume():
                 assert not hamming_bound_ok(n, n - m + 1, d, q), (n, d, q)
 
 
-def _dual_tests(monkeypatch, n_max, run):
-    """Every (args, result) of the dual test that run(n) makes for
-    n = 1..n_max."""
+def _calls(monkeypatch, name, run):
+    """Every (args, result) of the calls to feasibility.<name> that run()
+    makes."""
     calls = []
-    real = feasibility.dual_sequence_exact
+    real = getattr(feasibility, name)
 
     def record(*args):
         result = real(*args)
@@ -246,10 +249,15 @@ def _dual_tests(monkeypatch, n_max, run):
         return result
 
     with monkeypatch.context() as patched:
-        patched.setattr(feasibility, "dual_sequence_exact", record)
-        for n in range(1, n_max + 1):
-            run(n)
+        patched.setattr(feasibility, name, record)
+        run()
     return calls
+
+
+def _dual_tests(monkeypatch, n_max, run):
+    """Every (args, result) of the dual test that run(n) makes for
+    n = 1..n_max."""
+    return _calls(monkeypatch, "dual_sequence_exact", lambda: [run(n) for n in range(1, n_max + 1)])
 
 
 def _kernel_dual_tests(monkeypatch, q, n_max, midpoint=True):
@@ -295,6 +303,60 @@ def test_early_exit_dual_test_matches_binomial_sum_oracle(monkeypatch, q, n_max,
     assert len(b3_rejected) + sum(result is None for _, result in calls) == rejected
 
 
+@pytest.mark.parametrize("run,calls", [
+    (lambda: counterexample_scan(140), 480),  # 2,426 without the 2-adic skip
+    (lambda: enumerate_candidates(2, 4, 71), 389),  # 1,117 without it
+    (lambda: enumerate_candidates(3, 3, 39), 453),  # q = 3 has the floor only
+], ids=["scan-140", "table1", "table2"])
+def test_two_adic_skip_drops_triples_before_their_gcd(monkeypatch, run, calls):
+    """For q = 2 a triple whose cap on k from 2^(k-2) | w1 w2 w3 lies below
+    the Hamming floor is dropped before the gcd of condition (ii)."""
+    assert len(_calls(monkeypatch, "gcd", run)) == calls
+
+
+def test_hamming_floor_is_the_least_dimension_with_room():
+    for q in (2, 3):
+        for n in range(1, 3000):
+            k = hamming_floor(q, n)
+            assert q**k >= 1 + n * (q - 1) > q ** (k - 1), (q, n)
+
+
+def _delsarte_sides(counts, numerators, n, q):
+    """Both sides of sum_i V(i) q^k B_i = sum_w A_w L(w)^2, with V(0) =
+    1 + n(q-1), V(1) = q, V(2) = 2, V = 0 beyond, L(w) = 1 + n(q-1) - qw
+    and q^k B_i the numerators sum_w A_w K_i(w)."""
+    v = (1 + n * (q - 1), q, 2)
+    lhs = sum(vi * b for vi, b in zip(v, numerators))
+    rhs = sum(a * (1 + n * (q - 1) - q * w) ** 2 for w, a in counts.items())
+    return lhs, rhs
+
+
+def test_delsarte_identity_behind_the_floor_on_fixtures(fixture_codes):
+    """The identity gives q^k (1 + n(q-1)) >= (1 + n(q-1))^2 once B_0 = 1,
+    B_1 = B_2 = 0: every fixture is a projective code, and has k at or above
+    the Hamming floor."""
+    assert len(fixture_codes) == 74
+    for _, code, _ in fixture_codes:
+        n, q, counts = code.n, code.q, code.weight_distribution().as_dict()
+        numerators = list(dual_numerators(counts, n, q))[:3]
+        assert numerators == [q**code.k, 0, 0], code
+        lhs, rhs = _delsarte_sides(counts, numerators, n, q)
+        assert lhs == rhs == q**code.k * (1 + n * (q - 1)), code
+        assert code.k >= hamming_floor(q, n), code
+
+
+def test_delsarte_identity_behind_the_floor_on_random_counts():
+    rng = random.Random(43)
+    for _ in range(300):
+        q = rng.choice((2, 3))
+        n = rng.randint(0, 80)
+        weights = rng.sample(range(n + 1), rng.randint(1, min(n + 1, 6)))
+        counts = {w: rng.choice((0, 1, rng.randint(1, 10**6))) for w in weights}
+        numerators = [sum(a * krawtchouk(i, w, n, q) for w, a in counts.items()) for i in range(3)]
+        lhs, rhs = _delsarte_sides(counts, numerators, n, q)
+        assert lhs == rhs, (q, n, counts)
+
+
 def test_b3_disagreeing_with_the_dual_distribution_raises(monkeypatch):
     real = feasibility.dual_sequence_exact
 
@@ -328,8 +390,10 @@ def test_scan_reproduces_catalog(tmp_path):
 
 
 def test_scan_guard():
-    with pytest.raises(GuardExceeded):
-        counterexample_scan(N_GUARD_Q2)
+    # the scan has its own guard; enumerate --q 2 keeps N_GUARD_Q2
+    assert SCAN_GUARD == 8192
+    with pytest.raises(GuardExceeded, match="scan is guarded at n < 8192"):
+        counterexample_scan(SCAN_GUARD)
 
 
 @pytest.mark.parametrize("q,n_max,cases", [(2, 256, 1_027_990), (3, 81, 918_778)])
@@ -338,7 +402,9 @@ def test_length_kernel_matches_evaluate_candidate(q, n_max, cases):
     evaluate_candidate over every (n, triple, k) case, in the same order
     and with equal frequencies, dual distributions and gcds.  The lengths
     start at 1, so n = 1, 2 and the lengths with no integral weight sum
-    3n(q-1)/q are covered (both routes yield nothing there)."""
+    3n(q-1)/q are covered (both routes yield nothing there).  The reference
+    route has no Hamming floor, so every case it admits meeting
+    q^k >= 1 + n(q-1) checks the bound the kernel cuts at."""
     seen = 0
     for n in range(1, n_max + 1):
         want = []
@@ -347,12 +413,13 @@ def test_length_kernel_matches_evaluate_candidate(q, n_max, cases):
                 seen += 1
                 c = evaluate_candidate(q, n, k, ws)
                 if c is not None:
+                    assert q**k >= 1 + n * (q - 1), (n, k, ws)
                     want.append(c)
         assert list(length_candidates(q, n)) == want, n
     assert seen == cases
 
 
-@pytest.mark.parametrize("n_max,rows", [(511, 26), (N_GUARD_Q2 - 1, 50)])
+@pytest.mark.parametrize("n_max,rows", [(511, 26), (1023, 50), (2047, 147)])
 def test_scan_matches_pinned_rows(n_max, rows):
     want = [r for r in SCAN if r[0] <= n_max]
     assert len(want) == rows
@@ -361,6 +428,8 @@ def test_scan_matches_pinned_rows(n_max, rows):
 
 
 def test_pinned_scan_rows_match_the_rational_solver():
+    # the scan to SCAN_GUARD - 1 = 8191 (32 s on one core), pinned row by row
+    assert len(SCAN) == 528 and SCAN[-1][0] < SCAN_GUARD
     for n, k, ws, freqs, b3 in SCAN:
         assert ws[1] * 2 != n and sum(ws) * 2 == 3 * n
         sol = three_weight_solve(n, k, *ws)

@@ -1,9 +1,11 @@
 """Cross-validate the Krawtchouk-recurrence dual distributions against an
 independent symbolic MacWilliams transform (polynomial substitution) for
-every catalog row, every suppressed candidate and the scan rows past
-length 511."""
+every catalog row, every suppressed candidate, the scan rows past length
+511 and to 1023, and a seeded sample of the rows past 1023."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -42,9 +44,7 @@ def test_candidate_dual_sequences_match_symbolic_transform(q, lo, hi, table):
         assert cands[(n, k, w)].frequencies == freqs
 
 
-def test_scan_rows_past_511_match_symbolic_transform():
-    rows = [r for r in SCAN if r[0] > 511]
-    assert len(rows) == 24
+def _check_scan_rows(rows):
     for n, k, ws, freqs, b3 in rows:
         counts = {0: 1}
         counts.update(zip(ws, freqs))
@@ -52,3 +52,17 @@ def test_scan_rows_past_511_match_symbolic_transform():
         b = sympy_dual(n, 2, k, counts)
         assert list(b_seq) == b, (n, k, ws)
         assert b[:4] == [1, 0, 0, b3]
+
+
+def test_scan_rows_past_511_match_symbolic_transform():
+    rows = [r for r in SCAN if 511 < r[0] < 1024]
+    assert len(rows) == 24
+    _check_scan_rows(rows)
+
+
+def test_sampled_scan_rows_past_1023_match_symbolic_transform():
+    # the symbolic product grows like n^2.5 (0.7 s at n = 1032, 29 s at
+    # n = 4256), so the sample is drawn from the rows below 2048
+    rows = [r for r in SCAN if 1023 < r[0] < 2048]
+    assert len(rows) == 97
+    _check_scan_rows(random.Random(2047).sample(rows, 3))
