@@ -403,8 +403,8 @@ def test_length_kernel_matches_evaluate_candidate(q, n_max, cases):
     and with equal frequencies, dual distributions and gcds.  The lengths
     start at 1, so n = 1, 2 and the lengths with no integral weight sum
     3n(q-1)/q are covered (both routes yield nothing there).  The reference
-    route has no Hamming floor, so every case it admits meeting
-    q^k >= 1 + n(q-1) checks the bound the kernel cuts at."""
+    route has no Hamming floor, so finding q^k >= 1 + n(q-1) on every case
+    it admits checks, on its own, the bound the kernel cuts at."""
     seen = 0
     for n in range(1, n_max + 1):
         want = []
@@ -428,7 +428,7 @@ def test_scan_matches_pinned_rows(n_max, rows):
 
 
 def test_pinned_scan_rows_match_the_rational_solver():
-    # the scan to SCAN_GUARD - 1 = 8191 (32 s on one core), pinned row by row
+    # the scan to SCAN_GUARD - 1 = 8191 (about 32 s in CPython 3.11), pinned row by row
     assert len(SCAN) == 528 and SCAN[-1][0] < SCAN_GUARD
     for n, k, ws, freqs, b3 in SCAN:
         assert ws[1] * 2 != n and sum(ws) * 2 == 3 * n
