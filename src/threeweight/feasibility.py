@@ -13,19 +13,22 @@ Candidates are weight triples plus a dimension; admissibility means:
 
 length_candidates decides (i)-(v) for every case of one length at once and
 is what the enumeration and the counterexample scan run; it decides (iv) at
-B_3 before it computes the dual distribution.  It starts k at the Hamming
-floor, the least k with q^k >= 1 + n(q-1): the sphere-packing bound on the
-dual, which follows from the Delsarte LP (Delsarte 1973) and below which
-(iv) and (v) admit nothing.  For q = 2 it drops a triple whose cap on k from
-(iii) lies below the floor before it takes the gcd of (ii).
+B_3 before the full dual test.  It starts k at the Hamming floor, the least
+k with q^k >= 1 + n(q-1): the sphere-packing bound on the dual, which
+follows from the Delsarte LP (Delsarte 1973) and below which (iv) and (v)
+admit nothing.  For q = 2 it drops a triple whose cap on k from (iii) lies
+below the floor before it takes the gcd of (ii).  The cases of one length
+share their Krawtchouk columns, so it packs each one once (DualLanes) and
+tests a whole dual distribution with a few big-integer operations
+(dual_sequence_exact, both in transform).
 evaluate_candidate decides one case and is the reference the kernel is
 tested against.
 Survivors then run a chain of exclusion filters (length divisibility, the
-symmetric-triple divisibility lemmas, the 4*Delta dimension bound, the
-two-level divisibility test on T, and a sphere-packing check on short
-anticodes).  Each filter returns its exclusion reason, or None when it
-passes or does not apply.  Survivors finally pick up static annotations for
-facts that rest on external tables or exhaustive classification runs.
+4*Delta dimension bound, the two-level divisibility test on T, and a
+sphere-packing check on short anticodes).  Each filter returns its
+exclusion reason, or None when it passes or does not apply.  Survivors
+finally pick up static annotations for facts that rest on external tables
+or exhaustive classification runs.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Iterator
 
 from .code import LinearCode, golay23, parity_check_code, reed_muller, simplex
 from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
-from .transform import dual_numerators, forced_frequencies, krawtchouk3
+from .transform import DualLanes, dual_sequence_exact, forced_frequencies, krawtchouk3
 from .transform import three_weight_solve  # read by perfbench/test_perfbench.py
 
 N_GUARD_Q2 = 1024
@@ -67,14 +70,6 @@ class Candidate:
     verdict: str = "admissible"
     exclusions: tuple[str, ...] = ()  # "<filter>: <reason>" per failing filter
     annotation: Annotation | None = None
-
-    @property
-    def t(self) -> int | None:
-        """(w3 - w1)/2 when w2 sits at the symmetric midpoint n(q-1)/q."""
-        w1, w2, w3 = self.weights
-        if w2 * self.q == self.n * (self.q - 1) and (w3 - w1) % 2 == 0:
-            return (w3 - w1) // 2
-        return None
 
     @property
     def a(self) -> int:
@@ -139,22 +134,6 @@ def weight_triples(q: int, n: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def dual_sequence_exact(
-    q: int, n: int, k: int, weights: tuple[int, int, int], freqs: tuple[int, int, int]
-) -> tuple[int, ...] | None:
-    """Integer B_0..B_n, or None at the first non-integral or negative B_i."""
-    size = q**k
-    counts = {0: 1}
-    counts.update(zip(weights, freqs))
-    out = []
-    for v in dual_numerators(counts, n, q):
-        b, rem = divmod(v, size)
-        if rem or b < 0:
-            return None
-        out.append(b)
-    return tuple(out)
-
-
 def evaluate_candidate(q: int, n: int, k: int, weights: tuple[int, int, int]) -> Candidate | None:
     """Run conditions (i)-(v); return the admissible Candidate or None."""
     w1, w2, w3 = weights
@@ -172,7 +151,7 @@ def evaluate_candidate(q: int, n: int, k: int, weights: tuple[int, int, int]) ->
     freqs = forced_frequencies(q, n, k, weights)
     if freqs is None:
         return None  # condition (iv): frequencies
-    b_seq = dual_sequence_exact(q, n, k, weights, freqs)
+    b_seq = dual_sequence_exact(DualLanes(q, n, k), k, weights, freqs)
     if b_seq is None:
         return None  # condition (iv): dual distribution
     if b_seq[0] != 1 or b_seq[1] != 0 or b_seq[2] != 0:
@@ -231,8 +210,10 @@ def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candida
     Per k, q^(k-2) is stepped and each frequency is one divmod.  Once all
     three are positive integers, q^k B_3 = K_3(0) + sum_j A_j K_3(w_j), the
     K_3 values (transform.krawtchouk3) computed once per triple, rejects a
-    fractional or negative B_3 before the dual test, which stops at the
-    first B_i that is not a nonnegative integer and must agree on B_3.
+    fractional or negative B_3 before the dual test, which must agree on
+    B_3, on lanes built at the length's first case past the B_3 step, wide
+    enough for every k: k <= n, or k <= v2(w1 w2 w3) + 1 <= 3 bitlen(n) - 2
+    by (iii) for q = 2.
     """
     s = q - 1
     if 3 * n * s % q:
@@ -241,6 +222,7 @@ def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candida
     target = 3 * ns // q
     skip = ns // q if not midpoint and ns % q == 0 else None
     k_lo = hamming_floor(q, n)
+    k_cap, lanes = 3 * n.bit_length() - 2 if q == 2 else n, None
     for w1 in range(1, target // 3):
         x1 = ns - q * w1  # > 0, as 3 w1 < target
         # x_2 < 0 side: n(q-1) + x_1 x_2 > 0
@@ -292,7 +274,9 @@ def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candida
                             k3 = k3 or [krawtchouk3(x, n, q) for x in (0, *weights)]
                             b3, rem = divmod(k3[0] + a1 * k3[1] + a2 * k3[2] + a3 * k3[3], q * q * y)
                             # condition (iv) at B_3, then on all of B_0..B_n; then (v)
-                            b_seq = not rem and b3 >= 0 and dual_sequence_exact(q, n, k, weights, freqs)
+                            b_seq = not rem and b3 >= 0 and dual_sequence_exact(
+                                lanes := lanes or DualLanes(q, n, k_cap), k, weights, freqs
+                            )
                             if b_seq and b_seq[:3] == (1, 0, 0):
                                 if b_seq[3] != b3:
                                     raise SelfCheckFailed(
@@ -396,27 +380,6 @@ def _filter_length_mod_4(c: Candidate) -> str | None:
     return None
 
 
-def _filter_gap_power_of_2(c: Candidate) -> str | None:
-    t = c.t
-    if c.q != 2 or t is None:
-        return None  # needs w2 = n/2, where t = (w3 - w1)/2 = w3 - w2
-    if not _is_power_of_two(t):
-        return f"t = {t} is not a power of 2"
-    if c.n % (2 * t) != 0:
-        return f"2t = {2 * t} does not divide n = {c.n}"
-    return None
-
-
-def _filter_divisibility_dimension(c: Candidate) -> str | None:
-    t = c.t
-    if c.q != 2 or t is None or not _is_power_of_two(t):
-        return None
-    a = _v2(t)
-    if c.k > 8 * a + 9:
-        return f"k = {c.k} exceeds 8a+9 = {8 * a + 9}"
-    return None
-
-
 def _filter_four_delta_dimension(c: Candidate) -> str | None:
     w1, w2, w3 = c.weights
     if c.q != 2 or (w2, w3) != (2 * w1, 3 * w1) or not _is_power_of_two(w1):
@@ -466,8 +429,6 @@ def _filter_hamming_anticode(c: Candidate) -> str | None:
 
 _FILTERS = {
     "length-mod-4": _filter_length_mod_4,
-    "gap-power-of-2": _filter_gap_power_of_2,
-    "divisibility-dimension": _filter_divisibility_dimension,
     "four-delta-dimension": _filter_four_delta_dimension,
     "dodunekov-simonis": _filter_dodunekov_simonis,
     "hamming-anticode": _filter_hamming_anticode,

@@ -12,15 +12,17 @@ against that route.  solve_three_weight_general gives the same values as
 fractions.  The binary closed form three_weight_solve is kept as a rational
 reference.
 
-The dual distribution has one route too: dual_numerators yields
-q^k B_i = sum_j K_i(j) A_j one i at a time, stepping the Krawtchouk
-recurrences of all weights together, over GF(2) only to n // 2, the rest
-by the reflection K_{n-i}(x) = (-1)^x K_i(x).  feasibility.dual_sequence_exact
-stops it at the first B_i that is not a nonnegative integer; dual_distribution
-and krawtchouk_column run it to the end.  krawtchouk3 is K_3 in closed form.
+dual_numerators yields q^k B_i = sum_j K_i(j) A_j one i at a time, stepping
+the Krawtchouk recurrences of all weights together, over GF(2) only to
+n // 2, the rest by the reflection K_{n-i}(x) = (-1)^x K_i(x): the route of
+verify, which reads one distribution once.  The feasibility kernel reuses
+columns across the cases of a length, so DualLanes packs each column that
+krawtchouk_column gives once into one integer, and dual_sequence_exact
+tests a whole distribution on those integers.  krawtchouk3 is K_3 in
+closed form.
 
 All arithmetic is exact (integers and fractions).  Integrality of a dual
-distribution is a *test* performed by callers, never an assumption.
+distribution is always tested, never assumed.
 """
 
 from __future__ import annotations
@@ -79,8 +81,93 @@ def krawtchouk3(x: int, n: int, q: int) -> int:
 
 def krawtchouk_column(x: int, n: int, q: int, imax: int) -> list[int]:
     """[K_0(x), ..., K_imax(x)] for imax <= n: the recurrence of
-    dual_numerators on the single weight x."""
-    return list(islice(dual_numerators({x: 1}, n, q), imax + 1))
+    dual_numerators on the single weight x, with no reflection."""
+    head, tail = (q - 1) * n - q * x, (q - 1) * (n + 1)  # its coefficients at i = 0
+    col, prev, cur = [1], 0, 1
+    for i in range(1, imax + 1):
+        nxt, rem = divmod(head * cur - tail * prev, i)
+        if rem:
+            raise SelfCheckFailed(f"K_{i}({x}) is not an integer for n={n}, q={q}")
+        col.append(nxt)
+        prev, cur, head, tail = cur, nxt, head + 2 - q, tail + 1 - q
+    return col
+
+
+class DualLanes:
+    """The Krawtchouk columns of one length n for its cases with k <= k_cap,
+    each packed once as P_w = sum_i K_i(w) 2^(L i) over the lanes i <= n, or
+    i <= n // 2 over GF(2) (K_{n-i}(x) = (-1)^x K_i(x)).  As |K_i(w)| <=
+    q^(n-w) 2^w <= q^n, each lane of sum_w A_w P_w with A_w >= 0 and
+    sum_w A_w <= q^k lies in (-2^(L-2), 2^(L-2)) when 2^(L-2) > q^(n+k_cap)."""
+
+    def __init__(self, q: int, n: int, k_cap: int):
+        self.q, self.n, self.k_cap = q, n, k_cap
+        self.count = n // 2 + 1 if q == 2 else n + 1
+        self.width = ((q ** (n + k_cap)).bit_length() + 9) // 8 * 8
+        self._columns: dict[int, int] = {}
+        # over GF(2), the top bit and the low k_cap bits of every lane
+        self.binary_mask = self.repeat((1 << (self.width - 1)) + (1 << k_cap) - 1) if q == 2 else 0
+
+    def column(self, w: int) -> int:
+        """P_w: each lane in L-bit two's complement, less what the lane below borrows."""
+        if w not in self._columns:
+            size, borrow, chunks = self.width // 8, 0, []
+            for v in krawtchouk_column(w, self.n, self.q, self.count - 1):
+                v -= borrow
+                chunks.append(v.to_bytes(size, "little", signed=True))
+                borrow = v < 0
+            packed = int.from_bytes(b"".join(chunks), "little")
+            self._columns[w] = packed - (1 << self.width * self.count) if borrow else packed
+        return self._columns[w]
+
+    def repeat(self, lane: int) -> int:
+        """The L-bit value lane in every lane, by byte repetition."""
+        return int.from_bytes(lane.to_bytes(self.width // 8, "little") * self.count, "little")
+
+
+def dual_sequence_exact(
+    lanes: DualLanes, k: int, weights: tuple[int, int, int], freqs: tuple[int, int, int]
+) -> tuple[int, int, int, int] | None:
+    """(B_0, B_1, B_2, B_3) of a case of the length of lanes when all of
+    B_0..B_n are nonnegative integers, else None.
+
+    N = P_0 + sum_j A_j P_j = q^k Q + r (0 <= r < q^k) holds q^k B_i in lane
+    i.  Every B_i is a nonnegative integer exactly when r = 0 and every lane
+    of Q is below 2^t, t = L - 1 - bitlen(q^k) (a negative Q sets a top bit):
+    then the lanes of q^k Q are below 2^(L-1), so they are its digits, while
+    a negative q^k B_i borrows from the lane above and leaves a digit of at
+    least 2^L - 2^(L-2) - 1.  Over GF(2), q^k = 2^k, so this is no lane of
+    N with its top bit or one of its low k bits set; N 2^(k_cap - k), whose
+    lanes stay within 2^(n+k_cap) < 2^(L-2), meets one mask for every k.
+    There the mirror P_0 + sum_j (-1)^(w_j) A_j P_j, with q^k B_(n-i) in
+    lane i, is tested too.  Too narrow lanes raise.
+    """
+    q, n, width = lanes.q, lanes.n, lanes.width
+    size, first = q**k, (1 << 4 * width) - 1  # lanes 0..3
+    if k > lanes.k_cap or min(freqs) < 0 or sum(freqs) >= size:
+        raise SelfCheckFailed(
+            f"lanes of width {width} for q={q}, n={n}, k <= {lanes.k_cap} cannot hold k={k}, frequencies {freqs}"
+        )
+    even, odd = lanes.column(0), 0  # N = even + odd, split by the parity of w_j over GF(2)
+    for w, a in zip(weights, freqs):
+        if q == 2 and w & 1:
+            odd = odd + a * lanes.column(w) if odd else a * lanes.column(w)
+        else:
+            even += a * lanes.column(w)
+    if q == 2:  # one mask per length, where a mask per k costs as much as the test
+        heads = []
+        for total in (even + odd, even - odd) if odd else (even,):
+            if (total << (lanes.k_cap - k)) & lanes.binary_mask:
+                return None
+            heads.append((total & first) >> k)
+    else:
+        quotient, rem = divmod(even, size)
+        if rem or quotient & lanes.repeat((1 << width) - (1 << (width - 1 - size.bit_length()))):
+            return None
+        heads = [quotient & first]
+    low, mirror, lane = heads[0], heads[-1], (1 << width) - 1
+    # over GF(2) with n < 6, B_3 lies past the lanes of low, in lane n - 3 of mirror
+    return tuple((low >> width * i if i < lanes.count else mirror >> width * (n - i)) & lane for i in range(4))
 
 
 def dual_distribution(counts: dict[int, int], n: int, q: int, k: int) -> list[Fraction]:
@@ -126,8 +213,8 @@ def three_weight_solve(n: int, k: int, w1: int, w2: int, w3: int) -> ThreeWeight
     nonzero weights w1 < w2 < w3 for the frequencies and for B_3.
 
     When the frequencies come out as nonnegative integers the result is
-    cross-checked against the full Krawtchouk transform (B_1 = B_2 = 0 and
-    the same B_3 must reappear).
+    cross-checked against the Krawtchouk transform, read only to B_3
+    (B_1 = B_2 = 0 and the same B_3 must reappear).
     """
     if len({w1, w2, w3}) != 3:
         raise InvalidArgument(f"weights must be distinct, got {(w1, w2, w3)}")
@@ -159,7 +246,7 @@ def three_weight_solve(n: int, k: int, w1: int, w2: int, w3: int) -> ThreeWeight
     b3 = b3_times_3 / 3
     sol = ThreeWeightSolution(2, n, k, (w1, w2, w3), (a1, a2, a3), b3, y)
     if sol.is_integral() and all(f >= 0 for f in sol.frequencies):
-        b = dual_distribution(sol.counts(), n, 2, k)
+        b = [Fraction(v, 1 << k) for v in islice(dual_numerators(sol.counts(), n, 2), 4)]
         if b[0] != 1 or b[1] != 0 or b[2] != 0 or b[3] != b3:
             raise SelfCheckFailed(
                 f"MacWilliams transform disagrees with the closed form for "

@@ -25,7 +25,7 @@ from threeweight.swrg import (
 )
 from threeweight.transform import dual_distribution, three_weight_solve
 
-from catalog import TABLE1, TABLE2, TABLE3
+from catalog import TABLE1, TABLE2, TABLE3, midpoint_gap
 from code_oracles import columns
 from conftest import data_path
 from curve_oracles import identity_check
@@ -197,7 +197,7 @@ def test_criterion_8_property_suites(fixture_codes):
     # survivor frequency-difference identity
     for c in feasibility_report(2, 4, 71):
         if c.verdict != "excluded":
-            t = c.t
+            t = midpoint_gap(c)
             assert t is not None
             assert c.frequencies[2] - c.frequencies[0] == c.n // (2 * t)
     print("ACCEPTANCE 8 (property suites): PASS")

@@ -13,12 +13,14 @@ from threeweight.errors import CodesError, GuardExceeded, InvalidArgument, SelfC
 from threeweight.feasibility import (
     ANTICODE_HAMMING_LIMIT,
     N_GUARD_Q2,
+    N_GUARD_Q3,
     SCAN_GUARD,
     Candidate,
     apply_filters,
     counterexample_scan,
     dodunekov_check,
     dodunekov_levels,
+    dual_sequence_exact,
     enumerate_candidates,
     evaluate_candidate,
     feasibility_report,
@@ -30,9 +32,16 @@ from threeweight.feasibility import (
     merge_annotations,
     weight_triples,
 )
-from threeweight.transform import dual_numerators, three_weight_solve
+from threeweight import transform
+from threeweight.transform import DualLanes, dual_numerators, three_weight_solve
 
-from catalog import SCAN, dimension_range
+from catalog import (
+    SCAN,
+    dimension_range,
+    filter_divisibility_dimension,
+    filter_gap_power_of_2,
+    midpoint_gap,
+)
 from transform_oracles import dual_sequence, krawtchouk
 
 
@@ -194,12 +203,26 @@ FILTER_CASES = [
 ]
 
 
+# The symmetric-triple filters that left the library: they exclude nothing
+# that length_candidates admits below the enumerate guards.
+MOVED_FILTERS = {
+    "gap-power-of-2": filter_gap_power_of_2,
+    "divisibility-dimension": filter_divisibility_dimension,
+}
+
+
 @pytest.mark.parametrize(
     "name,record,want", [(n, r, w) for n, _, r, w in FILTER_CASES],
     ids=[f"{n}-{case}" for n, case, _, _ in FILTER_CASES],
 )
 def test_filter_reasons_pinned(name, record, want):
-    assert [r for r in apply_filters(record()).reasons() if r.startswith(name)] == want
+    c = record()
+    got = [r for r in apply_filters(c).reasons() if r.startswith(name)]
+    if name in MOVED_FILTERS:  # no longer in the library's chain, kept as oracles
+        assert got == []
+        why = MOVED_FILTERS[name](c)
+        got = [] if why is None else [f"{name}: {why}"]
+    assert got == want
 
 
 def test_hamming_bound():
@@ -255,9 +278,15 @@ def _calls(monkeypatch, name, run):
 
 
 def _dual_tests(monkeypatch, n_max, run):
-    """Every (args, result) of the dual test that run(n) makes for
-    n = 1..n_max."""
-    return _calls(monkeypatch, "dual_sequence_exact", lambda: [run(n) for n in range(1, n_max + 1)])
+    """Every case (q, n, k, weights, freqs) and result of the dual test that
+    run(n) makes for n = 1..n_max."""
+    calls = _calls(monkeypatch, "dual_sequence_exact", lambda: [run(n) for n in range(1, n_max + 1)])
+    return [((lanes.q, lanes.n, k, ws, freqs), result) for (lanes, k, ws, freqs), result in calls]
+
+
+def _first_four(b_seq):
+    """B_0..B_3 of a dual sequence, or None for no sequence."""
+    return b_seq and b_seq[:4]
 
 
 def _kernel_dual_tests(monkeypatch, q, n_max, midpoint=True):
@@ -280,13 +309,13 @@ def _frequency_survivors(monkeypatch, q, n_max):
 @pytest.mark.parametrize("q,n_max,cases,rejected", [(3, 39, 486, 450), (2, 140, 175, 19)])
 def test_early_exit_dual_test_matches_binomial_sum_oracle(monkeypatch, q, n_max, cases, rejected):
     """Every frequency survivor of the kernel, accepted or rejected: the
-    kernel rejects it at B_3, or the dual test that stops at its first
-    failing B_i gives the verdict and the sequence of the full binomial-sum
-    transform.  The survivors the kernel does not hand to the dual test are
-    its B_3 rejections, and the oracle rejects each of them at B_3."""
+    kernel rejects it at B_3, or the packed dual test gives the verdict and
+    B_0..B_3 of the full binomial-sum transform.  The survivors the kernel
+    does not hand to the dual test are its B_3 rejections, and the oracle
+    rejects each of them at B_3."""
     calls = _kernel_dual_tests(monkeypatch, q, n_max)
     for args, result in calls:
-        assert result == dual_sequence(*args), args
+        assert result == _first_four(dual_sequence(*args)), args
     survivors = _frequency_survivors(monkeypatch, q, n_max)
     tested = [args for args, _ in calls]
     remaining = iter(survivors)
@@ -312,6 +341,120 @@ def test_two_adic_skip_drops_triples_before_their_gcd(monkeypatch, run, calls):
     """For q = 2 a triple whose cap on k from 2^(k-2) | w1 w2 w3 lies below
     the Hamming floor is dropped before the gcd of condition (ii)."""
     assert len(_calls(monkeypatch, "gcd", run)) == calls
+
+
+@pytest.mark.parametrize("run,columns", [
+    (lambda: enumerate_candidates(2, 4, 71), 82),  # 364 columns over its 91 dual tests
+    (lambda: enumerate_candidates(3, 3, 39), 97),
+    (lambda: counterexample_scan(140), 28),
+], ids=["table1", "table2", "scan-140"])
+def test_kernel_packs_each_column_once(monkeypatch, run, columns):
+    """One krawtchouk_column call per distinct (n, w) among the weights
+    (0 included) of the cases that reach the dual test."""
+    reached = set()
+    real = feasibility.dual_sequence_exact
+
+    def record(lanes, k, weights, freqs):
+        reached.update((lanes.n, w) for w in (0, *weights))
+        return real(lanes, k, weights, freqs)
+
+    monkeypatch.setattr(feasibility, "dual_sequence_exact", record)
+    calls = []
+    real_column = transform.krawtchouk_column
+    monkeypatch.setattr(transform, "krawtchouk_column", lambda *args: calls.append(args) or real_column(*args))
+    run()
+    assert len(calls) == len(reached) == columns
+
+
+@pytest.mark.parametrize("run,divisions", [
+    (lambda: enumerate_candidates(2, 4, 71), 1216),
+    (lambda: enumerate_candidates(3, 3, 39), 9873),
+], ids=["table1", "table2"])
+def test_kernel_division_count_pins_its_steps(monkeypatch, run, divisions):
+    """Every (triple, k) step of the kernel divides once for A_2, and
+    further for A_1, A_3 and B_3: the count moves with the first k of each
+    triple, which changes no output (below the Hamming floor no frequency
+    triple is positive)."""
+    count = []
+
+    def counted(a, b):
+        count.append(1)
+        return divmod(a, b)
+
+    monkeypatch.setattr(feasibility, "divmod", counted, raising=False)
+    run()
+    assert len(count) == divisions
+
+
+@pytest.fixture(scope="module")
+def kernel_to_the_guards():
+    """Every output and every (lanes, k, weights, freqs, result) dual test of
+    length_candidates for q = 2, n < N_GUARD_Q2 and q = 3, n <= N_GUARD_Q3."""
+    outputs, tests = [], []
+    real = feasibility.dual_sequence_exact
+
+    def record(*args):
+        result = real(*args)
+        tests.append((*args, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(feasibility, "dual_sequence_exact", record)
+        for q, n_max in ((2, N_GUARD_Q2 - 1), (3, N_GUARD_Q3)):
+            outputs += [c for n in range(1, n_max + 1) for c in length_candidates(q, n)]
+    return outputs, tests
+
+
+def test_packed_dual_test_matches_dual_numerators_to_the_guards(kernel_to_the_guards):
+    """Verdict and B_0..B_3 of every dual test the kernel makes, against the
+    streamed numerators of the whole distribution, on lanes of the width
+    the cases need."""
+    _, tests = kernel_to_the_guards
+    assert len(tests) == 987
+    for lanes, k, ws, freqs, result in tests:
+        q, n = lanes.q, lanes.n
+        assert lanes.width % 8 == 0 and 2 ** (lanes.width - 2) > q ** (n + lanes.k_cap)
+        assert k <= lanes.k_cap and lanes.count == (n // 2 + 1 if q == 2 else n + 1)
+        counts = {0: 1, **dict(zip(ws, freqs))}
+        b_seq = [divmod(v, q**k) for v in dual_numerators(counts, n, q)]
+        admitted = all(rem == 0 and b >= 0 for b, rem in b_seq)
+        assert result == (tuple(b for b, _ in b_seq[:4]) if admitted else None), (q, n, k, ws)
+
+
+def test_moved_filters_pass_every_kernel_output(kernel_to_the_guards):
+    outputs, _ = kernel_to_the_guards
+    assert len(outputs) == 950
+    for c in outputs:
+        assert filter_gap_power_of_2(c) is None and filter_divisibility_dimension(c) is None, c
+
+
+@pytest.mark.parametrize("k,freqs", [(4, (1, 3, 3)), (3, (1, 3, 4)), (3, (0, 0, -1))])
+def test_dual_test_refuses_cases_past_its_lanes(k, freqs):
+    # lanes for k <= 3 hold no k = 4, and frequencies summing past q^k - 1
+    # or negative could carry between lanes
+    lanes = DualLanes(2, 4, 3)
+    with pytest.raises(SelfCheckFailed, match="lanes of width 16 for q=2, n=4, k <= 3 cannot hold"):
+        dual_sequence_exact(lanes, k, (1, 2, 3), freqs)
+
+
+@pytest.mark.parametrize("q,n,k,weights,freqs", [
+    (2, 4, 2, (1, 2, 3), (0, 1, 2)),  # B_3 = 2 sits in lane 1 of the mirrored sum
+    (2, 4, 3, (2, 3, 4), (0, 0, 7)),  # q^k B = (8, -24, 48, -24, 8): only the signs fail
+    (2, 4, 4, (1, 2, 4), (0, 14, 1)),  # q^k B = (16, 0, -16, 0, 16): only the top lane's sign fails
+    (2, 4, 3, (1, 2, 3), (2, 3, 2)),  # q^k B = (8, 4, 0, 4, 0): only B_1 is fractional
+    (3, 4, 2, (1, 2, 3), (3, 0, 5)),  # q^k B = (9, 18, 27, 45, -18): only the signs fail
+], ids=["binary-b3-mirror", "binary-sign", "binary-top-sign", "binary-integrality", "ternary-sign"])
+def test_dual_test_masks_against_the_oracle(q, n, k, weights, freqs):
+    lanes = DualLanes(q, n, k)
+    assert dual_sequence_exact(lanes, k, weights, freqs) == _first_four(dual_sequence(q, n, k, weights, freqs))
+
+
+def test_ternary_quotient_mask_catches_what_the_remainder_misses():
+    lanes = DualLanes(3, 4, 2)
+    numerators = list(dual_numerators({0: 1}, 4, 3))
+    assert numerators == [1, 8, 24, 32, 16]
+    assert sum(v << lanes.width * i for i, v in enumerate(numerators)) % 9 == 0
+    assert dual_sequence_exact(lanes, 2, (1, 2, 3), (0, 0, 0)) is None
 
 
 def test_hamming_floor_is_the_least_dimension_with_room():
@@ -480,7 +623,7 @@ def test_survivor_midpoint_and_difference_invariants():
             continue
         n, (w1, w2, w3) = c.n, c.weights
         assert w2 * 2 == n  # midpoint property holds on the resolved range
-        t = c.t
+        t = midpoint_gap(c)
         assert t is not None and t & (t - 1) == 0 and n % (2 * t) == 0
         assert c.frequencies[2] - c.frequencies[0] == n // (2 * t)
         assert (w1 * w2 * w3) % (1 << (c.k - 2)) == 0

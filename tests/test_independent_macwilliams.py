@@ -1,7 +1,9 @@
 """Cross-validate the Krawtchouk-recurrence dual distributions against an
 independent symbolic MacWilliams transform (polynomial substitution) for
 every catalog row, every suppressed candidate, the scan rows past length
-511 and to 1023, and a seeded sample of the rows past 1023."""
+511 and to 1023, and a seeded sample of the rows past 1023: the whole
+distribution as dual_numerators streams it, and B_0..B_3 as the packed dual
+test of the feasibility kernel reads them."""
 
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from threeweight.feasibility import dual_sequence_exact, enumerate_candidates
+from threeweight.transform import DualLanes, dual_numerators
 
 from catalog import SCAN, TABLE1, TABLE2
 
@@ -30,15 +33,21 @@ def sympy_dual(n: int, q: int, k: int, counts: dict[int, int]) -> list[int]:
     return out
 
 
+def _check_against_sympy(q, n, k, weights, freqs):
+    """The whole streamed distribution and the packed test's B_0..B_3."""
+    counts = {0: 1, **dict(zip(weights, freqs))}
+    b = sympy_dual(n, q, k, counts)
+    assert [v // q**k for v in dual_numerators(counts, n, q)] == b, (n, k, weights)
+    assert dual_sequence_exact(DualLanes(q, n, k), k, weights, freqs) == tuple(b[:4]), (n, k, weights)
+    return b
+
+
 @pytest.mark.parametrize("q,lo,hi,table", [(2, 4, 71, TABLE1), (3, 3, 39, TABLE2)])
 def test_candidate_dual_sequences_match_symbolic_transform(q, lo, hi, table):
     cands = {(c.n, c.k, c.weights): c for c in enumerate_candidates(q, lo, hi)}
     # the enumeration covers the catalog plus the suppressed extras; check all
     for c in cands.values():
-        counts = {0: 1}
-        counts.update(zip(c.weights, c.frequencies))
-        b = sympy_dual(c.n, q, c.k, counts)
-        assert list(dual_sequence_exact(q, c.n, c.k, c.weights, c.frequencies)) == b, (c.n, c.k)
+        b = _check_against_sympy(q, c.n, c.k, c.weights, c.frequencies)
         assert c.b3 == b[3], (c.n, c.k)
     for n, k, w, freqs, _ in table:
         assert cands[(n, k, w)].frequencies == freqs
@@ -46,11 +55,7 @@ def test_candidate_dual_sequences_match_symbolic_transform(q, lo, hi, table):
 
 def _check_scan_rows(rows):
     for n, k, ws, freqs, b3 in rows:
-        counts = {0: 1}
-        counts.update(zip(ws, freqs))
-        b_seq = dual_sequence_exact(2, n, k, ws, freqs)
-        b = sympy_dual(n, 2, k, counts)
-        assert list(b_seq) == b, (n, k, ws)
+        b = _check_against_sympy(2, n, k, ws, freqs)
         assert b[:4] == [1, 0, 0, b3]
 
 

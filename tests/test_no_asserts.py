@@ -139,15 +139,25 @@ OPTIMIZED_B3_CHECK = """
 import sys
 from threeweight import feasibility
 from threeweight.errors import SelfCheckFailed
+from threeweight.transform import DualLanes
 
 assert False, "asserts must be stripped"
 print("optimize", sys.flags.optimize)
 real = feasibility.dual_sequence_exact
-feasibility.dual_sequence_exact = lambda *args: (lambda b: b[:3] + (b[3] + 1,) + b[4:])(real(*args))
+feasibility.dual_sequence_exact = lambda lanes, k, weights, freqs: (
+    lambda b: b[:3] + (b[3] + 1,))(real(lanes, k, weights, freqs))
 try:
     list(feasibility.length_candidates(2, 4))
 except SelfCheckFailed as exc:
     print("B_3 raised:", exc)
+feasibility.dual_sequence_exact = real
+try:
+    print("wide k:", real(DualLanes(2, 4, 3), 4, (1, 2, 3), (1, 3, 3)))
+except SelfCheckFailed as exc:
+    print("wide k raised:", exc)
+print("sign bit:", real(DualLanes(2, 4, 4), 4, (1, 2, 4), (0, 14, 1)), real(DualLanes(3, 4, 2), 2, (1, 2, 3), (3, 0, 5)))
+print("quotient mask:", real(DualLanes(3, 4, 2), 2, (1, 2, 3), (0, 0, 0)))
+print("admitted:", real(DualLanes(2, 4, 3), 3, (1, 2, 3), (1, 3, 3)))
 """
 
 
@@ -162,5 +172,10 @@ def test_b3_self_check_raises_under_python_O():
         "optimize 1",
         "B_3 raised: B_3 = 2 of the dual distribution, 1 from K_3, for q=2, n=4, k=3, "
         "weights=(1, 2, 3)",
+        "wide k raised: lanes of width 16 for q=2, n=4, k <= 3 cannot hold k=4, "
+        "frequencies (1, 3, 3)",
+        "sign bit: None None",
+        "quotient mask: None",
+        "admitted: (1, 0, 0, 1)",
         "",
     ]

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -88,8 +90,16 @@ def test_dual_numerators_step_the_lower_half_lazily(monkeypatch):
     # steps that reach the upper half
     products = []
     monkeypatch.setattr(transform, "mul", lambda a, b: products.append(1) or a * b)
-    assert krawtchouk_column(3, 1000, 2, 4) == [krawtchouk(i, 3, 1000, 2) for i in range(5)]
+    head = list(islice(dual_numerators({3: 1}, 1000, 2), 5))
+    assert head == [krawtchouk(i, 3, 1000, 2) for i in range(5)]
     assert 4 <= len(products) <= 2 * 4
+
+
+def test_krawtchouk_column_runs_past_the_midpoint_without_reflection():
+    # the single-column loop steps all the way to imax, also over GF(2)
+    for n in (1, 2, 7, 40):
+        for x in range(n + 1):
+            assert krawtchouk_column(x, n, 2, n) == list(dual_numerators({x: 1}, n, 2)), (n, x)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -288,16 +298,31 @@ def test_frequencies_match_cramer_oracle_in_low_dimension(q):
 
 
 def test_three_weight_solve_cross_check_raises(monkeypatch):
-    real = transform.dual_distribution
+    real = transform.dual_numerators
 
-    def wrong_b3(counts, n, q, k):
-        b = real(counts, n, q, k)
-        b[3] += 1
-        return b
+    def wrong_b3(counts, n, q):
+        for i, v in enumerate(real(counts, n, q)):
+            yield v + (i == 3)
 
-    monkeypatch.setattr(transform, "dual_distribution", wrong_b3)
-    with pytest.raises(SelfCheckFailed):
+    monkeypatch.setattr(transform, "dual_numerators", wrong_b3)
+    with pytest.raises(SelfCheckFailed, match=re.escape("B_3 = 580")):
         three_weight_solve(100, 8, 46, 48, 56)
+
+
+def test_three_weight_solve_reads_at_most_four_numerators(monkeypatch):
+    """The self-check compares B_0..B_3 only, so it reads no more of the
+    transform than that (the whole Fraction distribution had n + 1)."""
+    real = transform.dual_numerators
+    read = []
+
+    def counted(counts, n, q):
+        for v in real(counts, n, q):
+            read.append(v)
+            yield v
+
+    monkeypatch.setattr(transform, "dual_numerators", counted)
+    sol = three_weight_solve(100, 8, 46, 48, 56)
+    assert sol.b3 == 580 and read == [256, 0, 0, 580 * 256]
 
 
 def test_pmt_frequencies_agreement_check_raises(monkeypatch):
