@@ -106,7 +106,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not mid_ok:
             failures.append(f"w2 = {weights[1]} != n(q-1)/q")
     size = q**k
-    b = list(dual_numerators(dist.as_dict(), n, q))  # q^k B_i
+    b = dual_numerators(dist.as_dict(), n, q)  # q^k B_i
     b_int = all(v >= 0 and v % size == 0 for v in b)
     b1, b2, b3 = (Fraction(b[i], size) if i <= n else 0 for i in (1, 2, 3))  # B_i = 0 for i > n
     print(f"dual distribution integral/nonnegative: {b_int}; B1=B2=0: {b1 == 0 and b2 == 0}")
@@ -152,7 +152,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     graph = swrg.coset_graph(code)
     result = swrg.is_s_swrg(graph, args.s)  # refuses a bad --s before any listing
     if args.adjacency:
-        sys.stdout.write("\n".join(graph.adjacency_lines()) + "\n")
+        for line in graph.adjacency_lines():
+            sys.stdout.write(line + "\n")
     else:
         payload = graph.summary()
         payload["s"] = args.s

@@ -32,8 +32,9 @@ the degree at u = 0.  Every other quantity follows from it:
   `tss_check` is a view of `is_s_swrg(graph, 3)` on the same graph.
 
 Nothing of size q^k is built on that route.  The adjacency listing and
-`apply_adjacency` visit every vertex, so they alone are bounded by
-`VERTEX_GUARD`; the rest is bounded by the enumeration guard of the weight
+`apply_adjacency` visit every vertex, reading `neighbour_rows`, which holds
+O(q^k + |Omega|) ints at once, so `VERTEX_GUARD` bounds only the size of
+their output; the rest is bounded by the enumeration guard of the weight
 distribution.  The character transform over all q^k vertices and the walk
 counts it gives live in the test suite as the independent oracle.
 
@@ -46,7 +47,7 @@ so a convention mismatch is visible.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .code import LinearCode
 from .curve import vandam_lhs
@@ -101,39 +102,46 @@ class CosetGraph:
                 raise InvalidArgument(f"numeral {w} is not a nonzero vector of F_{q}^{k}")
         self._spectrum = dict(spectrum)
 
-    def _add_table(self, w: int) -> list[int]:
-        """table[h] = h + w, extended by one base-q digit block at a time,
-        the digits of w taken lowest first."""
+    def _add_table(self, w: int, k: int) -> list[int]:
+        """table[h] = h + w over F_q^k, extended by one base-q digit block
+        at a time, the digits of w taken lowest first."""
         q = self.q
         table = [0]
         block = 1
-        for _ in range(self.k):
+        for _ in range(k):
             w, d = divmod(w, q)
             table = [((j + d) % q) * block + x for j in range(q) for x in table]
             block *= q
         return table
 
-    def _translation_tables(self) -> list[list[int]]:
-        """One `_add_table` per element of Omega, within the vertex guard."""
-        excess = vertex_guard_excess(self.q, self.k)
-        if excess:
-            raise GuardExceeded(excess)
-        return [self._add_table(w) for w in self.omega]
-
     @property
     def degree(self) -> int:
         return len(self.omega)
 
+    def neighbour_rows(self) -> Iterator[list[int]]:
+        """The sorted h + w over Omega for each vertex h in order; over the
+        vertex guard, `GuardExceeded` at the call.  Numerals split at digit
+        k // 2, whose blocks add apart: h + w = high_h[w_hi] m + low_h[w_lo]
+        with m = q^(k//2), from the q^(k//2) low tables, built once, and one
+        high table per block of h, so O(q^k + |Omega|) ints are held."""
+        excess = vertex_guard_excess(self.q, self.k)
+        if excess:
+            raise GuardExceeded(excess)
+        lo = self.k // 2
+        m = self.q**lo
+        low = [self._add_table(v, lo) for v in range(m)]
+        split = [divmod(w, m) for w in self.omega]
+        highs = ([x * m for x in self._add_table(h, self.k - lo)] for h in range(self.q ** (self.k - lo)))
+        return (sorted([high[a] + low_h[b] for a, b in split]) for high in highs for low_h in low)
+
     def apply_adjacency(self, vec: list[int]) -> list[int]:
         """(A vec)[h] = sum over w in Omega of vec[h + w], which is
         vec[h - w] summed, since Omega is closed under negation."""
-        rows = [list(map(vec.__getitem__, table)) for table in self._translation_tables()]
-        return list(map(sum, zip(*rows))) if rows else [0] * self.nvertices
+        return [sum(map(vec.__getitem__, row)) for row in self.neighbour_rows()]
 
-    def adjacency_lines(self) -> list[str]:
-        tables = self._translation_tables()
-        return [f"{v}: " + " ".join(str(u) for u in sorted(t[v] for t in tables))
-                for v in range(self.nvertices)]
+    def adjacency_lines(self) -> Iterator[str]:
+        """"h: " and the neighbours of h, for each vertex h in order."""
+        return (f"{h}: " + " ".join(map(str, row)) for h, row in enumerate(self.neighbour_rows()))
 
     def summary(self) -> dict:
         eigs = self.spectrum_multiplicities()

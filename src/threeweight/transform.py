@@ -12,14 +12,14 @@ against that route.  solve_three_weight_general gives the same values as
 fractions.  The binary closed form three_weight_solve is kept as a rational
 reference.
 
-dual_numerators yields q^k B_i = sum_j K_i(j) A_j one i at a time, stepping
-the Krawtchouk recurrences of all weights together, over GF(2) only to
-n // 2, the rest by the reflection K_{n-i}(x) = (-1)^x K_i(x): the route of
-verify, which reads one distribution once.  The feasibility kernel reuses
-columns across the cases of a length, so DualLanes packs each column that
-krawtchouk_column gives once into one integer, and dual_sequence_exact
-tests a whole distribution on those integers.  krawtchouk3 is K_3 in
-closed form.
+krawtchouk_column steps the three-term Krawtchouk recurrence of one weight,
+the only place that does.  dual_numerators sums one column per weight into
+q^k B_i = sum_j K_i(j) A_j, over GF(2) only to n // 2 and the rest by the
+reflection K_{n-i}(x) = (-1)^x K_i(x): the route of verify, which reads one
+distribution once.  The feasibility kernel reuses columns across the cases
+of a length, so DualLanes packs each column once into one integer, and
+dual_sequence_exact tests a whole distribution on those integers.
+krawtchouk3 is K_3 in closed form.
 
 All arithmetic is exact (integers and fractions).  Integrality of a dual
 distribution is always tested, never assumed.
@@ -29,49 +29,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import comb
-from operator import mul
-from typing import Iterator
 
 from .errors import InvalidArgument, SelfCheckFailed
 
 
-def dual_numerators(counts: dict[int, int], n: int, q: int) -> Iterator[int]:
-    """Yield q^k * B_i = sum_j K_i(j) A_j for i = 0, 1, ..., n, from primal
-    counts {weight: A_w}, one i at a time, so a caller can stop at the first
-    B_i that decides its test.
+def dual_numerators(counts: dict[int, int], n: int, q: int) -> list[int]:
+    """[q^k B_0, ..., q^k B_n] with q^k B_i = sum_w K_i(w) A_w, from primal
+    counts {weight: A_w}, one krawtchouk_column per nonzero A_w.
 
-    The columns K_i(j) of all weights step together by the three-term
-    recurrence
-
-        (i+1) K_{i+1}(x) = ((q-1)(n-i) + i - qx) K_i(x) - (q-1)(n-i+1) K_{i-1}(x),
-
-    and every value it divides out is checked to be an integer.  Over GF(2)
-    K_{n-i}(x) = (-1)^x K_i(x), so the recurrence stops at i = n // 2 and
-    each later value is sum_j (-1)^j A_j K_{n-i}(j), kept from the way up.
+    Over GF(2) K_{n-i}(x) = (-1)^x K_i(x), so the columns stop at
+    i = n // 2 and q^k B_(n-i) = sum_w (-1)^w A_w K_i(w): the columns of
+    even and of odd weights are summed apart, and the upper half is their
+    difference.
     """
-    terms = [(w, a) for w, a in counts.items() if a]
-    freqs = [a for _, a in terms]
-    shifts = [q * w for w, _ in terms]
     half = n // 2 if q == 2 else n
-    signed = [-a if w & 1 else a for w, a in terms] if q == 2 else []
-    mirror = [sum(signed)]  # sum_j (-1)^j A_j K_i(j), for q = 2
-    prev = [0] * len(terms)  # K_{-1}
-    cur = [1] * len(terms)  # K_0
-    yield sum(freqs)
-    for i in range(half):
-        head, tail = (q - 1) * (n - i) + i, (q - 1) * (n - i + 1)
-        nxt = []
-        for qx, k_i, k_prev in zip(shifts, cur, prev):
-            v, rem = divmod((head - qx) * k_i - tail * k_prev, i + 1)
-            if rem:
-                raise SelfCheckFailed(f"K_{i + 1}({qx // q}) is not an integer for n={n}, q={q}")
-            nxt.append(v)
-        prev, cur = cur, nxt
-        yield sum(map(mul, freqs, cur))
-        mirror.append(sum(map(mul, signed, cur)))
-    yield from reversed(mirror[: n - half])
+    sums = [[0] * (half + 1), [0] * (half + 1)]  # even and odd w over GF(2)
+    for w, a in counts.items():
+        if a:
+            parity = w & 1 if q == 2 else 0
+            sums[parity] = [s + a * v for s, v in zip(sums[parity], krawtchouk_column(w, n, q, half))]
+    even, odd = sums
+    mirror = [e - o for e, o in zip(even[: n - half], odd)]
+    return [e + o for e, o in zip(even, odd)] + mirror[::-1]
 
 
 def krawtchouk3(x: int, n: int, q: int) -> int:
@@ -80,8 +60,13 @@ def krawtchouk3(x: int, n: int, q: int) -> int:
 
 
 def krawtchouk_column(x: int, n: int, q: int, imax: int) -> list[int]:
-    """[K_0(x), ..., K_imax(x)] for imax <= n: the recurrence of
-    dual_numerators on the single weight x, with no reflection."""
+    """[K_0(x), ..., K_imax(x)] for imax <= n, by the three-term recurrence
+
+        (i+1) K_{i+1}(x) = ((q-1)(n-i) + i - qx) K_i(x) - (q-1)(n-i+1) K_{i-1}(x),
+
+    with every value it divides out checked to be an integer.  It is the one
+    route to K_i: dual_numerators sums these columns, and DualLanes packs
+    them."""
     head, tail = (q - 1) * n - q * x, (q - 1) * (n + 1)  # its coefficients at i = 0
     col, prev, cur = [1], 0, 1
     for i in range(1, imax + 1):
@@ -213,8 +198,8 @@ def three_weight_solve(n: int, k: int, w1: int, w2: int, w3: int) -> ThreeWeight
     nonzero weights w1 < w2 < w3 for the frequencies and for B_3.
 
     When the frequencies come out as nonnegative integers the result is
-    cross-checked against the Krawtchouk transform, read only to B_3
-    (B_1 = B_2 = 0 and the same B_3 must reappear).
+    cross-checked against the Krawtchouk transform, its columns stepped only
+    to K_3 (B_1 = B_2 = 0 and the same B_3 must reappear).
     """
     if len({w1, w2, w3}) != 3:
         raise InvalidArgument(f"weights must be distinct, got {(w1, w2, w3)}")
@@ -246,7 +231,8 @@ def three_weight_solve(n: int, k: int, w1: int, w2: int, w3: int) -> ThreeWeight
     b3 = b3_times_3 / 3
     sol = ThreeWeightSolution(2, n, k, (w1, w2, w3), (a1, a2, a3), b3, y)
     if sol.is_integral() and all(f >= 0 for f in sol.frequencies):
-        b = [Fraction(v, 1 << k) for v in islice(dual_numerators(sol.counts(), n, 2), 4)]
+        columns = [(a, krawtchouk_column(w, n, 2, 3)) for w, a in sol.counts().items()]
+        b = [Fraction(sum(a * col[i] for a, col in columns), 1 << k) for i in range(4)]
         if b[0] != 1 or b[1] != 0 or b[2] != 0 or b[3] != b3:
             raise SelfCheckFailed(
                 f"MacWilliams transform disagrees with the closed form for "

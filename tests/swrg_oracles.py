@@ -2,9 +2,9 @@
 
 The library reads the spectrum from the weight distribution, decides walk
 regularity on the distinct eigenvalues, reads triple-sum counts as length-3
-walk constants, builds translation tables by base-q digit blocks, and reads
-the connection set as the numerals of the columns' multiples, all columns
-in one lane pass.  The routes below share none of that machinery and serve
+walk constants, lists neighbour rows from digit-block addition tables of
+half the digits, and reads the connection set as the numerals of the
+columns' multiples, all columns in one lane pass.  The routes below share none of that machinery and serve
 as test oracles: a vector encoded digit by digit, the claimed distinct
 eigenvalues n(q-1) - q w read off a weight list, the spectrum and every
 walk count from one exact character transform over all q^k vertices (Walsh

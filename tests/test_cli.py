@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,7 @@ import pytest
 import threeweight
 from threeweight import cli
 from threeweight.cli import emit_report, main
-from threeweight.code import LinearCode, MultiplicityType, WeightDistribution, reed_muller
+from threeweight.code import LinearCode, MultiplicityType, WeightDistribution, reed_muller, simplex
 from threeweight.gfmat import GF2, FieldMatrix
 from threeweight.matrixio import parse_matrix_text, serialize_matrix
 from threeweight import code as code_module
@@ -300,6 +303,25 @@ def test_graph_command(capsys):
         "--adjacency",
     )
     assert rc == 0 and len(out.splitlines()) == 16
+
+
+def test_graph_adjacency_streams_its_rows(tmp_path):
+    # the listing once held one translation table of q^k ints per element
+    # of Omega at a time: 36.7 MiB at its peak for Sim_2(10), whose 1024
+    # lines of 1023 neighbours take 3.9 MiB
+    f = tmp_path / "sim2_10.txt"
+    f.write_text(serialize_matrix(simplex(2, 10)), encoding="utf-8")
+    buf = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(buf):
+            rc = main(["graph", str(f), "--adjacency"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = buf.getvalue()
+    assert rc == 0 and out.count("\n") == 1024
+    assert peak <= len(out) + (2 << 20), (peak, len(out))
 
 
 @pytest.mark.parametrize("s", ["2", "4", "1"])

@@ -20,7 +20,7 @@ BENCHMARK_PINNED = {
     "feasibility.weight_triples",
     "feasibility.evaluate_candidate",
     "swrg.CosetGraph.apply_adjacency",
-    # three_weight_solve reads only B_0..B_3 of dual_numerators now
+    # three_weight_solve reads B_0..B_3 from krawtchouk_column now
     "transform.dual_distribution",
     "transform.solve_three_weight_general",
 }

@@ -442,7 +442,7 @@ def test_ternary_graph_layer():
 def test_digit_block_add_table_matches_digitwise_addition(q, k):
     g = CosetGraph(q, k, range(1, q), {})
     for w in range(q**k):
-        assert g._add_table(w) == digitwise_add_table(w, q, k), (q, k, decode_vector(w, q, k))
+        assert g._add_table(w, k) == digitwise_add_table(w, q, k), (q, k, decode_vector(w, q, k))
 
 
 def test_realized_rows_have_zero_middle_eigenvalue():
@@ -460,7 +460,7 @@ def test_realized_rows_have_zero_middle_eigenvalue():
 
 def test_graph_export_shapes(code_8_4):
     g = coset_graph(code_8_4)
-    lines = g.adjacency_lines()
+    lines = list(g.adjacency_lines())
     assert len(lines) == 16 and lines[0].startswith("0: ")
     summary = g.summary()
     assert summary["degree"] == 8

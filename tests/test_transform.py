@@ -4,7 +4,6 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 
@@ -68,11 +67,14 @@ def test_binary_reflection_matches_forward_recurrence_on_each_weight(n):
 
 def test_dual_numerators_match_forward_recurrence_on_random_counts():
     rng = random.Random(41)
+    # n = 0, and counts with no nonzero entry, before the random ones
+    cases = [(q, n, counts) for q in (2, 3) for n, counts in ((0, {0: 5}), (0, {}), (9, {2: 0, 5: 0}))]
     for _ in range(300):
         q = rng.choice((2, 3))
         n = rng.randint(0, 120)
         weights = rng.sample(range(n + 1), rng.randint(1, min(n + 1, 6)))
-        counts = {w: rng.choice((0, 1, rng.randint(1, 10**6))) for w in weights}
+        cases.append((q, n, {w: rng.choice((0, 1, rng.randint(1, 10**6))) for w in weights}))
+    for q, n, counts in cases:
         assert list(dual_numerators(counts, n, q)) == forward_numerators(counts, n, q), (q, n, counts)
 
 
@@ -84,15 +86,23 @@ def test_dual_numerators_match_forward_recurrence_on_fixtures(fixture_codes):
         assert list(dual_numerators(counts, code.n, code.q)) == want, code
 
 
-def test_dual_numerators_step_the_lower_half_lazily(monkeypatch):
-    # K_0..K_4 of one weight take four recurrence steps of at most two
-    # products each (q^k B_i and its reflected sum), not the n // 2 = 500
-    # steps that reach the upper half
-    products = []
-    monkeypatch.setattr(transform, "mul", lambda a, b: products.append(1) or a * b)
-    head = list(islice(dual_numerators({3: 1}, 1000, 2), 5))
-    assert head == [krawtchouk(i, 3, 1000, 2) for i in range(5)]
-    assert 4 <= len(products) <= 2 * 4
+def test_krawtchouk_column_steps_only_to_imax():
+    # K_0..K_4 of one weight at n = 1000 take four recurrence steps, not
+    # the n // 2 = 500 that reach the upper half
+    assert krawtchouk_column(3, 1000, 2, 4) == [krawtchouk(i, 3, 1000, 2) for i in range(5)]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_dual_numerators_sum_one_column_per_nonzero_weight(monkeypatch, q):
+    # the recurrence is stepped in krawtchouk_column alone: one column per
+    # weight with A_w != 0, to n // 2 over GF(2) and to n over GF(3)
+    calls = []
+    real = transform.krawtchouk_column
+    monkeypatch.setattr(transform, "krawtchouk_column", lambda *args: calls.append(args) or real(*args))
+    counts = {0: 1, 4: 0, 7: 3, 12: 5, 13: 2}
+    got = dual_numerators(counts, 20, q)
+    assert got == forward_numerators(counts, 20, q)
+    assert sorted(calls) == [(w, 20, q, 10 if q == 2 else 20) for w in (0, 7, 12, 13)]
 
 
 def test_krawtchouk_column_runs_past_the_midpoint_without_reflection():
@@ -298,31 +308,26 @@ def test_frequencies_match_cramer_oracle_in_low_dimension(q):
 
 
 def test_three_weight_solve_cross_check_raises(monkeypatch):
-    real = transform.dual_numerators
+    real = transform.krawtchouk_column
 
-    def wrong_b3(counts, n, q):
-        for i, v in enumerate(real(counts, n, q)):
-            yield v + (i == 3)
+    def wrong_k3(x, n, q, imax):
+        col = real(x, n, q, imax)
+        return col[:3] + [col[3] + (x == 0)] + col[4:]
 
-    monkeypatch.setattr(transform, "dual_numerators", wrong_b3)
+    monkeypatch.setattr(transform, "krawtchouk_column", wrong_k3)
     with pytest.raises(SelfCheckFailed, match=re.escape("B_3 = 580")):
         three_weight_solve(100, 8, 46, 48, 56)
 
 
 def test_three_weight_solve_reads_at_most_four_numerators(monkeypatch):
-    """The self-check compares B_0..B_3 only, so it reads no more of the
-    transform than that (the whole Fraction distribution had n + 1)."""
-    real = transform.dual_numerators
-    read = []
-
-    def counted(counts, n, q):
-        for v in real(counts, n, q):
-            read.append(v)
-            yield v
-
-    monkeypatch.setattr(transform, "dual_numerators", counted)
+    """The self-check compares B_0..B_3 only, so no column it steps goes
+    past K_3 (the whole distribution would step each to n // 2 = 50)."""
+    real = transform.krawtchouk_column
+    calls = []
+    monkeypatch.setattr(transform, "krawtchouk_column", lambda *args: calls.append(args) or real(*args))
     sol = three_weight_solve(100, 8, 46, 48, 56)
-    assert sol.b3 == 580 and read == [256, 0, 0, 580 * 256]
+    assert sol.b3 == 580
+    assert sorted(calls) == [(w, 100, 2, 3) for w in (0, 46, 48, 56)]
 
 
 def test_pmt_frequencies_agreement_check_raises(monkeypatch):

@@ -71,8 +71,8 @@ def dual_sequence(
 def forward_numerators(counts: dict[int, int], n: int, q: int) -> list[int]:
     """q^k B_i = sum_j K_i(j) A_j for i = 0..n, the column of each weight
     stepped by the three-term recurrence from K_{-1} = 0 and K_0 = 1 all
-    the way to K_n, with no reflection: the route transform.dual_numerators
-    cuts at n // 2 over GF(2)."""
+    the way to K_n, with no reflection, where transform.dual_numerators
+    stops each krawtchouk_column at n // 2 over GF(2)."""
     columns = []
     for x, a in counts.items():
         prev, cur, col = 0, 1, [1]
