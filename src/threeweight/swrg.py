@@ -140,7 +140,7 @@ class CosetGraph:
         return [sum(map(vec.__getitem__, row)) for row in self.neighbour_rows()]
 
     def adjacency_lines(self) -> Iterator[str]:
-        """"h: " and the neighbours of h, for each vertex h in order."""
+        """The listing's lines, "h: " and the neighbours of h, for each vertex h in order."""
         return (f"{h}: " + " ".join(map(str, row)) for h, row in enumerate(self.neighbour_rows()))
 
     def summary(self) -> dict:

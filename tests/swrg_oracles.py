@@ -4,13 +4,13 @@ The library reads the spectrum from the weight distribution, decides walk
 regularity on the distinct eigenvalues, reads triple-sum counts as length-3
 walk constants, lists neighbour rows from digit-block addition tables of
 half the digits, and reads the connection set as the numerals of the
-columns' multiples, all columns in one lane pass.  The routes below share none of that machinery and serve
-as test oracles: a vector encoded digit by digit, the claimed distinct
-eigenvalues n(q-1) - q w read off a weight list, the spectrum and every
-walk count from one exact character transform over all q^k vertices (Walsh
-over q = 2, the group ring Z[C_q] over odd q), the walk classes split
-vertex by vertex, direct convolution, direct |Omega|^3 counting and a
-dense matrix power.
+columns' multiples, all columns in one lane pass.  The routes below share
+none of that machinery and serve as test oracles: a vector encoded digit
+by digit, the claimed distinct eigenvalues n(q-1) - q w read off a weight
+list, the spectrum and every walk count from one exact character transform
+over all q^k vertices (Walsh over q = 2, the group ring Z[C_q] over odd q),
+the walk classes split vertex by vertex, direct convolution, direct
+|Omega|^3 counting and a dense matrix power.
 """
 
 from __future__ import annotations

@@ -307,7 +307,7 @@ def test_graph_command(capsys):
 
 def test_graph_adjacency_streams_its_rows(tmp_path):
     # the listing once held one translation table of q^k ints per element
-    # of Omega at a time: 36.7 MiB at its peak for Sim_2(10), whose 1024
+    # of Omega at once: 36.7 MiB at its peak for Sim_2(10), whose 1024
     # lines of 1023 neighbours take 3.9 MiB
     f = tmp_path / "sim2_10.txt"
     f.write_text(serialize_matrix(simplex(2, 10)), encoding="utf-8")
