@@ -18,9 +18,10 @@ k with q^k >= 1 + n(q-1): the sphere-packing bound on the dual, which
 follows from the Delsarte LP (Delsarte 1973) and below which (iv) and (v)
 admit nothing.  For q = 2 it drops a triple whose cap on k from (iii) lies
 below the floor before it takes the gcd of (ii).  The cases of one length
-share their Krawtchouk columns, so it packs each one once (DualLanes) and
-tests a whole dual distribution with a few big-integer operations
-(dual_sequence_exact, both in transform).
+share their Krawtchouk columns, so it packs each one once (DualLanes,
+which sizes its lanes for every k the length can reach) and tests a whole
+dual distribution with one quotient test on big integers, the same for
+both fields (dual_sequence_exact, both in transform).
 evaluate_candidate decides one case and is the reference the kernel is
 tested against.
 Survivors then run a chain of exclusion filters (length divisibility, the
@@ -41,7 +42,7 @@ from typing import Iterator
 
 from .code import LinearCode, golay23, parity_check_code, reed_muller, simplex
 from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
-from .transform import DualLanes, dual_sequence_exact, forced_frequencies, krawtchouk3
+from .transform import DualLanes, dual_sequence_exact, forced_frequencies, krawtchouk_column
 from .transform import three_weight_solve  # read by perfbench/test_perfbench.py
 
 N_GUARD_Q2 = 1024
@@ -146,12 +147,12 @@ def evaluate_candidate(q: int, n: int, k: int, weights: tuple[int, int, int]) ->
     delta = gcd(w1, w2, w3)
     if q ** (k - 1) % delta != 0:
         return None  # condition (ii): the code would be a proper repetition
-    if q == 2 and (w1 * w2 * w3) % (1 << (k - 2)) != 0:
+    if q == 2 and (w1 * w2 * w3) % (1 << (k - 2)) != 0 or q != 2 and k > n:
         return None  # condition (iii)
     freqs = forced_frequencies(q, n, k, weights)
     if freqs is None:
         return None  # condition (iv): frequencies
-    b_seq = dual_sequence_exact(DualLanes(q, n, k), k, weights, freqs)
+    b_seq = dual_sequence_exact(DualLanes(q, n), k, weights, freqs)
     if b_seq is None:
         return None  # condition (iv): dual distribution
     if b_seq[0] != 1 or b_seq[1] != 0 or b_seq[2] != 0:
@@ -209,11 +210,11 @@ def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candida
     dropped before its gcd is taken.
     Per k, q^(k-2) is stepped and each frequency is one divmod.  Once all
     three are positive integers, q^k B_3 = K_3(0) + sum_j A_j K_3(w_j), the
-    K_3 values (transform.krawtchouk3) computed once per triple, rejects a
-    fractional or negative B_3 before the dual test, which must agree on
-    B_3, on lanes built at the length's first case past the B_3 step, wide
-    enough for every k: k <= n, or k <= v2(w1 w2 w3) + 1 <= 3 bitlen(n) - 2
-    by (iii) for q = 2.
+    K_3 values read from transform.krawtchouk_column once per triple,
+    rejects a fractional or negative B_3 before the dual test, on lanes
+    built at the length's first case past the B_3 step.  B_0 = 1 and
+    B_1 = B_2 = 0 hold by construction of the frequencies, and B_3 is known,
+    so a dual test that admits the case with any other B_0..B_3 raises.
     """
     s = q - 1
     if 3 * n * s % q:
@@ -222,7 +223,7 @@ def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candida
     target = 3 * ns // q
     skip = ns // q if not midpoint and ns % q == 0 else None
     k_lo = hamming_floor(q, n)
-    k_cap, lanes = 3 * n.bit_length() - 2 if q == 2 else n, None
+    lanes = None
     for w1 in range(1, target // 3):
         x1 = ns - q * w1  # > 0, as 3 w1 < target
         # x_2 < 0 side: n(q-1) + x_1 x_2 > 0
@@ -271,17 +272,17 @@ def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candida
                         a3, rem = divmod(y * p3 - w1 * w2, d3)
                         if not rem and a3 > 0:
                             freqs = (a1, a2, a3)
-                            k3 = k3 or [krawtchouk3(x, n, q) for x in (0, *weights)]
+                            k3 = k3 or [krawtchouk_column(x, n, q, 3)[3] for x in (0, *weights)]
                             b3, rem = divmod(k3[0] + a1 * k3[1] + a2 * k3[2] + a3 * k3[3], q * q * y)
                             # condition (iv) at B_3, then on all of B_0..B_n; then (v)
                             b_seq = not rem and b3 >= 0 and dual_sequence_exact(
-                                lanes := lanes or DualLanes(q, n, k_cap), k, weights, freqs
+                                lanes := lanes or DualLanes(q, n), k, weights, freqs
                             )
-                            if b_seq and b_seq[:3] == (1, 0, 0):
-                                if b_seq[3] != b3:
+                            if b_seq:
+                                if b_seq != (1, 0, 0, b3):
                                     raise SelfCheckFailed(
-                                        f"B_3 = {b_seq[3]} of the dual distribution, {b3} from K_3, "
-                                        f"for q={q}, n={n}, k={k}, weights={weights}"
+                                        f"B_0..B_3 = {b_seq} of the dual distribution, not (1, 0, 0, {b3}) "
+                                        f"from the frequencies and K_3, for q={q}, n={n}, k={k}, weights={weights}"
                                     )
                                 yield Candidate(q, n, k, weights, freqs, b3, delta)
                 y *= q

@@ -13,13 +13,13 @@ fractions.  The binary closed form three_weight_solve is kept as a rational
 reference.
 
 krawtchouk_column steps the three-term Krawtchouk recurrence of one weight,
-the only place that does.  dual_numerators sums one column per weight into
-q^k B_i = sum_j K_i(j) A_j, over GF(2) only to n // 2 and the rest by the
-reflection K_{n-i}(x) = (-1)^x K_i(x): the route of verify, which reads one
-distribution once.  The feasibility kernel reuses columns across the cases
-of a length, so DualLanes packs each column once into one integer, and
-dual_sequence_exact tests a whole distribution on those integers.
-krawtchouk3 is K_3 in closed form.
+the only place that does and the one route to K_i.  dual_numerators sums
+one column per weight into q^k B_i = sum_j K_i(j) A_j, over GF(2) only to
+n // 2 and the rest by the reflection K_{n-i}(x) = (-1)^x K_i(x): the route
+of verify, which reads one distribution once.  The feasibility kernel
+reuses columns across the cases of a length, so DualLanes packs each column
+once into one integer, and dual_sequence_exact tests a whole distribution
+on those integers with one quotient test for both fields.
 
 All arithmetic is exact (integers and fractions).  Integrality of a dual
 distribution is always tested, never assumed.
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .errors import InvalidArgument, SelfCheckFailed
 
@@ -54,19 +53,14 @@ def dual_numerators(counts: dict[int, int], n: int, q: int) -> list[int]:
     return [e + o for e, o in zip(even, odd)] + mirror[::-1]
 
 
-def krawtchouk3(x: int, n: int, q: int) -> int:
-    """K_3(x) = sum_{j <= 3} (-1)^j (q-1)^(3-j) C(x, j) C(n-x, 3-j), for 0 <= x <= n."""
-    return sum((-1) ** j * (q - 1) ** (3 - j) * comb(x, j) * comb(n - x, 3 - j) for j in range(4))
-
-
 def krawtchouk_column(x: int, n: int, q: int, imax: int) -> list[int]:
-    """[K_0(x), ..., K_imax(x)] for imax <= n, by the three-term recurrence
+    """[K_0(x), ..., K_imax(x)], zero past i = n, by the three-term recurrence
 
         (i+1) K_{i+1}(x) = ((q-1)(n-i) + i - qx) K_i(x) - (q-1)(n-i+1) K_{i-1}(x),
 
     with every value it divides out checked to be an integer.  It is the one
-    route to K_i: dual_numerators sums these columns, and DualLanes packs
-    them."""
+    route to K_i: dual_numerators sums these columns, DualLanes packs them,
+    and the feasibility kernel reads K_3 from them."""
     head, tail = (q - 1) * n - q * x, (q - 1) * (n + 1)  # its coefficients at i = 0
     col, prev, cur = [1], 0, 1
     for i in range(1, imax + 1):
@@ -79,19 +73,25 @@ def krawtchouk_column(x: int, n: int, q: int, imax: int) -> list[int]:
 
 
 class DualLanes:
-    """The Krawtchouk columns of one length n for its cases with k <= k_cap,
-    each packed once as P_w = sum_i K_i(w) 2^(L i) over the lanes i <= n, or
-    i <= n // 2 over GF(2) (K_{n-i}(x) = (-1)^x K_i(x)).  As |K_i(w)| <=
-    q^(n-w) 2^w <= q^n, each lane of sum_w A_w P_w with A_w >= 0 and
-    sum_w A_w <= q^k lies in (-2^(L-2), 2^(L-2)) when 2^(L-2) > q^(n+k_cap)."""
+    """The Krawtchouk columns of one length n, each packed once as
+    P_w = sum_i K_i(w) 2^(L i) over the lanes i <= n, or i <= n // 2 over
+    GF(2) (K_{n-i}(x) = (-1)^x K_i(x)), for the cases with k <= k_cap.
 
-    def __init__(self, q: int, n: int, k_cap: int):
-        self.q, self.n, self.k_cap = q, n, k_cap
+    k_cap is n for q = 3, as condition (iii) asks.  For q = 2 it is
+    3 bitlen(n) - 2: condition (iii) 2^(k-2) | w1 w2 w3 gives
+    k <= v2(w1 w2 w3) + 2, and of three distinct weights below 2^bitlen(n)
+    at most one is a multiple of 2^(bitlen(n)-1), so v2(w1 w2 w3) <=
+    3 bitlen(n) - 5.  As |K_i(w)| <= q^(n-w) 2^w <= q^n, each lane of
+    sum_w A_w P_w with A_w >= 0 and sum_w A_w <= q^k lies in
+    (-2^(L-2), 2^(L-2)) when 2^(L-2) > q^(n+k_cap)."""
+
+    def __init__(self, q: int, n: int):
+        self.q, self.n = q, n
+        self.k_cap = 3 * n.bit_length() - 2 if q == 2 else n
         self.count = n // 2 + 1 if q == 2 else n + 1
-        self.width = ((q ** (n + k_cap)).bit_length() + 9) // 8 * 8
+        self.width = ((q ** (n + self.k_cap)).bit_length() + 9) // 8 * 8
         self._columns: dict[int, int] = {}
-        # over GF(2), the top bit and the low k_cap bits of every lane
-        self.binary_mask = self.repeat((1 << (self.width - 1)) + (1 << k_cap) - 1) if q == 2 else 0
+        self._masks: dict[int, int] = {}
 
     def column(self, w: int) -> int:
         """P_w: each lane in L-bit two's complement, less what the lane below borrows."""
@@ -105,9 +105,12 @@ class DualLanes:
             self._columns[w] = packed - (1 << self.width * self.count) if borrow else packed
         return self._columns[w]
 
-    def repeat(self, lane: int) -> int:
-        """The L-bit value lane in every lane, by byte repetition."""
-        return int.from_bytes(lane.to_bytes(self.width // 8, "little") * self.count, "little")
+    def quotient_mask(self, k: int) -> int:
+        """The bits t..L-1 of every lane, t = L - 1 - bitlen(q^k), by byte repetition."""
+        if k not in self._masks:
+            lane = (1 << self.width) - (1 << (self.width - 1 - (self.q**k).bit_length()))
+            self._masks[k] = int.from_bytes(lane.to_bytes(self.width // 8, "little") * self.count, "little")
+        return self._masks[k]
 
 
 def dual_sequence_exact(
@@ -121,11 +124,10 @@ def dual_sequence_exact(
     of Q is below 2^t, t = L - 1 - bitlen(q^k) (a negative Q sets a top bit):
     then the lanes of q^k Q are below 2^(L-1), so they are its digits, while
     a negative q^k B_i borrows from the lane above and leaves a digit of at
-    least 2^L - 2^(L-2) - 1.  Over GF(2), q^k = 2^k, so this is no lane of
-    N with its top bit or one of its low k bits set; N 2^(k_cap - k), whose
-    lanes stay within 2^(n+k_cap) < 2^(L-2), meets one mask for every k.
-    There the mirror P_0 + sum_j (-1)^(w_j) A_j P_j, with q^k B_(n-i) in
-    lane i, is tested too.  Too narrow lanes raise.
+    least 2^L - 2^(L-2) - 1.  Over GF(2), when some weight with A_j > 0 is
+    odd, the mirror P_0 + sum_j (-1)^(w_j) A_j P_j, with q^k B_(n-i) in lane
+    i, meets the same test.  A k past lanes.k_cap, or frequencies that are
+    negative or sum past q^k - 1, raise.
     """
     q, n, width = lanes.q, lanes.n, lanes.width
     size, first = q**k, (1 << 4 * width) - 1  # lanes 0..3
@@ -136,20 +138,15 @@ def dual_sequence_exact(
     even, odd = lanes.column(0), 0  # N = even + odd, split by the parity of w_j over GF(2)
     for w, a in zip(weights, freqs):
         if q == 2 and w & 1:
-            odd = odd + a * lanes.column(w) if odd else a * lanes.column(w)
+            odd += a * lanes.column(w)
         else:
             even += a * lanes.column(w)
-    if q == 2:  # one mask per length, where a mask per k costs as much as the test
-        heads = []
-        for total in (even + odd, even - odd) if odd else (even,):
-            if (total << (lanes.k_cap - k)) & lanes.binary_mask:
-                return None
-            heads.append((total & first) >> k)
-    else:
-        quotient, rem = divmod(even, size)
-        if rem or quotient & lanes.repeat((1 << width) - (1 << (width - 1 - size.bit_length()))):
+    heads = []
+    for total in (even + odd, even - odd) if odd else (even,):
+        quotient, rem = divmod(total, size)
+        if rem or quotient & lanes.quotient_mask(k):
             return None
-        heads = [quotient & first]
+        heads.append(quotient & first)
     low, mirror, lane = heads[0], heads[-1], (1 << width) - 1
     # over GF(2) with n < 6, B_3 lies past the lanes of low, in lane n - 3 of mirror
     return tuple((low >> width * i if i < lanes.count else mirror >> width * (n - i)) & lane for i in range(4))

@@ -428,12 +428,14 @@ def test_moved_filters_pass_every_kernel_output(kernel_to_the_guards):
         assert filter_gap_power_of_2(c) is None and filter_divisibility_dimension(c) is None, c
 
 
-@pytest.mark.parametrize("k,freqs", [(4, (1, 3, 3)), (3, (1, 3, 4)), (3, (0, 0, -1))])
+@pytest.mark.parametrize("k,freqs", [(8, (1, 3, 3)), (3, (1, 3, 4)), (3, (0, 0, -1))])
 def test_dual_test_refuses_cases_past_its_lanes(k, freqs):
-    # lanes for k <= 3 hold no k = 4, and frequencies summing past q^k - 1
-    # or negative could carry between lanes
-    lanes = DualLanes(2, 4, 3)
-    with pytest.raises(SelfCheckFailed, match="lanes of width 16 for q=2, n=4, k <= 3 cannot hold"):
+    # lanes of length 4 over GF(2) hold k <= 3 bitlen(4) - 2 = 7, so no
+    # k = 8, and frequencies summing past q^k - 1 or negative could carry
+    # between lanes
+    lanes = DualLanes(2, 4)
+    assert lanes.k_cap == 7
+    with pytest.raises(SelfCheckFailed, match="lanes of width 16 for q=2, n=4, k <= 7 cannot hold"):
         dual_sequence_exact(lanes, k, (1, 2, 3), freqs)
 
 
@@ -445,16 +447,35 @@ def test_dual_test_refuses_cases_past_its_lanes(k, freqs):
     (3, 4, 2, (1, 2, 3), (3, 0, 5)),  # q^k B = (9, 18, 27, 45, -18): only the signs fail
 ], ids=["binary-b3-mirror", "binary-sign", "binary-top-sign", "binary-integrality", "ternary-sign"])
 def test_dual_test_masks_against_the_oracle(q, n, k, weights, freqs):
-    lanes = DualLanes(q, n, k)
+    lanes = DualLanes(q, n)
     assert dual_sequence_exact(lanes, k, weights, freqs) == _first_four(dual_sequence(q, n, k, weights, freqs))
 
 
 def test_ternary_quotient_mask_catches_what_the_remainder_misses():
-    lanes = DualLanes(3, 4, 2)
+    lanes = DualLanes(3, 4)
     numerators = list(dual_numerators({0: 1}, 4, 3))
     assert numerators == [1, 8, 24, 32, 16]
     assert sum(v << lanes.width * i for i, v in enumerate(numerators)) % 9 == 0
     assert dual_sequence_exact(lanes, 2, (1, 2, 3), (0, 0, 0)) is None
+
+
+@pytest.mark.parametrize("order", [range(3, 7), range(6, 2, -1)], ids=["ascending", "descending"])
+def test_one_lanes_decides_several_k_against_the_oracle(order):
+    """One DualLanes decides the cases of several k of one length in turn,
+    so no quotient mask cached for one k may decide another.  The sets are
+    the forced frequencies of (2, 4, 6) at n = 8 for k = 4, 5, 6, the set
+    (1, 3, 3) admitted at k = 3 only, (3, 7, 5) admitted at k = 4 only, a
+    set with negative B_2 and one with fractional B_1."""
+    lanes, weights = DualLanes(2, 8), (2, 4, 6)
+    sets = [(1, 3, 3), (3, 7, 5), (1, 11, 3), (5, 19, 7), (13, 35, 15), (0, 0, 0)]
+    admitted = []
+    for k in order:
+        for freqs in [f for f in sets if sum(f) < 2**k] + [(0, 2**k - 2, 1)]:
+            got = dual_sequence_exact(lanes, k, weights, freqs)
+            assert got == _first_four(dual_sequence(2, 8, k, weights, freqs)), (k, freqs)
+            admitted += [(k, freqs)] if got else []
+    assert sorted(admitted) == [(3, (1, 3, 3)), (4, (1, 11, 3)), (4, (3, 7, 5)), (5, (5, 19, 7)), (6, (13, 35, 15))]
+    assert all(lanes.quotient_mask(k) == DualLanes(2, 8).quotient_mask(k) for k in order)
 
 
 def test_hamming_floor_is_the_least_dimension_with_room():
@@ -508,7 +529,21 @@ def test_b3_disagreeing_with_the_dual_distribution_raises(monkeypatch):
         return b and b[:3] + (b[3] + 1,) + b[4:]
 
     monkeypatch.setattr(feasibility, "dual_sequence_exact", shifted_b3)
-    with pytest.raises(SelfCheckFailed, match=re.escape("B_3 = 2 of the dual distribution, 1 from K_3")):
+    with pytest.raises(SelfCheckFailed, match=re.escape("B_0..B_3 = (1, 0, 0, 2) of the dual distribution, not (1, 0, 0, 1)")):
+        list(length_candidates(2, 4))
+
+
+def test_dual_test_admitting_a_nonzero_b1_raises(monkeypatch):
+    # B_0 = 1 and B_1 = B_2 = 0 hold by construction of the frequencies, so
+    # a dual test that admits the case with B_1 = 1 is a fault, not a reject
+    real = feasibility.dual_sequence_exact
+
+    def nonzero_b1(*args):
+        b = real(*args)
+        return b and (1, 1, 0, b[3])
+
+    monkeypatch.setattr(feasibility, "dual_sequence_exact", nonzero_b1)
+    with pytest.raises(SelfCheckFailed, match=re.escape("B_0..B_3 = (1, 1, 0, 1) of the dual distribution, not (1, 0, 0, 1)")):
         list(length_candidates(2, 4))
 
 

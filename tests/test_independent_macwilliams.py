@@ -38,7 +38,7 @@ def _check_against_sympy(q, n, k, weights, freqs):
     counts = {0: 1, **dict(zip(weights, freqs))}
     b = sympy_dual(n, q, k, counts)
     assert [v // q**k for v in dual_numerators(counts, n, q)] == b, (n, k, weights)
-    assert dual_sequence_exact(DualLanes(q, n, k), k, weights, freqs) == tuple(b[:4]), (n, k, weights)
+    assert dual_sequence_exact(DualLanes(q, n), k, weights, freqs) == tuple(b[:4]), (n, k, weights)
     return b
 
 

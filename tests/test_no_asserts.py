@@ -150,14 +150,20 @@ try:
     list(feasibility.length_candidates(2, 4))
 except SelfCheckFailed as exc:
     print("B_3 raised:", exc)
+feasibility.dual_sequence_exact = lambda lanes, k, weights, freqs: (
+    lambda b: b and (1, 1, 0, b[3]))(real(lanes, k, weights, freqs))
+try:
+    list(feasibility.length_candidates(2, 4))
+except SelfCheckFailed as exc:
+    print("B_1 raised:", exc)
 feasibility.dual_sequence_exact = real
 try:
-    print("wide k:", real(DualLanes(2, 4, 3), 4, (1, 2, 3), (1, 3, 3)))
+    print("wide k:", real(DualLanes(2, 4), 8, (1, 2, 3), (1, 3, 3)))
 except SelfCheckFailed as exc:
     print("wide k raised:", exc)
-print("sign bit:", real(DualLanes(2, 4, 4), 4, (1, 2, 4), (0, 14, 1)), real(DualLanes(3, 4, 2), 2, (1, 2, 3), (3, 0, 5)))
-print("quotient mask:", real(DualLanes(3, 4, 2), 2, (1, 2, 3), (0, 0, 0)))
-print("admitted:", real(DualLanes(2, 4, 3), 3, (1, 2, 3), (1, 3, 3)))
+print("sign bit:", real(DualLanes(2, 4), 4, (1, 2, 4), (0, 14, 1)), real(DualLanes(3, 4), 2, (1, 2, 3), (3, 0, 5)))
+print("quotient mask:", real(DualLanes(3, 4), 2, (1, 2, 3), (0, 0, 0)))
+print("admitted:", real(DualLanes(2, 4), 3, (1, 2, 3), (1, 3, 3)))
 """
 
 
@@ -170,9 +176,11 @@ def test_b3_self_check_raises_under_python_O():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n") == [
         "optimize 1",
-        "B_3 raised: B_3 = 2 of the dual distribution, 1 from K_3, for q=2, n=4, k=3, "
-        "weights=(1, 2, 3)",
-        "wide k raised: lanes of width 16 for q=2, n=4, k <= 3 cannot hold k=4, "
+        "B_3 raised: B_0..B_3 = (1, 0, 0, 2) of the dual distribution, not (1, 0, 0, 1) "
+        "from the frequencies and K_3, for q=2, n=4, k=3, weights=(1, 2, 3)",
+        "B_1 raised: B_0..B_3 = (1, 1, 0, 1) of the dual distribution, not (1, 0, 0, 1) "
+        "from the frequencies and K_3, for q=2, n=4, k=3, weights=(1, 2, 3)",
+        "wide k raised: lanes of width 16 for q=2, n=4, k <= 7 cannot hold k=8, "
         "frequencies (1, 3, 3)",
         "sign bit: None None",
         "quotient mask: None",

@@ -17,7 +17,6 @@ from threeweight.transform import (
     dual_numerators,
     forced_frequencies,
     krawtchouk_column,
-    krawtchouk3,
     solve_three_weight_general,
     three_weight_solve,
 )
@@ -114,10 +113,11 @@ def test_krawtchouk_column_runs_past_the_midpoint_without_reflection():
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_closed_form_k3_matches_recurrence(q):
+    # the kernel's B_3 step reads K_3 from the column stepped to i = 3,
+    # past i = n for n < 3, where the recurrence gives K_3 = 0
     for n in range(81):
         for x in range(n + 1):
-            col = krawtchouk_column(x, n, q, min(n, 3))
-            assert krawtchouk3(x, n, q) == (col[3] if n >= 3 else 0), (n, x)
+            assert krawtchouk_column(x, n, q, 3)[3] == transform_oracles.krawtchouk(3, x, n, q), (n, x)
 
 
 def _span_weights(code):
