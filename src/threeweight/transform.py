@@ -81,9 +81,9 @@ class DualLanes:
     3 bitlen(n) - 2: condition (iii) 2^(k-2) | w1 w2 w3 gives
     k <= v2(w1 w2 w3) + 2, and of three distinct weights below 2^bitlen(n)
     at most one is a multiple of 2^(bitlen(n)-1), so v2(w1 w2 w3) <=
-    3 bitlen(n) - 5.  As |K_i(w)| <= q^(n-w) 2^w <= q^n, each lane of
-    sum_w A_w P_w with A_w >= 0 and sum_w A_w <= q^k lies in
-    (-2^(L-2), 2^(L-2)) when 2^(L-2) > q^(n+k_cap)."""
+    3 bitlen(n) - 5 and k <= 3 bitlen(n) - 3.  As |K_i(w)| <= q^(n-w) 2^w
+    <= q^n, each lane of sum_w A_w P_w with A_w >= 0 and sum_w A_w <= q^k
+    lies in (-2^(L-2), 2^(L-2)) when 2^(L-2) > q^(n+k_cap)."""
 
     def __init__(self, q: int, n: int):
         self.q, self.n = q, n
