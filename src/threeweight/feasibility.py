@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from importlib import resources
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from typing import Iterator
 
 from .code import LinearCode, golay23, parity_check_code, reed_muller, simplex
@@ -350,26 +350,22 @@ def dodunekov_check(candidate: Candidate, a: int) -> str | None:
 
 
 def hamming_bound_ok(n: int, k: int, d: int, q: int) -> bool:
-    """Sphere-packing feasibility: q^k * V_q(n, (d-1)//2) <= q^n.
+    """Sphere-packing feasibility: q^k * V_q(n, r) <= q^n, r = (d-1)//2.
 
-    The volume V = sum_{j <= r} C(n, j) (q-1)^j is summed term by term, each
-    term from the one before, C(n, j+1) (q-1)^(j+1) = C(n, j) (q-1)^j *
-    (n-j)(q-1)/(j+1), with every division checked exact.  V is an integer,
-    so the bound holds exactly when V <= q^n // q^k, and the sum stops at the
-    first partial volume past that.
+    V = sum_{j <= r} C(n, j) (q-1)^j is an integer, so the bound holds
+    exactly when V <= room = q^n // q^k.  The term ratio (n-j)(q-1)/(j+1) is
+    at least 1 for j < r, as 2r <= n - 1 gives r <= (n-r+1)(q-1), so the
+    last term T = C(n, r) (q-1)^r is the largest and T <= V <= (r+1) T.
+    T > room fails and (r+1) T <= room holds; only a room between them
+    needs the whole sum.
     """
     if not (1 <= d <= n):
         raise InvalidArgument("need 1 <= d <= n")
-    room = q**n // q**k
-    term = volume = 1
-    for j in range((d - 1) // 2):
-        term, rem = divmod(term * (n - j) * (q - 1), j + 1)
-        if rem:
-            raise SelfCheckFailed(f"C({n}, {j + 1}) (q-1)^{j + 1} is not an integer for q={q}")
-        volume += term
-        if volume > room:
-            return False
-    return volume <= room
+    r, room = (d - 1) // 2, q**n // q**k
+    top = comb(n, r) * (q - 1) ** r
+    if top > room or (r + 1) * top <= room:
+        return top <= room
+    return sum(comb(n, j) * (q - 1) ** j for j in range(r + 1)) <= room
 
 
 # -- the filter chain ----------------------------------------------------

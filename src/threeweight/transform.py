@@ -83,7 +83,11 @@ class DualLanes:
     at most one is a multiple of 2^(bitlen(n)-1), so v2(w1 w2 w3) <=
     3 bitlen(n) - 5 and k <= 3 bitlen(n) - 3.  As |K_i(w)| <= q^(n-w) 2^w
     <= q^n, each lane of sum_w A_w P_w with A_w >= 0 and sum_w A_w <= q^k
-    lies in (-2^(L-2), 2^(L-2)) when 2^(L-2) > q^(n+k_cap)."""
+    lies in (-2^(L-2), 2^(L-2)) when 2^(L-2) > q^(n+k_cap).  quotient_mask,
+    the bits t..L-1 of every lane with t = L - 1 - bitlen(q^k_cap), serves
+    every k <= k_cap: a lane Q_i < 2^t gives q^k Q_i < 2^(L-1), so no lane
+    of q^k Q carries, and a case with every B_i a nonnegative integer has
+    B_i <= sum_i B_i = q^(n-k) <= q^n < 2^(L-2) / q^k_cap <= 2^t."""
 
     def __init__(self, q: int, n: int):
         self.q, self.n = q, n
@@ -91,7 +95,8 @@ class DualLanes:
         self.count = n // 2 + 1 if q == 2 else n + 1
         self.width = ((q ** (n + self.k_cap)).bit_length() + 9) // 8 * 8
         self._columns: dict[int, int] = {}
-        self._masks: dict[int, int] = {}
+        lane = (1 << self.width) - (1 << (self.width - 1 - (q**self.k_cap).bit_length()))
+        self.quotient_mask = int.from_bytes(lane.to_bytes(self.width // 8, "little") * self.count, "little")
 
     def column(self, w: int) -> int:
         """P_w: each lane in L-bit two's complement, less what the lane below borrows."""
@@ -105,13 +110,6 @@ class DualLanes:
             self._columns[w] = packed - (1 << self.width * self.count) if borrow else packed
         return self._columns[w]
 
-    def quotient_mask(self, k: int) -> int:
-        """The bits t..L-1 of every lane, t = L - 1 - bitlen(q^k), by byte repetition."""
-        if k not in self._masks:
-            lane = (1 << self.width) - (1 << (self.width - 1 - (self.q**k).bit_length()))
-            self._masks[k] = int.from_bytes(lane.to_bytes(self.width // 8, "little") * self.count, "little")
-        return self._masks[k]
-
 
 def dual_sequence_exact(
     lanes: DualLanes, k: int, weights: tuple[int, int, int], freqs: tuple[int, int, int]
@@ -121,8 +119,9 @@ def dual_sequence_exact(
 
     N = P_0 + sum_j A_j P_j = q^k Q + r (0 <= r < q^k) holds q^k B_i in lane
     i.  Every B_i is a nonnegative integer exactly when r = 0 and every lane
-    of Q is below 2^t, t = L - 1 - bitlen(q^k) (a negative Q sets a top bit):
-    then the lanes of q^k Q are below 2^(L-1), so they are its digits, while
+    of Q is below 2^t, t = L - 1 - bitlen(q^k_cap) (lanes.quotient_mask; a
+    negative Q sets a top bit): then the lanes of q^k Q are below 2^(L-1),
+    so they are its digits, while
     a negative q^k B_i borrows from the lane above and leaves a digit of at
     least 2^L - 2^(L-2) - 1.  Over GF(2), when some weight with A_j > 0 is
     odd, the mirror P_0 + sum_j (-1)^(w_j) A_j P_j, with q^k B_(n-i) in lane
@@ -144,7 +143,7 @@ def dual_sequence_exact(
     heads = []
     for total in (even + odd, even - odd) if odd else (even,):
         quotient, rem = divmod(total, size)
-        if rem or quotient & lanes.quotient_mask(k):
+        if rem or quotient & lanes.quotient_mask:
             return None
         heads.append(quotient & first)
     low, mirror, lane = heads[0], heads[-1], (1 << width) - 1

@@ -277,6 +277,40 @@ def _calls(monkeypatch, name, run):
     return calls
 
 
+@pytest.mark.parametrize("q,n_min,n_max,calls,exact", [
+    (2, 4, 71, 115, 2),
+    (3, 3, 39, 67, 0),
+    (2, 4, 1023, 496, 6),
+    (3, 3, 81, 129, 0),
+], ids=["table1", "table2", "binary-1023", "ternary-81"])
+def test_hamming_filter_calls_match_the_binomial_sum(monkeypatch, q, n_min, n_max, calls, exact):
+    """Every sphere-packing call of the filter chain in a report, unlisted
+    rows included, against q^k sum_{j <= r} C(n, j) (q-1)^j <= q^n.  A call
+    sums the whole volume (calls comb more than once) exactly when
+    room = q^n // q^k lies in [T, (r+1) T), T = C(n, r) (q-1)^r: the largest
+    term and its bound decide every other call."""
+    combs, exact_sum = [], []
+    monkeypatch.setattr(feasibility, "comb", lambda n, j: combs.append(j) or comb(n, j), raising=False)
+    real = feasibility.hamming_bound_ok
+
+    def counted(*args):
+        start = len(combs)
+        result = real(*args)
+        exact_sum.append(len(combs) - start > 1)
+        return result
+
+    monkeypatch.setattr(feasibility, "hamming_bound_ok", counted)
+    recorded = _calls(monkeypatch, "hamming_bound_ok", lambda: feasibility_report(q, n_min, n_max, True))
+    between = []
+    for (n, k, d, field), result in recorded:
+        r, room = (d - 1) // 2, field**n // field**k
+        top = comb(n, r) * (q - 1) ** r
+        assert field == q and result == (sum(comb(n, j) * (q - 1) ** j for j in range(r + 1)) <= room), (n, k, d)
+        between.append(top <= room < (r + 1) * top)
+    assert exact_sum == between
+    assert (len(recorded), sum(exact_sum)) == (calls, exact)
+
+
 def _dual_tests(monkeypatch, n_max, run):
     """Every case (q, n, k, weights, freqs) and result of the dual test that
     run(n) makes for n = 1..n_max."""
@@ -461,8 +495,8 @@ def test_ternary_quotient_mask_catches_what_the_remainder_misses():
 
 @pytest.mark.parametrize("order", [range(3, 7), range(6, 2, -1)], ids=["ascending", "descending"])
 def test_one_lanes_decides_several_k_against_the_oracle(order):
-    """One DualLanes decides the cases of several k of one length in turn,
-    so no quotient mask cached for one k may decide another.  The sets are
+    """One DualLanes decides the cases of several k of one length in turn
+    with its one quotient mask.  The sets are
     the forced frequencies of (2, 4, 6) at n = 8 for k = 4, 5, 6, the set
     (1, 3, 3) admitted at k = 3 only, (3, 7, 5) admitted at k = 4 only, a
     set with negative B_2 and one with fractional B_1."""
@@ -475,7 +509,6 @@ def test_one_lanes_decides_several_k_against_the_oracle(order):
             assert got == _first_four(dual_sequence(2, 8, k, weights, freqs)), (k, freqs)
             admitted += [(k, freqs)] if got else []
     assert sorted(admitted) == [(3, (1, 3, 3)), (4, (1, 11, 3)), (4, (3, 7, 5)), (5, (5, 19, 7)), (6, (13, 35, 15))]
-    assert all(lanes.quotient_mask(k) == DualLanes(2, 8).quotient_mask(k) for k in order)
 
 
 def test_hamming_floor_is_the_least_dimension_with_room():

@@ -3,7 +3,7 @@ constant that is not an integer raises (tests/test_swrg.py); both steps of
 the character-transform oracle that can lose exactness raise too.  The CLI that
 prints its results does no inexact arithmetic either, nor do the code,
 matrix and parsing layers; feasibility and curve use only the integer
-functions gcd and isqrt of math.  transform is left out of the syntactic
+functions comb, gcd and isqrt of math.  transform is left out of the syntactic
 check: its rational reference solvers divide Fractions."""
 
 from __future__ import annotations
@@ -54,13 +54,13 @@ def test_module_has_no_true_division_float_or_math(module):
 
 @pytest.mark.parametrize("module", ["feasibility.py", "curve.py"])
 def test_module_uses_only_integer_math(module):
-    assert inexact_constructs(module, frozenset({"gcd", "isqrt"})) == []
+    assert inexact_constructs(module, frozenset({"comb", "gcd", "isqrt"})) == []
 
 
 def test_inexact_constructs_flags_what_it_does_not_allow():
-    assert inexact_constructs("feasibility.py") == ["from math import gcd, isqrt"]
+    assert inexact_constructs("feasibility.py") == ["from math import comb, gcd, isqrt"]
     assert inexact_constructs("feasibility.py", frozenset({"gcd"})) == [
-        "from math import gcd, isqrt"
+        "from math import comb, gcd, isqrt"
     ]
     assert "division at line" in " ".join(inexact_constructs("transform.py"))
 
