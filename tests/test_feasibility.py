@@ -303,9 +303,10 @@ def test_hamming_filter_calls_match_the_binomial_sum(monkeypatch, q, n_min, n_ma
     recorded = _calls(monkeypatch, "hamming_bound_ok", lambda: feasibility_report(q, n_min, n_max, True))
     between = []
     for (n, k, d, field), result in recorded:
-        r, room = (d - 1) // 2, field**n // field**k
+        assert field == q
+        r, room = (d - 1) // 2, q**n // q**k
         top = comb(n, r) * (q - 1) ** r
-        assert field == q and result == (sum(comb(n, j) * (q - 1) ** j for j in range(r + 1)) <= room), (n, k, d)
+        assert result == (sum(comb(n, j) * (q - 1) ** j for j in range(r + 1)) <= room), (n, k, d)
         between.append(top <= room < (r + 1) * top)
     assert exact_sum == between
     assert (len(recorded), sum(exact_sum)) == (calls, exact)
@@ -496,10 +497,10 @@ def test_ternary_quotient_mask_catches_what_the_remainder_misses():
 @pytest.mark.parametrize("order", [range(3, 7), range(6, 2, -1)], ids=["ascending", "descending"])
 def test_one_lanes_decides_several_k_against_the_oracle(order):
     """One DualLanes decides the cases of several k of one length in turn
-    with its one quotient mask.  The sets are
-    the forced frequencies of (2, 4, 6) at n = 8 for k = 4, 5, 6, the set
-    (1, 3, 3) admitted at k = 3 only, (3, 7, 5) admitted at k = 4 only, a
-    set with negative B_2 and one with fractional B_1."""
+    with its one quotient mask.  The sets are the forced frequencies of
+    (2, 4, 6) at n = 8 for k = 4, 5, 6, the set (1, 3, 3) admitted at k = 3
+    only, (3, 7, 5) admitted at k = 4 only, a set with negative B_2 and one
+    with fractional B_1."""
     lanes, weights = DualLanes(2, 8), (2, 4, 6)
     sets = [(1, 3, 3), (3, 7, 5), (1, 11, 3), (5, 19, 7), (13, 35, 15), (0, 0, 0)]
     admitted = []
