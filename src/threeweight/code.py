@@ -1,6 +1,6 @@
 """Linear-code core: weight distributions, projectivity, and the structural
 constructions (simplex, first-order Reed-Muller, direct sums, anticodes,
-the 4*Delta family, the length-23 Golay code).
+the length-23 Golay code).
 
 Codes are immutable.  Weight distributions come from full codeword
 enumeration, bit-sliced by blocks of messages: the messages that share
@@ -35,8 +35,7 @@ from .gfmat import _MOD, GF2, FieldMatrix, PrimeField
 
 ENUMERATION_GUARD = 1 << 26
 # At most this many messages per enumeration block, one bit each: 2^14 bits
-# keep a block's planes at 2 KiB, and half of a block's digits a numeral
-# below 256, one byte lane per column (`_numerals`).
+# keep a block's planes at 2 KiB.
 BLOCK_BITS = 1 << 14
 
 # per field, the translate tables that multiply every entry of a reduced
@@ -133,11 +132,12 @@ def _lane_width(q: int, k: int) -> int:
     return next((w for w in _LANE_FORMATS if w >= nbytes), -(-nbytes // 8) * 8)
 
 
-def _numerals(q: int, n: int, rows: tuple[bytes, ...], width: int = 1) -> tuple[int, ...]:
+def _numerals(q: int, n: int, rows: tuple[bytes, ...]) -> tuple[int, ...]:
     """Per column, its entries in the given rows read as a base-q numeral,
-    the first row the lowest digit.  Each row is spread into lanes of width
-    bytes, one per column of one integer, and the rows are summed by
-    Horner's rule; a lane wide enough for q^len(rows) never carries."""
+    the first row the lowest digit.  Each row is spread into one integer,
+    a lane of `_lane_width(q, len(rows))` bytes per column, too wide to
+    carry, and the rows are summed by Horner's rule."""
+    width = _lane_width(q, len(rows))
     buf = bytearray(n * width)
     value = 0
     for row in reversed(rows):
@@ -154,7 +154,7 @@ def _scalar_numerals(q: int, n: int, rows: tuple[bytes, ...]) -> tuple[int, ...]
     of the given reduced rows, multiple lam of column j at (lam - 1) n + j:
     one numeral pass over the rows and their multiples side by side."""
     blocks = [[row.translate(t) for row in rows] for t in _MULTIPLES[q]]
-    return _numerals(q, (q - 1) * n, tuple(map(b"".join, zip(*blocks))), _lane_width(q, len(rows)))
+    return _numerals(q, (q - 1) * n, tuple(map(b"".join, zip(*blocks))))
 
 
 def _point_keys(q: int, n: int, numerals: tuple[int, ...]) -> tuple[int, ...]:
@@ -441,7 +441,7 @@ def reed_muller(q: int, k: int) -> LinearCode:
     """First-order Reed-Muller code RM_q(k): an affine subspace of points.
 
     Columns are all (1, a_2, ..., a_k); the all-one word is the last
-    generator row (the 4*Delta construction relies on that layout).
+    generator row (the 4*Delta test oracle relies on that layout).
     """
     if k < 2:
         raise InvalidArgument("first-order Reed-Muller needs k >= 2")
@@ -481,60 +481,4 @@ def golay23() -> LinearCode:
     even = code.even_weight_subcode()
     if even.weight_distribution().as_dict() != {0: 1, 8: 506, 12: 1288, 16: 253}:
         raise SelfCheckFailed("Golay even-weight subcode has the wrong enumerator")
-    return code
-
-
-def theorem_4delta(a: int) -> LinearCode:
-    """The extremal [4*Delta, 2a+3] code with weights (Delta, 2Delta, 3Delta),
-    Delta = 2^a: two first-order Reed-Muller blocks of dimension a+2 glued
-    so the left block's all-one row carries the right block's first row.
-
-    Weight enumerator (checked by enumeration):
-    1 + (4D-3) x^D + (8D^2-8D+3) x^2D + (4D-1) x^3D.
-    """
-    if a < 3:
-        raise InvalidArgument("the 4*Delta construction needs a >= 3")
-    delta = 1 << a
-    rm = reed_muller(2, a + 2)  # all-one word is the last row
-    rm_rows = rm.generator.to_rows()
-    half = rm.n  # 2 * delta
-    zero = (0,) * half
-    rows: list[tuple[int, ...]] = []
-    for r in rm_rows[:-1]:
-        rows.append(r + zero)
-    rows.append(rm_rows[-1] + rm_rows[0])  # shared row: left all-ones, right r_1
-    for r in rm_rows[1:]:
-        rows.append(zero + r)
-    code = LinearCode(GF2, FieldMatrix.from_rows(GF2, rows))
-    if (code.n, code.k) != (4 * delta, 2 * a + 3):
-        raise SelfCheckFailed(f"4*Delta code has parameters [{code.n},{code.k}]")
-    expected = {
-        0: 1,
-        delta: 4 * delta - 3,
-        2 * delta: 8 * delta * delta - 8 * delta + 3,
-        3 * delta: 4 * delta - 1,
-    }
-    if code.weight_distribution().as_dict() != expected:
-        raise SelfCheckFailed("4*Delta code has the wrong enumerator")
-    return code
-
-
-def theorem_4delta_minus1(a: int) -> LinearCode:
-    """The length 4*Delta - 1 companion: Sim_2(a+1) + RM_2(a+2) (direct sum).
-
-    Weight enumerator (checked): 1 + (6D-3) x^D + (8D^2-8D+3) x^2D
-    + (2D-1) x^3D with D = 2^a.
-    """
-    if a < 1:
-        raise InvalidArgument("needs a >= 1")
-    delta = 1 << a
-    code = simplex(2, a + 1).direct_sum(reed_muller(2, a + 2))
-    expected = {
-        0: 1,
-        delta: 6 * delta - 3,
-        2 * delta: 8 * delta * delta - 8 * delta + 3,
-        3 * delta: 2 * delta - 1,
-    }
-    if code.weight_distribution().as_dict() != expected:
-        raise SelfCheckFailed("4*Delta - 1 code has the wrong enumerator")
     return code

@@ -315,8 +315,8 @@ def dodunekov_check(candidate: Candidate, a: int) -> str | None:
     their t-ranges; returns "part (i|ii|iii), ..." for the first clause the
     frequencies violate, or None when they satisfy all three.
     """
-    if candidate.q != 2:
-        raise InvalidArgument("the divisibility test is binary-only")
+    if candidate.q != 2 or a < 0:
+        raise InvalidArgument(f"the divisibility test needs q = 2 and a >= 0, not q = {candidate.q}, a = {a}")
     k = candidate.k
     delta = 1 << a
     if any(w % delta for w in candidate.weights):

@@ -93,6 +93,8 @@ class CosetGraph:
 
     def __init__(self, q: int, k: int, omega: Iterable[int], spectrum: Mapping[int, int]):
         PrimeField(q)  # rejects every q but 2 and 3
+        if k < 1:
+            raise InvalidArgument(f"a coset graph needs k >= 1, not {k}")
         self.q = q
         self.k = k
         self.nvertices = q**k
@@ -201,6 +203,8 @@ def is_s_swrg(graph: CosetGraph, s: int) -> SwrgResult:
         raise GuardExceeded(f"walk length {s} over guard {WALK_GUARD}")
     degree = graph.degree
     nontrivial = dict(graph._spectrum)
+    if nontrivial.get(degree, 0) < 1:
+        raise InvalidArgument(f"the spectrum lacks the degree {degree}, the trivial character's eigenvalue")
     nontrivial[degree] -= 1  # the trivial character
     thetas = sorted((t for t, m in nontrivial.items() if m), reverse=True)
     if len(thetas) > 3 or len(thetas) == 3 and vandam_lhs(s, *thetas):

