@@ -16,8 +16,12 @@ is what the enumeration and the counterexample scan run; it decides (iv) at
 B_3 before the full dual test.  It starts k at the Hamming floor, the least
 k with q^k >= 1 + n(q-1): the sphere-packing bound on the dual, which
 follows from the Delsarte LP (Delsarte 1973) and below which (iv) and (v)
-admit nothing.  For q = 2 it drops a triple whose cap on k from (iii) lies
-below the floor before it takes the gcd of (ii).  The cases of one length
+admit nothing.  Its triples come from the triples module: for q = 2 only
+those whose cap on k from (iii) reaches the floor, listed by 2-adic residue
+classes of n/2 across a whole range of lengths (binary_triples, which the
+enumeration and the scan each run once per range), and for q = 3 a window
+of w2 per w1 (ternary_triples), with k capped at n - w1 + 1, the Singleton
+bound, which (iv) implies.  The cases of one length
 share their Krawtchouk columns, so it packs each one once (DualLanes,
 which sizes its lanes for every k the length can reach) and tests a whole
 dual distribution with one quotient test on big integers, the same for
@@ -37,13 +41,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from importlib import resources
-from math import comb, gcd, isqrt
-from typing import Iterator
+from math import comb, gcd
+from typing import Iterable, Iterator
 
 from .code import LinearCode, golay23, parity_check_code, reed_muller, simplex
 from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
 from .transform import DualLanes, dual_sequence_exact, forced_frequencies, krawtchouk_column
 from .transform import three_weight_solve  # read by perfbench/test_perfbench.py
+from .triples import binary_triples, ternary_triples
 
 N_GUARD_Q2 = 1024
 N_GUARD_Q3 = 81
@@ -121,8 +126,10 @@ def _is_power_of_two(m: int) -> bool:
 
 
 def weight_triples(q: int, n: int) -> list[tuple[int, int, int]]:
-    """All 1 <= w1 < w2 < w3 <= n with w1 + w2 + w3 = 3n(q-1)/q, in the
-    order length_candidates visits them."""
+    """All 1 <= w1 < w2 < w3 <= n with w1 + w2 + w3 = 3n(q-1)/q, sorted by
+    (w1, w2): the cases of evaluate_candidate.  length_candidates visits
+    those its triples lists (the window of w2 and, for q = 2, the cap at
+    the floor) in the same order."""
     if (3 * n * (q - 1)) % q != 0:
         return []
     target = 3 * n * (q - 1) // q
@@ -169,13 +176,18 @@ def hamming_floor(q: int, n: int) -> int:
     return k
 
 
-def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candidate]:
+def length_candidates(
+    q: int, n: int, midpoint: bool = True, triples: Iterable[tuple[int, int, int]] | None = None
+) -> Iterator[Candidate]:
     """Every admissible Candidate of length n, in weight_triples order with
     k ascending: the one production route of enumerate_candidates and
     counterexample_scan.  evaluate_candidate decides the same cases one at
-    a time and is the reference this kernel is tested against.  With
-    midpoint=False the triples with w2 at the midpoint n(q-1)/q are skipped
-    before any frequency or dual work (the scan wants only the others).
+    a time and is the reference this kernel is tested against.  triples is
+    the length's list from triples.binary_triples, which the two binary
+    routes stream over their range of lengths; without it the kernel lists
+    the length's triples itself (binary_triples over the one length, or
+    triples.ternary_triples).  With midpoint=False the triples with w2 at
+    the midpoint n(q-1)/q are never listed (the scan wants only the others).
 
     With x_w = K_1(w) = n(q-1) - qw, the moments sum A = q^k - 1 and
     B_1 = B_2 = 0 give each frequency in Lagrange form,
@@ -187,9 +199,18 @@ def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candida
     Whatever k is, A_1 and A_3 can then be positive only where
     n(q-1) + x_2 x_3 > 0 and n(q-1) + x_1 x_2 > 0: for each w1 one window of
     w2 around the midpoint n(q-1)/q, and the triples outside it are never
-    formed.  Per triple, conditions (ii) and (iii) become one interval of k:
-    a gcd q^e of the weights gives k >= e + 1, and for q = 2,
-    2^(k-2) | w1 w2 w3 caps k.
+    listed.  Per triple, conditions (ii) and (iii) become one interval of k:
+    a gcd q^e of the weights gives k >= e + 1, for q = 2,
+    2^(k-2) | w1 w2 w3 caps k, and for q = 3 the Singleton bound
+    k <= n - w1 + 1 does.  It follows from (iv): the binomial moments
+    (MacWilliams and Sloane, The Theory of Error-Correcting Codes, Ch. 5)
+
+        sum_j C(n-j, i) A_j = q^(k-i) sum_(j <= i) C(n-j, n-i) B_j
+
+    have at i = n - w1 + 1 the one term A_0 = 1 on the left, as no weight
+    lies below w1, and with B_0 = 1 and every B_j >= 0 the right side is at
+    least q^(k-i) C(n, i), so q^(k-i) <= 1.  No k past it is admitted, and
+    cutting there changes no output.
 
     The interval starts no lower than the Hamming floor k_lo, the least k
     with q^k >= 1 + n(q-1): the sphere-packing bound on the dual, which
@@ -206,8 +227,9 @@ def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candida
     floor no k has all three frequencies positive, and cutting there
     changes no output.  Wherever a triple exists, k_lo >= 3 for q = 2 and
     k_lo >= 2 for q = 3, so k needs no other lower bound.  For q = 2 the cap
-    is known from w1 w2 w3 alone, and a triple whose cap lies below k_lo is
-    dropped before its gcd is taken.
+    is known from w1 w2 w3 alone, and binary_triples lists only the triples
+    whose cap reaches k_lo, by residue classes of n/2 (derived in the
+    triples module), so no other triple reaches a gcd.
     Per k, q^(k-2) is stepped and each frequency is one divmod.  Once all
     three are positive integers, q^k B_3 = K_3(0) + sum_j A_j K_3(w_j), the
     K_3 values read from transform.krawtchouk_column once per triple,
@@ -216,77 +238,66 @@ def length_candidates(q: int, n: int, midpoint: bool = True) -> Iterator[Candida
     B_1 = B_2 = 0 hold by construction of the frequencies, and B_3 is known,
     so a dual test that admits the case with any other B_0..B_3 raises.
     """
+    if q not in (2, 3):
+        raise InvalidArgument("the kernel supports q in {2, 3}")
     s = q - 1
     if 3 * n * s % q:
         return
+    if triples is None:
+        triples = next(binary_triples(n, n, midpoint), (n, []))[1] if q == 2 else ternary_triples(n, midpoint)
     ns = n * s
-    target = 3 * ns // q
-    skip = ns // q if not midpoint and ns % q == 0 else None
     k_lo = hamming_floor(q, n)
     lanes = None
-    for w1 in range(1, target // 3):
-        x1 = ns - q * w1  # > 0, as 3 w1 < target
-        # x_2 < 0 side: n(q-1) + x_1 x_2 > 0
-        hi = min((target - w1 - 1) // 2, (ns + (ns - 1) // x1) // q)
-        # x_2 >= 0 side: n(q-1) + x_2 x_3 > 0, i.e. x_2 (x_1 + x_2) < n(q-1)
-        # the largest such x_2 is m, the largest m with (2m + x_1)^2 < x_1^2 + 4n(q-1)
-        m = (isqrt(x1 * x1 + 4 * ns - 1) - x1) // 2
-        lo = max(w1 + 1, target - w1 - n, (ns - m + s) // q)
-        for w2 in range(lo, hi + 1):
-            if w2 == skip:
-                continue
-            w3 = target - w1 - w2
-            if q == 2:
-                prod = w1 * w2 * w3
-                k_max = (prod & -prod).bit_length() + 1  # condition (iii)
-                if k_max < k_lo:
-                    continue  # condition (iii) fails already at the floor
-            else:
-                k_max = n
-            delta = gcd(w1, w2, w3)
-            # condition (ii): delta = q^e, so k >= e + 1
-            e, rest = 0, delta
-            while rest % q == 0:
-                rest //= q
-                e += 1
-            if rest != 1:
-                continue
-            k = max(e + 1, k_lo)
-            if k > k_max:
-                continue
-            x2 = ns - q * w2
-            x3 = -x1 - x2
-            p1, p2, p3 = ns + x2 * x3, ns + x1 * x3, ns + x1 * x2
-            # lagrange_terms, with d_2 and A_2's numerator negated so all d_j > 0
-            d1, d2, d3 = (w2 - w1) * (w3 - w1), (w2 - w1) * (w3 - w2), (w3 - w1) * (w3 - w2)
-            weights = (w1, w2, w3)
-            k3 = None  # K_3 at 0, w1, w2, w3, computed once a k reaches B_3
-            y = q ** (k - 2)
-            while k <= k_max:
-                a2, rem = divmod(w1 * w3 - y * p2, d2)
-                if a2 <= 0 and p2 > 0:
-                    break  # A_2 only falls as k grows
-                if not rem and a2 > 0:
-                    a1, rem = divmod(y * p1 - w2 * w3, d1)
-                    if not rem and a1 > 0:
-                        a3, rem = divmod(y * p3 - w1 * w2, d3)
-                        if not rem and a3 > 0:
-                            freqs = (a1, a2, a3)
-                            k3 = k3 or [krawtchouk_column(x, n, q, 3)[3] for x in (0, *weights)]
-                            b3, rem = divmod(k3[0] + a1 * k3[1] + a2 * k3[2] + a3 * k3[3], q * q * y)
-                            # condition (iv) at B_3, then on all of B_0..B_n; then (v)
-                            b_seq = not rem and b3 >= 0 and dual_sequence_exact(
-                                lanes := lanes or DualLanes(q, n), k, weights, freqs
-                            )
-                            if b_seq:
-                                if b_seq != (1, 0, 0, b3):
-                                    raise SelfCheckFailed(
-                                        f"B_0..B_3 = {b_seq} of the dual distribution, not (1, 0, 0, {b3}) "
-                                        f"from the frequencies and K_3, for q={q}, n={n}, k={k}, weights={weights}"
-                                    )
-                                yield Candidate(q, n, k, weights, freqs, b3, delta)
-                y *= q
-                k += 1
+    for weights in triples:
+        w1, w2, w3 = weights
+        if q == 2:
+            prod = w1 * w2 * w3
+            k_max = (prod & -prod).bit_length() + 1  # condition (iii), at least k_lo here
+        else:
+            k_max = n - w1 + 1  # the Singleton bound, which condition (iv) implies
+        delta = gcd(w1, w2, w3)
+        # condition (ii): delta = q^e, so k >= e + 1
+        e, rest = 0, delta
+        while rest % q == 0:
+            rest //= q
+            e += 1
+        if rest != 1:
+            continue
+        k = max(e + 1, k_lo)
+        if k > k_max:
+            continue
+        x1, x2 = ns - q * w1, ns - q * w2
+        x3 = -x1 - x2
+        p1, p2, p3 = ns + x2 * x3, ns + x1 * x3, ns + x1 * x2
+        # lagrange_terms, with d_2 and A_2's numerator negated so all d_j > 0
+        d1, d2, d3 = (w2 - w1) * (w3 - w1), (w2 - w1) * (w3 - w2), (w3 - w1) * (w3 - w2)
+        k3 = None  # K_3 at 0, w1, w2, w3, computed once a k reaches B_3
+        y = q ** (k - 2)
+        while k <= k_max:
+            a2, rem = divmod(w1 * w3 - y * p2, d2)
+            if a2 <= 0 and p2 > 0:
+                break  # A_2 only falls as k grows
+            if not rem and a2 > 0:
+                a1, rem = divmod(y * p1 - w2 * w3, d1)
+                if not rem and a1 > 0:
+                    a3, rem = divmod(y * p3 - w1 * w2, d3)
+                    if not rem and a3 > 0:
+                        freqs = (a1, a2, a3)
+                        k3 = k3 or [krawtchouk_column(x, n, q, 3)[3] for x in (0, *weights)]
+                        b3, rem = divmod(k3[0] + a1 * k3[1] + a2 * k3[2] + a3 * k3[3], q * q * y)
+                        # condition (iv) at B_3, then on all of B_0..B_n; then (v)
+                        b_seq = not rem and b3 >= 0 and dual_sequence_exact(
+                            lanes := lanes or DualLanes(q, n), k, weights, freqs
+                        )
+                        if b_seq:
+                            if b_seq != (1, 0, 0, b3):
+                                raise SelfCheckFailed(
+                                    f"B_0..B_3 = {b_seq} of the dual distribution, not (1, 0, 0, {b3}) "
+                                    f"from the frequencies and K_3, for q={q}, n={n}, k={k}, weights={weights}"
+                                )
+                            yield Candidate(q, n, k, weights, freqs, b3, delta)
+            y *= q
+            k += 1
 
 
 def enumerate_candidates(q: int, n_min: int, n_max: int) -> list[Candidate]:
@@ -299,7 +310,8 @@ def enumerate_candidates(q: int, n_min: int, n_max: int) -> list[Candidate]:
             raise GuardExceeded(f"q=3 enumeration is guarded at n <= {N_GUARD_Q3}")
     else:
         raise InvalidArgument("enumeration supports q in {2, 3}")
-    out = [c for n in range(max(n_min, 1), n_max + 1) for c in length_candidates(q, n)]
+    lengths = binary_triples(n_min, n_max) if q == 2 else ((n, None) for n in range(max(n_min, 1), n_max + 1))
+    out = [c for n, triples in lengths for c in length_candidates(q, n, triples=triples)]
     out.sort(key=Candidate.sort_key)
     return out
 
@@ -359,6 +371,8 @@ def hamming_bound_ok(n: int, k: int, d: int, q: int) -> bool:
     T > room fails and (r+1) T <= room holds; only a room between them
     needs the whole sum.
     """
+    if q not in (2, 3):
+        raise InvalidArgument(f"the sphere-packing test supports q in {{2, 3}}, not q = {q}")
     if not (1 <= d <= n):
         raise InvalidArgument("need 1 <= d <= n")
     r, room = (d - 1) // 2, q**n // q**k
@@ -504,8 +518,8 @@ def counterexample_scan(n_max: int) -> list[Candidate]:
     if n_max >= SCAN_GUARD:
         raise GuardExceeded(f"scan is guarded at n < {SCAN_GUARD}")
     out = []
-    for n in range(SCAN_START, n_max + 1, 2):
-        for cand in length_candidates(2, n, midpoint=False):
+    for n, triples in binary_triples(SCAN_START, n_max, midpoint=False):
+        for cand in length_candidates(2, n, triples=triples):
             if all(dodunekov_check(cand, a) is None for a in range(cand.a + 1)):
                 out.append(replace(cand, verdict="open"))
     out.sort(key=Candidate.sort_key)

@@ -197,6 +197,8 @@ def is_s_swrg(graph: CosetGraph, s: int) -> SwrgResult:
     distinct nontrivial eigenvalues (see the module docstring).  An empty
     class has the constant 0.
     """
+    if not isinstance(s, int):
+        raise InvalidArgument(f"the walk length must be an integer, not {type(s).__name__}")
     if s < 3 or s % 2 == 0:
         raise InvalidArgument("the walk-regularity test is for odd s >= 3")
     if s > WALK_GUARD:

@@ -61,6 +61,8 @@ def krawtchouk_column(x: int, n: int, q: int, imax: int) -> list[int]:
     with every value it divides out checked to be an integer.  It is the one
     route to K_i: dual_numerators sums these columns, DualLanes packs them,
     and the feasibility kernel reads K_3 from them."""
+    if n < 0:
+        raise InvalidArgument(f"no Krawtchouk column for a negative length n = {n}")
     head, tail = (q - 1) * n - q * x, (q - 1) * (n + 1)  # its coefficients at i = 0
     col, prev, cur = [1], 0, 1
     for i in range(1, imax + 1):

@@ -10,10 +10,10 @@ import pytest
 from threeweight import errors
 from threeweight.cli import emit_report
 from threeweight.errors import CodesError
-from threeweight.feasibility import Candidate, dodunekov_check
+from threeweight.feasibility import Candidate, dodunekov_check, hamming_bound_ok, length_candidates
 from threeweight.gfmat import GF2, FieldMatrix
 from threeweight.swrg import CosetGraph, is_s_swrg, tss_check
-from threeweight.transform import DualLanes, three_weight_solve
+from threeweight.transform import DualLanes, krawtchouk_column, three_weight_solve
 
 from swrg_oracles import eigenvalues_from_weights
 from transform_oracles import pmt_frequencies
@@ -34,6 +34,12 @@ ARGUMENT_ERRORS = {
     "triple sums without the degree": lambda: tss_check(CosetGraph(2, 2, [1, 2, 3], {-1: 4})),
     "dual lanes of length 0": lambda: DualLanes(2, 0),
     "divisibility test at a < 0": lambda: dodunekov_check(Candidate(2, 7, 3, (3, 4, 7), (4, 3, 0), 0, 1), -1),
+    # these returned a value: float walk constants, a verdict for GF(1), a
+    # column for a negative length and an empty list for GF(5)
+    "walk test at a float length": lambda: is_s_swrg(CosetGraph(2, 2, [1, 2, 3], {3: 1, -1: 3}), 3.0),
+    "sphere packing over q = 1": lambda: hamming_bound_ok(4, 2, 3, 1),
+    "Krawtchouk column of negative length": lambda: krawtchouk_column(1, -2, 2, 3),
+    "length kernel over q = 5": lambda: list(length_candidates(5, 10)),
     "no columns": lambda: FieldMatrix(GF2, (), 0),
     "ragged packed rows": lambda: FieldMatrix(GF2, (b"\x00",), 2),
     "ragged rows": lambda: FieldMatrix.from_rows(GF2, [[1, 0], [1]]),

@@ -403,13 +403,14 @@ def test_kernel_packs_each_column_once(monkeypatch, run, columns):
 
 @pytest.mark.parametrize("run,divisions", [
     (lambda: enumerate_candidates(2, 4, 71), 1216),
-    (lambda: enumerate_candidates(3, 3, 39), 9873),
+    (lambda: enumerate_candidates(3, 3, 39), 5028),  # 9873 with k up to n, not n - w1 + 1
 ], ids=["table1", "table2"])
 def test_kernel_division_count_pins_its_steps(monkeypatch, run, divisions):
     """Every (triple, k) step of the kernel divides once for A_2, and
-    further for A_1, A_3 and B_3: the count moves with the first k of each
-    triple, which changes no output (below the Hamming floor no frequency
-    triple is positive)."""
+    further for A_1, A_3 and B_3: the count moves with the first and the
+    last k of each triple, which changes no output (below the Hamming floor
+    no frequency triple is positive, and for q = 3 no k past n - w1 + 1
+    has a nonnegative dual distribution)."""
     count = []
 
     def counted(a, b):
@@ -615,8 +616,9 @@ def test_length_kernel_matches_evaluate_candidate(q, n_max, cases):
     and with equal frequencies, dual distributions and gcds.  The lengths
     start at 1, so n = 1, 2 and the lengths with no integral weight sum
     3n(q-1)/q are covered (both routes yield nothing there).  The reference
-    route has no Hamming floor, so finding q^k >= 1 + n(q-1) on every case
-    it admits checks, on its own, the bound the kernel cuts at."""
+    route has no Hamming floor and, for q = 3, no cap below k <= n, so
+    finding q^k >= 1 + n(q-1) and k <= n - w1 + 1 on every case it admits
+    checks, on its own, the two bounds the kernel cuts at."""
     seen = 0
     for n in range(1, n_max + 1):
         want = []
@@ -626,6 +628,7 @@ def test_length_kernel_matches_evaluate_candidate(q, n_max, cases):
                 c = evaluate_candidate(q, n, k, ws)
                 if c is not None:
                     assert q**k >= 1 + n * (q - 1), (n, k, ws)
+                    assert k <= n - ws[0] + 1, (n, k, ws)
                     want.append(c)
         assert list(length_candidates(q, n)) == want, n
     assert seen == cases

@@ -52,16 +52,16 @@ def test_module_has_no_true_division_float_or_math(module):
     assert inexact_constructs(module) == []
 
 
-@pytest.mark.parametrize("module", ["feasibility.py", "curve.py"])
+@pytest.mark.parametrize("module", ["feasibility.py", "triples.py", "curve.py"])
 def test_module_uses_only_integer_math(module):
     assert inexact_constructs(module, frozenset({"comb", "gcd", "isqrt"})) == []
 
 
 def test_inexact_constructs_flags_what_it_does_not_allow():
-    assert inexact_constructs("feasibility.py") == ["from math import comb, gcd, isqrt"]
-    assert inexact_constructs("feasibility.py", frozenset({"gcd"})) == [
-        "from math import comb, gcd, isqrt"
-    ]
+    assert inexact_constructs("feasibility.py") == ["from math import comb, gcd"]
+    assert inexact_constructs("feasibility.py", frozenset({"gcd"})) == ["from math import comb, gcd"]
+    assert inexact_constructs("triples.py") == ["from math import isqrt"]
+    assert inexact_constructs("triples.py", frozenset({"isqrt"})) == []
     assert "division at line" in " ".join(inexact_constructs("transform.py"))
 
 
