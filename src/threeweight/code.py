@@ -19,16 +19,19 @@ each; projectivity and the anticode key each column by the least numeral
 among its nonzero multiples (`_point_keys`), which is 0 for a zero column
 and the same for two columns exactly when they span one point of
 PG(k-1, q).
+
+`WeightDistribution` and `MultiplicityType` are `NamedTuple`s: immutable,
+iterable, and equal to the plain tuple of their fields.
 """
 
 from __future__ import annotations
 
 import struct
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import and_, getitem, mul, or_, xor
+from typing import NamedTuple
 
 from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
 from .gfmat import _MOD, GF2, FieldMatrix, PrimeField
@@ -45,8 +48,7 @@ _MULTIPLES = {q: tuple(bytes(lam * v % q for v in range(256)) for lam in range(1
 _LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-@dataclass(frozen=True)
-class WeightDistribution:
+class WeightDistribution(NamedTuple):
     """Counts A_i of codewords per weight; zero counts are omitted."""
 
     n: int
@@ -66,8 +68,7 @@ class WeightDistribution:
         return dict(self.counts).get(w, 0)
 
 
-@dataclass(frozen=True)
-class MultiplicityType:
+class MultiplicityType(NamedTuple):
     """Position multiplicity type: m[i] = number of projective equivalence
     classes of positions of size i.  Zero positions form a class of their
     own and make the code non-full-length."""

@@ -15,7 +15,6 @@ search targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
@@ -26,16 +25,21 @@ SEARCH_BOUND_GUARD = 2000
 DEGREE_GUARD = 25
 
 
-@dataclass(frozen=True)
 class CurveQuery:
-    d: int
-    bound: int
+    """A search for the points of h_d = 0 with coordinates of absolute
+    value at most `bound`; both are ints >= 1."""
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
+    __slots__ = ("d", "bound")
+
+    def __init__(self, d: int, bound: int):
+        if not (isinstance(d, int) and isinstance(bound, int)):
+            raise InvalidArgument(f"degree {d!r} and bound {bound!r} must be ints")
+        if d < 1:
             raise InvalidArgument("degree must be >= 1")
-        if self.bound < 1:
+        if bound < 1:
             raise InvalidArgument("bound must be >= 1")
+        self.d = d
+        self.bound = bound
 
 
 def normalize_point(coords: tuple[int, int, int]) -> tuple[int, int, int]:

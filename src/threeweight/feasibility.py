@@ -34,15 +34,18 @@ sphere-packing check on short anticodes).  Each filter returns its
 exclusion reason, or None when it passes or does not apply.  Survivors
 finally pick up static annotations for facts that rest on external tables
 or exhaustive classification runs.
+
+`Candidate`, `Annotation` and `KnWitness` are `NamedTuple`s: immutable (a
+stage returns a `_replace` copy), iterable, and equal to the plain tuple
+of their fields.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from importlib import resources
 from math import comb, gcd
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .code import LinearCode, golay23, parity_check_code, reed_muller, simplex
 from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
@@ -56,14 +59,12 @@ SCAN_GUARD = 8192
 ANTICODE_HAMMING_LIMIT = 512
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(NamedTuple):
     source: str  # codetables | jaffe1997 | exhaustive-LinCode | constructed-example
     verdict: str  # realized | excluded | unlisted
 
 
-@dataclass
-class Candidate:
+class Candidate(NamedTuple):
     """One admissibility record for parameters (q, n, k, w1, w2, w3)."""
 
     q: int
@@ -452,7 +453,7 @@ def apply_filters(candidate: Candidate) -> Candidate:
     found = ((name, check(candidate)) for name, check in _FILTERS.items())
     exclusions = tuple(f"{name}: {why}" for name, why in found if why is not None)
     verdict = "excluded" if exclusions else candidate.verdict
-    return replace(candidate, exclusions=exclusions, verdict=verdict)
+    return candidate._replace(exclusions=exclusions, verdict=verdict)
 
 
 # -- static annotations --------------------------------------------------
@@ -482,7 +483,7 @@ def merge_annotations(candidates: list[Candidate]) -> list[Candidate]:
             c.verdict if c.verdict == "excluded" or ann is not None and ann.verdict == "unlisted"
             else "open" if ann is None else ann.verdict
         )
-        out.append(replace(c, annotation=ann, verdict=verdict))
+        out.append(c._replace(annotation=ann, verdict=verdict))
     return out
 
 
@@ -521,7 +522,7 @@ def counterexample_scan(n_max: int) -> list[Candidate]:
     for n, triples in binary_triples(SCAN_START, n_max, midpoint=False):
         for cand in length_candidates(2, n, triples=triples):
             if all(dodunekov_check(cand, a) is None for a in range(cand.a + 1)):
-                out.append(replace(cand, verdict="open"))
+                out.append(cand._replace(verdict="open"))
     out.sort(key=Candidate.sort_key)
     return out
 
@@ -529,8 +530,7 @@ def counterexample_scan(n_max: int) -> list[Candidate]:
 # -- extremal divisibility witnesses --------------------------------------
 
 
-@dataclass(frozen=True)
-class KnWitness:
+class KnWitness(NamedTuple):
     """Witness code for the largest dimension/length without 2^a-divisibility."""
 
     a: int

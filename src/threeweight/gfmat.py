@@ -9,21 +9,21 @@ nonzero entry is how a row is normalised, and no inverse is computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidArgument
 
 
-@dataclass(frozen=True)
 class PrimeField:
-    """GF(p) for p in {2, 3}; every other field order is rejected."""
+    """GF(p) for p in {2, 3}; every other field order, and every p that is
+    not an int, is rejected."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if self.p not in (2, 3):
-            raise InvalidArgument(f"field order {self.p}: only GF(2) and GF(3) are supported")
+    def __init__(self, p: int):
+        if not isinstance(p, int) or p not in (2, 3):
+            raise InvalidArgument(f"field order {p}: only GF(2) and GF(3) are supported")
+        self.p = p
 
 
 GF2 = PrimeField(2)

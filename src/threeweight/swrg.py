@@ -41,13 +41,14 @@ counts it gives live in the test suite as the independent oracle.
 Triple-sum counts are ordered: sigma_0/sigma_1 count ordered triples
 (x, y, z) in Omega^3 with x + y + z = h.  (An unordered convention would
 differ by a fixed combinatorial factor; both constants are always reported,
-so a convention mismatch is visible.)
+so a convention mismatch is visible.)  `TssInstance` and `SwrgResult` are
+`NamedTuple`s: immutable, iterable, and equal to the plain tuple of their
+fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .code import LinearCode
 from .curve import vandam_lhs
@@ -58,8 +59,7 @@ VERTEX_GUARD = 1 << 14
 WALK_GUARD = 9
 
 
-@dataclass(frozen=True)
-class TssInstance:
+class TssInstance(NamedTuple):
     """Result of a triple-sum-set check on a scalar-closed Omega."""
 
     size: int
@@ -68,8 +68,7 @@ class TssInstance:
     sigma1: int | None
 
 
-@dataclass(frozen=True)
-class SwrgResult:
+class SwrgResult(NamedTuple):
     is_swrg: bool
     s: int
     constants: tuple[int, int, int] | None  # (equal, adjacent, non-adjacent)

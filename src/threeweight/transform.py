@@ -22,13 +22,15 @@ once into one integer, and dual_sequence_exact tests a whole distribution
 on those integers with one quotient test for both fields.
 
 All arithmetic is exact (integers and fractions).  Integrality of a dual
-distribution is always tested, never assumed.
+distribution is always tested, never assumed.  `ThreeWeightSolution` is a
+`NamedTuple`: immutable, iterable, and equal to the plain tuple of its
+fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidArgument, SelfCheckFailed
 
@@ -165,8 +167,7 @@ def dual_distribution(counts: dict[int, int], n: int, q: int, k: int) -> list[Fr
     return [Fraction(v, size) for v in dual_numerators(counts, n, q)]
 
 
-@dataclass(frozen=True)
-class ThreeWeightSolution:
+class ThreeWeightSolution(NamedTuple):
     """Frequencies forced on a putative projective three-weight code.
 
     The values are exact rationals; the tuple is arithmetically realizable

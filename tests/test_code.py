@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -76,11 +75,11 @@ def test_is_projective_is_computed_once_and_kept():
     first = code.is_projective()
     assert code.is_projective() == first and code.is_projective() is first
     assert code._projectivity is first
-    # the kept value is immutable: a bool and the frozen multiplicity type
+    # the kept value is immutable: a bool and the multiplicity type, a NamedTuple
     flag, mult = first
     assert type(first) is tuple and type(flag) is bool
     assert isinstance(mult, MultiplicityType)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         mult.zero_positions = 1
 
 

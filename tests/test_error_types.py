@@ -9,9 +9,10 @@ import pytest
 
 from threeweight import errors
 from threeweight.cli import emit_report
+from threeweight.curve import CurveQuery
 from threeweight.errors import CodesError
 from threeweight.feasibility import Candidate, dodunekov_check, hamming_bound_ok, length_candidates
-from threeweight.gfmat import GF2, FieldMatrix
+from threeweight.gfmat import GF2, FieldMatrix, PrimeField
 from threeweight.swrg import CosetGraph, is_s_swrg, tss_check
 from threeweight.transform import DualLanes, krawtchouk_column, three_weight_solve
 
@@ -40,6 +41,12 @@ ARGUMENT_ERRORS = {
     "sphere packing over q = 1": lambda: hamming_bound_ok(4, 2, 3, 1),
     "Krawtchouk column of negative length": lambda: krawtchouk_column(1, -2, 2, 3),
     "length kernel over q = 5": lambda: list(length_candidates(5, 10)),
+    # these returned a value: GF(2.0), whose coset graph counts 4.0 vertices,
+    # and curve queries that later raised a bare TypeError from range()
+    "field order 2.0": lambda: PrimeField(2.0),
+    "coset graph over GF(2.0)": lambda: CosetGraph(2.0, 2, [1, 2, 3], {3: 1, -1: 3}),
+    "curve query of degree 3.5": lambda: CurveQuery(3.5, 10),
+    "curve query to bound 10.5": lambda: CurveQuery(3, 10.5),
     "no columns": lambda: FieldMatrix(GF2, (), 0),
     "ragged packed rows": lambda: FieldMatrix(GF2, (b"\x00",), 2),
     "ragged rows": lambda: FieldMatrix.from_rows(GF2, [[1, 0], [1]]),

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -336,7 +335,7 @@ def test_pmt_frequencies_agreement_check_raises(monkeypatch):
     def shifted(n, k, w1, w2, w3):
         sol = real(n, k, w1, w2, w3)
         a1, a2, a3 = sol.frequencies
-        return replace(sol, frequencies=(a1 + 1, a2, a3))
+        return sol._replace(frequencies=(a1 + 1, a2, a3))
 
     monkeypatch.setattr(transform_oracles, "three_weight_solve", shifted)
     with pytest.raises(SelfCheckFailed):
