@@ -16,11 +16,13 @@ is what the enumeration and the counterexample scan run; it decides (iv) at
 B_3 before the full dual test.  It starts k at the Hamming floor, the least
 k with q^k >= 1 + n(q-1): the sphere-packing bound on the dual, which
 follows from the Delsarte LP (Delsarte 1973) and below which (iv) and (v)
-admit nothing.  Its triples come from the triples module: for q = 2 only
-those whose cap on k from (iii) reaches the floor, listed by 2-adic residue
-classes of n/2 across a whole range of lengths (binary_triples, which the
-enumeration and the scan each run once per range), and for q = 3 a window
-of w2 per w1 (ternary_triples), with k capped at n - w1 + 1, the Singleton
+admit nothing.  Its caller passes it the length's triples, and they alone
+decide which triples the length gets.  They come from the triples module:
+for q = 2 only those whose cap on k from (iii) reaches the floor, listed by
+2-adic residue classes of n/2 across a whole range of lengths
+(binary_triples, which the enumeration and the scan each run once per
+range; the scan's lists leave out w2 = n/2), and for q = 3 a window of w2
+per w1 (ternary_triples), with k capped at n - w1 + 1, the Singleton
 bound, which (iv) implies.  The cases of one length
 share their Krawtchouk columns, so it packs each one once (DualLanes,
 which sizes its lanes for every k the length can reach) and tests a whole
@@ -177,18 +179,14 @@ def hamming_floor(q: int, n: int) -> int:
     return k
 
 
-def length_candidates(
-    q: int, n: int, midpoint: bool = True, triples: Iterable[tuple[int, int, int]] | None = None
-) -> Iterator[Candidate]:
-    """Every admissible Candidate of length n, in weight_triples order with
-    k ascending: the one production route of enumerate_candidates and
+def length_candidates(q: int, n: int, triples: Iterable[tuple[int, int, int]]) -> Iterator[Candidate]:
+    """Every admissible Candidate of length n among triples, in their order
+    with k ascending: the one production route of enumerate_candidates and
     counterexample_scan.  evaluate_candidate decides the same cases one at
     a time and is the reference this kernel is tested against.  triples is
-    the length's list from triples.binary_triples, which the two binary
-    routes stream over their range of lengths; without it the kernel lists
-    the length's triples itself (binary_triples over the one length, or
-    triples.ternary_triples).  With midpoint=False the triples with w2 at
-    the midpoint n(q-1)/q are never listed (the scan wants only the others).
+    the length's list from the triples module (binary_triples, which the two
+    binary routes stream over their range of lengths, or ternary_triples),
+    in weight_triples order; it alone decides which triples the length gets.
 
     With x_w = K_1(w) = n(q-1) - qw, the moments sum A = q^k - 1 and
     B_1 = B_2 = 0 give each frequency in Lagrange form,
@@ -239,13 +237,13 @@ def length_candidates(
     B_1 = B_2 = 0 hold by construction of the frequencies, and B_3 is known,
     so a dual test that admits the case with any other B_0..B_3 raises.
     """
-    if q not in (2, 3):
+    if not isinstance(q, int) or q not in (2, 3):
         raise InvalidArgument("the kernel supports q in {2, 3}")
+    if not isinstance(n, int):
+        raise InvalidArgument(f"the length {n!r} must be an int")
     s = q - 1
     if 3 * n * s % q:
         return
-    if triples is None:
-        triples = next(binary_triples(n, n, midpoint), (n, []))[1] if q == 2 else ternary_triples(n, midpoint)
     ns = n * s
     k_lo = hamming_floor(q, n)
     lanes = None
@@ -303,6 +301,8 @@ def length_candidates(
 
 def enumerate_candidates(q: int, n_min: int, n_max: int) -> list[Candidate]:
     """Admissible candidates for every length in [n_min, n_max]."""
+    if not (isinstance(n_min, int) and isinstance(n_max, int)):
+        raise InvalidArgument(f"lengths {n_min!r} and {n_max!r} must be ints")
     if q == 2:
         if n_max >= N_GUARD_Q2:
             raise GuardExceeded(f"q=2 enumeration is guarded at n < {N_GUARD_Q2}")
@@ -311,8 +311,8 @@ def enumerate_candidates(q: int, n_min: int, n_max: int) -> list[Candidate]:
             raise GuardExceeded(f"q=3 enumeration is guarded at n <= {N_GUARD_Q3}")
     else:
         raise InvalidArgument("enumeration supports q in {2, 3}")
-    lengths = binary_triples(n_min, n_max) if q == 2 else ((n, None) for n in range(max(n_min, 1), n_max + 1))
-    out = [c for n, triples in lengths for c in length_candidates(q, n, triples=triples)]
+    lengths = binary_triples(n_min, n_max) if q == 2 else ((n, ternary_triples(n)) for n in range(max(n_min, 1), n_max + 1))
+    out = [c for n, triples in lengths for c in length_candidates(q, n, triples)]
     out.sort(key=Candidate.sort_key)
     return out
 
@@ -516,11 +516,13 @@ def counterexample_scan(n_max: int) -> list[Candidate]:
     The scan covers the unresolved lengths 72..n_max (below 72 the midpoint
     property is known to hold, so the scan is empty there by construction).
     """
+    if not isinstance(n_max, int):
+        raise InvalidArgument(f"the scan bound {n_max!r} must be an int")
     if n_max >= SCAN_GUARD:
         raise GuardExceeded(f"scan is guarded at n < {SCAN_GUARD}")
     out = []
     for n, triples in binary_triples(SCAN_START, n_max, midpoint=False):
-        for cand in length_candidates(2, n, triples=triples):
+        for cand in length_candidates(2, n, triples):
             if all(dodunekov_check(cand, a) is None for a in range(cand.a + 1)):
                 out.append(cand._replace(verdict="open"))
     out.sort(key=Candidate.sort_key)

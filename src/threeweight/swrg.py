@@ -92,8 +92,8 @@ class CosetGraph:
 
     def __init__(self, q: int, k: int, omega: Iterable[int], spectrum: Mapping[int, int]):
         PrimeField(q)  # rejects every q but 2 and 3
-        if k < 1:
-            raise InvalidArgument(f"a coset graph needs k >= 1, not {k}")
+        if not isinstance(k, int) or k < 1:
+            raise InvalidArgument(f"a coset graph needs an int k >= 1, not {k!r}")
         self.q = q
         self.k = k
         self.nvertices = q**k

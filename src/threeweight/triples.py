@@ -34,14 +34,13 @@ a + e + e' beyond, so
           need - e - e'           otherwise.
 
 binary_triples walks the blocks in turn, each in chunks of at most CHUNK
-values of m.  At the start of a chunk it lists the pairs with m0 in or
-before the chunk and, per pair and root, the first m of the root's class
-at or past both m0 and the chunk's start, keyed by that m if it lies in
-the chunk.  At each m it takes the progressions due there, lists each
-pair's triple once (two roots can share an m), and moves each progression
-one step 2^a_j on within the chunk.  It holds at most three progressions
-per pair, each one machine word in an array, fewer the shorter the chunk,
-and no triple beyond the length it yields.
+values of m.  For each chunk it lists the pairs with m0 in or before the
+chunk and, per pair and root, appends the pair to the bucket of every m of
+the root's class at or past both m0 and the chunk's start.  The buckets hold
+one reference per hit to the pair's one tuple (u, v), so at most three per
+pair and m, and no triple beyond the length being yielded; at each m the
+pair's triple is listed once (two roots can share an m), and the bucket is
+freed.
 
 Ternary.  Condition (iii) gives no 3-adic cap, so ternary_triples walks
 w1 and, for each, the window of w2 in which A_1 and A_3 can be positive.
@@ -49,11 +48,10 @@ w1 and, for each, the window of w2 in which A_1 and A_3 can be positive.
 
 from __future__ import annotations
 
-from array import array
 from math import isqrt
 from typing import Iterator
 
-CHUNK = 256  # values of m whose progressions are laid out at once
+CHUNK = 256  # values of m whose buckets are filled at once
 
 
 def _pairs(end: int, midpoint: bool) -> Iterator[tuple[int, int, int]]:
@@ -85,14 +83,10 @@ def binary_triples(
         need = lo.bit_length() - 1
         end = min((2 << need) - 1, m_max, lo + CHUNK - 1)
         third = -(-need // 3)
-        # a progression is the int (u * stride + u + v) * base + a_j, as
-        # 0 < u + v < 2u <= stride and a_j <= need < base; it is below
-        # 2^63, the bound of an array("q"), for every m < 2^28
-        stride, base = 2 * end, need + 1
-        due: dict[int, array] = {}
+        found = [[] for _ in range(lo, end + 1)]  # one bucket of pairs per m
         for u, v, m0 in _pairs(end, midpoint):
             start = max(lo, m0)
-            code = (u * stride + u + v) * base
+            pair = (u, v)
             d12, d13, d23 = u - v, 2 * u + v, u + 2 * v  # the roots' differences, all > 0
             e12 = (d12 & -d12).bit_length() - 1
             e13 = (d13 & -d13).bit_length() - 1
@@ -107,38 +101,20 @@ def binary_triples(
                     a = (need - e + 1) // 2
                 else:
                     a = need - e - e2
-                at = start + (root - start) % (1 << a)
-                if at <= end:
-                    if at in due:
-                        due[at].append(code + a)
-                    else:
-                        due[at] = array("q", (code + a,))
+                for m in range(start + (root - start) % (1 << a), end + 1, 1 << a):
+                    found[m - lo].append(pair)
         for m in range(lo, end + 1):
-            pairs = set()  # two roots of one pair can share an m
-            for progression in due.pop(m, ()):
-                pair, a = divmod(progression, base)
-                nxt = m + (1 << a)
-                if nxt in due:
-                    due[nxt].append(progression)
-                elif nxt <= end:
-                    due[nxt] = array("q", (progression,))
-                pairs.add(pair)
-            found = []
-            for pair in pairs:
-                u, s = divmod(pair, stride)  # s = u + v
-                found.append((m - u, m + u - s, m + s))
-            found.sort()
-            yield 2 * m, found
+            # freed once listed, not held to the chunk's end beside the scan's packed columns
+            pairs, found[m - lo] = found[m - lo], None
+            yield 2 * m, sorted({(m - u, m - v, m + u + v) for u, v in pairs})
         lo = end + 1
 
 
-def ternary_triples(n: int, midpoint: bool = True) -> Iterator[tuple[int, int, int]]:
+def ternary_triples(n: int) -> Iterator[tuple[int, int, int]]:
     """The ternary triples of length n, w1 ascending and then w2, inside the
     window of w2 outside which A_1 or A_3 is never positive (derived in
-    feasibility.length_candidates).  With midpoint=False the triples with
-    w2 = 2n/3 are left out."""
+    feasibility.length_candidates)."""
     ns = 2 * n  # n(q - 1), and also the weight sum 3n(q - 1)/q
-    skip = None if midpoint or n % 3 else ns // 3
     for w1 in range(1, ns // 3):
         x1 = ns - 3 * w1  # > 0, as 3 w1 < 2n
         # x_2 < 0 side: n(q-1) + x_1 x_2 > 0
@@ -147,5 +123,4 @@ def ternary_triples(n: int, midpoint: bool = True) -> Iterator[tuple[int, int, i
         # the largest such x_2 is t, the largest t with (2t + x_1)^2 < x_1^2 + 4n(q-1)
         t = (isqrt(x1 * x1 + 4 * ns - 1) - x1) // 2
         for w2 in range(max(w1 + 1, n - w1, (ns - t + 2) // 3), hi + 1):
-            if w2 != skip:
-                yield w1, w2, ns - w1 - w2
+            yield w1, w2, ns - w1 - w2

@@ -11,11 +11,20 @@ from threeweight import errors
 from threeweight.cli import emit_report
 from threeweight.curve import CurveQuery
 from threeweight.errors import CodesError
-from threeweight.feasibility import Candidate, dodunekov_check, hamming_bound_ok, length_candidates
+from threeweight.feasibility import (
+    Candidate,
+    counterexample_scan,
+    dodunekov_check,
+    enumerate_candidates,
+    feasibility_report,
+    hamming_bound_ok,
+    length_candidates,
+)
 from threeweight.gfmat import GF2, FieldMatrix, PrimeField
 from threeweight.swrg import CosetGraph, is_s_swrg, tss_check
 from threeweight.transform import DualLanes, krawtchouk_column, three_weight_solve
 
+from kernel_triples import length_triples
 from swrg_oracles import eigenvalues_from_weights
 from transform_oracles import pmt_frequencies
 
@@ -40,13 +49,25 @@ ARGUMENT_ERRORS = {
     "walk test at a float length": lambda: is_s_swrg(CosetGraph(2, 2, [1, 2, 3], {3: 1, -1: 3}), 3.0),
     "sphere packing over q = 1": lambda: hamming_bound_ok(4, 2, 3, 1),
     "Krawtchouk column of negative length": lambda: krawtchouk_column(1, -2, 2, 3),
-    "length kernel over q = 5": lambda: list(length_candidates(5, 10)),
+    "length kernel over q = 5": lambda: list(length_candidates(5, 10, length_triples(5, 10))),
     # these returned a value: GF(2.0), whose coset graph counts 4.0 vertices,
     # and curve queries that later raised a bare TypeError from range()
     "field order 2.0": lambda: PrimeField(2.0),
     "coset graph over GF(2.0)": lambda: CosetGraph(2.0, 2, [1, 2, 3], {3: 1, -1: 3}),
     "curve query of degree 3.5": lambda: CurveQuery(3.5, 10),
     "curve query to bound 10.5": lambda: CurveQuery(3, 10.5),
+    # these returned floats: a Krawtchouk column [1, 8.0, 27.0, 48.0] and a
+    # coset graph of 4.0 vertices and degree 2.0
+    "Krawtchouk column of float length": lambda: krawtchouk_column(1, 10.0, 2, 3),
+    "Krawtchouk column at a float point": lambda: krawtchouk_column(1.0, 10, 2, 3),
+    "coset graph of float dimension": lambda: CosetGraph(2, 2.0, [1, 2, 3], {3: 1, -1: 3}).summary(),
+    # these ended in a bare TypeError or AttributeError
+    "binary enumeration to a float bound": lambda: enumerate_candidates(2, 4, 71.0),
+    "ternary enumeration to a float bound": lambda: enumerate_candidates(3, 3, 39.0),
+    "scan to a float bound": lambda: counterexample_scan(140.0),
+    "report from a float length": lambda: feasibility_report(2, 4.0, 71),
+    "length kernel at a float length": lambda: list(length_candidates(2, 24.0, length_triples(2, 24))),
+    "length kernel over GF(2.0)": lambda: list(length_candidates(2.0, 24, length_triples(2, 24))),
     "no columns": lambda: FieldMatrix(GF2, (), 0),
     "ragged packed rows": lambda: FieldMatrix(GF2, (b"\x00",), 2),
     "ragged rows": lambda: FieldMatrix.from_rows(GF2, [[1, 0], [1]]),

@@ -42,6 +42,7 @@ from catalog import (
     filter_gap_power_of_2,
     midpoint_gap,
 )
+from kernel_triples import length_triples
 from transform_oracles import dual_sequence, krawtchouk
 
 
@@ -326,7 +327,7 @@ def _first_four(b_seq):
 
 def _kernel_dual_tests(monkeypatch, q, n_max, midpoint=True):
     """Every (args, result) of the dual test the kernel runs up to n_max."""
-    return _dual_tests(monkeypatch, n_max, lambda n: list(length_candidates(q, n, midpoint=midpoint)))
+    return _dual_tests(monkeypatch, n_max, lambda n: list(length_candidates(q, n, length_triples(q, n, midpoint))))
 
 
 def _frequency_survivors(monkeypatch, q, n_max):
@@ -437,7 +438,7 @@ def kernel_to_the_guards():
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(feasibility, "dual_sequence_exact", record)
         for q, n_max in ((2, N_GUARD_Q2 - 1), (3, N_GUARD_Q3)):
-            outputs += [c for n in range(1, n_max + 1) for c in length_candidates(q, n)]
+            outputs += [c for n in range(1, n_max + 1) for c in length_candidates(q, n, length_triples(q, n))]
     return outputs, tests
 
 
@@ -565,7 +566,7 @@ def test_b3_disagreeing_with_the_dual_distribution_raises(monkeypatch):
 
     monkeypatch.setattr(feasibility, "dual_sequence_exact", shifted_b3)
     with pytest.raises(SelfCheckFailed, match=re.escape("B_0..B_3 = (1, 0, 0, 2) of the dual distribution, not (1, 0, 0, 1)")):
-        list(length_candidates(2, 4))
+        list(length_candidates(2, 4, length_triples(2, 4)))
 
 
 def test_dual_test_admitting_a_nonzero_b1_raises(monkeypatch):
@@ -579,13 +580,15 @@ def test_dual_test_admitting_a_nonzero_b1_raises(monkeypatch):
 
     monkeypatch.setattr(feasibility, "dual_sequence_exact", nonzero_b1)
     with pytest.raises(SelfCheckFailed, match=re.escape("B_0..B_3 = (1, 1, 0, 1) of the dual distribution, not (1, 0, 0, 1)")):
-        list(length_candidates(2, 4))
+        list(length_candidates(2, 4, length_triples(2, 4)))
 
 
 def test_midpoint_skip_matches_filtered_kernel(monkeypatch):
     for n in range(1, 513):
-        want = [c for c in length_candidates(2, n) if c.weights[1] * 2 != n]
-        assert list(length_candidates(2, n, midpoint=False)) == want, n
+        every, skipped = length_triples(2, n), length_triples(2, n, midpoint=False)
+        assert skipped == [ws for ws in every if ws[1] * 2 != n], n
+        want = [c for c in length_candidates(2, n, every) if c.weights[1] * 2 != n]
+        assert list(length_candidates(2, n, skipped)) == want, n
     # and the skipped triples reach no dual test
     calls = _kernel_dual_tests(monkeypatch, 2, 140, midpoint=False)
     assert calls and all(ws[1] * 2 != n for (_, n, _, ws, _), _ in calls)
@@ -630,7 +633,7 @@ def test_length_kernel_matches_evaluate_candidate(q, n_max, cases):
                     assert q**k >= 1 + n * (q - 1), (n, k, ws)
                     assert k <= n - ws[0] + 1, (n, k, ws)
                     want.append(c)
-        assert list(length_candidates(q, n)) == want, n
+        assert list(length_candidates(q, n, length_triples(q, n))) == want, n
     assert seen == cases
 
 

@@ -140,6 +140,7 @@ import sys
 from threeweight import feasibility
 from threeweight.errors import SelfCheckFailed
 from threeweight.transform import DualLanes
+from kernel_triples import length_triples
 
 assert False, "asserts must be stripped"
 print("optimize", sys.flags.optimize)
@@ -147,13 +148,13 @@ real = feasibility.dual_sequence_exact
 feasibility.dual_sequence_exact = lambda lanes, k, weights, freqs: (
     lambda b: b[:3] + (b[3] + 1,))(real(lanes, k, weights, freqs))
 try:
-    list(feasibility.length_candidates(2, 4))
+    list(feasibility.length_candidates(2, 4, length_triples(2, 4)))
 except SelfCheckFailed as exc:
     print("B_3 raised:", exc)
 feasibility.dual_sequence_exact = lambda lanes, k, weights, freqs: (
     lambda b: b and (1, 1, 0, b[3]))(real(lanes, k, weights, freqs))
 try:
-    list(feasibility.length_candidates(2, 4))
+    list(feasibility.length_candidates(2, 4, length_triples(2, 4)))
 except SelfCheckFailed as exc:
     print("B_1 raised:", exc)
 feasibility.dual_sequence_exact = real
@@ -168,7 +169,9 @@ print("admitted:", real(DualLanes(2, 4), 3, (1, 2, 3), (1, 3, 3)))
 
 
 def test_b3_self_check_raises_under_python_O():
-    env = dict(os.environ, PYTHONPATH=str(Path(threeweight.__file__).resolve().parents[1]))
+    # the script lists the kernel's triples through tests/kernel_triples.py
+    src = Path(threeweight.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(Path(__file__).resolve().parent))))
     done = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_B3_CHECK],
         capture_output=True, text=True, env=env, timeout=60,

@@ -52,11 +52,10 @@ def test_binary_triples_stream_block_by_block():
     assert (n, triples) == (SCAN_START, list(window_triples(2, SCAN_START, False)))
 
 
-@pytest.mark.parametrize("midpoint", [True, False])
-def test_ternary_triples_match_the_window_loop(midpoint):
+def test_ternary_triples_match_the_window_loop():
     for n in range(1, 244):
-        triples = list(ternary_triples(n, midpoint))
-        assert triples == list(window_triples(3, n, midpoint)), n
+        triples = list(ternary_triples(n))
+        assert triples == list(window_triples(3, n)), n
         # a subsequence of every triple of the length, in its order
         everything = iter(weight_triples(3, n))
         assert all(t in everything for t in triples), n

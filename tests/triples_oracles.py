@@ -1,7 +1,7 @@
 """Independent second route for `threeweight.triples`.
 
-The library lists binary triples by 2-adic residue classes of m = n/2, one
-progression per (u, v) pair and root, across a whole range of lengths.
+The library lists binary triples by 2-adic residue classes of m = n/2, the
+class of each (u, v) pair and root, across a whole range of lengths.
 `window_triples` is the per-length loop the feasibility kernel ran before:
 for each w1 it walks the window of w2 in which A_1 and A_3 can be positive,
 forms every triple there, and for q = 2 drops those whose cap on k from
