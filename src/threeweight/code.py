@@ -2,15 +2,18 @@
 constructions (simplex, first-order Reed-Muller, direct sums, anticodes,
 the length-23 Golay code).
 
-Codes are immutable.  Weight distributions come from full codeword
+Codes are immutable.  Weight distributions come from codeword
 enumeration, bit-sliced by blocks of messages: the messages that share
 their last k - b coordinates form one block, one bit each, with q^b <=
-BLOCK_BITS.  Per generator column, the level sets of its inner product
-with the first b coordinates are built once; in each block the zero set of
-every codeword coordinate is one of them, a carry-save adder sums the n
-zero sets into bit planes of the zero count, and a depth-first split of
-the planes ends in one popcount per weight.  The same kernel serves GF(2)
-and GF(3).
+BLOCK_BITS.  Scalar multiples have the same weight, so the block whose
+last coordinates are zero is enumerated once and one block per class of
+nonzero multiples of the last coordinates is enumerated and counted q - 1
+times.  Per generator column, the level sets of its inner product with the
+first b coordinates are built once; in each block the zero set of every
+codeword coordinate is one of them, a carry-save adder sums the n zero
+sets into bit planes of the zero count, and a depth-first split of the
+planes ends in one popcount per weight.  The same kernel serves GF(2) and
+GF(3).
 
 Columns are read as base-q numerals, the first row the lowest digit, all
 columns of a generator in one pass of lane arithmetic on the packed rows
@@ -221,7 +224,8 @@ def _bit_planes(masks: list[int]) -> list[int]:
 
 
 def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
-    """counts[w] = number of codewords of weight w, over all q^k messages.
+    """counts[w] = number of codewords of weight w, each class of nonzero
+    scalar multiples enumerated once and counted q - 1 times.
 
     A message is x = (x_lo, x_hi), x_lo its first b coordinates, b <= k the
     largest with q^b <= BLOCK_BITS (at least 1).  Coordinate j of the
@@ -231,7 +235,18 @@ def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
     carry-save adder sums the n zero sets into bit planes of the zero
     count, and a depth-first split of the planes ends in one popcount per
     weight.  The blocks follow the modular Gray code over x_hi, one row
-    added per step.
+    added per step: after step t, digit i of x_hi is
+    floor(t/q^i) - floor(t/q^(i+1)) mod q.
+
+    Only the blocks at t = 0 and at t with leading base-q digit 1 are
+    split.  For q^p <= t < q^(p+1) with leading digit lam, digit p of x_hi
+    is lam, the digits above it are 0, and as t runs over
+    [lam q^p, (lam+1) q^p) the digits below p run over all of F_q^p (the
+    Gray code of t - lam q^p, digit p-1 shifted by -lam).  So those blocks
+    hold the messages lam (x_lo, y, 1, 0, ...) for every x_lo and y, lam
+    times the messages of [q^p, 2q^p), and x -> lam x keeps the weight:
+    each block with t >= 1 is counted q - 1 times.  Over GF(2) every t >= 1
+    has leading digit 1 and q - 1 = 1, so every block is split once.
     """
     k, n = len(rows), len(rows[0])
     b = 1
@@ -243,14 +258,19 @@ def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
     steps = [int.from_bytes(row.translate(_MULTIPLES[q][-1]), "little") for row in rows[b:]]
     neg = bytes(n)  # -<x_hi, c_hi> per column
     counts = [0] * (n + 1)
+    top = 1  # q^p <= t
     for t in range(q ** (k - b)):
         if t:  # step t of the Gray code adds row b + nu_q(t)
-            i = 0
-            while t % q == 0:
-                t //= q
+            i, s = 0, t
+            while s % q == 0:
+                s //= q
                 i += 1
             neg = (int.from_bytes(neg, "little") + steps[i]).to_bytes(n, "little")
             neg = neg.translate(_MOD[q])
+            if t == top * q:
+                top = t
+            if t >= 2 * top:  # [lead q^p, (lead+1) q^p) is lead times [q^p, 2 q^p)
+                continue
         planes = _bit_planes(list(map(getitem, levels, neg)))
         stack = [(full, len(planes), n)]
         while stack:  # each entry: the messages whose zero count agrees above plane i
@@ -264,7 +284,10 @@ def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
                     mask = zeros
                     w -= 1 << i
             counts[w] += mask.bit_count()
-    return counts
+        if not t:
+            first = counts[:]
+    # block 0 counts once and every later split block q - 1 times
+    return [f + (q - 1) * (c - f) for c, f in zip(counts, first)]
 
 
 class LinearCode:
@@ -300,7 +323,8 @@ class LinearCode:
         return f"LinearCode([{self.n},{self.k}]_{self.q})"
 
     def weight_distribution(self) -> WeightDistribution:
-        """Exact counts by full codeword enumeration (guarded at 2^26)."""
+        """Exact counts by codeword enumeration, one block of messages per
+        class of scalar multiples (guarded at q^k <= 2^26)."""
         if self._distribution is not None:
             return self._distribution
         if self.q**self.k > ENUMERATION_GUARD:
@@ -432,8 +456,8 @@ def _projective_points(p: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 def simplex(q: int, k: int) -> LinearCode:
     """Sim_q(k): all points of PG(k-1, q) as columns; constant weight q^(k-1)."""
-    if k < 1:
-        raise InvalidArgument("simplex needs k >= 1")
+    if not isinstance(k, int) or k < 1:
+        raise InvalidArgument(f"simplex needs an int k >= 1, not {k!r}")
     field = PrimeField(q)
     return LinearCode(field, FieldMatrix.from_columns(field, _projective_points(q, k)))
 
@@ -444,8 +468,8 @@ def reed_muller(q: int, k: int) -> LinearCode:
     Columns are all (1, a_2, ..., a_k); the all-one word is the last
     generator row (the 4*Delta test oracle relies on that layout).
     """
-    if k < 2:
-        raise InvalidArgument("first-order Reed-Muller needs k >= 2")
+    if not isinstance(k, int) or k < 2:
+        raise InvalidArgument(f"first-order Reed-Muller needs an int k >= 2, not {k!r}")
     field = PrimeField(q)
     cols = [pt for pt in _projective_points(q, k) if pt[0] == 1]
     # rows: coordinate functionals a_2..a_k, then the all-one row
@@ -456,8 +480,8 @@ def reed_muller(q: int, k: int) -> LinearCode:
 
 def parity_check_code(n: int) -> LinearCode:
     """Binary [n, n-1] even-weight code."""
-    if n < 2:
-        raise InvalidArgument("parity-check code needs n >= 2")
+    if not isinstance(n, int) or n < 2:
+        raise InvalidArgument(f"parity-check code needs an int n >= 2, not {n!r}")
     rows = [tuple(1 if j in (i, n - 1) else 0 for j in range(n)) for i in range(n - 1)]
     return LinearCode(GF2, FieldMatrix.from_rows(GF2, rows))
 

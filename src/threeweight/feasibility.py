@@ -133,6 +133,8 @@ def weight_triples(q: int, n: int) -> list[tuple[int, int, int]]:
     (w1, w2): the cases of evaluate_candidate.  length_candidates visits
     those its triples lists (the window of w2 and, for q = 2, the cap at
     the floor) in the same order."""
+    if not (isinstance(q, int) and isinstance(n, int)):
+        raise InvalidArgument(f"weight triples need an int field order and length, not q = {q!r}, n = {n!r}")
     if (3 * n * (q - 1)) % q != 0:
         return []
     target = 3 * n * (q - 1) // q
@@ -147,6 +149,8 @@ def weight_triples(q: int, n: int) -> list[tuple[int, int, int]]:
 
 def evaluate_candidate(q: int, n: int, k: int, weights: tuple[int, int, int]) -> Candidate | None:
     """Run conditions (i)-(v); return the admissible Candidate or None."""
+    if not (isinstance(q, int) and isinstance(n, int) and isinstance(k, int)):
+        raise InvalidArgument(f"a candidate needs an int q, n and k, not {(q, n, k)!r}")
     w1, w2, w3 = weights
     if not (1 <= w1 < w2 < w3 <= n):
         return None
@@ -372,8 +376,10 @@ def hamming_bound_ok(n: int, k: int, d: int, q: int) -> bool:
     T > room fails and (r+1) T <= room holds; only a room between them
     needs the whole sum.
     """
-    if q not in (2, 3):
-        raise InvalidArgument(f"the sphere-packing test supports q in {{2, 3}}, not q = {q}")
+    if not (isinstance(n, int) and isinstance(k, int) and isinstance(d, int)):
+        raise InvalidArgument(f"the sphere-packing test needs an int n, k and d, not {(n, k, d)!r}")
+    if not isinstance(q, int) or q not in (2, 3):
+        raise InvalidArgument(f"the sphere-packing test supports q in {{2, 3}}, not q = {q!r}")
     if not (1 <= d <= n):
         raise InvalidArgument("need 1 <= d <= n")
     r, room = (d - 1) // 2, q**n // q**k

@@ -96,8 +96,8 @@ class DualLanes:
     B_i <= sum_i B_i = q^(n-k) <= q^n < 2^(L-2) / q^k_cap <= 2^t."""
 
     def __init__(self, q: int, n: int):
-        if n < 1:
-            raise InvalidArgument(f"Krawtchouk lanes need a length n >= 1, not {n}")
+        if not (isinstance(q, int) and isinstance(n, int)) or n < 1:
+            raise InvalidArgument(f"Krawtchouk lanes need an int q and a length n >= 1, not q = {q!r}, n = {n!r}")
         self.q, self.n = q, n
         self.k_cap = 3 * n.bit_length() - 2 if q == 2 else n
         self.count = n // 2 + 1 if q == 2 else n + 1
@@ -204,6 +204,8 @@ def three_weight_solve(n: int, k: int, w1: int, w2: int, w3: int) -> ThreeWeight
     cross-checked against the Krawtchouk transform, its columns stepped only
     to K_3 (B_1 = B_2 = 0 and the same B_3 must reappear).
     """
+    if not all(isinstance(v, int) for v in (n, k, w1, w2, w3)):
+        raise InvalidArgument(f"the moments need an int n, k and weights, not {(n, k, w1, w2, w3)!r}")
     if len({w1, w2, w3}) != 3:
         raise InvalidArgument(f"weights must be distinct, got {(w1, w2, w3)}")
     if not (1 <= w1 < w2 < w3 <= n):

@@ -9,6 +9,7 @@ import pytest
 
 from threeweight import errors
 from threeweight.cli import emit_report
+from threeweight.code import parity_check_code, reed_muller, simplex
 from threeweight.curve import CurveQuery
 from threeweight.errors import CodesError
 from threeweight.feasibility import (
@@ -16,9 +17,11 @@ from threeweight.feasibility import (
     counterexample_scan,
     dodunekov_check,
     enumerate_candidates,
+    evaluate_candidate,
     feasibility_report,
     hamming_bound_ok,
     length_candidates,
+    weight_triples,
 )
 from threeweight.gfmat import GF2, FieldMatrix, PrimeField
 from threeweight.swrg import CosetGraph, is_s_swrg, tss_check
@@ -68,6 +71,14 @@ ARGUMENT_ERRORS = {
     "report from a float length": lambda: feasibility_report(2, 4.0, 71),
     "length kernel at a float length": lambda: list(length_candidates(2, 24.0, length_triples(2, 24))),
     "length kernel over GF(2.0)": lambda: list(length_candidates(2.0, 24, length_triples(2, 24))),
+    "weight triples of a float length": lambda: weight_triples(2, 24.0),
+    "three-weight solve at a float length": lambda: three_weight_solve(8.0, 3, 2, 4, 6),
+    "sphere packing at a float length": lambda: hamming_bound_ok(4.0, 2, 3, 2),
+    "simplex of float dimension": lambda: simplex(2, 3.0),
+    "dual lanes of a float length": lambda: DualLanes(2, 4.0),
+    "candidate of a float length": lambda: evaluate_candidate(2, 24.0, 5, (10, 12, 14)),
+    "Reed-Muller code of float dimension": lambda: reed_muller(2, 3.0),
+    "parity-check code of float length": lambda: parity_check_code(4.0),
     "no columns": lambda: FieldMatrix(GF2, (), 0),
     "ragged packed rows": lambda: FieldMatrix(GF2, (b"\x00",), 2),
     "ragged rows": lambda: FieldMatrix.from_rows(GF2, [[1, 0], [1]]),

@@ -156,10 +156,11 @@ def rows_with_zero_columns(q: int, k: int, seed: int) -> list[tuple[int, ...]]:
 
 
 # A small block forces several blocks: BLOCK_BITS = 8 gives b = 3 over GF(2)
-# and b = 1 over GF(3), and 27 gives b = 4 and b = 3.
+# and b = 1 over GF(3), and 27 gives b = 4 and b = 3.  Three extra rows walk
+# the Gray code's steps through leading digits at q^0, q^1 and q^2.
 @pytest.mark.parametrize("block_bits", [8, 27])
 @pytest.mark.parametrize("q", FIELDS)
-@pytest.mark.parametrize("extra", [0, 1, 2])
+@pytest.mark.parametrize("extra", [0, 1, 2, 3])
 def test_multi_block_enumeration_matches_both_oracles(monkeypatch, block_bits, q, extra):
     monkeypatch.setattr(code_module, "BLOCK_BITS", block_bits)
     b = low_digits(q, block_bits)
@@ -167,3 +168,19 @@ def test_multi_block_enumeration_matches_both_oracles(monkeypatch, block_bits, q
     expected = recursive_weight_counts(tuple(rows), q)
     assert distribution(q, rows) == expected
     assert gray_weight_counts(tuple(rows), q, GRAY_SPAN) == expected
+
+
+# Of the q^D blocks over D high digits, the kernel splits the first and those
+# whose Gray step has leading digit 1, one per point of PG(D-1, q): all 2^D
+# over GF(2) and 1 + (3^D - 1)/2 over GF(3).
+@pytest.mark.parametrize("q", FIELDS)
+@pytest.mark.parametrize("high", range(5))
+def test_one_block_per_class_of_scalar_multiples(monkeypatch, q, high):
+    monkeypatch.setattr(code_module, "BLOCK_BITS", 8)
+    calls = []
+    split = code_module._bit_planes
+    monkeypatch.setattr(code_module, "_bit_planes", lambda masks: calls.append(masks) or split(masks))
+    k = low_digits(q, 8) + high
+    rows = random_full_rank_rows(q, k, k + 3, 11 * q + high)
+    assert distribution(q, rows) == recursive_weight_counts(tuple(rows), q)
+    assert len(calls) == 1 + (q**high - 1) // (q - 1)
