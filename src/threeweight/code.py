@@ -236,7 +236,7 @@ def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
     count, and a depth-first split of the planes ends in one popcount per
     weight.  The blocks follow the modular Gray code over x_hi, one row
     added per step: after step t, digit i of x_hi is
-    floor(t/q^i) - floor(t/q^(i+1)) mod q.
+    (floor(t/q^i) - floor(t/q^(i+1))) mod q.
 
     Only the blocks at t = 0 and at t with leading base-q digit 1 are
     split.  For q^p <= t < q^(p+1) with leading digit lam, digit p of x_hi
@@ -269,7 +269,7 @@ def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
             neg = neg.translate(_MOD[q])
             if t == top * q:
                 top = t
-            if t >= 2 * top:  # [lead q^p, (lead+1) q^p) is lead times [q^p, 2 q^p)
+            if t >= 2 * top:  # [lam q^p, (lam+1) q^p) is lam times [q^p, 2 q^p)
                 continue
         planes = _bit_planes(list(map(getitem, levels, neg)))
         stack = [(full, len(planes), n)]

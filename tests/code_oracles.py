@@ -3,10 +3,11 @@
 Weight distributions: the library counts the zero coordinates of a block
 of messages at once, bit-sliced, one message per bit, and enumerates one
 block per class of scalar multiples of the high coordinates, counted
-q - 1 times.  Both routes here visit all q^k messages.  `recursive_weight_counts`
-recurses over the coefficient of each row in turn and builds every codeword
-as a tuple from the previous one.  `gray_weight_counts` visits the codewords
-in a third order, the modular q-ary Gray code, one row added per step.
+q - 1 times.  Both routes here visit all q^k messages.
+`recursive_weight_counts` recurses over the coefficient of each row in
+turn and builds every codeword as a tuple from the previous one.
+`gray_weight_counts` visits the codewords in a third order, the modular
+q-ary Gray code, one row added per step.
 
 Dual codes: the library needs no null space, so `kernel_basis` reads one
 off the reduced row-echelon form for the tests that build a dual code.

@@ -170,8 +170,8 @@ def test_multi_block_enumeration_matches_both_oracles(monkeypatch, block_bits, q
     assert gray_weight_counts(tuple(rows), q, GRAY_SPAN) == expected
 
 
-# Of the q^D blocks over D high digits, the kernel splits the first and those
-# whose Gray step has leading digit 1, one per point of PG(D-1, q): all 2^D
+# Of the q^D blocks over D high digits, the kernel splits the first and, one
+# per point of PG(D-1, q), those whose Gray step has leading digit 1: all 2^D
 # over GF(2) and 1 + (3^D - 1)/2 over GF(3).
 @pytest.mark.parametrize("q", FIELDS)
 @pytest.mark.parametrize("high", range(5))
