@@ -23,11 +23,11 @@ for q = 2 only those whose cap on k from (iii) reaches the floor, listed by
 (binary_triples, which the enumeration and the scan each run once per
 range; the scan's lists leave out w2 = n/2), and for q = 3 a window of w2
 per w1 (ternary_triples), with k capped at n - w1 + 1, the Singleton
-bound, which (iv) implies.  The cases of one length
-share their Krawtchouk columns, so it packs each one once (DualLanes,
-which sizes its lanes for every k the length can reach) and tests a whole
-dual distribution with one quotient test on big integers, the same for
-both fields (dual_sequence_exact, both in transform).
+bound, which (iv) implies.  The dual test (transform.dual_sequence_exact)
+computes only a few lanes of B_0..B_n, by three facts derived in its
+docstring: integrality from the binomial moments q^(k-nu) | T_nu, positive
+signs on one interval of middle lanes from Krawtchouk orthogonality and
+Cauchy-Schwarz, and the lanes outside that interval from short columns.
 evaluate_candidate decides one case and is the reference the kernel is
 tested against.
 Survivors then run a chain of exclusion filters (length divisibility, the
@@ -51,7 +51,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .code import LinearCode, golay23, parity_check_code, reed_muller, simplex
 from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
-from .transform import DualLanes, dual_sequence_exact, forced_frequencies, krawtchouk_column
+from .transform import dual_sequence_exact, forced_frequencies, krawtchouk_column
 from .transform import three_weight_solve  # read by perfbench/test_perfbench.py
 from .triples import binary_triples, ternary_triples
 
@@ -166,7 +166,7 @@ def evaluate_candidate(q: int, n: int, k: int, weights: tuple[int, int, int]) ->
     freqs = forced_frequencies(q, n, k, weights)
     if freqs is None:
         return None  # condition (iv): frequencies
-    b_seq = dual_sequence_exact(DualLanes(q, n), k, weights, freqs)
+    b_seq = dual_sequence_exact(q, n, k, weights, freqs)
     if b_seq is None:
         return None  # condition (iv): dual distribution
     if b_seq[0] != 1 or b_seq[1] != 0 or b_seq[2] != 0:
@@ -177,6 +177,8 @@ def evaluate_candidate(q: int, n: int, k: int, weights: tuple[int, int, int]) ->
 def hamming_floor(q: int, n: int) -> int:
     """The least k with q^k >= 1 + n(q-1): no admissible case of length n
     has a smaller dimension (the bound is derived in length_candidates)."""
+    if not (isinstance(q, int) and isinstance(n, int)):
+        raise InvalidArgument(f"the Hamming floor needs an int q and n, not q = {q!r}, n = {n!r}")
     k = 1
     while q**k <= n * (q - 1):
         k += 1
@@ -236,8 +238,7 @@ def length_candidates(q: int, n: int, triples: Iterable[tuple[int, int, int]]) -
     Per k, q^(k-2) is stepped and each frequency is one divmod.  Once all
     three are positive integers, q^k B_3 = K_3(0) + sum_j A_j K_3(w_j), the
     K_3 values read from transform.krawtchouk_column once per triple,
-    rejects a fractional or negative B_3 before the dual test, on lanes
-    built at the length's first case past the B_3 step.  B_0 = 1 and
+    rejects a fractional or negative B_3 before the dual test.  B_0 = 1 and
     B_1 = B_2 = 0 hold by construction of the frequencies, and B_3 is known,
     so a dual test that admits the case with any other B_0..B_3 raises.
     """
@@ -250,7 +251,6 @@ def length_candidates(q: int, n: int, triples: Iterable[tuple[int, int, int]]) -
         return
     ns = n * s
     k_lo = hamming_floor(q, n)
-    lanes = None
     for weights in triples:
         w1, w2, w3 = weights
         if q == 2:
@@ -289,9 +289,7 @@ def length_candidates(q: int, n: int, triples: Iterable[tuple[int, int, int]]) -
                         k3 = k3 or [krawtchouk_column(x, n, q, 3)[3] for x in (0, *weights)]
                         b3, rem = divmod(k3[0] + a1 * k3[1] + a2 * k3[2] + a3 * k3[3], q * q * y)
                         # condition (iv) at B_3, then on all of B_0..B_n; then (v)
-                        b_seq = not rem and b3 >= 0 and dual_sequence_exact(
-                            lanes := lanes or DualLanes(q, n), k, weights, freqs
-                        )
+                        b_seq = not rem and b3 >= 0 and dual_sequence_exact(q, n, k, weights, freqs)
                         if b_seq:
                             if b_seq != (1, 0, 0, b3):
                                 raise SelfCheckFailed(

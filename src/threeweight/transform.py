@@ -16,10 +16,12 @@ krawtchouk_column steps the three-term Krawtchouk recurrence of one weight,
 the only place that does and the one route to K_i.  dual_numerators sums
 one column per weight into q^k B_i = sum_j K_i(j) A_j, over GF(2) only to
 n // 2 and the rest by the reflection K_{n-i}(x) = (-1)^x K_i(x): the route
-of verify, which reads one distribution once.  The feasibility kernel
-reuses columns across the cases of a length, so DualLanes packs each column
-once into one integer, and dual_sequence_exact tests a whole distribution
-on those integers with one quotient test for both fields.
+of verify, which reads one distribution once.  dual_sequence_exact, the
+feasibility kernel's dual test, computes a few lanes by three facts derived
+in its docstring: the binomial moments q^(k-nu) | T_nu decide integrality
+past them, Krawtchouk orthogonality and Cauchy-Schwarz make q^k B_i positive
+on one interval of middle lanes, and the lanes outside it come from short
+columns (the high end over GF(2) by the reflection).
 
 All arithmetic is exact (integers and fractions).  Integrality of a dual
 distribution is always tested, never assumed.  `ThreeWeightSolution` is a
@@ -30,6 +32,7 @@ fields.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 from .errors import InvalidArgument, SelfCheckFailed
@@ -44,6 +47,8 @@ def dual_numerators(counts: dict[int, int], n: int, q: int) -> list[int]:
     even and of odd weights are summed apart, and the upper half is their
     difference.
     """
+    if not isinstance(n, int):
+        raise InvalidArgument(f"the dual numerators need an int length, not n = {n!r}")
     half = n // 2 if q == 2 else n
     sums = [[0] * (half + 1), [0] * (half + 1)]  # even and odd w over GF(2)
     for w, a in counts.items():
@@ -61,8 +66,8 @@ def krawtchouk_column(x: int, n: int, q: int, imax: int) -> list[int]:
         (i+1) K_{i+1}(x) = ((q-1)(n-i) + i - qx) K_i(x) - (q-1)(n-i+1) K_{i-1}(x),
 
     with every value it divides out checked to be an integer.  It is the one
-    route to K_i: dual_numerators sums these columns, DualLanes packs them,
-    and the feasibility kernel reads K_3 from them."""
+    route to K_i: dual_numerators sums these columns, dual_sequence_exact
+    reads short ones, and the feasibility kernel reads K_3 from them."""
     if not (isinstance(x, int) and isinstance(n, int)):
         raise InvalidArgument(f"a Krawtchouk column needs an int point and length, not x = {x!r}, n = {n!r}")
     if n < 0:
@@ -78,85 +83,71 @@ def krawtchouk_column(x: int, n: int, q: int, imax: int) -> list[int]:
     return col
 
 
-class DualLanes:
-    """The Krawtchouk columns of one length n, each packed once as
-    P_w = sum_i K_i(w) 2^(L i) over the lanes i <= n, or i <= n // 2 over
-    GF(2) (K_{n-i}(x) = (-1)^x K_i(x)), for the cases with k <= k_cap.
-
-    k_cap is n for q = 3, as condition (iii) asks.  For q = 2 it is
-    3 bitlen(n) - 2: condition (iii) 2^(k-2) | w1 w2 w3 gives
-    k <= v2(w1 w2 w3) + 2, and of three distinct weights below 2^bitlen(n)
-    at most one is a multiple of 2^(bitlen(n)-1), so v2(w1 w2 w3) <=
-    3 bitlen(n) - 5 and k <= 3 bitlen(n) - 3.  As |K_i(w)| <= q^(n-w) 2^w
-    <= q^n, each lane of sum_w A_w P_w with A_w >= 0 and sum_w A_w <= q^k
-    lies in (-2^(L-2), 2^(L-2)) when 2^(L-2) > q^(n+k_cap).  quotient_mask,
-    the bits t..L-1 of every lane with t = L - 1 - bitlen(q^k_cap), serves
-    every k <= k_cap: a lane Q_i < 2^t gives q^k Q_i < 2^(L-1), so no lane
-    of q^k Q carries, and a case with every B_i a nonnegative integer has
-    B_i <= sum_i B_i = q^(n-k) <= q^n < 2^(L-2) / q^k_cap <= 2^t."""
-
-    def __init__(self, q: int, n: int):
-        if not (isinstance(q, int) and isinstance(n, int)) or n < 1:
-            raise InvalidArgument(f"Krawtchouk lanes need an int q and a length n >= 1, not q = {q!r}, n = {n!r}")
-        self.q, self.n = q, n
-        self.k_cap = 3 * n.bit_length() - 2 if q == 2 else n
-        self.count = n // 2 + 1 if q == 2 else n + 1
-        self.width = ((q ** (n + self.k_cap)).bit_length() + 9) // 8 * 8
-        self._columns: dict[int, int] = {}
-        lane = (1 << self.width) - (1 << (self.width - 1 - (q**self.k_cap).bit_length()))
-        self.quotient_mask = int.from_bytes(lane.to_bytes(self.width // 8, "little") * self.count, "little")
-
-    def column(self, w: int) -> int:
-        """P_w: each lane in L-bit two's complement, less what the lane below borrows."""
-        if w not in self._columns:
-            size, borrow, chunks = self.width // 8, 0, []
-            for v in krawtchouk_column(w, self.n, self.q, self.count - 1):
-                v -= borrow
-                chunks.append(v.to_bytes(size, "little", signed=True))
-                borrow = v < 0
-            packed = int.from_bytes(b"".join(chunks), "little")
-            self._columns[w] = packed - (1 << self.width * self.count) if borrow else packed
-        return self._columns[w]
-
-
 def dual_sequence_exact(
-    lanes: DualLanes, k: int, weights: tuple[int, int, int], freqs: tuple[int, int, int]
+    q: int, n: int, k: int, weights: tuple[int, int, int], freqs: tuple[int, int, int]
 ) -> tuple[int, int, int, int] | None:
-    """(B_0, B_1, B_2, B_3) of a case of the length of lanes when all of
-    B_0..B_n are nonnegative integers, else None.
+    """(B_0, B_1, B_2, B_3) of the counts {0: 1, w_j: A_j} of length n when
+    all of B_0..B_n are nonnegative integers, else None.  With
+    v_i = K_i(0) = C(n, i) (q-1)^i, three facts decide the signs and
+    integrality of q^k B_i = v_i + sum_j A_j K_i(w_j) from a few lanes.
 
-    N = P_0 + sum_j A_j P_j = q^k Q + r (0 <= r < q^k) holds q^k B_i in lane
-    i.  Every B_i is a nonnegative integer exactly when r = 0 and every lane
-    of Q is below 2^t, t = L - 1 - bitlen(q^k_cap) (lanes.quotient_mask; a
-    negative Q sets a top bit): then the lanes of q^k Q are below 2^(L-1),
-    so they are its digits, while
-    a negative q^k B_i borrows from the lane above and leaves a digit of at
-    least 2^L - 2^(L-2) - 1.  Over GF(2), when some weight with A_j > 0 is
-    odd, the mirror P_0 + sum_j (-1)^(w_j) A_j P_j, with q^k B_(n-i) in lane
-    i, meets the same test.  A k past lanes.k_cap, or frequencies that are
-    negative or sum past q^k - 1, raise.
+    Integrality.  The binomial moments (MacWilliams and Sloane, Ch. 5)
+
+        T_nu = C(n, nu) + sum_j A_j C(n - w_j, nu) = q^(k-nu) sum_(i <= nu) C(n-i, nu-i) B_i
+
+    are a unitriangular integer system in B, and T_nu / q^(k-nu) is an
+    integer for every nu >= k.  So every B_i is an integer exactly when the
+    lanes computed exactly (B_0..B_3 among them) are multiples of q^k and
+    q^(k-nu) | T_nu for each nu < k past them.
+
+    Signs in the middle.  Krawtchouk orthogonality, sum_x v_x K_i(x)^2 =
+    q^n v_i, gives K_i(w)^2 v_w <= q^n v_i, so by Cauchy-Schwarz over the
+    three weights (sum_j A_j K_i(w_j))^2 <= v_i N / D, with D = prod_j
+    v_(w_j) and N = 3 q^n sum_j A_j^2 D / v_(w_j).  So q^k B_i > 0 wherever
+    v_i > floor(N / D), and as v is log-concave in i these lanes form one
+    interval, from the first such lane lo.
+
+    Exact lanes.  The lanes below lo come from short krawtchouk_columns
+    (K_i(0) = v_i from the walk to lo).
+    Over GF(2) v_(n-i) = v_i, so the interval ends at n - lo, and the lanes
+    above it are q^k B_(n-i) = sum_w (-1)^w A_w K_i(w) for i < lo, by
+    K_(n-i)(x) = (-1)^x K_i(x).  Over GF(3) the interval must reach i = n
+    (v_n = 2^n past the bound); otherwise, or when the interval is empty,
+    dual_numerators gives every lane.
     """
-    q, n, width = lanes.q, lanes.n, lanes.width
-    size, first = q**k, (1 << 4 * width) - 1  # lanes 0..3
-    if k > lanes.k_cap or min(freqs) < 0 or sum(freqs) >= size:
-        raise SelfCheckFailed(
-            f"lanes of width {width} for q={q}, n={n}, k <= {lanes.k_cap} cannot hold k={k}, frequencies {freqs}"
+    (w1, w2, w3), (a1, a2, a3) = weights, freqs
+    if not (isinstance(q, int) and isinstance(n, int) and isinstance(k, int)) or not (
+        q in (2, 3) and k >= 0 and 0 < w1 < w2 < w3 <= n
+    ):
+        raise InvalidArgument(
+            f"the dual test needs q in {{2, 3}}, int n and k >= 0, 0 < w1 < w2 < w3 <= n: {(q, n, k, weights)!r}"
         )
-    even, odd = lanes.column(0), 0  # N = even + odd, split by the parity of w_j over GF(2)
-    for w, a in zip(weights, freqs):
-        if q == 2 and w & 1:
-            odd += a * lanes.column(w)
-        else:
-            even += a * lanes.column(w)
-    heads = []
-    for total in (even + odd, even - odd) if odd else (even,):
-        quotient, rem = divmod(total, size)
-        if rem or quotient & lanes.quotient_mask:
+    size, s = q**k, q - 1
+    u1, u2, u3 = comb(n, w1) * s**w1, comb(n, w2) * s**w2, comb(n, w3) * s**w3
+    bound = 3 * q**n * (a1 * a1 * u2 * u3 + a2 * a2 * u1 * u3 + a3 * a3 * u1 * u2) // (u1 * u2 * u3)
+    lo, v = 0, [1]  # v_0..v_lo
+    while lo <= n and v[lo] <= bound:
+        v.append(v[lo] * (n - lo) * s // (lo + 1))
+        lo += 1
+    if lo > n or q == 3 and 2**n <= bound:
+        lo = top = n + 1
+        lanes, mirror = dual_numerators({0: 1, w1: a1, w2: a2, w3: a3}, n, q), []
+    else:
+        top = max(lo, 4)  # the lanes computed exactly
+        k0 = v[:top] if lo >= 4 else krawtchouk_column(0, n, q, 3)
+        k1, k2, k3 = (krawtchouk_column(w, n, q, top - 1) for w in weights)
+        lanes = [c0 + a1 * c1 + a2 * c2 + a3 * c3 for c0, c1, c2, c3 in zip(k0, k1, k2, k3)]
+        b1, b2, b3 = (-a if w & 1 else a for w, a in zip(weights, freqs))  # q^k B_(n-i) over GF(2)
+        mirror = [c0 + b1 * c1 + b2 * c2 + b3 * c3 for c0, c1, c2, c3 in zip(k0[:lo], k1, k2, k3)] if q == 2 else []
+    if min(lanes[:lo] + mirror, default=0) < 0 or any(x % size for x in lanes[:top]):
+        return None
+    c0, c1, c2, c3 = comb(n, top), comb(n - w1, top), comb(n - w2, top), comb(n - w3, top)
+    for nu in range(top, k):  # the moments past the exact lanes, their binomials stepped in nu
+        if (c0 + a1 * c1 + a2 * c2 + a3 * c3) % q ** (k - nu):
             return None
-        heads.append(quotient & first)
-    low, mirror, lane = heads[0], heads[-1], (1 << width) - 1
-    # over GF(2) with n < 6, B_3 lies past the lanes of low, in lane n - 3 of mirror
-    return tuple((low >> width * i if i < lanes.count else mirror >> width * (n - i)) & lane for i in range(4))
+        d = nu + 1
+        c0, c1, c2, c3 = c0 * (n - nu) // d, c1 * (n - w1 - nu) // d, c2 * (n - w2 - nu) // d, c3 * (n - w3 - nu) // d
+    return tuple(x // size for x in lanes[:4])
 
 
 def dual_distribution(counts: dict[int, int], n: int, q: int, k: int) -> list[Fraction]:

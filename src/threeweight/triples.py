@@ -51,6 +51,8 @@ from __future__ import annotations
 from math import isqrt
 from typing import Iterator
 
+from .errors import InvalidArgument
+
 CHUNK = 256  # values of m whose buckets are filled at once
 
 
@@ -78,6 +80,8 @@ def binary_triples(
     binary triples of length n inside the kernel's window of w2 that pass
     the cap of condition (iii) at the Hamming floor, sorted by (w1, w2).
     With midpoint=False the triples with w2 = n/2 are left out."""
+    if not (isinstance(n_min, int) and isinstance(n_max, int)):
+        raise InvalidArgument(f"binary triples need int bounds, not {n_min!r} and {n_max!r}")
     lo, m_max = max(n_min + 1, 2) // 2, n_max // 2
     while lo <= m_max:
         need = lo.bit_length() - 1
@@ -104,7 +108,7 @@ def binary_triples(
                 for m in range(start + (root - start) % (1 << a), end + 1, 1 << a):
                     found[m - lo].append(pair)
         for m in range(lo, end + 1):
-            # freed once listed, not held to the chunk's end beside the scan's packed columns
+            # freed once listed, not held to the chunk's end
             pairs, found[m - lo] = found[m - lo], None
             yield 2 * m, sorted({(m - u, m - v, m + u + v) for u, v in pairs})
         lo = end + 1
@@ -114,6 +118,8 @@ def ternary_triples(n: int) -> Iterator[tuple[int, int, int]]:
     """The ternary triples of length n, w1 ascending and then w2, inside the
     window of w2 outside which A_1 or A_3 is never positive (derived in
     feasibility.length_candidates)."""
+    if not isinstance(n, int):
+        raise InvalidArgument(f"ternary triples need an int length, not n = {n!r}")
     ns = 2 * n  # n(q - 1), and also the weight sum 3n(q - 1)/q
     for w1 in range(1, ns // 3):
         x1 = ns - 3 * w1  # > 0, as 3 w1 < 2n

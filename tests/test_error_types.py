@@ -20,16 +20,18 @@ from threeweight.feasibility import (
     evaluate_candidate,
     feasibility_report,
     hamming_bound_ok,
+    hamming_floor,
     length_candidates,
     weight_triples,
 )
 from threeweight.gfmat import GF2, FieldMatrix, PrimeField
 from threeweight.swrg import CosetGraph, is_s_swrg, tss_check
-from threeweight.transform import DualLanes, krawtchouk_column, three_weight_solve
+from threeweight.transform import dual_numerators, dual_sequence_exact, krawtchouk_column, three_weight_solve
+from threeweight.triples import binary_triples, ternary_triples
 
 from kernel_triples import length_triples
 from swrg_oracles import eigenvalues_from_weights
-from transform_oracles import pmt_frequencies
+from transform_oracles import DualLanes, pmt_frequencies
 
 ARGUMENT_ERRORS = {
     "counts of a non-integral solution": lambda: three_weight_solve(5, 3, 1, 2, 4).counts(),
@@ -45,6 +47,7 @@ ARGUMENT_ERRORS = {
     # a spectrum without the degree has no trivial character to set apart
     "walk test without the degree": lambda: is_s_swrg(CosetGraph(2, 2, [1, 2, 3], {-1: 4}), 3),
     "triple sums without the degree": lambda: tss_check(CosetGraph(2, 2, [1, 2, 3], {-1: 4})),
+    # the packed dual test is a test oracle now, and keeps its errors
     "dual lanes of length 0": lambda: DualLanes(2, 0),
     "divisibility test at a < 0": lambda: dodunekov_check(Candidate(2, 7, 3, (3, 4, 7), (4, 3, 0), 0, 1), -1),
     # these returned a value: float walk constants, a verdict for GF(1), a
@@ -79,6 +82,15 @@ ARGUMENT_ERRORS = {
     "candidate of a float length": lambda: evaluate_candidate(2, 24.0, 5, (10, 12, 14)),
     "Reed-Muller code of float dimension": lambda: reed_muller(2, 3.0),
     "parity-check code of float length": lambda: parity_check_code(4.0),
+    # these returned a value (4 for either Hamming floor, (2, []) for the
+    # first binary length) or ended in a bare TypeError; the triple
+    # generators now raise at their first next()
+    "dual numerators of a float length": lambda: dual_numerators({1: 1}, 3.0, 2),
+    "dual test of a float dimension": lambda: dual_sequence_exact(2, 4, 2.0, (1, 2, 3), (0, 1, 2)),
+    "Hamming floor of a float length": lambda: hamming_floor(2, 10.0),
+    "Hamming floor over GF(2.0)": lambda: hamming_floor(2.0, 10),
+    "binary triples to a float bound": lambda: next(binary_triples(1, 10.0)),
+    "ternary triples of a float length": lambda: next(ternary_triples(9.0)),
     "no columns": lambda: FieldMatrix(GF2, (), 0),
     "ragged packed rows": lambda: FieldMatrix(GF2, (b"\x00",), 2),
     "ragged rows": lambda: FieldMatrix.from_rows(GF2, [[1, 0], [1]]),

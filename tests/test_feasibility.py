@@ -33,7 +33,7 @@ from threeweight.feasibility import (
     weight_triples,
 )
 from threeweight import transform
-from threeweight.transform import DualLanes, dual_numerators, three_weight_solve
+from threeweight.transform import dual_numerators, three_weight_solve
 
 from catalog import (
     SCAN,
@@ -43,7 +43,7 @@ from catalog import (
     midpoint_gap,
 )
 from kernel_triples import length_triples
-from transform_oracles import dual_sequence, krawtchouk
+from transform_oracles import DualLanes, dual_sequence, krawtchouk, packed_dual_sequence
 
 
 def _candidate(n, k, w):
@@ -316,8 +316,7 @@ def test_hamming_filter_calls_match_the_binomial_sum(monkeypatch, q, n_min, n_ma
 def _dual_tests(monkeypatch, n_max, run):
     """Every case (q, n, k, weights, freqs) and result of the dual test that
     run(n) makes for n = 1..n_max."""
-    calls = _calls(monkeypatch, "dual_sequence_exact", lambda: [run(n) for n in range(1, n_max + 1)])
-    return [((lanes.q, lanes.n, k, ws, freqs), result) for (lanes, k, ws, freqs), result in calls]
+    return _calls(monkeypatch, "dual_sequence_exact", lambda: [run(n) for n in range(1, n_max + 1)])
 
 
 def _first_four(b_seq):
@@ -345,7 +344,7 @@ def _frequency_survivors(monkeypatch, q, n_max):
 @pytest.mark.parametrize("q,n_max,cases,rejected", [(3, 39, 486, 450), (2, 140, 175, 19)])
 def test_early_exit_dual_test_matches_binomial_sum_oracle(monkeypatch, q, n_max, cases, rejected):
     """Every frequency survivor of the kernel, accepted or rejected: the
-    kernel rejects it at B_3, or the packed dual test gives the verdict and
+    kernel rejects it at B_3, or the dual test gives the verdict and
     B_0..B_3 of the full binomial-sum transform.  The survivors the kernel
     does not hand to the dual test are its B_3 rejections, and the oracle
     rejects each of them at B_3."""
@@ -379,27 +378,22 @@ def test_two_adic_skip_drops_triples_before_their_gcd(monkeypatch, run, calls):
     assert len(_calls(monkeypatch, "gcd", run)) == calls
 
 
-@pytest.mark.parametrize("run,columns", [
-    (lambda: enumerate_candidates(2, 4, 71), 82),  # 364 columns over its 91 dual tests
-    (lambda: enumerate_candidates(3, 3, 39), 97),
-    (lambda: counterexample_scan(140), 28),
+@pytest.mark.parametrize("run,columns,lanes", [
+    (lambda: enumerate_candidates(2, 4, 71), 290, 1981),
+    (lambda: enumerate_candidates(3, 3, 39), 137, 1185),
+    (lambda: counterexample_scan(140), 21, 87),
 ], ids=["table1", "table2", "scan-140"])
-def test_kernel_packs_each_column_once(monkeypatch, run, columns):
-    """One krawtchouk_column call per distinct (n, w) among the weights
-    (0 included) of the cases that reach the dual test."""
-    reached = set()
-    real = feasibility.dual_sequence_exact
-
-    def record(lanes, k, weights, freqs):
-        reached.update((lanes.n, w) for w in (0, *weights))
-        return real(lanes, k, weights, freqs)
-
-    monkeypatch.setattr(feasibility, "dual_sequence_exact", record)
-    calls = []
+def test_dual_test_steps_short_columns(monkeypatch, run, columns, lanes):
+    """The dual test steps at most four krawtchouk_columns per case, one
+    per weight and one for K_i(0) unless the walk to its interval has
+    passed i = 3, and only to the lanes it computes exactly: the count and
+    the lanes stepped pin how far the exact ends reach."""
+    stepped = []
     real_column = transform.krawtchouk_column
-    monkeypatch.setattr(transform, "krawtchouk_column", lambda *args: calls.append(args) or real_column(*args))
-    run()
-    assert len(calls) == len(reached) == columns
+    monkeypatch.setattr(transform, "krawtchouk_column", lambda *args: stepped.append(args) or real_column(*args))
+    tests = _calls(monkeypatch, "dual_sequence_exact", run)
+    assert len(stepped) <= 4 * len(tests)
+    assert (len(stepped), sum(imax + 1 for _, _, _, imax in stepped)) == (columns, lanes)
 
 
 @pytest.mark.parametrize("run,divisions", [
@@ -423,39 +417,75 @@ def test_kernel_division_count_pins_its_steps(monkeypatch, run, divisions):
     assert len(count) == divisions
 
 
+def _dual_routes(calls):
+    """(args, result, sizing, packed, streamed) per recorded dual test (args,
+    result): the packed oracle on one DualLanes per length, with that
+    lanes' (width, k_cap, count), and B_0..B_3 of dual_numerators when the
+    whole distribution is nonnegative integers, else None.  Only one
+    length's lanes are held at a time."""
+    out, lanes = [], None
+    for args, result in calls:
+        q, n, k, ws, freqs = args
+        if lanes is None or (lanes.q, lanes.n) != (q, n):
+            lanes = DualLanes(q, n)
+        b_seq = [divmod(v, q**k) for v in dual_numerators({0: 1, **dict(zip(ws, freqs))}, n, q)]
+        streamed = tuple(b for b, _ in b_seq[:4]) if all(rem == 0 and b >= 0 for b, rem in b_seq) else None
+        packed = packed_dual_sequence(lanes, k, ws, freqs)
+        out.append((args, result, (lanes.width, lanes.k_cap, lanes.count), packed, streamed))
+    return out
+
+
 @pytest.fixture(scope="module")
 def kernel_to_the_guards():
-    """Every output and every (lanes, k, weights, freqs, result) dual test of
-    length_candidates for q = 2, n < N_GUARD_Q2 and q = 3, n <= N_GUARD_Q3."""
-    outputs, tests = [], []
-    real = feasibility.dual_sequence_exact
+    """Every output of length_candidates for q = 2, n < N_GUARD_Q2 and
+    q = 3, n <= N_GUARD_Q3, and every dual test it makes, through
+    _dual_routes."""
+    outputs = []
 
-    def record(*args):
-        result = real(*args)
-        tests.append((*args, result))
-        return result
+    def run():
+        for q, n_max in ((2, N_GUARD_Q2 - 1), (3, N_GUARD_Q3)):
+            outputs.extend(c for n in range(1, n_max + 1) for c in length_candidates(q, n, length_triples(q, n)))
 
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(feasibility, "dual_sequence_exact", record)
-        for q, n_max in ((2, N_GUARD_Q2 - 1), (3, N_GUARD_Q3)):
-            outputs += [c for n in range(1, n_max + 1) for c in length_candidates(q, n, length_triples(q, n))]
-    return outputs, tests
+        tests = _calls(patched, "dual_sequence_exact", run)
+    return outputs, _dual_routes(tests)
+
+
+@pytest.fixture(scope="module")
+def dual_tests_past_the_guards():
+    """Every dual test, through _dual_routes, of the ternary kernel at
+    N_GUARD_Q3 < n <= 243 and of counterexample_scan(2047)."""
+    def run():
+        for n in range(N_GUARD_Q3 + 1, 244):
+            list(length_candidates(3, n, length_triples(3, n)))
+        counterexample_scan(2047)
+
+    with pytest.MonkeyPatch.context() as patched:
+        return _dual_routes(_calls(patched, "dual_sequence_exact", run))
 
 
 def test_packed_dual_test_matches_dual_numerators_to_the_guards(kernel_to_the_guards):
-    """Verdict and B_0..B_3 of every dual test the kernel makes, against the
-    streamed numerators of the whole distribution, on lanes of the width
-    the cases need."""
+    """The packed oracle gives the verdict and B_0..B_3 of the streamed
+    numerators of the whole distribution on every dual test the kernel
+    makes to the guards, on lanes of the width the cases need."""
     _, tests = kernel_to_the_guards
     assert len(tests) == 987
-    for lanes, k, ws, freqs, result in tests:
-        q, n = lanes.q, lanes.n
-        assert lanes.width % 8 == 0 and 2 ** (lanes.width - 2) > q ** (n + lanes.k_cap)
-        assert k <= lanes.k_cap and lanes.count == (n // 2 + 1 if q == 2 else n + 1)
-        counts = {0: 1, **dict(zip(ws, freqs))}
-        b_seq = [divmod(v, q**k) for v in dual_numerators(counts, n, q)]
-        admitted = all(rem == 0 and b >= 0 for b, rem in b_seq)
-        assert result == (tuple(b for b, _ in b_seq[:4]) if admitted else None), (q, n, k, ws)
+    for (q, n, k, ws, _), _, (width, k_cap, count), packed, streamed in tests:
+        assert width % 8 == 0 and 2 ** (width - 2) > q ** (n + k_cap)
+        assert k <= k_cap and count == (n // 2 + 1 if q == 2 else n + 1)
+        assert packed == streamed, (q, n, k, ws)
+
+
+def test_dual_test_matches_packed_oracle_and_dual_numerators(kernel_to_the_guards, dual_tests_past_the_guards):
+    """Every dual test of enumerate --q 2 to 1023, of every ternary length to
+    243 and of counterexample_scan(2047): the verdict and B_0..B_3 of
+    dual_sequence_exact, of the packed oracle and of dual_numerators agree."""
+    tests = kernel_to_the_guards[1] + dual_tests_past_the_guards
+    binary = sum(args[0] == 2 for args, *_ in kernel_to_the_guards[1])
+    assert (binary, len(tests) - binary, len(dual_tests_past_the_guards)) == (900, 529, 251 + 191)
+    assert sum(result is not None for _, result, _, _, _ in tests) == 1379
+    for args, result, _, packed, streamed in tests:
+        assert result == packed == streamed, args
 
 
 def test_moved_filters_pass_every_kernel_output(kernel_to_the_guards):
@@ -467,13 +497,13 @@ def test_moved_filters_pass_every_kernel_output(kernel_to_the_guards):
 
 @pytest.mark.parametrize("k,freqs", [(8, (1, 3, 3)), (3, (1, 3, 4)), (3, (0, 0, -1))])
 def test_dual_test_refuses_cases_past_its_lanes(k, freqs):
-    # lanes of length 4 over GF(2) hold k <= 3 bitlen(4) - 2 = 7, so no
-    # k = 8, and frequencies summing past q^k - 1 or negative could carry
-    # between lanes
+    # the packed oracle's lanes of length 4 over GF(2) hold k <= 3 bitlen(4)
+    # - 2 = 7, so no k = 8, and frequencies summing past q^k - 1 or negative
+    # could carry between lanes
     lanes = DualLanes(2, 4)
     assert lanes.k_cap == 7
     with pytest.raises(SelfCheckFailed, match="lanes of width 16 for q=2, n=4, k <= 7 cannot hold"):
-        dual_sequence_exact(lanes, k, (1, 2, 3), freqs)
+        packed_dual_sequence(lanes, k, (1, 2, 3), freqs)
 
 
 @pytest.mark.parametrize("q,n,k,weights,freqs", [
@@ -484,8 +514,24 @@ def test_dual_test_refuses_cases_past_its_lanes(k, freqs):
     (3, 4, 2, (1, 2, 3), (3, 0, 5)),  # q^k B = (9, 18, 27, 45, -18): only the signs fail
 ], ids=["binary-b3-mirror", "binary-sign", "binary-top-sign", "binary-integrality", "ternary-sign"])
 def test_dual_test_masks_against_the_oracle(q, n, k, weights, freqs):
-    lanes = DualLanes(q, n)
-    assert dual_sequence_exact(lanes, k, weights, freqs) == _first_four(dual_sequence(q, n, k, weights, freqs))
+    want = _first_four(dual_sequence(q, n, k, weights, freqs))
+    assert dual_sequence_exact(q, n, k, weights, freqs) == packed_dual_sequence(DualLanes(q, n), k, weights, freqs) == want
+
+
+@pytest.mark.parametrize("n,k,weights,freqs,negative,fractional", [
+    # v_0 = 1 is the only lane at or below the bound, so the high end is
+    # the one lane q^k B_229 = 1 - 2
+    (229, 0, (115, 116, 229), (2, 0, 0), [229], []),
+    # B_0..B_3 are integers and the one moment past them, T_4, is odd
+    (22, 5, (10, 12, 13), (14, 9, 8), [], [4, 6, 20, 22]),
+], ids=["last-high-lane", "last-moment"])
+def test_dual_test_reaches_its_last_exact_lane_and_moment(n, k, weights, freqs, negative, fractional):
+    """Over GF(2), a case that only the last exact lane of the high end, or
+    only the last binomial moment q^(k-nu) | T_nu, rejects."""
+    lanes = dual_numerators({0: 1, **dict(zip(weights, freqs))}, n, 2)
+    assert [i for i, x in enumerate(lanes) if x < 0] == negative
+    assert [i for i, x in enumerate(lanes) if x % 2**k] == fractional
+    assert dual_sequence_exact(2, n, k, weights, freqs) is None
 
 
 def test_ternary_quotient_mask_catches_what_the_remainder_misses():
@@ -493,13 +539,15 @@ def test_ternary_quotient_mask_catches_what_the_remainder_misses():
     numerators = list(dual_numerators({0: 1}, 4, 3))
     assert numerators == [1, 8, 24, 32, 16]
     assert sum(v << lanes.width * i for i, v in enumerate(numerators)) % 9 == 0
-    assert dual_sequence_exact(lanes, 2, (1, 2, 3), (0, 0, 0)) is None
+    assert packed_dual_sequence(lanes, 2, (1, 2, 3), (0, 0, 0)) is None
+    assert dual_sequence_exact(3, 4, 2, (1, 2, 3), (0, 0, 0)) is None
 
 
 @pytest.mark.parametrize("order", [range(3, 7), range(6, 2, -1)], ids=["ascending", "descending"])
 def test_one_lanes_decides_several_k_against_the_oracle(order):
-    """One DualLanes decides the cases of several k of one length in turn
-    with its one quotient mask.  The sets are the forced frequencies of
+    """One DualLanes of the packed oracle decides the cases of several k of
+    one length in turn with its one quotient mask, and dual_sequence_exact
+    gives the same results.  The sets are the forced frequencies of
     (2, 4, 6) at n = 8 for k = 4, 5, 6, the set (1, 3, 3) admitted at k = 3
     only, (3, 7, 5) admitted at k = 4 only, a set with negative B_2 and one
     with fractional B_1."""
@@ -508,8 +556,8 @@ def test_one_lanes_decides_several_k_against_the_oracle(order):
     admitted = []
     for k in order:
         for freqs in [f for f in sets if sum(f) < 2**k] + [(0, 2**k - 2, 1)]:
-            got = dual_sequence_exact(lanes, k, weights, freqs)
-            assert got == _first_four(dual_sequence(2, 8, k, weights, freqs)), (k, freqs)
+            got = packed_dual_sequence(lanes, k, weights, freqs)
+            assert got == dual_sequence_exact(2, 8, k, weights, freqs) == _first_four(dual_sequence(2, 8, k, weights, freqs))
             admitted += [(k, freqs)] if got else []
     assert sorted(admitted) == [(3, (1, 3, 3)), (4, (1, 11, 3)), (4, (3, 7, 5)), (5, (5, 19, 7)), (6, (13, 35, 15))]
 

@@ -2,8 +2,8 @@
 independent symbolic MacWilliams transform (polynomial substitution) for
 every catalog row, every suppressed candidate, the scan rows past length
 511 and to 1023, and a seeded sample of the rows past 1023: the whole
-distribution as dual_numerators streams it, and B_0..B_3 as the packed dual
-test of the feasibility kernel reads them."""
+distribution as dual_numerators streams it, and B_0..B_3 as the dual test
+of the feasibility kernel and its packed test oracle read them."""
 
 from __future__ import annotations
 
@@ -14,9 +14,10 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from threeweight.feasibility import dual_sequence_exact, enumerate_candidates
-from threeweight.transform import DualLanes, dual_numerators
+from threeweight.transform import dual_numerators
 
 from catalog import SCAN, TABLE1, TABLE2
+from transform_oracles import DualLanes, packed_dual_sequence
 
 
 def sympy_dual(n: int, q: int, k: int, counts: dict[int, int]) -> list[int]:
@@ -34,11 +35,13 @@ def sympy_dual(n: int, q: int, k: int, counts: dict[int, int]) -> list[int]:
 
 
 def _check_against_sympy(q, n, k, weights, freqs):
-    """The whole streamed distribution and the packed test's B_0..B_3."""
+    """The whole streamed distribution, and B_0..B_3 of the dual test and
+    of the packed oracle."""
     counts = {0: 1, **dict(zip(weights, freqs))}
     b = sympy_dual(n, q, k, counts)
     assert [v // q**k for v in dual_numerators(counts, n, q)] == b, (n, k, weights)
-    assert dual_sequence_exact(DualLanes(q, n), k, weights, freqs) == tuple(b[:4]), (n, k, weights)
+    assert dual_sequence_exact(q, n, k, weights, freqs) == tuple(b[:4]), (n, k, weights)
+    assert packed_dual_sequence(DualLanes(q, n), k, weights, freqs) == tuple(b[:4]), (n, k, weights)
     return b
 
 

@@ -138,33 +138,30 @@ def test_graph_self_checks_raise_under_python_O():
 OPTIMIZED_B3_CHECK = """
 import sys
 from threeweight import feasibility
-from threeweight.errors import SelfCheckFailed
-from threeweight.transform import DualLanes
+from threeweight.errors import InvalidArgument, SelfCheckFailed
 from kernel_triples import length_triples
 
 assert False, "asserts must be stripped"
 print("optimize", sys.flags.optimize)
 real = feasibility.dual_sequence_exact
-feasibility.dual_sequence_exact = lambda lanes, k, weights, freqs: (
-    lambda b: b[:3] + (b[3] + 1,))(real(lanes, k, weights, freqs))
+feasibility.dual_sequence_exact = lambda *args: (lambda b: b[:3] + (b[3] + 1,))(real(*args))
 try:
     list(feasibility.length_candidates(2, 4, length_triples(2, 4)))
 except SelfCheckFailed as exc:
     print("B_3 raised:", exc)
-feasibility.dual_sequence_exact = lambda lanes, k, weights, freqs: (
-    lambda b: b and (1, 1, 0, b[3]))(real(lanes, k, weights, freqs))
+feasibility.dual_sequence_exact = lambda *args: (lambda b: b and (1, 1, 0, b[3]))(real(*args))
 try:
     list(feasibility.length_candidates(2, 4, length_triples(2, 4)))
 except SelfCheckFailed as exc:
     print("B_1 raised:", exc)
 feasibility.dual_sequence_exact = real
 try:
-    print("wide k:", real(DualLanes(2, 4), 8, (1, 2, 3), (1, 3, 3)))
-except SelfCheckFailed as exc:
-    print("wide k raised:", exc)
-print("sign bit:", real(DualLanes(2, 4), 4, (1, 2, 4), (0, 14, 1)), real(DualLanes(3, 4), 2, (1, 2, 3), (3, 0, 5)))
-print("quotient mask:", real(DualLanes(3, 4), 2, (1, 2, 3), (0, 0, 0)))
-print("admitted:", real(DualLanes(2, 4), 3, (1, 2, 3), (1, 3, 3)))
+    print("float k:", real(2, 4, 3.0, (1, 2, 3), (1, 3, 3)))
+except InvalidArgument as exc:
+    print("float k raised:", exc)
+print("signs:", real(2, 4, 4, (1, 2, 4), (0, 14, 1)), real(3, 4, 2, (1, 2, 3), (3, 0, 5)))
+print("integrality:", real(2, 4, 3, (1, 2, 3), (2, 3, 2)), real(3, 4, 2, (1, 2, 3), (0, 0, 0)))
+print("admitted:", real(2, 4, 3, (1, 2, 3), (1, 3, 3)))
 """
 
 
@@ -183,10 +180,10 @@ def test_b3_self_check_raises_under_python_O():
         "from the frequencies and K_3, for q=2, n=4, k=3, weights=(1, 2, 3)",
         "B_1 raised: B_0..B_3 = (1, 1, 0, 1) of the dual distribution, not (1, 0, 0, 1) "
         "from the frequencies and K_3, for q=2, n=4, k=3, weights=(1, 2, 3)",
-        "wide k raised: lanes of width 16 for q=2, n=4, k <= 7 cannot hold k=8, "
-        "frequencies (1, 3, 3)",
-        "sign bit: None None",
-        "quotient mask: None",
+        "float k raised: the dual test needs q in {2, 3}, int n and k >= 0, 0 < w1 < w2 < w3 <= n: "
+        "(2, 4, 3.0, (1, 2, 3))",
+        "signs: None None",
+        "integrality: None None",
         "admitted: (1, 0, 0, 1)",
         "",
     ]

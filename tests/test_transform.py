@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -108,6 +109,35 @@ def test_krawtchouk_column_runs_past_the_midpoint_without_reflection():
     for n in (1, 2, 7, 40):
         for x in range(n + 1):
             assert krawtchouk_column(x, n, 2, n) == list(dual_numerators({x: 1}, n, 2)), (n, x)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_orthogonality_bounds_every_krawtchouk_value(q):
+    """K_i(x)^2 v_x <= q^n v_i, v_x = C(n, x)(q-1)^x, for every n <= 64 and
+    every x and i: the bound of the dual test's middle lanes, from
+    sum_x v_x K_i(x)^2 = q^n v_i.  v is log-concave in x, so the lanes past
+    any threshold form one interval."""
+    for n in range(65):
+        v = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
+        columns = [krawtchouk_column(x, n, q, n) for x in range(n + 1)]
+        for i in range(n + 1):
+            terms = [v[x] * columns[x][i] ** 2 for x in range(n + 1)]
+            assert sum(terms) == q**n * v[i], (q, n, i)
+            assert max(terms) <= q**n * v[i], (q, n, i)
+        assert all(v[x] ** 2 >= v[x - 1] * v[x + 1] for x in range(1, n)), (q, n)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_binomial_moments_of_krawtchouk_values(q):
+    """sum_(i <= nu) C(n-i, nu-i) K_i(w) = q^nu C(n-w, nu), the identity
+    behind the dual test's integrality: summed against the A_w it gives
+    T_nu = q^(k-nu) sum_(i <= nu) C(n-i, nu-i) B_i."""
+    for n in range(41):
+        columns = [krawtchouk_column(w, n, q, n) for w in range(n + 1)]
+        for w in range(n + 1):
+            for nu in range(n + 1):
+                lhs = sum(comb(n - i, nu - i) * columns[w][i] for i in range(nu + 1))
+                assert lhs == q**nu * comb(n - w, nu), (q, n, w, nu)
 
 
 @pytest.mark.parametrize("q", [2, 3])

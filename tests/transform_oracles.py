@@ -10,7 +10,10 @@ built from them by Cramer's rule with a 3x3 determinant per column.  Power
 moments, which the library does not need, are the plain sums the tests
 compare with their closed forms.  `pmt_frequencies` is the closed form for
 the symmetric binary triple (n/2 - t, n/2, n/2 + t), checked against
-transform.three_weight_solve on every call.
+transform.three_weight_solve on every call.  `DualLanes` and
+`packed_dual_sequence` are a second route to transform.dual_sequence_exact:
+they pack each Krawtchouk column of a length into one big integer and
+decide a whole dual distribution by one quotient test on the packed sum.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import cache
 from math import factorial
 
 from threeweight.errors import InvalidArgument, SelfCheckFailed
-from threeweight.transform import ThreeWeightSolution, three_weight_solve
+from threeweight.transform import ThreeWeightSolution, krawtchouk_column, three_weight_solve
 
 
 def binomial(x: int, nu: int) -> int:
@@ -146,3 +149,84 @@ def pmt_frequencies(n: int, k: int, t: int) -> ThreeWeightSolution:
             f"symmetric closed form disagrees with three_weight_solve for n={n}, k={k}, t={t}"
         )
     return sol
+
+
+class DualLanes:
+    """The Krawtchouk columns of one length n, each packed once as
+    P_w = sum_i K_i(w) 2^(L i) over the lanes i <= n, or i <= n // 2 over
+    GF(2) (K_{n-i}(x) = (-1)^x K_i(x)), for the cases with k <= k_cap.
+
+    k_cap is n for q = 3, as condition (iii) asks.  For q = 2 it is
+    3 bitlen(n) - 2: condition (iii) 2^(k-2) | w1 w2 w3 gives
+    k <= v2(w1 w2 w3) + 2, and of three distinct weights below 2^bitlen(n)
+    at most one is a multiple of 2^(bitlen(n)-1), so v2(w1 w2 w3) <=
+    3 bitlen(n) - 5 and k <= 3 bitlen(n) - 3.  As |K_i(w)| <= q^(n-w) 2^w
+    <= q^n, each lane of sum_w A_w P_w with A_w >= 0 and sum_w A_w <= q^k
+    lies in (-2^(L-2), 2^(L-2)) when 2^(L-2) > q^(n+k_cap).  quotient_mask,
+    the bits t..L-1 of every lane with t = L - 1 - bitlen(q^k_cap), serves
+    every k <= k_cap: a lane Q_i < 2^t gives q^k Q_i < 2^(L-1), so no lane
+    of q^k Q carries, and a case with every B_i a nonnegative integer has
+    B_i <= sum_i B_i = q^(n-k) <= q^n < 2^(L-2) / q^k_cap <= 2^t."""
+
+    def __init__(self, q: int, n: int):
+        if not (isinstance(q, int) and isinstance(n, int)) or n < 1:
+            raise InvalidArgument(f"Krawtchouk lanes need an int q and a length n >= 1, not q = {q!r}, n = {n!r}")
+        self.q, self.n = q, n
+        self.k_cap = 3 * n.bit_length() - 2 if q == 2 else n
+        self.count = n // 2 + 1 if q == 2 else n + 1
+        self.width = ((q ** (n + self.k_cap)).bit_length() + 9) // 8 * 8
+        self._columns: dict[int, int] = {}
+        lane = (1 << self.width) - (1 << (self.width - 1 - (q**self.k_cap).bit_length()))
+        self.quotient_mask = int.from_bytes(lane.to_bytes(self.width // 8, "little") * self.count, "little")
+
+    def column(self, w: int) -> int:
+        """P_w: each lane in L-bit two's complement, less what the lane below borrows."""
+        if w not in self._columns:
+            size, borrow, chunks = self.width // 8, 0, []
+            for v in krawtchouk_column(w, self.n, self.q, self.count - 1):
+                v -= borrow
+                chunks.append(v.to_bytes(size, "little", signed=True))
+                borrow = v < 0
+            packed = int.from_bytes(b"".join(chunks), "little")
+            self._columns[w] = packed - (1 << self.width * self.count) if borrow else packed
+        return self._columns[w]
+
+
+def packed_dual_sequence(
+    lanes: DualLanes, k: int, weights: tuple[int, int, int], freqs: tuple[int, int, int]
+) -> tuple[int, int, int, int] | None:
+    """(B_0, B_1, B_2, B_3) of a case of the length of lanes when all of
+    B_0..B_n are nonnegative integers, else None.
+
+    N = P_0 + sum_j A_j P_j = q^k Q + r (0 <= r < q^k) holds q^k B_i in lane
+    i.  Every B_i is a nonnegative integer exactly when r = 0 and every lane
+    of Q is below 2^t, t = L - 1 - bitlen(q^k_cap) (lanes.quotient_mask; a
+    negative Q sets a top bit): then the lanes of q^k Q are below 2^(L-1),
+    so they are its digits, while
+    a negative q^k B_i borrows from the lane above and leaves a digit of at
+    least 2^L - 2^(L-2) - 1.  Over GF(2), when some weight with A_j > 0 is
+    odd, the mirror P_0 + sum_j (-1)^(w_j) A_j P_j, with q^k B_(n-i) in lane
+    i, meets the same test.  A k past lanes.k_cap, or frequencies that are
+    negative or sum past q^k - 1, raise.
+    """
+    q, n, width = lanes.q, lanes.n, lanes.width
+    size, first = q**k, (1 << 4 * width) - 1  # lanes 0..3
+    if k > lanes.k_cap or min(freqs) < 0 or sum(freqs) >= size:
+        raise SelfCheckFailed(
+            f"lanes of width {width} for q={q}, n={n}, k <= {lanes.k_cap} cannot hold k={k}, frequencies {freqs}"
+        )
+    even, odd = lanes.column(0), 0  # N = even + odd, split by the parity of w_j over GF(2)
+    for w, a in zip(weights, freqs):
+        if q == 2 and w & 1:
+            odd += a * lanes.column(w)
+        else:
+            even += a * lanes.column(w)
+    heads = []
+    for total in (even + odd, even - odd) if odd else (even,):
+        quotient, rem = divmod(total, size)
+        if rem or quotient & lanes.quotient_mask:
+            return None
+        heads.append(quotient & first)
+    low, mirror, lane = heads[0], heads[-1], (1 << width) - 1
+    # over GF(2) with n < 6, B_3 lies past the lanes of low, in lane n - 3 of mirror
+    return tuple((low >> width * i if i < lanes.count else mirror >> width * (n - i)) & lane for i in range(4))
