@@ -32,14 +32,10 @@ def emit_report(rows: list[dict], fmt: str) -> str:
         if not rows:
             return ""
         buf = io.StringIO()
-        fields = list(rows[0].keys())
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         for row in rows:
-            flat = dict(row)
-            if "reasons" in flat:
-                flat["reasons"] = ";".join(flat["reasons"])
-            writer.writerow(flat)
+            writer.writerow({**row, "reasons": ";".join(row["reasons"])} if "reasons" in row else row)
         return buf.getvalue()
     if fmt == "text":
         lines = []
@@ -64,11 +60,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    rows = []
-    for c in feasibility.counterexample_scan(args.n_max):
-        row = c.row()
-        row["y"] = c.y
-        rows.append(row)
+    rows = [{**c.row(), "y": c.y} for c in feasibility.counterexample_scan(args.n_max)]
     sys.stdout.write(emit_report(rows, args.format))
     return 0
 

@@ -10,10 +10,16 @@ last coordinates are zero is enumerated once and one block per class of
 nonzero multiples of the last coordinates is enumerated and counted q - 1
 times.  Per generator column, the level sets of its inner product with the
 first b coordinates are built once; in each block the zero set of every
-codeword coordinate is one of them, a carry-save adder sums the n zero
-sets into bit planes of the zero count, and a depth-first split of the
-planes ends in one popcount per weight.  The same kernel serves GF(2) and
-GF(3).
+codeword coordinate is one of them, and a depth-first split of bit planes
+of the zero count ends in one popcount per weight.  The planes of one
+block come from a carry-save adder over its n zero sets.  The q^T blocks
+that differ only in the T coordinates after the first b come at once:
+the columns are grouped by their entries in those T rows, each class's
+zero sets are carry-saved per value once, and Yates's algorithm over
+F_q^T forms every block's planes in T stages of ripple-carry adders
+(`_weight_counts`, with T chosen by adder counts in
+`_transformed_digits`).  The same kernel serves GF(2) and GF(3); its
+bit-sliced arithmetic is in `gfmat`.
 
 Columns are read as base-q numerals, the first row the lowest digit, all
 columns of a generator in one pass of lane arithmetic on the packed rows
@@ -32,12 +38,12 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from functools import lru_cache
-from itertools import product
-from operator import and_, getitem, mul, or_, xor
+from itertools import accumulate, compress, pairwise, product
+from operator import and_, getitem, itemgetter, mul, or_, xor
 from typing import NamedTuple
 
 from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
-from .gfmat import _MOD, GF2, FieldMatrix, PrimeField
+from .gfmat import _MOD, GF2, FieldMatrix, PrimeField, _bit_planes, _level_tables, _split, _yates
 
 ENUMERATION_GUARD = 1 << 26
 # At most this many messages per enumeration block, one bit each: 2^14 bits
@@ -47,6 +53,8 @@ BLOCK_BITS = 1 << 14
 # per field, the translate tables that multiply every entry of a reduced
 # row by each nonzero scalar in turn, 1 first and -1 last
 _MULTIPLES = {q: tuple(bytes(lam * v % q for v in range(256)) for lam in range(1, q)) for q in (2, 3)}
+# per field, the translate tables that add u to every entry of a reduced row
+_SHIFTS = {q: tuple(bytes((v + u) % q for v in range(256)) for u in range(q)) for q in (2, 3)}
 # `struct` formats of the lane widths it can cut
 _LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
@@ -81,52 +89,6 @@ class MultiplicityType(NamedTuple):
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.m)
-
-
-def _digit_planes(q: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """planes[i][t] is the q^b-bit integer with bit x set when base-q digit i
-    of x equals t: a run of q^i ones at offset t q^i, repeated every q^(i+1)
-    bits."""
-    size = q**b
-    out = []
-    for i in range(b):
-        run = q**i
-        repeat = ((1 << size) - 1) // ((1 << run * q) - 1)  # bit 0 of every period
-        out.append(tuple(repeat * ((1 << run) - 1) << t * run for t in range(q)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _level_tables(q: int, b: int) -> tuple[tuple, tuple]:
-    """The level-set tables of F_q^b for column parts on the low b // 2
-    digits and on the others, built from the digit planes once per (q, b)."""
-    full = (1 << q**b) - 1
-    planes = _digit_planes(q, b)
-    return _level_table(q, full, planes[: b // 2]), _level_table(q, full, planes[b // 2 :])
-
-
-def _level_table(q: int, full: int, planes: tuple[tuple[int, ...], ...]) -> tuple:
-    """table[m] for the column part c on the given digits, m its digits read
-    as a base-q numeral: over GF(2) the set of x with <x, c> = 1, over GF(3)
-    the three sets of x with <x, c> = 0, 1, 2.  Each digit multiplies the
-    table by q: an XOR with the digit's plane of ones over GF(2), and over
-    GF(3) a one-hot rotate, value v coming from v - a t where the digit is
-    t (the three sets partition the bits, so the third is an XOR of two)."""
-    if q == 2:
-        table = [0]
-        for _, ones in planes:
-            table += [t ^ ones for t in table]
-        return tuple(table)
-    table = [(full, 0, 0)]
-    for p0, p1, p2 in planes:
-        grown = []
-        for a in (1, 2):
-            for s in table:
-                zero = s[0] & p0 | s[-a] & p1 | s[a] & p2
-                one = s[1] & p0 | s[1 - a] & p1 | s[a - 2] & p2
-                grown.append((zero, one, full ^ zero ^ one))
-        table += grown
-    return tuple(table)
 
 
 def _lane_width(q: int, k: int) -> int:
@@ -188,41 +150,6 @@ def _level_sets(q: int, n: int, b: int, rows: tuple[bytes, ...], values: int) ->
     ]))
 
 
-def _bit_planes(masks: list[int]) -> list[int]:
-    """planes[i] has bit x set when bit i of the number of masks with bit x
-    set is 1.  A carry-save adder after Harley and Seal: each pair of masks
-    goes through a full adder with plane 0, and a carry of plane i waits in
-    held[i] for a second one, the two going through a full adder with plane
-    i, like the digits of a binary counter.  A zero carry adds nothing, so
-    it neither waits nor moves up; no count, and so no carry, reaches past
-    the bit length of len(masks)."""
-    width = len(masks).bit_length()
-    planes, held = [0] * width, [0] * width
-    it = iter(masks)
-    for a, b in zip(it, it):
-        p = planes[0]
-        s = p ^ a
-        planes[0], c = s ^ b, p & a | s & b
-        i = 1
-        while c:
-            x = held[i]
-            if not x:
-                held[i] = c
-                break
-            held[i] = 0
-            p = planes[i]
-            s = p ^ x
-            planes[i], c = s ^ c, p & x | s & c
-            i += 1
-    if len(masks) % 2:
-        held[0] = masks[-1]
-    for i, c in enumerate(held):  # half adders for what still waits
-        while c:
-            planes[i], c = planes[i] ^ c, planes[i] & c
-            i += 1
-    return planes
-
-
 def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
     """counts[w] = number of codewords of weight w, each class of nonzero
     scalar multiples enumerated once and counted q - 1 times.
@@ -231,36 +158,65 @@ def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
     largest with q^b <= BLOCK_BITS (at least 1).  Coordinate j of the
     codeword is <x_lo, c_lo> + <x_hi, c_hi> for column c = (c_lo, c_hi), so
     for each x_hi it is zero exactly on the level set of -<x_hi, c_hi> among
-    the q^b values of x_lo, one bit each.  Per block (one x_hi) a
-    carry-save adder sums the n zero sets into bit planes of the zero
-    count, and a depth-first split of the planes ends in one popcount per
-    weight.  The blocks follow the modular Gray code over x_hi, one row
-    added per step: after step t, digit i of x_hi is
-    (floor(t/q^i) - floor(t/q^(i+1))) mod q.
+    the q^b values of x_lo, one bit each.  Per block (one x_hi) the zero
+    count is held in bit planes (`gfmat._bit_planes`), and a depth-first
+    split of the planes ends in one popcount per weight (`gfmat._split`).
 
-    Only the blocks at t = 0 and at t with leading base-q digit 1 are
-    split.  For q^p <= t < q^(p+1) with leading digit lam, digit p of x_hi
-    is lam, the digits above it are 0, and as t runs over
-    [lam q^p, (lam+1) q^p) the digits below p run over all of F_q^p (the
-    Gray code of t - lam q^p, digit p-1 shifted by -lam).  So those blocks
-    hold the messages lam (x_lo, y, 1, 0, ...) for every x_lo and y, lam
-    times the messages of [q^p, 2q^p), and x -> lam x keeps the weight:
-    each block with t >= 1 is counted q - 1 times.  Over GF(2) every t >= 1
-    has leading digit 1 and q - 1 = 1, so every block is split once.
+    The first T high digits, x_hi = (y, z) with y in F_q^T, are
+    transformed and the other D - T walked, T from `_transformed_digits`.
+    Sorted by h, their entries in the T rows after the block rows, the
+    columns fall into q^T classes.  With s_j = -<z, c_j> over the walked
+    rows, column j is zero at (x_lo, y, z) when <x_lo, c_lo> - s_j =
+    -<y, h>.  Per walked step, a carry-save adder sums each class's level
+    sets into E_h[u], the count of its columns with <x_lo, c_lo> - s_j = u,
+    for u < q - 1; as each column has one value, E_h[q - 1] = |h| minus the
+    others.  The zero count of block (y, z) is then the sum over h of
+    E_h[-<y, h>], and Yates's algorithm (F. Yates, The Design and Analysis
+    of Factorial Experiments, 1937) forms all q^T of them in T stages of
+    ripple-carry adders, one digit of h traded for one of y per stage
+    (`gfmat._yates`).  With T = 0 there is one class, no stage, and one
+    block per step.  Over GF(2) only the level sets of 0 are kept, and a
+    column with s_j = 1 adds the complement of its set.
+
+    The walked blocks follow the modular Gray code over z, one row added
+    per step: after step t, digit i of z is
+    (floor(t/q^i) - floor(t/q^(i+1))) mod q.  Only the steps t = 0 and t
+    with leading base-q digit 1 are split.  For q^p <= t < q^(p+1) with
+    leading digit lam, digit p of z is lam, the digits above it are 0, and
+    as t runs over [lam q^p, (lam+1) q^p) the digits below p run over all
+    of F_q^p (the Gray code of t - lam q^p, digit p-1 shifted by -lam).  So
+    those steps hold the messages lam (x_lo, y, w, 1, 0, ...) for every
+    x_lo, y and w, lam times the messages of [q^p, 2q^p), and x -> lam x
+    keeps the weight: each of their blocks is counted q - 1 times.  At
+    t = 0 the same holds for y read as a base-q numeral: block 0 is
+    counted once, the blocks whose leading digit is 1 q - 1 times, and the
+    others, formed by the stages, are not split.  Over GF(2) every leading
+    digit is 1 and q - 1 = 1, so every block is split once.
     """
     k, n = len(rows), len(rows[0])
     b = 1
     while b < k and q ** (b + 1) <= BLOCK_BITS:
         b += 1
-    levels = _level_sets(q, n, b, rows[:b], q if k > b else 1)  # one block: zeros only
-    full = (1 << q**b) - 1
-    # adding a row to x_hi adds its negation to -<x_hi, c_hi>, lane by lane
-    steps = [int.from_bytes(row.translate(_MULTIPLES[q][-1]), "little") for row in rows[b:]]
-    neg = bytes(n)  # -<x_hi, c_hi> per column
+    width, full = n.bit_length(), (1 << q**b) - 1
+    transformed = _transformed_digits(q, n, k - b, q**b)
+    cuts = [(0, n)]  # the columns of each class
+    if transformed:  # sorted by class
+        keys = _numerals(q, n, rows[b : b + transformed])
+        order = itemgetter(*sorted(range(n), key=keys.__getitem__))  # n >= k >= 2 here
+        rows = tuple(bytes(order(row)) for row in rows)
+        cuts = list(pairwise(accumulate(map(keys.count, range(q**transformed)), initial=0)))
+    # step 0 leaves out the blocks whose leading digit is neither 0 nor 1
+    unsplit = {y for p in range(transformed) for y in range(2 * q**p, q ** (p + 1))}
+    # zeros only for one block, and over GF(2) with digits transformed
+    levels = _level_sets(q, n, b, rows[:b], 1 if k == b or q == 2 and transformed else q)
+    zeros = [[z for z, in levels[lo:hi]] for lo, hi in cuts] if q == 2 and transformed else None
+    # adding a row to z adds its negation to s, lane by lane
+    steps = [int.from_bytes(row.translate(_MULTIPLES[q][-1]), "little") for row in rows[b + transformed :]]
+    neg = bytes(n)  # s_j per column
     counts = [0] * (n + 1)
     top = 1  # q^p <= t
-    for t in range(q ** (k - b)):
-        if t:  # step t of the Gray code adds row b + nu_q(t)
+    for t in range(q ** (k - b - transformed)):
+        if t:  # step t of the Gray code adds row b + T + nu_q(t)
             i, s = 0, t
             while s % q == 0:
                 s //= q
@@ -271,23 +227,55 @@ def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
                 top = t
             if t >= 2 * top:  # [lam q^p, (lam+1) q^p) is lam times [q^p, 2 q^p)
                 continue
-        planes = _bit_planes(list(map(getitem, levels, neg)))
-        stack = [(full, len(planes), n)]
-        while stack:  # each entry: the messages whose zero count agrees above plane i
-            mask, i, w = stack.pop()
-            while i:
-                i -= 1
-                zeros = mask & planes[i]
-                if zeros:
-                    if zeros != mask:
-                        stack.append((mask ^ zeros, i, w))
-                    mask = zeros
-                    w -= 1 << i
-            counts[w] += mask.bit_count()
-        if not t:
-            first = counts[:]
+        if not transformed:  # the zero sets of the step's one block
+            classes = [[_bit_planes(list(map(getitem, levels, neg)), width)]]
+        elif q == 2:  # a class's zero sets where s_j = 0, complements where 1
+            flip = neg.translate(_SHIFTS[2][1])
+            classes = [
+                [_bit_planes([*compress(zs, flip[lo:hi]), *map(full.__xor__, compress(zs, neg[lo:hi]))], width)]
+                for (lo, hi), zs in zip(cuts, zeros)
+            ]
+        else:  # E_h[u] from the level sets of s_j + u
+            shifted = [neg.translate(_SHIFTS[q][u]) for u in range(q - 1)]
+            classes = [
+                [_bit_planes(list(map(getitem, levels[lo:hi], v[lo:hi])), width) for v in shifted] for lo, hi in cuts
+            ]
+        blocks = _yates(q, transformed, classes, [hi - lo for lo, hi in cuts], full)
+        for y, planes in enumerate(blocks):
+            if t or y not in unsplit:
+                _split(planes, full, n, counts)
+            if not (t or y):
+                first = counts[:]
+        del blocks  # freed before the next step forms its own
     # block 0 counts once and every later split block q - 1 times
     return [f + (q - 1) * (c - f) for c, f in zip(counts, first)]
+
+
+def _transformed_digits(q: int, n: int, high: int, bits: int) -> int:
+    """T for `_weight_counts` over `high` = D digits, with blocks of `bits`
+    = q^b bits: the T that costs the fewest full adders on block-wide
+    planes of p = bit length of n.
+
+    A step splits q^T blocks when T >= 1, or one, and 1 + (q^(D-T) - 1) /
+    (q - 1) steps are formed: step 0 and those with leading digit 1.  With
+    T = 0 a step carry-saves the n zero sets, about n adders.  With T >= 1
+    it carry-saves q - 1 lists of n masks, and Yates's T stages cost about
+    T q^T q (q - 1) p adders: each stage sums q values of q^T entries from
+    q entries each.  Each step also has a fixed cost, its lists and calls,
+    measured at about 32 adders on 2^14-bit planes; over planes of `bits`
+    bits that is 2^19 / bits adders.  The stages' entries, q^T (q - 1)
+    counts of p planes, are kept within n masks: over GF(2) no more than the
+    n level sets of 1 that the transform does not keep.  At D = 0 only
+    T = 0 is possible, and the small GF(3) codes of the benchmark stay at
+    T = 0, their one carry-save pass cheaper than any stage.
+    """
+    width = n.bit_length()
+
+    def cost(t: int) -> int:
+        steps = 1 + (q ** (high - t) - 1) // (q - 1)
+        return steps * ((q - 1) * n + (1 << 19) // bits + t * q ** (t + 1) * (q - 1) * width) if t else steps * n
+
+    return min((t for t in range(high + 1) if not t or q**t * (q - 1) * width <= n), key=cost)
 
 
 class LinearCode:
@@ -378,15 +366,9 @@ class LinearCode:
         parities = [sum(r) % 2 for r in rows]
         if not any(parities):
             return self
-        pivot = parities.index(1)
-        new_rows = []
-        for i, r in enumerate(rows):
-            if i == pivot:
-                continue
-            if parities[i]:
-                new_rows.append(tuple((a + b) % 2 for a, b in zip(r, rows[pivot])))
-            else:
-                new_rows.append(r)
+        pivot = parities.index(1)  # added to every odd row, itself included
+        new_rows = [tuple((a + p * b) % 2 for a, b in zip(r, rows[pivot])) for r, p in zip(rows, parities)]
+        del new_rows[pivot]
         if not new_rows:
             raise InvalidArgument("even-weight subcode is the zero code")
         return LinearCode(self.field, FieldMatrix.from_rows(self.field, new_rows))
@@ -416,10 +398,7 @@ class LinearCode:
             raise InvalidArgument("complement is empty")
         gen = FieldMatrix.from_columns(self.field, comp)
         out = LinearCode(self.field, gen)
-        expected = {0: 1}
-        for w, a in dist.counts:
-            if w > 0:
-                expected[qk1 - w] = expected.get(qk1 - w, 0) + a
+        expected = {0: 1, **{qk1 - w: a for w, a in dist.counts if w}}  # distinct, as no w is qk1
         if out.weight_distribution().as_dict() != expected:
             raise SelfCheckFailed("anticode weights are not q^(k-1) - w")
         return out
@@ -428,11 +407,8 @@ class LinearCode:
         """Block-diagonal sum; the weight enumerator multiplies (checked)."""
         if self.q != other.q:
             raise InvalidArgument("direct sum needs a common field")
-        rows = []
-        for r in self.generator.to_rows():
-            rows.append(r + (0,) * other.n)
-        for r in other.generator.to_rows():
-            rows.append((0,) * self.n + r)
+        rows = [r + (0,) * other.n for r in self.generator.to_rows()]
+        rows += [(0,) * self.n + r for r in other.generator.to_rows()]
         out = LinearCode(self.field, FieldMatrix.from_rows(self.field, rows))
         da, db = self.weight_distribution().as_dict(), other.weight_distribution().as_dict()
         prod: dict[int, int] = {}
@@ -495,13 +471,7 @@ def golay23() -> LinearCode:
     Build-time validation: the even-weight subcode must have the
     enumerator 1 + 506 x^8 + 1288 x^12 + 253 x^16.
     """
-    rows = []
-    for shift in range(12):
-        row = [0] * 23
-        for d, c in enumerate(GOLAY23_GENERATOR_POLY):
-            if c:
-                row[shift + d] = 1
-        rows.append(tuple(row))
+    rows = [(0,) * shift + GOLAY23_GENERATOR_POLY + (0,) * (11 - shift) for shift in range(12)]
     code = LinearCode(GF2, FieldMatrix.from_rows(GF2, rows))
     even = code.even_weight_subcode()
     if even.weight_distribution().as_dict() != {0: 1, 8: 506, 12: 1288, 16: 253}:

@@ -45,6 +45,8 @@ class CurveQuery:
 def normalize_point(coords: tuple[int, int, int]) -> tuple[int, int, int]:
     """Coprime integer triple, sign-normalized (first nonzero > 0)."""
     a, b, c = coords
+    if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int)):
+        raise InvalidArgument(f"a projective point needs int coordinates, not {coords!r}")
     if a == b == c == 0:
         raise InvalidArgument("(0:0:0) is not a projective point")
     g = gcd(gcd(abs(a), abs(b)), abs(c))
@@ -59,8 +61,8 @@ def normalize_point(coords: tuple[int, int, int]) -> tuple[int, int, int]:
 
 def vandam_lhs(s: int, t1: int, t2: int, t3: int) -> int:
     """(t2-t3) t1^s + (t3-t1) t2^s + (t1-t2) t3^s, exactly."""
-    if s < 2:
-        raise InvalidArgument("s must be >= 2")
+    if not isinstance(s, int) or s < 2:
+        raise InvalidArgument(f"s must be an int >= 2, not {s!r}")
     return (t2 - t3) * t1**s + (t3 - t1) * t2**s + (t1 - t2) * t3**s
 
 
@@ -68,8 +70,8 @@ def monomial_sum(d: int, t1: int, t2: int, t3: int) -> int:
     """Sum of all monomials t1^h t2^i t3^j with h + i + j = d, by direct
     summation (the search evaluates h_d by a recurrence and Horner's rule,
     keeping this a genuinely independent evaluation route)."""
-    if d < 0:
-        raise InvalidArgument("degree must be >= 0")
+    if not isinstance(d, int) or d < 0:
+        raise InvalidArgument(f"degree must be an int >= 0, not {d!r}")
     total = 0
     for h in range(d + 1):
         p1 = t1**h
@@ -136,10 +138,21 @@ def search_integral_points(query: CurveQuery) -> list[tuple[int, int, int]]:
 def _staircase(d: int, a: int) -> Iterator[tuple[int, int, int]]:
     """(b, c, f(c)) for each pair (a, b) of row a that the staircase visits,
     b falling from a, where c is the least in [-a, min(b, 0)] with
-    f(c) = h_d(a, b, c) >= 0; the row ends at the first b without one."""
+    f(c) = h_d(a, b, c) >= 0; the row ends at the first b without one.
+
+    Only coprime pairs are visited.  With g = gcd(a, b) > 1, a = g a' and
+    b = g b', h_d(a, b, g x) = g^d h_d(a', b', x), and h_d(a', b', x) is
+    monic in x with integer coefficients.  So a zero c of f makes c / g a
+    rational, hence integral, root of it (the rational-root theorem): the
+    zero is g times the zero (a', b', c / g) of row a' < a, which lies in
+    the same domain and is the same projective point.  The least c only
+    rises as b falls, so a skipped pair moves no later pointer, and the
+    visited pairs are the coprime pairs of a prefix of the row."""
     degrees = range(d)
     c = -a
     for b in range(a, -a - 1, -1):
+        if gcd(a, b) > 1:
+            continue
         top = b if b < 0 else 0
         if c > top:
             return

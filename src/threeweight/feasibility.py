@@ -467,11 +467,7 @@ def load_annotations() -> dict[tuple[int, int, int, tuple[int, int, int]], Annot
     raw = json.loads(
         resources.files("threeweight").joinpath("data/annotations.json").read_text("utf-8")
     )
-    out = {}
-    for e in raw["entries"]:
-        key = (e["q"], e["n"], e["k"], tuple(e["w"]))
-        out[key] = Annotation(e["source"], e["verdict"])
-    return out
+    return {(e["q"], e["n"], e["k"], tuple(e["w"])): Annotation(e["source"], e["verdict"]) for e in raw["entries"]}
 
 
 def merge_annotations(candidates: list[Candidate]) -> list[Candidate]:

@@ -5,10 +5,18 @@ in this package.  Matrices are immutable; rows are stored as byte strings.
 `PrimeField` is the one place that decides which fields are supported.  In
 GF(2) and GF(3) every nonzero element is its own inverse, so scaling by a
 nonzero entry is how a row is normalised, and no inverse is computed.
+
+The bit-sliced arithmetic of the weight kernel (`code._weight_counts`) is
+here too: the level-set tables of linear forms on F_q^b, one bit per
+vector; counts per bit position held as bit planes, summed by a carry-save
+adder over masks and by ripple-carry adders over planes; Yates's algorithm
+over F_q^T on such counts; and the split of a block's planes into a
+histogram of weights.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidArgument
@@ -57,14 +65,14 @@ class FieldMatrix:
 
     @classmethod
     def from_rows(cls, field: PrimeField, rows: Iterable[Iterable[int]]) -> "FieldMatrix":
-        packed = tuple(bytes(int(e) % field.p for e in row) for row in rows)
+        packed = _pack(field.p, rows)
         if not packed or not packed[0]:
             raise InvalidArgument("matrix must be nonempty")
         return cls(field, packed, len(packed[0]))
 
     @classmethod
     def from_columns(cls, field: PrimeField, cols: Iterable[Iterable[int]]) -> "FieldMatrix":
-        cols = [bytes(int(e) % field.p for e in c) for c in cols]
+        cols = _pack(field.p, cols)
         if cols and any(len(c) != len(cols[0]) for c in cols):
             raise InvalidArgument("ragged columns")
         if not cols or not cols[0]:
@@ -153,6 +161,166 @@ class FieldMatrix:
         return len(pivots)
 
 
+def _pack(p: int, vectors: Iterable[Iterable[int]]) -> tuple[bytes, ...]:
+    """Each vector as bytes, its entries reduced mod p.  Only ints, bools
+    among them, have a residue that `bytes` takes; any other entry is
+    refused, not coerced."""
+    try:
+        return tuple(bytes(e % p for e in v) for v in vectors)
+    except TypeError:
+        raise InvalidArgument("matrix entries must be ints") from None
+
+
 def _mod3(x: int, n: int) -> int:
     """Each of the n byte lanes of x reduced mod 3."""
     return int.from_bytes(x.to_bytes(n, "little").translate(_MOD[3]), "little")
+
+
+# -- level sets of linear forms on F_q^b, one bit per vector ----------------
+
+
+def _digit_planes(q: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """planes[i][t] is the q^b-bit integer with bit x set when base-q digit i
+    of x equals t: a run of q^i ones at offset t q^i, repeated every q^(i+1)
+    bits."""
+    size = q**b
+    out = []
+    for i in range(b):
+        run = q**i
+        repeat = ((1 << size) - 1) // ((1 << run * q) - 1)  # bit 0 of every period
+        out.append(tuple(repeat * ((1 << run) - 1) << t * run for t in range(q)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _level_tables(q: int, b: int) -> tuple[tuple, tuple]:
+    """The level-set tables of F_q^b for column parts on the low b // 2
+    digits and on the others, built from the digit planes once per (q, b)."""
+    full = (1 << q**b) - 1
+    planes = _digit_planes(q, b)
+    return _level_table(q, full, planes[: b // 2]), _level_table(q, full, planes[b // 2 :])
+
+
+def _level_table(q: int, full: int, planes: tuple[tuple[int, ...], ...]) -> tuple:
+    """table[m] for the column part c on the given digits, m its digits read
+    as a base-q numeral: over GF(2) the set of x with <x, c> = 1, over GF(3)
+    the three sets of x with <x, c> = 0, 1, 2.  Each digit multiplies the
+    table by q: an XOR with the digit's plane of ones over GF(2), and over
+    GF(3) a one-hot rotate, value v coming from v - a t where the digit is
+    t (the three sets partition the bits, so the third is an XOR of two)."""
+    if q == 2:
+        table = [0]
+        for _, ones in planes:
+            table += [t ^ ones for t in table]
+        return tuple(table)
+    table = [(full, 0, 0)]
+    for p0, p1, p2 in planes:
+        grown = []
+        for a in (1, 2):
+            for s in table:
+                zero = s[0] & p0 | s[-a] & p1 | s[a] & p2
+                one = s[1] & p0 | s[1 - a] & p1 | s[a - 2] & p2
+                grown.append((zero, one, full ^ zero ^ one))
+        table += grown
+    return tuple(table)
+
+
+# -- bit-sliced counts --------------------------------------------------
+# A count per bit position x is a list of planes, bit x of planes[i] being
+# bit i of the count; `width` planes hold it mod 2^width.
+
+
+def _bit_planes(masks: list[int], width: int) -> list[int]:
+    """planes[i] has bit x set when bit i of the number of masks with bit x
+    set is 1, for width at least the bit length of len(masks).  A carry-save
+    adder after Harley and Seal: each pair of masks goes through a full
+    adder with plane 0, and a carry of plane i waits in held[i] for a second
+    one, the two going through a full adder with plane i, like the digits of
+    a binary counter.  A zero carry adds nothing, so it neither waits nor
+    moves up; no count, and so no carry, reaches past the bit length of
+    len(masks)."""
+    planes, held = [0] * width, [0] * width
+    it = iter(masks)
+    for a, b in zip(it, it):
+        p = planes[0]
+        s = p ^ a
+        planes[0], c = s ^ b, p & a | s & b
+        i = 1
+        while c:
+            x = held[i]
+            if not x:
+                held[i] = c
+                break
+            held[i] = 0
+            p = planes[i]
+            s = p ^ x
+            planes[i], c = s ^ c, p & x | s & c
+            i += 1
+    if len(masks) % 2:
+        held[0] = masks[-1]
+    for i, c in enumerate(held):  # half adders for what still waits
+        while c:
+            planes[i], c = planes[i] ^ c, planes[i] & c
+            i += 1
+    return planes
+
+
+def _ripple(a: list[int], b: list[int]) -> list[int]:
+    """a + b mod 2^len(a), plane by plane: a ripple-carry adder."""
+    out, c = [], 0
+    for x, y in zip(a, b):
+        s = x ^ y
+        out.append(s ^ c)
+        c = x & y | s & c
+    return out
+
+
+def _rest(counts: list[list[int]], size: int, width: int, full: int) -> list[int]:
+    """The count of the masks left out of `size` per position, given the
+    counts of the others: size minus their sum, that is (size + 1) + ~sum
+    mod 2^width, ~ flipping the planes in `full`."""
+    flipped = [full ^ p for p in reduce(_ripple, counts)]
+    return _ripple(flipped, [(0, full)[size + 1 >> i & 1] for i in range(width)])
+
+
+def _yates(q: int, digits: int, counts: list[list[list[int]]], sizes: list[int], full: int) -> list[list[int]]:
+    """out[y] = sum over h of C_h[-<y, h>] for y in F_q^digits, h and y read
+    as base-q numerals, where C_h[v] is counts[h][v] for v < q - 1 and
+    C_h[q - 1] = sizes[h] minus the others (`_rest`).  Yates's algorithm:
+    stage i replaces digit i of h by digit i of y, out[x][v] = sum over u of
+    in[u][v - x u] for the q entries that differ in digit i only, each
+    holding the sum of their sizes.  Each group's outputs replace its
+    inputs, and the last stage forms v = 0 alone."""
+    width = len(counts[0][0])
+    for i in range(digits):
+        step, values = q**i, 1 if i == digits - 1 else q - 1
+        for base in range(len(counts)):
+            if base // step % q == 0:
+                cut = slice(base, base + q * step, step)
+                group = counts[cut]  # entry 0 is read at v < q - 1 only
+                for u in range(1, q):
+                    group[u].append(_rest(group[u], sizes[base + u * step], width, full))
+                sizes[cut] = [sum(sizes[cut])] * q
+                counts[cut] = [
+                    [reduce(_ripple, [group[u][(v - x * u) % q] for u in range(q)]) for v in range(values)]
+                    for x in range(q)
+                ]
+    return [c[0] for c in counts]
+
+
+def _split(planes: list[int], full: int, n: int, counts: list[int]) -> None:
+    """Adds each position of `full` to counts[w], w = n minus its count in
+    the planes: a depth-first split of the planes, top down, ends in one
+    popcount per weight."""
+    stack = [(full, len(planes), n)]
+    while stack:  # each entry: the positions whose count agrees above plane i
+        mask, i, w = stack.pop()
+        while i:
+            i -= 1
+            zeros = mask & planes[i]
+            if zeros:
+                if zeros != mask:
+                    stack.append((mask ^ zeros, i, w))
+                mask = zeros
+                w -= 1 << i
+        counts[w] += mask.bit_count()

@@ -80,7 +80,5 @@ def parse_matrix_file(path: str | Path) -> LinearCode:
 
 
 def serialize_matrix(code: LinearCode) -> str:
-    lines = [f"q={code.q} n={code.n} k={code.k}"]
-    for row in code.generator.to_rows():
-        lines.append("".join(str(e) for e in row))
-    return "\n".join(lines) + "\n"
+    rows = ("".join(map(str, row)) for row in code.generator.to_rows())
+    return "\n".join([f"q={code.q} n={code.n} k={code.k}", *rows]) + "\n"

@@ -181,10 +181,7 @@ class ThreeWeightSolution(NamedTuple):
     def counts(self) -> dict[int, int]:
         if not self.is_integral():
             raise InvalidArgument("frequencies are not integral")
-        d = {0: 1}
-        for w, f in zip(self.weights, self.frequencies):
-            d[w] = int(f)
-        return d
+        return {0: 1, **{w: int(f) for w, f in zip(self.weights, self.frequencies)}}
 
 
 def three_weight_solve(n: int, k: int, w1: int, w2: int, w3: int) -> ThreeWeightSolution:

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -194,16 +194,20 @@ def test_least_nonnegative_matches_linear_scan_on_every_pair(d):
 @pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
 def test_staircase_matches_bisection_on_every_pair(d):
     bound = 60
-    for a in range(1, bound + 1):
-        visited = {b: (c, value) for b, c, value in curve._staircase(d, a)}
-        # the staircase visits a prefix a, a - 1, ... of the row
-        assert list(visited) == list(range(a, a - len(visited), -1)), a
+    rows = {a: {b: (c, value) for b, c, value in curve._staircase(d, a)} for a in range(1, bound + 1)}
+    for a, visited in rows.items():
+        # the staircase visits the coprime pairs of a prefix a, a - 1, ... of the row
+        coprime = [b for b in range(a, -a - 1, -1) if gcd(a, b) == 1]
+        assert list(visited) == coprime[: len(visited)], a
         for b in range(-a, a + 1):
             found = least_nonnegative(_pair_coefficients(d, a, b), -a, min(b, 0))
+            g = gcd(a, b)
             if b in visited:
                 assert visited[b] == found, (a, b)
-            else:  # skipped: no c in [-a, min(b, 0)] with f(c) >= 0, so no root
+            elif g == 1:  # past the prefix: no c in [-a, min(b, 0)] with f(c) >= 0, so no root
                 assert found is None, (a, b)
+            elif found is not None and found[1] == 0:  # a root g times one of row a / g
+                assert found[0] % g == 0 and rows[a // g].get(b // g) == (found[0] // g, 0), (a, b)
 
 
 @st.composite

@@ -10,7 +10,7 @@ import pytest
 from threeweight import errors
 from threeweight.cli import emit_report
 from threeweight.code import parity_check_code, reed_muller, simplex
-from threeweight.curve import CurveQuery
+from threeweight.curve import CurveQuery, monomial_sum, normalize_point, vandam_lhs
 from threeweight.errors import CodesError
 from threeweight.feasibility import (
     Candidate,
@@ -25,7 +25,7 @@ from threeweight.feasibility import (
     weight_triples,
 )
 from threeweight.gfmat import GF2, FieldMatrix, PrimeField
-from threeweight.swrg import CosetGraph, is_s_swrg, tss_check
+from threeweight.swrg import CosetGraph, is_s_swrg, tss_check, vertex_guard_excess
 from threeweight.transform import dual_numerators, dual_sequence_exact, krawtchouk_column, three_weight_solve
 from threeweight.triples import binary_triples, ternary_triples
 
@@ -91,6 +91,11 @@ ARGUMENT_ERRORS = {
     "Hamming floor over GF(2.0)": lambda: hamming_floor(2.0, 10),
     "binary triples to a float bound": lambda: next(binary_triples(1, 10.0)),
     "ternary triples of a float length": lambda: next(ternary_triples(9.0)),
+    # these returned a value (-12.0 and None) or ended in a bare TypeError
+    "van Dam identity at a float s": lambda: vandam_lhs(3.0, 1, 2, 3),
+    "monomial sum of float degree": lambda: monomial_sum(2.0, 1, 2, 3),
+    "projective point with a float coordinate": lambda: normalize_point((1.5, 2, 3)),
+    "vertex guard at a float dimension": lambda: vertex_guard_excess(2, 3.0),
     "no columns": lambda: FieldMatrix(GF2, (), 0),
     "ragged packed rows": lambda: FieldMatrix(GF2, (b"\x00",), 2),
     "ragged rows": lambda: FieldMatrix.from_rows(GF2, [[1, 0], [1]]),

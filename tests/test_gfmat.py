@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -36,6 +37,22 @@ def test_from_columns_is_the_transpose_of_from_rows(field):
     by_columns = FieldMatrix.from_columns(field, cols)
     assert by_columns == FieldMatrix.from_rows(field, zip(*cols))
     assert by_columns.packed_rows() == tuple(bytes(e % field.p for e in r) for r in zip(*cols))
+
+
+# Entries that are not ints were once coerced with int(): 1.5 was stored as
+# 1, 0.9 as 0 and '2' read as 2, so a code built from them was another code.
+@pytest.mark.parametrize("entry", [1.5, 0.9, 2.0, "2", Fraction(1), None])
+def test_entries_that_are_not_ints_are_refused(entry):
+    with pytest.raises(InvalidArgument, match="entries must be ints"):
+        FieldMatrix.from_rows(GF3, [[entry, 0, 1], [0, 1, 1]])
+    with pytest.raises(InvalidArgument, match="entries must be ints"):
+        FieldMatrix.from_columns(GF3, [[1, 0], [0, entry], [1, 1]])
+
+
+def test_bools_and_negative_ints_are_read_mod_p():
+    rows = ((True, -1, -3), (False, 5, -2))
+    assert FieldMatrix.from_rows(GF3, rows).to_rows() == ((1, 2, 0), (0, 2, 1))
+    assert FieldMatrix.from_columns(GF3, zip(*rows)).to_rows() == ((1, 2, 0), (0, 2, 1))
 
 
 def test_rref_identity():

@@ -1,6 +1,7 @@
 """The block-wise bit-sliced enumeration against the recursive oracle and the
-modular Gray-code walk, and its parts (level sets, carry-save planes)
-against direct counts."""
+modular Gray-code walk at every split of the high digits into transformed
+and walked ones, and its parts (level sets, carry-save planes, the Yates
+stages) against direct counts."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from threeweight import code as code_module
+from threeweight import gfmat
 from threeweight.code import LinearCode
 from threeweight.gfmat import FieldMatrix, PrimeField
 
@@ -143,7 +145,7 @@ def test_level_sets_match_a_brute_force(q, b):
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(st.lists(st.integers(0, (1 << 70) - 1), max_size=40))
 def test_carry_save_planes_count_each_position(masks):
-    planes = code_module._bit_planes(list(masks))
+    planes = gfmat._bit_planes(list(masks), len(masks).bit_length())
     for x in range(70):
         count = sum(m >> x & 1 for m in masks)
         assert sum((p >> x & 1) << i for i, p in enumerate(planes)) == count
@@ -171,16 +173,88 @@ def test_multi_block_enumeration_matches_both_oracles(monkeypatch, block_bits, q
 
 
 # Of the q^D blocks over D high digits, the kernel splits the first and, one
-# per point of PG(D-1, q), those whose Gray step has leading digit 1: all 2^D
-# over GF(2) and 1 + (3^D - 1)/2 over GF(3).
+# per point of PG(D-1, q), those whose leading digit is 1: all 2^D over
+# GF(2) and 1 + (3^D - 1)/2 over GF(3), however many digits are transformed.
 @pytest.mark.parametrize("q", FIELDS)
 @pytest.mark.parametrize("high", range(5))
 def test_one_block_per_class_of_scalar_multiples(monkeypatch, q, high):
     monkeypatch.setattr(code_module, "BLOCK_BITS", 8)
-    calls = []
-    split = code_module._bit_planes
-    monkeypatch.setattr(code_module, "_bit_planes", lambda masks: calls.append(masks) or split(masks))
     k = low_digits(q, 8) + high
     rows = random_full_rank_rows(q, k, k + 3, 11 * q + high)
-    assert distribution(q, rows) == recursive_weight_counts(tuple(rows), q)
-    assert len(calls) == 1 + (q**high - 1) // (q - 1)
+    split = code_module._split
+    for transformed in range(high + 1):
+        calls = []
+        monkeypatch.setattr(code_module, "_transformed_digits", lambda *args: transformed)
+        monkeypatch.setattr(code_module, "_split", lambda planes, *args: calls.append(planes) or split(planes, *args))
+        assert distribution(q, rows) == recursive_weight_counts(tuple(rows), q)
+        assert len(calls) == 1 + (q**high - 1) // (q - 1), transformed
+
+
+# BLOCK_BITS = 8 leaves b = 3 block digits over GF(2) and b = 1 over GF(3);
+# the high digits are split into T transformed and D - T walked ones, for
+# every T, on generators with zero columns, so both parts carry columns of
+# several classes and some classes are empty.
+@pytest.mark.parametrize("q,high", [(2, 1), (2, 2), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (3, 4)])
+def test_every_transformed_split_matches_the_recursion(monkeypatch, q, high):
+    monkeypatch.setattr(code_module, "BLOCK_BITS", 8)
+    k = low_digits(q, 8) + high
+    for extra, seed in ((0, 1), (6, 2), (2 * q**high, 3)):
+        rows = rows_with_zero_columns(q, k, 100 * q + 10 * high + seed)
+        rows = [r + tuple(random.Random(seed + i).choices(range(q), k=extra)) for i, r in enumerate(rows)]
+        expected = recursive_weight_counts(tuple(rows), q)
+        for transformed in range(high + 1):
+            monkeypatch.setattr(code_module, "_transformed_digits", lambda *args: transformed)
+            assert distribution(q, rows) == expected, (transformed, extra)
+
+
+# The rule transforms nothing without high digits, and nothing for the
+# benchmark's ternary codes, whose one carry-save pass per block is cheaper
+# than a stage; the binary codes of the benchmark get T = 2 or 3.
+def test_the_rule_keeps_small_codes_at_the_walk():
+    for q, n in ((2, 1), (2, 500), (3, 2), (3, 500)):
+        assert code_module._transformed_digits(q, n, 0, q**8) == 0
+    for n, k in ((24, 10), (40, 10), (45, 11)):
+        assert code_module._transformed_digits(3, n, k - 8, 3**8) == 0
+    for n, k in ((48, 17), (64, 18), (96, 18), (200, 20)):
+        assert code_module._transformed_digits(2, n, k - 14, 2**14) in (2, 3)
+
+
+@st.composite
+def class_counts(draw):
+    """q, T, width and, per class h of F_q^T, its size and the values of its
+    first q - 1 counts at 12 positions, each at most the size, that sum to
+    at most the size."""
+    q = draw(st.sampled_from(FIELDS))
+    digits = draw(st.integers(1, 3 if q == 2 else 2))
+    classes = []
+    for _ in range(q**digits):
+        size = draw(st.integers(0, 9))
+        values = [[draw(st.integers(0, size))] for _ in range(12)]
+        for column in values:
+            for _ in range(q - 2):
+                column.append(draw(st.integers(0, size - sum(column))))
+            column[:] = column[: q - 1] if sum(column) <= size else [0] * (q - 1)
+        classes.append((size, values))
+    return q, digits, classes
+
+
+def planes_of(numbers: list[int], width: int) -> list[int]:
+    return [sum((x >> i & 1) << pos for pos, x in enumerate(numbers)) for i in range(width)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(class_counts())
+def test_yates_stages_match_the_sum_over_classes(case):
+    q, digits, classes = case
+    width, full = sum(size for size, _ in classes).bit_length(), (1 << 12) - 1
+    counts = [[planes_of([col[v] for col in values], width) for v in range(q - 1)] for _, values in classes]
+    out = gfmat._yates(q, digits, counts, [size for size, _ in classes], full)
+    for y in range(q**digits):
+        yd = [y // q**i % q for i in range(digits)]
+        for pos in range(12):
+            total = 0
+            for h, (size, values) in enumerate(classes):
+                v = -sum(a * (h // q**i % q) for i, a in enumerate(yd)) % q
+                column = values[pos]
+                total += column[v] if v < q - 1 else size - sum(column)
+            assert sum((p >> pos & 1) << i for i, p in enumerate(out[y])) == total, (y, pos)
