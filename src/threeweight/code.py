@@ -175,8 +175,8 @@ def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
     of Factorial Experiments, 1937) forms all q^T of them in T stages of
     ripple-carry adders, one digit of h traded for one of y per stage
     (`gfmat._yates`).  With T = 0 there is one class, no stage, and one
-    block per step.  Over GF(2) only the level sets of 0 are kept, and a
-    column with s_j = 1 adds the complement of its set.
+    block per step.  Over GF(2) with T >= 1 only the level sets of 0 are
+    kept, and a column with s_j = 1 adds the complement of its set.
 
     The walked blocks follow the modular Gray code over z, one row added
     per step: after step t, digit i of z is
