@@ -32,10 +32,14 @@ def emit_report(rows: list[dict], fmt: str) -> str:
         if not rows:
             return ""
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+        fields = list(rows[0].keys())
+        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
         for row in rows:
-            writer.writerow({**row, "reasons": ";".join(row["reasons"])} if "reasons" in row else row)
+            flat = dict(row)
+            if "reasons" in flat:
+                flat["reasons"] = ";".join(flat["reasons"])
+            writer.writerow(flat)
         return buf.getvalue()
     if fmt == "text":
         lines = []
@@ -60,7 +64,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    rows = [{**c.row(), "y": c.y} for c in feasibility.counterexample_scan(args.n_max)]
+    rows = []
+    for c in feasibility.counterexample_scan(args.n_max):
+        row = c.row()
+        row["y"] = c.y
+        rows.append(row)
     sys.stdout.write(emit_report(rows, args.format))
     return 0
 

@@ -12,11 +12,11 @@ times.  Per generator column, the level sets of its inner product with the
 first b coordinates are built once; in each block the zero set of every
 codeword coordinate is one of them, and a depth-first split of bit planes
 of the zero count ends in one popcount per weight.  The planes of one
-block come from a carry-save adder over its n zero sets.  The q^T blocks
-that differ only in the T coordinates after the first b come at once:
-the columns are grouped by their entries in those T rows, each class's
-zero sets are carry-saved per value once, and Yates's algorithm over
-F_q^T forms every block's planes in T stages of ripple-carry adders
+block come from a carry-save adder over its n zero sets.  Over GF(2) the
+2^T blocks that differ only in the T coordinates after the first b come
+at once: the columns are grouped by their entries in those T rows, each
+class's zero sets are carry-saved once, and Yates's algorithm over F_2^T
+forms every block's planes in T stages of ripple-carry adders
 (`_weight_counts`, with T chosen by adder counts in
 `_transformed_digits`).  The same kernel serves GF(2) and GF(3); its
 bit-sliced arithmetic is in `gfmat`.
@@ -39,7 +39,7 @@ import struct
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, compress, pairwise, product
-from operator import and_, getitem, itemgetter, mul, or_, xor
+from operator import and_, getitem, itemgetter, mul, not_, or_, xor
 from typing import NamedTuple
 
 from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
@@ -53,8 +53,6 @@ BLOCK_BITS = 1 << 14
 # per field, the translate tables that multiply every entry of a reduced
 # row by each nonzero scalar in turn, 1 first and -1 last
 _MULTIPLES = {q: tuple(bytes(lam * v % q for v in range(256)) for lam in range(1, q)) for q in (2, 3)}
-# per field, the translate tables that add u to every entry of a reduced row
-_SHIFTS = {q: tuple(bytes((v + u) % q for v in range(256)) for u in range(q)) for q in (2, 3)}
 # `struct` formats of the lane widths it can cut
 _LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
@@ -162,21 +160,22 @@ def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
     count is held in bit planes (`gfmat._bit_planes`), and a depth-first
     split of the planes ends in one popcount per weight (`gfmat._split`).
 
-    The first T high digits, x_hi = (y, z) with y in F_q^T, are
-    transformed and the other D - T walked, T from `_transformed_digits`.
-    Sorted by h, their entries in the T rows after the block rows, the
-    columns fall into q^T classes.  With s_j = -<z, c_j> over the walked
-    rows, column j is zero at (x_lo, y, z) when <x_lo, c_lo> - s_j =
-    -<y, h>.  Per walked step, a carry-save adder sums each class's level
-    sets into E_h[u], the count of its columns with <x_lo, c_lo> - s_j = u,
-    for u < q - 1; as each column has one value, E_h[q - 1] = |h| minus the
-    others.  The zero count of block (y, z) is then the sum over h of
-    E_h[-<y, h>], and Yates's algorithm (F. Yates, The Design and Analysis
-    of Factorial Experiments, 1937) forms all q^T of them in T stages of
-    ripple-carry adders, one digit of h traded for one of y per stage
-    (`gfmat._yates`).  With T = 0 there is one class, no stage, and one
-    block per step.  Over GF(2) with T >= 1 only the level sets of 0 are
-    kept, and a column with s_j = 1 adds the complement of its set.
+    Over GF(2) the first T high digits, x_hi = (y, z) with y in F_2^T, are
+    transformed and the other D - T walked, T from `_transformed_digits`
+    (over GF(3) T = 0: the walk alone).  Sorted by h, their entries in the
+    T rows after the block rows, the columns fall into 2^T classes.  With
+    s_j = <z, c_j> over the walked rows, column j is zero at (x_lo, y, z)
+    when <x_lo, c_lo> + s_j = <y, h>.  Per walked step, a carry-save adder
+    sums each class's level sets of 0 where s_j = 0 and their complements
+    where s_j = 1 into E_h, the count of its columns with <x_lo, c_lo> +
+    s_j = 0; each other column has value 1, so their count is |h| - E_h.
+    The zero count of block (y, z) is then the sum over h of E_h where
+    <y, h> = 0 and of |h| - E_h where it is 1, and Yates's algorithm
+    (F. Yates, The Design and Analysis of Factorial Experiments, 1937)
+    forms all 2^T of them in T stages of ripple-carry adders, one digit of
+    h traded for one of y per stage (`gfmat._yates`).  Only the level sets
+    of 0 are kept then.  With T = 0 a step has one block, whose zero set
+    of column j is its level set of s_j.
 
     The walked blocks follow the modular Gray code over z, one row added
     per step: after step t, digit i of z is
@@ -187,11 +186,9 @@ def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
     of F_q^p (the Gray code of t - lam q^p, digit p-1 shifted by -lam).  So
     those steps hold the messages lam (x_lo, y, w, 1, 0, ...) for every
     x_lo, y and w, lam times the messages of [q^p, 2q^p), and x -> lam x
-    keeps the weight: each of their blocks is counted q - 1 times.  At
-    t = 0 the same holds for y read as a base-q numeral: block 0 is
-    counted once, the blocks whose leading digit is 1 q - 1 times, and the
-    others, formed by the stages, are not split.  Over GF(2) every leading
-    digit is 1 and q - 1 = 1, so every block is split once.
+    keeps the weight: each of their blocks is counted q - 1 times.  Over
+    GF(2) every t >= 1 has leading digit 1 and q - 1 = 1, so every block is
+    split once.
     """
     k, n = len(rows), len(rows[0])
     b = 1
@@ -199,17 +196,16 @@ def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
         b += 1
     width, full = n.bit_length(), (1 << q**b) - 1
     transformed = _transformed_digits(q, n, k - b, q**b)
-    cuts = [(0, n)]  # the columns of each class
+    sizes = [n]  # the number of columns of each class
     if transformed:  # sorted by class
         keys = _numerals(q, n, rows[b : b + transformed])
         order = itemgetter(*sorted(range(n), key=keys.__getitem__))  # n >= k >= 2 here
         rows = tuple(bytes(order(row)) for row in rows)
-        cuts = list(pairwise(accumulate(map(keys.count, range(q**transformed)), initial=0)))
-    # step 0 leaves out the blocks whose leading digit is neither 0 nor 1
-    unsplit = {y for p in range(transformed) for y in range(2 * q**p, q ** (p + 1))}
-    # zeros only for one block, and over GF(2) with digits transformed
-    levels = _level_sets(q, n, b, rows[:b], 1 if k == b or q == 2 and transformed else q)
-    zeros = [[z for z, in levels[lo:hi]] for lo, hi in cuts] if q == 2 and transformed else None
+        sizes = list(map(keys.count, range(1 << transformed)))
+    # zeros only for one block, and with digits transformed
+    levels = _level_sets(q, n, b, rows[:b], 1 if k == b or transformed else q)
+    cuts = list(pairwise(accumulate(sizes, initial=0)))  # the columns themselves
+    zeros = [[z for z, in levels[lo:hi]] for lo, hi in cuts] if transformed else None
     # adding a row to z adds its negation to s, lane by lane
     steps = [int.from_bytes(row.translate(_MULTIPLES[q][-1]), "little") for row in rows[b + transformed :]]
     neg = bytes(n)  # s_j per column
@@ -227,25 +223,18 @@ def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
                 top = t
             if t >= 2 * top:  # [lam q^p, (lam+1) q^p) is lam times [q^p, 2 q^p)
                 continue
-        if not transformed:  # the zero sets of the step's one block
-            classes = [[_bit_planes(list(map(getitem, levels, neg)), width)]]
-        elif q == 2:  # a class's zero sets where s_j = 0, complements where 1
-            flip = neg.translate(_SHIFTS[2][1])
-            classes = [
-                [_bit_planes([*compress(zs, flip[lo:hi]), *map(full.__xor__, compress(zs, neg[lo:hi]))], width)]
+        if transformed:  # per class, its zero sets where s_j = 0 and their complements where s_j = 1
+            blocks = [
+                _bit_planes([*compress(zs, map(not_, neg[lo:hi])), *map(full.__xor__, compress(zs, neg[lo:hi]))], width)
                 for (lo, hi), zs in zip(cuts, zeros)
             ]
-        else:  # E_h[u] from the level sets of s_j + u
-            shifted = [neg.translate(_SHIFTS[q][u]) for u in range(q - 1)]
-            classes = [
-                [_bit_planes(list(map(getitem, levels[lo:hi], v[lo:hi])), width) for v in shifted] for lo, hi in cuts
-            ]
-        blocks = _yates(q, transformed, classes, [hi - lo for lo, hi in cuts], full)
-        for y, planes in enumerate(blocks):
-            if t or y not in unsplit:
-                _split(planes, full, n, counts)
-            if not (t or y):
-                first = counts[:]
+            _yates(transformed, blocks, sizes, full)
+        else:  # the zero sets of the step's one block
+            blocks = [_bit_planes(list(map(getitem, levels, neg)), width)]
+        for planes in blocks:
+            _split(planes, full, n, counts)
+        if not t:
+            first = counts[:]
         del blocks  # freed before the next step forms its own
     # block 0 counts once and every later split block q - 1 times
     return [f + (q - 1) * (c - f) for c, f in zip(counts, first)]
@@ -253,29 +242,29 @@ def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
 
 def _transformed_digits(q: int, n: int, high: int, bits: int) -> int:
     """T for `_weight_counts` over `high` = D digits, with blocks of `bits`
-    = q^b bits: the T that costs the fewest full adders on block-wide
-    planes of p = bit length of n.
+    = 2^b bits: over GF(2), the T that costs the fewest full adders on
+    block-wide planes of p = bit length of n, and over GF(3) always 0.
 
-    A step splits q^T blocks when T >= 1, or one, and 1 + (q^(D-T) - 1) /
-    (q - 1) steps are formed: step 0 and those with leading digit 1.  With
-    T = 0 a step carry-saves the n zero sets, about n adders.  With T >= 1
-    it carry-saves q - 1 lists of n masks, and Yates's T stages cost about
-    T q^T q (q - 1) p adders: each stage sums q values of q^T entries from
-    q entries each.  Each step also has a fixed cost, its lists and calls,
-    measured at about 32 adders on 2^14-bit planes; over planes of `bits`
-    bits that is 2^19 / bits adders.  The stages' entries, q^T (q - 1)
-    counts of p planes, are kept within n masks: over GF(2) no more than the
-    n level sets of 1 that the transform does not keep.  At D = 0 only
-    T = 0 is possible, and the small GF(3) codes of the benchmark stay at
-    T = 0, their one carry-save pass cheaper than any stage.
+    A step forms 2^T blocks, and 2^(D-T) steps are formed.  With T = 0 a
+    step carry-saves the n zero sets, about n adders.  With T >= 1 it
+    carry-saves n masks too, and Yates's T stages cost about T 2^(T+1) p
+    adders: each stage forms 2^T entries, 2^(T-1) pairs of three ripples
+    of p planes, rounded up to 4.  Each step also has a fixed cost, its
+    lists and calls, measured at about 32 adders on 2^14-bit planes; over
+    planes of `bits` bits that is 2^19 / bits adders.  On 2^14-bit blocks
+    the pick keeps the stages' 2^T counts of p planes within n masks, the
+    n level sets of 1 that the kernel does not keep, so it needs no cap of
+    its own (the tests check every n < 20000 and D <= 12, and the
+    enumeration guard q^k <= 2^26 gives D <= 12).  At D = 0 only T = 0 is
+    possible.  Over GF(3) no T >= 1 was measured faster than T = 0, so
+    none is used.
     """
     width = n.bit_length()
 
     def cost(t: int) -> int:
-        steps = 1 + (q ** (high - t) - 1) // (q - 1)
-        return steps * ((q - 1) * n + (1 << 19) // bits + t * q ** (t + 1) * (q - 1) * width) if t else steps * n
+        return (n + (1 << 19) // bits + (t * width << t + 1) if t else n) << high - t
 
-    return min((t for t in range(high + 1) if not t or q**t * (q - 1) * width <= n), key=cost)
+    return 0 if q == 3 or not high else min(range(high + 1), key=cost)
 
 
 class LinearCode:
@@ -366,9 +355,15 @@ class LinearCode:
         parities = [sum(r) % 2 for r in rows]
         if not any(parities):
             return self
-        pivot = parities.index(1)  # added to every odd row, itself included
-        new_rows = [tuple((a + p * b) % 2 for a, b in zip(r, rows[pivot])) for r, p in zip(rows, parities)]
-        del new_rows[pivot]
+        pivot = parities.index(1)
+        new_rows = []
+        for i, r in enumerate(rows):
+            if i == pivot:
+                continue
+            if parities[i]:
+                new_rows.append(tuple((a + b) % 2 for a, b in zip(r, rows[pivot])))
+            else:
+                new_rows.append(r)
         if not new_rows:
             raise InvalidArgument("even-weight subcode is the zero code")
         return LinearCode(self.field, FieldMatrix.from_rows(self.field, new_rows))
@@ -398,7 +393,10 @@ class LinearCode:
             raise InvalidArgument("complement is empty")
         gen = FieldMatrix.from_columns(self.field, comp)
         out = LinearCode(self.field, gen)
-        expected = {0: 1, **{qk1 - w: a for w, a in dist.counts if w}}  # distinct, as no w is qk1
+        expected = {0: 1}
+        for w, a in dist.counts:
+            if w > 0:
+                expected[qk1 - w] = expected.get(qk1 - w, 0) + a
         if out.weight_distribution().as_dict() != expected:
             raise SelfCheckFailed("anticode weights are not q^(k-1) - w")
         return out
@@ -407,8 +405,11 @@ class LinearCode:
         """Block-diagonal sum; the weight enumerator multiplies (checked)."""
         if self.q != other.q:
             raise InvalidArgument("direct sum needs a common field")
-        rows = [r + (0,) * other.n for r in self.generator.to_rows()]
-        rows += [(0,) * self.n + r for r in other.generator.to_rows()]
+        rows = []
+        for r in self.generator.to_rows():
+            rows.append(r + (0,) * other.n)
+        for r in other.generator.to_rows():
+            rows.append((0,) * self.n + r)
         out = LinearCode(self.field, FieldMatrix.from_rows(self.field, rows))
         da, db = self.weight_distribution().as_dict(), other.weight_distribution().as_dict()
         prod: dict[int, int] = {}
@@ -471,7 +472,13 @@ def golay23() -> LinearCode:
     Build-time validation: the even-weight subcode must have the
     enumerator 1 + 506 x^8 + 1288 x^12 + 253 x^16.
     """
-    rows = [(0,) * shift + GOLAY23_GENERATOR_POLY + (0,) * (11 - shift) for shift in range(12)]
+    rows = []
+    for shift in range(12):
+        row = [0] * 23
+        for d, c in enumerate(GOLAY23_GENERATOR_POLY):
+            if c:
+                row[shift + d] = 1
+        rows.append(tuple(row))
     code = LinearCode(GF2, FieldMatrix.from_rows(GF2, rows))
     even = code.even_weight_subcode()
     if even.weight_distribution().as_dict() != {0: 1, 8: 506, 12: 1288, 16: 253}:

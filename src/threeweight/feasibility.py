@@ -467,7 +467,11 @@ def load_annotations() -> dict[tuple[int, int, int, tuple[int, int, int]], Annot
     raw = json.loads(
         resources.files("threeweight").joinpath("data/annotations.json").read_text("utf-8")
     )
-    return {(e["q"], e["n"], e["k"], tuple(e["w"])): Annotation(e["source"], e["verdict"]) for e in raw["entries"]}
+    out = {}
+    for e in raw["entries"]:
+        key = (e["q"], e["n"], e["k"], tuple(e["w"]))
+        out[key] = Annotation(e["source"], e["verdict"])
+    return out
 
 
 def merge_annotations(candidates: list[Candidate]) -> list[Candidate]:

@@ -10,13 +10,13 @@ The bit-sliced arithmetic of the weight kernel (`code._weight_counts`) is
 here too: the level-set tables of linear forms on F_q^b, one bit per
 vector; counts per bit position held as bit planes, summed by a carry-save
 adder over masks and by ripple-carry adders over planes; Yates's algorithm
-over F_q^T on such counts; and the split of a block's planes into a
+over F_2^T on such counts; and the split of a block's planes into a
 histogram of weights.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidArgument
@@ -164,7 +164,10 @@ class FieldMatrix:
 def _pack(p: int, vectors: Iterable[Iterable[int]]) -> tuple[bytes, ...]:
     """Each vector as bytes, its entries reduced mod p.  Only ints, bools
     among them, have a residue that `bytes` takes; any other entry is
-    refused, not coerced."""
+    refused, not coerced.  The vectors are read before any entry is, so a
+    TypeError of their own, such as a row that is not iterable, is raised
+    as it is and not taken for an entry's."""
+    vectors = [tuple(v) for v in vectors]
     try:
         return tuple(bytes(e % p for e in v) for v in vectors)
     except TypeError:
@@ -265,9 +268,10 @@ def _bit_planes(masks: list[int], width: int) -> list[int]:
     return planes
 
 
-def _ripple(a: list[int], b: list[int]) -> list[int]:
-    """a + b mod 2^len(a), plane by plane: a ripple-carry adder."""
-    out, c = [], 0
+def _ripple(a: list[int], b: list[int], c: int = 0) -> list[int]:
+    """a + b + c mod 2^len(a), plane by plane, c a mask of carries into
+    plane 0: a ripple-carry adder."""
+    out = []
     for x, y in zip(a, b):
         s = x ^ y
         out.append(s ^ c)
@@ -275,37 +279,26 @@ def _ripple(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _rest(counts: list[list[int]], size: int, width: int, full: int) -> list[int]:
-    """The count of the masks left out of `size` per position, given the
-    counts of the others: size minus their sum, that is (size + 1) + ~sum
-    mod 2^width, ~ flipping the planes in `full`."""
-    flipped = [full ^ p for p in reduce(_ripple, counts)]
-    return _ripple(flipped, [(0, full)[size + 1 >> i & 1] for i in range(width)])
-
-
-def _yates(q: int, digits: int, counts: list[list[list[int]]], sizes: list[int], full: int) -> list[list[int]]:
-    """out[y] = sum over h of C_h[-<y, h>] for y in F_q^digits, h and y read
-    as base-q numerals, where C_h[v] is counts[h][v] for v < q - 1 and
-    C_h[q - 1] = sizes[h] minus the others (`_rest`).  Yates's algorithm:
-    stage i replaces digit i of h by digit i of y, out[x][v] = sum over u of
-    in[u][v - x u] for the q entries that differ in digit i only, each
-    holding the sum of their sizes.  Each group's outputs replace its
-    inputs, and the last stage forms v = 0 alone."""
-    width = len(counts[0][0])
+def _yates(digits: int, counts: list[list[int]], sizes: list[int], full: int) -> None:
+    """Replaces counts[h] by out[y] = sum over h of C_h[<y, h>] over GF(2),
+    y and h in F_2^digits read as binary numerals, where C_h[0] is
+    counts[h] and C_h[1] = sizes[h] minus it.  Yates's algorithm: stage i
+    replaces bit i of h by bit i of y.  Of two entries a, b whose h differ
+    in bit i only, b the one with the bit set, the output with y_i = 0 is
+    a + b and the one with y_i = 1 is a + (size of b - b), each of size
+    size of a + size of b; every count at 1 is its size minus its count at
+    0, so the counts at 0 alone carry through.  Each pair's outputs replace
+    its inputs as they form."""
+    sizes = list(sizes)
     for i in range(digits):
-        step, values = q**i, 1 if i == digits - 1 else q - 1
-        for base in range(len(counts)):
-            if base // step % q == 0:
-                cut = slice(base, base + q * step, step)
-                group = counts[cut]  # entry 0 is read at v < q - 1 only
-                for u in range(1, q):
-                    group[u].append(_rest(group[u], sizes[base + u * step], width, full))
-                sizes[cut] = [sum(sizes[cut])] * q
-                counts[cut] = [
-                    [reduce(_ripple, [group[u][(v - x * u) % q] for u in range(q)]) for v in range(values)]
-                    for x in range(q)
-                ]
-    return [c[0] for c in counts]
+        step = 1 << i
+        for lo in range(len(counts)):
+            if not lo & step:
+                hi = lo + step
+                a, b, size = counts[lo], counts[hi], sizes[hi]
+                ones = [full if size >> j & 1 else 0 for j in range(len(b))]  # size - b = size + ~b + 1
+                counts[lo], counts[hi] = _ripple(a, b), _ripple(a, _ripple(ones, [full ^ p for p in b], full))
+                sizes[lo] = sizes[hi] = sizes[lo] + size
 
 
 def _split(planes: list[int], full: int, n: int, counts: list[int]) -> None:

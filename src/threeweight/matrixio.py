@@ -80,5 +80,7 @@ def parse_matrix_file(path: str | Path) -> LinearCode:
 
 
 def serialize_matrix(code: LinearCode) -> str:
-    rows = ("".join(map(str, row)) for row in code.generator.to_rows())
-    return "\n".join([f"q={code.q} n={code.n} k={code.k}", *rows]) + "\n"
+    lines = [f"q={code.q} n={code.n} k={code.k}"]
+    for row in code.generator.to_rows():
+        lines.append("".join(str(e) for e in row))
+    return "\n".join(lines) + "\n"

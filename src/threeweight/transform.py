@@ -181,7 +181,10 @@ class ThreeWeightSolution(NamedTuple):
     def counts(self) -> dict[int, int]:
         if not self.is_integral():
             raise InvalidArgument("frequencies are not integral")
-        return {0: 1, **{w: int(f) for w, f in zip(self.weights, self.frequencies)}}
+        d = {0: 1}
+        for w, f in zip(self.weights, self.frequencies):
+            d[w] = int(f)
+        return d
 
 
 def three_weight_solve(n: int, k: int, w1: int, w2: int, w3: int) -> ThreeWeightSolution:

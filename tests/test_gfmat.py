@@ -49,6 +49,21 @@ def test_entries_that_are_not_ints_are_refused(entry):
         FieldMatrix.from_columns(GF3, [[1, 0], [0, entry], [1, 1]])
 
 
+# Only an entry is reported as one: a row that is not iterable, or a
+# TypeError raised while the caller's rows are produced, is raised as it is.
+def test_type_errors_of_the_rows_themselves_are_not_entry_errors():
+    with pytest.raises(TypeError, match="not iterable"):
+        FieldMatrix.from_rows(GF2, [1, 0])
+
+    def rows():
+        yield (1, 0)
+        raise TypeError("the caller's own")
+
+    for build in (FieldMatrix.from_rows, FieldMatrix.from_columns):
+        with pytest.raises(TypeError, match="the caller's own"):
+            build(GF2, rows())
+
+
 def test_bools_and_negative_ints_are_read_mod_p():
     rows = ((True, -1, -3), (False, 5, -2))
     assert FieldMatrix.from_rows(GF3, rows).to_rows() == ((1, 2, 0), (0, 2, 1))

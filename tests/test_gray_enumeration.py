@@ -174,7 +174,8 @@ def test_multi_block_enumeration_matches_both_oracles(monkeypatch, block_bits, q
 
 # Of the q^D blocks over D high digits, the kernel splits the first and, one
 # per point of PG(D-1, q), those whose leading digit is 1: all 2^D over
-# GF(2) and 1 + (3^D - 1)/2 over GF(3), however many digits are transformed.
+# GF(2), however many digits are transformed, and 1 + (3^D - 1)/2 over GF(3),
+# which transforms none.
 @pytest.mark.parametrize("q", FIELDS)
 @pytest.mark.parametrize("high", range(5))
 def test_one_block_per_class_of_scalar_multiples(monkeypatch, q, high):
@@ -182,7 +183,7 @@ def test_one_block_per_class_of_scalar_multiples(monkeypatch, q, high):
     k = low_digits(q, 8) + high
     rows = random_full_rank_rows(q, k, k + 3, 11 * q + high)
     split = code_module._split
-    for transformed in range(high + 1):
+    for transformed in range(high + 1 if q == 2 else 1):
         calls = []
         monkeypatch.setattr(code_module, "_transformed_digits", lambda *args: transformed)
         monkeypatch.setattr(code_module, "_split", lambda planes, *args: calls.append(planes) or split(planes, *args))
@@ -190,52 +191,55 @@ def test_one_block_per_class_of_scalar_multiples(monkeypatch, q, high):
         assert len(calls) == 1 + (q**high - 1) // (q - 1), transformed
 
 
-# BLOCK_BITS = 8 leaves b = 3 block digits over GF(2) and b = 1 over GF(3);
-# the high digits are split into T transformed and D - T walked ones, for
-# every T, on generators with zero columns, so both parts carry columns of
-# several classes and some classes are empty.
-@pytest.mark.parametrize("q,high", [(2, 1), (2, 2), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (3, 4)])
-def test_every_transformed_split_matches_the_recursion(monkeypatch, q, high):
+# BLOCK_BITS = 8 leaves b = 3 block digits over GF(2); the high digits are
+# split into T transformed and D - T walked ones, for every T, on generators
+# with zero columns, so both parts carry columns of several classes and some
+# classes are empty.
+@pytest.mark.parametrize("high", [1, 2, 3, 4, 5])
+def test_every_transformed_split_matches_the_recursion(monkeypatch, high):
     monkeypatch.setattr(code_module, "BLOCK_BITS", 8)
-    k = low_digits(q, 8) + high
-    for extra, seed in ((0, 1), (6, 2), (2 * q**high, 3)):
-        rows = rows_with_zero_columns(q, k, 100 * q + 10 * high + seed)
-        rows = [r + tuple(random.Random(seed + i).choices(range(q), k=extra)) for i, r in enumerate(rows)]
-        expected = recursive_weight_counts(tuple(rows), q)
+    k = 3 + high
+    for extra, seed in ((0, 1), (6, 2), (2 << high, 3)):
+        rows = rows_with_zero_columns(2, k, 200 + 10 * high + seed)
+        rows = [r + tuple(random.Random(seed + i).choices(range(2), k=extra)) for i, r in enumerate(rows)]
+        expected = recursive_weight_counts(tuple(rows), 2)
         for transformed in range(high + 1):
             monkeypatch.setattr(code_module, "_transformed_digits", lambda *args: transformed)
-            assert distribution(q, rows) == expected, (transformed, extra)
+            assert distribution(2, rows) == expected, (transformed, extra)
 
 
-# The rule transforms nothing without high digits, and nothing for the
-# benchmark's ternary codes, whose one carry-save pass per block is cheaper
-# than a stage; the binary codes of the benchmark get T = 2 or 3.
+# The rule transforms nothing without high digits and nothing over GF(3),
+# the benchmark's ternary codes among them; the binary codes of the
+# benchmark get T = 2 or 3.
 def test_the_rule_keeps_small_codes_at_the_walk():
     for q, n in ((2, 1), (2, 500), (3, 2), (3, 500)):
         assert code_module._transformed_digits(q, n, 0, q**8) == 0
-    for n, k in ((24, 10), (40, 10), (45, 11)):
+    for n, k in ((24, 10), (40, 10), (45, 11), (200, 11), (500, 16)):
         assert code_module._transformed_digits(3, n, k - 8, 3**8) == 0
     for n, k in ((48, 17), (64, 18), (96, 18), (200, 20)):
         assert code_module._transformed_digits(2, n, k - 14, 2**14) in (2, 3)
 
 
+# On 2^14-bit blocks the stages' 2^T counts of p planes stay within the n
+# level sets of 1 that the transform does not keep, for every length below
+# 20000 and every D the enumeration guard allows.
+def test_the_rule_keeps_the_stages_within_n_masks():
+    for n in range(1, 20000):
+        for high in range(13):
+            transformed = code_module._transformed_digits(2, n, high, 2**14)
+            assert n.bit_length() << transformed <= n or not transformed, (n, high)
+
+
 @st.composite
 def class_counts(draw):
-    """q, T, width and, per class h of F_q^T, its size and the values of its
-    first q - 1 counts at 12 positions, each at most the size, that sum to
-    at most the size."""
-    q = draw(st.sampled_from(FIELDS))
-    digits = draw(st.integers(1, 3 if q == 2 else 2))
+    """T and, per class h of F_2^T, its size and the values of its count
+    at 12 positions, each at most the size."""
+    digits = draw(st.integers(1, 3))
     classes = []
-    for _ in range(q**digits):
+    for _ in range(1 << digits):
         size = draw(st.integers(0, 9))
-        values = [[draw(st.integers(0, size))] for _ in range(12)]
-        for column in values:
-            for _ in range(q - 2):
-                column.append(draw(st.integers(0, size - sum(column))))
-            column[:] = column[: q - 1] if sum(column) <= size else [0] * (q - 1)
-        classes.append((size, values))
-    return q, digits, classes
+        classes.append((size, [draw(st.integers(0, size)) for _ in range(12)]))
+    return digits, classes
 
 
 def planes_of(numbers: list[int], width: int) -> list[int]:
@@ -245,16 +249,13 @@ def planes_of(numbers: list[int], width: int) -> list[int]:
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(class_counts())
 def test_yates_stages_match_the_sum_over_classes(case):
-    q, digits, classes = case
+    digits, classes = case
     width, full = sum(size for size, _ in classes).bit_length(), (1 << 12) - 1
-    counts = [[planes_of([col[v] for col in values], width) for v in range(q - 1)] for _, values in classes]
-    out = gfmat._yates(q, digits, counts, [size for size, _ in classes], full)
-    for y in range(q**digits):
-        yd = [y // q**i % q for i in range(digits)]
+    counts = [planes_of(values, width) for _, values in classes]
+    gfmat._yates(digits, counts, [size for size, _ in classes], full)
+    for y in range(1 << digits):
         for pos in range(12):
             total = 0
             for h, (size, values) in enumerate(classes):
-                v = -sum(a * (h // q**i % q) for i, a in enumerate(yd)) % q
-                column = values[pos]
-                total += column[v] if v < q - 1 else size - sum(column)
-            assert sum((p >> pos & 1) << i for i, p in enumerate(out[y])) == total, (y, pos)
+                total += size - values[pos] if (y & h).bit_count() % 2 else values[pos]
+            assert sum((p >> pos & 1) << i for i, p in enumerate(counts[y])) == total, (y, pos)
