@@ -225,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, choices=(1, 2, 3), required=True)
     p.set_defaults(func=_cmd_kn_witness)
 
+    parser.commands = sub.choices  # name -> subparser, for `main`'s dispatch
     return parser
 
 
@@ -235,10 +236,24 @@ _parser: argparse.ArgumentParser | None = None
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  When argv starts with a command name, only that
+    command's parser reads the rest, as the nested pass of the full parser
+    would, and leftovers get the full parser's own error; any other argv
+    (empty, help, an option first, an unknown command) goes to the full
+    parser."""
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv and _parser.commands.get(argv[0])
+    if not command:
+        args = _parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            _parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     try:
         return args.func(args)
     except ParseError as exc:

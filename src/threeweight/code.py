@@ -196,16 +196,16 @@ def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
         b += 1
     width, full = n.bit_length(), (1 << q**b) - 1
     transformed = _transformed_digits(q, n, k - b, q**b)
-    sizes = [n]  # the number of columns of each class
     if transformed:  # sorted by class
         keys = _numerals(q, n, rows[b : b + transformed])
         order = itemgetter(*sorted(range(n), key=keys.__getitem__))  # n >= k >= 2 here
         rows = tuple(bytes(order(row)) for row in rows)
-        sizes = list(map(keys.count, range(1 << transformed)))
+        sizes = list(map(keys.count, range(1 << transformed)))  # the number of columns of each class
     # zeros only for one block, and with digits transformed
     levels = _level_sets(q, n, b, rows[:b], 1 if k == b or transformed else q)
-    cuts = list(pairwise(accumulate(sizes, initial=0)))  # the columns themselves
-    zeros = [[z for z, in levels[lo:hi]] for lo, hi in cuts] if transformed else None
+    if transformed:  # the columns themselves, and each class's level sets of 0
+        cuts = list(pairwise(accumulate(sizes, initial=0)))
+        zeros = [[z for z, in levels[lo:hi]] for lo, hi in cuts]
     # adding a row to z adds its negation to s, lane by lane
     steps = [int.from_bytes(row.translate(_MULTIPLES[q][-1]), "little") for row in rows[b + transformed :]]
     neg = bytes(n)  # s_j per column
@@ -236,8 +236,9 @@ def _weight_counts(q: int, rows: tuple[bytes, ...]) -> list[int]:
         if not t:
             first = counts[:]
         del blocks  # freed before the next step forms its own
-    # block 0 counts once and every later split block q - 1 times
-    return [f + (q - 1) * (c - f) for c, f in zip(counts, first)]
+    # block 0 counts once and every later split block q - 1 times: the sum
+    # itself over GF(2) or for one block
+    return counts if q == 2 or k == b else [f + (q - 1) * (c - f) for c, f in zip(counts, first)]
 
 
 def _transformed_digits(q: int, n: int, high: int, bits: int) -> int:

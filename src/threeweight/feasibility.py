@@ -414,6 +414,8 @@ def dodunekov_levels(a_max: int) -> list[int]:
     chain runs the test at a = 0, 1 and at every level >= 3 only.  The
     a = 2 instance stays available through dodunekov_check directly.
     """
+    if not isinstance(a_max, int):
+        raise InvalidArgument(f"divisibility levels need an int a, not {a_max!r}")
     return [a for a in range(a_max + 1) if a != 2]
 
 
@@ -551,6 +553,8 @@ def kn_witness(a: int) -> KnWitness:
     """Extremal witnesses: a=1 the [4,3] code, a=2 the [56,6] anticode of
     the length-7 parity-check code, a=3 the [2024,11] anticode of the
     even-weight subcode of the length-23 Golay code."""
+    if not isinstance(a, int):
+        raise InvalidArgument(f"witnesses are available for an int a in {{1, 2, 3}}, not {a!r}")
     if a == 1:
         witness = simplex(2, 1).direct_sum(reed_muller(2, 2)).anticode()
         k_value, n_value = 3, 4

@@ -13,11 +13,11 @@ that `FieldMatrix` stores, one byte per entry.
 
 from __future__ import annotations
 
+import os
 import re
-from pathlib import Path
 
 from .code import LinearCode
-from .errors import ParseError
+from .errors import InvalidArgument, ParseError
 from .gfmat import FieldMatrix, PrimeField
 
 _HEADER_RE = re.compile(r"^q=(\d+)(?:\s+n=(\d+))?(?:\s+k=(\d+))?$", re.ASCII)
@@ -69,9 +69,12 @@ def parse_matrix_text(text: str) -> LinearCode:
     return LinearCode(field, FieldMatrix(field, tuple(rows), len(rows[0])))
 
 
-def parse_matrix_file(path: str | Path) -> LinearCode:
+def parse_matrix_file(path: str | os.PathLike) -> LinearCode:
+    if not isinstance(path, (str, os.PathLike)):  # `open` reads an int as a file descriptor
+        raise InvalidArgument(f"a matrix file path must be a str or path, not {path!r}")
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         raise ParseError(None, f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

@@ -68,8 +68,8 @@ def krawtchouk_column(x: int, n: int, q: int, imax: int) -> list[int]:
     with every value it divides out checked to be an integer.  It is the one
     route to K_i: dual_numerators sums these columns, dual_sequence_exact
     reads short ones, and the feasibility kernel reads K_3 from them."""
-    if not (isinstance(x, int) and isinstance(n, int)):
-        raise InvalidArgument(f"a Krawtchouk column needs an int point and length, not x = {x!r}, n = {n!r}")
+    if not (isinstance(x, int) and isinstance(n, int) and isinstance(q, int)):
+        raise InvalidArgument(f"a Krawtchouk column needs int x, n and q, not x = {x!r}, n = {n!r}, q = {q!r}")
     if n < 0:
         raise InvalidArgument(f"no Krawtchouk column for a negative length n = {n}")
     head, tail = (q - 1) * n - q * x, (q - 1) * (n + 1)  # its coefficients at i = 0

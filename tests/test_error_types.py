@@ -16,15 +16,18 @@ from threeweight.feasibility import (
     Candidate,
     counterexample_scan,
     dodunekov_check,
+    dodunekov_levels,
     enumerate_candidates,
     evaluate_candidate,
     feasibility_report,
     hamming_bound_ok,
     hamming_floor,
+    kn_witness,
     length_candidates,
     weight_triples,
 )
 from threeweight.gfmat import GF2, FieldMatrix, PrimeField
+from threeweight.matrixio import parse_matrix_file
 from threeweight.swrg import CosetGraph, is_s_swrg, tss_check, vertex_guard_excess
 from threeweight.transform import dual_numerators, dual_sequence_exact, krawtchouk_column, three_weight_solve
 from threeweight.triples import binary_triples, ternary_triples
@@ -96,6 +99,13 @@ ARGUMENT_ERRORS = {
     "monomial sum of float degree": lambda: monomial_sum(2.0, 1, 2, 3),
     "projective point with a float coordinate": lambda: normalize_point((1.5, 2, 3)),
     "vertex guard at a float dimension": lambda: vertex_guard_excess(2, 3.0),
+    # these returned floats ([1, 3.0, 0.0, -4.0] and [1, 1.0, -1.0, -1]) or
+    # ended in a bare TypeError; a matrix file at fd 0 would read stdin
+    "Krawtchouk column over GF(3.0)": lambda: krawtchouk_column(1, 3, 3.0, 3),
+    "dual numerators over GF(2.0)": lambda: dual_numerators({1: 1}, 3, 2.0),
+    "divisibility levels to a float a": lambda: dodunekov_levels(3.0),
+    "witness at a float a": lambda: kn_witness(2.0),
+    "matrix file at a file descriptor": lambda: parse_matrix_file(0),
     "no columns": lambda: FieldMatrix(GF2, (), 0),
     "ragged packed rows": lambda: FieldMatrix(GF2, (b"\x00",), 2),
     "ragged rows": lambda: FieldMatrix.from_rows(GF2, [[1, 0], [1]]),

@@ -17,6 +17,13 @@ def test_parse_small_fixture():
     assert code.params() == (2, 4, 3)
 
 
+def test_path_must_be_a_str_or_path():
+    assert parse_matrix_file(str(data_path("matrices/q2_n004_k03_w1_2_3.txt"))).params() == (2, 4, 3)
+    for path in (0, 3, b"m.txt", None):  # `open` would read an int as a file descriptor
+        with pytest.raises(InvalidArgument, match="must be a str or path"):
+            parse_matrix_file(path)
+
+
 def test_parse_ternary_block():
     code = parse_matrix_text("001\n112\n210\n")
     assert code.params() == (3, 3, 3)
