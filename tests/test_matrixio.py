@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,26 @@ def test_path_must_be_a_str_or_path():
     for path in (0, 3, b"m.txt", None):  # `open` would read an int as a file descriptor
         with pytest.raises(InvalidArgument, match="must be a str or path"):
             parse_matrix_file(path)
+
+
+@pytest.mark.parametrize("make", [
+    lambda d: d / "missing.txt",
+    lambda d: d,
+    lambda d: (d / "utf16.txt").write_text("q=2\n101\n", encoding="utf-16") and d / "utf16.txt",
+], ids=["missing", "directory", "not-utf8"])
+def test_read_errors_match_the_pathlib_route(tmp_path, make):
+    # the messages read exactly as when the file was read by Path.read_text
+    path = make(tmp_path)
+    try:
+        Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        expected = f"cannot read {path}: {exc.strerror or exc}"
+    except UnicodeDecodeError as exc:
+        expected = f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+    for arg in (path, str(path)):
+        with pytest.raises(ParseError) as info:
+            parse_matrix_file(arg)
+        assert str(info.value) == expected
 
 
 def test_parse_ternary_block():
