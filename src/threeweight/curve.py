@@ -21,7 +21,8 @@ from typing import Iterator
 from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
 
 SEARCH_BOUND_GUARD = 2000
-# the search costs about d * bound^2 and its self-check O(d^2) per point
+# the search evaluates h_d, d steps each, about 0.4 * bound^2 times, and its
+# self-check costs O(d^2) per point
 DEGREE_GUARD = 25
 
 
@@ -44,6 +45,8 @@ class CurveQuery:
 
 def normalize_point(coords: tuple[int, int, int]) -> tuple[int, int, int]:
     """Coprime integer triple, sign-normalized (first nonzero > 0)."""
+    if not (isinstance(coords, tuple) and len(coords) == 3):
+        raise InvalidArgument(f"a projective point needs a triple, not {coords!r}")
     a, b, c = coords
     if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int)):
         raise InvalidArgument(f"a projective point needs int coordinates, not {coords!r}")
@@ -61,8 +64,8 @@ def normalize_point(coords: tuple[int, int, int]) -> tuple[int, int, int]:
 
 def vandam_lhs(s: int, t1: int, t2: int, t3: int) -> int:
     """(t2-t3) t1^s + (t3-t1) t2^s + (t1-t2) t3^s, exactly."""
-    if not isinstance(s, int) or s < 2:
-        raise InvalidArgument(f"s must be an int >= 2, not {s!r}")
+    if not (isinstance(s, int) and isinstance(t1, int) and isinstance(t2, int) and isinstance(t3, int) and s >= 2):
+        raise InvalidArgument(f"the identity needs an int s >= 2 and int t1, t2, t3, not {(s, t1, t2, t3)!r}")
     return (t2 - t3) * t1**s + (t3 - t1) * t2**s + (t1 - t2) * t3**s
 
 
@@ -70,8 +73,8 @@ def monomial_sum(d: int, t1: int, t2: int, t3: int) -> int:
     """Sum of all monomials t1^h t2^i t3^j with h + i + j = d, by direct
     summation (the search evaluates h_d by a recurrence and Horner's rule,
     keeping this a genuinely independent evaluation route)."""
-    if not isinstance(d, int) or d < 0:
-        raise InvalidArgument(f"degree must be an int >= 0, not {d!r}")
+    if not (isinstance(d, int) and isinstance(t1, int) and isinstance(t2, int) and isinstance(t3, int) and d >= 0):
+        raise InvalidArgument(f"the monomial sum needs an int degree >= 0 and int t1, t2, t3, not {(d, t1, t2, t3)!r}")
     total = 0
     for h in range(d + 1):
         p1 = t1**h
@@ -103,12 +106,24 @@ def search_integral_points(query: CurveQuery) -> list[tuple[int, int, int]]:
 
     so f(c) = h_d(a, b, c) is strictly increasing, each pair (a, b) has at
     most one integral zero c, and the least c with f(c) >= 0 can only rise
-    as b falls.  Each row a is one staircase: b walks from a down to -a, and
-    one pointer c, starting at -a, moves up while f(c) < 0.  Once it passes
-    min(b, 0), no pair left in the row has a zero, and the row stops.  The
-    search is O(B^2), about one evaluation of f per pair, and f itself
-    decides each candidate, so coincident coordinates need no special case.
+    as b falls.  No pair with b > 0 holds a zero: h_d(x, y, z) =
+    sum_j y^j h_(d-j)(x, z), and h_m(a, -a) is a^m for even m and 0 for odd
+    m, so for odd d
+
+        f(-a) = h_d(a, b, -a) = sum_(j odd <= d) b^j a^(d-j),
+
+    which is > 0 for b > 0 (and 0 at b = 0).  There the least c >= -a with
+    f(c) >= 0 is -a itself, where f is not zero.  Each row a is therefore
+    one staircase over b = 0, -1, ..., -a: one pointer c, starting at -a
+    (where the pairs b > 0 would leave it), moves up while f(c) < 0.  Once
+    it passes b, no pair left in the row has a zero, and the row stops.  f
+    is evaluated once per visited pair and once per pointer step, at most
+    2a + 1 times in row a (about 0.38 B^2 times in all for d = 3 and
+    B = bound), and f itself decides each candidate, so coincident
+    coordinates need no special case.
     """
+    if not isinstance(query, CurveQuery):
+        raise InvalidArgument(f"the search needs a CurveQuery, not {query!r}")
     d, bound = query.d, query.bound
     if bound > SEARCH_BOUND_GUARD:
         raise GuardExceeded(f"bound {bound} over guard {SEARCH_BOUND_GUARD}")
@@ -137,8 +152,10 @@ def search_integral_points(query: CurveQuery) -> list[tuple[int, int, int]]:
 
 def _staircase(d: int, a: int) -> Iterator[tuple[int, int, int]]:
     """(b, c, f(c)) for each pair (a, b) of row a that the staircase visits,
-    b falling from a, where c is the least in [-a, min(b, 0)] with
-    f(c) = h_d(a, b, c) >= 0; the row ends at the first b without one.
+    b falling from 0, where c is the least in [-a, b] with f(c) =
+    h_d(a, b, c) >= 0; the row ends at the first b without one.  The pairs
+    b > 0 are left out: f(-a) > 0 there (see `search_integral_points`), so
+    none holds a zero and none would move the pointer off -a.
 
     Only coprime pairs are visited.  With g = gcd(a, b) > 1, a = g a' and
     b = g b', h_d(a, b, g x) = g^d h_d(a', b', x), and h_d(a', b', x) is
@@ -147,14 +164,13 @@ def _staircase(d: int, a: int) -> Iterator[tuple[int, int, int]]:
     zero is g times the zero (a', b', c / g) of row a' < a, which lies in
     the same domain and is the same projective point.  The least c only
     rises as b falls, so a skipped pair moves no later pointer, and the
-    visited pairs are the coprime pairs of a prefix of the row."""
+    visited pairs are the coprime pairs of a prefix 0, -1, ... of the row."""
     degrees = range(d)
     c = -a
-    for b in range(a, -a - 1, -1):
+    for b in range(0, -a - 1, -1):
         if gcd(a, b) > 1:
             continue
-        top = b if b < 0 else 0
-        if c > top:
+        if c > b:
             return
         while True:
             # f(c) = sum_j h_j(a, b) c^(d-j), by h_j(a,b) = a h_(j-1)(a,b) + b^j
@@ -163,7 +179,7 @@ def _staircase(d: int, a: int) -> Iterator[tuple[int, int, int]]:
                 pb *= b
                 h = a * h + pb
                 value = value * c + h
-            if value >= 0 or c == top:
+            if value >= 0 or c == b:
                 break
             c += 1
         if value < 0:

@@ -101,11 +101,13 @@ def dual_sequence_exact(
     q^(k-nu) | T_nu for each nu < k past them.
 
     Signs in the middle.  Krawtchouk orthogonality, sum_x v_x K_i(x)^2 =
-    q^n v_i, gives K_i(w)^2 v_w <= q^n v_i, so by Cauchy-Schwarz over the
-    three weights (sum_j A_j K_i(w_j))^2 <= v_i N / D, with D = prod_j
-    v_(w_j) and N = 3 q^n sum_j A_j^2 D / v_(w_j).  So q^k B_i > 0 wherever
-    v_i > floor(N / D), and as v is log-concave in i these lanes form one
-    interval, from the first such lane lo.
+    q^n v_i, bounds the three weights' share of that sum: sum_j v_(w_j)
+    K_i(w_j)^2 <= q^n v_i.  With it, Cauchy-Schwarz over the three weights
+    gives (sum_j A_j K_i(w_j))^2 <= (sum_j A_j^2 / v_(w_j)) (sum_j v_(w_j)
+    K_i(w_j)^2) <= v_i N / D, with D = prod_j v_(w_j) and N = q^n sum_j
+    A_j^2 D / v_(w_j).  So q^k B_i > 0 wherever v_i > floor(N / D), and as
+    v is log-concave in i these lanes form one interval, from the first
+    such lane lo.
 
     Exact lanes.  The lanes below lo come from short krawtchouk_columns
     (K_i(0) = v_i from the walk to lo).
@@ -124,7 +126,7 @@ def dual_sequence_exact(
         )
     size, s = q**k, q - 1
     u1, u2, u3 = comb(n, w1) * s**w1, comb(n, w2) * s**w2, comb(n, w3) * s**w3
-    bound = 3 * q**n * (a1 * a1 * u2 * u3 + a2 * a2 * u1 * u3 + a3 * a3 * u1 * u2) // (u1 * u2 * u3)
+    bound = q**n * (a1 * a1 * u2 * u3 + a2 * a2 * u1 * u3 + a3 * a3 * u1 * u2) // (u1 * u2 * u3)
     lo, v = 0, [1]  # v_0..v_lo
     while lo <= n and v[lo] <= bound:
         v.append(v[lo] * (n - lo) * s // (lo + 1))

@@ -1,10 +1,11 @@
 """Independent second routes for `threeweight.curve.search_integral_points`.
 
 The library walks each row a of the fundamental domain as one staircase:
-b falls from a, and one rising pointer c stops at the least c with
-h_d(a, b, c) >= 0, about one evaluation per pair; even degrees are skipped
-outright.  `least_nonnegative` finds the same candidate c for a single
-pair (a, b) by integer bisection, independently of every other pair.
+b falls from 0 (no pair with b > 0 holds a zero), and one rising pointer c
+stops at the least c with h_d(a, b, c) >= 0, one evaluation per pair and
+per pointer step; even degrees are skipped outright.  `least_nonnegative`
+finds the same candidate c for a single pair (a, b) by integer bisection,
+independently of every other pair.
 `box_search` scans every cell of the same domain, tests distinct
 coordinates through the telescoped numerator
 

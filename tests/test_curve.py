@@ -196,18 +196,40 @@ def test_staircase_matches_bisection_on_every_pair(d):
     bound = 60
     rows = {a: {b: (c, value) for b, c, value in curve._staircase(d, a)} for a in range(1, bound + 1)}
     for a, visited in rows.items():
-        # the staircase visits the coprime pairs of a prefix a, a - 1, ... of the row
-        coprime = [b for b in range(a, -a - 1, -1) if gcd(a, b) == 1]
+        # the staircase visits the coprime pairs of a prefix 0, -1, ... of the row
+        coprime = [b for b in range(0, -a - 1, -1) if gcd(a, b) == 1]
         assert list(visited) == coprime[: len(visited)], a
         for b in range(-a, a + 1):
             found = least_nonnegative(_pair_coefficients(d, a, b), -a, min(b, 0))
             g = gcd(a, b)
-            if b in visited:
+            if b > 0:  # left out: the least c is -a, where f is positive, so no root
+                value = sum(b**j * a ** (d - j) for j in range(1, d + 1, 2))
+                assert value > 0 and found == (-a, value), (a, b)
+            elif b in visited:
                 assert visited[b] == found, (a, b)
-            elif g == 1:  # past the prefix: no c in [-a, min(b, 0)] with f(c) >= 0, so no root
+            elif g == 1:  # past the prefix: no c in [-a, b] with f(c) >= 0, so no root
                 assert found is None, (a, b)
             elif found is not None and found[1] == 0:  # a root g times one of row a / g
                 assert found[0] % g == 0 and rows[a // g].get(b // g) == (found[0] // g, 0), (a, b)
+
+
+@pytest.mark.parametrize("d", range(1, curve.DEGREE_GUARD + 1, 2))
+def test_h_d_at_minus_a_is_the_odd_part_in_b(d):
+    # h_d(x, y, z) = sum_j y^j h_(d-j)(x, z), and h_m(a, -a) is a^m for even
+    # m and 0 for odd m, so h_d(a, b, -a) = sum_(j odd) b^j a^(d-j) for odd d
+    rng = random.Random(d)
+    for _ in range(100):
+        a = rng.choice([-1, 1]) * rng.randint(1, 10**4)
+        b = rng.choice([-1, 1]) * rng.randint(0, 10**4)
+        assert monomial_sum(d, a, 0, -a) == 0
+        assert monomial_sum(d - 1, a, 0, -a) == a ** (d - 1)
+        assert monomial_sum(d, a, b, -a) == sum(b**j * a ** (d - j) for j in range(1, d + 1, 2)), (a, b)
+
+
+@pytest.mark.parametrize("d,pairs", [(3, 1843), (5, 2033)])
+def test_staircase_visits_only_the_b_le_0_half_of_each_row(d, pairs):
+    # full rows from b = a visited 4,887 pairs for d = 3 and 5,077 for d = 5
+    assert sum(1 for a in range(1, 101) for _ in curve._staircase(d, a)) == pairs
 
 
 @st.composite

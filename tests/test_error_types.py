@@ -10,7 +10,7 @@ import pytest
 from threeweight import errors
 from threeweight.cli import emit_report
 from threeweight.code import parity_check_code, reed_muller, simplex
-from threeweight.curve import CurveQuery, monomial_sum, normalize_point, vandam_lhs
+from threeweight.curve import CurveQuery, monomial_sum, normalize_point, search_integral_points, search_report, vandam_lhs
 from threeweight.errors import CodesError
 from threeweight.feasibility import (
     Candidate,
@@ -99,6 +99,13 @@ ARGUMENT_ERRORS = {
     "monomial sum of float degree": lambda: monomial_sum(2.0, 1, 2, 3),
     "projective point with a float coordinate": lambda: normalize_point((1.5, 2, 3)),
     "vertex guard at a float dimension": lambda: vertex_guard_excess(2, 3.0),
+    # these returned floats (90.0 and -4.875) or ended in a bare ValueError
+    # or AttributeError
+    "monomial sum at a float coordinate": lambda: monomial_sum(3, 1.0, 2, 3),
+    "van Dam identity at a float eigenvalue": lambda: vandam_lhs(3, 1.5, 2, 3),
+    "projective point of two coordinates": lambda: normalize_point((1, 2)),
+    "curve search of a plain tuple": lambda: search_integral_points((3, 100)),
+    "curve report of None": lambda: search_report(None),
     # these returned floats ([1, 3.0, 0.0, -4.0] and [1, 1.0, -1.0, -1]) or
     # ended in a bare TypeError; a matrix file at fd 0 would read stdin
     "Krawtchouk column over GF(3.0)": lambda: krawtchouk_column(1, 3, 3.0, 3),

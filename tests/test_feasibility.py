@@ -379,9 +379,9 @@ def test_two_adic_skip_drops_triples_before_their_gcd(monkeypatch, run, calls):
 
 
 @pytest.mark.parametrize("run,columns,lanes", [
-    (lambda: enumerate_candidates(2, 4, 71), 290, 1981),
-    (lambda: enumerate_candidates(3, 3, 39), 137, 1185),
-    (lambda: counterexample_scan(140), 21, 87),
+    (lambda: enumerate_candidates(2, 4, 71), 291, 1815),  # 290, 1,981 with 3 q^n in the bound
+    (lambda: enumerate_candidates(3, 3, 39), 139, 1109),  # 137, 1,185 with it
+    (lambda: counterexample_scan(140), 22, 88),  # 21, 87 with it
 ], ids=["table1", "table2", "scan-140"])
 def test_dual_test_steps_short_columns(monkeypatch, run, columns, lanes):
     """The dual test steps at most four krawtchouk_columns per case, one

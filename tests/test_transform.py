@@ -128,6 +128,28 @@ def test_orthogonality_bounds_every_krawtchouk_value(q):
 
 
 @pytest.mark.parametrize("q", [2, 3])
+def test_cauchy_schwarz_bounds_the_middle_lanes_without_a_factor(q):
+    """(sum_j A_j K_i(w_j))^2 D <= q^n v_i sum_j A_j^2 D / v_(w_j), with
+    D = prod_j v_(w_j), for seeded lengths, weight triples, frequencies of
+    both signs and every lane i: the bound of dual_sequence_exact's middle
+    lanes, from sum_j v_(w_j) K_i(w_j)^2 <= q^n v_i and Cauchy-Schwarz."""
+    rng = random.Random(q)
+    for _ in range(300):
+        n = rng.randint(3, 48)
+        weights = sorted(rng.sample(range(1, n + 1), 3))
+        freqs = [rng.randint(-(10**6), 10**6) for _ in range(3)]
+        v = [comb(n, x) * (q - 1) ** x for x in range(n + 1)]
+        columns = [krawtchouk_column(w, n, q, n) for w in weights]
+        u1, u2, u3 = (v[w] for w in weights)
+        a1, a2, a3 = freqs
+        numerator = a1 * a1 * u2 * u3 + a2 * a2 * u1 * u3 + a3 * a3 * u1 * u2
+        for i in range(n + 1):
+            assert sum(v[w] * column[i] ** 2 for w, column in zip(weights, columns)) <= q**n * v[i]
+            lane = sum(a * column[i] for a, column in zip(freqs, columns))
+            assert lane * lane * u1 * u2 * u3 <= q**n * v[i] * numerator, (q, n, weights, freqs, i)
+
+
+@pytest.mark.parametrize("q", [2, 3])
 def test_binomial_moments_of_krawtchouk_values(q):
     """sum_(i <= nu) C(n-i, nu-i) K_i(w) = q^nu C(n-w, nu), the identity
     behind the dual test's integrality: summed against the A_w it gives
