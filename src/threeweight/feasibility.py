@@ -28,8 +28,8 @@ computes only a few lanes of B_0..B_n, by three facts derived in its
 docstring: integrality from the binomial moments q^(k-nu) | T_nu, positive
 signs on one interval of middle lanes from Krawtchouk orthogonality and
 Cauchy-Schwarz, and the lanes outside that interval from short columns.
-evaluate_candidate decides one case and is the reference the kernel is
-tested against.
+evaluate_candidate is a view of the kernel for one case; the per-case
+route the kernel is tested against is a test oracle (tests/catalog.py).
 Survivors then run a chain of exclusion filters (length divisibility, the
 4*Delta dimension bound, the two-level divisibility test on T, and a
 sphere-packing check on short anticodes).  Each filter returns its
@@ -51,7 +51,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .code import LinearCode, golay23, parity_check_code, reed_muller, simplex
 from .errors import GuardExceeded, InvalidArgument, SelfCheckFailed
-from .transform import dual_sequence_exact, forced_frequencies, krawtchouk_column
+from .transform import dual_sequence_exact, krawtchouk_column
 from .transform import three_weight_solve  # read by perfbench/test_perfbench.py
 from .triples import binary_triples, ternary_triples
 
@@ -130,9 +130,9 @@ def _is_power_of_two(m: int) -> bool:
 
 def weight_triples(q: int, n: int) -> list[tuple[int, int, int]]:
     """All 1 <= w1 < w2 < w3 <= n with w1 + w2 + w3 = 3n(q-1)/q, sorted by
-    (w1, w2): the cases of evaluate_candidate.  length_candidates visits
-    those its triples lists (the window of w2 and, for q = 2, the cap at
-    the floor) in the same order."""
+    (w1, w2): condition (i).  length_candidates visits those its triples
+    lists (the window of w2 and, for q = 2, the cap at the floor) in the
+    same order."""
     if not (isinstance(q, int) and isinstance(n, int)):
         raise InvalidArgument(f"weight triples need an int field order and length, not q = {q!r}, n = {n!r}")
     if (3 * n * (q - 1)) % q != 0:
@@ -148,30 +148,14 @@ def weight_triples(q: int, n: int) -> list[tuple[int, int, int]]:
 
 
 def evaluate_candidate(q: int, n: int, k: int, weights: tuple[int, int, int]) -> Candidate | None:
-    """Run conditions (i)-(v); return the admissible Candidate or None."""
-    if not (isinstance(q, int) and isinstance(n, int) and isinstance(k, int)):
-        raise InvalidArgument(f"a candidate needs an int q, n and k, not {(q, n, k)!r}")
+    """Conditions (i)-(v) on one case: the admissible Candidate or None.  It
+    checks (i), which length_candidates assumes, and views that kernel."""
+    if not (all(isinstance(v, int) for v in (q, n, k, *weights)) and q in (2, 3)):
+        raise InvalidArgument(f"a candidate needs q in {{2, 3}} and an int n, k and weights, not {(q, n, k, weights)!r}")
     w1, w2, w3 = weights
-    if not (1 <= w1 < w2 < w3 <= n):
-        return None
-    if (w1 + w2 + w3) * q != 3 * n * (q - 1):
-        return None
-    if k < 2:
-        return None  # no code of dimension below 2 has three nonzero weights
-    delta = gcd(w1, w2, w3)
-    if q ** (k - 1) % delta != 0:
-        return None  # condition (ii): the code would be a proper repetition
-    if q == 2 and (w1 * w2 * w3) % (1 << (k - 2)) != 0 or q != 2 and k > n:
-        return None  # condition (iii)
-    freqs = forced_frequencies(q, n, k, weights)
-    if freqs is None:
-        return None  # condition (iv): frequencies
-    b_seq = dual_sequence_exact(q, n, k, weights, freqs)
-    if b_seq is None:
-        return None  # condition (iv): dual distribution
-    if b_seq[0] != 1 or b_seq[1] != 0 or b_seq[2] != 0:
-        return None  # condition (v)
-    return Candidate(q, n, k, weights, freqs, b_seq[3], delta)
+    if not (1 <= w1 < w2 < w3 <= n) or (w1 + w2 + w3) * q != 3 * n * (q - 1):
+        return None  # condition (i)
+    return next((c for c in length_candidates(q, n, [weights]) if c.k == k), None)
 
 
 def hamming_floor(q: int, n: int) -> int:
@@ -187,12 +171,12 @@ def hamming_floor(q: int, n: int) -> int:
 
 def length_candidates(q: int, n: int, triples: Iterable[tuple[int, int, int]]) -> Iterator[Candidate]:
     """Every admissible Candidate of length n among triples, in their order
-    with k ascending: the one production route of enumerate_candidates and
-    counterexample_scan.  evaluate_candidate decides the same cases one at
-    a time and is the reference this kernel is tested against.  triples is
-    the length's list from the triples module (binary_triples, which the two
-    binary routes stream over their range of lengths, or ternary_triples),
-    in weight_triples order; it alone decides which triples the length gets.
+    with k ascending: the one route to conditions (ii)-(v), which
+    enumerate_candidates and counterexample_scan run and evaluate_candidate
+    views one case at a time.  triples is the length's list from the
+    triples module (binary_triples, which the two binary routes stream over
+    their range of lengths, or ternary_triples), in weight_triples order; it
+    alone decides which triples the length gets.
 
     With x_w = K_1(w) = n(q-1) - qw, the moments sum A = q^k - 1 and
     B_1 = B_2 = 0 give each frequency in Lagrange form,

@@ -77,8 +77,8 @@ class SwrgResult(NamedTuple):
 def vertex_guard_excess(q: int, k: int) -> str | None:
     """Why F_q^k gets no vertex-by-vertex work (the adjacency listing and
     `apply_adjacency` raise it), or None within VERTEX_GUARD."""
-    if not isinstance(k, int):
-        raise InvalidArgument(f"the vertex guard needs an int k, not {k!r}")
+    if not (isinstance(q, int) and isinstance(k, int)):
+        raise InvalidArgument(f"the vertex guard needs an int q and k, not {(q, k)!r}")
     n = q**k
     return f"q^k = {n} vertices over the vertex guard {VERTEX_GUARD}" if n > VERTEX_GUARD else None
 

@@ -4,13 +4,11 @@ first power moments.
 
 The frequencies have one formula, the Lagrange form of lagrange_terms:
 A_j (w_j - w_a)(w_j - w_b) = q^(k-2) (n(q-1) + x_a x_b) - w_a w_b with
-x_w = K_1(w).  forced_frequencies applies it to one (q, n, k, weights) and
-rejects on the first nonzero remainder, the per-case route of
-feasibility.evaluate_candidate; the per-length kernel
-feasibility.length_candidates inlines the same arithmetic and is tested
-against that route.  solve_three_weight_general gives the same values as
-fractions.  The binary closed form three_weight_solve is kept as a rational
-reference.
+x_w = K_1(w).  The per-length kernel feasibility.length_candidates inlines
+it, solve_three_weight_general gives the same values as fractions, and the
+binary closed form three_weight_solve is kept as a rational reference; the
+per-case integer route the kernel is tested against is a test oracle
+(tests/transform_oracles.py).
 
 krawtchouk_column steps the three-term Krawtchouk recurrence of one weight,
 the only place that does and the one route to K_i.  dual_numerators sums
@@ -68,8 +66,8 @@ def krawtchouk_column(x: int, n: int, q: int, imax: int) -> list[int]:
     with every value it divides out checked to be an integer.  It is the one
     route to K_i: dual_numerators sums these columns, dual_sequence_exact
     reads short ones, and the feasibility kernel reads K_3 from them."""
-    if not (isinstance(x, int) and isinstance(n, int) and isinstance(q, int)):
-        raise InvalidArgument(f"a Krawtchouk column needs int x, n and q, not x = {x!r}, n = {n!r}, q = {q!r}")
+    if not (isinstance(x, int) and isinstance(n, int) and isinstance(q, int) and isinstance(imax, int)):
+        raise InvalidArgument(f"a Krawtchouk column needs int x, n, q and imax, not {(x, n, q, imax)!r}")
     if n < 0:
         raise InvalidArgument(f"no Krawtchouk column for a negative length n = {n}")
     head, tail = (q - 1) * n - q * x, (q - 1) * (n + 1)  # its coefficients at i = 0
@@ -109,8 +107,8 @@ def dual_sequence_exact(
     v is log-concave in i these lanes form one interval, from the first
     such lane lo.
 
-    Exact lanes.  The lanes below lo come from short krawtchouk_columns
-    (K_i(0) = v_i from the walk to lo).
+    Exact lanes.  The lanes below max(lo, 4) come from one short
+    krawtchouk_column per weight and K_i(0) = v_i, the walk carried to i = 3.
     Over GF(2) v_(n-i) = v_i, so the interval ends at n - lo, and the lanes
     above it are q^k B_(n-i) = sum_w (-1)^w A_w K_i(w) for i < lo, by
     K_(n-i)(x) = (-1)^x K_i(x).  Over GF(3) the interval must reach i = n
@@ -136,11 +134,12 @@ def dual_sequence_exact(
         lanes, mirror = dual_numerators({0: 1, w1: a1, w2: a2, w3: a3}, n, q), []
     else:
         top = max(lo, 4)  # the lanes computed exactly
-        k0 = v[:top] if lo >= 4 else krawtchouk_column(0, n, q, 3)
+        for i in range(lo, 3):  # K_i(0) = v_i, on to lane 3
+            v.append(v[i] * (n - i) * s // (i + 1))
         k1, k2, k3 = (krawtchouk_column(w, n, q, top - 1) for w in weights)
-        lanes = [c0 + a1 * c1 + a2 * c2 + a3 * c3 for c0, c1, c2, c3 in zip(k0, k1, k2, k3)]
+        lanes = [c0 + a1 * c1 + a2 * c2 + a3 * c3 for c0, c1, c2, c3 in zip(v, k1, k2, k3)]
         b1, b2, b3 = (-a if w & 1 else a for w, a in zip(weights, freqs))  # q^k B_(n-i) over GF(2)
-        mirror = [c0 + b1 * c1 + b2 * c2 + b3 * c3 for c0, c1, c2, c3 in zip(k0[:lo], k1, k2, k3)] if q == 2 else []
+        mirror = [c0 + b1 * c1 + b2 * c2 + b3 * c3 for c0, c1, c2, c3 in zip(v[:lo], k1, k2, k3)] if q == 2 else []
     if min(lanes[:lo] + mirror, default=0) < 0 or any(x % size for x in lanes[:top]):
         return None
     c0, c1, c2, c3 = comb(n, top), comb(n - w1, top), comb(n - w2, top), comb(n - w3, top)
@@ -158,6 +157,8 @@ def dual_distribution(counts: dict[int, int], n: int, q: int, k: int) -> list[Fr
     B_i = (1/q^k) * sum_j K_i(j) A_j, returned as exact reduced fractions.
     Callers decide what integrality or nonnegativity means for them.
     """
+    if not isinstance(k, int) or k < 0:
+        raise InvalidArgument(f"the dual distribution needs an int k >= 0, not {k!r}")
     size = q**k
     return [Fraction(v, size) for v in dual_numerators(counts, n, q)]
 
@@ -253,6 +254,8 @@ def lagrange_terms(
     words of weight w_j contribute to it.  Nothing here depends on k.
     """
     w1, w2, w3 = weights
+    if not all(isinstance(v, int) for v in (q, n, w1, w2, w3)):
+        raise InvalidArgument(f"the Lagrange form needs an int q, n and weights, not {(q, n, weights)!r}")
     if w1 == w2 or w1 == w3 or w2 == w3:
         raise InvalidArgument(f"weights must be distinct, got {weights}")
     ns = n * (q - 1)
@@ -264,29 +267,14 @@ def lagrange_terms(
     )
 
 
-def forced_frequencies(
-    q: int, n: int, k: int, weights: tuple[int, int, int]
-) -> tuple[int, int, int] | None:
-    """The frequencies (A_w1, A_w2, A_w3) forced by sum A = q^k - 1 and
-    B_1 = B_2 = 0, or None as soon as one is not a positive integer.
-
-    A_j = (q^k p_j - q^2 c_j) / (q^2 d_j) over lagrange_terms, exact for
-    every k >= 0."""
-    top, qq = q**k, q * q
-    out = []
-    for p, c, d in lagrange_terms(q, n, weights):
-        a, rem = divmod(top * p - qq * c, qq * d)
-        if rem or a <= 0:
-            return None
-        out.append(a)
-    return tuple(out)
-
-
 def solve_three_weight_general(
     n: int, k: int, q: int, w1: int, w2: int, w3: int
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """Frequencies forced by B_1 = B_2 = 0 for any prime power q, as exact
-    rationals: forced_frequencies without the integrality test."""
+    """Frequencies forced by sum A = q^k - 1 and B_1 = B_2 = 0 for any
+    prime power q and k >= 0, as exact rationals A_j = (q^k p_j - q^2 c_j) /
+    (q^2 d_j) over lagrange_terms."""
+    if not isinstance(k, int) or k < 0:
+        raise InvalidArgument(f"the frequencies need an int k >= 0, not {k!r}")
     top, qq = q**k, q * q
     terms = lagrange_terms(q, n, (w1, w2, w3))
     return tuple(Fraction(top * p - qq * c, qq * d) for p, c, d in terms)

@@ -29,7 +29,15 @@ from threeweight.feasibility import (
 from threeweight.gfmat import GF2, FieldMatrix, PrimeField
 from threeweight.matrixio import parse_matrix_file
 from threeweight.swrg import CosetGraph, is_s_swrg, tss_check, vertex_guard_excess
-from threeweight.transform import dual_numerators, dual_sequence_exact, krawtchouk_column, three_weight_solve
+from threeweight.transform import (
+    dual_distribution,
+    dual_numerators,
+    dual_sequence_exact,
+    krawtchouk_column,
+    lagrange_terms,
+    solve_three_weight_general,
+    three_weight_solve,
+)
 from threeweight.triples import binary_triples, ternary_triples
 
 from kernel_triples import length_triples
@@ -121,6 +129,18 @@ ARGUMENT_ERRORS = {
     "ragged columns": lambda: FieldMatrix.from_columns(GF2, [[1, 0], [1]]),
     "weights without w_0": lambda: eigenvalues_from_weights(2, 8, (4, 6)),
     "unknown report format": lambda: emit_report([], "xml"),
+    # these returned a value (a candidate over GF(5) None unless its
+    # frequencies reached the dual test, the vertex guard over GF(2.0) None,
+    # the Lagrange form floats) or ended in a bare TypeError
+    "candidate over GF(5)": lambda: evaluate_candidate(5, 10, 3, (6, 8, 10)),
+    "candidate of a float weight": lambda: evaluate_candidate(2, 24, 5, (10.0, 12, 14)),
+    "Krawtchouk column to a float lane": lambda: krawtchouk_column(1, 6, 2, 3.0),
+    "general frequencies at a float length": lambda: solve_three_weight_general(8.0, 3, 2, 2, 4, 6),
+    "general frequencies at k = -5": lambda: solve_three_weight_general(8, -5, 2, 2, 4, 6),
+    "Lagrange form over GF(2.0)": lambda: lagrange_terms(2.0, 8, (2, 4, 6)),
+    "dual distribution of a float dimension": lambda: dual_distribution({0: 1, 2: 3}, 4, 2, 2.0),
+    "dual distribution at k = -3": lambda: dual_distribution({0: 1, 2: 3}, 4, 2, -3),
+    "vertex guard over GF(2.0)": lambda: vertex_guard_excess(2.0, 3),
 }
 
 

@@ -35,12 +35,14 @@ from threeweight.feasibility import (
 from threeweight import transform
 from threeweight.transform import dual_numerators, three_weight_solve
 
+import catalog
 from catalog import (
     SCAN,
     dimension_range,
     filter_divisibility_dimension,
     filter_gap_power_of_2,
     midpoint_gap,
+    reference_candidate,
 )
 from kernel_triples import length_triples
 from transform_oracles import DualLanes, dual_sequence, krawtchouk, packed_dual_sequence
@@ -261,11 +263,11 @@ def test_hamming_bound_matches_binomial_sum_volume():
                 assert not hamming_bound_ok(n, n - m + 1, d, q), (n, d, q)
 
 
-def _calls(monkeypatch, name, run):
-    """Every (args, result) of the calls to feasibility.<name> that run()
+def _calls(monkeypatch, name, run, module=feasibility):
+    """Every (args, result) of the calls to module.<name> that run()
     makes."""
     calls = []
-    real = getattr(feasibility, name)
+    real = getattr(module, name)
 
     def record(*args):
         result = real(*args)
@@ -273,7 +275,7 @@ def _calls(monkeypatch, name, run):
         return result
 
     with monkeypatch.context() as patched:
-        patched.setattr(feasibility, name, record)
+        patched.setattr(module, name, record)
         run()
     return calls
 
@@ -313,10 +315,10 @@ def test_hamming_filter_calls_match_the_binomial_sum(monkeypatch, q, n_min, n_ma
     assert (len(recorded), sum(exact_sum)) == (calls, exact)
 
 
-def _dual_tests(monkeypatch, n_max, run):
+def _dual_tests(monkeypatch, n_max, run, module=feasibility):
     """Every case (q, n, k, weights, freqs) and result of the dual test that
-    run(n) makes for n = 1..n_max."""
-    return _calls(monkeypatch, "dual_sequence_exact", lambda: [run(n) for n in range(1, n_max + 1)])
+    run(n) makes through module for n = 1..n_max."""
+    return _calls(monkeypatch, "dual_sequence_exact", lambda: [run(n) for n in range(1, n_max + 1)], module)
 
 
 def _first_four(b_seq):
@@ -331,14 +333,14 @@ def _kernel_dual_tests(monkeypatch, q, n_max, midpoint=True):
 
 def _frequency_survivors(monkeypatch, q, n_max):
     """Every (q, n, k, weights, freqs) whose frequencies are positive
-    integers, in kernel order: the cases evaluate_candidate hands to the
-    full dual test."""
+    integers, in kernel order: the cases the per-case reference
+    (catalog.reference_candidate) hands to the full dual test."""
     def run(n):
         for ws in weight_triples(q, n):
             for k in dimension_range(q, n, ws):
-                evaluate_candidate(q, n, k, ws)
+                reference_candidate(q, n, k, ws)
 
-    return [args for args, _ in _dual_tests(monkeypatch, n_max, run)]
+    return [args for args, _ in _dual_tests(monkeypatch, n_max, run, catalog)]
 
 
 @pytest.mark.parametrize("q,n_max,cases,rejected", [(3, 39, 486, 450), (2, 140, 175, 19)])
@@ -379,20 +381,22 @@ def test_two_adic_skip_drops_triples_before_their_gcd(monkeypatch, run, calls):
 
 
 @pytest.mark.parametrize("run,columns,lanes", [
-    (lambda: enumerate_candidates(2, 4, 71), 291, 1815),  # 290, 1,981 with 3 q^n in the bound
-    (lambda: enumerate_candidates(3, 3, 39), 139, 1109),  # 137, 1,185 with it
-    (lambda: counterexample_scan(140), 22, 88),  # 21, 87 with it
+    (lambda: enumerate_candidates(2, 4, 71), 288, 1803),  # 291, 1,815 with a K_i(0) column
+    (lambda: enumerate_candidates(3, 3, 39), 136, 1097),  # 139, 1,109 with it
+    (lambda: counterexample_scan(140), 21, 84),  # 22, 88 with it
 ], ids=["table1", "table2", "scan-140"])
 def test_dual_test_steps_short_columns(monkeypatch, run, columns, lanes):
-    """The dual test steps at most four krawtchouk_columns per case, one
-    per weight and one for K_i(0) unless the walk to its interval has
-    passed i = 3, and only to the lanes it computes exactly: the count and
+    """The dual test steps one krawtchouk_column per weight, and only to
+    the lanes it computes exactly (K_i(0) = v_i comes from its walk to the
+    interval, carried on to i = 3), so three per case, and four where it
+    falls back on dual_numerators, which steps K_i(0) too: the count and
     the lanes stepped pin how far the exact ends reach."""
-    stepped = []
-    real_column = transform.krawtchouk_column
+    stepped, fallbacks = [], []
+    real_column, real_numerators = transform.krawtchouk_column, transform.dual_numerators
     monkeypatch.setattr(transform, "krawtchouk_column", lambda *args: stepped.append(args) or real_column(*args))
+    monkeypatch.setattr(transform, "dual_numerators", lambda *args: fallbacks.append(args) or real_numerators(*args))
     tests = _calls(monkeypatch, "dual_sequence_exact", run)
-    assert len(stepped) <= 4 * len(tests)
+    assert len(stepped) == 3 * len(tests) + len(fallbacks)
     assert (len(stepped), sum(imax + 1 for _, _, _, imax in stepped)) == (columns, lanes)
 
 
@@ -661,9 +665,10 @@ def test_scan_guard():
 
 
 @pytest.mark.parametrize("q,n_max,cases", [(2, 256, 1_027_990), (3, 81, 918_778)])
-def test_length_kernel_matches_evaluate_candidate(q, n_max, cases):
-    """The per-length kernel yields exactly the admissible results of
-    evaluate_candidate over every (n, triple, k) case, in the same order
+def test_length_kernel_matches_the_case_reference(q, n_max, cases):
+    """The per-length kernel yields exactly the admissible results of the
+    per-case reference (catalog.reference_candidate, with its own frequency
+    route) over every (n, triple, k) case, in the same order
     and with equal frequencies, dual distributions and gcds.  The lengths
     start at 1, so n = 1, 2 and the lengths with no integral weight sum
     3n(q-1)/q are covered (both routes yield nothing there).  The reference
@@ -676,12 +681,27 @@ def test_length_kernel_matches_evaluate_candidate(q, n_max, cases):
         for ws in weight_triples(q, n):
             for k in dimension_range(q, n, ws):
                 seen += 1
-                c = evaluate_candidate(q, n, k, ws)
+                c = reference_candidate(q, n, k, ws)
                 if c is not None:
                     assert q**k >= 1 + n * (q - 1), (n, k, ws)
                     assert k <= n - ws[0] + 1, (n, k, ws)
                     want.append(c)
         assert list(length_candidates(q, n, length_triples(q, n))) == want, n
+    assert seen == cases
+
+
+@pytest.mark.parametrize("q,n_max,cases", [(2, 128, 257_451), (3, 45, 91_788)])
+def test_evaluate_candidate_is_a_view_of_the_case_reference(q, n_max, cases):
+    """evaluate_candidate, the kernel run on one triple after condition (i),
+    decides every case as the per-case reference does: every triple of
+    condition (i) at each k of dimension_range, and at k = 0, 1 and 2,
+    which it leaves out for q = 2."""
+    seen = 0
+    for n in range(1, n_max + 1):
+        for ws in weight_triples(q, n):
+            for k in sorted({0, 1, 2, *dimension_range(q, n, ws)}):
+                seen += 1
+                assert evaluate_candidate(q, n, k, ws) == reference_candidate(q, n, k, ws), (n, k, ws)
     assert seen == cases
 
 

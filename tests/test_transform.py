@@ -15,7 +15,6 @@ from threeweight.gfmat import GF2
 from threeweight.transform import (
     dual_distribution,
     dual_numerators,
-    forced_frequencies,
     krawtchouk_column,
     solve_three_weight_general,
     three_weight_solve,
@@ -28,6 +27,7 @@ from transform_oracles import (
     binomial,
     cramer_frequencies,
     det3,
+    forced_frequencies,
     forward_numerators,
     krawtchouk,
     pmt_frequencies,

@@ -14,6 +14,10 @@ transform.three_weight_solve on every call.  `DualLanes` and
 `packed_dual_sequence` are a second route to transform.dual_sequence_exact:
 they pack each Krawtchouk column of a length into one big integer and
 decide a whole dual distribution by one quotient test on the packed sum.
+`forced_frequencies` applies the Lagrange form to one (q, n, k, weights)
+and rejects on the first nonzero remainder: the frequencies of the per-case
+reference the feasibility kernel, which inlines the same arithmetic per
+length, is tested against (`catalog.reference_candidate`).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import cache
 from math import factorial
 
 from threeweight.errors import InvalidArgument, SelfCheckFailed
-from threeweight.transform import ThreeWeightSolution, krawtchouk_column, three_weight_solve
+from threeweight.transform import ThreeWeightSolution, krawtchouk_column, lagrange_terms, three_weight_solve
 
 
 def binomial(x: int, nu: int) -> int:
@@ -122,6 +126,24 @@ def cramer_frequencies(
             mc[r][col] = rhs[r]
         sols.append(Fraction(det3(mc), d))
     return sols[0], sols[1], sols[2]
+
+
+def forced_frequencies(
+    q: int, n: int, k: int, weights: tuple[int, int, int]
+) -> tuple[int, int, int] | None:
+    """The frequencies (A_w1, A_w2, A_w3) forced by sum A = q^k - 1 and
+    B_1 = B_2 = 0, or None as soon as one is not a positive integer.
+
+    A_j = (q^k p_j - q^2 c_j) / (q^2 d_j) over lagrange_terms, exact for
+    every k >= 0."""
+    top, qq = q**k, q * q
+    out = []
+    for p, c, d in lagrange_terms(q, n, weights):
+        a, rem = divmod(top * p - qq * c, qq * d)
+        if rem or a <= 0:
+            return None
+        out.append(a)
+    return tuple(out)
 
 
 def pmt_frequencies(n: int, k: int, t: int) -> ThreeWeightSolution:
