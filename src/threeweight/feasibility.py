@@ -183,13 +183,13 @@ def length_candidates(q: int, n: int, triples: Iterable[tuple[int, int, int]]) -
 
         A_j (w_j - w_a)(w_j - w_b) = q^(k-2) (n(q-1) + x_a x_b) - w_a w_b,
 
-    the formula of transform.lagrange_terms, inlined here per triple.  The
-    weights sum to 3n(q-1)/q, so x_1 + x_2 + x_3 = 0 and x_1 > 0 > x_3.
-    Whatever k is, A_1 and A_3 can then be positive only where
-    n(q-1) + x_2 x_3 > 0 and n(q-1) + x_1 x_2 > 0: for each w1 one window of
-    w2 around the midpoint n(q-1)/q, and the triples outside it are never
-    listed.  Per triple, conditions (ii) and (iii) become one interval of k:
-    a gcd q^e of the weights gives k >= e + 1, for q = 2,
+    the formula of transform.solve_three_weight_general, inlined here per
+    triple.  The weights sum to 3n(q-1)/q, so x_1 + x_2 + x_3 = 0 and
+    x_1 > 0 > x_3.  Whatever k is, A_1 and A_3 can then be positive only
+    where n(q-1) + x_2 x_3 > 0 and n(q-1) + x_1 x_2 > 0: for each w1 one
+    window of w2 around the midpoint n(q-1)/q, and the triples outside it
+    are never listed.  Per triple, conditions (ii) and (iii) become one
+    interval of k: a gcd q^e of the weights gives k >= e + 1, for q = 2,
     2^(k-2) | w1 w2 w3 caps k, and for q = 3 the Singleton bound
     k <= n - w1 + 1 does.  It follows from (iv): the binomial moments
     (MacWilliams and Sloane, The Theory of Error-Correcting Codes, Ch. 5)
@@ -256,7 +256,7 @@ def length_candidates(q: int, n: int, triples: Iterable[tuple[int, int, int]]) -
         x1, x2 = ns - q * w1, ns - q * w2
         x3 = -x1 - x2
         p1, p2, p3 = ns + x2 * x3, ns + x1 * x3, ns + x1 * x2
-        # lagrange_terms, with d_2 and A_2's numerator negated so all d_j > 0
+        # solve_three_weight_general, with d_2 and A_2's numerator negated so all d_j > 0
         d1, d2, d3 = (w2 - w1) * (w3 - w1), (w2 - w1) * (w3 - w2), (w3 - w1) * (w3 - w2)
         k3 = None  # K_3 at 0, w1, w2, w3, computed once a k reaches B_3
         y = q ** (k - 2)

@@ -2,13 +2,13 @@
 distributions, and the frequencies forced on three-weight codes by the
 first power moments.
 
-The frequencies have one formula, the Lagrange form of lagrange_terms:
-A_j (w_j - w_a)(w_j - w_b) = q^(k-2) (n(q-1) + x_a x_b) - w_a w_b with
-x_w = K_1(w).  The per-length kernel feasibility.length_candidates inlines
-it, solve_three_weight_general gives the same values as fractions, and the
-binary closed form three_weight_solve is kept as a rational reference; the
-per-case integer route the kernel is tested against is a test oracle
-(tests/transform_oracles.py).
+The frequencies have one formula, the Lagrange form derived in
+solve_three_weight_general: A_j (w_j - w_a)(w_j - w_b) = q^(k-2) (n(q-1) +
+x_a x_b) - w_a w_b with x_w = K_1(w).  three_weight_solve views it at q = 2
+and adds B_3, and the per-length kernel feasibility.length_candidates
+inlines it.  The binary closed form, the Cramer solution of the moment
+system and the per-case integer route the kernel is tested against are
+test oracles (tests/transform_oracles.py).
 
 krawtchouk_column steps the three-term Krawtchouk recurrence of one weight,
 the only place that does and the one route to K_i.  dual_numerators sums
@@ -45,8 +45,8 @@ def dual_numerators(counts: dict[int, int], n: int, q: int) -> list[int]:
     even and of odd weights are summed apart, and the upper half is their
     difference.
     """
-    if not isinstance(n, int):
-        raise InvalidArgument(f"the dual numerators need an int length, not n = {n!r}")
+    if not (isinstance(n, int) and isinstance(q, int)) or q not in (2, 3):
+        raise InvalidArgument(f"the dual numerators need an int length and q in {{2, 3}}, not n = {n!r}, q = {q!r}")
     half = n // 2 if q == 2 else n
     sums = [[0] * (half + 1), [0] * (half + 1)]  # even and odd w over GF(2)
     for w, a in counts.items():
@@ -178,25 +178,13 @@ class ThreeWeightSolution(NamedTuple):
     b3: Fraction
     y: int  # 2^(k-2); binary-only convenience
 
-    def is_integral(self) -> bool:
-        return all(f.denominator == 1 for f in self.frequencies) and self.b3.denominator == 1
-
-    def counts(self) -> dict[int, int]:
-        if not self.is_integral():
-            raise InvalidArgument("frequencies are not integral")
-        d = {0: 1}
-        for w, f in zip(self.weights, self.frequencies):
-            d[w] = int(f)
-        return d
-
 
 def three_weight_solve(n: int, k: int, w1: int, w2: int, w3: int) -> ThreeWeightSolution:
-    """Solve the first power moments of a binary projective [n,k] code with
-    nonzero weights w1 < w2 < w3 for the frequencies and for B_3.
-
-    When the frequencies come out as nonnegative integers the result is
-    cross-checked against the Krawtchouk transform, its columns stepped only
-    to K_3 (B_1 = B_2 = 0 and the same B_3 must reappear).
+    """The frequencies and B_3 forced on a binary projective [n,k] code with
+    nonzero weights w1 < w2 < w3: the frequencies of
+    solve_three_weight_general at q = 2, and 2^k B_3 = K_3(0) +
+    sum_j A_j K_3(w_j) with K_3 read from krawtchouk_column, as the
+    feasibility kernel reads it.
     """
     if not all(isinstance(v, int) for v in (n, k, w1, w2, w3)):
         raise InvalidArgument(f"the moments need an int n, k and weights, not {(n, k, w1, w2, w3)!r}")
@@ -206,75 +194,36 @@ def three_weight_solve(n: int, k: int, w1: int, w2: int, w3: int) -> ThreeWeight
         raise InvalidArgument(f"need 1 <= w1 < w2 < w3 <= n, got {(w1, w2, w3)} with n={n}")
     if k < 2:
         raise InvalidArgument("dimension must be at least 2 for a three-weight code")
-    y = 1 << (k - 2)
-    a1 = Fraction(
-        y * (n * n - 2 * n * w2 - 2 * n * w3 + 4 * w2 * w3 + n) - w2 * w3,
-        (w2 - w1) * (w3 - w1),
-    )
-    a2 = Fraction(
-        y * (n * n - 2 * n * w1 - 2 * n * w3 + 4 * w1 * w3 + n) - w1 * w3,
-        (w2 - w3) * (w2 - w1),
-    )
-    a3 = Fraction(
-        y * (n * n - 2 * n * w1 - 2 * n * w2 + 4 * w1 * w2 + n) - w1 * w2,
-        (w3 - w1) * (w3 - w2),
-    )
-    prod = w1 * w2 * w3
-    b3_times_3 = (
-        Fraction(n * n * (n + 3), 2)
-        - (w1 + w2 + w3) * n * (n + 1)
-        + 2 * (w1 * w2 + w1 * w3 + w2 * w3) * n
-        - 4 * prod
-        + Fraction(4 * prod, 1 << k)
-    )
-    b3 = b3_times_3 / 3
-    sol = ThreeWeightSolution(2, n, k, (w1, w2, w3), (a1, a2, a3), b3, y)
-    if sol.is_integral() and all(f >= 0 for f in sol.frequencies):
-        columns = [(a, krawtchouk_column(w, n, 2, 3)) for w, a in sol.counts().items()]
-        b = [Fraction(sum(a * col[i] for a, col in columns), 1 << k) for i in range(4)]
-        if b[0] != 1 or b[1] != 0 or b[2] != 0 or b[3] != b3:
-            raise SelfCheckFailed(
-                f"MacWilliams transform disagrees with the closed form for "
-                f"n={n}, k={k}, weights={(w1, w2, w3)}: B_0..B_3 = {b[:4]}, B_3 = {b3}"
-            )
-    return sol
-
-
-def lagrange_terms(
-    q: int, n: int, weights: tuple[int, int, int]
-) -> tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]:
-    """(p_j, c_j, d_j) per weight, with A_j d_j = q^(k-2) p_j - c_j for the
-    frequencies forced by sum A = q^k - 1 and B_1 = B_2 = 0.
-
-    With x_w = K_1(w) = n(q-1) - qw and w_a, w_b the other two weights,
-    p_j = n(q-1) + x_a x_b, c_j = w_a w_b and d_j = (w_j - w_a)(w_j - w_b):
-    B_1 = B_2 = 0 make the first two moments of the weight W of a codeword
-    those of a uniform word of F_q^n, so sum (W - w_a)(W - w_b) over the q^k
-    codewords is q^(k-2) (n(q-1) + x_a x_b), and only the zero word and the
-    words of weight w_j contribute to it.  Nothing here depends on k.
-    """
-    w1, w2, w3 = weights
-    if not all(isinstance(v, int) for v in (q, n, w1, w2, w3)):
-        raise InvalidArgument(f"the Lagrange form needs an int q, n and weights, not {(q, n, weights)!r}")
-    if w1 == w2 or w1 == w3 or w2 == w3:
-        raise InvalidArgument(f"weights must be distinct, got {weights}")
-    ns = n * (q - 1)
-    x1, x2, x3 = ns - q * w1, ns - q * w2, ns - q * w3
-    return (
-        (ns + x2 * x3, w2 * w3, (w1 - w2) * (w1 - w3)),
-        (ns + x1 * x3, w1 * w3, (w2 - w1) * (w2 - w3)),
-        (ns + x1 * x2, w1 * w2, (w3 - w1) * (w3 - w2)),
-    )
+    freqs = solve_three_weight_general(n, k, 2, w1, w2, w3)
+    k3 = [krawtchouk_column(w, n, 2, 3)[3] for w in (0, w1, w2, w3)]
+    b3 = Fraction(k3[0] + sum(a * v for a, v in zip(freqs, k3[1:])), 1 << k)
+    return ThreeWeightSolution(2, n, k, (w1, w2, w3), freqs, b3, 1 << (k - 2))
 
 
 def solve_three_weight_general(
     n: int, k: int, q: int, w1: int, w2: int, w3: int
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """Frequencies forced by sum A = q^k - 1 and B_1 = B_2 = 0 for any
-    prime power q and k >= 0, as exact rationals A_j = (q^k p_j - q^2 c_j) /
-    (q^2 d_j) over lagrange_terms."""
-    if not isinstance(k, int) or k < 0:
-        raise InvalidArgument(f"the frequencies need an int k >= 0, not {k!r}")
-    top, qq = q**k, q * q
-    terms = lagrange_terms(q, n, (w1, w2, w3))
-    return tuple(Fraction(top * p - qq * c, qq * d) for p, c, d in terms)
+    """The frequencies A_j of the weights w_j forced by sum A = q^k - 1 and
+    B_1 = B_2 = 0, as exact rationals, for ints n, k >= 0 and q >= 2 and
+    three distinct int weights (that q is a prime power is not checked).
+
+    With x_w = K_1(w) = n(q-1) - qw and w_a, w_b the other two weights,
+    A_j d_j = q^(k-2) p_j - c_j with p_j = n(q-1) + x_a x_b, c_j = w_a w_b
+    and d_j = (w_j - w_a)(w_j - w_b): B_1 = B_2 = 0 make the first two
+    moments of the weight W of a codeword those of a uniform word of F_q^n,
+    so sum (W - w_a)(W - w_b) over the q^k codewords is
+    q^(k-2) (n(q-1) + x_a x_b), and only the zero word and the words of
+    weight w_j contribute to it.  So A_j = (q^k p_j - q^2 c_j) / (q^2 d_j)
+    for every k >= 0.
+    """
+    if not all(isinstance(v, int) for v in (n, k, q, w1, w2, w3)) or k < 0 or q < 2:
+        raise InvalidArgument(f"the frequencies need ints n, k >= 0, q >= 2 and weights, not {(n, k, q, w1, w2, w3)!r}")
+    if w1 == w2 or w1 == w3 or w2 == w3:
+        raise InvalidArgument(f"weights must be distinct, got {(w1, w2, w3)}")
+    ns, top, qq = n * (q - 1), q**k, q * q
+    x1, x2, x3 = ns - q * w1, ns - q * w2, ns - q * w3
+    return (
+        Fraction(top * (ns + x2 * x3) - qq * w2 * w3, qq * (w1 - w2) * (w1 - w3)),
+        Fraction(top * (ns + x1 * x3) - qq * w1 * w3, qq * (w2 - w1) * (w2 - w3)),
+        Fraction(top * (ns + x1 * x2) - qq * w1 * w2, qq * (w3 - w1) * (w3 - w2)),
+    )

@@ -34,7 +34,6 @@ from threeweight.transform import (
     dual_numerators,
     dual_sequence_exact,
     krawtchouk_column,
-    lagrange_terms,
     solve_three_weight_general,
     three_weight_solve,
 )
@@ -42,10 +41,10 @@ from threeweight.triples import binary_triples, ternary_triples
 
 from kernel_triples import length_triples
 from swrg_oracles import eigenvalues_from_weights
-from transform_oracles import DualLanes, pmt_frequencies
+from transform_oracles import DualLanes, pmt_frequencies, solution_counts
 
 ARGUMENT_ERRORS = {
-    "counts of a non-integral solution": lambda: three_weight_solve(5, 3, 1, 2, 4).counts(),
+    "counts of a non-integral solution": lambda: solution_counts(three_weight_solve(5, 3, 1, 2, 4)),
     "unordered weights": lambda: three_weight_solve(8, 3, 6, 4, 2),
     "dimension below 2": lambda: three_weight_solve(8, 1, 2, 4, 6),
     # the symmetric-triple and claimed-eigenvalue oracles reject their
@@ -118,6 +117,11 @@ ARGUMENT_ERRORS = {
     # ended in a bare TypeError; a matrix file at fd 0 would read stdin
     "Krawtchouk column over GF(3.0)": lambda: krawtchouk_column(1, 3, 3.0, 3),
     "dual numerators over GF(2.0)": lambda: dual_numerators({1: 1}, 3, 2.0),
+    # these returned [0, 0, 0, 0] or ended in a bare TypeError: with no
+    # nonzero count no Krawtchouk column was stepped, so nothing checked q
+    "dual numerators of no counts over GF(2.0)": lambda: dual_numerators({}, 3, 2.0),
+    "dual numerators of a zero count over GF(7.5)": lambda: dual_numerators({1: 0}, 3, 7.5),
+    "dual distribution of no counts over GF(2.0)": lambda: dual_distribution({}, 4, 2.0, 2),
     "divisibility levels to a float a": lambda: dodunekov_levels(3.0),
     "witness at a float a": lambda: kn_witness(2.0),
     "matrix file at a file descriptor": lambda: parse_matrix_file(0),
@@ -131,13 +135,18 @@ ARGUMENT_ERRORS = {
     "unknown report format": lambda: emit_report([], "xml"),
     # these returned a value (a candidate over GF(5) None unless its
     # frequencies reached the dual test, the vertex guard over GF(2.0) None,
-    # the Lagrange form floats) or ended in a bare TypeError
+    # the general frequencies floats) or ended in a bare TypeError
     "candidate over GF(5)": lambda: evaluate_candidate(5, 10, 3, (6, 8, 10)),
     "candidate of a float weight": lambda: evaluate_candidate(2, 24, 5, (10.0, 12, 14)),
     "Krawtchouk column to a float lane": lambda: krawtchouk_column(1, 6, 2, 3.0),
     "general frequencies at a float length": lambda: solve_three_weight_general(8.0, 3, 2, 2, 4, 6),
     "general frequencies at k = -5": lambda: solve_three_weight_general(8, -5, 2, 2, 4, 6),
-    "Lagrange form over GF(2.0)": lambda: lagrange_terms(2.0, 8, (2, 4, 6)),
+    "general frequencies over GF(2.0)": lambda: solve_three_weight_general(8, 3, 2.0, 2, 4, 6),
+    # these ended in a bare ZeroDivisionError or returned (0, 0, 0) and
+    # (-45, 111, -75)
+    "general frequencies over GF(0)": lambda: solve_three_weight_general(8, 3, 0, 2, 4, 6),
+    "general frequencies over GF(1)": lambda: solve_three_weight_general(8, 3, 1, 2, 4, 6),
+    "general frequencies over GF(-2)": lambda: solve_three_weight_general(8, 3, -2, 2, 4, 6),
     "dual distribution of a float dimension": lambda: dual_distribution({0: 1, 2: 3}, 4, 2, 2.0),
     "dual distribution at k = -3": lambda: dual_distribution({0: 1, 2: 3}, 4, 2, -3),
     "vertex guard over GF(2.0)": lambda: vertex_guard_excess(2.0, 3),

@@ -45,7 +45,7 @@ from catalog import (
     reference_candidate,
 )
 from kernel_triples import length_triples
-from transform_oracles import DualLanes, dual_sequence, krawtchouk, packed_dual_sequence
+from transform_oracles import DualLanes, closed_form_solve, dual_sequence, krawtchouk, packed_dual_sequence
 
 
 def _candidate(n, k, w):
@@ -720,6 +720,7 @@ def test_pinned_scan_rows_match_the_rational_solver():
         assert ws[1] * 2 != n and sum(ws) * 2 == 3 * n
         sol = three_weight_solve(n, k, *ws)
         assert sol.frequencies == freqs and sol.b3 == b3, (n, k, ws)
+        assert closed_form_solve(n, k, *ws) == sol, (n, k, ws)
 
 
 def test_scan_survivor_invariants():

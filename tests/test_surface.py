@@ -2,16 +2,20 @@
 class and method defined under src/ is referenced somewhere in src/ outside
 its own definition (a method only through an attribute, `x.name`), no name
 is defined twice, and every name a module imports is used in that module,
-unless an allowlist below names it with a reason."""
+unless an allowlist below names it with a reason.  No docstring or comment
+names a `module.name` that is gone."""
 
 from __future__ import annotations
 
 import ast
+import io
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from collections import Counter
-from importlib import resources
+from importlib import import_module, resources
 from pathlib import Path
 
 # The names `perfbench/bench_trace.py` TARGETS traces and
@@ -25,7 +29,6 @@ BENCHMARK_PINNED = {
     "swrg.CosetGraph.apply_adjacency",
     # three_weight_solve reads B_0..B_3 from krawtchouk_column now
     "transform.dual_distribution",
-    "transform.solve_three_weight_general",
 }
 
 # Only names that nothing in src/ references belong here: an entry for a
@@ -36,7 +39,8 @@ ALLOWED = {
     "matrixio.serialize_matrix",
 }
 
-BENCH_TRACE = Path(__file__).resolve().parent.parent / "perfbench" / "bench_trace.py"
+TESTS = Path(__file__).resolve().parent
+BENCH_TRACE = TESTS.parent / "perfbench" / "bench_trace.py"
 
 
 def _definitions(module: str, tree: ast.Module):
@@ -169,6 +173,36 @@ def test_every_import_is_used_or_allowed():
 
 def test_import_allowlist_names_only_unused_imports():
     assert sorted(UNUSED_IMPORTS - _unused_imports()) == []
+
+
+# -- stale references -------------------------------------------------------
+# A docstring or comment that names `module.name` goes on sending readers
+# to it after the definition has moved out of the module or gone.
+
+
+def _prose(path: Path):
+    """The docstrings and comments of one file."""
+    text = path.read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            yield ast.get_docstring(node) or ""
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            yield tok.string
+
+
+def test_dotted_references_in_prose_name_live_definitions():
+    """Every `module.name`, module one of the package's modules, in the
+    docstrings and comments of src/, of the test oracles and of the
+    catalog names a definition the module still has."""
+    modules = sorted(set(_trees()) - {"__init__"})
+    pattern = re.compile(rf"(?<![\w/])({'|'.join(modules)})\.([A-Za-z_]\w*)")
+    files = [Path(p) for p in resources.files("threeweight").iterdir() if p.name.endswith(".py")]
+    files += [*TESTS.glob("*oracles.py"), TESTS / "catalog.py"]
+    refs = {(path.name, m, name) for path in files for text in _prose(path) for m, name in pattern.findall(text)}
+    assert len(refs) >= 10
+    stale = [f"{file}: {m}.{name}" for file, m, name in sorted(refs) if not hasattr(import_module(f"threeweight.{m}"), name)]
+    assert stale == []
 
 
 # -- import cost ------------------------------------------------------------

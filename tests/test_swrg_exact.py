@@ -2,14 +2,15 @@
 constant that is not an integer raises (tests/test_swrg.py); both steps of
 the character-transform oracle that can lose exactness raise too.  The CLI that
 prints its results does no inexact arithmetic either, nor do the code,
-matrix and parsing layers; feasibility and curve use only the integer
-functions comb, gcd and isqrt of math.  transform is left out of the syntactic
-check: its rational reference solvers divide Fractions."""
+matrix and parsing layers; feasibility, transform and curve use only the
+integer functions comb, gcd and isqrt of math (transform builds its rational
+frequencies with the Fraction constructor, never by `/`)."""
 
 from __future__ import annotations
 
 import ast
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +20,11 @@ import swrg_oracles
 from swrg_oracles import cayley_graph
 
 
-def inexact_constructs(module: str, allowed_math: frozenset[str] = frozenset()) -> list[str]:
-    """True divisions, float or complex literals and math imports in a module,
-    except `from math import` of names in allowed_math."""
-    path = resources.files("threeweight").joinpath(module)
+def inexact_constructs(module: str, allowed_math: frozenset[str] = frozenset(), root=None) -> list[str]:
+    """True divisions, float or complex literals and math imports in a module
+    of the package (or of the directory root), except `from math import` of
+    names in allowed_math."""
+    path = (root or resources.files("threeweight")).joinpath(module)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=module)
     found = []
     for node in ast.walk(tree):
@@ -52,7 +54,7 @@ def test_module_has_no_true_division_float_or_math(module):
     assert inexact_constructs(module) == []
 
 
-@pytest.mark.parametrize("module", ["feasibility.py", "triples.py", "curve.py"])
+@pytest.mark.parametrize("module", ["feasibility.py", "transform.py", "triples.py", "curve.py"])
 def test_module_uses_only_integer_math(module):
     assert inexact_constructs(module, frozenset({"comb", "gcd", "isqrt"})) == []
 
@@ -62,7 +64,9 @@ def test_inexact_constructs_flags_what_it_does_not_allow():
     assert inexact_constructs("feasibility.py", frozenset({"gcd"})) == ["from math import comb, gcd"]
     assert inexact_constructs("triples.py") == ["from math import isqrt"]
     assert inexact_constructs("triples.py", frozenset({"isqrt"})) == []
-    assert "division at line" in " ".join(inexact_constructs("transform.py"))
+    # no module of the package divides by `/`; the binary closed form in the
+    # transform oracles does
+    assert "division at line" in " ".join(inexact_constructs("transform_oracles.py", root=Path(__file__).parent))
 
 
 @pytest.mark.parametrize("q,k,omega", [

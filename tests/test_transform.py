@@ -25,10 +25,12 @@ from catalog import dimension_range
 from code_oracles import kernel_basis
 from transform_oracles import (
     binomial,
+    closed_form_solve,
     cramer_frequencies,
     det3,
     forced_frequencies,
     forward_numerators,
+    is_integral,
     krawtchouk,
     pmt_frequencies,
 )
@@ -237,7 +239,7 @@ def test_three_weight_solve_rejects_degenerate():
 def test_b3_integrality_forces_product_divisibility():
     # whenever B3 comes out integral, 2^(k-2) must divide w1*w2*w3
     sol = three_weight_solve(24, 11, 8, 12, 16)
-    assert sol.is_integral()
+    assert is_integral(sol)
     assert (8 * 12 * 16) % (1 << 9) == 0
 
 
@@ -278,7 +280,7 @@ def test_general_solver_matches_binary_formulas():
             continue
         k = rng.randint(3, 12)
         a = solve_three_weight_general(n, k, 2, *ws)
-        b = three_weight_solve(n, k, *ws).frequencies
+        b = closed_form_solve(n, k, *ws).frequencies
         assert a == tuple(b)
 
 
@@ -315,7 +317,7 @@ def test_forced_frequencies_match_rational_oracle(q, n_max):
         for ws in weight_triples(q, n):
             for k in dimension_range(q, n, ws):
                 if q == 2:
-                    ref = three_weight_solve(n, k, *ws).frequencies
+                    ref = closed_form_solve(n, k, *ws).frequencies
                 else:
                     ref = cramer_frequencies(n, k, q, *ws)
                 got = forced_frequencies(q, n, k, ws)
@@ -359,26 +361,40 @@ def test_frequencies_match_cramer_oracle_in_low_dimension(q):
 
 
 def test_three_weight_solve_cross_check_raises(monkeypatch):
-    real = transform.krawtchouk_column
+    real = transform_oracles.krawtchouk_column
 
     def wrong_k3(x, n, q, imax):
         col = real(x, n, q, imax)
         return col[:3] + [col[3] + (x == 0)] + col[4:]
 
-    monkeypatch.setattr(transform, "krawtchouk_column", wrong_k3)
+    monkeypatch.setattr(transform_oracles, "krawtchouk_column", wrong_k3)
     with pytest.raises(SelfCheckFailed, match=re.escape("B_3 = 580")):
-        three_weight_solve(100, 8, 46, 48, 56)
+        closed_form_solve(100, 8, 46, 48, 56)
 
 
 def test_three_weight_solve_reads_at_most_four_numerators(monkeypatch):
-    """The self-check compares B_0..B_3 only, so no column it steps goes
-    past K_3 (the whole distribution would step each to n // 2 = 50)."""
-    real = transform.krawtchouk_column
+    """The closed form's self-check compares B_0..B_3 only, so no column it
+    steps goes past K_3 (the whole distribution would step each to
+    n // 2 = 50)."""
+    real = transform_oracles.krawtchouk_column
     calls = []
-    monkeypatch.setattr(transform, "krawtchouk_column", lambda *args: calls.append(args) or real(*args))
-    sol = three_weight_solve(100, 8, 46, 48, 56)
+    monkeypatch.setattr(transform_oracles, "krawtchouk_column", lambda *args: calls.append(args) or real(*args))
+    sol = closed_form_solve(100, 8, 46, 48, 56)
     assert sol.b3 == 580
     assert sorted(calls) == [(w, 100, 2, 3) for w in (0, 46, 48, 56)]
+
+
+def test_three_weight_solve_matches_the_closed_form():
+    """The view (the Lagrange form at q = 2, B_3 from K_3) returns the
+    closed form's tuple, Fractions and y included, on every triple of
+    condition (i) for n <= 48 and every 2 <= k <= 18."""
+    cases = 0
+    for n in range(3, 49):
+        for ws in weight_triples(2, n):
+            for k in range(2, 19):
+                assert three_weight_solve(n, k, *ws) == closed_form_solve(n, k, *ws), (n, k, ws)
+                cases += 1
+    assert cases == 39_100
 
 
 def test_pmt_frequencies_agreement_check_raises(monkeypatch):

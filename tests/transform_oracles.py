@@ -2,22 +2,27 @@
 
 The library computes Krawtchouk values by the three-term recurrence, cut
 at n // 2 over GF(2) by the reflection K_{n-i}(x) = (-1)^x K_i(x), and
-the forced frequencies from the Lagrange form over K_1 alone
-(transform.lagrange_terms).  The routes below evaluate Krawtchouk values as
-sums of generalized binomials, run the recurrence forward to K_n with no
-reflection (`forward_numerators`), and solve the moment system sum A = q^k - 1, B_1 = B_2 = 0
-built from them by Cramer's rule with a 3x3 determinant per column.  Power
-moments, which the library does not need, are the plain sums the tests
-compare with their closed forms.  `pmt_frequencies` is the closed form for
-the symmetric binary triple (n/2 - t, n/2, n/2 + t), checked against
+the forced frequencies by one formula, the Lagrange form over K_1 alone
+(transform.solve_three_weight_general, which transform.three_weight_solve
+views at q = 2).  The routes below evaluate Krawtchouk values as sums of
+generalized binomials, run the recurrence forward to K_n with no
+reflection (`forward_numerators`), and solve the moment system
+sum A = q^k - 1, B_1 = B_2 = 0 built from them by Cramer's rule with a 3x3
+determinant per column.  Power moments, which the library does not need,
+are the plain sums the tests compare with their closed forms.
+
+`closed_form_solve` is the binary closed form of the frequencies and of
+B_3, cross-checked against the Krawtchouk transform to K_3 whenever its
+frequencies are nonnegative integers; `pmt_frequencies` is the closed form
+for the symmetric binary triple (n/2 - t, n/2, n/2 + t), checked against
 transform.three_weight_solve on every call.  `DualLanes` and
 `packed_dual_sequence` are a second route to transform.dual_sequence_exact:
 they pack each Krawtchouk column of a length into one big integer and
 decide a whole dual distribution by one quotient test on the packed sum.
-`forced_frequencies` applies the Lagrange form to one (q, n, k, weights)
-and rejects on the first nonzero remainder: the frequencies of the per-case
-reference the feasibility kernel, which inlines the same arithmetic per
-length, is tested against (`catalog.reference_candidate`).
+`forced_frequencies` reads the Lagrange form for one (q, n, k, weights)
+and rejects unless every frequency is a positive integer: the frequencies
+of the per-case reference the feasibility kernel, which inlines the same
+arithmetic per length, is tested against (`catalog.reference_candidate`).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from functools import cache
 from math import factorial
 
 from threeweight.errors import InvalidArgument, SelfCheckFailed
-from threeweight.transform import ThreeWeightSolution, krawtchouk_column, lagrange_terms, three_weight_solve
+from threeweight.transform import ThreeWeightSolution, krawtchouk_column, solve_three_weight_general, three_weight_solve
 
 
 def binomial(x: int, nu: int) -> int:
@@ -132,18 +137,78 @@ def forced_frequencies(
     q: int, n: int, k: int, weights: tuple[int, int, int]
 ) -> tuple[int, int, int] | None:
     """The frequencies (A_w1, A_w2, A_w3) forced by sum A = q^k - 1 and
-    B_1 = B_2 = 0, or None as soon as one is not a positive integer.
+    B_1 = B_2 = 0, or None unless all three are positive integers: the
+    Lagrange form of transform.solve_three_weight_general, exact for every
+    k >= 0."""
+    freqs = solve_three_weight_general(n, k, q, *weights)
+    if any(f.denominator != 1 or f <= 0 for f in freqs):
+        return None
+    return tuple(int(f) for f in freqs)
 
-    A_j = (q^k p_j - q^2 c_j) / (q^2 d_j) over lagrange_terms, exact for
-    every k >= 0."""
-    top, qq = q**k, q * q
-    out = []
-    for p, c, d in lagrange_terms(q, n, weights):
-        a, rem = divmod(top * p - qq * c, qq * d)
-        if rem or a <= 0:
-            return None
-        out.append(a)
-    return tuple(out)
+
+def is_integral(sol: ThreeWeightSolution) -> bool:
+    return all(f.denominator == 1 for f in sol.frequencies) and sol.b3.denominator == 1
+
+
+def solution_counts(sol: ThreeWeightSolution) -> dict[int, int]:
+    """{0: 1, w_j: A_j} of an integral solution."""
+    if not is_integral(sol):
+        raise InvalidArgument("frequencies are not integral")
+    d = {0: 1}
+    for w, f in zip(sol.weights, sol.frequencies):
+        d[w] = int(f)
+    return d
+
+
+def closed_form_solve(n: int, k: int, w1: int, w2: int, w3: int) -> ThreeWeightSolution:
+    """Solve the first power moments of a binary projective [n,k] code with
+    nonzero weights w1 < w2 < w3 for the frequencies and for B_3 in closed
+    form.
+
+    When the frequencies come out as nonnegative integers the result is
+    cross-checked against the Krawtchouk transform, its columns stepped only
+    to K_3 (B_1 = B_2 = 0 and the same B_3 must reappear).
+    """
+    if not all(isinstance(v, int) for v in (n, k, w1, w2, w3)):
+        raise InvalidArgument(f"the moments need an int n, k and weights, not {(n, k, w1, w2, w3)!r}")
+    if len({w1, w2, w3}) != 3:
+        raise InvalidArgument(f"weights must be distinct, got {(w1, w2, w3)}")
+    if not (1 <= w1 < w2 < w3 <= n):
+        raise InvalidArgument(f"need 1 <= w1 < w2 < w3 <= n, got {(w1, w2, w3)} with n={n}")
+    if k < 2:
+        raise InvalidArgument("dimension must be at least 2 for a three-weight code")
+    y = 1 << (k - 2)
+    a1 = Fraction(
+        y * (n * n - 2 * n * w2 - 2 * n * w3 + 4 * w2 * w3 + n) - w2 * w3,
+        (w2 - w1) * (w3 - w1),
+    )
+    a2 = Fraction(
+        y * (n * n - 2 * n * w1 - 2 * n * w3 + 4 * w1 * w3 + n) - w1 * w3,
+        (w2 - w3) * (w2 - w1),
+    )
+    a3 = Fraction(
+        y * (n * n - 2 * n * w1 - 2 * n * w2 + 4 * w1 * w2 + n) - w1 * w2,
+        (w3 - w1) * (w3 - w2),
+    )
+    prod = w1 * w2 * w3
+    b3_times_3 = (
+        Fraction(n * n * (n + 3), 2)
+        - (w1 + w2 + w3) * n * (n + 1)
+        + 2 * (w1 * w2 + w1 * w3 + w2 * w3) * n
+        - 4 * prod
+        + Fraction(4 * prod, 1 << k)
+    )
+    b3 = b3_times_3 / 3
+    sol = ThreeWeightSolution(2, n, k, (w1, w2, w3), (a1, a2, a3), b3, y)
+    if is_integral(sol) and all(f >= 0 for f in sol.frequencies):
+        columns = [(a, krawtchouk_column(w, n, 2, 3)) for w, a in solution_counts(sol).items()]
+        b = [Fraction(sum(a * col[i] for a, col in columns), 1 << k) for i in range(4)]
+        if b[0] != 1 or b[1] != 0 or b[2] != 0 or b[3] != b3:
+            raise SelfCheckFailed(
+                f"MacWilliams transform disagrees with the closed form for "
+                f"n={n}, k={k}, weights={(w1, w2, w3)}: B_0..B_3 = {b[:4]}, B_3 = {b3}"
+            )
+    return sol
 
 
 def pmt_frequencies(n: int, k: int, t: int) -> ThreeWeightSolution:
