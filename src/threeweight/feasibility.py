@@ -161,8 +161,8 @@ def evaluate_candidate(q: int, n: int, k: int, weights: tuple[int, int, int]) ->
 def hamming_floor(q: int, n: int) -> int:
     """The least k with q^k >= 1 + n(q-1): no admissible case of length n
     has a smaller dimension (the bound is derived in length_candidates)."""
-    if not (isinstance(q, int) and isinstance(n, int)):
-        raise InvalidArgument(f"the Hamming floor needs an int q and n, not q = {q!r}, n = {n!r}")
+    if not (isinstance(q, int) and isinstance(n, int)) or q not in (2, 3):
+        raise InvalidArgument(f"the Hamming floor needs q in {{2, 3}} and an int n, not q = {q!r}, n = {n!r}")
     k = 1
     while q**k <= n * (q - 1):
         k += 1
@@ -358,8 +358,8 @@ def hamming_bound_ok(n: int, k: int, d: int, q: int) -> bool:
     T > room fails and (r+1) T <= room holds; only a room between them
     needs the whole sum.
     """
-    if not (isinstance(n, int) and isinstance(k, int) and isinstance(d, int)):
-        raise InvalidArgument(f"the sphere-packing test needs an int n, k and d, not {(n, k, d)!r}")
+    if not (isinstance(n, int) and isinstance(k, int) and isinstance(d, int)) or k < 0:
+        raise InvalidArgument(f"the sphere-packing test needs an int n, d and k >= 0, not {(n, k, d)!r}")
     if not isinstance(q, int) or q not in (2, 3):
         raise InvalidArgument(f"the sphere-packing test supports q in {{2, 3}}, not q = {q!r}")
     if not (1 <= d <= n):

@@ -18,8 +18,8 @@ of verify, which reads one distribution once.  dual_sequence_exact, the
 feasibility kernel's dual test, computes a few lanes by three facts derived
 in its docstring: the binomial moments q^(k-nu) | T_nu decide integrality
 past them, Krawtchouk orthogonality and Cauchy-Schwarz make q^k B_i positive
-on one interval of middle lanes, and the lanes outside it come from short
-columns (the high end over GF(2) by the reflection).
+on one interval of middle lanes, and its own short columns, never
+dual_numerators, give the rest (the high end over GF(2) by the reflection).
 
 All arithmetic is exact (integers and fractions).  Integrality of a dual
 distribution is always tested, never assumed.  `ThreeWeightSolution` is a
@@ -50,6 +50,8 @@ def dual_numerators(counts: dict[int, int], n: int, q: int) -> list[int]:
     half = n // 2 if q == 2 else n
     sums = [[0] * (half + 1), [0] * (half + 1)]  # even and odd w over GF(2)
     for w, a in counts.items():
+        if not (isinstance(w, int) and 0 <= w <= n):
+            raise InvalidArgument(f"the dual numerators need int weights in 0..{n}, not {w!r}")
         if a:
             parity = w & 1 if q == 2 else 0
             sums[parity] = [s + a * v for s, v in zip(sums[parity], krawtchouk_column(w, n, q, half))]
@@ -107,13 +109,13 @@ def dual_sequence_exact(
     v is log-concave in i these lanes form one interval, from the first
     such lane lo.
 
-    Exact lanes.  The lanes below max(lo, 4) come from one short
-    krawtchouk_column per weight and K_i(0) = v_i, the walk carried to i = 3.
-    Over GF(2) v_(n-i) = v_i, so the interval ends at n - lo, and the lanes
-    above it are q^k B_(n-i) = sum_w (-1)^w A_w K_i(w) for i < lo, by
-    K_(n-i)(x) = (-1)^x K_i(x).  Over GF(3) the interval must reach i = n
-    (v_n = 2^n past the bound); otherwise, or when the interval is empty,
-    dual_numerators gives every lane.
+    Exact lanes.  The lanes below top = max(lo, 4) come from one short
+    krawtchouk_column per weight and K_i(0) = v_i, the walk carried on to
+    lane top - 1.  Over GF(2) v_(n-i) = v_i, so the walk stops at n // 2 and
+    the lanes past n - lo, all of them if the interval is empty, are
+    q^k B_(n-i) = sum_w (-1)^w A_w K_i(w) for i < lo, by K_(n-i)(x) =
+    (-1)^x K_i(x).  Over GF(3) the interval reaches i = n only when v_n = 2^n
+    is past the bound; otherwise lo = n + 1 and every lane is exact.
     """
     (w1, w2, w3), (a1, a2, a3) = weights, freqs
     if not (isinstance(q, int) and isinstance(n, int) and isinstance(k, int)) or not (
@@ -125,21 +127,19 @@ def dual_sequence_exact(
     size, s = q**k, q - 1
     u1, u2, u3 = comb(n, w1) * s**w1, comb(n, w2) * s**w2, comb(n, w3) * s**w3
     bound = q**n * (a1 * a1 * u2 * u3 + a2 * a2 * u1 * u3 + a3 * a3 * u1 * u2) // (u1 * u2 * u3)
-    lo, v = 0, [1]  # v_0..v_lo
-    while lo <= n and v[lo] <= bound:
+    lo, v, end = 0, [1], n // 2 if q == 2 else n  # v_0..v_lo; over GF(2) the mirror covers the rest
+    while lo <= end and v[lo] <= bound:
         v.append(v[lo] * (n - lo) * s // (lo + 1))
         lo += 1
-    if lo > n or q == 3 and 2**n <= bound:
-        lo = top = n + 1
-        lanes, mirror = dual_numerators({0: 1, w1: a1, w2: a2, w3: a3}, n, q), []
-    else:
-        top = max(lo, 4)  # the lanes computed exactly
-        for i in range(lo, 3):  # K_i(0) = v_i, on to lane 3
-            v.append(v[i] * (n - i) * s // (i + 1))
-        k1, k2, k3 = (krawtchouk_column(w, n, q, top - 1) for w in weights)
-        lanes = [c0 + a1 * c1 + a2 * c2 + a3 * c3 for c0, c1, c2, c3 in zip(v, k1, k2, k3)]
-        b1, b2, b3 = (-a if w & 1 else a for w, a in zip(weights, freqs))  # q^k B_(n-i) over GF(2)
-        mirror = [c0 + b1 * c1 + b2 * c2 + b3 * c3 for c0, c1, c2, c3 in zip(v[:lo], k1, k2, k3)] if q == 2 else []
+    if q == 3 and 2**n <= bound:
+        lo = n + 1  # the interval cannot reach i = n: every lane exactly
+    top = max(lo, 4)  # the lanes computed exactly
+    for i in range(len(v) - 1, top - 1):  # K_i(0) = v_i, on to the last exact lane
+        v.append(v[i] * (n - i) * s // (i + 1))
+    k1, k2, k3 = (krawtchouk_column(w, n, q, top - 1) for w in weights)
+    lanes = [c0 + a1 * c1 + a2 * c2 + a3 * c3 for c0, c1, c2, c3 in zip(v, k1, k2, k3)]
+    b1, b2, b3 = (-a if w & 1 else a for w, a in zip(weights, freqs))  # q^k B_(n-i) over GF(2)
+    mirror = [c0 + b1 * c1 + b2 * c2 + b3 * c3 for c0, c1, c2, c3 in zip(v[:lo], k1, k2, k3)] if q == 2 else []
     if min(lanes[:lo] + mirror, default=0) < 0 or any(x % size for x in lanes[:top]):
         return None
     c0, c1, c2, c3 = comb(n, top), comb(n - w1, top), comb(n - w2, top), comb(n - w3, top)

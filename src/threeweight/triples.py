@@ -33,14 +33,14 @@ a + e + e' beyond, so
           ceil((need - e) / 2)    else if e + 2e' >= need,
           need - e - e'           otherwise.
 
-binary_triples walks the blocks in turn, each in chunks of at most CHUNK
-values of m.  For each chunk it lists the pairs with m0 in or before the
-chunk and, per pair and root, appends the pair to the bucket of every m of
-the root's class at or past both m0 and the chunk's start.  The buckets hold
-one reference per hit to the pair's one tuple (u, v), so at most three per
-pair and m, and no triple beyond the length being yielded; at each m the
-pair's triple is listed once (two roots can share an m), and the bucket is
-freed.
+binary_triples walks the blocks in turn, each (capped at m_max) in one
+pass: it lists the pairs with m0 in or before the block once and, per pair
+and root, appends the pair to the bucket of every m of the root's class at
+or past both m0 and the block's start.  A bucket holds one reference per
+hit to the pair's one tuple (u, v), at most three per pair; at each m the
+pair's triple is listed once (two roots can share an m) and the bucket is
+freed.  Peak memory is one block's buckets, which the guards bound: the
+scan's last block, 4096 <= n <= 8190, holds 209,605 triples.
 
 Ternary.  Condition (iii) gives no 3-adic cap, so ternary_triples walks
 w1 and, for each, the window of w2 in which A_1 and A_3 can be positive.
@@ -52,8 +52,6 @@ from math import isqrt
 from typing import Iterator
 
 from .errors import InvalidArgument
-
-CHUNK = 256  # values of m whose buckets are filled at once
 
 
 def _pairs(end: int, midpoint: bool) -> Iterator[tuple[int, int, int]]:
@@ -85,7 +83,7 @@ def binary_triples(
     lo, m_max = max(n_min + 1, 2) // 2, n_max // 2
     while lo <= m_max:
         need = lo.bit_length() - 1
-        end = min((2 << need) - 1, m_max, lo + CHUNK - 1)
+        end = min((2 << need) - 1, m_max)
         third = -(-need // 3)
         found = [[] for _ in range(lo, end + 1)]  # one bucket of pairs per m
         for u, v, m0 in _pairs(end, midpoint):
@@ -108,7 +106,7 @@ def binary_triples(
                 for m in range(start + (root - start) % (1 << a), end + 1, 1 << a):
                     found[m - lo].append(pair)
         for m in range(lo, end + 1):
-            # freed once listed, not held to the chunk's end
+            # freed once listed, not held to the block's end
             pairs, found[m - lo] = found[m - lo], None
             yield 2 * m, sorted({(m - u, m - v, m + u + v) for u, v in pairs})
         lo = end + 1

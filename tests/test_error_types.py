@@ -150,6 +150,17 @@ ARGUMENT_ERRORS = {
     "dual distribution of a float dimension": lambda: dual_distribution({0: 1, 2: 3}, 4, 2, 2.0),
     "dual distribution at k = -3": lambda: dual_distribution({0: 1, 2: 3}, 4, 2, -3),
     "vertex guard over GF(2.0)": lambda: vertex_guard_excess(2.0, 3),
+    # these returned [1, -7, 7, -1], [1, 5, -5, -1] and [1]: a count at a
+    # weight outside 0..n was summed as if it had a meaning
+    "dual numerators of a weight past the length": lambda: dual_numerators({5: 1}, 3, 2),
+    "dual numerators of a negative weight": lambda: dual_numerators({-1: 1}, 3, 2),
+    "dual numerators of a weight past length 0": lambda: dual_numerators({1: 1}, 0, 3),
+    "dual distribution of a weight past the length": lambda: dual_distribution({0: 1, 5: 1}, 3, 2, 1),
+    # this ended in a bare TypeError from the parity of a float weight
+    "dual numerators of a float weight": lambda: dual_numerators({1.0: 1}, 3, 2),
+    # these returned True (q^k = 0.5, so a float room of 2048.0) and 1
+    "sphere packing at k = -1": lambda: hamming_bound_ok(10, -1, 3, 2),
+    "Hamming floor over GF(-1)": lambda: hamming_floor(-1, 24),
 }
 
 

@@ -381,22 +381,23 @@ def test_two_adic_skip_drops_triples_before_their_gcd(monkeypatch, run, calls):
 
 
 @pytest.mark.parametrize("run,columns,lanes", [
-    (lambda: enumerate_candidates(2, 4, 71), 288, 1803),  # 291, 1,815 with a K_i(0) column
-    (lambda: enumerate_candidates(3, 3, 39), 136, 1097),  # 139, 1,109 with it
-    (lambda: counterexample_scan(140), 21, 84),  # 22, 88 with it
+    (lambda: enumerate_candidates(2, 4, 71), 273, 1689),  # 288, 1,803 with a dual_numerators fallback
+    (lambda: enumerate_candidates(3, 3, 39), 120, 906),  # 136, 1,097 with it
+    (lambda: counterexample_scan(140), 21, 84),  # no scan case fell back
 ], ids=["table1", "table2", "scan-140"])
 def test_dual_test_steps_short_columns(monkeypatch, run, columns, lanes):
     """The dual test steps one krawtchouk_column per weight, and only to
-    the lanes it computes exactly (K_i(0) = v_i comes from its walk to the
-    interval, carried on to i = 3), so three per case, and four where it
-    falls back on dual_numerators, which steps K_i(0) too: the count and
-    the lanes stepped pin how far the exact ends reach."""
+    the lanes it computes exactly (K_i(0) = v_i comes from its walk, carried
+    on to the last exact lane), so three per case, and it never hands a case
+    to dual_numerators: the count and the lanes stepped pin how far the
+    exact ends reach."""
     stepped, fallbacks = [], []
     real_column, real_numerators = transform.krawtchouk_column, transform.dual_numerators
     monkeypatch.setattr(transform, "krawtchouk_column", lambda *args: stepped.append(args) or real_column(*args))
     monkeypatch.setattr(transform, "dual_numerators", lambda *args: fallbacks.append(args) or real_numerators(*args))
     tests = _calls(monkeypatch, "dual_sequence_exact", run)
-    assert len(stepped) == 3 * len(tests) + len(fallbacks)
+    assert fallbacks == []
+    assert len(stepped) == 3 * len(tests)
     assert (len(stepped), sum(imax + 1 for _, _, _, imax in stepped)) == (columns, lanes)
 
 

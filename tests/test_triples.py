@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from threeweight.feasibility import SCAN_START, weight_triples
-from threeweight.triples import binary_triples, ternary_triples
+from threeweight.triples import _pairs, binary_triples, ternary_triples
 
 from triples_oracles import window_triples
 
@@ -35,7 +35,7 @@ def test_scan_triples_match_the_window_loop_to_4095():
     (1, 1), (2, 2), (4, 4), (5, 4), (-7, 9), (127, 129), (128, 128), (129, 131), (255, 1029), (300, 700),
 ])
 def test_a_subrange_lists_what_the_whole_range_lists(n_min, n_max):
-    """A range starting inside a dyadic block of m or across chunks, a
+    """A range starting inside a dyadic block of m or across blocks, a
     single length and an empty range: the lengths and lists the whole range
     gives there."""
     for midpoint in (True, False):
@@ -45,11 +45,21 @@ def test_a_subrange_lists_what_the_whole_range_lists(n_min, n_max):
 
 
 def test_binary_triples_stream_block_by_block():
-    """The first length comes after the pairs of its chunk alone: no list
-    of a longer length, and no pair that enters past the chunk, is built
+    """The first length comes after the pairs of its dyadic block alone: no
+    list of a longer block, and no pair that enters past the block, is built
     first."""
     n, triples = next(binary_triples(SCAN_START, 10**9, midpoint=False))
     assert (n, triples) == (SCAN_START, list(window_triples(2, SCAN_START, False)))
+
+
+def test_pairs_are_listed_once_per_dyadic_block(monkeypatch):
+    """m = 36..2047 spans the six blocks from 2^5 to 2^10, and each lists
+    its pairs in one pass."""
+    ends = []
+    monkeypatch.setattr("threeweight.triples._pairs", lambda end, midpoint: ends.append(end) or _pairs(end, midpoint))
+    for _ in binary_triples(72, 4095, False):
+        pass
+    assert ends == [63, 127, 255, 511, 1023, 2047]
 
 
 def test_ternary_triples_match_the_window_loop():
