@@ -22,8 +22,8 @@ for q = 2 only those whose cap on k from (iii) reaches the floor, listed by
 2-adic residue classes of n/2 across a whole range of lengths
 (binary_triples, which the enumeration and the scan each run once per
 range; the scan's lists leave out w2 = n/2), and for q = 3 a window of w2
-per w1 (ternary_triples), with k capped at n - w1 + 1, the Singleton
-bound, which (iv) implies.  The dual test (transform.dual_sequence_exact)
+per w1 (ternary_triples), with k capped once per length by the covering
+bound q^k <= V(n, 3).  The dual test (transform.dual_sequence_exact)
 computes only a few lanes of B_0..B_n, by three facts derived in its
 docstring: integrality from the binomial moments q^(k-nu) | T_nu, positive
 signs on one interval of middle lanes from Krawtchouk orthogonality and
@@ -55,8 +55,7 @@ from .transform import dual_sequence_exact, krawtchouk_column
 from .transform import three_weight_solve  # read by perfbench/test_perfbench.py
 from .triples import binary_triples, ternary_triples
 
-N_GUARD_Q2 = 1024
-N_GUARD_Q3 = 81
+N_GUARD = 1024  # both fields
 SCAN_GUARD = 8192
 ANTICODE_HAMMING_LIMIT = 512
 
@@ -161,12 +160,18 @@ def evaluate_candidate(q: int, n: int, k: int, weights: tuple[int, int, int]) ->
 def hamming_floor(q: int, n: int) -> int:
     """The least k with q^k >= 1 + n(q-1): no admissible case of length n
     has a smaller dimension (the bound is derived in length_candidates)."""
-    if not (isinstance(q, int) and isinstance(n, int)) or q not in (2, 3):
-        raise InvalidArgument(f"the Hamming floor needs q in {{2, 3}} and an int n, not q = {q!r}, n = {n!r}")
+    if not (isinstance(q, int) and isinstance(n, int)) or q not in (2, 3) or n < 0:
+        raise InvalidArgument(f"the Hamming floor needs q in {{2, 3}} and an int n >= 0, not q = {q!r}, n = {n!r}")
     k = 1
     while q**k <= n * (q - 1):
         k += 1
     return k
+
+
+def _covering_cap(q: int, n: int) -> int:
+    """The largest k with q^k <= V(n, 3) (derived in length_candidates)."""
+    v = sum(comb(n, i) * (q - 1) ** i for i in range(4))
+    return next(k for k in range(n + 1) if q ** (k + 1) > v)
 
 
 def length_candidates(q: int, n: int, triples: Iterable[tuple[int, int, int]]) -> Iterator[Candidate]:
@@ -190,16 +195,14 @@ def length_candidates(q: int, n: int, triples: Iterable[tuple[int, int, int]]) -
     window of w2 around the midpoint n(q-1)/q, and the triples outside it
     are never listed.  Per triple, conditions (ii) and (iii) become one
     interval of k: a gcd q^e of the weights gives k >= e + 1, for q = 2,
-    2^(k-2) | w1 w2 w3 caps k, and for q = 3 the Singleton bound
-    k <= n - w1 + 1 does.  It follows from (iv): the binomial moments
-    (MacWilliams and Sloane, The Theory of Error-Correcting Codes, Ch. 5)
-
-        sum_j C(n-j, i) A_j = q^(k-i) sum_(j <= i) C(n-j, n-i) B_j
-
-    have at i = n - w1 + 1 the one term A_0 = 1 on the left, as no weight
-    lies below w1, and with B_0 = 1 and every B_j >= 0 the right side is at
-    least q^(k-i) C(n, i), so q^(k-i) <= 1.  No k past it is admitted, and
-    cutting there changes no output.
+    2^(k-2) | w1 w2 w3 caps k, and for q = 3 one cap per length does:
+    q^k <= V(n, 3) = sum_(i <= 3) C(n, i) (q-1)^i.  C has three nonzero
+    weights, so C^perp has covering radius at most 3 (P. Delsarte, "Four
+    fundamental parameters of a code and their combinatorial significance",
+    Inform. Control 23, 1973): each of the q^k cosets of C^perp has a leader
+    of weight at most 3.  This is a theorem about codes, not a consequence
+    of (i)-(v); the tests lift the cap to (iii)'s k <= n and show that it
+    cuts no admissible case.
 
     The interval starts no lower than the Hamming floor k_lo, the least k
     with q^k >= 1 + n(q-1): the sphere-packing bound on the dual, which
@@ -228,20 +231,19 @@ def length_candidates(q: int, n: int, triples: Iterable[tuple[int, int, int]]) -
     """
     if not isinstance(q, int) or q not in (2, 3):
         raise InvalidArgument("the kernel supports q in {2, 3}")
-    if not isinstance(n, int):
-        raise InvalidArgument(f"the length {n!r} must be an int")
+    if not isinstance(n, int) or n < 0:
+        raise InvalidArgument(f"the length {n!r} must be an int >= 0")
     s = q - 1
     if 3 * n * s % q:
         return
     ns = n * s
     k_lo = hamming_floor(q, n)
+    k_max = _covering_cap(q, n) if q == 3 else None  # once per length; q = 2 caps per triple
     for weights in triples:
         w1, w2, w3 = weights
         if q == 2:
             prod = w1 * w2 * w3
             k_max = (prod & -prod).bit_length() + 1  # condition (iii), at least k_lo here
-        else:
-            k_max = n - w1 + 1  # the Singleton bound, which condition (iv) implies
         delta = gcd(w1, w2, w3)
         # condition (ii): delta = q^e, so k >= e + 1
         e, rest = 0, delta
@@ -289,14 +291,10 @@ def enumerate_candidates(q: int, n_min: int, n_max: int) -> list[Candidate]:
     """Admissible candidates for every length in [n_min, n_max]."""
     if not (isinstance(n_min, int) and isinstance(n_max, int)):
         raise InvalidArgument(f"lengths {n_min!r} and {n_max!r} must be ints")
-    if q == 2:
-        if n_max >= N_GUARD_Q2:
-            raise GuardExceeded(f"q=2 enumeration is guarded at n < {N_GUARD_Q2}")
-    elif q == 3:
-        if n_max > N_GUARD_Q3:
-            raise GuardExceeded(f"q=3 enumeration is guarded at n <= {N_GUARD_Q3}")
-    else:
+    if q not in (2, 3):
         raise InvalidArgument("enumeration supports q in {2, 3}")
+    if n_max >= N_GUARD:
+        raise GuardExceeded(f"q={q} enumeration is guarded at n < {N_GUARD}")
     lengths = binary_triples(n_min, n_max) if q == 2 else ((n, ternary_triples(n)) for n in range(max(n_min, 1), n_max + 1))
     out = [c for n, triples in lengths for c in length_candidates(q, n, triples)]
     out.sort(key=Candidate.sort_key)

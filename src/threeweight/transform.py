@@ -45,8 +45,8 @@ def dual_numerators(counts: dict[int, int], n: int, q: int) -> list[int]:
     even and of odd weights are summed apart, and the upper half is their
     difference.
     """
-    if not (isinstance(n, int) and isinstance(q, int)) or q not in (2, 3):
-        raise InvalidArgument(f"the dual numerators need an int length and q in {{2, 3}}, not n = {n!r}, q = {q!r}")
+    if not (isinstance(n, int) and isinstance(q, int)) or n < 0 or q not in (2, 3):
+        raise InvalidArgument(f"the dual numerators need an int length n >= 0, q in {{2, 3}}, not n = {n!r}, q = {q!r}")
     half = n // 2 if q == 2 else n
     sums = [[0] * (half + 1), [0] * (half + 1)]  # even and odd w over GF(2)
     for w, a in counts.items():
@@ -216,7 +216,7 @@ def solve_three_weight_general(
     weight w_j contribute to it.  So A_j = (q^k p_j - q^2 c_j) / (q^2 d_j)
     for every k >= 0.
     """
-    if not all(isinstance(v, int) for v in (n, k, q, w1, w2, w3)) or k < 0 or q < 2:
+    if not all(isinstance(v, int) for v in (n, k, q, w1, w2, w3)) or n < 0 or k < 0 or q < 2:
         raise InvalidArgument(f"the frequencies need ints n, k >= 0, q >= 2 and weights, not {(n, k, q, w1, w2, w3)!r}")
     if w1 == w2 or w1 == w3 or w2 == w3:
         raise InvalidArgument(f"weights must be distinct, got {(w1, w2, w3)}")

@@ -470,9 +470,11 @@ def test_scan_csv_carries_y_column(capsys):
 @pytest.mark.parametrize("argv", [
     ("scan-counterexamples", "--n-max", "8192"),
     ("enumerate", "--q", "2", "--n-min", "1000", "--n-max", "1024"),
+    ("enumerate", "--q", "3", "--n-min", "3", "--n-max", "1024"),
 ])
 def test_q2_guard_exits_2(capsys, argv):
     # each --n-max is its command's guard: the scan's 8192, enumerate's 1024
+    # for both fields
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and f"guarded at n < {argv[-1]}" in err

@@ -161,6 +161,13 @@ ARGUMENT_ERRORS = {
     # these returned True (q^k = 0.5, so a float room of 2048.0) and 1
     "sphere packing at k = -1": lambda: hamming_bound_ok(10, -1, 3, 2),
     "Hamming floor over GF(-1)": lambda: hamming_floor(-1, 24),
+    # these returned [], [], 1, [] (through that floor) and (111, -177, 73):
+    # a length below 0 has no meaning
+    "dual numerators of a negative length": lambda: dual_numerators({}, -1, 2),
+    "dual distribution of a negative length": lambda: dual_distribution({}, -3, 3, 0),
+    "Hamming floor of a negative length": lambda: hamming_floor(2, -5),
+    "length kernel at a negative length": lambda: list(length_candidates(3, -3, [])),
+    "general frequencies at a negative length": lambda: solve_three_weight_general(-6, 3, 2, 1, 2, 3),
 }
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import re
 from fractions import Fraction
@@ -12,8 +14,7 @@ from threeweight.code import parity_check_code
 from threeweight.errors import CodesError, GuardExceeded, InvalidArgument, SelfCheckFailed
 from threeweight.feasibility import (
     ANTICODE_HAMMING_LIMIT,
-    N_GUARD_Q2,
-    N_GUARD_Q3,
+    N_GUARD,
     SCAN_GUARD,
     Candidate,
     apply_filters,
@@ -94,14 +95,23 @@ def test_enumerate_ternary_survivor():
     assert c is not None and c.frequencies == (42, 188, 12)
 
 
+def test_ternary_report_to_the_guard_is_pinned():
+    # every ternary row below N_GUARD, unlisted ones included (about 2 s);
+    # a kernel capped per triple by the Singleton bound n - w1 + 1 listed the
+    # same rows, checked once (about 55 s)
+    rows = [c.row() for c in feasibility_report(3, 3, N_GUARD - 1, include_unlisted=True)]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert (len(rows), digest) == (806, "47ff52e9552b0ce394b1323a2cca91deffc7739328a94434a4fe07ed29a752f6")
+
+
 def test_enumerate_guards():
-    assert N_GUARD_Q2 == 1024
+    assert N_GUARD == 1024  # both fields
     with pytest.raises(GuardExceeded):
         enumerate_candidates(2, 4, 1100)
-    with pytest.raises(GuardExceeded):
-        enumerate_candidates(2, 1000, N_GUARD_Q2)
-    with pytest.raises(GuardExceeded):
-        enumerate_candidates(3, 3, 100)
+    with pytest.raises(GuardExceeded, match="q=2 enumeration is guarded at n < 1024"):
+        enumerate_candidates(2, 1000, N_GUARD)
+    with pytest.raises(GuardExceeded, match="q=3 enumeration is guarded at n < 1024"):
+        enumerate_candidates(3, 3, N_GUARD)
     with pytest.raises(InvalidArgument, match="enumeration supports q"):
         enumerate_candidates(5, 3, 10)
 
@@ -403,14 +413,15 @@ def test_dual_test_steps_short_columns(monkeypatch, run, columns, lanes):
 
 @pytest.mark.parametrize("run,divisions", [
     (lambda: enumerate_candidates(2, 4, 71), 1216),
-    (lambda: enumerate_candidates(3, 3, 39), 5028),  # 9873 with k up to n, not n - w1 + 1
+    (lambda: enumerate_candidates(3, 3, 39), 2481),  # 9873 with k up to n, not the covering cap
 ], ids=["table1", "table2"])
 def test_kernel_division_count_pins_its_steps(monkeypatch, run, divisions):
     """Every (triple, k) step of the kernel divides once for A_2, and
     further for A_1, A_3 and B_3: the count moves with the first and the
     last k of each triple, which changes no output (below the Hamming floor
-    no frequency triple is positive, and for q = 3 no k past n - w1 + 1
-    has a nonnegative dual distribution)."""
+    no frequency triple is positive, and for q = 3 no code has q^k past
+    V(n, 3), a cap that test_lifting_the_covering_cap_admits_nothing_more
+    lifts)."""
     count = []
 
     def counted(a, b):
@@ -442,13 +453,12 @@ def _dual_routes(calls):
 
 @pytest.fixture(scope="module")
 def kernel_to_the_guards():
-    """Every output of length_candidates for q = 2, n < N_GUARD_Q2 and
-    q = 3, n <= N_GUARD_Q3, and every dual test it makes, through
-    _dual_routes."""
+    """Every output of length_candidates for q = 2, n < N_GUARD and
+    q = 3, n <= 81, and every dual test it makes, through _dual_routes."""
     outputs = []
 
     def run():
-        for q, n_max in ((2, N_GUARD_Q2 - 1), (3, N_GUARD_Q3)):
+        for q, n_max in ((2, N_GUARD - 1), (3, 81)):
             outputs.extend(c for n in range(1, n_max + 1) for c in length_candidates(q, n, length_triples(q, n)))
 
     with pytest.MonkeyPatch.context() as patched:
@@ -459,9 +469,9 @@ def kernel_to_the_guards():
 @pytest.fixture(scope="module")
 def dual_tests_past_the_guards():
     """Every dual test, through _dual_routes, of the ternary kernel at
-    N_GUARD_Q3 < n <= 243 and of counterexample_scan(2047)."""
+    82 <= n <= 243 and of counterexample_scan(2047)."""
     def run():
-        for n in range(N_GUARD_Q3 + 1, 244):
+        for n in range(82, 244):
             list(length_candidates(3, n, length_triples(3, n)))
         counterexample_scan(2047)
 
@@ -659,7 +669,7 @@ def test_scan_reproduces_catalog(tmp_path):
 
 
 def test_scan_guard():
-    # the scan has its own guard; enumerate --q 2 keeps N_GUARD_Q2
+    # the scan has its own guard; enumerate keeps N_GUARD for both fields
     assert SCAN_GUARD == 8192
     with pytest.raises(GuardExceeded, match="scan is guarded at n < 8192"):
         counterexample_scan(SCAN_GUARD)
@@ -674,8 +684,9 @@ def test_length_kernel_matches_the_case_reference(q, n_max, cases):
     start at 1, so n = 1, 2 and the lengths with no integral weight sum
     3n(q-1)/q are covered (both routes yield nothing there).  The reference
     route has no Hamming floor and, for q = 3, no cap below k <= n, so
-    finding q^k >= 1 + n(q-1) and k <= n - w1 + 1 on every case it admits
-    checks, on its own, the two bounds the kernel cuts at."""
+    finding 1 + n(q-1) <= q^k <= V(n, 3) on every case it admits checks,
+    on its own, the two bounds the kernel cuts at; k <= n - w1 + 1, the
+    Singleton bound, holds there too."""
     seen = 0
     for n in range(1, n_max + 1):
         want = []
@@ -686,9 +697,23 @@ def test_length_kernel_matches_the_case_reference(q, n_max, cases):
                 if c is not None:
                     assert q**k >= 1 + n * (q - 1), (n, k, ws)
                     assert k <= n - ws[0] + 1, (n, k, ws)
+                    assert q**k <= sum(comb(n, i) * (q - 1) ** i for i in range(4)), (n, k, ws)
                     want.append(c)
         assert list(length_candidates(q, n, length_triples(q, n))) == want, n
     assert seen == cases
+
+
+def test_lifting_the_covering_cap_admits_nothing_more(monkeypatch):
+    """The ternary kernel with the covering cap lifted to k <= n, condition
+    (iii)'s own bound for q = 3 and the range of catalog.dimension_range,
+    admits the rows of the capped kernel for 82 <= n <= 243; below 82,
+    test_length_kernel_matches_the_case_reference runs every k <= n."""
+    def rows():
+        return [c for n in range(82, 244) for c in length_candidates(3, n, length_triples(3, n))]
+
+    capped = rows()
+    monkeypatch.setattr(feasibility, "_covering_cap", lambda q, n: n)
+    assert len(capped) == 190 and rows() == capped
 
 
 @pytest.mark.parametrize("q,n_max,cases", [(2, 128, 257_451), (3, 45, 91_788)])
